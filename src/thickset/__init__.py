@@ -27,7 +27,6 @@ from .cantor import (
     MembershipResult,
     ThicknessReport,
     affine_image,
-    combo_cover,
     cover,
     difference_interval,
     ifs_from_branches,

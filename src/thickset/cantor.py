@@ -3,18 +3,31 @@ systems, with exact covers, gap enumeration, Newhouse thickness, membership
 queries, and Minkowski combinations of covers.
 
 All geometry is exact: hull endpoints, branch maps, cover intervals, and
-gap endpoints are rationals, so thickness values of stabilized systems are
-exact rationals rather than approximations.
+gap endpoints are rationals, so thickness values are exact rationals rather
+than approximations.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import HypothesisError, Indeterminate, InputError
 from .scalars import Q, to_q
+
+DEFAULT_NODE_BUDGET = 10_000_000
+
+
+def node_budget() -> int:
+    raw = os.environ.get("THICKSET_MAX_NODES")
+    if raw is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError("THICKSET_MAX_NODES must be an integer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,19 +252,14 @@ class GapRecord:
 
 
 STABILIZED = "stabilized"
-TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)
 class ThicknessReport:
     value: Q
-    status: str  # STABILIZED or TRUNCATED
+    status: str  # always STABILIZED: the value is exact
     witness: GapRecord
     max_depth: int
-
-    @property
-    def certified_at_least_one(self) -> bool:
-        return self.status == STABILIZED and self.value >= 1
 
     def __str__(self):
         return f"{self.value} ({self.status})"
@@ -295,41 +303,62 @@ def _ordered_removal(s: IfsSet1D, gaps: list[tuple[Q, Q, int]]
     return records
 
 
-def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
-    """Infimum of bridge/gap ratios over all gaps enumerated to
-    ``max_depth``, with ordered removal simulated exactly.
+def gap_depth(s: IfsSet1D) -> int:
+    """Deepest creation depth D at which a gap can still be as long as the
+    shortest first-level gap: the largest m with
+    s_max^(m-1) * g_max >= g_min.
 
-    The result is tagged STABILIZED when the minimum over depths
-    <= max_depth equals the minimum over depths <= max_depth - 1; for
-    self-similar presentations every deeper gap is a scaled copy of an
-    enumerated one, so a stabilized value is the exact thickness.
-    Otherwise the value is an upper bound tagged TRUNCATED.
+    Raises Indeterminate, before any gap is enumerated, when enumerating
+    to depth D would visit more than ``node_budget()`` nodes.
+    """
+    lens = [hi - lo for lo, hi in s.top_gaps()]
+    g_min, reach = min(lens), max(lens)
+    s_max = max(b.scale for b in s.branches)
+    n, budget = len(s.branches), node_budget()
+    depth, level, nodes = 1, 1, 1
+    while reach * s_max >= g_min:
+        reach *= s_max
+        depth += 1
+        level *= n
+        nodes += level
+        if nodes > budget:
+            raise Indeterminate(f"thickness needs gaps to depth {depth}, "
+                                f"over the node budget of {budget}")
+    return depth
+
+
+def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
+    """Exact Newhouse thickness: the infimum of bridge/gap ratios under
+    ordered removal (decreasing length, ties by left endpoint).
+
+    The value is exact, so the status is always STABILIZED.  Every gap
+    below the first level is an affine copy w(g) of a first-level gap g;
+    gaps outside the subtree image w(hull) cannot enter it, and inside it
+    removal order is preserved by w, so the bridges of w(g) contain the
+    w-images of the bridges of g and its ratio is no smaller.  Hence the
+    thickness is the minimum over first-level gaps.  The bridges of a gap
+    depend only on gaps at least as long as it, and a gap created at
+    depth m is no longer than s_max^(m-1) * g_max, so the gaps created at
+    depths up to ``gap_depth(s)`` include every gap at least g_min long
+    and decide their records exactly.  Those records hold the minimum
+    and the witness: the earliest-removed gap of minimum ratio, which is
+    removed no later than the first-level minimizer.  ``max_depth`` is
+    validated and echoed in the report but does not change it.
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
     if len(s.branches) == 1:
         raise InputError("set with a single branch has no gaps")
-
-    def run(depth: int) -> tuple[Q, GapRecord]:
-        records = _ordered_removal(s, enumerate_gaps(s, depth))
-        best = records[0]  # keep the earliest-removed gap on ratio ties
-        for r in records[1:]:
-            if r.ratio < best.ratio:
-                best = r
-        return best.ratio, best
-
-    val_full, witness = run(max_depth)
-    val_prev, _ = run(max_depth - 1)
-    status = STABILIZED if val_full == val_prev else TRUNCATED
-    return ThicknessReport(val_full, status, witness, max_depth)
+    records = _ordered_removal(s, enumerate_gaps(s, gap_depth(s)))
+    witness = records[0]  # keep the earliest-removed gap on ratio ties
+    for r in records[1:]:
+        if r.ratio < witness.ratio:
+            witness = r
+    return ThicknessReport(witness.ratio, STABILIZED, witness, max_depth)
 
 
-def require_thickness_at_least_one(s: IfsSet1D, max_depth: int = 8
-                                   ) -> ThicknessReport:
-    rep = newhouse_thickness(s, max_depth)
-    if rep.status != STABILIZED:
-        raise Indeterminate("thickness did not stabilize by depth "
-                            f"{max_depth}")
+def require_thickness_at_least_one(s: IfsSet1D) -> ThicknessReport:
+    rep = newhouse_thickness(s)
     if rep.value < 1:
         raise HypothesisError(f"thickness {rep.value} is below 1")
     return rep
@@ -444,15 +473,6 @@ def gap_containing_interval(s: IfsSet1D, lo: Q, hi: Q,
 # -- Minkowski combinations of covers -----------------------------------
 
 
-def _scaled_intervals(intervals, factor: Q) -> list[tuple[Q, Q]]:
-    if factor >= 0:
-        out = [(factor * a, factor * b) for a, b in intervals]
-    else:
-        out = [(factor * b, factor * a) for a, b in intervals]
-    out.sort()
-    return out
-
-
 def merge_intervals(intervals) -> list[tuple[Q, Q]]:
     """Union of closed intervals; touching intervals merge."""
     merged: list[list[Q]] = []
@@ -462,72 +482,6 @@ def merge_intervals(intervals) -> list[tuple[Q, Q]]:
         else:
             merged.append([a, b])
     return [(a, b) for a, b in merged]
-
-
-def combo_cover(a: Cover1D, b: Cover1D, mu, nu) -> Cover1D:
-    """Merged union of {mu*I + nu*J} over interval pairs; contains
-    mu*set(A) + nu*set(B)."""
-    muv, nuv = to_q(mu), to_q(nu)
-    sa = _scaled_intervals(a.intervals, muv)
-    sb = _scaled_intervals(b.intervals, nuv)
-    if len(sa) * len(sb) > 4_000_000:
-        raise InputError("combo_cover pair count too large; "
-                         "use combo_reach / combo_covers_interval")
-    sums = [(ia + ja, ib + jb) for ia, ib in sa for ja, jb in sb]
-    return Cover1D(max(a.depth, b.depth), tuple(merge_intervals(sums)))
-
-
-def _component_reach(sa, sb, start: Q) -> Optional[Q]:
-    """Right endpoint of the connected component of union{I + J} over
-    interval lists sa, sb that contains ``start`` (None if uncovered).
-
-    Greedy sweep without materializing the pair products: from position p,
-    the farthest reach among pair intervals whose left end is <= p is
-    computed per A-interval with a binary search over the sorted B lows.
-    """
-    b_lows = [x for x, _ in sb]
-    # prefix maxima of b highs in order of increasing b low
-    b_high_prefix: list[Q] = []
-    best = None
-    for _, jb in sb:
-        best = jb if best is None or jb > best else best
-        b_high_prefix.append(best)
-    p = start
-    covered = False
-    while True:
-        reach = None
-        for ia, ib in sa:
-            k = bisect.bisect_right(b_lows, p - ia)
-            if k == 0:
-                continue
-            cand = ib + b_high_prefix[k - 1]
-            if cand >= p and (reach is None or cand > reach):
-                reach = cand
-        if reach is None:
-            return p if covered else None
-        covered = True
-        if reach <= p:
-            return p
-        p = reach
-
-
-def combo_reach(a_intervals, b_intervals, mu, nu, start) -> Q:
-    """Right endpoint of the connected component of union{mu*I + nu*J}
-    containing ``start`` (= start itself if the point is uncovered)."""
-    sa = _scaled_intervals(a_intervals, to_q(mu))
-    sb = _scaled_intervals(b_intervals, to_q(nu))
-    r = _component_reach(sa, sb, to_q(start))
-    return to_q(start) if r is None else r
-
-
-def combo_covers_interval(a_intervals, b_intervals, mu, nu,
-                          target_lo, target_hi) -> bool:
-    """Whether [target_lo, target_hi] lies inside union{mu*I + nu*J}."""
-    tlo, thi = to_q(target_lo), to_q(target_hi)
-    sa = _scaled_intervals(a_intervals, to_q(mu))
-    sb = _scaled_intervals(b_intervals, to_q(nu))
-    r = _component_reach(sa, sb, tlo)
-    return r is not None and r >= thi
 
 
 # -- self-similar Minkowski combinations --------------------------------

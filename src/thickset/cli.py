@@ -289,7 +289,7 @@ def cmd_thickness(run: Run) -> int:
                   "achieved_word": list(rep.achieved_word),
                   "tail_certificate": rep.tail_certificate}, "report")
         return EXIT_OK
-    rep = cantor.newhouse_thickness(obj, max_depth=max(run.args.depth, 4))
+    rep = cantor.newhouse_thickness(obj)
     run.say(f"{decimal_str(rep.value)} ({rep.status})")
     run.verdicts.append(f"{rep.value} ({rep.status})")
     run.emit({"schema": SCHEMA, "type": "thickness_1d", "input": desc,
@@ -429,9 +429,7 @@ def cmd_certify_gap_lemma(run: Run) -> int:
               "thickness_product": jsonable(rep.thickness_product)},
              "report")
     run.verdicts.append(rep.verdict)
-    if rep.verdict == "hypotheses_hold":
-        return EXIT_OK
-    return EXIT_HYPOTHESIS if rep.verdict == "fail" else EXIT_UNKNOWN
+    return EXIT_OK if rep.verdict == "hypotheses_hold" else EXIT_HYPOTHESIS
 
 
 def reproduce_rows() -> list[dict]:

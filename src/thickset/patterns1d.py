@@ -13,7 +13,6 @@ split tuples of cover intervals, which is sound by self-similarity.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +25,7 @@ from .cantor import (
     membership,
     IN_CERTIFIED,
     newhouse_thickness,
+    node_budget,
     normalize_to_unit,
     middle_cantor,
     require_thickness_at_least_one,
@@ -33,18 +33,6 @@ from .cantor import (
 )
 from .errors import Indeterminate, InputError
 from .scalars import Interval, Q, interval_ln, simplest_between, to_q
-
-DEFAULT_NODE_BUDGET = 10_000_000
-
-
-def node_budget() -> int:
-    raw = os.environ.get("THICKSET_MAX_NODES")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError("THICKSET_MAX_NODES must be an integer")
 
 
 # -- gap geometry -------------------------------------------------------
@@ -275,8 +263,7 @@ def _find_combo_unit(s: IfsSet1D, lam: Q, depth: int) -> Witness1D:
         a_exact=a_exact, b_exact=b_exact)
 
 
-def find_convex_combo(s: IfsSet1D, lam, depth: int = 20,
-                      thickness_depth: int = 8) -> Witness1D:
+def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
     """A nondegenerate configuration {a, (1-lam)a + lam b, b} inside a
     set of certified thickness >= 1, for any lam in (0, 1).
 
@@ -287,7 +274,7 @@ def find_convex_combo(s: IfsSet1D, lam, depth: int = 20,
     lamv = to_q(lam)
     if not (0 < lamv < 1):
         raise InputError("lambda must lie in (0, 1)")
-    require_thickness_at_least_one(s, thickness_depth)
+    require_thickness_at_least_one(s)
     norm, back = normalize_to_unit(s)
     if lamv >= Q(1, 2):
         w = _find_combo_unit(norm, lamv, depth)
@@ -530,7 +517,7 @@ class GapLemmaReport:
     hull_intersect: bool
     interwoven: bool
     thickness_product: Interval
-    verdict: str  # "hypotheses_hold" | "fail" | "unknown"
+    verdict: str  # "hypotheses_hold" | "fail"
     reason: str = ""
 
 
@@ -538,7 +525,8 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
                     thickness_depth: int = 8) -> GapLemmaReport:
     """Certified check of the three intersection criteria for two compact
     sets on the line: overlapping hulls, neither inside a gap of the
-    other, and thickness product at least one."""
+    other, and thickness product at least one.  Thickness values are
+    exact, so ``thickness_depth`` does not change the verdict."""
     h1, h2 = c1.hull, c2.hull
     hull_ok = h1[0] <= h2[1] and h2[0] <= h1[1]
     inter_ok = False
@@ -547,13 +535,9 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
         in_gap_12 = gap_containing_interval(c2, h1[0], h1[1]) is not None
         inter_ok = not in_gap_21 and not in_gap_12
 
-    r1 = newhouse_thickness(c1, thickness_depth)
-    r2 = newhouse_thickness(c2, thickness_depth)
-    iv1 = Interval.point(r1.value) if r1.status == "stabilized" \
-        else Interval(Q(0), r1.value)
-    iv2 = Interval.point(r2.value) if r2.status == "stabilized" \
-        else Interval(Q(0), r2.value)
-    product = iv1 * iv2
+    tau1 = newhouse_thickness(c1, thickness_depth).value
+    tau2 = newhouse_thickness(c2, thickness_depth).value
+    product = Interval.point(tau1 * tau2)
 
     if not hull_ok:
         return GapLemmaReport(hull_ok, inter_ok, product, "fail",
@@ -564,12 +548,8 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
     if product.lo >= 1:
         return GapLemmaReport(hull_ok, inter_ok, product,
                               "hypotheses_hold")
-    if product.hi < 1:
-        return GapLemmaReport(hull_ok, inter_ok, product, "fail",
-                              f"thickness product {product.hi} below 1")
-    return GapLemmaReport(hull_ok, inter_ok, product, "unknown",
-                          "thickness did not stabilize; product "
-                          "straddles 1")
+    return GapLemmaReport(hull_ok, inter_ok, product, "fail",
+                          f"thickness product {product.hi} below 1")
 
 
 # -- dimension bound -------------------------------------------------------

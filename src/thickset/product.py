@@ -175,18 +175,18 @@ def normalize_triangle(t: Triangle) -> NormalizedTriangle:
 
 
 def _exact_sqrt_ratio(q: Q) -> Q:
-    """Exact square root of a rational that must be a perfect square
-    (used for collinear splits, where it always is after reduction)."""
+    """Exact square root of a rational that must be a perfect square.
+
+    Collinear splits always give one: for exact collinear points
+    v_k - v_i = t*(v_j - v_i) with t rational, so the ratio of squared
+    distances is t^2."""
     from math import isqrt
 
     n, d = q.numerator, q.denominator
     rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Q(rn, rd)
-    # fall back to a tight enclosure midpoint; only reachable for
-    # irrational collinear splits, which exact inputs cannot produce
-    iv = interval_sqrt(Interval.point(q), 64)
-    return iv.mid
+    if rn * rn != n or rd * rd != d:
+        raise Indeterminate(f"split ratio {q} is not a perfect square")
+    return Q(rn, rd)
 
 
 # -- difference hits -----------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import InputError, Indeterminate
+from .errors import InputError
 
 Q = Fraction
 
@@ -242,13 +242,6 @@ class Interval:
             return decimal_approx(self.lo, places)
         return (f"{decimal_approx(self.mid, places)} "
                 f"± {decimal_approx(self.width / 2, places)}")
-
-
-def require_definite(c: Cmp, what: str) -> Cmp:
-    if c is Cmp.OVERLAP:
-        raise Indeterminate(f"comparison of {what} is indeterminate at the "
-                            "current precision")
-    return c
 
 
 # -- square roots ------------------------------------------------------

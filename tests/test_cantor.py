@@ -2,28 +2,33 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thickset.cantor import (
     IN_CERTIFIED,
     IN_COVER,
     OUT,
     STABILIZED,
+    _ordered_removal,
     affine_image,
-    combo_cover,
-    combo_covers_interval,
     cover,
     difference_interval,
     enumerate_gaps,
     gap_containing_interval,
+    gap_depth,
+    ifs_from_branches,
     interval_in_cover,
     membership,
+    merge_intervals,
     middle_cantor,
     middle_thirds,
     newhouse_thickness,
     normalize_to_unit,
     off_center_cantor,
+    self_combo_cover,
+    subtree_combo_cover,
 )
-from thickset.errors import HypothesisError, InputError
+from thickset.errors import HypothesisError, Indeterminate, InputError
 
 
 class TestBuilders:
@@ -157,14 +162,89 @@ class TestThickness:
             s = middle_cantor(eps)
             gaps = enumerate_gaps(s, 5)
             rng = random.Random(9)
-            from thickset.cantor import _ordered_removal
-
             baseline = min(r.ratio for r in _ordered_removal(s, gaps))
             for _ in range(10):
                 shuffled = gaps[:]
                 rng.shuffle(shuffled)  # sort is stable; shuffle the ties
                 got = min(r.ratio for r in _ordered_removal(s, shuffled))
                 assert got == baseline
+
+
+def weighted(scales, gaps):
+    """Unit-hull presentation whose branch images and first-level gaps
+    have lengths proportional to the given weights, left to right."""
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    return ifs_from_branches(0, 1, pairs)
+
+
+@st.composite
+def presentations(draw):
+    """Presentations with 2-4 branches from small integer weights, often
+    with equal gap lengths or equal branch scales."""
+    n = draw(st.integers(2, 4))
+    weight = st.integers(1, 12)
+    scales = draw(st.lists(weight, min_size=n, max_size=n))
+    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        scales = [scales[0]] * n
+    if draw(st.booleans()):
+        gaps = [gaps[0]] * (n - 1)
+    return weighted(scales, gaps)
+
+
+HOSTILE = ifs_from_branches(0, 1, [(Q(3, 10), 0),
+                                   (Q(1, 5) - Q(1, 10**9), Q(3, 5)),
+                                   (Q(1, 5), Q(4, 5))])
+
+
+class TestThicknessByProof:
+    @settings(max_examples=60, deadline=None)
+    @given(presentations())
+    # sets whose result changes with the gaps created at depth
+    # gap_depth(s): one such gap is strictly longer than the shortest
+    # first-level gap, the other exactly as long
+    @example(weighted([1, 6, 8], [1, 4]))
+    @example(weighted([11, 1, 11], [1, 9]))
+    def test_matches_deeper_enumeration(self, s):
+        # the gaps to gap_depth(s) decide the value and the witness: two
+        # more levels of gaps change neither
+        depth = gap_depth(s)
+        records = _ordered_removal(s, enumerate_gaps(s, depth + 2))
+        best = min(r.ratio for r in records)
+        witness = next(r for r in records if r.ratio == best)
+        rep = newhouse_thickness(s)
+        assert rep.status == STABILIZED
+        assert (rep.value, rep.witness) == (best, witness)
+
+    def test_gap_depth_bound(self, monkeypatch):
+        # depth D is the last m with s_max^(m-1) * g_max >= g_min; the
+        # budget is raised so that D can be computed without enumerating
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(10**9))
+        s = HOSTILE
+        lens = [hi - lo for lo, hi in s.top_gaps()]
+        s_max = max(b.scale for b in s.branches)
+        d = gap_depth(s)
+        assert d == 17
+        assert s_max ** (d - 1) * max(lens) >= min(lens)
+        assert s_max ** d * max(lens) < min(lens)
+        for s in (middle_thirds(), off_center_cantor(Q(3, 10))):
+            assert gap_depth(s) == 1
+
+    def test_budget_refuses_before_enumerating(self, monkeypatch):
+        monkeypatch.setenv("THICKSET_MAX_NODES", "1000")
+        with pytest.raises(Indeterminate):
+            newhouse_thickness(HOSTILE)
+
+    def test_max_depth_does_not_change_report(self):
+        s = off_center_cantor(Q(3, 10))
+        for depth in (2, 8, 100000):
+            rep = newhouse_thickness(s, depth)
+            assert (rep.value, rep.witness, rep.max_depth) == \
+                (1, newhouse_thickness(s).witness, depth)
 
 
 class TestGaps:
@@ -262,55 +342,59 @@ class TestMembership:
         assert membership(middle_thirds(), Q(2)).kind == OUT
 
 
-class TestComboCover:
-    def test_identity_case(self):
-        c = cover(middle_thirds(), 2)
-        got = combo_cover(c, cover(middle_thirds(), 1), 1, 0)
-        assert got.intervals == c.intervals
+class TestSelfComboCover:
+    @staticmethod
+    def pair_sums(a, b, mu, nu):
+        # brute-force oracle: the merged union of mu*I + nu*J over all
+        # interval pairs
+        def scaled(iv, f):
+            return tuple(sorted((f * iv[0], f * iv[1])))
 
-    def test_depth0(self):
-        a = cover(middle_thirds(), 0)
-        got = combo_cover(a, a, Q(1, 2), Q(1, 2))
-        assert got.intervals == ((Q(0), Q(1)),)
+        return tuple(merge_intervals(
+            (x0 + y0, x1 + y1)
+            for x0, x1 in (scaled(i, mu) for i in a)
+            for y0, y1 in (scaled(j, nu) for j in b)))
 
-    def test_halved_self_sum_depth1(self):
-        # oracle: enumerate the four pair-sums of {[0,1/6],[1/3,1/2]} with
-        # itself: [0,1/3], [1/3,2/3] (twice), [2/3,1]; merged union [0,1]
-        a = cover(middle_thirds(), 1)
-        got = combo_cover(a, a, Q(1, 2), Q(1, 2))
-        assert got.intervals == ((Q(0), Q(1)),)
+    @staticmethod
+    def coefficients(rng):
+        pairs = [(Q(1), Q(-1))]
+        while len(pairs) < 6:
+            mu = Q(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            nu = Q(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            pairs.append((mu, nu))
+        return pairs
 
-    def test_against_bruteforce(self):
-        rng = random.Random(21)
-        s1, s2 = middle_thirds(), middle_cantor(Q(2, 5))
-        for _ in range(12):
-            d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
-            mu = Q(rng.randint(-4, 4), rng.randint(1, 4))
-            nu = Q(rng.randint(-4, 4), rng.randint(1, 4))
-            a, b = cover(s1, d1), cover(s2, d2)
-            got = combo_cover(a, b, mu, nu)
-            # brute-force oracle: precompute pair boxes, sample points
-            boxes = [(min(mu * ia, mu * ib) + min(nu * ja, nu * jb),
-                      max(mu * ia, mu * ib) + max(nu * ja, nu * jb))
-                     for ia, ib in a.intervals for ja, jb in b.intervals]
-            for _ in range(25):
-                x = Q(rng.randint(-3000, 3000), 1000)
-                in_union = any(lo <= x <= hi for lo, hi in boxes)
-                assert any(lo <= x <= hi for lo, hi in got.intervals) \
-                    == in_union
+    SETS = [middle_thirds(), middle_cantor(Q(2, 5)), off_center_cantor(Q(3, 10)),
+            ifs_from_branches(0, 1, [(Q(1, 4), 0), (Q(1, 5), Q(3, 8)),
+                                     (Q(1, 4), Q(3, 4))])]
 
-    def test_covers_interval_agrees_with_materialized(self):
-        s = middle_thirds()
-        a = cover(s, 4)
-        mat = combo_cover(a, a, Q(1, 2), Q(1, 2))
-        rng = random.Random(8)
-        for _ in range(200):
-            lo = Q(rng.randint(0, 999), 1000)
-            hi = lo + Q(rng.randint(0, 50), 1000)
-            want = any(mlo <= lo and hi <= mhi for mlo, mhi in mat.intervals)
-            got = combo_covers_interval(a.intervals, a.intervals,
-                                        Q(1, 2), Q(1, 2), lo, hi)
-            assert got == want
+    @pytest.mark.parametrize("k", range(len(SETS)))
+    def test_self_combo_against_pair_sums(self, k):
+        s, rng = self.SETS[k], random.Random(40 + k)
+        for mu, nu in self.coefficients(rng):
+            for d in range(5):
+                ints = cover(s, d).intervals
+                assert self_combo_cover(s, mu, nu, d) == \
+                    self.pair_sums(ints, ints, mu, nu)
+
+    @pytest.mark.parametrize("k", range(len(SETS)))
+    def test_subtree_combo_against_pair_sums(self, k):
+        s, rng = self.SETS[k], random.Random(50 + k)
+        images = s.branch_images()
+        n = len(s.branches)
+        for mu, nu in self.coefficients(rng):
+            left = sorted(rng.sample(range(n), rng.randint(1, n)))
+            right = sorted(rng.sample(range(n), rng.randint(1, n)))
+            for d in range(1, 5):
+                ints = cover(s, d).intervals
+
+                def under(branches):
+                    return [(a, b) for a, b in ints
+                            if any(images[i][0] <= a and b <= images[i][1]
+                                   for i in branches)]
+
+                assert subtree_combo_cover(s, left, right, mu, nu, d) == \
+                    self.pair_sums(under(left), under(right), mu, nu)
 
 
 class TestDifferenceInterval:

@@ -62,6 +62,24 @@ class TestExitCodes:
         assert main(["search-kap", "--set", "middle_cantor:1/3",
                      "--k", "3", "--depth", "6"]) == 3
 
+    def test_thickness_ignores_huge_depth(self, capsys):
+        assert main(["thickness", "--set", "middle_cantor:1/3",
+                     "--depth", "100000"]) == 0
+        assert "1 (stabilized)" in capsys.readouterr().out
+
+    def test_thickness_over_budget_three(self, monkeypatch, tmp_path):
+        # the second gap is 10^-9 long, so thickness needs gaps to depth 17
+        monkeypatch.setenv("THICKSET_MAX_NODES", "1000")
+        out = tmp_path / "t.json"
+        hostile = ('{"kind":"ifs1d","hull":["0","1"],"branches":['
+                   '{"scale":"3/10","offset":"0"},'
+                   '{"scale":"199999999/1000000000","offset":"3/5"},'
+                   '{"scale":"1/5","offset":"4/5"}]}')
+        assert main(["thickness", "--set", hostile, "--out", str(out)]) == 3
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 3 and manifest["outputs"] == []
+
     def test_gap_lemma_fail_two(self):
         assert main(["certify-gap-lemma", "--set", "middle_cantor:2/5",
                      "--set2", "middle_cantor:2/5"]) == 2

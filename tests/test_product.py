@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from thickset.cantor import middle_cantor, middle_thirds
-from thickset.errors import HypothesisError, InputError
+from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.product import (
     Triangle,
     difference_hit,
@@ -37,6 +37,17 @@ class TestNormalizeTriangle:
         assert n.degenerate
         assert n.alpha.lo == 0
         assert n.lam_exact == Q(1, 2)
+
+    def test_collinear_split_is_exact(self):
+        # squared-distance ratios of exact collinear points are perfect
+        # squares; any other ratio is refused rather than approximated
+        from thickset.product import _exact_sqrt_ratio
+
+        n = normalize_triangle(Triangle.make([(0, 0), (Q(3, 7), Q(6, 7)),
+                                              (3, 6)]))
+        assert n.degenerate and n.lam_exact == Q(1, 7)
+        with pytest.raises(Indeterminate):
+            _exact_sqrt_ratio(Q(1, 2))
 
     def test_repeated_vertices_rejected(self):
         with pytest.raises(InputError):
