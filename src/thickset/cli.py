@@ -49,6 +49,8 @@ def parse_description(text: str) -> dict:
         desc = json.loads(text)
     elif text.endswith(".json") and Path(text).exists():
         desc = json.loads(Path(text).read_text())
+        if not isinstance(desc, dict):
+            raise InputError(f"{text} holds no JSON object")
     else:
         kind, _, arg = text.partition(":")
         desc = {"kind": kind}
@@ -75,20 +77,26 @@ def parse_description(text: str) -> dict:
 
 
 def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
+    """The set or ball system a description names.  A field of the wrong
+    type or length is an InputError, like any other bad description."""
     kind = desc.get("kind")
-    if kind == "middle_cantor":
-        return cantor.middle_cantor(to_q(desc["epsilon"]))
-    if kind == "off_center":
-        return cantor.off_center_cantor(to_q(desc["a"]))
-    if kind == "ifs1d":
-        return cantor.ifs_from_branches(
-            desc["hull"][0], desc["hull"][1],
-            [(b["scale"], b["offset"]) for b in desc["branches"]])
-    if kind == "grid_ifs":
-        return grid_ifs_example(int(desc["n"]), to_q(desc["rho"]),
-                                to_q(desc["d"]), int(desc.get("seed", 1)))
-    if kind == "hex_packing":
-        return hex_packing_example(to_q(desc["gamma"]))
+    try:
+        if kind == "middle_cantor":
+            return cantor.middle_cantor(to_q(desc["epsilon"]))
+        if kind == "off_center":
+            return cantor.off_center_cantor(to_q(desc["a"]))
+        if kind == "ifs1d":
+            return cantor.ifs_from_branches(
+                desc["hull"][0], desc["hull"][1],
+                [(b["scale"], b["offset"]) for b in desc["branches"]])
+        if kind == "grid_ifs":
+            return grid_ifs_example(int(desc["n"]), to_q(desc["rho"]),
+                                    to_q(desc["d"]),
+                                    int(desc.get("seed", 1)))
+        if kind == "hex_packing":
+            return hex_packing_example(to_q(desc["gamma"]))
+    except (TypeError, IndexError) as e:
+        raise InputError(f"malformed {kind!r} description: {e}") from e
     raise InputError(f"unknown description kind {kind!r}")
 
 

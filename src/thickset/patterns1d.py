@@ -13,6 +13,7 @@ split tuples of cover intervals, which is sound by self-similarity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -357,13 +358,64 @@ def _tuple_y_range(boxes: list[tuple[Q, Q]], y_min: Q
     return (lo, hi)
 
 
-def _split_tuples_at_depth_one(s: IfsSet1D, k: int):
-    """Nondecreasing k-tuples of first-level branch indices, not all
-    equal."""
-    n = len(s.branches)
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        if combo[0] != combo[-1]:
-            yield combo
+# the upper bound on y before any pair constrains it: +infinity as a
+# (numerator, step) pair, since cross-multiplied comparisons never let it
+# bind
+_NO_UPPER = (1, 0)
+
+
+def _ordered_extensions(kids: list[list[tuple[int, int]]],
+                        y_min: tuple[int, int]) -> list[tuple[int, ...]]:
+    """Index tuples e, in lexicographic order, such that the boxes
+    kids[0][e[0]], ..., kids[k-1][e[k-1]] have nondecreasing left ends and
+    a nonempty pairwise y-range (as in ``_tuple_y_range``) at or above
+    ``y_min``.
+
+    Boxes are integers over one common denominator; y bounds are
+    (numerator, step) pairs compared by cross-multiplication, so no
+    integer grows with k.  Positions are chosen one at a time with every
+    prefix checked: each constraint involves two positions, so a tuple
+    passes exactly when all its prefixes do, and a dead prefix drops its
+    whole subtree.  The walk keeps its own stack rather than recursing
+    over k.
+    """
+    k = len(kids)
+    lefts, rights, chosen = [0] * k, [0] * k, [0] * k
+    bounds: list[tuple[int, int, int, int]] = [y_min + _NO_UPPER] * k
+    nxt = [0] * k
+    out = []
+    m = 0
+    while m >= 0:
+        e = nxt[m]
+        if e == len(kids[m]):
+            m -= 1
+            continue
+        nxt[m] = e + 1
+        a, b = kids[m][e]
+        lo_n, lo_d, hi_n, hi_d = bounds[m]
+        if m:
+            if a < lefts[m - 1]:
+                # keep tuples ordered; boxes of one depth are disjoint, so
+                # the y-range would reject this pair too, only later
+                continue
+            for j in range(m):
+                step = m - j
+                c = a - rights[j]
+                if c * lo_d > lo_n * step:
+                    lo_n, lo_d = c, step
+                c = b - lefts[j]
+                if c * hi_d < hi_n * step:
+                    hi_n, hi_d = c, step
+            if lo_n * hi_d > hi_n * lo_d:
+                continue
+        lefts[m], rights[m], chosen[m] = a, b, e
+        if m == k - 1:
+            out.append(tuple(chosen))
+        else:
+            m += 1
+            bounds[m] = (lo_n, lo_d, hi_n, hi_d)
+            nxt[m] = 0
+    return out
 
 
 def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
@@ -371,54 +423,74 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
     By self-similarity a progression exists iff one exists that is split
     at the first level (not all points inside one branch image), and a
-    split progression must jump the largest first-level gap, forcing
-    y >= |G1|/(k-1).  All split tuples of cover intervals are tested with
+    split progression must jump a first-level gap, forcing
+    y >= g_min/(k-1).  All split tuples of cover intervals are tested with
     the exact pairwise y-range; if every tuple dies by some depth, no
     k-term progression exists in the set at all.
+
+    Boxes at depth d are integers over den**d, den the lcm of the
+    normalized branch denominators, and a child box comes from its
+    parent's without rebuilding a word map.  ``explored_nodes`` counts the
+    C(n+k-1, k) - n split tuples at depth 1 and n**k candidate extensions
+    of every live tuple below, however many prefix pruning visits; the
+    search stops with ``unknown`` before a fan would pass the node budget.
+
+    When (k-1) * g_min > 1 the verdict is immediate: consecutive points
+    on the two sides of a first-level gap force y >= g_min, while
+    (k-1) * y <= 1, so every depth-1 tuple dies.
     """
     if k < 3:
         raise InputError("k must be at least 3")
     if depth < 1:
         raise InputError("depth must be at least 1")
     norm, back = normalize_to_unit(s)
-    gaps = norm.top_gaps()
-    y_min = min(g1 - g0 for g0, g1 in gaps) / (k - 1)
+    n = len(norm.branches)
+    den = math.lcm(*(q.denominator for b in norm.branches
+                     for q in (b.scale, b.offset)))
+
+    def scaled(q: Q) -> int:
+        return q.numerator * (den // q.denominator)  # exact: den is a multiple
+
+    images = [(scaled(b.offset), scaled(b.offset + b.scale))
+              for b in norm.branches]
+    g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(images, images[1:]))
+    explored = math.comb(n + k - 1, k) - n
+    if (k - 1) * g_min > den:
+        return KapCertificate(k, INFEASIBLE, 1, explored)
     budget = node_budget()
-    explored = 0
+    fan = n ** k
 
-    def boxes_of(words):
-        return [norm.word_interval(w) for w in words]
+    def children(boxes, words, d):
+        """Live children at depth d + 1 of a tuple at depth d."""
+        kids = [[(lo * den + (hi - lo) * a, lo * den + (hi - lo) * b)
+                 for a, b in images] for lo, hi in boxes]
+        y_min = (g_min * den ** d, k - 1)
+        return [(tuple(kids[j][e[j]] for j in range(k)),
+                 tuple(w + (i,) for w, i in zip(words, e)))
+                for e in _ordered_extensions(kids, y_min)]
 
-    live: list[tuple[tuple[int, ...], ...]] = []
-    for combo in _split_tuples_at_depth_one(norm, k):
-        explored += 1
-        words = tuple((i,) for i in combo)
-        if _tuple_y_range(boxes_of(words), y_min) is not None:
-            live.append(words)
+    # depth 1: ordered tuples of first-level images are the nondecreasing
+    # index tuples; drop the unsplit ones
+    live = [t for t in children(((0, 1),) * k, ((),) * k, 0)
+            if t[1][0] != t[1][-1]]
     d = 1
     while live and d < depth:
         nxt = []
-        nb = len(norm.branches)
-        for words in live:
-            for ext in itertools.product(range(nb), repeat=k):
-                explored += 1
-                if explored > budget:
-                    return KapCertificate(k, UNKNOWN, d, explored)
-                cand = tuple(w + (e,) for w, e in zip(words, ext))
-                boxes = boxes_of(cand)
-                if any(boxes[i][0] > boxes[i + 1][0] for i in range(k - 1)):
-                    continue  # keep tuples ordered
-                if _tuple_y_range(boxes, y_min) is not None:
-                    nxt.append(cand)
+        for boxes, words in live:
+            if explored + fan > budget:
+                return KapCertificate(k, UNKNOWN, d,
+                                      max(explored, budget) + 1)
+            explored += fan
+            nxt.extend(children(boxes, words, d))
         live = nxt
         d += 1
-        if not live:
-            return KapCertificate(k, INFEASIBLE, d, explored)
     if not live:
         return KapCertificate(k, INFEASIBLE, d, explored)
 
-    words = min(live, key=lambda ws: [norm.word_interval(w)[0] for w in ws])
-    boxes = boxes_of(words)
+    # boxes share the denominator den**d, so numerators order them
+    _, words = min(live, key=lambda t: [lo for lo, _ in t[0]])
+    boxes = [norm.word_interval(w) for w in words]
+    y_min = Q(g_min, den) / (k - 1)
     y_lo, y_hi = _tuple_y_range(boxes, y_min)
     y_mid = (y_lo + y_hi) / 2
     x_lo = max(boxes[j][0] - j * y_mid for j in range(k))

@@ -80,6 +80,28 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["outputs"] == []
 
+    def test_wrong_shaped_description_one(self, tmp_path):
+        out = tmp_path / "t.json"
+        for desc in ('{"kind":"ifs1d","hull":5,"branches":[]}',
+                     '{"kind":"ifs1d","hull":["0"],"branches":[]}',
+                     '{"kind":"ifs1d","hull":["0","1"],"branches":[5]}',
+                     '{"kind":"grid_ifs","n":[10],"rho":"19/200",'
+                     '"d":"1/100"}'):
+            assert main(["thickness", "--set", desc, "--out", str(out)]) == 1
+            manifest = json.loads(
+                (tmp_path / "t.json.manifest.json").read_text())
+            assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        assert main(["construct", "--set", str(listed)]) == 1
+
+    def test_search_kap_huge_k(self, capsys):
+        # decided from the gap alone: no depth-1 enumeration
+        assert main(["search-kap", "--set", "middle_cantor:2/5",
+                     "--k", "100000", "--depth", "2"]) == 0
+        assert "infeasible_at_depth (k=100000, depth=1, explored=99999)" \
+            in capsys.readouterr().out
+
     def test_gap_lemma_fail_two(self):
         assert main(["certify-gap-lemma", "--set", "middle_cantor:2/5",
                      "--set2", "middle_cantor:2/5"]) == 2

@@ -1,19 +1,26 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thickset.cantor import (
     IN_CERTIFIED,
     affine_image,
+    ifs_from_branches,
     membership,
     middle_cantor,
     middle_thirds,
     off_center_cantor,
+    point_in_cover,
 )
 from thickset.errors import HypothesisError, InputError
 from thickset.patterns1d import (
     FEASIBLE,
     INFEASIBLE,
+    UNKNOWN,
+    KapCertificate,
+    WitnessPoint,
     combo_core_intervals,
     find_3ap,
     find_convex_combo,
@@ -265,6 +272,139 @@ class TestKapSearch:
                 for j in range(k):
                     assert point_in_cover(s, x + j * y, prev)
             prev = depth
+
+
+ROADMAP_SET = ifs_from_branches(0, 1, [(Q(1, 4), 0), (Q(1, 5), Q(3, 8)),
+                                       (Q(1, 4), Q(3, 4))])
+
+
+def pinned(k, verdict, depth, explored, x=None, y=None, points=()):
+    """A certificate from exact values written as strings."""
+    def iv(pair):
+        return None if pair is None else Interval(Q(pair[0]), Q(pair[1]))
+
+    status = f"in_cover_at_depth({depth})"
+    return KapCertificate(k, verdict, depth, explored, iv(x), iv(y),
+                          tuple(WitnessPoint(iv(p), status) for p in points))
+
+
+# full certificates of the search before tuples were extended one position
+# at a time on integer boxes; the live tuples, and so the witness and the
+# node counts, must not change
+PINNED = [
+    (ROADMAP_SET, 4, 3, pinned(
+        4, FEASIBLE, 3, 903, ("1/640", "13/960"), ("35/192", "23/120"),
+        [("0", "1/64"), ("3/16", "13/64"), ("3/8", "31/80"),
+         ("9/16", "23/40")])),
+    (ROADMAP_SET, 4, 4, pinned(
+        4, FEASIBLE, 4, 2361, ("1/2560", "13/3840"), ("143/768", "181/960"),
+        [("0", "1/256"), ("3/16", "49/256"), ("3/8", "121/320"),
+         ("9/16", "181/320")])),
+    (ROADMAP_SET, 4, 5, pinned(
+        4, FEASIBLE, 5, 9651, ("1/10240", "13/15360"),
+        ("575/3072", "721/3840"),
+        [("0", "1/1024"), ("3/16", "193/1024"), ("3/8", "481/1280"),
+         ("9/16", "721/1280")])),
+    (ROADMAP_SET, 4, 6, pinned(
+        4, FEASIBLE, 6, 39216, ("1/40960", "13/61440"),
+        ("2303/12288", "2881/15360"),
+        [("0", "1/4096"), ("3/16", "769/4096"), ("3/8", "1921/5120"),
+         ("9/16", "2881/5120")])),
+    # the depth of the ROADMAP timing target
+    (ROADMAP_SET, 4, 8, pinned(
+        4, FEASIBLE, 8, 740271, ("1/655360", "13/983040"),
+        ("36863/196608", "46081/245760"),
+        [("0", "1/65536"), ("3/16", "12289/65536"), ("3/8", "30721/81920"),
+         ("9/16", "46081/81920")])),
+    (ROADMAP_SET, 5, 4, pinned(
+        5, FEASIBLE, 4, 2691, ("0", "1/320"), ("191/1024", "193/1024"),
+        [("0", "1/256"), ("3/16", "49/256"), ("3/8", "121/320"),
+         ("9/16", "181/320"), ("3/4", "193/256")])),
+    (off_center_cantor(Q(3, 10)), 4, 10, pinned(4, INFEASIBLE, 3, 35)),
+]
+
+# (budget, set, k, depth, verdict, depth reached, explored)
+PINNED_BUDGET = [
+    ("1", ROADMAP_SET, 4, 6, UNKNOWN, 1, 13),
+    ("1", ROADMAP_SET, 5, 4, UNKNOWN, 1, 19),
+    ("1", off_center_cantor(Q(3, 10)), 4, 10, UNKNOWN, 1, 4),
+    ("50", ROADMAP_SET, 4, 6, UNKNOWN, 1, 51),
+    ("50", ROADMAP_SET, 5, 4, UNKNOWN, 1, 51),
+    ("50", off_center_cantor(Q(3, 10)), 4, 10, INFEASIBLE, 3, 35),
+    ("700", ROADMAP_SET, 4, 6, UNKNOWN, 2, 701),
+    ("700", ROADMAP_SET, 5, 4, UNKNOWN, 1, 701),
+    ("700", off_center_cantor(Q(3, 10)), 4, 10, INFEASIBLE, 3, 35),
+    # the search needs exactly 35 nodes
+    ("34", off_center_cantor(Q(3, 10)), 4, 10, UNKNOWN, 2, 35),
+    ("35", off_center_cantor(Q(3, 10)), 4, 10, INFEASIBLE, 3, 35),
+]
+
+
+@st.composite
+def kap_inputs(draw):
+    """A 2- or 3-branch presentation on a random hull (reflected half the
+    time), k in {3, 4, 5} and a depth of at most 3, small enough for the
+    no-pruning oracle."""
+    n = draw(st.integers(2, 3))
+    weight = st.integers(1, 9)
+    scales = draw(st.lists(weight, min_size=n, max_size=n))
+    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    mul = Q(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        mul = -mul
+    s = affine_image(ifs_from_branches(0, 1, pairs), mul,
+                     Q(draw(st.integers(-4, 4)), 3))
+    k, depth = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+    assume(math.comb(n ** depth + k - 1, k) <= 30_000)
+    return s, k, depth
+
+
+class TestKapSearchParity:
+    @pytest.mark.parametrize("s, k, depth, want", PINNED)
+    def test_pinned_certificates(self, s, k, depth, want):
+        assert kap_search(s, k, depth) == want
+
+    @pytest.mark.parametrize("budget, s, k, depth, verdict, reached, nodes",
+                             PINNED_BUDGET)
+    def test_pinned_budget_stops(self, monkeypatch, budget, s, k, depth,
+                                 verdict, reached, nodes):
+        monkeypatch.setenv("THICKSET_MAX_NODES", budget)
+        cert = kap_search(s, k, depth)
+        assert (cert.verdict, cert.depth, cert.explored_nodes) == \
+            (verdict, reached, nodes)
+
+    @pytest.mark.parametrize("k", range(4, 31))
+    def test_large_k_immediate_certificate(self, k):
+        # gap 2/5 > 1/(k-1): every split depth-1 tuple dies
+        cert = kap_search(middle_cantor(Q(2, 5)), k, 2)
+        assert cert == KapCertificate(k, INFEASIBLE, 1, k - 1)
+
+    def test_long_progression_on_tiny_gap(self):
+        # k = 200 is too long for the immediate certificate here, and the
+        # tuple walk must not recurse once per position
+        s = middle_cantor(Q(1, 1000))
+        cert = kap_search(s, 200, 1)
+        assert cert.verdict == FEASIBLE and len(cert.points) == 200
+        for j in range(200):
+            assert point_in_cover(s, cert.x.mid + j * cert.y.mid, 1)
+        cert = kap_search(s, 200, 2)  # a fan of 2**200 passes the budget
+        assert (cert.verdict, cert.depth) == (UNKNOWN, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kap_inputs())
+    def test_agrees_with_bruteforce(self, case):
+        s, k, depth = case
+        cert = kap_search(s, k, depth)
+        assert cert.verdict == kap_bruteforce(s, k, depth)
+        if cert.verdict == FEASIBLE:
+            for j in range(k):
+                v = cert.x.mid + j * cert.y.mid
+                assert point_in_cover(s, v, cert.depth)
 
 
 class TestGapLemmaCheck:
