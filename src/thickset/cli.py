@@ -3,8 +3,10 @@ search, certification, reproduction of the worked-example constants, and
 SVG/CSV/JSON artifact emission.
 
 Exit codes: 0 a verdict was produced (including a sound infeasibility),
-1 input error, 2 a certified hypothesis or threshold failure,
-3 indeterminate (precision or search budget exhausted).
+1 input error (or an internal error), 2 a certified hypothesis or
+threshold failure, 3 indeterminate (precision, search budget, recursion
+depth or memory exhausted).  Once the arguments parse, every exit
+writes the manifest when ``--out`` is given.
 """
 
 from __future__ import annotations
@@ -620,6 +622,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Indeterminate as e:
         print(f"indeterminate: {e}", file=_sys.stderr)
         code = EXIT_UNKNOWN
+    except (RecursionError, MemoryError) as e:
+        print(f"indeterminate: {type(e).__name__}: {e}", file=_sys.stderr)
+        code = EXIT_UNKNOWN
+    except Exception as e:
+        # a defect, not an input problem: report it, keep the traceback,
+        # and still write the manifest below
+        import traceback  # only on this path: it costs memory at startup
+
+        print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
+        traceback.print_exc(file=_sys.stderr)
+        code = EXIT_INPUT
     try:
         if getattr(args, "set", None):
             desc = parse_description(args.set)

@@ -11,6 +11,7 @@ certified arithmetic and recorded in the witness report.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -26,6 +27,7 @@ from .balls import (
     subset_thickness,
     yavicoli_thickness,
 )
+from .cantor import node_budget
 from .errors import HypothesisError, Indeterminate, InputError
 from .product import NormalizedTriangle, Triangle, normalize_triangle
 from .scalars import (
@@ -300,46 +302,109 @@ def _ball_box(b: Ball) -> IVec:
     return tuple(Interval(c - b.radius, c + b.radius) for c in b.center)
 
 
-def _refine_pair(sys: BallSystem, map_a, map_b, start_a: Word,
+# an image in the comparison space: (lo, hi) per coordinate and the upper
+# end of the radius
+Image = tuple[tuple[tuple[Q, Q], ...], Q]
+
+
+def _image(center: IVec, radius: Interval) -> Image:
+    return tuple((c.lo, c.hi) for c in center), radius.hi
+
+
+def _may_meet(a: Image, b: Image) -> bool:
+    """False when the images are certifiably disjoint: the lower end of
+    the squared center gap (coordinate by coordinate as
+    ``Interval.square`` bounds it) exceeds the squared reach."""
+    gap = 0
+    for (alo, ahi), (blo, bhi) in zip(a[0], b[0]):
+        d = alo - bhi
+        if d > 0:
+            gap += d * d
+        else:
+            d = ahi - blo
+            if d < 0:
+                gap += d * d
+    reach = a[1] + b[1]
+    return gap <= reach * reach
+
+
+def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
                  start_b: Word, depth: int) -> tuple[Word, Word]:
     """Lexicographic depth-first search for a chain of possibly
     intersecting image-ball pairs down to the requested word length.
 
-    ``map_a``/``map_b`` send a tree ball to (center IVec, radius
-    Interval) in the common comparison space.  Pairs whose images are
-    certifiably disjoint are pruned; the true witness pair survives at
-    every level, so the search cannot exhaust.
+    ``image_a``/``image_b`` send a tree ball to its ``Image`` in the
+    common comparison space.  Pairs whose images are certifiably disjoint
+    are pruned.  The test compares Euclidean disks on both norms: on an
+    L2 system the true witness pair survives at every level, so the
+    search cannot exhaust, but on a sup-norm system it is stricter than
+    box intersection and may.  Exhaustion is ``Indeterminate``, and so is
+    a search that needs more than ``node_budget()`` child-pair tests.
+
+    The search keeps an explicit stack of frames, one per pair on the
+    current chain.  A frame maps each child of its pair once and yields
+    the surviving child pairs in lexicographic order.  Before the full
+    test, a child pair is skipped when the first coordinates alone are
+    farther apart than the largest reach of the frame, which the full
+    test would reject too.
     """
+    budget = node_budget()
+    tests = 0
 
-    def possibly_meet(wa: Word, wb: Word) -> bool:
-        ca, ra = map_a(sys.ball(wa))
-        cb, rb = map_b(sys.ball(wb))
-        gap_sq = _sq_norm(_vsub(ca, cb))
-        reach = (ra + rb).square()
-        return not gap_sq.certainly_gt(reach)
+    def survivors(wa: Word, wb: Word):
+        nonlocal tests
+        kids_b = [image_b(sys.ball(wb + (j,)))
+                  for j in range(sys.child_count(wb))]
+        if not kids_b:
+            return
+        by_x = sorted(range(len(kids_b)), key=lambda j: kids_b[j][0][0][0])
+        xs = [kids_b[j][0][0][0] for j in by_x]
+        r_b = max(r for _, r in kids_b)
+        width = max(c[0][1] - c[0][0] for c, _ in kids_b)
+        for i in range(sys.child_count(wa)):
+            a = image_a(sys.ball(wa + (i,)))
+            (alo, ahi), reach = a[0][0], a[1] + r_b
+            near = by_x[bisect_left(xs, alo - reach - width):
+                        bisect_right(xs, ahi + reach)]
+            for j in sorted(near):
+                tests += 1
+                if tests > budget:
+                    raise Indeterminate(
+                        f"pair refinement passed the budget of {budget} "
+                        "pair tests")
+                if _may_meet(a, kids_b[j]):
+                    yield wa + (i,), wb + (j,)
 
-    target = depth
-
-    def dfs(wa: Word, wb: Word) -> Optional[tuple[Word, Word]]:
-        if len(wa) >= target:
-            return (wa, wb)
-        na, nb = sys.child_count(wa), sys.child_count(wb)
-        for i in range(na):
-            for j in range(nb):
-                ca, cb = wa + (i,), wb + (j,)
-                if possibly_meet(ca, cb):
-                    hit = dfs(ca, cb)
-                    if hit is not None:
-                        return hit
-        return None
-
-    if not possibly_meet(start_a, start_b):
+    if not _may_meet(image_a(sys.ball(start_a)), image_b(sys.ball(start_b))):
         raise Indeterminate("designated pair images do not meet")
-    hit = dfs(start_a, start_b)
-    if hit is None:
-        raise Indeterminate("pair refinement exhausted (no chain to the "
-                            "requested depth)")
-    return hit
+    if len(start_a) >= depth:
+        return start_a, start_b
+    stack = [survivors(start_a, start_b)]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+        elif len(pair[0]) >= depth:
+            return pair
+        else:
+            stack.append(survivors(*pair))
+    raise Indeterminate("pair refinement exhausted (no chain to the "
+                        "requested depth)")
+
+
+def _combo_images(lam: Q, c: tuple[Q, ...]):
+    """Image maps refining -lam*A against (1-lam)*B - c.  They are
+    exact, so every coordinate has lo = hi."""
+
+    def image_a(b: Ball) -> Image:
+        return tuple((-lam * x,) * 2 for x in b.center), lam * b.radius
+
+    def image_b(b: Ball) -> Image:
+        return (tuple(((1 - lam) * x - cc,) * 2
+                      for x, cc in zip(b.center, c)),
+                (1 - lam) * b.radius)
+
+    return image_a, image_b
 
 
 def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
@@ -363,16 +428,7 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
     word_c, c = _deepest_center_in_disk(sys, disk, depth, bits)
     report["c_word"] = word_c
 
-    def map_a(b: Ball):
-        return (tuple(Interval.point(-lamv * x) for x in b.center),
-                Interval.point(lamv * b.radius))
-
-    def map_b(b: Ball):
-        return (tuple(Interval.point((1 - lamv) * x - cc)
-                      for x, cc in zip(b.center, c)),
-                Interval.point((1 - lamv) * b.radius))
-
-    wa, wb = _refine_pair(sys, map_a, map_b, (ia,), (ib,), depth)
+    wa, wb = _refine_pair(sys, *_combo_images(lamv, c), (ia,), (ib,), depth)
     ball_a, ball_b = sys.ball(wa), sys.ball(wb)
     residual = lamv * 2 * ball_a.radius + (1 - lamv) * 2 * ball_b.radius
     defect_vec = tuple(
@@ -528,6 +584,19 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
     return Disk(center, t_d, "triangle"), report
 
 
+def _triangle_images(maps: VertexMaps, z: IVec):
+    """Image maps refining f(A) - z against g(B); the endpoints are
+    those of the interval evaluation, which is exact when alpha is."""
+
+    def image_a(b: Ball) -> Image:
+        return _image(_vsub(maps.apply_f(b.center), z), maps.s_f * b.radius)
+
+    def image_b(b: Ball) -> Image:
+        return _image(maps.apply_g(b.center), maps.s_g * b.radius)
+
+    return image_a, image_b
+
+
 def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
                                                  NormalizedTriangle],
                      r, depth: int = 6, mode: str = STANDARD,
@@ -560,14 +629,8 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
     report["apex_word"] = word_c
     z_iv = _ivec(z)
 
-    def map_a(b: Ball):
-        fc = maps.apply_f(b.center)
-        return (_vsub(fc, z_iv), maps.s_f * b.radius)
-
-    def map_b(b: Ball):
-        return (maps.apply_g(b.center), maps.s_g * b.radius)
-
-    wa, wb = _refine_pair(sys, map_a, map_b, (ia,), (ib,), depth)
+    wa, wb = _refine_pair(sys, *_triangle_images(maps, z_iv), (ia,), (ib,),
+                          depth)
     ball_a, ball_b = sys.ball(wa), sys.ball(wb)
     residual = (maps.s_f.hi * 2 * ball_a.radius
                 + maps.s_g.hi * 2 * ball_b.radius)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from thickset import cli
 from thickset.cli import main, parse_description, reproduce_rows
 from thickset.render import render_ball_system, render_set_1d
 from thickset.balls import grid_ifs_example, hex_packing_example
@@ -94,6 +97,34 @@ class TestExitCodes:
         listed = tmp_path / "list.json"
         listed.write_text("[1, 2]")
         assert main(["construct", "--set", str(listed)]) == 1
+
+    def test_pair_refinement_over_budget_three(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("THICKSET_MAX_NODES", "50")
+        out = tmp_path / "w.json"
+        assert main(["find-ap", "--set", "grid_ifs:seed=1",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 3 and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (RuntimeError("boom"), 1, "internal error: RuntimeError: boom"),
+        (ZeroDivisionError("x"), 1, "internal error: ZeroDivisionError"),
+        (RecursionError("deep"), 3, "indeterminate: RecursionError"),
+        (MemoryError(), 3, "indeterminate: MemoryError"),
+    ])
+    def test_unexpected_exception_mapped(self, monkeypatch, tmp_path,
+                                         capsys, exc, code, prefix):
+        def handler(run):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "construct", handler)
+        out = tmp_path / "c.json"
+        assert main(["construct", "--set", "middle_cantor:1/3",
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        assert manifest["exit_code"] == code and manifest["outputs"] == []
 
     def test_search_kap_huge_k(self, capsys):
         # decided from the gap alone: no depth-1 enumeration
