@@ -203,22 +203,18 @@ def cover(s: IfsSet1D, depth: int) -> Cover1D:
     return Cover1D(depth, tuple(out))
 
 
-def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int,
-                      start_word: tuple[int, ...] = ()) -> bool:
+def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
     """Whether [lo, hi] is contained in some depth-``depth`` word image,
     by branch descent (no cover materialization)."""
-    m = s.word_map(start_word)
-    cur_lo, cur_hi = m.apply_interval(*s.hull)
-    d = len(start_word)
-    if not (cur_lo <= lo and hi <= cur_hi):
+    if not (s.hull[0] <= lo and hi <= s.hull[1]):
         return False
-    while d < depth:
+    m = IDENTITY
+    for _ in range(depth):
         for b in s.branches:
             nm = m.compose(b)
             c_lo, c_hi = nm.apply_interval(*s.hull)
             if c_lo <= lo and hi <= c_hi:
                 m = nm
-                d += 1
                 break
         else:
             return False
@@ -441,15 +437,15 @@ def certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
 
 
 def gap_containing_interval(s: IfsSet1D, lo: Q, hi: Q,
-                            start_word: tuple[int, ...] = ()
+                            m: AffineMap = IDENTITY, depth: int = 0
                             ) -> Optional[tuple[Q, Q, int]]:
-    """The gap of the subtree at ``start_word`` that contains [lo, hi]
-    entirely, or None.  Exact and terminating: a gap must be at least as
-    long as the query interval, and gap lengths decay geometrically."""
+    """The gap of the subtree with word map ``m`` at word length ``depth``
+    that contains [lo, hi] entirely, or None.  Exact and terminating: a
+    gap must be at least as long as the query interval, and gap lengths
+    decay geometrically."""
     if lo > hi:
         raise InputError("empty query interval")
-    m = s.word_map(start_word)
-    d = len(start_word)
+    d = depth
     cur_lo, cur_hi = m.apply_interval(*s.hull)
     if not (cur_lo <= lo and hi <= cur_hi):
         return None
@@ -492,35 +488,53 @@ def self_combo_cover(s: IfsSet1D, mu, nu, depth: int,
     """Merged union of mu*cover(s, depth) + nu*cover(s, depth), computed
     by self-similarity instead of pair enumeration.
 
-    cover(depth) splits into branch images of cover(depth - 1), so the
-    combination is a union of (#branches)^2 affine translates of
-    lower-depth combinations; memoizing on the scaled coefficient pair
-    keeps this polynomial in depth even for unequal branch scales.
+    Since mu*A + nu*A = mu*(A + (nu/mu)*A), only unit-mu unions are
+    built; scaling by mu carries their components onto those of the
+    result, in reverse order when mu < 0, and mu = 0 swaps the two
+    coefficients.  cover(depth) splits into branch images of
+    cover(depth - 1), so a unit union merges (#branches)^2 scaled
+    translates of lower-depth unit unions.  These are memoized on
+    (nu/mu, depth); k levels down the ratios are nu/mu times k branch
+    scale quotients r_j/r_i, which leaves one key per level for equal
+    scales and 2k + 1 for two unequal ones.
     """
     if _memo is None:
         _memo = {}
     muv, nuv = to_q(mu), to_q(nu)
-    key = (muv, nuv, depth)
-    if key in _memo:
-        return _memo[key]
+    if muv == 0:
+        muv, nuv = nuv, muv
+        if muv == 0:
+            return ((Q(0), Q(0)),)
+    unit = _unit_combo_cover(s, nuv / muv, depth, _memo)
+    if muv > 0:
+        return tuple((muv * a, muv * b) for a, b in unit)
+    return tuple((muv * b, muv * a) for a, b in reversed(unit))
+
+
+def _unit_combo_cover(s: IfsSet1D, ratio: Q, depth: int,
+                      memo: dict) -> tuple[tuple[Q, Q], ...]:
+    """Merged union of cover(s, depth) + ratio*cover(s, depth)."""
+    key = (ratio, depth)
+    if key in memo:
+        return memo[key]
     lo, hi = s.hull
     if depth == 0:
-        a0, a1 = sorted((muv * lo, muv * hi))
-        b0, b1 = sorted((nuv * lo, nuv * hi))
-        result: tuple[tuple[Q, Q], ...] = ((a0 + b0, a1 + b1),)
+        b0, b1 = sorted((ratio * lo, ratio * hi))
+        result: tuple[tuple[Q, Q], ...] = ((lo + b0, hi + b1),)
     else:
         pieces: list[tuple[Q, Q]] = []
         for b1_ in s.branches:
             for b2_ in s.branches:
-                sub = self_combo_cover(s, muv * b1_.scale, nuv * b2_.scale,
-                                       depth - 1, _memo)
-                shift = muv * b1_.offset + nuv * b2_.offset
-                pieces.extend((a + shift, b + shift) for a, b in sub)
+                sub = _unit_combo_cover(s, ratio * b2_.scale / b1_.scale,
+                                        depth - 1, memo)
+                m = b1_.scale
+                shift = b1_.offset + ratio * b2_.offset
+                pieces.extend((m * a + shift, m * b + shift) for a, b in sub)
         result = tuple(merge_intervals(pieces))
         if len(result) > 200_000:
             raise Indeterminate("self-similar combination cover grew too "
                                 "fragmented to continue")
-    _memo[key] = result
+    memo[key] = result
     return result
 
 

@@ -5,8 +5,8 @@ SVG/CSV/JSON artifact emission.
 Exit codes: 0 a verdict was produced (including a sound infeasibility),
 1 input error (or an internal error), 2 a certified hypothesis or
 threshold failure, 3 indeterminate (precision, search budget, recursion
-depth or memory exhausted).  Once the arguments parse, every exit
-writes the manifest when ``--out`` is given.
+depth or memory exhausted).  Every exit writes the manifest when
+``--out`` is given, also when other arguments are rejected.
 """
 
 from __future__ import annotations
@@ -600,16 +600,34 @@ HANDLERS = {
 }
 
 
+def _rejected_args(argv: list[str]) -> argparse.Namespace:
+    """The command, ``--out`` and ``--set`` of an argument list that the
+    full parser rejected, read leniently so that the rejection still gets
+    a manifest; ``out`` is None when it cannot be read."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    p.add_argument("command", nargs="?")
+    p.add_argument("--out")
+    p.add_argument("--set")
+    try:
+        return p.parse_known_args(argv)[0]
+    except argparse.ArgumentError:
+        return argparse.Namespace(command=None, out=None, set=None)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        handler = HANDLERS[args.command]
     except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else 0
+        if e.code in (0, None):
+            return 0
+        args = _rejected_args(_sys.argv[1:] if argv is None else argv)
+        handler = lambda run: EXIT_INPUT  # argparse printed the reason
     run = Run(args)
     desc = None
     try:
-        code = HANDLERS[args.command](run)
+        code = handler(run)
     except InputError as e:
         print(f"input error: {e}", file=_sys.stderr)
         code = EXIT_INPUT

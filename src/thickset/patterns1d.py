@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .cantor import (
+    AffineMap,
     IfsSet1D,
     certified_member,
     cover,
@@ -103,32 +104,36 @@ class Piece:
     The restriction of the attractor to any word image is an affine copy
     of the whole attractor, so a piece carries full structural knowledge:
     exact hull, children, and gap queries all reduce to the base set.
+    The word's map is built from the word when not given; children get
+    theirs by one composition with their parent's.
     """
 
     base: IfsSet1D
     word: tuple[int, ...]
     mul: Q
     shift: Q
+    map: Optional[AffineMap] = field(default=None, repr=False)
+    interval: tuple[Q, Q] = field(init=False, repr=False)  # in the base
+    hull: tuple[Q, Q] = field(init=False, repr=False)  # of the image
 
-    def hull(self) -> tuple[Q, Q]:
-        lo, hi = self.base.word_interval(self.word)
+    def __post_init__(self):
+        m = self.base.word_map(self.word) if self.map is None else self.map
+        lo, hi = m.apply_interval(*self.base.hull)
         a, b = self.mul * lo + self.shift, self.mul * hi + self.shift
-        return (a, b) if a <= b else (b, a)
+        object.__setattr__(self, "map", m)
+        object.__setattr__(self, "interval", (lo, hi))
+        object.__setattr__(self, "hull", (a, b) if a <= b else (b, a))
 
     def children(self) -> list["Piece"]:
-        kids = [Piece(self.base, self.word + (i,), self.mul, self.shift)
-                for i in range(len(self.base.branches))]
-        kids.sort(key=lambda p: p.hull()[0])
-        return kids
-
-    def base_interval(self) -> tuple[Q, Q]:
-        return self.base.word_interval(self.word)
+        return [Piece(self.base, self.word + (i,), self.mul, self.shift,
+                      self.map.compose(b))
+                for i, b in enumerate(self.base.branches)]
 
     def contains_set_point(self, x: Q) -> bool:
         """Certified membership of x in the piece's set (endpoint or
         periodic-descent certificates)."""
         back = (x - self.shift) / self.mul
-        blo, bhi = self.base_interval()
+        blo, bhi = self.interval
         if not (blo <= back <= bhi):
             return False
         return certified_member(self.base, back)
@@ -142,7 +147,8 @@ def _interval_in_piece_gap(lo: Q, hi: Q, p: Piece) -> bool:
     else:
         blo = (hi - p.shift) / p.mul
         bhi = (lo - p.shift) / p.mul
-    return gap_containing_interval(p.base, blo, bhi, p.word) is not None
+    return gap_containing_interval(p.base, blo, bhi, p.map,
+                                   len(p.word)) is not None
 
 
 def pieces_certified(x: Piece, y: Piece) -> bool:
@@ -150,8 +156,8 @@ def pieces_certified(x: Piece, y: Piece) -> bool:
     neither set lies inside a gap of the other.  Together with thickness
     product >= 1 (checked once per search) this certifies the sets
     intersect."""
-    xlo, xhi = x.hull()
-    ylo, yhi = y.hull()
+    xlo, xhi = x.hull
+    ylo, yhi = y.hull
     if xhi < ylo or yhi < xlo:
         return False
     if _interval_in_piece_gap(ylo, yhi, x):
@@ -166,28 +172,31 @@ def certified_descent(xs: list[Piece], ys: list[Piece], depth: int
     """Leftmost certified pair among the given top pieces, refined level
     by level.  A certified pair's sets intersect, and any intersection
     point lies in some child pair, which is then itself certified, so the
-    descent always finds a successor."""
-    pair: Optional[tuple[Piece, Piece]] = None
-    candidates = sorted(((px, py) for px in xs for py in ys),
-                        key=lambda t: (t[0].hull()[0], t[1].hull()[0]))
-    for px, py in candidates:
-        if pieces_certified(px, py):
-            pair = (px, py)
-            break
+    descent always finds a successor.  Every pair test is charged to
+    ``node_budget()``; passing it is ``Indeterminate``."""
+    budget, tests = node_budget(), 0
+
+    def leftmost_certified(xs: list[Piece], ys: list[Piece]
+                           ) -> Optional[tuple[Piece, Piece]]:
+        nonlocal tests
+        for px, py in sorted(((px, py) for px in xs for py in ys),
+                             key=lambda t: (t[0].hull[0], t[1].hull[0])):
+            tests += 1
+            if tests > budget:
+                raise Indeterminate(f"certified descent passed the budget "
+                                    f"of {budget} pair tests")
+            if pieces_certified(px, py):
+                return px, py
+        return None
+
+    pair = leftmost_certified(xs, ys)
     if pair is None:
         raise Indeterminate("no certified starting pair for the descent")
     for _ in range(depth - len(pair[0].word)):
-        found = None
-        for cx, cy in sorted(((cx, cy) for cx in pair[0].children()
-                              for cy in pair[1].children()),
-                             key=lambda t: (t[0].hull()[0], t[1].hull()[0])):
-            if pieces_certified(cx, cy):
-                found = (cx, cy)
-                break
-        if found is None:
+        pair = leftmost_certified(pair[0].children(), pair[1].children())
+        if pair is None:
             raise Indeterminate("certified refinement dead-ended "
                                 "(should be impossible for valid inputs)")
-        pair = found
     return pair
 
 
@@ -238,8 +247,8 @@ def _find_combo_unit(s: IfsSet1D, lam: Q, depth: int) -> Witness1D:
     xs = [Piece(s, (i,), -(1 - lam), Q(0)) for i in left]
     ys = [Piece(s, (j,), lam, -c) for j in right]
     px, py = certified_descent(xs, ys, depth)
-    a_lo, a_hi = px.base_interval()
-    b_lo, b_hi = py.base_interval()
+    a_lo, a_hi = px.interval
+    b_lo, b_hi = py.interval
     w_a, w_b = a_hi - a_lo, b_hi - b_lo
     residual = (1 - lam) * w_a + lam * w_b
     assert membership(s, c).kind == IN_CERTIFIED
@@ -249,7 +258,7 @@ def _find_combo_unit(s: IfsSet1D, lam: Q, depth: int) -> Witness1D:
     # intersection endpoints (word-image endpoints) and the simplest
     # rational inside (catches eventually periodic witnesses)
     a_exact = b_exact = None
-    hx, hy = px.hull(), py.hull()
+    hx, hy = px.hull, py.hull
     k_lo, k_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
     for u in dict.fromkeys((k_lo, k_hi, simplest_between(k_lo, k_hi))):
         if px.contains_set_point(u) and py.contains_set_point(u):
@@ -275,6 +284,8 @@ def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
     lamv = to_q(lam)
     if not (0 < lamv < 1):
         raise InputError("lambda must lie in (0, 1)")
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     require_thickness_at_least_one(s)
     norm, back = normalize_to_unit(s)
     if lamv >= Q(1, 2):
@@ -540,12 +551,14 @@ def shmerkin_4ap(epsilon, depth: int = 16) -> KapCertificate:
     if not (0 < eps <= Q(1, 3)):
         raise InputError("epsilon must lie in (0, 1/3] (no 4-term "
                          "progression exists for larger gaps)")
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     s = middle_cantor(eps)
     require_thickness_at_least_one(s)
     x_piece = Piece(s, (), Q(1), Q(-1, 2))
     y_piece = Piece(s, (), Q(1, 3), Q(-1, 6))
     px, py = certified_descent([x_piece], [y_piece], depth)
-    hx, hy = px.hull(), py.hull()
+    hx, hy = px.hull, py.hull
     t_lo, t_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
 
     # try to pin an exact witness at an enclosure endpoint

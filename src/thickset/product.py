@@ -9,13 +9,17 @@ out as exact rationals or shrinking enclosures.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .cantor import (
+    IDENTITY,
+    AffineMap,
     IfsSet1D,
     difference_interval,
     interval_in_cover,
+    node_budget,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
@@ -200,7 +204,12 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
     ``delta`` may be an enclosure; the descent then certifies its pair
     choices for every value delta* in the enclosure simultaneously, which
     requires the enclosure to be narrow relative to the final cover width.
+    Each side is a word image carried as (word map, interval); every
+    child-pair test is charged to ``node_budget()``, and passing it is
+    ``Indeterminate``.
     """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     div = Interval.coerce(delta)
     if div.lo < 0:
         raise InputError("delta must be nonnegative")
@@ -212,96 +221,100 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
     if div.hi > bound:
         raise InputError("delta exceeds the certified difference bound")
 
-    def hull_of(word) -> tuple[Q, Q]:
-        return norm.word_interval(word)
-
-    def certified(xw, yw) -> bool:
-        xlo, xhi = hull_of(xw)
-        ylo, yhi = hull_of(yw)
+    def certified(x: _Node, y: _Node) -> bool:
+        xlo, xhi = x[1]
+        ylo, yhi = y[1]
         # universal hull intersection: for every delta* in the enclosure
         if xlo > yhi - div_n.hi or ylo - div_n.lo > xhi:
             return False
         # Y-piece inside a gap of X for some delta* is forbidden: the
         # piece [ylo - d, yhi - d] sits in gap G exactly when d lies in
         # the open window (yhi - G.hi, ylo - G.lo)
-        if _translated_in_gap(norm, xw, ylo, yhi, div_n):
+        if _translated_in_gap(norm, x, ylo, yhi, div_n):
             return False
         # X-piece inside a translated gap of Y likewise
-        if _in_translated_gap(norm, yw, xlo, xhi, div_n):
+        if _in_translated_gap(norm, y, xlo, xhi, div_n):
             return False
         return True
 
-    xw: tuple[int, ...] = ()
-    yw: tuple[int, ...] = ()
-    if not certified(xw, yw):
+    x = y = (IDENTITY, norm.hull)
+    if not certified(x, y):
         raise Indeterminate("difference refinement could not be certified "
                             "at the root")
-    nb = len(norm.branches)
+    budget, tests = node_budget(), 0
     for _ in range(depth):
         found = None
-        for ci in range(nb):
-            for cj in range(nb):
-                if certified(xw + (ci,), yw + (cj,)):
-                    found = (xw + (ci,), yw + (cj,))
-                    break
-            if found:
+        for cx, cy in itertools.product(_children(norm, x),
+                                        _children(norm, y)):
+            tests += 1
+            if tests > budget:
+                raise Indeterminate(f"difference refinement passed the "
+                                    f"budget of {budget} pair tests")
+            if certified(cx, cy):
+                found = (cx, cy)
                 break
         if found is None:
             raise Indeterminate(
                 "difference refinement stalled before the requested "
                 "depth; the difference enclosure straddles a chain "
                 "transition (narrow it, e.g. by pinning an exact pair)")
-        xw, yw = found
-    ulo, uhi = hull_of(xw)
-    vlo, vhi = hull_of(yw)
+        x, y = found
+    (ulo, uhi), (vlo, vhi) = x[1], y[1]
     return (Interval(back(ulo), back(uhi)), Interval(back(vlo), back(vhi)))
 
 
-def _gaps_near(s: IfsSet1D, word, lo: Q, hi: Q, min_len: Q):
-    """Gaps of the subtree at ``word`` with length >= min_len that could
+# a word image as (word map, interval)
+_Node = tuple[AffineMap, tuple[Q, Q]]
+
+
+def _children(s: IfsSet1D, node: _Node) -> list[_Node]:
+    m = node[0]
+    return [(c, c.apply_interval(*s.hull))
+            for c in (m.compose(b) for b in s.branches)]
+
+
+def _gaps_near(s: IfsSet1D, node: _Node, lo: Q, hi: Q, min_len: Q):
+    """Gaps of the subtree at ``node`` with length >= min_len that could
     interact with positions in [lo, hi] (finitely many by geometric
     decay)."""
     out = []
-    stack = [word]
+    top = s.top_gaps()
+    stack = [node]
     while stack:
-        w = stack.pop()
-        wlo, whi = s.word_interval(w)
+        node = stack.pop()
+        m, (wlo, whi) = node
         if whi < lo or hi < wlo:
             continue
-        m = s.word_map(w)
-        for g0, g1 in s.top_gaps():
+        for g0, g1 in top:
             glo, ghi = m(g0), m(g1)
             if ghi - glo >= min_len:
                 out.append((glo, ghi))
         # descend while child gaps can still be long enough
-        for i, b in enumerate(s.branches):
-            child = w + (i,)
-            clo, chi = s.word_interval(child)
-            if (chi - clo) >= min_len:
-                stack.append(child)
+        stack.extend(c for c in _children(s, node)
+                     if c[1][1] - c[1][0] >= min_len)
     return out
 
 
-def _translated_in_gap(s: IfsSet1D, xw, ylo: Q, yhi: Q,
+def _translated_in_gap(s: IfsSet1D, x: _Node, ylo: Q, yhi: Q,
                        div: Interval) -> bool:
-    """Whether [ylo - d, yhi - d] sits inside a gap of the subtree at xw
+    """Whether [ylo - d, yhi - d] sits inside a gap of the subtree at x
     for some d in the enclosure."""
     width = yhi - ylo
     span_lo, span_hi = ylo - div.hi, yhi - div.lo
-    for glo, ghi in _gaps_near(s, xw, span_lo, span_hi, width):
+    for glo, ghi in _gaps_near(s, x, span_lo, span_hi, width):
         w_lo, w_hi = yhi - ghi, ylo - glo  # open window of bad d values
         if div.hi > w_lo and div.lo < w_hi:
             return True
     return False
 
 
-def _in_translated_gap(s: IfsSet1D, yw, xlo: Q, xhi: Q,
+def _in_translated_gap(s: IfsSet1D, y: _Node, xlo: Q, xhi: Q,
                        div: Interval) -> bool:
-    """Whether [xlo, xhi] sits inside a gap-minus-d of the subtree at yw
+    """Whether [xlo, xhi] sits inside a gap-minus-d of the subtree at y
     for some d in the enclosure."""
     width = xhi - xlo
     span_lo, span_hi = xlo + div.lo, xhi + div.hi
-    for glo, ghi in _gaps_near(s, yw, span_lo, span_hi, width):
+    for glo, ghi in _gaps_near(s, y, span_lo, span_hi, width):
         w_lo, w_hi = glo - xlo, ghi - xhi  # open window of bad d values
         if div.hi > w_lo and div.lo < w_hi:
             return True
@@ -342,6 +355,8 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     the foot and the upper height.  Collinear triangles route through the
     one-dimensional search directly.
     """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     norm = t if isinstance(t, NormalizedTriangle) else normalize_triangle(t)
     require_thickness_at_least_one(s)
 
@@ -383,15 +398,11 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
 
     # run the combination search inside a subtree no wider than the cap,
     # so the witness span obeys it automatically
-    word: tuple[int, ...] = ()
-    while True:
-        wlo, whi = s.word_interval(word)
-        if whi - wlo <= c_dyadic * hull_w:
-            break
-        word = word + (0,)
+    m = IDENTITY
+    while m.scale > c_dyadic:  # the subtree's width is m.scale * hull_w
+        m = m.compose(s.branches[0])
     combo_depth = depth + 8
     w = find_convex_combo(s, lam, combo_depth)
-    m = s.word_map(word)
 
     def push(iv: Interval) -> Interval:
         lo, hi = m(iv.lo), m(iv.hi)

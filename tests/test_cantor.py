@@ -397,6 +397,70 @@ class TestSelfComboCover:
                     self.pair_sums(under(left), under(right), mu, nu)
 
 
+def old_self_combo_cover(s, mu, nu, depth, memo):
+    """The combination cover as it was, memoized on (mu, nu, depth)."""
+    key = (mu, nu, depth)
+    if key not in memo:
+        lo, hi = s.hull
+        if depth == 0:
+            a0, a1 = sorted((mu * lo, mu * hi))
+            b0, b1 = sorted((nu * lo, nu * hi))
+            memo[key] = ((a0 + b0, a1 + b1),)
+        else:
+            pieces = []
+            for b1 in s.branches:
+                for b2 in s.branches:
+                    sub = old_self_combo_cover(s, mu * b1.scale, nu * b2.scale,
+                                               depth - 1, memo)
+                    shift = mu * b1.offset + nu * b2.offset
+                    pieces.extend((a + shift, b + shift) for a, b in sub)
+            memo[key] = tuple(merge_intervals(pieces))
+    return memo[key]
+
+
+@st.composite
+def combo_inputs(draw):
+    """A random 2- or 3-branch presentation on a random hull, signed
+    coefficients (mu of either sign or zero) and a depth of at most 4."""
+    n = draw(st.integers(2, 3))
+    weight = st.integers(1, 9)
+    scales = draw(st.lists(weight, min_size=n, max_size=n))
+    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    s = affine_image(ifs_from_branches(0, 1, pairs),
+                     Q(draw(st.integers(1, 5)), draw(st.integers(1, 3))),
+                     Q(draw(st.integers(-4, 4)), 3))
+    coeff = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+    return s, draw(coeff), draw(coeff), draw(st.integers(0, 4))
+
+
+class TestComboCoverUpToScale:
+    @settings(max_examples=80, deadline=None)
+    @given(combo_inputs())
+    @example((middle_thirds(), Q(0), Q(-2), 3))
+    @example((middle_thirds(), Q(0), Q(0), 2))
+    @example((off_center_cantor(Q(3, 10)), Q(-3, 2), Q(1, 2), 4))
+    def test_agrees_with_memo_on_coefficients(self, case):
+        s, mu, nu, depth = case
+        memo = {}
+        for d in range(depth + 1):  # one memo shared across depths
+            assert self_combo_cover(s, mu, nu, d, memo) == \
+                old_self_combo_cover(s, mu, nu, d, {})
+
+    @pytest.mark.parametrize("depth", [5, 10])
+    def test_keys_grow_quadratically_on_unequal_scales(self, depth):
+        # branch scales a and 1 - 2a leave one key per power of their
+        # ratio at each level: (depth + 1)**2 in all, where keys on
+        # (mu, nu, depth) grew with the cube of the depth
+        memo = {}
+        self_combo_cover(off_center_cantor(Q(37, 128)), 1, -1, depth, memo)
+        assert len(memo) == (depth + 1) ** 2
+
+
 class TestDifferenceInterval:
     def test_middle_thirds_full(self):
         assert difference_interval(middle_thirds(), 10) == 1

@@ -107,6 +107,46 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["outputs"] == []
 
+    def test_line_descent_over_budget_three(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("THICKSET_MAX_NODES", "50")
+        out = tmp_path / "w.json"
+        assert main(["find-ap", "--set", "middle_thirds", "--depth", "40",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 3 and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["find-ap", "--set", "middle_thirds"],
+        ["find-combo", "--set", "middle_thirds", "--lam", "1/3"],
+        ["find-triangle", "--set", "middle_thirds"],
+        ["find-triangle", "--set", "middle_thirds", "--triangle",
+         "0,0;1,0;2,0"],
+    ])
+    def test_negative_depth_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "w.json"
+        assert main(argv + ["--depth", "-3", "--out", str(out)]) == 1
+        assert "depth must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["depth"] == -3
+
+    @pytest.mark.parametrize("out_args", [["--out", "{}"], ["--out={}"]])
+    def test_rejected_arguments_write_manifest(self, tmp_path, out_args):
+        out = tmp_path / "o.json"
+        argv = ["find-ap", "--set", "grid_ifs:seed=1", "--depth", "zz"]
+        assert main(argv + [a.format(out) for a in out_args]) == 1
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+        assert (manifest["command"], manifest["exit_code"], manifest["depth"],
+                manifest["outputs"]) == ("find-ap", 1, None, [])
+
+    def test_rejected_arguments_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["find-ap", "--set", "middle_thirds", "--out"]) == 1
+        assert main(["find-ap", "--depth", "zz"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("exc, code, prefix", [
         (RuntimeError("boom"), 1, "internal error: RuntimeError: boom"),
         (ZeroDivisionError("x"), 1, "internal error: ZeroDivisionError"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thickset.cantor import (
     IN_CERTIFIED,
+    AffineMap,
     affine_image,
     ifs_from_branches,
     membership,
@@ -14,13 +16,15 @@ from thickset.cantor import (
     off_center_cantor,
     point_in_cover,
 )
-from thickset.errors import HypothesisError, InputError
+from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.patterns1d import (
     FEASIBLE,
     INFEASIBLE,
     UNKNOWN,
     KapCertificate,
+    Piece,
     WitnessPoint,
+    certified_descent,
     combo_core_intervals,
     find_3ap,
     find_convex_combo,
@@ -459,3 +463,195 @@ class TestHausdorffBound:
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
             hausdorff_lower_bound(Interval.point(0))
+
+
+# -- certified descent: stored word maps, budget, depth ------------------
+
+
+# sha256 of repr(result) recorded before words carried their maps, on
+# the line benchmark's kinds of input: centred and off-centre sets and
+# their affine images at depths 16-80
+DESCENT_PINS = [
+    (lambda: find_3ap(middle_cantor(Q(17, 64)), 60),
+     "ae629aab566afa4e1d2f5a1f4b8379e402971eb2fc12b7caf32149f65a1bbc52"),
+    (lambda: find_3ap(off_center_cantor(Q(37, 128)), 80),
+     "0b8e3bb8dfd0ba04cde9d7b38e3bcd17a37a79a58d3732cebb19053001697e41"),
+    (lambda: find_3ap(affine_image(middle_cantor(Q(13, 64)), Q(-5, 4),
+                                   Q(3, 8)), 40),
+     "6052507b75561aa6cda08549dd6c64e26833057cdd949a95455700355c0aa749"),
+    (lambda: find_3ap(middle_thirds(), 20),
+     "4b9d79eadd7c190356328b5345a04221ae16f58ea87b491be7a7f79f715b6776"),
+    (lambda: find_convex_combo(affine_image(off_center_cantor(Q(35, 128)),
+                                            Q(3, 4), Q(-1, 8)), Q(7, 16), 60),
+     "08df35c13036377edf8ca6ec59a96483b8f0a5e5325a84d1a6c3adac04d2614c"),
+    (lambda: find_convex_combo(affine_image(off_center_cantor(Q(39, 128)),
+                                            Q(-7, 4), Q(5, 8)), Q(11, 16), 40),
+     "67144e811681d5f90229ddd15faa38ea69cde8e0e7523dab0653fb3d6d13b95f"),
+    (lambda: find_convex_combo(middle_cantor(Q(21, 64)), Q(9, 16), 20),
+     "7105ddc2b8437d84485ef10b0c6cd2d9afc39d36fc1d28ce13676bac7d5e9eec"),
+    (lambda: shmerkin_4ap(Q(13, 64), 16),
+     "1f98aee2bc13ed46a4e8d104eaa898860b93929b5e6567868f1e819ee1ad4da7"),
+    (lambda: shmerkin_4ap(Q(1, 3), 20),
+     "095ac75bd0e0bffbb1482251ad5c0e483934cf81bfbc7c51681c4499de34b580"),
+    (lambda: shmerkin_4ap(Q(21, 64), 40),
+     "acfbdee139a88fb2fcbc802dfef13559c11fe8d7b57e07d78aa192f3ddb8c56a"),
+]
+
+
+def old_hull(p):
+    lo, hi = p.base.word_interval(p.word)
+    a, b = p.mul * lo + p.shift, p.mul * hi + p.shift
+    return (a, b) if a <= b else (b, a)
+
+
+def old_gap_containing(s, lo, hi, word):
+    """The gap query as it was, descending from the word's map rebuilt
+    from the identity."""
+    m = s.word_map(word)
+    cur_lo, cur_hi = m.apply_interval(*s.hull)
+    if not (cur_lo <= lo and hi <= cur_hi):
+        return None
+    while True:
+        for b in s.branches:
+            nm = m.compose(b)
+            c_lo, c_hi = nm.apply_interval(*s.hull)
+            if c_lo <= lo and hi <= c_hi:
+                m = nm
+                break
+        else:
+            for glo, ghi in s.top_gaps():
+                if m(glo) < lo and hi < m(ghi):
+                    return (m(glo), m(ghi))
+            return None
+
+
+def old_in_gap(lo, hi, p):
+    blo, bhi = sorted(((lo - p.shift) / p.mul, (hi - p.shift) / p.mul))
+    return old_gap_containing(p.base, blo, bhi, p.word) is not None
+
+
+def old_certified(x, y):
+    (xlo, xhi), (ylo, yhi) = old_hull(x), old_hull(y)
+    return not (xhi < ylo or yhi < xlo or old_in_gap(ylo, yhi, x)
+                or old_in_gap(xlo, xhi, y))
+
+
+def old_descent(xs, ys, depth):
+    """The descent as it was: every hull and gap query rebuilds its
+    word's map from the identity.  Returns the final pair's words, or
+    None where the search is Indeterminate."""
+    def first(pairs):
+        pairs = sorted(pairs, key=lambda t: (old_hull(t[0])[0],
+                                             old_hull(t[1])[0]))
+        return next((t for t in pairs if old_certified(*t)), None)
+
+    def kids(p):
+        return [Piece(p.base, p.word + (i,), p.mul, p.shift)
+                for i in range(len(p.base.branches))]
+
+    pair = first([(x, y) for x in xs for y in ys])
+    if pair is None:
+        return None
+    for _ in range(depth - len(pair[0].word)):
+        pair = first([(x, y) for x in kids(pair[0]) for y in kids(pair[1])])
+        if pair is None:
+            return None
+    return pair[0].word, pair[1].word
+
+
+@st.composite
+def descent_inputs(draw):
+    """Top pieces on a random 2- or 3-branch presentation, thick or not:
+    either the two sides of the largest gap against each other, as in
+    the combination search, or two whole-set pieces with random affine
+    placements."""
+    n = draw(st.integers(2, 3))
+    weight = st.integers(1, 9)
+    scales = draw(st.lists(weight, min_size=n, max_size=n))
+    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    s = ifs_from_branches(0, 1, pairs)
+    depth = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        lam = Q(draw(st.integers(8, 15)), 16)
+        k1, k2 = largest_gap(s)
+        imgs = s.branch_images()
+        xs = [Piece(s, (i,), -(1 - lam), Q(0))
+              for i in range(n) if imgs[i][1] <= k1]
+        ys = [Piece(s, (j,), lam, -k2) for j in range(n) if imgs[j][1] > k1]
+        return xs, ys, depth
+    mul = st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    shift = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+    return ([Piece(s, (), draw(mul), draw(shift))],
+            [Piece(s, (), draw(mul), draw(shift))], depth)
+
+
+class TestCertifiedDescent:
+    @pytest.mark.parametrize("call, digest", DESCENT_PINS)
+    def test_pinned_results(self, call, digest):
+        assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(descent_inputs())
+    def test_agrees_with_recomputing_search(self, case):
+        xs, ys, depth = case
+        want = old_descent(xs, ys, depth)
+        try:
+            px, py = certified_descent(xs, ys, depth)
+        except Indeterminate:
+            assert want is None
+            return
+        assert (px.word, py.word) == want
+        for p in (px, py):
+            assert p.map == p.base.word_map(p.word)
+            assert p.interval == p.base.word_interval(p.word)
+            assert p.hull == old_hull(p)
+
+    def test_compose_calls_grow_linearly_in_depth(self, monkeypatch):
+        # machine-independent: rebuilding every map from the identity
+        # made the count grow with the square of the depth (about 4x
+        # from depth 100 to 200)
+        calls = [0]
+        compose = AffineMap.compose
+
+        def counted(self, inner):
+            calls[0] += 1
+            return compose(self, inner)
+
+        monkeypatch.setattr(AffineMap, "compose", counted)
+        counts = []
+        for depth in (100, 200):
+            calls[0] = 0
+            find_3ap(middle_thirds(), depth)
+            counts.append(calls[0])
+        assert counts[1] <= Q(5, 2) * counts[0]
+
+    @pytest.mark.parametrize("budget, passes", [(79, True), (78, False)])
+    def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
+        # one starting pair, then 78 child-pair tests on the way to
+        # depth 40
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
+        if passes:
+            assert find_3ap(middle_thirds(), 40).depth_used == 40
+        else:
+            with pytest.raises(Indeterminate, match="budget of 78"):
+                find_3ap(middle_thirds(), 40)
+
+    @pytest.mark.parametrize("call", [
+        lambda: find_3ap(middle_thirds(), -1),
+        lambda: find_convex_combo(middle_thirds(), Q(1, 3), -3),
+        lambda: shmerkin_4ap(Q(1, 3), -1),
+    ])
+    def test_negative_depth_rejected(self, call):
+        with pytest.raises(InputError, match="depth must be nonnegative"):
+            call()
+
+    def test_depth_zero_keeps_the_top_pair(self):
+        w = find_3ap(middle_thirds(), 0)
+        assert w.depth_used == 0
+        assert (w.a.enclosure, w.b.enclosure) == \
+            (Interval(Q(0), Q(1, 3)), Interval(Q(2, 3), Q(1)))

@@ -1,9 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from thickset.cantor import middle_cantor, middle_thirds
+from thickset.cantor import (
+    affine_image,
+    middle_cantor,
+    middle_thirds,
+    off_center_cantor,
+)
 from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.product import (
     Triangle,
@@ -168,3 +174,54 @@ class TestFindTriangleInProduct:
         assert w.apex[1].contains(Q(1, 3))
         assert w.base_left[1].contains(Q(0))
         assert w.apex[1].width <= Q(3) ** -28
+
+
+# sha256 of repr(result) recorded before the difference descent carried
+# word maps, on the line benchmark's kinds of input at depths 20-40
+HIT_PINS = [
+    (lambda: difference_hit(middle_cantor(Q(17, 64)), Q(9, 16), 20),
+     "e92ddec25b24359e481af4a535edc1e5a72bf59125c803bee251d6462ca57518"),
+    (lambda: difference_hit(off_center_cantor(Q(37, 128)), Q(5, 16), 20),
+     "5208528ccdd4213eba84b4120850cab441b880fea7c6dbc0ff2402fb2c1b2664"),
+    (lambda: difference_hit(affine_image(off_center_cantor(Q(35, 128)),
+                                         Q(-5, 4), Q(1, 8)), Q(7, 16), 30),
+     "5cbc5d62e4b8e73a512ef5b7e193f25c5922d9031bc07a661a32b94a01553ef4"),
+    (lambda: find_triangle_in_product(
+        middle_cantor(Q(15, 64)),
+        Triangle.make([(0, 0), (1, 0), (Q(5, 16), Q(7, 16))]), 20),
+     "7cb0813f06ebb1b3b03ad92e34aee11ce43522d292f0d21eb8038434045a0a41"),
+    (lambda: find_triangle_in_product(
+        affine_image(middle_cantor(Q(19, 64)), Q(3, 4), Q(-3, 8)),
+        Triangle.make([(0, 0), (1, 0), (Q(7, 16), Q(9, 16))]), 30),
+     "24788fd8b45bf09cf4022eea43fcd21d85b056078998055619a8c0e19d8933f7"),
+    (lambda: find_triangle_in_product(
+        middle_cantor(Q(13, 64)),
+        Triangle.make([(0, 0), (1, 0), (Q(5, 16), Q(9, 16))]), 40),
+     "90d4b878048e07feda0c9a87ad3373ad41c89a4e70a9593aa76ed08c2154e9e6"),
+]
+
+
+class TestDifferenceDescent:
+    @pytest.mark.parametrize("call, digest", HIT_PINS)
+    def test_pinned_results(self, call, digest):
+        assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("budget, passes", [(50, True), (49, False)])
+    def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
+        if passes:
+            u, v = difference_hit(middle_thirds(), Q(1, 2), 20)
+            assert u.width == v.width == Q(3) ** -20
+        else:
+            with pytest.raises(Indeterminate, match="budget of 49"):
+                difference_hit(middle_thirds(), Q(1, 2), 20)
+
+    @pytest.mark.parametrize("call", [
+        lambda: difference_hit(middle_thirds(), Q(1, 2), -1),
+        lambda: find_triangle_in_product(middle_thirds(), equilateral(), -1),
+        lambda: find_triangle_in_product(
+            middle_thirds(), Triangle.make([(0, 0), (1, 0), (2, 0)]), -2),
+    ])
+    def test_negative_depth_rejected(self, call):
+        with pytest.raises(InputError, match="depth must be nonnegative"):
+            call()
