@@ -14,7 +14,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Union
+from typing import Optional, Protocol
 
 from .errors import InputError
 from .scalars import Cmp, Interval, Q, interval_sqrt, sqrt3, to_q
@@ -36,10 +36,6 @@ class Ball:
             raise InputError("ball radius must be nonnegative")
         if self.norm not in (LINF, L2):
             raise InputError(f"unknown norm {self.norm!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
 
     def sq_dist_to(self, other: "Ball") -> Q:
         return sum((a - b) ** 2 for a, b in zip(self.center, other.center))
@@ -82,11 +78,18 @@ class Ball:
         return Interval(max(d.lo, Q(0)), max(d.hi, Q(0)))
 
 
+def first_touching_sibling(kids: list[Ball], j: int) -> Optional[int]:
+    """Index of the first sibling that ``kids[j]`` is not strictly
+    disjoint from, or None when it is disjoint from all of them."""
+    return next((i for i, other in enumerate(kids)
+                 if i != j and not kids[j].disjoint_from(other)), None)
+
+
 # -- generators ----------------------------------------------------------
 
 
 def _hash_unit(seed: int, word: Word, child: int, coord: int) -> Q:
-    """Deterministic value in (-1, 1) derived from the seed and position."""
+    """Deterministic value in [-1, 1) derived from the seed and position."""
     key = f"{seed}|{','.join(map(str, word))}|{child}|{coord}"
     digest = hashlib.sha256(key.encode()).digest()
     v = int.from_bytes(digest[:8], "big")
@@ -94,6 +97,22 @@ def _hash_unit(seed: int, word: Word, child: int, coord: int) -> Q:
 
 
 PERTURB_CLAMP = 1 - Q(1, 2**20)
+
+
+class Generator(Protocol):
+    """What a builder supplies to a ``BallSystem``: child ``i`` of the
+    ball ``parent`` found at ``word``, the certified covering-slack and
+    thickness bounds, the analytic r-uniformity constant (None when there
+    is none), the default designated pair of root children, and the
+    structural check behind ``validate_system``."""
+
+    designated: tuple[int, int]
+    def child_count(self, word: Word) -> int: ...
+    def child(self, parent: Ball, word: Word, i: int) -> Ball: ...
+    def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval: ...
+    def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd: ...
+    def density(self) -> Optional[Interval]: ...
+    def validate(self, sys: BallSystem, depth: int) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -107,6 +126,7 @@ class GridIfs:
     rho: Q
     d_spacing: Q
     seed: int
+    designated = (0, 1)
 
     def __post_init__(self):
         if self.n < 2 or self.rho <= 0 or self.d_spacing <= 0:
@@ -114,17 +134,47 @@ class GridIfs:
         if 2 * self.rho * self.n + self.n * self.d_spacing != 2:
             raise InputError("grid constraint 2*rho*n + n*d = 2 violated")
 
-    @property
-    def child_count(self) -> int:
-        return self.n * self.n
-
     @functools.cached_property
     def cell_centers(self) -> tuple[tuple[Q, Q], ...]:
         pitch = 2 * self.rho + self.d_spacing
         start = -1 + self.d_spacing / 2 + self.rho
         return tuple(
             (start + (i % self.n) * pitch, start + (i // self.n) * pitch)
-            for i in range(self.child_count))
+            for i in range(self.n * self.n))
+
+    def child_count(self, word: Word) -> int:
+        return self.n * self.n
+
+    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+        if not (0 <= i < self.n * self.n):
+            raise InputError("child index out of range")
+        tx, ty = self.cell_centers[i]
+        if word:  # deeper levels are perturbed
+            clamp = (self.d_spacing / 2) * PERTURB_CLAMP
+            tx += clamp * _hash_unit(self.seed, word, i, 0)
+            ty += clamp * _hash_unit(self.seed, word, i, 1)
+        cx = parent.center[0] + parent.radius * tx
+        cy = parent.center[1] + parent.radius * ty
+        return Ball((cx, cy), parent.radius * self.rho, parent.norm)
+
+    def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
+        return Interval.point(
+            self.d_spacing * self.rho ** len(word) / (1 - self.rho))
+
+    def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
+        val = self.rho * (1 - self.rho) / self.d_spacing
+        return ThicknessReportNd(Interval.point(val), (),
+                                 {(): self.h_upper(sys, (), bits)},
+                                 SELF_SIMILAR)
+
+    def density(self) -> Interval:
+        # any such sub-ball contains a whole grid cell, even perturbed
+        return Interval.point(2 * self.rho + self.d_spacing)
+
+    def validate(self, sys: BallSystem, depth: int) -> None:
+        if sys.norm != LINF:
+            raise InputError("grid children escape a Euclidean root; the "
+                             "grid builder needs the sup norm")
 
 
 @dataclass(frozen=True)
@@ -143,27 +193,160 @@ class HexPacking:
         if not (0 < self.gamma <= 1):
             raise InputError("gamma must lie in (0, 1]")
 
+    def child_count(self, word: Word) -> int:
+        return 85
+
+    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+        if not (0 <= i < 85):
+            raise InputError("child index out of range")
+        hx, hy = hex_centers()[i]
+        cx = parent.center[0] + parent.radius * hx
+        cy = parent.center[1] + parent.radius * hy
+        r = parent.radius * self.rho
+        if not word and i in self.designated:
+            r *= self.gamma
+        return Ball((cx, cy), r, parent.norm)
+
+    def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
+        # one level of interstitial slack below the ball's own radius:
+        # h <= q * rho * rad(ball) / (1 + rho)
+        q = _hex_q(bits)
+        if not word:
+            return Interval.point((1 - self.gamma) * self.rho) \
+                + q * self.rho / (1 + self.rho)
+        rad = self.rho ** len(word)
+        if word[0] in self.designated:
+            rad *= self.gamma
+        return q * self.rho * rad / (1 + self.rho)
+
+    def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
+        q = _hex_q(bits)
+        h0 = self.h_upper(sys, (), bits)
+        root = Interval.point(self.gamma * self.rho) / h0
+        interior = Interval.point(1 + self.rho) / q
+        # the smaller ratio, or their pointwise minimum when they overlap
+        lower = Interval(min(root.lo, interior.lo), min(root.hi, interior.hi))
+        word = (2,) if root.compare(interior) is Cmp.GREATER else ()
+        return ThicknessReportNd(
+            lower, word, {(): h0, (2,): self.h_upper(sys, (2,), bits)},
+            SELF_SIMILAR)
+
+    def density(self) -> Interval:
+        return (2 * sqrt3() + 3) / 3 * self.rho  # (2+sqrt3)/sqrt3 * rho
+
+    def validate(self, sys: BallSystem, depth: int) -> None:
+        unit = Ball((Q(0), Q(0)), Q(1), sys.norm)
+        for i, c in enumerate(hex_centers()):
+            if not unit.contains_ball(Ball(c, self.rho, sys.norm)):
+                raise InputError(f"hex circle {i} escapes the unit ball")
+        if self.gamma < 1:
+            kids = sys.children(())
+            for j in self.designated:
+                i = first_touching_sibling(kids, j)
+                if i is not None:
+                    raise InputError("designated child is not disjoint "
+                                     f"from sibling {i}")
+
 
 @dataclass(frozen=True)
 class ExplicitTree:
-    """Finitely presented tree of balls: every listed word maps to a
-    ball, children are the one-letter extensions present in the table."""
+    """Finite table of balls: the ball at a nonempty word is
+    ``nodes[word]``, the children of a word are its one-letter extensions
+    present in the table, and the ball at () is the system's root."""
 
     nodes: dict[Word, Ball]
+    designated = (0, 1)
 
-    def children_of(self, word: Word) -> list[Word]:
-        out = []
+    def child_count(self, word: Word) -> int:
         i = 0
-        while (word + (i,)) in self.nodes:
-            out.append(word + (i,))
+        while word + (i,) in self.nodes:
             i += 1
-        return out
+        return i
+
+    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+        w = word + (i,)
+        if w not in self.nodes:
+            raise InputError(f"word {w} not in the explicit tree")
+        return self.nodes[w]
+
+    def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
+        """One-step bound from a farthest-point grid over the ball against
+        the deepest level of the table below it."""
+        ball = sys.ball(word)
+        words = [word]
+        while nxt := [w + (i,) for w in words
+                      for i in range(self.child_count(w))]:
+            words = nxt
+        deepest = [sys.ball(w) for w in words]
+        if any(b.center == ball.center and b.radius == ball.radius
+               for b in deepest):
+            return Interval.point(Q(0))  # ball-filling chain
+
+        def reach(x, b: Ball) -> Q:  # upper bound on |x - c_b| + r_b
+            if sys.norm == LINF:
+                return max(abs(a - c) for a, c in zip(x, b.center)) + b.radius
+            sq = sum((a - c) ** 2 for a, c in zip(x, b.center))
+            return interval_sqrt(Interval.point(sq), bits).hi + b.radius
+
+        # max over the ball of min_b reach(x, b), bounded on an 8 x 8 grid
+        # of points placed relative to the ball, plus the 1-Lipschitz mesh
+        # slack
+        pitch = ball.radius / 4
+        ticks = [-ball.radius + pitch * (i + Q(1, 2)) for i in range(8)]
+        best = max(min(reach((ball.center[0] + ox, ball.center[1] + oy), b)
+                       for b in deepest)
+                   for ox in ticks for oy in ticks)
+        # pitch/2 in the sup norm; a rational bound above pitch*sqrt(2)/2
+        mesh = pitch / 2 if sys.norm == LINF else pitch * Q(3, 4)
+        return Interval(Q(0), best + mesh)
+
+    def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
+        """The minimum over the table's internal words, tagged with the
+        table's depth."""
+        best: Optional[Q] = None
+        best_word: Word = ()
+        h_bounds = {}
+        for w in sorted([(), *(w for w in self.nodes if w)], key=len):
+            count = self.child_count(w)
+            if not count:
+                continue
+            min_rad = min(self.nodes[w + (i,)].radius for i in range(count))
+            h = self.h_upper(sys, w, bits)
+            h_bounds[w] = h
+            if h.hi == 0:
+                continue  # slack-free word imposes no constraint
+            lo = min_rad / h.hi
+            if best is None or lo < best:
+                best, best_word = lo, w
+        if best is None:
+            raise InputError("explicit tree has no internal nodes")
+        max_depth = max(map(len, self.nodes), default=0)
+        return ThicknessReportNd(Interval.point(best), best_word, h_bounds,
+                                 f"truncated_depth({max_depth})")
+
+    def density(self) -> None:
+        return None
+
+    def validate(self, sys: BallSystem, depth: int) -> None:
+        if self.nodes.get((), sys.root) != sys.root:
+            raise InputError("the explicit tree's ball at () is not the "
+                             "system's root")
+        for w in sorted([(), *(w for w in self.nodes if w)], key=len):
+            if len(w) >= depth:
+                break
+            parent = sys.ball(w)
+            for kid in sys.children(w):
+                if not parent.contains_ball(kid):
+                    raise InputError(f"child escapes parent at word {w}")
+        max_depth = max(map(len, self.nodes), default=0)
+        for w in self.nodes:
+            if len(w) < max_depth and not self.child_count(w):
+                raise InputError(f"ball at word {w} has no descendants, "
+                                 "so it cannot meet the generated set")
 
 
-Generator = Union[GridIfs, HexPacking, ExplicitTree]
-
-
-def load_hex_centers() -> list[tuple[Q, Q]]:
+@functools.cache
+def hex_centers() -> list[tuple[Q, Q]]:
     """The bundled arrangement: one \"x y\" rational pair per line."""
     text = resources.files("thickset").joinpath(
         "data/hex_centers.txt").read_text()
@@ -174,16 +357,6 @@ def load_hex_centers() -> list[tuple[Q, Q]]:
     if len(out) != 85:
         raise InputError("hex centers data must hold 85 entries")
     return out
-
-
-_HEX_CENTERS: Optional[list[tuple[Q, Q]]] = None
-
-
-def hex_centers() -> list[tuple[Q, Q]]:
-    global _HEX_CENTERS
-    if _HEX_CENTERS is None:
-        _HEX_CENTERS = load_hex_centers()
-    return _HEX_CENTERS
 
 
 @dataclass(frozen=True)
@@ -197,79 +370,30 @@ class BallSystem:
         return self.root.norm
 
     def child_count(self, word: Word) -> int:
-        g = self.generator
-        if isinstance(g, GridIfs):
-            return g.child_count
-        if isinstance(g, HexPacking):
-            return 85
-        return len(g.children_of(word))
+        return self.generator.child_count(word)
 
     def ball(self, word: Word) -> Ball:
-        g = self.generator
-        if isinstance(g, ExplicitTree):
-            if word not in g.nodes:
-                raise InputError(f"word {word} not in the explicit tree")
-            return g.nodes[word]
+        """The ball at ``word``, built one letter at a time from its
+        longest cached prefix (a loop, so any word length works)."""
         if not word:
             return self.root
         hit = self._cache.get(word)
+        if hit is not None:
+            return hit
+        k = len(word) - 1
+        while k and (hit := self._cache.get(word[:k])) is None:
+            k -= 1
         if hit is None:
-            parent = self.ball(word[:-1])
-            hit = self._child(parent, word[:-1], word[-1])
-            self._cache[word] = hit
+            hit = self.root
+        for j in range(k, len(word)):
+            hit = self.generator.child(hit, word[:j], word[j])
+            self._cache[word[:j + 1]] = hit
         return hit
 
     def children(self, word: Word) -> list[Ball]:
         g = self.generator
-        if isinstance(g, ExplicitTree):
-            return [g.nodes[w] for w in g.children_of(word)]
         parent = self.ball(word)
-        return [self._child(parent, word, i)
-                for i in range(self.child_count(word))]
-
-    def _child(self, parent: Ball, word: Word, i: int) -> Ball:
-        g = self.generator
-        if isinstance(g, GridIfs):
-            if not (0 <= i < g.child_count):
-                raise InputError("child index out of range")
-            tx, ty = g.cell_centers[i]
-            if word:  # deeper levels are perturbed
-                clamp = (g.d_spacing / 2) * PERTURB_CLAMP
-                tx += clamp * _hash_unit(g.seed, word, i, 0)
-                ty += clamp * _hash_unit(g.seed, word, i, 1)
-            cx = parent.center[0] + parent.radius * tx
-            cy = parent.center[1] + parent.radius * ty
-            return Ball((cx, cy), parent.radius * g.rho, parent.norm)
-        if isinstance(g, HexPacking):
-            centers = hex_centers()
-            if not (0 <= i < 85):
-                raise InputError("child index out of range")
-            hx, hy = centers[i]
-            cx = parent.center[0] + parent.radius * hx
-            cy = parent.center[1] + parent.radius * hy
-            r = parent.radius * g.rho
-            if not word and i in g.designated:
-                r *= g.gamma
-            return Ball((cx, cy), r, parent.norm)
-        raise InputError("explicit trees carry their own children")
-
-    def words_at(self, depth: int) -> Iterable[Word]:
-        g = self.generator
-        if isinstance(g, ExplicitTree):
-            if depth == 0:
-                yield ()
-                return
-            for w in g.nodes:
-                if len(w) == depth:
-                    yield w
-            return
-        def rec(w: Word):
-            if len(w) == depth:
-                yield w
-                return
-            for i in range(self.child_count(w)):
-                yield from rec(w + (i,))
-        yield from rec(())
+        return [g.child(parent, word, i) for i in range(g.child_count(word))]
 
 
 def grid_ifs_example(n: int, rho, d_spacing, seed: int) -> BallSystem:
@@ -285,30 +409,32 @@ def hex_packing_example(gamma) -> BallSystem:
 
 
 def validate_system(sys: BallSystem, depth: int = 2) -> None:
-    """Exact structural checks to the given depth: every child inside
-    its parent, every ball still on a descending chain (so it can meet
-    the generated set), and (for the hex builder with gamma < 1) the
-    designated children strictly disjoint from all siblings."""
-    for d in range(depth):
-        for w in sys.words_at(d):
-            parent = sys.ball(w)
-            for kid in sys.children(w):
-                if not parent.contains_ball(kid):
-                    raise InputError(f"child escapes parent at word {w}")
-    g = sys.generator
-    if isinstance(g, ExplicitTree):
-        max_depth = max((len(w) for w in g.nodes), default=0)
-        for w in g.nodes:
-            if len(w) < max_depth and not g.children_of(w):
-                raise InputError(f"ball at word {w} has no descendants, "
-                                 "so it cannot meet the generated set")
-    if isinstance(g, HexPacking) and g.gamma < 1:
-        kids = sys.children(())
-        for j in g.designated:
-            for i, other in enumerate(kids):
-                if i != j and not kids[j].disjoint_from(other):
-                    raise InputError("designated child is not disjoint "
-                                     f"from sibling {i}")
+    """Raise InputError unless every ball of the system lies inside its
+    parent and can meet the generated set, and, for the hex builder with
+    gamma < 1, its designated children are strictly disjoint from their
+    siblings.  The builders are decided at every depth by an argument,
+    so ``depth`` only bounds the enumeration of explicit trees.
+
+    Grid (sup norm).  The constraint 2*rho*n + n*d = 2 puts every cell
+    center at most 1 - rho - d/2 from the parent center, in units of the
+    parent radius, and the perturbations below the first level move it
+    by at most (d/2) * PERTURB_CLAMP.  The sum is strictly less than
+    1 - rho because PERTURB_CLAMP < 1, so the child, of radius rho, lies
+    strictly inside its parent at every level.  The argument needs the sup norm: a
+    Euclidean root is rejected (its corner children escape).
+
+    Hex.  Every level is the same copy of the 85 circles scaled to its
+    parent; only the root's designated children shrink, by gamma <= 1,
+    about their own centers.  So |h_i| + rho <= 1 for the 85 unshrunk
+    circles decides containment at every depth, and the designated
+    children are checked once against their siblings.
+
+    Explicit trees.  A finite table has no such argument: containment is
+    enumerated for the parents shallower than ``depth``, and a ball with
+    no children above the table's deepest level is rejected, since it
+    cannot meet the generated set.
+    """
+    sys.generator.validate(sys, depth)
 
 
 # -- covering slack (h) and thickness -------------------------------------
@@ -319,93 +445,19 @@ def _hex_q(bits: int = 128) -> Interval:
     return (2 * sqrt3(bits) - 3) / 3
 
 
-def h_upper(sys: BallSystem, word: Word = (), bits: int = 128,
-            grid_points: int = 8) -> Interval:
+def h_upper(sys: BallSystem, word: Word = (), bits: int = 128) -> Interval:
     """Certified upper bound on the covering slack of the ball at
     ``word``: the largest distance from a point of that ball to the
     generated set.
 
     Closed forms for the self-similar builders; for explicit trees a
     one-step bound from a farthest-point grid over the ball against the
-    deepest evaluated level.
+    deepest level of the table.
     """
-    g = sys.generator
-    level = len(word)
-    if isinstance(g, GridIfs):
-        val = g.d_spacing * g.rho ** level / (1 - g.rho)
-        return Interval.point(val)
-    if isinstance(g, HexPacking):
-        # one level of interstitial slack below the ball's own radius:
-        # h <= q * rho * rad(ball) / (1 + rho)
-        q = _hex_q(bits)
-        if level == 0:
-            return Interval.point((1 - g.gamma) * g.rho) \
-                + q * g.rho / (1 + g.rho)
-        rad = g.rho ** level
-        if word[0] in g.designated:
-            rad *= g.gamma
-        return q * g.rho * rad / (1 + g.rho)
-    return _h_upper_explicit(sys, word, bits, grid_points)
-
-
-def _deepest_level(tree: ExplicitTree, word: Word) -> tuple[int, list[Ball]]:
-    depth = len(word)
-    best_d, best = depth, [tree.nodes[word]] if word in tree.nodes else []
-    frontier = [word]
-    while True:
-        nxt = []
-        for w in frontier:
-            nxt.extend(tree.children_of(w))
-        if not nxt:
-            break
-        frontier = nxt
-        best_d = len(frontier[0])
-        best = [tree.nodes[w] for w in frontier]
-    return best_d, best
-
-
-def _h_upper_explicit(sys: BallSystem, word: Word, bits: int,
-                      grid_points: int) -> Interval:
-    tree = sys.generator
-    assert isinstance(tree, ExplicitTree)
-    ball = sys.ball(word)
-    _, deepest = _deepest_level(tree, word)
-    if not deepest:
-        raise InputError("explicit tree has no nodes under the word")
-    if any(b.center == ball.center and b.radius == ball.radius
-           for b in deepest):
-        return Interval.point(Q(0))  # ball-filling chain
-    # max over the ball of min_b (|x - c_b| + r_b), bounded on a grid of
-    # points placed relative to the ball, plus the 1-Lipschitz mesh slack
-    n = max(2, grid_points)
-    pitch = 2 * ball.radius / n
-    best = Q(0)
-    offsets = [(-ball.radius + pitch * (i + Q(1, 2)),
-                -ball.radius + pitch * (j + Q(1, 2)))
-               for i in range(n) for j in range(n)]
-    for ox, oy in offsets:
-        x = (ball.center[0] + ox, ball.center[1] + oy)
-        val = None
-        for b in deepest:
-            if sys.norm == LINF:
-                d = max(abs(a - c) for a, c in zip(x, b.center)) + b.radius
-            else:
-                sq = sum((a - c) ** 2 for a, c in zip(x, b.center))
-                d = interval_sqrt(Interval.point(sq), bits).hi + b.radius
-            val = d if val is None or d < val else val
-        best = max(best, val)
-    if sys.norm == LINF:
-        mesh = pitch / 2
-    else:
-        mesh = pitch * Q(3, 4)  # rational bound above pitch*sqrt(2)/2
-    return Interval(Q(0), best + mesh)
+    return sys.generator.h_upper(sys, word, bits)
 
 
 SELF_SIMILAR = "self_similar_closed_form"
-
-
-def _truncated(depth: int) -> str:
-    return f"truncated_depth({depth})"
 
 
 @dataclass(frozen=True)
@@ -415,10 +467,6 @@ class ThicknessReportNd:
     h_bounds: dict
     tail_certificate: str
 
-    def __str__(self):
-        return (f"tau >= {self.lower_bound.approx_str(8)} "
-                f"[{self.tail_certificate}]")
-
 
 def yavicoli_thickness(sys: BallSystem, bits: int = 128) -> ThicknessReportNd:
     """Lower bound for inf over words of (min child radius) / h(word).
@@ -427,52 +475,7 @@ def yavicoli_thickness(sys: BallSystem, bits: int = 128) -> ThicknessReportNd:
     a closed form; explicit trees report the minimum over evaluated
     words, tagged with the truncation depth.
     """
-    g = sys.generator
-    if isinstance(g, GridIfs):
-        val = g.rho * (1 - g.rho) / g.d_spacing
-        h0 = h_upper(sys, (), bits)
-        return ThicknessReportNd(Interval.point(val), (), {(): h0},
-                                 SELF_SIMILAR)
-    if isinstance(g, HexPacking):
-        q = _hex_q(bits)
-        h0 = h_upper(sys, (), bits)
-        root_ratio = Interval.point(g.gamma * g.rho) / h0
-        interior_ratio = Interval.point(1 + g.rho) / q
-        cmp = root_ratio.compare(interior_ratio)
-        if cmp is Cmp.LESS:
-            lower, word = root_ratio, ()
-        elif cmp is Cmp.GREATER:
-            lower, word = interior_ratio, (2,)
-        else:
-            lower = Interval(min(root_ratio.lo, interior_ratio.lo),
-                             min(root_ratio.hi, interior_ratio.hi))
-            word = ()
-        return ThicknessReportNd(lower, word,
-                                 {(): h0, (2,): h_upper(sys, (2,), bits)},
-                                 SELF_SIMILAR)
-    tree = g
-    assert isinstance(tree, ExplicitTree)
-    best: Optional[Q] = None
-    best_word: Word = ()
-    h_bounds = {}
-    max_depth = 0
-    for w in sorted(tree.nodes, key=len):
-        kids = tree.children_of(w)
-        max_depth = max(max_depth, len(w))
-        if not kids:
-            continue
-        min_rad = min(tree.nodes[k].radius for k in kids)
-        h = h_upper(sys, w, bits)
-        h_bounds[w] = h
-        if h.hi == 0:
-            continue  # slack-free word imposes no constraint
-        lo = min_rad / h.hi
-        if best is None or lo < best:
-            best, best_word = lo, w
-    if best is None:
-        raise InputError("explicit tree has no internal nodes")
-    return ThicknessReportNd(Interval.point(best), best_word, h_bounds,
-                             _truncated(max_depth))
+    return sys.generator.thickness(sys, bits)
 
 
 # -- uniform density -------------------------------------------------------
@@ -504,25 +507,15 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
     r_iv = Interval.coerce(to_q(r)) if not isinstance(r, Interval) else r
     if not (0 < r_iv.lo and r_iv.hi < 1):
         raise InputError("r must lie in (0, 1)")
-    g = sys.generator
-    if isinstance(g, GridIfs):
-        analytic = Interval.point(2 * g.rho + g.d_spacing)
-        if r_iv.certainly_ge(analytic):
-            return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
-        min_child = g.rho
-    elif isinstance(g, HexPacking):
-        analytic = (2 * sqrt3() + 3) / 3 * g.rho  # (2+sqrt3)/sqrt3 * rho
-        if r_iv.certainly_ge(analytic):
-            return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
-        min_child = g.gamma * g.rho
-    else:
-        kids = sys.children(())
-        min_child = min(b.radius for b in kids) if kids else Q(0)
+    analytic = sys.generator.density()
+    if analytic is not None and r_iv.certainly_ge(analytic):
+        return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
 
     # deterministic counterexample: a sub-ball smaller than every child
-    if r_iv.hi < min_child:
+    kids = sys.children(())
+    if kids and r_iv.hi * sys.root.radius < min(b.radius for b in kids):
         bad = Ball(sys.root.center, r_iv.lo * sys.root.radius, sys.norm)
-        if not any(bad.contains_ball(c) for c in sys.children(())):
+        if not any(bad.contains_ball(c) for c in kids):
             return UniformityResult(FALSIFIED, r_iv, bad)
 
     # randomized probes at the minimal admissible radius
@@ -576,17 +569,13 @@ def subset_thickness(sys: BallSystem, child_index: int,
     kids = sys.children(())
     if not (0 <= child_index < len(kids)):
         raise InputError("child index out of range")
+    i = first_touching_sibling(kids, child_index)
+    if i is not None:
+        raise InputError(f"designated child intersects sibling {i}")
     child = kids[child_index]
-    min_gap: Optional[Interval] = None
-    for i, other in enumerate(kids):
-        if i == child_index:
-            continue
-        if not child.disjoint_from(other):
-            raise InputError(f"designated child intersects sibling {i}")
-        gap = child.gap_to(other, bits)
-        min_gap = gap if min_gap is None \
-            else Interval(min(min_gap.lo, gap.lo), min(min_gap.hi, gap.hi))
-    assert min_gap is not None
+    gaps = [child.gap_to(other, bits)
+            for i, other in enumerate(kids) if i != child_index]
+    min_gap = Interval(min(g.lo for g in gaps), min(g.hi for g in gaps))
     tau = yavicoli_thickness(sys, bits).lower_bound
     h_child = h_upper(sys, (child_index,), bits)
     h_child_subset = 2 * h_upper(sys, (), bits)
@@ -648,6 +637,8 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
     r_iv = Interval.coerce(to_q(r)) if not isinstance(r, Interval) else r
     if not (0 < r_iv.lo and r_iv.hi < Q(1, 2)):
         raise InputError("r must lie in (0, 1/2)")
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     details: dict = {}
 
     t1 = yavicoli_thickness(sys1, bits).lower_bound
@@ -704,48 +695,3 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
                            for n, c in zip(names, checks) if c is None)
     return RdHypothesesReport(prod_ok, meets, ratio_ok, uni_ok,
                               verdict, reason, details)
-
-
-# -- snapshots and rigid motions -------------------------------------------
-
-
-def snapshot(sys: BallSystem, depth: int) -> BallSystem:
-    """Materialize a builder to an explicit tree of the given depth."""
-    nodes: dict[Word, Ball] = {(): sys.root}
-    frontier: list[Word] = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for i in range(sys.child_count(w)):
-                nodes[w + (i,)] = sys.ball(w + (i,))
-                nxt.append(w + (i,))
-        frontier = nxt
-    return BallSystem(sys.root, ExplicitTree(nodes))
-
-
-def transform_system(sys: BallSystem, scale=Q(1), rotation=None,
-                     shift=(Q(0), Q(0))) -> BallSystem:
-    """Scaled, rotated (rational rotation pair (c, s) with c^2 + s^2 = 1),
-    and translated copy of an explicit-tree system."""
-    tree = sys.generator
-    if not isinstance(tree, ExplicitTree):
-        raise InputError("transform a snapshot, not a live builder")
-    sc = to_q(scale)
-    if sc <= 0:
-        raise InputError("scale must be positive")
-    if rotation is not None:
-        c, s = to_q(rotation[0]), to_q(rotation[1])
-        if c * c + s * s != 1:
-            raise InputError("rotation pair must satisfy c^2 + s^2 = 1")
-    else:
-        c, s = Q(1), Q(0)
-    dx, dy = to_q(shift[0]), to_q(shift[1])
-
-    def move(b: Ball) -> Ball:
-        x, y = b.center
-        rx = sc * (c * x - s * y) + dx
-        ry = sc * (s * x + c * y) + dy
-        return Ball((rx, ry), sc * b.radius, b.norm)
-
-    nodes = {w: move(b) for w, b in tree.nodes.items()}
-    return BallSystem(nodes[()], ExplicitTree(nodes))

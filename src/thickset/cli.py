@@ -107,21 +107,16 @@ def canonical_description(desc: dict) -> str:
 
 
 def default_r(sys: BallSystem, raw: Optional[str]):
+    """The --r value: the given one, else the builder's analytic density
+    constant (rounded up to 8 decimals when it is not rational)."""
     if raw and raw != "auto":
         return to_q(raw)
-    g = sys.generator
-    from .balls import GridIfs, HexPacking
-
-    if isinstance(g, GridIfs):
-        return 2 * g.rho + g.d_spacing
-    if isinstance(g, HexPacking):
-        # rational value certified at or above the analytic constant
-        from .scalars import sqrt3
-
-        bound = (2 * sqrt3() + 3) / 3 * g.rho
-        num = bound.hi.numerator * 10**8 // bound.hi.denominator + 1
-        return Q(num, 10**8)
-    raise InputError("pass --r explicitly for explicit trees")
+    c = sys.generator.density()
+    if c is None:
+        raise InputError("pass --r explicitly for explicit trees")
+    if c.lo == c.hi:
+        return c.lo
+    return Q(c.hi * 10**8 // 1 + 1, 10**8)
 
 
 # -- serialization ------------------------------------------------------------
@@ -549,7 +544,10 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--depth", type=int, default=8)
         sp.add_argument("--precision-bits", type=int, default=128,
-                        dest="precision_bits")
+                        dest="precision_bits",
+                        help="interval precision in bits, at least 1; read "
+                             "by find-ap and find-combo on ball systems and "
+                             "by find-triangle")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--mode", choices=["standard", "appendix"],
                         default="standard")
@@ -627,6 +625,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     run = Run(args)
     desc = None
     try:
+        if getattr(args, "precision_bits", 1) <= 0:
+            raise InputError("precision bits must be positive")
         code = handler(run)
     except InputError as e:
         print(f"input error: {e}", file=_sys.stderr)

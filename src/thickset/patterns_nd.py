@@ -19,9 +19,9 @@ from .balls import (
     Ball,
     BallSystem,
     FULL_BOUND,
-    HexPacking,
     L2,
     Word,
+    first_touching_sibling,
     h_upper,
     r_uniformity_check,
     subset_thickness,
@@ -129,10 +129,7 @@ def lambda_window(sys: BallSystem, r, mode: str = STANDARD
 def _designated(sys: BallSystem, idx_a: Optional[int],
                 idx_b: Optional[int]) -> tuple[int, int]:
     if idx_a is None or idx_b is None:
-        g = sys.generator
-        if isinstance(g, HexPacking):
-            return g.designated
-        return (0, 1)
+        return sys.generator.designated
     return (idx_a, idx_b)
 
 
@@ -142,10 +139,10 @@ def _check_disjoint_children(sys: BallSystem, idx_a: int, idx_b: int
     for j in (idx_a, idx_b):
         if not (0 <= j < len(kids)):
             raise InputError("designated child index out of range")
-        for i, other in enumerate(kids):
-            if i != j and not kids[j].disjoint_from(other):
-                raise HypothesisError(
-                    f"designated child {j} is not disjoint from sibling {i}")
+        i = first_touching_sibling(kids, j)
+        if i is not None:
+            raise HypothesisError(
+                f"designated child {j} is not disjoint from sibling {i}")
     return kids[idx_a], kids[idx_b]
 
 
@@ -265,7 +262,7 @@ def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                 key=lambda i: sum((a - b) ** 2 for a, b in
                                   zip(kids[i].center, guide)))
         word = word + (j,)
-        center = sys.ball(word).center
+        center = kids[j].center
         diff = tuple(Interval.point(a) - b
                      for a, b in zip(center, disk.center))
         dist = interval_sqrt(diff[0].square() + diff[1].square(), bits)
@@ -418,6 +415,8 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
     The combination point c is an exact ball center inside the certified
     disk; the searches refine -lam*A against (1-lam)*B - c.
     """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     lamv = to_q(lam)
     disk, report = convex_combo_disk(sys, lamv, r, mode, idx_a, idx_b, bits)
     ia, ib = report["children"]
@@ -607,6 +606,8 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
     generated by a Euclidean ball system: base points x, y in the two
     designated subtrees and apex z = lam*x + (1-lam)*y + alpha*(y-x)_perp
     within the certified residual."""
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     norm = tri if isinstance(tri, NormalizedTriangle) \
         else normalize_triangle(tri)
     if norm.degenerate:

@@ -2,24 +2,26 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thickset.balls import (
     CERTIFIED_ANALYTIC,
     FALSIFIED,
     FULL_BOUND,
     HALF_BOUND,
+    LINF,
     Ball,
     ExplicitTree,
     BallSystem,
+    GridIfs,
+    HexPacking,
     gap_lemma_rd_check,
     grid_ifs_example,
     h_upper,
     hex_centers,
     hex_packing_example,
     r_uniformity_check,
-    snapshot,
     subset_thickness,
-    transform_system,
     validate_system,
     yavicoli_thickness,
 )
@@ -27,6 +29,37 @@ from thickset.errors import InputError
 from thickset.scalars import sqrt3
 
 GAMMA = Q(99999, 100000)
+
+
+def snapshot(sys: BallSystem, depth: int) -> BallSystem:
+    """Materialize a builder to an explicit tree of the given depth."""
+    nodes = {(): sys.root}
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            for i in range(sys.child_count(w)):
+                nodes[w + (i,)] = sys.ball(w + (i,))
+                nxt.append(w + (i,))
+        frontier = nxt
+    return BallSystem(sys.root, ExplicitTree(nodes))
+
+
+def transform_system(sys: BallSystem, scale=Q(1), rotation=None,
+                     shift=(Q(0), Q(0))) -> BallSystem:
+    """Scaled, rotated (rational rotation pair (c, s) with c^2 + s^2 = 1),
+    and translated copy of an explicit-tree system."""
+    c, s = rotation or (Q(1), Q(0))
+    assert scale > 0 and c * c + s * s == 1
+
+    def move(b: Ball) -> Ball:
+        x, y = b.center
+        return Ball((scale * (c * x - s * y) + shift[0],
+                     scale * (s * x + c * y) + shift[1]),
+                    scale * b.radius, b.norm)
+
+    nodes = {w: move(b) for w, b in sys.generator.nodes.items()}
+    return BallSystem(nodes[()], ExplicitTree(nodes))
 
 
 class TestBallPredicates:
@@ -114,6 +147,99 @@ class TestHexBuilder:
     def test_gamma_range(self):
         with pytest.raises(InputError):
             hex_packing_example(0)
+
+
+def enumerated_ok(sys: BallSystem, depth: int) -> bool:
+    """Reference check by enumeration: every child inside its parent down
+    to ``depth``, and the designated hex children (gamma < 1) strictly
+    disjoint from their siblings."""
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            parent = sys.ball(w)
+            for i, kid in enumerate(sys.children(w)):
+                if not parent.contains_ball(kid):
+                    return False
+                nxt.append(w + (i,))
+        frontier = nxt
+    g = sys.generator
+    if isinstance(g, HexPacking) and g.gamma < 1:
+        kids = sys.children(())
+        return all(kids[j].disjoint_from(other) for j in g.designated
+                   for i, other in enumerate(kids) if i != j)
+    return True
+
+
+def accepted(sys: BallSystem, depth: int = 2) -> bool:
+    try:
+        validate_system(sys, depth)
+    except InputError:
+        return False
+    return True
+
+
+class TestValidateByArgument:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 4), share=st.integers(1, 99),
+           seed=st.integers(0, 10**6))
+    def test_grid_matches_enumeration(self, n, share, seed):
+        # d takes a share of the 2/n per cell; rho follows from the
+        # constraint 2*rho*n + n*d = 2
+        d = Q(2, n) * Q(share, 100)
+        sys = grid_ifs_example(n, Q(1, n) - d / 2, d, seed)
+        depth = 3 if n <= 3 else 2
+        assert accepted(sys, depth)
+        assert enumerated_ok(sys, depth)
+
+    @settings(max_examples=3, deadline=None)
+    @given(gamma=st.fractions(Q(1, 100), 1, max_denominator=10**5))
+    def test_hex_matches_enumeration(self, gamma):
+        sys = hex_packing_example(gamma)
+        assert accepted(sys) and enumerated_ok(sys, 2)
+
+    def test_grid_needs_sup_norm_root(self):
+        g = GridIfs(10, Q(19, 200), Q(1, 100), 1)
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)), g)
+        assert not enumerated_ok(sys, 1)
+        with pytest.raises(InputError, match="Euclidean root"):
+            validate_system(sys)
+
+    def test_hex_designated_touching_sibling(self):
+        # as squares the hex children overlap their diagonal neighbours,
+        # so the shrunk designated children still meet a sibling
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1), LINF), HexPacking(GAMMA))
+        with pytest.raises(InputError, match="not disjoint from sibling"):
+            validate_system(sys)
+
+    def test_hex_circle_escaping(self):
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)),
+                         HexPacking(Q(1), rho=Q(1, 8)))
+        assert not enumerated_ok(sys, 1)
+        with pytest.raises(InputError, match="escapes the unit ball"):
+            validate_system(sys)
+
+    def test_explicit_child_escaping(self):
+        b = Ball((Q(0), Q(0)), Q(1))
+        tree = ExplicitTree({(0,): Ball((Q(0), Q(0)), Q(1, 2)),
+                             (0, 0): Ball((Q(1, 2), Q(0)), Q(1, 4))})
+        sys = BallSystem(b, tree)
+        validate_system(sys, depth=1)  # the escape is below depth 1
+        with pytest.raises(InputError, match="escapes parent at word"):
+            validate_system(sys, depth=2)
+
+    def test_explicit_root_entry_must_be_the_root(self):
+        b = Ball((Q(0), Q(0)), Q(1))
+        tree = ExplicitTree({(): Ball((Q(0), Q(0)), Q(2)), (0,): b})
+        with pytest.raises(InputError, match="not the system's root"):
+            validate_system(BallSystem(b, tree))
+
+    def test_explicit_ball_at_empty_word_is_root(self):
+        b = Ball((Q(0), Q(0)), Q(1))
+        sys = BallSystem(b, ExplicitTree({(0,): b}))
+        assert sys.ball(()) == b and sys.children(()) == [b]
+        with pytest.raises(InputError, match="not in the explicit tree"):
+            sys.ball((0, 0))
 
 
 class TestHUpper:

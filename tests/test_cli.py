@@ -122,6 +122,10 @@ class TestExitCodes:
         ["find-triangle", "--set", "middle_thirds"],
         ["find-triangle", "--set", "middle_thirds", "--triangle",
          "0,0;1,0;2,0"],
+        ["find-ap", "--set", "grid_ifs:seed=1"],
+        ["find-triangle", "--set", "hex_packing:0.99999"],
+        ["certify-gap-lemma", "--set", "hex_packing:1", "--set2",
+         "hex_packing:1"],
     ])
     def test_negative_depth_one(self, tmp_path, capsys, argv):
         out = tmp_path / "w.json"
@@ -130,6 +134,32 @@ class TestExitCodes:
         assert not out.exists()
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 1 and manifest["depth"] == -3
+
+    @pytest.mark.parametrize("argv", [
+        ["find-ap", "--set", "middle_thirds"],
+        ["find-ap", "--set", "grid_ifs:seed=1"],
+        ["find-triangle", "--set", "hex_packing:0.99999"],
+        ["thickness", "--set", "middle_thirds"],
+    ])
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_nonpositive_precision_bits_one(self, tmp_path, capsys, argv,
+                                            bits):
+        out = tmp_path / "w.json"
+        assert main(argv + ["--precision-bits", bits, "--depth", "2",
+                            "--out", str(out)]) == 1
+        assert "precision bits must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+        assert manifest["precision_bits"] == int(bits)
+
+    def test_help_names_precision_readers(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside names
+        with pytest.raises(SystemExit):
+            cli.make_parser().parse_args(["thickness", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "read by find-ap and find-combo on ball systems and by " \
+               "find-triangle" in text
 
     @pytest.mark.parametrize("out_args", [["--out", "{}"], ["--out={}"]])
     def test_rejected_arguments_write_manifest(self, tmp_path, out_args):
