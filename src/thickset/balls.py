@@ -6,12 +6,15 @@ bounds, and the higher-dimensional gap-lemma hypothesis checker.
 Ball predicates are exact: centers and radii are rational, and both
 norms compare squared distances, so containment and disjointness never
 involve rounding.  Square roots appear only in reported enclosures.
+The searches work on lattice balls, integers over one scale per level,
+and build rational ``Ball`` objects only for what they report.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Protocol
@@ -37,26 +40,17 @@ class Ball:
         if self.norm not in (LINF, L2):
             raise InputError(f"unknown norm {self.norm!r}")
 
-    def sq_dist_to(self, other: "Ball") -> Q:
-        return sum((a - b) ** 2 for a, b in zip(self.center, other.center))
+    def _on_common_scale(self, other: "Ball") -> tuple[Lattice, Lattice]:
+        s = math.lcm(common_denominator(self), common_denominator(other))
+        return lattice_of(self, s), lattice_of(other, s)
 
     def contains_ball(self, other: "Ball") -> bool:
-        slack = self.radius - other.radius
-        if slack < 0:
-            return False
-        if self.norm == LINF:
-            return all(abs(a - b) <= slack
-                       for a, b in zip(self.center, other.center))
-        return self.sq_dist_to(other) <= slack * slack
+        return lattice_contains(*self._on_common_scale(other), self.norm)
 
     def disjoint_from(self, other: "Ball") -> bool:
         """Strict disjointness of the closed balls (touching counts as
         intersecting)."""
-        reach = self.radius + other.radius
-        if self.norm == LINF:
-            return any(abs(a - b) > reach
-                       for a, b in zip(self.center, other.center))
-        return self.sq_dist_to(other) > reach * reach
+        return lattice_disjoint(*self._on_common_scale(other), self.norm)
 
     def contains_point(self, p: tuple[Q, ...]) -> bool:
         if self.norm == LINF:
@@ -65,54 +59,101 @@ class Ball:
         return sum((a - b) ** 2
                    for a, b in zip(self.center, p)) <= self.radius ** 2
 
-    def center_distance(self, other: "Ball", bits: int = 128) -> Interval:
-        if self.norm == LINF:
-            d = max(abs(a - b) for a, b in zip(self.center, other.center))
-            return Interval.point(d)
-        return interval_sqrt(Interval.point(self.sq_dist_to(other)), bits)
 
-    def gap_to(self, other: "Ball", bits: int = 128) -> Interval:
-        """Enclosure of dist(self, other) between the closed balls
-        (zero when they meet)."""
-        d = self.center_distance(other, bits) - (self.radius + other.radius)
-        return Interval(max(d.lo, Q(0)), max(d.hi, Q(0)))
+# -- lattice balls ---------------------------------------------------------
+#
+# A lattice ball is a tuple of integers, its center numerators followed by
+# its radius numerator, over a scale shared by every ball of one level.
 
 
-def first_touching_sibling(kids: list[Ball], j: int) -> Optional[int]:
+Lattice = tuple[int, ...]
+
+
+def common_denominator(ball: Ball) -> int:
+    return math.lcm(*(q.denominator for q in (*ball.center, ball.radius)))
+
+
+def lattice_of(ball: Ball, scale: int) -> Lattice:
+    """``ball`` as integers over ``scale``, a multiple of its
+    denominators."""
+    return tuple(q.numerator * (scale // q.denominator)
+                 for q in (*ball.center, ball.radius))
+
+
+def sq_dist(a: Lattice, b: Lattice, norm: str) -> int:
+    """Squared center distance of two lattice balls on one scale."""
+    if norm == LINF:
+        return max(abs(x - y) for x, y in zip(a[:-1], b[:-1])) ** 2
+    return sum((x - y) ** 2 for x, y in zip(a[:-1], b[:-1]))
+
+
+def lattice_contains(a: Lattice, b: Lattice, norm: str) -> bool:
+    """Whether ball ``a`` contains ball ``b``, both on one scale."""
+    slack = a[-1] - b[-1]
+    return slack >= 0 and sq_dist(a, b, norm) <= slack * slack
+
+
+def lattice_disjoint(a: Lattice, b: Lattice, norm: str) -> bool:
+    """Strict disjointness of two closed balls on one scale."""
+    reach = a[-1] + b[-1]
+    return sq_dist(a, b, norm) > reach * reach
+
+
+def contains_any(outer: Ball, lats: list[Lattice], scale: int) -> bool:
+    """Whether ``outer`` contains one of the lattice balls over
+    ``scale``; both sides are brought to the product of the scales."""
+    own = common_denominator(outer)
+    o = tuple(x * scale for x in lattice_of(outer, own))
+    return any(lattice_contains(o, tuple(x * own for x in lat), outer.norm)
+               for lat in lats)
+
+
+def first_touching_sibling(kids: list[Lattice], j: int,
+                           norm: str) -> Optional[int]:
     """Index of the first sibling that ``kids[j]`` is not strictly
     disjoint from, or None when it is disjoint from all of them."""
     return next((i for i, other in enumerate(kids)
-                 if i != j and not kids[j].disjoint_from(other)), None)
+                 if i != j and not lattice_disjoint(kids[j], other, norm)),
+                None)
 
 
 # -- generators ----------------------------------------------------------
 
 
-def _hash_unit(seed: int, word: Word, child: int, coord: int) -> Q:
-    """Deterministic value in [-1, 1) derived from the seed and position."""
-    key = f"{seed}|{','.join(map(str, word))}|{child}|{coord}"
-    digest = hashlib.sha256(key.encode()).digest()
-    v = int.from_bytes(digest[:8], "big")
-    return 2 * Q(v, 2**64) - 1
+def _hash_words(seed: int, word: Word, child: int) -> tuple[int, int]:
+    """Deterministic 64-bit values, one per coordinate, derived from the
+    seed and position (keys "seed|word|child|coord")."""
+    key = f"{seed}|{','.join(map(str, word))}|{child}|"
+    x = hashlib.sha256(f"{key}0".encode()).digest()
+    y = hashlib.sha256(f"{key}1".encode()).digest()
+    return int.from_bytes(x[:8], "big"), int.from_bytes(y[:8], "big")
 
 
 PERTURB_CLAMP = 1 - Q(1, 2**20)
 
 
 class Generator(Protocol):
-    """What a builder supplies to a ``BallSystem``: child ``i`` of the
-    ball ``parent`` found at ``word``, the certified covering-slack and
+    """What a builder supplies to a ``BallSystem``: the scale of each
+    level and the lattice form of child ``i`` of the lattice ball
+    ``parent`` found at ``word``, the certified covering-slack and
     thickness bounds, the analytic r-uniformity constant (None when there
     is none), the default designated pair of root children, and the
     structural check behind ``validate_system``."""
 
     designated: tuple[int, int]
     def child_count(self, word: Word) -> int: ...
-    def child(self, parent: Ball, word: Word, i: int) -> Ball: ...
+    def scale(self, root_scale: int, k: int) -> int: ...
+    def child(self, parent: Lattice, word: Word, i: int) -> Lattice: ...
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval: ...
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd: ...
     def density(self) -> Optional[Interval]: ...
     def validate(self, sys: BallSystem, depth: int) -> None: ...
+
+
+def on_common_scale(values) -> tuple[int, list[int]]:
+    """A common denominator of ``values`` and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -120,7 +161,12 @@ class GridIfs:
     """n x n grid of radius-rho children inside the unit sup-norm ball,
     spaced d apart and d/2 from the boundary; levels below the first are
     re-drawn with seed-deterministic perturbations of sup-norm strictly
-    below d/2 of the parent's scale."""
+    below d/2 of the parent's scale.
+
+    Lattice step, with rho = p/q, cell offsets tau_i/T and the
+    perturbation K*(v - 2^63)/T for a sha256 word v: a child's center
+    numerators are N*q*T + N_r*q*(tau_i + K*(v - 2^63)) and its radius
+    numerator N_r*p*T, so every level multiplies the scale by q*T."""
 
     n: int
     rho: Q
@@ -135,31 +181,40 @@ class GridIfs:
             raise InputError("grid constraint 2*rho*n + n*d = 2 violated")
 
     @functools.cached_property
-    def cell_centers(self) -> tuple[tuple[Q, Q], ...]:
+    def _table(self) -> tuple[int, int, int, list[tuple[int, int]], int]:
+        """(p, q, T, [tau_i], K), built on first use."""
         pitch = 2 * self.rho + self.d_spacing
         start = -1 + self.d_spacing / 2 + self.rho
-        return tuple(
-            (start + (i % self.n) * pitch, start + (i // self.n) * pitch)
-            for i in range(self.n * self.n))
+        offsets = [start + i * pitch for i in range(self.n)]
+        step = (self.d_spacing / 2) * PERTURB_CLAMP / 2**63
+        t, (k, *ticks) = on_common_scale([step, *offsets])
+        taus = [(ticks[i % self.n], ticks[i // self.n])
+                for i in range(self.n * self.n)]
+        return self.rho.numerator, self.rho.denominator, t, taus, k
 
     def child_count(self, word: Word) -> int:
         return self.n * self.n
 
-    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+    def scale(self, root_scale: int, k: int) -> int:
+        _, q, t, _, _ = self._table
+        return root_scale * (q * t) ** k
+
+    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         if not (0 <= i < self.n * self.n):
             raise InputError("child index out of range")
-        tx, ty = self.cell_centers[i]
+        p, q, t, taus, k = self._table
+        tx, ty = taus[i]
         if word:  # deeper levels are perturbed
-            clamp = (self.d_spacing / 2) * PERTURB_CLAMP
-            tx += clamp * _hash_unit(self.seed, word, i, 0)
-            ty += clamp * _hash_unit(self.seed, word, i, 1)
-        cx = parent.center[0] + parent.radius * tx
-        cy = parent.center[1] + parent.radius * ty
-        return Ball((cx, cy), parent.radius * self.rho, parent.norm)
+            vx, vy = _hash_words(self.seed, word, i)
+            tx += k * (vx - 2**63)
+            ty += k * (vy - 2**63)
+        nx, ny, nr = parent
+        qt, qr = q * t, q * nr
+        return nx * qt + qr * tx, ny * qt + qr * ty, nr * p * t
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
-        return Interval.point(
-            self.d_spacing * self.rho ** len(word) / (1 - self.rho))
+        return Interval.point(sys.root.radius * self.d_spacing
+                              * self.rho ** len(word) / (1 - self.rho))
 
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
         val = self.rho * (1 - self.rho) / self.d_spacing
@@ -183,7 +238,11 @@ class HexPacking:
     edge circles) copied self-similarly into every child; the two
     designated children near the origin, and their whole subtrees, are
     shrunk by gamma so they become strictly disjoint from their
-    neighbours for gamma < 1."""
+    neighbours for gamma < 1.
+
+    Lattice step: the grid's without perturbation, with the hex centers
+    over T; at the root level gamma = g/h is folded in, the scale gaining
+    the factor h and the designated radius numerators g in place of h."""
 
     gamma: Q
     rho: Q = Q(12179, 100000)
@@ -193,28 +252,44 @@ class HexPacking:
         if not (0 < self.gamma <= 1):
             raise InputError("gamma must lie in (0, 1]")
 
+    @functools.cached_property
+    def _table(self) -> tuple[int, int, int, list[tuple[int, int]]]:
+        """(p, q, T, [tau_i]), built on first use."""
+        t, flat = on_common_scale([c for xy in hex_centers() for c in xy])
+        taus = list(zip(flat[::2], flat[1::2]))
+        return self.rho.numerator, self.rho.denominator, t, taus
+
     def child_count(self, word: Word) -> int:
         return 85
 
-    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+    def scale(self, root_scale: int, k: int) -> int:
+        _, q, t, _ = self._table
+        return root_scale * (q * t) ** k * (self.gamma.denominator if k
+                                            else 1)
+
+    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         if not (0 <= i < 85):
             raise InputError("child index out of range")
-        hx, hy = hex_centers()[i]
-        cx = parent.center[0] + parent.radius * hx
-        cy = parent.center[1] + parent.radius * hy
-        r = parent.radius * self.rho
-        if not word and i in self.designated:
-            r *= self.gamma
-        return Ball((cx, cy), r, parent.norm)
+        p, q, t, taus = self._table
+        hx, hy = taus[i]
+        if word:
+            m, shrink = q, 1
+        else:  # gamma = g/h folded into the root level
+            h = self.gamma.denominator
+            m = q * h
+            shrink = self.gamma.numerator if i in self.designated else h
+        nx, ny, nr = parent
+        return (nx * m * t + nr * m * hx, ny * m * t + nr * m * hy,
+                nr * p * t * shrink)
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         # one level of interstitial slack below the ball's own radius:
         # h <= q * rho * rad(ball) / (1 + rho)
         q = _hex_q(bits)
         if not word:
-            return Interval.point((1 - self.gamma) * self.rho) \
-                + q * self.rho / (1 + self.rho)
-        rad = self.rho ** len(word)
+            return (Interval.point((1 - self.gamma) * self.rho)
+                    + q * self.rho / (1 + self.rho)) * sys.root.radius
+        rad = sys.root.radius * self.rho ** len(word)
         if word[0] in self.designated:
             rad *= self.gamma
         return q * self.rho * rad / (1 + self.rho)
@@ -222,7 +297,7 @@ class HexPacking:
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
         q = _hex_q(bits)
         h0 = self.h_upper(sys, (), bits)
-        root = Interval.point(self.gamma * self.rho) / h0
+        root = Interval.point(self.gamma * self.rho * sys.root.radius) / h0
         interior = Interval.point(1 + self.rho) / q
         # the smaller ratio, or their pointwise minimum when they overlap
         lower = Interval(min(root.lo, interior.lo), min(root.hi, interior.hi))
@@ -240,9 +315,9 @@ class HexPacking:
             if not unit.contains_ball(Ball(c, self.rho, sys.norm)):
                 raise InputError(f"hex circle {i} escapes the unit ball")
         if self.gamma < 1:
-            kids = sys.children(())
+            kids = sys.kids(())
             for j in self.designated:
-                i = first_touching_sibling(kids, j)
+                i = first_touching_sibling(kids, j, sys.norm)
                 if i is not None:
                     raise InputError("designated child is not disjoint "
                                      f"from sibling {i}")
@@ -250,12 +325,24 @@ class HexPacking:
 
 @dataclass(frozen=True)
 class ExplicitTree:
-    """Finite table of balls: the ball at a nonempty word is
-    ``nodes[word]``, the children of a word are its one-letter extensions
-    present in the table, and the ball at () is the system's root."""
+    """Finite table of balls: the ball at a nonempty word has the center
+    and radius of ``nodes[word]`` (and the system's norm), the children
+    of a word are its one-letter extensions present in the table, and the
+    ball at () is the system's root.  Level k's lattice scale is the lcm
+    of the denominators of the table's balls at that level."""
 
     nodes: dict[Word, Ball]
     designated = (0, 1)
+
+    @functools.cached_property
+    def _scales(self) -> dict[int, int]:
+        """Lattice scale of each nonempty level, built on first use."""
+        out: dict[int, int] = {}
+        for w, b in self.nodes.items():
+            if w:
+                out[len(w)] = math.lcm(out.get(len(w), 1),
+                                       common_denominator(b))
+        return out
 
     def child_count(self, word: Word) -> int:
         i = 0
@@ -263,11 +350,14 @@ class ExplicitTree:
             i += 1
         return i
 
-    def child(self, parent: Ball, word: Word, i: int) -> Ball:
+    def scale(self, root_scale: int, k: int) -> int:
+        return self._scales.get(k, 1) if k else root_scale
+
+    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         w = word + (i,)
         if w not in self.nodes:
             raise InputError(f"word {w} not in the explicit tree")
-        return self.nodes[w]
+        return lattice_of(self.nodes[w], self._scales[len(w)])
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         """One-step bound from a farthest-point grid over the ball against
@@ -361,9 +451,19 @@ def hex_centers() -> list[tuple[Q, Q]]:
 
 @dataclass(frozen=True)
 class BallSystem:
+    """A root ball and the generator of its descendants.
+
+    Every ball has a lattice form: integers over the scale of its level,
+    ``scale(k)``, which the generator derives from the root's common
+    denominator.  One scale per level means siblings, and the two sides
+    of a pair of equal-length words, compare as plain integers.  A
+    child's integers come from its parent's, so searches walk lattices
+    and build a ``Ball`` only for what they report.  Nothing is cached:
+    ``ball`` and ``children`` walk from the root on every call.
+    """
+
     root: Ball
     generator: Generator
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def norm(self) -> str:
@@ -372,28 +472,40 @@ class BallSystem:
     def child_count(self, word: Word) -> int:
         return self.generator.child_count(word)
 
+    def scale(self, k: int) -> int:
+        """The lattice scale of the balls at words of length ``k``."""
+        return self.generator.scale(common_denominator(self.root), k)
+
+    def lattice(self, word: Word) -> Lattice:
+        """The ball at ``word`` in lattice form, one letter at a time (a
+        loop, so any word length works)."""
+        g = self.generator
+        lat = lattice_of(self.root, common_denominator(self.root))
+        for j in range(len(word)):
+            lat = g.child(lat, word[:j], word[j])
+        return lat
+
+    def kids(self, word: Word, lat: Optional[Lattice] = None
+             ) -> list[Lattice]:
+        """The children of the ball at ``word`` in lattice form, from its
+        lattice ``lat`` when the caller has it."""
+        g = self.generator
+        if lat is None:
+            lat = self.lattice(word)
+        return [g.child(lat, word, i) for i in range(g.child_count(word))]
+
+    def to_ball(self, lat: Lattice, scale: int) -> Ball:
+        return Ball(tuple(Q(x, scale) for x in lat[:-1]), Q(lat[-1], scale),
+                    self.norm)
+
     def ball(self, word: Word) -> Ball:
-        """The ball at ``word``, built one letter at a time from its
-        longest cached prefix (a loop, so any word length works)."""
         if not word:
             return self.root
-        hit = self._cache.get(word)
-        if hit is not None:
-            return hit
-        k = len(word) - 1
-        while k and (hit := self._cache.get(word[:k])) is None:
-            k -= 1
-        if hit is None:
-            hit = self.root
-        for j in range(k, len(word)):
-            hit = self.generator.child(hit, word[:j], word[j])
-            self._cache[word[:j + 1]] = hit
-        return hit
+        return self.to_ball(self.lattice(word), self.scale(len(word)))
 
     def children(self, word: Word) -> list[Ball]:
-        g = self.generator
-        parent = self.ball(word)
-        return [g.child(parent, word, i) for i in range(g.child_count(word))]
+        s = self.scale(len(word) + 1)
+        return [self.to_ball(lat, s) for lat in self.kids(word)]
 
 
 def grid_ifs_example(n: int, rho, d_spacing, seed: int) -> BallSystem:
@@ -512,10 +624,11 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
         return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
 
     # deterministic counterexample: a sub-ball smaller than every child
-    kids = sys.children(())
-    if kids and r_iv.hi * sys.root.radius < min(b.radius for b in kids):
+    kids = sys.kids(())
+    s1 = sys.scale(1)
+    if kids and r_iv.hi * sys.root.radius < Q(min(k[-1] for k in kids), s1):
         bad = Ball(sys.root.center, r_iv.lo * sys.root.radius, sys.norm)
-        if not any(bad.contains_ball(c) for c in kids):
+        if not contains_any(bad, kids, s1):
             return UniformityResult(FALSIFIED, r_iv, bad)
 
     # randomized probes at the minimal admissible radius
@@ -526,7 +639,8 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
         word: Word = ()
         for _ in range(rng.randint(0, 2)):
             word = word + (rng.randrange(sys.child_count(word)),)
-        parent = sys.ball(word)
+        lat = sys.lattice(word)
+        parent = sys.to_ball(lat, sys.scale(len(word)))
         rad = r_iv.lo * parent.radius
         span = parent.radius - rad
         if span < 0:
@@ -536,7 +650,8 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
         cand = Ball((cx, cy), rad, sys.norm)
         if not parent.contains_ball(cand):
             continue
-        if not any(cand.contains_ball(c) for c in sys.children(word)):
+        if not contains_any(cand, sys.kids(word, lat),
+                            sys.scale(len(word) + 1)):
             return UniformityResult(FALSIFIED, r_iv, cand)
     return UniformityResult(UNFALSIFIED_SAMPLED, r_iv)
 
@@ -556,6 +671,18 @@ class SubsetThicknessReport:
     min_sibling_gap: Interval
 
 
+def _gap(d2: int, reach: int, scale: int, norm: str, bits: int) -> Interval:
+    """Enclosure of the distance between two closed lattice balls over
+    ``scale`` with squared center distance ``d2`` (``sq_dist``) and radii
+    summing to ``reach``; zero when they meet."""
+    if norm == LINF:
+        d = Interval.point(Q(math.isqrt(d2), scale))
+    else:
+        d = interval_sqrt(Interval.point(Q(d2, scale * scale)), bits)
+    d = d - Q(reach, scale)
+    return Interval(max(d.lo, Q(0)), max(d.hi, Q(0)))
+
+
 def subset_thickness(sys: BallSystem, child_index: int,
                      bits: int = 128) -> SubsetThicknessReport:
     """Thickness bound inherited by the subset generated below one
@@ -565,17 +692,45 @@ def subset_thickness(sys: BallSystem, child_index: int,
     covering slack is certifiably smaller than its distance to every
     sibling, the farthest point of the child ball is realized inside the
     child itself and the full parent bound carries over.
+
+    The distance is the minimum, endpoint by endpoint, of the siblings'
+    gap enclosures, but only siblings that an exact test cannot exclude
+    get one.  A gap's lower end is at least d_j - R_j - 2^-(bits+1), with
+    d_j the center distance and R_j the two radii's sum, because the
+    square-root enclosure is at most 2^-(bits+1) wide; so when
+    d_j^2 > (H + R_j + 2^-(bits+1))^2, with H the least upper end found
+    so far, sibling j can lower neither minimum.  The test multiplies
+    both sides by the level's squared scale and compares integers.  The
+    nearest siblings, by an integer square root, are visited first; the
+    order changes only how many enclosures are computed.
     """
-    kids = sys.children(())
+    kids = sys.kids(())
     if not (0 <= child_index < len(kids)):
         raise InputError("child index out of range")
-    i = first_touching_sibling(kids, child_index)
+    norm = sys.norm
+    i = first_touching_sibling(kids, child_index, norm)
     if i is not None:
         raise InputError(f"designated child intersects sibling {i}")
+    if len(kids) < 2:
+        raise InputError("the child has no siblings")
+    s = sys.scale(1)
     child = kids[child_index]
-    gaps = [child.gap_to(other, bits)
-            for i, other in enumerate(kids) if i != child_index]
-    min_gap = Interval(min(g.lo for g in gaps), min(g.hi for g in gaps))
+    d2 = [sq_dist(child, other, norm) for other in kids]
+    reach = [child[-1] + other[-1] for other in kids]
+    order = sorted((j for j in range(len(kids)) if j != child_index),
+                   key=lambda j: math.isqrt(d2[j]) - reach[j])
+    slack = Q(1, 2 ** (bits + 1))
+    lo = hi = None
+    for j in order:
+        if hi is not None and d2[j] * bd * bd > (bn + reach[j] * bd) ** 2:
+            continue
+        gap = _gap(d2[j], reach[j], s, norm, bits)
+        lo = gap.lo if lo is None else min(lo, gap.lo)
+        if hi is None or gap.hi < hi:
+            hi = gap.hi
+            bound = (hi + slack) * s  # H + 2^-(bits+1) on the lattice
+            bn, bd = bound.numerator, bound.denominator
+    min_gap = Interval(lo, hi)
     tau = yavicoli_thickness(sys, bits).lower_bound
     h_child = h_upper(sys, (child_index,), bits)
     h_child_subset = 2 * h_upper(sys, (), bits)
@@ -610,16 +765,20 @@ def _meets_shrunk_ball(sys: BallSystem, target: Ball,
     """Three-valued: does the generated set meet ``target``?  A tree ball
     inside the target certifies yes (every ball meets the set); all
     depth-d balls disjoint from it certifies no."""
-    frontier = [()]
-    for _ in range(depth):
+    own = common_denominator(target)
+    t = lattice_of(target, own)
+    frontier = [((), sys.lattice(()))]
+    for k in range(1, depth + 1):
+        s = sys.scale(k)
+        tk = tuple(x * s for x in t)
         nxt = []
-        for w in frontier:
-            for i in range(sys.child_count(w)):
-                b = sys.ball(w + (i,))
-                if target.contains_ball(b):
+        for w, lat in frontier:
+            for i, kid in enumerate(sys.kids(w, lat)):
+                b = tuple(x * own for x in kid)
+                if lattice_contains(tk, b, target.norm):
                     return True
-                if not target.disjoint_from(b):
-                    nxt.append(w + (i,))
+                if not lattice_disjoint(tk, b, target.norm):
+                    nxt.append((w + (i,), kid))
         if not nxt:
             return False
         frontier = nxt

@@ -376,7 +376,9 @@ _NO_UPPER = (1, 0)
 
 
 def _ordered_extensions(kids: list[list[tuple[int, int]]],
-                        y_min: tuple[int, int]) -> list[tuple[int, ...]]:
+                        y_min: tuple[int, int],
+                        budget: Optional[int] = None
+                        ) -> Optional[list[tuple[int, ...]]]:
     """Index tuples e, in lexicographic order, such that the boxes
     kids[0][e[0]], ..., kids[k-1][e[k-1]] have nondecreasing left ends and
     a nonempty pairwise y-range (as in ``_tuple_y_range``) at or above
@@ -389,12 +391,16 @@ def _ordered_extensions(kids: list[list[tuple[int, int]]],
     passes exactly when all its prefixes do, and a dead prefix drops its
     whole subtree.  The walk keeps its own stack rather than recursing
     over k.
+
+    With a ``budget``, each prefix charges its pair checks (one per
+    earlier position) and the walk returns None once they pass it.
     """
     k = len(kids)
     lefts, rights, chosen = [0] * k, [0] * k, [0] * k
     bounds: list[tuple[int, int, int, int]] = [y_min + _NO_UPPER] * k
     nxt = [0] * k
     out = []
+    checks = 0
     m = 0
     while m >= 0:
         e = nxt[m]
@@ -409,6 +415,10 @@ def _ordered_extensions(kids: list[list[tuple[int, int]]],
                 # keep tuples ordered; boxes of one depth are disjoint, so
                 # the y-range would reject this pair too, only later
                 continue
+            if budget is not None:
+                checks += m
+                if checks > budget:
+                    return None
             for j in range(m):
                 step = m - j
                 c = a - rights[j]
@@ -444,7 +454,8 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     parent's without rebuilding a word map.  ``explored_nodes`` counts the
     C(n+k-1, k) - n split tuples at depth 1 and n**k candidate extensions
     of every live tuple below, however many prefix pruning visits; the
-    search stops with ``unknown`` before a fan would pass the node budget.
+    search stops with ``unknown`` before a fan would pass the node budget,
+    and at depth 1 once the pair checks of the tuple walk pass it.
 
     When (k-1) * g_min > 1 the verdict is immediate: consecutive points
     on the two sides of a first-level gap force y >= g_min, while
@@ -471,19 +482,25 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     budget = node_budget()
     fan = n ** k
 
-    def children(boxes, words, d):
-        """Live children at depth d + 1 of a tuple at depth d."""
+    def children(boxes, words, d, walk_budget=None):
+        """Live children at depth d + 1 of a tuple at depth d, or None
+        when the tuple walk passes ``walk_budget``."""
         kids = [[(lo * den + (hi - lo) * a, lo * den + (hi - lo) * b)
                  for a, b in images] for lo, hi in boxes]
         y_min = (g_min * den ** d, k - 1)
+        ext = _ordered_extensions(kids, y_min, walk_budget)
+        if ext is None:
+            return None
         return [(tuple(kids[j][e[j]] for j in range(k)),
                  tuple(w + (i,) for w, i in zip(words, e)))
-                for e in _ordered_extensions(kids, y_min)]
+                for e in ext]
 
     # depth 1: ordered tuples of first-level images are the nondecreasing
     # index tuples; drop the unsplit ones
-    live = [t for t in children(((0, 1),) * k, ((),) * k, 0)
-            if t[1][0] != t[1][-1]]
+    first = children(((0, 1),) * k, ((),) * k, 0, budget)
+    if first is None:
+        return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
+    live = [t for t in first if t[1][0] != t[1][-1]]
     d = 1
     while live and d < depth:
         nxt = []

@@ -20,9 +20,11 @@ from .balls import (
     BallSystem,
     FULL_BOUND,
     L2,
+    Lattice,
     Word,
     first_touching_sibling,
     h_upper,
+    on_common_scale,
     r_uniformity_check,
     subset_thickness,
     yavicoli_thickness,
@@ -135,15 +137,16 @@ def _designated(sys: BallSystem, idx_a: Optional[int],
 
 def _check_disjoint_children(sys: BallSystem, idx_a: int, idx_b: int
                              ) -> tuple[Ball, Ball]:
-    kids = sys.children(())
+    kids = sys.kids(())
     for j in (idx_a, idx_b):
         if not (0 <= j < len(kids)):
             raise InputError("designated child index out of range")
-        i = first_touching_sibling(kids, j)
+        i = first_touching_sibling(kids, j, sys.norm)
         if i is not None:
             raise HypothesisError(
                 f"designated child {j} is not disjoint from sibling {i}")
-    return kids[idx_a], kids[idx_b]
+    s = sys.scale(1)
+    return sys.to_ball(kids[idx_a], s), sys.to_ball(kids[idx_b], s)
 
 
 def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, mode: str,
@@ -252,17 +255,24 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
 def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                             bits: int = 128) -> tuple[Word, tuple[Q, ...]]:
     """Greedy descent toward the disk center; returns the deepest word
-    (up to ``depth``) whose ball center is certified inside the disk."""
-    guide = tuple(c.mid for c in disk.center)
+    (up to ``depth``) whose ball center is certified inside the disk.
+
+    The nearest child is chosen on integers: with the guide point over G
+    and the level's scale s, the squared distances times (s*G)^2 order
+    the children as the rational ones do, ties to the lower index."""
+    g_den, guide_n = on_common_scale([c.mid for c in disk.center])
     word: Word = ()
+    lat = sys.lattice(word)
     best: Optional[tuple[Word, tuple[Q, ...]]] = None
-    for _ in range(depth):
-        kids = sys.children(word)
+    for k in range(1, depth + 1):
+        s = sys.scale(k)
+        at = [g * s for g in guide_n]
+        kids = sys.kids(word, lat)
         j = min(range(len(kids)),
-                key=lambda i: sum((a - b) ** 2 for a, b in
-                                  zip(kids[i].center, guide)))
-        word = word + (j,)
-        center = kids[j].center
+                key=lambda i: sum((x * g_den - a) ** 2  # zip stops at r
+                                  for x, a in zip(kids[i], at)))
+        word, lat = word + (j,), kids[j]
+        center = tuple(Q(x, s) for x in lat[:-1])
         diff = tuple(Interval.point(a) - b
                      for a, b in zip(center, disk.center))
         dist = interval_sqrt(diff[0].square() + diff[1].square(), bits)
@@ -300,12 +310,8 @@ def _ball_box(b: Ball) -> IVec:
 
 
 # an image in the comparison space: (lo, hi) per coordinate and the upper
-# end of the radius
-Image = tuple[tuple[tuple[Q, Q], ...], Q]
-
-
-def _image(center: IVec, radius: Interval) -> Image:
-    return tuple((c.lo, c.hi) for c in center), radius.hi
+# end of the radius, as integers over an image scale
+Image = tuple[tuple[tuple[int, int], ...], int]
 
 
 def _may_meet(a: Image, b: Image) -> bool:
@@ -330,36 +336,47 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     """Lexicographic depth-first search for a chain of possibly
     intersecting image-ball pairs down to the requested word length.
 
-    ``image_a``/``image_b`` send a tree ball to its ``Image`` in the
-    common comparison space.  Pairs whose images are certifiably disjoint
-    are pruned.  The test compares Euclidean disks on both norms: on an
-    L2 system the true witness pair survives at every level, so the
-    search cannot exhaust, but on a sup-norm system it is stricter than
-    box intersection and may.  Exhaustion is ``Indeterminate``, and so is
-    a search that needs more than ``node_budget()`` child-pair tests.
+    ``image_a``/``image_b`` send a lattice ball and its level's scale s
+    to its ``Image`` in the common comparison space, as integers over an
+    image scale that depends only on s.  The two words of a pair have
+    the same length, so they share s and their images share a scale.
+    Pairs whose images are certifiably disjoint are pruned.  The test
+    compares Euclidean disks on both norms: on an L2 system the true
+    witness pair survives at every level, so the search cannot exhaust,
+    but on a sup-norm system it is stricter than box intersection and
+    may.  Exhaustion is ``Indeterminate``, and so is a search that needs
+    more than ``node_budget()`` child-pair tests.
+
+    The integer tests decide exactly what tests on the rational images
+    would: every endpoint, reach and gap is the rational one times the
+    positive image scale, the squared comparison is multiplied by its
+    square, and orderings and ties are unchanged.
 
     The search keeps an explicit stack of frames, one per pair on the
-    current chain.  A frame maps each child of its pair once and yields
-    the surviving child pairs in lexicographic order.  Before the full
-    test, a child pair is skipped when the first coordinates alone are
-    farther apart than the largest reach of the frame, which the full
-    test would reject too.
+    current chain.  A frame derives each child of its pair once from the
+    pair's lattices and yields the surviving child pairs in
+    lexicographic order.  Before the full test, a child pair is skipped
+    when the first coordinates alone are farther apart than the largest
+    reach of the frame, which the full test would reject too.
     """
     budget = node_budget()
     tests = 0
+    g = sys.generator
 
-    def survivors(wa: Word, wb: Word):
+    def survivors(wa: Word, lat_a: Lattice, wb: Word, lat_b: Lattice):
         nonlocal tests
-        kids_b = [image_b(sys.ball(wb + (j,)))
-                  for j in range(sys.child_count(wb))]
+        s = sys.scale(len(wa) + 1)
+        lats_b = sys.kids(wb, lat_b)
+        kids_b = [image_b(x, s) for x in lats_b]
         if not kids_b:
             return
         by_x = sorted(range(len(kids_b)), key=lambda j: kids_b[j][0][0][0])
         xs = [kids_b[j][0][0][0] for j in by_x]
         r_b = max(r for _, r in kids_b)
         width = max(c[0][1] - c[0][0] for c, _ in kids_b)
-        for i in range(sys.child_count(wa)):
-            a = image_a(sys.ball(wa + (i,)))
+        for i in range(g.child_count(wa)):
+            x = g.child(lat_a, wa, i)
+            a = image_a(x, s)
             (alo, ahi), reach = a[0][0], a[1] + r_b
             near = by_x[bisect_left(xs, alo - reach - width):
                         bisect_right(xs, ahi + reach)]
@@ -370,19 +387,21 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
                         f"pair refinement passed the budget of {budget} "
                         "pair tests")
                 if _may_meet(a, kids_b[j]):
-                    yield wa + (i,), wb + (j,)
+                    yield wa + (i,), x, wb + (j,), lats_b[j]
 
-    if not _may_meet(image_a(sys.ball(start_a)), image_b(sys.ball(start_b))):
+    lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
+    s = sys.scale(len(start_a))
+    if not _may_meet(image_a(lat_a, s), image_b(lat_b, s)):
         raise Indeterminate("designated pair images do not meet")
     if len(start_a) >= depth:
         return start_a, start_b
-    stack = [survivors(start_a, start_b)]
+    stack = [survivors(start_a, lat_a, start_b, lat_b)]
     while stack:
         pair = next(stack[-1], None)
         if pair is None:
             stack.pop()
         elif len(pair[0]) >= depth:
-            return pair
+            return pair[0], pair[2]
         else:
             stack.append(survivors(*pair))
     raise Indeterminate("pair refinement exhausted (no chain to the "
@@ -391,15 +410,19 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
 
 def _combo_images(lam: Q, c: tuple[Q, ...]):
     """Image maps refining -lam*A against (1-lam)*B - c.  They are
-    exact, so every coordinate has lo = hi."""
+    exact, so every coordinate has lo = hi.  With lam = a/m and c over
+    C, the image scale is m*C*s."""
+    m, a = lam.denominator, lam.numerator
+    cd, cn = on_common_scale(c)
 
-    def image_a(b: Ball) -> Image:
-        return tuple((-lam * x,) * 2 for x in b.center), lam * b.radius
+    def image_a(lat: Lattice, s: int) -> Image:
+        return (tuple((-a * cd * x,) * 2 for x in lat[:-1]),
+                a * cd * lat[-1])
 
-    def image_b(b: Ball) -> Image:
-        return (tuple(((1 - lam) * x - cc,) * 2
-                      for x, cc in zip(b.center, c)),
-                (1 - lam) * b.radius)
+    def image_b(lat: Lattice, s: int) -> Image:
+        return (tuple(((m - a) * cd * x - cc * m * s,) * 2
+                      for x, cc in zip(lat[:-1], cn)),
+                (m - a) * cd * lat[-1])
 
     return image_a, image_b
 
@@ -501,8 +524,7 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
     if ball_a.radius > ball_b.radius:
         ia, ib = ib, ia
         ball_a, ball_b = ball_b, ball_a
-    kids = sys.children(())
-    t_min = min(b.radius for b in kids)
+    t_min = Q(min(lat[-1] for lat in sys.kids(())), sys.scale(1))
     h_root = h_upper(sys, (), bits)
     x_c = x_constant(r_iv, mode)
 
@@ -583,15 +605,33 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
     return Disk(center, t_d, "triangle"), report
 
 
-def _triangle_images(maps: VertexMaps, z: IVec):
-    """Image maps refining f(A) - z against g(B); the endpoints are
-    those of the interval evaluation, which is exact when alpha is."""
+def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
+    """Image maps refining f(A) - z against g(B).  The endpoints are those
+    of the interval evaluation in ``VertexMaps``: products with alpha
+    take the min and max of the two endpoint products, as
+    ``Interval.__mul__`` does, and the radii are s_f.hi and s_g.hi times
+    the ball radius.  With every constant over D, the image scale is
+    D*s."""
+    d, (lam, a_lo, a_hi, sf, sg, z0, z1) = on_common_scale(
+        (maps.lam, maps.alpha.lo, maps.alpha.hi, maps.s_f.hi, maps.s_g.hi,
+         *z))
+    lm = d - lam
 
-    def image_a(b: Ball) -> Image:
-        return _image(_vsub(maps.apply_f(b.center), z), maps.s_f * b.radius)
+    def alpha_times(v: int) -> tuple[int, int]:
+        p, q = a_lo * v, a_hi * v
+        return (p, q) if p <= q else (q, p)
 
-    def image_b(b: Ball) -> Image:
-        return _image(maps.apply_g(b.center), maps.s_g * b.radius)
+    def image_a(lat: Lattice, s: int) -> Image:
+        x, y, r = lat
+        (ay_lo, ay_hi), (ax_lo, ax_hi) = alpha_times(y), alpha_times(x)
+        u, v = lam * x - z0 * s, lam * y - z1 * s
+        return ((u - ay_hi, u - ay_lo), (ax_lo + v, ax_hi + v)), sf * r
+
+    def image_b(lat: Lattice, s: int) -> Image:
+        x, y, r = lat
+        (ay_lo, ay_hi), (ax_lo, ax_hi) = alpha_times(y), alpha_times(x)
+        u, v = -lm * x, lm * y
+        return ((u - ay_hi, u - ay_lo), (ax_lo - v, ax_hi - v)), sg * r
 
     return image_a, image_b
 
@@ -630,7 +670,7 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
     report["apex_word"] = word_c
     z_iv = _ivec(z)
 
-    wa, wb = _refine_pair(sys, *_triangle_images(maps, z_iv), (ia,), (ib,),
+    wa, wb = _refine_pair(sys, *_triangle_images(maps, z), (ia,), (ib,),
                           depth)
     ball_a, ball_b = sys.ball(wa), sys.ball(wb)
     residual = (maps.s_f.hi * 2 * ball_a.radius

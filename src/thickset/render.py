@@ -75,13 +75,14 @@ def render_ball_system(sys: BallSystem, depth: int = 1,
 
     body = []
     shapes = [(0, root)]
-    frontier = [()]
-    for d in range(depth):
+    frontier = [((), sys.lattice(()))]
+    for d in range(1, depth + 1):
+        s = sys.scale(d)
         nxt = []
-        for w in frontier:
-            for i in range(sys.child_count(w)):
-                nxt.append(w + (i,))
-                shapes.append((d + 1, sys.ball(w + (i,))))
+        for w, lat in frontier:
+            for i, kid in enumerate(sys.kids(w, lat)):
+                nxt.append((w + (i,), kid))
+                shapes.append((d, sys.to_ball(kid, s)))
         frontier = nxt
     palette = ["#888888", "#30567f", "#4f8f4f", "#b07830"]
     for d, b in shapes:

@@ -1,15 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thickset.balls import (
     CERTIFIED_ANALYTIC,
     FALSIFIED,
     FULL_BOUND,
     HALF_BOUND,
+    L2,
     LINF,
+    PERTURB_CLAMP,
     Ball,
     ExplicitTree,
     BallSystem,
@@ -21,12 +24,13 @@ from thickset.balls import (
     hex_centers,
     hex_packing_example,
     r_uniformity_check,
+    SubsetThicknessReport,
     subset_thickness,
     validate_system,
     yavicoli_thickness,
 )
 from thickset.errors import InputError
-from thickset.scalars import sqrt3
+from thickset.scalars import Interval, interval_sqrt, sqrt3
 
 GAMMA = Q(99999, 100000)
 
@@ -272,6 +276,26 @@ class TestHUpper:
             validate_system(sys, depth=2)  # word (1,) dangles
 
 
+class TestClosedFormsScaleWithRoot:
+    # h is a length, so it scales with the root radius; thickness is a
+    # ratio and does not
+    def test_grid(self):
+        unit = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
+        big = BallSystem(Ball((Q(0), Q(0)), Q(2), LINF), unit.generator)
+        assert h_upper(big, ()).lo == Q(4, 181)
+        assert h_upper(big, (3,)) == h_upper(unit, (3,)) * 2
+        assert yavicoli_thickness(big).lower_bound == \
+            yavicoli_thickness(unit).lower_bound
+
+    def test_hex(self):
+        unit = hex_packing_example(GAMMA)
+        big = BallSystem(Ball((Q(1), Q(-2)), Q(3)), unit.generator)
+        for w in ((), (0,), (2, 5)):
+            assert h_upper(big, w) == h_upper(unit, w) * 3
+        assert yavicoli_thickness(big).lower_bound == \
+            yavicoli_thickness(unit).lower_bound
+
+
 class TestYavicoliThickness:
     def test_grid_exact(self):
         sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
@@ -429,3 +453,175 @@ class TestGapLemmaRd:
         sys = hex_packing_example(1)
         with pytest.raises(InputError):
             gap_lemma_rd_check(sys, sys, Q(1, 2))
+
+
+# -- lattice form ------------------------------------------------------------
+
+
+def _hash_unit(seed, word, child, coord):
+    key = f"{seed}|{','.join(map(str, word))}|{child}|{coord}"
+    v = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    return 2 * Q(v, 2**64) - 1
+
+
+def grid_child(g: GridIfs, parent: Ball, word, i) -> Ball:
+    """The rational grid child that the lattice form replaced."""
+    pitch = 2 * g.rho + g.d_spacing
+    start = -1 + g.d_spacing / 2 + g.rho
+    tx, ty = start + (i % g.n) * pitch, start + (i // g.n) * pitch
+    if word:
+        clamp = (g.d_spacing / 2) * PERTURB_CLAMP
+        tx += clamp * _hash_unit(g.seed, word, i, 0)
+        ty += clamp * _hash_unit(g.seed, word, i, 1)
+    return Ball((parent.center[0] + parent.radius * tx,
+                 parent.center[1] + parent.radius * ty),
+                parent.radius * g.rho, parent.norm)
+
+
+def hex_child(h: HexPacking, parent: Ball, word, i) -> Ball:
+    """The rational hex child that the lattice form replaced."""
+    hx, hy = hex_centers()[i]
+    r = parent.radius * h.rho
+    if not word and i in h.designated:
+        r *= h.gamma
+    return Ball((parent.center[0] + parent.radius * hx,
+                 parent.center[1] + parent.radius * hy), r, parent.norm)
+
+
+def agrees_with_reference(sys: BallSystem, child, word) -> None:
+    ball = sys.root
+    for k in range(len(word) + 1):
+        assert sys.ball(word[:k]) == ball
+        if k < len(word):
+            ball = child(sys.generator, ball, word[:k], word[k])
+    assert sys.children(word) == [child(sys.generator, ball, word, i)
+                                  for i in range(sys.child_count(word))]
+
+
+coords = st.fractions(-5, 5, max_denominator=60)
+radii = st.fractions(Q(1, 60), 5, max_denominator=60)
+
+
+class TestLatticeMatchesRationalChildren:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 4), share=st.integers(1, 99),
+           seed=st.integers(0, 10**6), cx=coords, cy=coords, r=radii,
+           word=st.lists(st.integers(0, 15), max_size=5))
+    def test_grid(self, n, share, seed, cx, cy, r, word):
+        d = Q(2, n) * Q(share, 100)
+        g = GridIfs(n, Q(1, n) - d / 2, d, seed)
+        sys = BallSystem(Ball((cx, cy), r, LINF), g)
+        agrees_with_reference(sys, grid_child,
+                              tuple(i % (n * n) for i in word))
+
+    @settings(max_examples=10, deadline=None)
+    @given(gamma=st.fractions(Q(1, 100), 1, max_denominator=10**5),
+           cx=coords, cy=coords, r=radii,
+           word=st.lists(st.one_of(st.sampled_from([0, 1]),
+                                   st.integers(0, 84)), max_size=5))
+    def test_hex(self, gamma, cx, cy, r, word):
+        sys = BallSystem(Ball((cx, cy), r), HexPacking(gamma))
+        agrees_with_reference(sys, hex_child, tuple(word))
+
+    def test_explicit_tree(self):
+        # levels mix denominators, so each level's scale is a proper lcm
+        nodes = {(0,): Ball((Q(1, 3), Q(-1, 4)), Q(1, 5)),
+                 (1,): Ball((Q(-2, 7), Q(1, 2)), Q(1, 6)),
+                 (0, 0): Ball((Q(1, 3), Q(-1, 5)), Q(1, 11)),
+                 (0, 1): Ball((Q(3, 8), Q(-1, 4)), Q(1, 13)),
+                 (1, 0): Ball((Q(-2, 7), Q(5, 9)), Q(1, 17))}
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(3, 2)), ExplicitTree(nodes))
+
+        def table_child(tree, parent, word, i):
+            return tree.nodes[word + (i,)]
+
+        for word in nodes:
+            agrees_with_reference(sys, table_child, word)
+
+
+def subset_thickness_reference(sys: BallSystem, child_index: int,
+                               bits: int = 128) -> SubsetThicknessReport:
+    """The rational subset-thickness code that the lattice form replaced:
+    one gap enclosure per sibling."""
+    kids = sys.children(())
+    if not (0 <= child_index < len(kids)):
+        raise InputError("child index out of range")
+    child = kids[child_index]
+    i = next((i for i, other in enumerate(kids)
+              if i != child_index and not child.disjoint_from(other)), None)
+    if i is not None:
+        raise InputError(f"designated child intersects sibling {i}")
+
+    def gap_to(other: Ball) -> Interval:
+        if sys.norm == LINF:
+            d = Interval.point(max(abs(a - b) for a, b in
+                                   zip(child.center, other.center)))
+        else:
+            sq = sum((a - b) ** 2 for a, b in zip(child.center, other.center))
+            d = interval_sqrt(Interval.point(sq), bits)
+        d = d - (child.radius + other.radius)
+        return Interval(max(d.lo, Q(0)), max(d.hi, Q(0)))
+
+    gaps = [gap_to(other) for i, other in enumerate(kids) if i != child_index]
+    min_gap = Interval(min(g.lo for g in gaps), min(g.hi for g in gaps))
+    tau = yavicoli_thickness(sys, bits).lower_bound
+    h_child = h_upper(sys, (child_index,), bits)
+    h_child_subset = 2 * h_upper(sys, (), bits)
+    if h_child.certainly_lt(min_gap):
+        return SubsetThicknessReport(FULL_BOUND, tau, h_child_subset,
+                                     min_gap)
+    return SubsetThicknessReport(HALF_BOUND, tau / 2, h_child_subset,
+                                 min_gap)
+
+
+def same_outcome(sys: BallSystem, child_index: int, bits: int = 128) -> None:
+    def run(f):
+        try:
+            return repr(f(sys, child_index, bits))
+        except InputError as e:
+            return str(e)
+
+    assert run(subset_thickness) == run(subset_thickness_reference)
+
+
+class TestSubsetThicknessMatchesReference:
+    @settings(max_examples=8, deadline=None)
+    @given(gamma=st.fractions(Q(1, 100), 1, max_denominator=10**5),
+           child=st.one_of(st.sampled_from([0, 1]), st.integers(0, 84)))
+    def test_hex(self, gamma, child):
+        same_outcome(hex_packing_example(gamma), child)
+
+    @settings(max_examples=5, deadline=None)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 10**6),
+           child=st.integers(0, 99))
+    def test_grid(self, n, seed, child):
+        d = Q(1, 50)
+        same_outcome(grid_ifs_example(n, Q(1, n) - d / 2, d, seed),
+                     child % (n * n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(norm=st.sampled_from([L2, LINF]),
+           r0=st.fractions(Q(1, 3), 3, max_denominator=3),
+           sibs=st.lists(st.tuples(st.integers(-12, 12),
+                                   st.integers(-12, 12),
+                                   st.integers(1, 4), st.integers(1, 7)),
+                         min_size=1, max_size=5),
+           bits=st.integers(1, 4))
+    # a sibling whose gap exceeds the least upper end found first by less
+    # than the enclosure width still sets the lower minimum, so the
+    # exclusion test needs the 2^-(bits+1) slack
+    @example(norm=L2, r0=Q(1, 3), sibs=[(-11, -10, 2, 6), (-3, 1, 1, 1)],
+             bits=1)
+    # and one whose center lies beyond that upper end can still be the
+    # nearer ball, so it needs the radii
+    @example(norm=L2, r0=Q(1),
+             sibs=[(-1, -7, 4, 2), (6, 11, 2, 7), (11, -8, 3, 4)], bits=4)
+    def test_near_ties_at_low_precision(self, norm, r0, sibs, bits):
+        # coarse enclosures, each rounded on its own denominator, around
+        # nearly tied gaps
+        nodes = {(0,): Ball((Q(0), Q(0)), r0, norm)}
+        for j, (x, y, r, den) in enumerate(sibs, start=1):
+            nodes[(j,)] = Ball((Q(x, den), Q(y, den)), Q(r, den), norm)
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(40), norm),
+                         ExplicitTree(nodes))
+        same_outcome(sys, 0, bits)

@@ -65,6 +65,15 @@ class TestExitCodes:
         assert main(["search-kap", "--set", "middle_cantor:1/3",
                      "--k", "3", "--depth", "6"]) == 3
 
+    def test_depth_one_kap_walk_over_budget_three(self, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(10**5))
+        out = tmp_path / "k.json"
+        assert main(["search-kap", "--set", "middle_cantor:1/100000",
+                     "--k", "3000", "--depth", "1", "--out", str(out)]) == 3
+        manifest = json.loads((tmp_path / "k.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 3
+
     def test_thickness_ignores_huge_depth(self, capsys):
         assert main(["thickness", "--set", "middle_cantor:1/3",
                      "--depth", "100000"]) == 0

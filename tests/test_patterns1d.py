@@ -399,6 +399,16 @@ class TestKapSearchParity:
         cert = kap_search(s, 200, 2)  # a fan of 2**200 passes the budget
         assert (cert.verdict, cert.depth) == (UNKNOWN, 1)
 
+    def test_depth_one_walk_under_budget(self, monkeypatch):
+        # just below the immediate certificate, on a tiny gap, the depth-1
+        # walk makes O(k^3) pair checks; they are charged to the budget
+        s = middle_cantor(Q(1, 10**5))
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(10**5))
+        cert = kap_search(s, 3000, 1)
+        explored = math.comb(2 + 3000 - 1, 3000) - 2
+        assert (cert.verdict, cert.depth, cert.explored_nodes) == \
+            (UNKNOWN, 1, max(explored, 10**5) + 1)
+
     @settings(max_examples=40, deadline=None)
     @given(kap_inputs())
     def test_agrees_with_bruteforce(self, case):

@@ -418,8 +418,9 @@ def _chain_system(length):
     return BallSystem(Ball((Q(0), Q(0)), Q(2)), ExplicitTree(nodes))
 
 
-def _identity(b):
-    return tuple((x, x) for x in b.center), b.radius
+def _identity(lat, s):
+    """The identity image map on lattice balls: the image scale is s."""
+    return tuple((x, x) for x in lat[:-1]), lat[-1]
 
 
 class TestPairEngine:
@@ -471,8 +472,8 @@ class TestPairEngine:
                  (1, 1): Ball((Q(0), Q(4)), half)}
         sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), ExplicitTree(nodes))
 
-        def wide(b):
-            return tuple((x - 3, x) for x in b.center), b.radius
+        def wide(lat, s):
+            return tuple((x - 3 * s, x) for x in lat[:-1]), lat[-1]
 
         def map_id(b):
             return tuple(map(Interval.point, b.center)), Interval.point(
@@ -505,3 +506,55 @@ class TestPairEngine:
         monkeypatch.setenv("THICKSET_MAX_NODES", "26")
         with pytest.raises(Indeterminate, match="budget of 26"):
             find_convex_combo_nd(sysv, Q(1, 2), Q(1, 5), depth=3)
+
+
+def ball_builds(monkeypatch, call) -> tuple[int, int]:
+    """``Ball`` constructions during ``call``: in all, and inside the pair
+    engine and the center descent."""
+    import thickset.patterns_nd as nd
+
+    total, inside, depth = [0], [0], [0]
+    init = Ball.__init__
+
+    def counting_init(self, *args, **kwargs):
+        total[0] += 1
+        inside[0] += depth[0] > 0
+        init(self, *args, **kwargs)
+
+    def watched(f):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(Ball, "__init__", counting_init)
+        for name in ("_refine_pair", "_deepest_center_in_disk"):
+            m.setattr(nd, name, watched(getattr(nd, name)))
+        call()
+    return total[0], inside[0]
+
+
+class TestBallBuilds:
+    # the descents walk lattice balls; only reported balls are built, so
+    # the count does not grow with the depth
+    CASES = [
+        (grid, lambda s, d: find_convex_combo_nd(s, Q(1, 2), Q(1, 5), d)),
+        (_hex, lambda s, d: find_triangle_nd(s, equilateral(), HEX_R, d)),
+    ]
+
+    @pytest.mark.parametrize("make, search", CASES)
+    def test_descents_build_no_balls(self, monkeypatch, make, search):
+        sysv = make()
+        _, inside = ball_builds(monkeypatch, lambda: search(sysv, 6))
+        assert inside == 0
+
+    @pytest.mark.parametrize("make, search", CASES)
+    def test_builds_do_not_grow_with_depth(self, monkeypatch, make, search):
+        sysv = make()
+        shallow, _ = ball_builds(monkeypatch, lambda: search(sysv, 4))
+        deep, _ = ball_builds(monkeypatch, lambda: search(sysv, 8))
+        assert deep <= shallow + 2 * 4
