@@ -30,6 +30,40 @@ def node_budget() -> int:
         raise InputError("THICKSET_MAX_NODES must be an integer")
 
 
+def descend(first, children, ok, levels: int, what: str, *,
+            backtrack: bool):
+    """The pair ``levels`` steps below a survivor of ``first``: a survivor
+    is a candidate ``(x, y)`` with ``ok(x, y)``, and ``children(x, y)``
+    are the candidates below it, in order.  A certifying test commits to
+    the first survivor at every level; a pruning test backtracks.  Every
+    test is charged to ``node_budget()``; passing it, or running out of
+    candidates, is ``Indeterminate``."""
+    budget, tests = node_budget(), 0
+
+    def survivors(candidates):
+        nonlocal tests
+        for x, y in candidates:
+            tests += 1
+            if tests > budget:
+                raise Indeterminate(f"{what} passed the budget of {budget} "
+                                    "pair tests")
+            if ok(x, y):
+                yield x, y
+
+    stack = [survivors(first)]  # one lazy frame per level
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+        elif len(stack) > levels:
+            return pair
+        else:
+            if not backtrack:
+                stack[-1] = iter(())  # forget the pair's siblings
+            stack.append(survivors(children(*pair)))
+    raise Indeterminate(f"{what} exhausted (no chain to the requested depth)")
+
+
 @dataclass(frozen=True, slots=True)
 class AffineMap:
     """x -> scale*x + offset with scale in (0, 1)."""

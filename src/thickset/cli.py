@@ -3,10 +3,11 @@ search, certification, reproduction of the worked-example constants, and
 SVG/CSV/JSON artifact emission.
 
 Exit codes: 0 a verdict was produced (including a sound infeasibility),
-1 input error (or an internal error), 2 a certified hypothesis or
-threshold failure, 3 indeterminate (precision, search budget, recursion
-depth or memory exhausted).  Every exit writes the manifest when
-``--out`` is given, also when other arguments are rejected.
+1 input error (unreadable or unwritable files included) or an internal
+error, 2 a certified hypothesis or threshold failure, 3 indeterminate
+(precision, search budget, recursion depth or memory exhausted).  Every
+exit writes the manifest when ``--out`` is given, also when other
+arguments are rejected; an unwritable manifest is exit 1.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def parse_description(text: str) -> dict:
             desc["gamma"] = arg or "1"
         elif kind == "grid_ifs":
             parts = dict(p.split("=") for p in arg.split(",") if p)
+            if set(parts) - {"n", "rho", "d", "seed"}:
+                raise InputError(f"grid_ifs takes n, rho, d and seed: {arg!r}")
             desc.update({"n": int(parts.get("n", 10)),
                          "rho": parts.get("rho", "19/200"),
                          "d": parts.get("d", "1/100"),
@@ -631,7 +634,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=_sys.stderr)
         code = EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, ValueError, OSError) as e:
         print(f"input error: {e}", file=_sys.stderr)
         code = EXIT_INPUT
     except HypothesisError as e:
@@ -656,7 +659,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             desc = parse_description(args.set)
     except Exception:
         desc = None
-    run.manifest(desc, code)
+    try:
+        run.manifest(desc, code)
+    except OSError as e:
+        print(f"cannot write manifest: {e}", file=_sys.stderr)
+        code = EXIT_INPUT
     return code
 
 

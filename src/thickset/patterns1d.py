@@ -22,6 +22,7 @@ from .cantor import (
     IfsSet1D,
     certified_member,
     cover,
+    descend,
     gap_containing_interval,
     interval_in_cover,
     membership,
@@ -33,7 +34,7 @@ from .cantor import (
     require_thickness_at_least_one,
     subtree_combo_cover,
 )
-from .errors import Indeterminate, InputError
+from .errors import InputError
 from .scalars import Interval, Q, interval_ln, simplest_between, to_q
 
 
@@ -171,33 +172,17 @@ def certified_descent(xs: list[Piece], ys: list[Piece], depth: int
                       ) -> tuple[Piece, Piece]:
     """Leftmost certified pair among the given top pieces, refined level
     by level.  A certified pair's sets intersect, and any intersection
-    point lies in some child pair, which is then itself certified, so the
-    descent always finds a successor.  Every pair test is charged to
-    ``node_budget()``; passing it is ``Indeterminate``."""
-    budget, tests = node_budget(), 0
+    point lies in some child pair, which is then itself certified, so
+    ``descend`` commits to the leftmost one at every level."""
 
-    def leftmost_certified(xs: list[Piece], ys: list[Piece]
-                           ) -> Optional[tuple[Piece, Piece]]:
-        nonlocal tests
-        for px, py in sorted(((px, py) for px in xs for py in ys),
-                             key=lambda t: (t[0].hull[0], t[1].hull[0])):
-            tests += 1
-            if tests > budget:
-                raise Indeterminate(f"certified descent passed the budget "
-                                    f"of {budget} pair tests")
-            if pieces_certified(px, py):
-                return px, py
-        return None
+    def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
+        return sorted(((px, py) for px in xs for py in ys),
+                      key=lambda t: (t[0].hull[0], t[1].hull[0]))
 
-    pair = leftmost_certified(xs, ys)
-    if pair is None:
-        raise Indeterminate("no certified starting pair for the descent")
-    for _ in range(depth - len(pair[0].word)):
-        pair = leftmost_certified(pair[0].children(), pair[1].children())
-        if pair is None:
-            raise Indeterminate("certified refinement dead-ended "
-                                "(should be impossible for valid inputs)")
-    return pair
+    return descend(pairs(xs, ys),
+                   lambda px, py: pairs(px.children(), py.children()),
+                   pieces_certified, max(depth - len(xs[0].word), 0),
+                   "certified descent", backtrack=False)
 
 
 # -- convex-combination witnesses ----------------------------------------

@@ -29,7 +29,7 @@ from .balls import (
     subset_thickness,
     yavicoli_thickness,
 )
-from .cantor import node_budget
+from .cantor import descend
 from .errors import HypothesisError, Indeterminate, InputError
 from .product import NormalizedTriangle, Triangle, normalize_triangle
 from .scalars import (
@@ -352,19 +352,17 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     positive image scale, the squared comparison is multiplied by its
     square, and orderings and ties are unchanged.
 
-    The search keeps an explicit stack of frames, one per pair on the
-    current chain.  A frame derives each child of its pair once from the
-    pair's lattices and yields the surviving child pairs in
-    lexicographic order.  Before the full test, a child pair is skipped
-    when the first coordinates alone are farther apart than the largest
-    reach of the frame, which the full test would reject too.
+    ``descend`` runs the search, backtracking past dead ends; a node is
+    a word, its lattice ball and its image.  A frame derives each child
+    of its pair once from the pair's lattices and tests the child pairs
+    in lexicographic order, skipping, uncharged, those whose first
+    coordinates alone are farther apart than the largest reach of the
+    frame, which the full test would reject too.
     """
-    budget = node_budget()
-    tests = 0
     g = sys.generator
 
-    def survivors(wa: Word, lat_a: Lattice, wb: Word, lat_b: Lattice):
-        nonlocal tests
+    def candidates(a, b):
+        (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
         s = sys.scale(len(wa) + 1)
         lats_b = sys.kids(wb, lat_b)
         kids_b = [image_b(x, s) for x in lats_b]
@@ -381,13 +379,7 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
             near = by_x[bisect_left(xs, alo - reach - width):
                         bisect_right(xs, ahi + reach)]
             for j in sorted(near):
-                tests += 1
-                if tests > budget:
-                    raise Indeterminate(
-                        f"pair refinement passed the budget of {budget} "
-                        "pair tests")
-                if _may_meet(a, kids_b[j]):
-                    yield wa + (i,), x, wb + (j,), lats_b[j]
+                yield (wa + (i,), x, a), (wb + (j,), lats_b[j], kids_b[j])
 
     lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
     s = sys.scale(len(start_a))
@@ -395,17 +387,11 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
         raise Indeterminate("designated pair images do not meet")
     if len(start_a) >= depth:
         return start_a, start_b
-    stack = [survivors(start_a, lat_a, start_b, lat_b)]
-    while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-        elif len(pair[0]) >= depth:
-            return pair[0], pair[2]
-        else:
-            stack.append(survivors(*pair))
-    raise Indeterminate("pair refinement exhausted (no chain to the "
-                        "requested depth)")
+    a, b = descend(candidates((start_a, lat_a), (start_b, lat_b)),
+                   candidates, lambda a, b: _may_meet(a[2], b[2]),
+                   depth - len(start_a) - 1, "pair refinement",
+                   backtrack=True)
+    return a[0], b[0]
 
 
 def _combo_images(lam: Q, c: tuple[Q, ...]):

@@ -17,9 +17,9 @@ from .cantor import (
     IDENTITY,
     AffineMap,
     IfsSet1D,
+    descend,
     difference_interval,
     interval_in_cover,
-    node_budget,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
@@ -204,9 +204,8 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
     ``delta`` may be an enclosure; the descent then certifies its pair
     choices for every value delta* in the enclosure simultaneously, which
     requires the enclosure to be narrow relative to the final cover width.
-    Each side is a word image carried as (word map, interval); every
-    child-pair test is charged to ``node_budget()``, and passing it is
-    ``Indeterminate``.
+    Each side is a word image (word map, interval).  The descent commits,
+    so an enclosure straddling a chain transition can dead-end it.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -237,28 +236,16 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
             return False
         return True
 
+    def kids(x: _Node, y: _Node):
+        return itertools.product(_children(norm, x), _children(norm, y))
+
     x = y = (IDENTITY, norm.hull)
     if not certified(x, y):
         raise Indeterminate("difference refinement could not be certified "
                             "at the root")
-    budget, tests = node_budget(), 0
-    for _ in range(depth):
-        found = None
-        for cx, cy in itertools.product(_children(norm, x),
-                                        _children(norm, y)):
-            tests += 1
-            if tests > budget:
-                raise Indeterminate(f"difference refinement passed the "
-                                    f"budget of {budget} pair tests")
-            if certified(cx, cy):
-                found = (cx, cy)
-                break
-        if found is None:
-            raise Indeterminate(
-                "difference refinement stalled before the requested "
-                "depth; the difference enclosure straddles a chain "
-                "transition (narrow it, e.g. by pinning an exact pair)")
-        x, y = found
+    if depth > 0:
+        x, y = descend(kids(x, y), kids, certified, depth - 1,
+                       "difference refinement", backtrack=False)
     (ulo, uhi), (vlo, vhi) = x[1], y[1]
     return (Interval(back(ulo), back(uhi)), Interval(back(vlo), back(vhi)))
 

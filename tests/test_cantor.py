@@ -12,6 +12,7 @@ from thickset.cantor import (
     _ordered_removal,
     affine_image,
     cover,
+    descend,
     difference_interval,
     enumerate_gaps,
     gap_containing_interval,
@@ -480,3 +481,37 @@ class TestNormalize:
         assert norm.hull == (Q(0), Q(1))
         lo, hi = norm.branch_images()[0]
         assert back(lo) == s.branch_images()[0][0]
+
+
+class TestDescend:
+    # candidate pairs of a toy tree: ("c", "C") and ("a0", "A0") fail the
+    # test, so the only chain of two survivors runs through ("b", "B")
+    FIRST = [("c", "C"), ("a", "A"), ("b", "B")]
+    CHILDREN = {("a", "A"): [("a0", "A0")], ("b", "B"): [("b0", "B0")]}
+    FAILS = {("c", "C"), ("a0", "A0")}
+
+    def run(self, levels, backtrack):
+        return descend(self.FIRST, lambda x, y: self.CHILDREN[x, y],
+                       lambda x, y: (x, y) not in self.FAILS, levels,
+                       "toy descent", backtrack=backtrack)
+
+    def test_backtracking_finds_what_committing_misses(self):
+        assert self.run(1, backtrack=True) == ("b0", "B0")
+        with pytest.raises(Indeterminate, match=r"^toy descent exhausted "
+                           r"\(no chain to the requested depth\)$"):
+            self.run(1, backtrack=False)
+
+    def test_levels_zero_is_the_first_survivor(self):
+        assert self.run(0, backtrack=True) == ("a", "A")
+        assert self.run(0, backtrack=False) == ("a", "A")
+
+    @pytest.mark.parametrize("budget, passes", [(5, True), (4, False)])
+    def test_budget_counts_every_test(self, monkeypatch, budget, passes):
+        # c, a, a0, then b and b0: five tests
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
+        if passes:
+            assert self.run(1, backtrack=True) == ("b0", "B0")
+        else:
+            with pytest.raises(Indeterminate, match="^toy descent passed "
+                               "the budget of 4 pair tests$"):
+                self.run(1, backtrack=True)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(prefix)
         manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
         assert manifest["exit_code"] == code and manifest["outputs"] == []
+
+    def test_unwritable_out_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["construct", "--set", "middle_thirds",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write manifest: " in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("extra, out", [
+        (["--witness", "missing.json"], "p.svg"),
+        ([], "."),
+    ])
+    def test_plot_io_errors_one(self, tmp_path, monkeypatch, capsys, extra,
+                                out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["plot", "--set", "middle_thirds", "--out", out]
+                    + extra) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+
+    def test_unknown_grid_key_one(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["find-ap", "--set", "grid_ifs:sed=4", "--depth", "3",
+                     "--out", str(out)]) == 1
+        assert "grid_ifs takes n, rho, d and seed: 'sed=4'" \
+            in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
 
     def test_search_kap_huge_k(self, capsys):
         # decided from the gap alone: no depth-1 enumeration

@@ -621,6 +621,17 @@ class TestCertifiedDescent:
             assert p.interval == p.base.word_interval(p.word)
             assert p.hull == old_hull(p)
 
+    def test_commits_at_a_dead_end(self):
+        # a thin set: the leftmost certified pair at some level has no
+        # certified child pair, and the descent commits instead of
+        # searching around it; a backtracking search would return the
+        # words ((0, 0, 1, 0, 1, 1, 1), (0, 0, 1, 0, 0, 0, 1))
+        s = ifs_from_branches(0, 1, [(Q(6, 19), 0), (Q(5, 19), Q(14, 19))])
+        xs = [Piece(s, (), Q(-1, 3), Q(-3, 4))]
+        ys = [Piece(s, (), Q(3), Q(-1))]
+        with pytest.raises(Indeterminate, match="certified descent exhausted"):
+            certified_descent(xs, ys, 7)
+
     def test_compose_calls_grow_linearly_in_depth(self, monkeypatch):
         # machine-independent: rebuilding every map from the identity
         # made the count grow with the square of the depth (about 4x

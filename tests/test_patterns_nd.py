@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import sys as _sys
 from fractions import Fraction as Q
@@ -296,11 +297,15 @@ class TestFindTriangleNd:
 
 def interval_dfs(sys, map_a, map_b, start_a, start_b, depth):
     """The recursive pair search on point Intervals that the iterative
-    engine replaced, kept as its reference."""
+    engine replaced, kept as its reference.  ``sys.ball`` is
+    deterministic, so memoizing the images leaves every decision as it
+    was."""
+    image_a = functools.cache(lambda w: map_a(sys.ball(w)))
+    image_b = functools.cache(lambda w: map_b(sys.ball(w)))
 
     def possibly_meet(wa, wb):
-        ca, ra = map_a(sys.ball(wa))
-        cb, rb = map_b(sys.ball(wb))
+        ca, ra = image_a(wa)
+        cb, rb = image_b(wb)
         gap_sq = _sq_norm(_vsub(ca, cb))
         reach = (ra + rb).square()
         return not gap_sq.certainly_gt(reach)
@@ -490,6 +495,27 @@ class TestPairEngine:
         assert outcome(_refine_pair, sysv, _identity, wide, (0,), (1,), 3) \
             == outcome(interval_dfs, sysv, map_id, map_wide, (0,), (1,), 3) \
             == "pair refinement exhausted (no chain to the requested depth)"
+
+    def test_backtracks_past_a_dead_end(self):
+        # the first pair that meets, ((0, 0), (1, 0)), has no children;
+        # the search backs up to ((0, 1), (1, 1)), whose children meet
+        def at(x, r):
+            return Ball((Q(x), Q(0)), r)
+
+        half, quarter, eighth = Q(1, 2), Q(1, 4), Q(1, 8)
+        nodes = {(0,): at(0, half), (1,): at(0, half),
+                 (0, 0): at(0, quarter), (1, 0): at(0, quarter),
+                 (0, 1): at(5, quarter), (1, 1): at(5, quarter),
+                 (0, 1, 0): at(5, eighth), (1, 1, 0): at(5, eighth)}
+        sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), ExplicitTree(nodes))
+
+        def map_id(b):
+            return tuple(map(Interval.point, b.center)), Interval.point(
+                b.radius)
+
+        want = ((0, 1, 0), (1, 1, 0))
+        assert interval_dfs(sysv, map_id, map_id, (0,), (1,), 3) == want
+        assert _refine_pair(sysv, _identity, _identity, (0,), (1,), 3) == want
 
     def test_chain_deeper_than_recursion_limit(self):
         length = _sys.getrecursionlimit() + 100
