@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import HypothesisError, Indeterminate, InputError
 from .scalars import Q, to_q
@@ -470,34 +469,57 @@ def certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
     return False
 
 
-def gap_containing_interval(s: IfsSet1D, lo: Q, hi: Q,
-                            m: AffineMap = IDENTITY, depth: int = 0
-                            ) -> Optional[tuple[Q, Q, int]]:
-    """The gap of the subtree with word map ``m`` at word length ``depth``
-    that contains [lo, hi] entirely, or None.  Exact and terminating: a
-    gap must be at least as long as the query interval, and gap lengths
-    decay geometrically."""
-    if lo > hi:
-        raise InputError("empty query interval")
-    d = depth
-    cur_lo, cur_hi = m.apply_interval(*s.hull)
-    if not (cur_lo <= lo and hi <= cur_hi):
-        return None
-    while True:
-        descended = False
+def slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
+                    t0: Q = 0, t1: Q = 0) -> bool:
+    """Whether [lo + t, hi + t], for some t in [t0, t1], lies strictly
+    inside a bounded gap of the subtree with word map ``m``.
+
+    The translates sweep from [lo + t0, hi + t0] to [lo + t1, hi + t1].
+    An interval holds one exactly when it is at least hi - lo long,
+    starts no later than the last translate starts and ends no earlier
+    than the first one ends.  A gap counts when it does so strictly at
+    both ends, so an equal-length gap that the sweep straddles counts.
+    A counting gap holds a translate, so only subtrees whose hull holds
+    one are searched.  When one child's hull holds the whole sweep, no
+    gap of the node can count and the search steps into that child
+    alone: a point query (t0 = t1) is a greedy descent.  Otherwise the
+    node's gaps are checked and every child holding a translate is
+    searched.  Every subtree searched below the start is at least
+    hi - lo wide, so the search ends; an empty interval or an empty
+    range of t, which would break that, is an InputError.
+    """
+    if lo >= hi or t0 > t1:
+        raise InputError("a gap query needs lo < hi and t0 <= t1")
+    # zero slides are not added, so a point query costs what the greedy
+    # descent alone costs
+    first_lo, first_hi = (lo + t0, hi + t0) if t0 else (lo, hi)
+    last_lo, last_hi = (lo + t1, hi + t1) if t1 else (lo, hi)
+    h_lo, h_hi = s.hull
+    c_lo, c_hi = m.apply_interval(h_lo, h_hi)
+    # the start's width goes unchecked: below a start narrower than
+    # hi - lo, no child passes the tests in the loop
+    if not (c_lo <= last_lo and c_hi >= first_hi):
+        return False
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        kids = []
         for b in s.branches:
-            nm = m.compose(b)
-            c_lo, c_hi = nm.apply_interval(*s.hull)
-            if c_lo <= lo and hi <= c_hi:
-                m, d = nm, d + 1
-                descended = True
+            c = m.compose(b)
+            c_lo, c_hi = c.apply_interval(h_lo, h_hi)
+            if c_lo <= first_lo and last_hi <= c_hi:
+                stack.append(c)
                 break
-        if descended:
-            continue
-        for glo, ghi in s.top_gaps():
-            if m(glo) < lo and hi < m(ghi):
-                return (m(glo), m(ghi), d + 1)
-        return None
+            kids.append((c, c_lo, c_hi))
+        else:
+            for g0, g1 in s.top_gaps():
+                glo, ghi = m(g0), m(g1)
+                if glo < last_lo and ghi > first_hi and ghi - glo >= hi - lo:
+                    return True
+            stack.extend(c for c, c_lo, c_hi in kids
+                         if c_lo <= last_lo and c_hi >= first_hi
+                         and c_hi - c_lo >= hi - lo)
+    return False
 
 
 # -- Minkowski combinations of covers -----------------------------------

@@ -44,9 +44,30 @@ EXIT_UNKNOWN = 3
 # -- descriptions ------------------------------------------------------------
 
 
+# the fields each description kind takes besides "kind" and "schema"
+FIELDS = {"middle_cantor": ("epsilon",), "off_center": ("a",),
+          "ifs1d": ("hull", "branches"), "grid_ifs": ("n", "rho", "d", "seed"),
+          "hex_packing": ("gamma",)}
+
+
+def _reject_unknown_fields(kind, keys, shown: Optional[str] = None) -> None:
+    """An InputError when a known kind is given a field it does not take,
+    quoting ``shown`` or else the unknown fields; build_object names an
+    unknown kind."""
+    if not isinstance(kind, str) or kind not in FIELDS:
+        return
+    unknown = set(keys) - set(FIELDS[kind])
+    if unknown:
+        *rest, last = FIELDS[kind]
+        takes = f"{', '.join(rest)} and {last}" if rest else last
+        shown = ", ".join(sorted(unknown)) if shown is None else shown
+        raise InputError(f"{kind} takes {takes}: {shown!r}")
+
+
 def parse_description(text: str) -> dict:
     """Set/system description: inline JSON, a path to a JSON file, or the
-    compact form kind:arg (e.g. middle_cantor:1/3)."""
+    compact form kind:arg (e.g. middle_cantor:1/3).  A field the kind
+    does not take is an InputError."""
     text = text.strip()
     if text.startswith("{"):
         desc = json.loads(text)
@@ -64,9 +85,14 @@ def parse_description(text: str) -> dict:
         elif kind == "hex_packing":
             desc["gamma"] = arg or "1"
         elif kind == "grid_ifs":
-            parts = dict(p.split("=") for p in arg.split(",") if p)
-            if set(parts) - {"n", "rho", "d", "seed"}:
-                raise InputError(f"grid_ifs takes n, rho, d and seed: {arg!r}")
+            parts = {}
+            for part in filter(None, arg.split(",")):
+                key, eq, value = part.partition("=")
+                if not eq:
+                    raise InputError(f"grid_ifs part {part!r} is not of the "
+                                     "form key=value")
+                parts[key] = value
+            _reject_unknown_fields(kind, parts, arg)
             desc.update({"n": int(parts.get("n", 10)),
                          "rho": parts.get("rho", "19/200"),
                          "d": parts.get("d", "1/100"),
@@ -78,6 +104,7 @@ def parse_description(text: str) -> dict:
     desc.setdefault("schema", SCHEMA)
     if desc["schema"] != SCHEMA:
         raise InputError(f"unsupported schema {desc['schema']!r}")
+    _reject_unknown_fields(desc.get("kind"), set(desc) - {"kind", "schema"})
     return desc
 
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cantor import (
+    IDENTITY,
     AffineMap,
     IfsSet1D,
     certified_member,
     cover,
     descend,
-    gap_containing_interval,
     interval_in_cover,
     membership,
     IN_CERTIFIED,
@@ -32,6 +32,7 @@ from .cantor import (
     normalize_to_unit,
     middle_cantor,
     require_thickness_at_least_one,
+    slides_into_gap,
     subtree_combo_cover,
 )
 from .errors import InputError
@@ -140,40 +141,43 @@ class Piece:
         return certified_member(self.base, back)
 
 
-def _interval_in_piece_gap(lo: Q, hi: Q, p: Piece) -> bool:
-    """Whether [lo, hi] lies inside a bounded gap of the piece's set."""
+def _slides_into_piece_gap(lo: Q, hi: Q, p: Piece, t0: Q, t1: Q) -> bool:
+    """Whether [lo + t, hi + t], for some t in [t0, t1], lies inside a
+    bounded gap of the piece's set."""
     if p.mul > 0:
-        blo = (lo - p.shift) / p.mul
-        bhi = (hi - p.shift) / p.mul
+        blo, bhi = (lo - p.shift) / p.mul, (hi - p.shift) / p.mul
     else:
-        blo = (hi - p.shift) / p.mul
-        bhi = (lo - p.shift) / p.mul
-    return gap_containing_interval(p.base, blo, bhi, p.map,
-                                   len(p.word)) is not None
+        blo, bhi = (hi - p.shift) / p.mul, (lo - p.shift) / p.mul
+        t0, t1 = t1, t0
+    if t0 or t1:  # a zero slide needs no division
+        t0, t1 = t0 / p.mul, t1 / p.mul
+    return slides_into_gap(p.base, p.map, blo, bhi, t0, t1)
 
 
-def pieces_certified(x: Piece, y: Piece) -> bool:
-    """Gap-lemma hypotheses for the two piece sets: hulls intersect and
-    neither set lies inside a gap of the other.  Together with thickness
-    product >= 1 (checked once per search) this certifies the sets
-    intersect."""
+def pieces_certified(x: Piece, y: Piece, slide: Q = 0) -> bool:
+    """Gap-lemma hypotheses for x's set against every placement of y's
+    set in y - [0, slide]: hulls intersect and neither set lies inside a
+    gap of the other.  Together with thickness product >= 1 (checked
+    once per search) this certifies the sets intersect at every
+    placement."""
     xlo, xhi = x.hull
     ylo, yhi = y.hull
-    if xhi < ylo or yhi < xlo:
+    if xhi < ylo or yhi - slide < xlo:
         return False
-    if _interval_in_piece_gap(ylo, yhi, x):
+    if _slides_into_piece_gap(ylo, yhi, x, -slide, 0):
         return False
-    if _interval_in_piece_gap(xlo, xhi, y):
+    if _slides_into_piece_gap(xlo, xhi, y, 0, slide):
         return False
     return True
 
 
-def certified_descent(xs: list[Piece], ys: list[Piece], depth: int
-                      ) -> tuple[Piece, Piece]:
-    """Leftmost certified pair among the given top pieces, refined level
-    by level.  A certified pair's sets intersect, and any intersection
-    point lies in some child pair, which is then itself certified, so
-    ``descend`` commits to the leftmost one at every level."""
+def certified_descent(xs: list[Piece], ys: list[Piece], depth: int,
+                      slide: Q = 0) -> tuple[Piece, Piece]:
+    """Leftmost pair among the given top pieces certified for every
+    placement of y in y - [0, slide], refined level by level.  A
+    certified pair's sets intersect, and any intersection point lies in
+    some child pair, which is then itself certified, so ``descend``
+    commits to the leftmost one at every level."""
 
     def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
         return sorted(((px, py) for px in xs for py in ys),
@@ -181,7 +185,8 @@ def certified_descent(xs: list[Piece], ys: list[Piece], depth: int
 
     return descend(pairs(xs, ys),
                    lambda px, py: pairs(px.children(), py.children()),
-                   pieces_certified, max(depth - len(xs[0].word), 0),
+                   lambda px, py: pieces_certified(px, py, slide),
+                   max(depth - len(xs[0].word), 0),
                    "certified descent", backtrack=False)
 
 
@@ -618,9 +623,8 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
     hull_ok = h1[0] <= h2[1] and h2[0] <= h1[1]
     inter_ok = False
     if hull_ok:
-        in_gap_21 = gap_containing_interval(c1, h2[0], h2[1]) is not None
-        in_gap_12 = gap_containing_interval(c2, h1[0], h1[1]) is not None
-        inter_ok = not in_gap_21 and not in_gap_12
+        inter_ok = not (slides_into_gap(c1, IDENTITY, *h2)
+                        or slides_into_gap(c2, IDENTITY, *h1))
 
     tau1 = newhouse_thickness(c1, thickness_depth).value
     tau2 = newhouse_thickness(c2, thickness_depth).value

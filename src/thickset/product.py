@@ -9,22 +9,24 @@ out as exact rationals or shrinking enclosures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .cantor import (
     IDENTITY,
-    AffineMap,
     IfsSet1D,
-    descend,
     difference_interval,
     interval_in_cover,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
 from .errors import Indeterminate, InputError
-from .patterns1d import find_convex_combo
+from .patterns1d import (
+    Piece,
+    certified_descent,
+    find_convex_combo,
+    pieces_certified,
+)
 from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
 
 Coord = Union[Q, int, str, Interval]
@@ -201,11 +203,13 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
     """Enclosures (u, v) with u, v in the set and v - u = delta, for any
     delta in [0, L] where [0, L] lies inside the difference set.
 
-    ``delta`` may be an enclosure; the descent then certifies its pair
-    choices for every value delta* in the enclosure simultaneously, which
-    requires the enclosure to be narrow relative to the final cover width.
-    Each side is a word image (word map, interval).  The descent commits,
-    so an enclosure straddling a chain transition can dead-end it.
+    A certified descent of the set against its translate by -delta:
+    the gap-lemma pair test of ``certified_descent``, run on the pieces
+    of C and of C - delta.lo with y sliding over the enclosure's width,
+    certifies each pair choice for every value delta* in the enclosure
+    at once.  That requires the enclosure to be narrow relative to the
+    final cover width.  The descent commits, so an enclosure straddling
+    a chain transition can dead-end it.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -214,98 +218,20 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
         raise InputError("delta must be nonnegative")
     norm, back = normalize_to_unit(s)
     scale = back.scale  # positive hull width
-    div_n = Interval(div.lo / scale, div.hi / scale)
     bound = check_bound if check_bound is not None \
         else difference_interval(s, min(depth, 10))
     if div.hi > bound:
         raise InputError("delta exceeds the certified difference bound")
-
-    def certified(x: _Node, y: _Node) -> bool:
-        xlo, xhi = x[1]
-        ylo, yhi = y[1]
-        # universal hull intersection: for every delta* in the enclosure
-        if xlo > yhi - div_n.hi or ylo - div_n.lo > xhi:
-            return False
-        # Y-piece inside a gap of X for some delta* is forbidden: the
-        # piece [ylo - d, yhi - d] sits in gap G exactly when d lies in
-        # the open window (yhi - G.hi, ylo - G.lo)
-        if _translated_in_gap(norm, x, ylo, yhi, div_n):
-            return False
-        # X-piece inside a translated gap of Y likewise
-        if _in_translated_gap(norm, y, xlo, xhi, div_n):
-            return False
-        return True
-
-    def kids(x: _Node, y: _Node):
-        return itertools.product(_children(norm, x), _children(norm, y))
-
-    x = y = (IDENTITY, norm.hull)
-    if not certified(x, y):
+    x = Piece(norm, (), Q(1), Q(0))
+    y = Piece(norm, (), Q(1), -div.lo / scale)
+    slide = (div.hi - div.lo) / scale
+    if not pieces_certified(x, y, slide):
         raise Indeterminate("difference refinement could not be certified "
                             "at the root")
     if depth > 0:
-        x, y = descend(kids(x, y), kids, certified, depth - 1,
-                       "difference refinement", backtrack=False)
-    (ulo, uhi), (vlo, vhi) = x[1], y[1]
+        x, y = certified_descent(x.children(), y.children(), depth, slide)
+    (ulo, uhi), (vlo, vhi) = x.interval, y.interval
     return (Interval(back(ulo), back(uhi)), Interval(back(vlo), back(vhi)))
-
-
-# a word image as (word map, interval)
-_Node = tuple[AffineMap, tuple[Q, Q]]
-
-
-def _children(s: IfsSet1D, node: _Node) -> list[_Node]:
-    m = node[0]
-    return [(c, c.apply_interval(*s.hull))
-            for c in (m.compose(b) for b in s.branches)]
-
-
-def _gaps_near(s: IfsSet1D, node: _Node, lo: Q, hi: Q, min_len: Q):
-    """Gaps of the subtree at ``node`` with length >= min_len that could
-    interact with positions in [lo, hi] (finitely many by geometric
-    decay)."""
-    out = []
-    top = s.top_gaps()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        m, (wlo, whi) = node
-        if whi < lo or hi < wlo:
-            continue
-        for g0, g1 in top:
-            glo, ghi = m(g0), m(g1)
-            if ghi - glo >= min_len:
-                out.append((glo, ghi))
-        # descend while child gaps can still be long enough
-        stack.extend(c for c in _children(s, node)
-                     if c[1][1] - c[1][0] >= min_len)
-    return out
-
-
-def _translated_in_gap(s: IfsSet1D, x: _Node, ylo: Q, yhi: Q,
-                       div: Interval) -> bool:
-    """Whether [ylo - d, yhi - d] sits inside a gap of the subtree at x
-    for some d in the enclosure."""
-    width = yhi - ylo
-    span_lo, span_hi = ylo - div.hi, yhi - div.lo
-    for glo, ghi in _gaps_near(s, x, span_lo, span_hi, width):
-        w_lo, w_hi = yhi - ghi, ylo - glo  # open window of bad d values
-        if div.hi > w_lo and div.lo < w_hi:
-            return True
-    return False
-
-
-def _in_translated_gap(s: IfsSet1D, y: _Node, xlo: Q, xhi: Q,
-                       div: Interval) -> bool:
-    """Whether [xlo, xhi] sits inside a gap-minus-d of the subtree at y
-    for some d in the enclosure."""
-    width = xhi - xlo
-    span_lo, span_hi = xlo + div.lo, xhi + div.hi
-    for glo, ghi in _gaps_near(s, y, span_lo, span_hi, width):
-        w_lo, w_hi = glo - xlo, ghi - xhi  # open window of bad d values
-        if div.hi > w_lo and div.lo < w_hi:
-            return True
-    return False
 
 
 # -- triangles in the product ---------------------------------------------

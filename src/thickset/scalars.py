@@ -15,6 +15,7 @@ No floating point is used on any certified path.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -138,19 +139,8 @@ class Interval:
         q = to_q(x)
         return self.lo <= q <= self.hi
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if not self.intersects(other):
-            raise InputError("empty interval intersection")
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -409,35 +399,14 @@ def interval_atan(x, bits: int = DEFAULT_BITS) -> Interval:
     return Interval(lo, hi)
 
 
-# -- lazily refined constants ------------------------------------------
+# -- constants -----------------------------------------------------------
 
 
-class RefinableConstant:
-    """An irrational constant exposed as enclosures keyed by precision.
-
-    Refinements are intersected with the best enclosure seen so far, so a
-    request at higher precision never returns a wider interval than a
-    previous request.
-    """
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._best: Interval | None = None
-
-    def at(self, bits: int = DEFAULT_BITS) -> Interval:
-        fresh = self._compute(bits)
-        if self._best is None:
-            self._best = fresh
-        else:
-            self._best = self._best.intersect(fresh)
-        return self._best
-
-
-SQRT3 = RefinableConstant(lambda b: interval_sqrt(Interval.point(3), b))
-
-
+@functools.cache
 def sqrt3(bits: int = DEFAULT_BITS) -> Interval:
-    return SQRT3.at(bits)
+    """Enclosure of sqrt(3), a function of ``bits`` alone.  Its dyadic
+    bounds are nested, so more bits never widen it."""
+    return interval_sqrt(Interval.point(3), bits)
 
 
 def simplest_between(lo: Q, hi: Q) -> Q:

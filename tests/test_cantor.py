@@ -14,8 +14,8 @@ from thickset.cantor import (
     cover,
     descend,
     difference_interval,
+    IDENTITY,
     enumerate_gaps,
-    gap_containing_interval,
     gap_depth,
     ifs_from_branches,
     interval_in_cover,
@@ -27,6 +27,7 @@ from thickset.cantor import (
     normalize_to_unit,
     off_center_cantor,
     self_combo_cover,
+    slides_into_gap,
     subtree_combo_cover,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
@@ -269,12 +270,96 @@ class TestGaps:
 
     def test_gap_containing_interval(self):
         s = middle_thirds()
-        hit = gap_containing_interval(s, Q(4, 10), Q(5, 10))
-        assert hit == (Q(1, 3), Q(2, 3), 1)
-        assert gap_containing_interval(s, Q(1, 4), Q(1, 2)) is None
-        deep = gap_containing_interval(s, Q(1, 27) + Q(1, 200),
-                                       Q(2, 27) - Q(1, 200))
-        assert deep == (Q(1, 27), Q(2, 27), 3)
+        assert slides_into_gap(s, IDENTITY, Q(4, 10), Q(5, 10))
+        assert not slides_into_gap(s, IDENTITY, Q(1, 4), Q(1, 2))
+        assert slides_into_gap(s, IDENTITY, Q(1, 27) + Q(1, 200),
+                               Q(2, 27) - Q(1, 200))
+        # the subtree at a word map only answers for its own gaps
+        assert not slides_into_gap(s, s.branches[1], Q(4, 10), Q(5, 10))
+
+
+def old_gap_containing(s, m, lo, hi):
+    """The point query as a greedy descent, as the line descents ran it."""
+    cur_lo, cur_hi = m.apply_interval(*s.hull)
+    if not (cur_lo <= lo and hi <= cur_hi):
+        return False
+    while True:
+        for b in s.branches:
+            nm = m.compose(b)
+            c_lo, c_hi = nm.apply_interval(*s.hull)
+            if c_lo <= lo and hi <= c_hi:
+                m = nm
+                break
+        else:
+            return any(m(g0) < lo and hi < m(g1) for g0, g1 in s.top_gaps())
+
+
+def old_window_test(s, m, lo, hi, t0, t1):
+    """The sliding query as the difference hits ran it: gather the gaps
+    at least hi - lo long of the subtrees meeting [lo + t0, hi + t1],
+    then test each gap's window of translates against [t0, t1]."""
+    width, hull_w = hi - lo, s.hull[1] - s.hull[0]
+    gaps, stack = [], [m]
+    while stack:
+        m = stack.pop()
+        wlo, whi = m.apply_interval(*s.hull)
+        if whi < lo + t0 or hi + t1 < wlo:
+            continue
+        gaps.extend((m(g0), m(g1)) for g0, g1 in s.top_gaps()
+                    if m(g1) - m(g0) >= width)
+        stack.extend(c for c in (m.compose(b) for b in s.branches)
+                     if c.scale * hull_w >= width)
+    return any(t1 > glo - lo and t0 < ghi - hi for glo, ghi in gaps)
+
+
+@st.composite
+def gap_queries(draw):
+    """A random 2- or 3-branch presentation, the subtree of a word of
+    length at most 2, and an interval and slide range drawn on a 1/64
+    grid relative to that subtree; half the queries are point queries
+    (no slide)."""
+    n = draw(st.integers(2, 3))
+    weight = st.integers(1, 9)
+    s = weighted(draw(st.lists(weight, min_size=n, max_size=n)),
+                 draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    m = s.word_map(tuple(draw(st.lists(st.integers(0, n - 1),
+                                       max_size=2))))
+    lo = Q(draw(st.integers(-8, 72)), 64)
+    hi = lo + Q(draw(st.integers(1, 24)), 64)
+    t0 = t1 = Q(0)
+    if draw(st.booleans()):
+        t0 = Q(draw(st.integers(-16, 16)), 64)
+        t1 = t0 + Q(draw(st.integers(1, 16)), 64)
+    return s, m, m(lo), m(hi), m.scale * t0, m.scale * t1
+
+
+class TestSlidesIntoGap:
+    @settings(max_examples=200, deadline=None)
+    @given(gap_queries())
+    # an equal-length gap straddled by the slide: no translate lies
+    # strictly inside it, yet the window test counts it
+    @example((middle_thirds(), IDENTITY, Q(0), Q(1, 3), Q(1, 6), Q(1, 2)))
+    def test_agrees_with_old_queries(self, case):
+        s, m, lo, hi, t0, t1 = case
+        got = slides_into_gap(s, m, lo, hi, t0, t1)
+        assert got == old_window_test(s, m, lo, hi, t0, t1)
+        if t0 == t1:
+            assert got == old_gap_containing(s, m, lo + t0, hi + t0)
+
+    def test_equal_length_straddle_counts(self):
+        s = middle_thirds()
+        assert slides_into_gap(s, IDENTITY, Q(0), Q(1, 3), Q(1, 6), Q(1, 2))
+        assert not slides_into_gap(s, IDENTITY, Q(0), Q(1, 3), Q(1, 6),
+                                   Q(1, 3))
+
+    @pytest.mark.parametrize("lo, hi, t0, t1", [
+        (Q(1, 2), Q(1, 2), 0, 0), (Q(1, 2), Q(1, 4), 0, 0),
+        (Q(1, 4), Q(1, 2), Q(1, 8), Q(1, 16))])
+    def test_empty_query_rejected(self, lo, hi, t0, t1):
+        # a point query on a set point, or an inverted sweep, could
+        # descend forever
+        with pytest.raises(InputError, match="needs lo < hi and t0 <= t1"):
+            slides_into_gap(middle_thirds(), IDENTITY, lo, hi, t0, t1)
 
 
 class TestCertifiedMember:

@@ -236,6 +236,34 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 1 and manifest["outputs"] == []
 
+    @pytest.mark.parametrize("desc, message", [
+        ('{"kind":"grid_ifs","n":10,"rho":"19/200","d":"1/100","sed":4}',
+         "grid_ifs takes n, rho, d and seed: 'sed'"),
+        ('{"kind":"middle_cantor","epsilon":"1/3","eps":"1/2"}',
+         "middle_cantor takes epsilon: 'eps'"),
+        ('{"kind":"ifs1d","hull":["0","1"],"branches":[],"scale":"1/3"}',
+         "ifs1d takes hull and branches: 'scale'"),
+        ('{"kind":"hex_packing","gamma":"1","rho":"1/2","n":3}',
+         "hex_packing takes gamma: 'n, rho'"),
+        ('{"kind":"off_center","a":"3/10","b":"1/10"}',
+         "off_center takes a: 'b'"),
+    ])
+    def test_unknown_json_key_one(self, tmp_path, capsys, desc, message):
+        out = tmp_path / "c.json"
+        assert main(["construct", "--set", desc, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+
+    def test_grid_part_without_value_one(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["construct", "--set", "grid_ifs:n", "--out",
+                     str(out)]) == 1
+        assert "grid_ifs part 'n' is not of the form key=value" \
+            in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+
     def test_search_kap_huge_k(self, capsys):
         # decided from the gap alone: no depth-1 enumeration
         assert main(["search-kap", "--set", "middle_cantor:2/5",

@@ -33,6 +33,7 @@ from thickset.patterns1d import (
     kap_bruteforce,
     kap_search,
     largest_gap,
+    pieces_certified,
     shmerkin_4ap,
     verify_combo_containment,
 )
@@ -600,7 +601,50 @@ def descent_inputs(draw):
             [Piece(s, (), draw(mul), draw(shift))], depth)
 
 
+@st.composite
+def sliding_pairs(draw):
+    """Two whole-set pieces of a random 2- or 3-branch presentation with
+    multipliers of either sign, a slide of at most 1/4 and a depth."""
+    n = draw(st.integers(2, 3))
+    weight = st.integers(1, 9)
+    scales = draw(st.lists(weight, min_size=n, max_size=n))
+    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    s = ifs_from_branches(0, 1, pairs)
+    mul = st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    shift = st.builds(Q, st.integers(-8, 8), st.integers(1, 8))
+    x = Piece(s, (), draw(mul), draw(shift))
+    y = Piece(s, (), draw(mul), draw(shift))
+    return x, y, Q(draw(st.integers(0, 16)), 64), draw(st.integers(0, 6))
+
+
+def as_image(p):
+    """The same set as a piece with multiplier 1 on its affine image."""
+    return Piece(affine_image(p.base, p.mul, p.shift), (), Q(1), Q(0))
+
+
 class TestCertifiedDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(sliding_pairs())
+    def test_slide_depends_only_on_the_sets(self, case):
+        # a piece with a negative multiplier maps the slide reversed; its
+        # set is the affine image's, so every verdict and hull must agree
+        x, y, slide, depth = case
+        assert pieces_certified(x, y, slide) == \
+            pieces_certified(as_image(x), as_image(y), slide)
+        results = []
+        for xs, ys in (([x], [y]), ([as_image(x)], [as_image(y)])):
+            try:
+                px, py = certified_descent(xs, ys, depth, slide)
+                results.append((px.hull, py.hull))
+            except Indeterminate:
+                results.append(None)
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("call, digest", DESCENT_PINS)
     def test_pinned_results(self, call, digest):
         assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest

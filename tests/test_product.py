@@ -198,6 +198,22 @@ HIT_PINS = [
         middle_cantor(Q(13, 64)),
         Triangle.make([(0, 0), (1, 0), (Q(5, 16), Q(9, 16))]), 40),
      "90d4b878048e07feda0c9a87ad3373ad41c89a4e70a9593aa76ed08c2154e9e6"),
+    # enclosures of delta, recorded before the difference hits ran on the
+    # certified descent: an irrational height, then explicit enclosures
+    (lambda: find_triangle_in_product(middle_thirds(), equilateral(), 40),
+     "701aa5bcf69124a96d91c04c57ddb68e9af502d7a805540a8f79f6a2856b880d"),
+    (lambda: find_triangle_in_product(middle_cantor(Q(15, 64)),
+                                      equilateral(), 30),
+     "4476db4cedcc3400c7e4fa45e070806ba169e4d3abfe13e818e00d96942fc44c"),
+    (lambda: difference_hit(middle_thirds(),
+                            Interval(Q(1, 3), Q(1, 3) + Q(3) ** -22), 20),
+     "609f9fa9f5e44093beb3ded9c5f5f60db64012af9b269d2e535dcb3a2a136e6f"),
+    (lambda: difference_hit(middle_thirds(),
+                            Interval(Q(1, 2), Q(1, 2) + Q(3) ** -24), 20),
+     "61d8368ed2f31235923090d19653c1cb01e5f026a14c49d64ac84409b95ab71b"),
+    (lambda: difference_hit(middle_thirds(),
+                            Interval(Q(2, 5), Q(2, 5) + Q(1, 2**40)), 24),
+     "2ef32c1904ed350f0c16ee5ab393b7d7744ec7528a0826863ab7b103156eb8f6"),
 ]
 
 

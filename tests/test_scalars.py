@@ -198,13 +198,22 @@ class TestLogAtanPi:
             interval_ln(Interval.make(0, 1), 20)
 
 
-class TestRefinableConstant:
-    def test_never_widens(self):
-        prev = sqrt3(16)
-        for bits in [32, 8, 64, 24, 128]:
+class TestSqrt3:
+    def test_more_bits_never_widen(self):
+        prev = sqrt3(8)
+        for bits in [16, 24, 32, 64, 128, 256]:
             cur = sqrt3(bits)
             assert prev.lo <= cur.lo and cur.hi <= prev.hi
             prev = cur
+
+    def test_same_call_same_result(self):
+        # a request answers at its own precision, whatever ran before
+        from thickset.balls import hex_packing_example, yavicoli_thickness
+
+        first = yavicoli_thickness(hex_packing_example(1), 32)
+        sqrt3(256)
+        assert sqrt3(128) == interval_sqrt(Interval.point(3), 128)
+        assert yavicoli_thickness(hex_packing_example(1), 32) == first
 
 
 class TestSimplestBetween:
