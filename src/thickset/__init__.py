@@ -46,7 +46,6 @@ from .patterns1d import (
     kap_search,
     largest_gap,
     shmerkin_4ap,
-    verify_combo_containment,
 )
 from .product import (
     NormalizedTriangle,

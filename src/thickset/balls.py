@@ -40,24 +40,10 @@ class Ball:
         if self.norm not in (LINF, L2):
             raise InputError(f"unknown norm {self.norm!r}")
 
-    def _on_common_scale(self, other: "Ball") -> tuple[Lattice, Lattice]:
-        s = math.lcm(common_denominator(self), common_denominator(other))
-        return lattice_of(self, s), lattice_of(other, s)
-
     def contains_ball(self, other: "Ball") -> bool:
-        return lattice_contains(*self._on_common_scale(other), self.norm)
-
-    def disjoint_from(self, other: "Ball") -> bool:
-        """Strict disjointness of the closed balls (touching counts as
-        intersecting)."""
-        return lattice_disjoint(*self._on_common_scale(other), self.norm)
-
-    def contains_point(self, p: tuple[Q, ...]) -> bool:
-        if self.norm == LINF:
-            return all(abs(a - b) <= self.radius
-                       for a, b in zip(self.center, p))
-        return sum((a - b) ** 2
-                   for a, b in zip(self.center, p)) <= self.radius ** 2
+        s = math.lcm(common_denominator(self), common_denominator(other))
+        return lattice_contains(lattice_of(self, s), lattice_of(other, s),
+                                self.norm)
 
 
 # -- lattice balls ---------------------------------------------------------

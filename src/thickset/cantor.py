@@ -1,6 +1,6 @@
 """Self-similar compact subsets of the line presented by iterated function
 systems, with exact covers, gap enumeration, Newhouse thickness, membership
-queries, and Minkowski combinations of covers.
+queries, gap queries, and the difference segment of a thick set.
 
 All geometry is exact: hull endpoints, branch maps, cover intervals, and
 gap endpoints are rationals, so thickness values are exact rationals rather
@@ -252,11 +252,6 @@ def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
         else:
             return False
     return True
-
-
-def point_in_cover(s: IfsSet1D, x, depth: int) -> bool:
-    q = to_q(x)
-    return interval_in_cover(s, q, q, depth)
 
 
 # -- gaps and thickness ------------------------------------------------
@@ -522,119 +517,22 @@ def slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
     return False
 
 
-# -- Minkowski combinations of covers -----------------------------------
-
-
-def merge_intervals(intervals) -> list[tuple[Q, Q]]:
-    """Union of closed intervals; touching intervals merge."""
-    merged: list[list[Q]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
-
-
-# -- self-similar Minkowski combinations --------------------------------
-
-
-def self_combo_cover(s: IfsSet1D, mu, nu, depth: int,
-                     _memo: dict | None = None) -> tuple[tuple[Q, Q], ...]:
-    """Merged union of mu*cover(s, depth) + nu*cover(s, depth), computed
-    by self-similarity instead of pair enumeration.
-
-    Since mu*A + nu*A = mu*(A + (nu/mu)*A), only unit-mu unions are
-    built; scaling by mu carries their components onto those of the
-    result, in reverse order when mu < 0, and mu = 0 swaps the two
-    coefficients.  cover(depth) splits into branch images of
-    cover(depth - 1), so a unit union merges (#branches)^2 scaled
-    translates of lower-depth unit unions.  These are memoized on
-    (nu/mu, depth); k levels down the ratios are nu/mu times k branch
-    scale quotients r_j/r_i, which leaves one key per level for equal
-    scales and 2k + 1 for two unequal ones.
-    """
-    if _memo is None:
-        _memo = {}
-    muv, nuv = to_q(mu), to_q(nu)
-    if muv == 0:
-        muv, nuv = nuv, muv
-        if muv == 0:
-            return ((Q(0), Q(0)),)
-    unit = _unit_combo_cover(s, nuv / muv, depth, _memo)
-    if muv > 0:
-        return tuple((muv * a, muv * b) for a, b in unit)
-    return tuple((muv * b, muv * a) for a, b in reversed(unit))
-
-
-def _unit_combo_cover(s: IfsSet1D, ratio: Q, depth: int,
-                      memo: dict) -> tuple[tuple[Q, Q], ...]:
-    """Merged union of cover(s, depth) + ratio*cover(s, depth)."""
-    key = (ratio, depth)
-    if key in memo:
-        return memo[key]
-    lo, hi = s.hull
-    if depth == 0:
-        b0, b1 = sorted((ratio * lo, ratio * hi))
-        result: tuple[tuple[Q, Q], ...] = ((lo + b0, hi + b1),)
-    else:
-        pieces: list[tuple[Q, Q]] = []
-        for b1_ in s.branches:
-            for b2_ in s.branches:
-                sub = _unit_combo_cover(s, ratio * b2_.scale / b1_.scale,
-                                        depth - 1, memo)
-                m = b1_.scale
-                shift = b1_.offset + ratio * b2_.offset
-                pieces.extend((m * a + shift, m * b + shift) for a, b in sub)
-        result = tuple(merge_intervals(pieces))
-        if len(result) > 200_000:
-            raise Indeterminate("self-similar combination cover grew too "
-                                "fragmented to continue")
-    memo[key] = result
-    return result
-
-
-def subtree_combo_cover(s: IfsSet1D, left_branches, right_branches,
-                        mu, nu, depth: int) -> tuple[tuple[Q, Q], ...]:
-    """Merged union of mu*A_d + nu*B_d where A_d (resp. B_d) is the part
-    of cover(s, depth) under the given left (resp. right) first-level
-    branches.  Used for combinations of the two sides of a gap."""
-    if depth < 1:
-        raise InputError("depth must be at least 1 to split at a gap")
-    muv, nuv = to_q(mu), to_q(nu)
-    memo: dict = {}
-    pieces: list[tuple[Q, Q]] = []
-    for i in left_branches:
-        for j in right_branches:
-            bi, bj = s.branches[i], s.branches[j]
-            sub = self_combo_cover(s, muv * bi.scale, nuv * bj.scale,
-                                   depth - 1, memo)
-            shift = muv * bi.offset + nuv * bj.offset
-            pieces.extend((a + shift, b + shift) for a, b in sub)
-    return tuple(merge_intervals(pieces))
-
-
 # -- difference set ----------------------------------------------------
 
 
 def difference_interval(s: IfsSet1D, max_depth: int = 10) -> Q:
-    """Largest L with [0, L] inside the cover of C - C at every depth up
-    to ``max_depth``, for a set whose thickness is certified >= 1 (the
-    gap-lemma hypothesis under which the covered segment is genuinely
-    inside the difference set)."""
+    """Largest L with [0, L] inside C - C, for a set whose thickness is
+    certified >= 1: the hull width w.
+
+    Under that hypothesis Newhouse's gap lemma gives C - C = [-w, w]
+    (Palis-Takens 1993, ch. 4; Astels 2000): for 0 <= t <= w the hulls
+    of C and C + t meet, neither set lies in a bounded gap of the other,
+    and tau(C)^2 >= 1, so the sets meet.  On covers: C lies in
+    every cover, so [0, w] lies in the cover of C - C at every depth,
+    and nothing in that cover lies beyond w, the hull width.
+    ``max_depth`` is validated but does not change the value, as with
+    ``newhouse_thickness``."""
     require_thickness_at_least_one(s)
     if max_depth < 0:
         raise InputError("max_depth must be nonnegative")
-    best: Q | None = None
-    memo: dict = {}
-    for d in range(max_depth + 1):
-        merged = self_combo_cover(s, Q(1), Q(-1), d, memo)
-        reach = Q(0)
-        for a, b in merged:
-            if a <= 0 <= b:
-                reach = b
-                break
-        best = reach if best is None or reach < best else best
-        if best == 0:
-            break
-    return best if best is not None else Q(0)
+    return s.hull[1] - s.hull[0]

@@ -44,10 +44,11 @@ EXIT_UNKNOWN = 3
 # -- descriptions ------------------------------------------------------------
 
 
-# the fields each description kind takes besides "kind" and "schema"
+# the fields each description kind takes besides "kind" and "schema", and
+# those of one ifs1d branch
 FIELDS = {"middle_cantor": ("epsilon",), "off_center": ("a",),
           "ifs1d": ("hull", "branches"), "grid_ifs": ("n", "rho", "d", "seed"),
-          "hex_packing": ("gamma",)}
+          "hex_packing": ("gamma",), "branch": ("scale", "offset")}
 
 
 def _reject_unknown_fields(kind, keys, shown: Optional[str] = None) -> None:
@@ -110,7 +111,8 @@ def parse_description(text: str) -> dict:
 
 def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
     """The set or ball system a description names.  A field of the wrong
-    type or length is an InputError, like any other bad description."""
+    type or length, or a branch field other than scale and offset, is an
+    InputError, like any other bad description."""
     kind = desc.get("kind")
     try:
         if kind == "middle_cantor":
@@ -118,6 +120,8 @@ def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
         if kind == "off_center":
             return cantor.off_center_cantor(to_q(desc["a"]))
         if kind == "ifs1d":
+            for b in desc["branches"]:
+                _reject_unknown_fields("branch", b)
             return cantor.ifs_from_branches(
                 desc["hull"][0], desc["hull"][1],
                 [(b["scale"], b["offset"]) for b in desc["branches"]])

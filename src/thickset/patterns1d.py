@@ -12,7 +12,6 @@ split tuples of cover intervals, which is sound by self-similarity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +21,6 @@ from .cantor import (
     AffineMap,
     IfsSet1D,
     certified_member,
-    cover,
     descend,
     interval_in_cover,
     membership,
@@ -33,7 +31,6 @@ from .cantor import (
     middle_cantor,
     require_thickness_at_least_one,
     slides_into_gap,
-    subtree_combo_cover,
 )
 from .errors import InputError
 from .scalars import Interval, Q, interval_ln, simplest_between, to_q
@@ -52,21 +49,6 @@ def largest_gap(s: IfsSet1D) -> tuple[Q, Q]:
     return max(gaps, key=lambda g: (g[1] - g[0], -g[0]))
 
 
-def combo_core_intervals(lam, k1, k2) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
-    """The two closed intervals [lam*k2, lam] and
-    [lam*k2 + (1-lam)*k1, lam + (1-lam)*k1] that are guaranteed to lie in
-    (1-lam)*A + lam*B when A, B are the two sides of the gap (k1, k2) of
-    a unit-hull set of thickness >= 1.  They may touch or overlap."""
-    lamv, k1v, k2v = to_q(lam), to_q(k1), to_q(k2)
-    if not (0 < lamv < 1):
-        raise InputError("lambda must lie in (0, 1)")
-    if not (0 < k1v < k2v < 1):
-        raise InputError("need 0 < k1 < k2 < 1")
-    first = (lamv * k2v, lamv)
-    second = (lamv * k2v + (1 - lamv) * k1v, lamv + (1 - lamv) * k1v)
-    return first, second
-
-
 def _split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
     """Branch indices left/right of the largest gap plus its endpoints."""
     k1, k2 = largest_gap(s)
@@ -77,23 +59,6 @@ def _split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
         else:
             right.append(i)
     return left, right, k1, k2
-
-
-def verify_combo_containment(s: IfsSet1D, lam, depth: int) -> bool:
-    """Check that both guaranteed core intervals lie inside the depth-d
-    cover of (1-lam)*A + lam*B, where A and B are the parts of the set
-    left and right of its largest gap.  A necessary consequence of the
-    guaranteed containment, machine-checkable on covers."""
-    lamv = to_q(lam)
-    require_thickness_at_least_one(s)
-    if s.hull != (Q(0), Q(1)):
-        raise InputError("normalize the set to hull [0, 1] first")
-    left, right, k1, k2 = _split_branches(s)
-    merged = subtree_combo_cover(s, left, right, 1 - lamv, lamv, depth)
-    for tlo, thi in combo_core_intervals(lamv, k1, k2):
-        if not any(a <= tlo and thi <= b for a, b in merged):
-            return False
-    return True
 
 
 # -- certified piece descent --------------------------------------------
@@ -526,24 +491,6 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         x=Interval(back(x_lo), back(x_hi)),
         y=Interval(y_lo * back.scale, y_hi * back.scale),
         points=tuple(pts))
-
-
-def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
-    """No-pruning oracle: enumerate every split k-tuple of depth-d cover
-    intervals directly and run the same exact feasibility test."""
-    norm, _ = normalize_to_unit(s)
-    gaps = norm.top_gaps()
-    y_min = min(g1 - g0 for g0, g1 in gaps) / (k - 1)
-    ints = cover(norm, depth).intervals
-    per_branch = len(ints) // len(norm.branches)
-    for combo in itertools.combinations_with_replacement(
-            range(len(ints)), k):
-        if combo[0] // per_branch == combo[-1] // per_branch:
-            continue  # not split at the first level
-        boxes = [ints[i] for i in combo]
-        if _tuple_y_range(boxes, y_min) is not None:
-            return FEASIBLE
-    return INFEASIBLE
 
 
 # -- symmetric 4-term progressions ---------------------------------------

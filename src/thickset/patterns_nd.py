@@ -36,8 +36,6 @@ from .scalars import (
     Cmp,
     Interval,
     Q,
-    interval_atan,
-    interval_pi,
     interval_sqrt,
     to_q,
 )
@@ -462,8 +460,6 @@ class VertexMaps:
     lam: Q
     s_f: Interval
     s_g: Interval
-    theta_f: Interval
-    theta_g: Interval
 
     def apply_f(self, p) -> IVec:
         x, y = (Interval.coerce(c) for c in p)
@@ -489,9 +485,7 @@ def vertex_maps(alpha: Interval, lam, alpha_sq: Optional[Q] = None,
         raise InputError("triangle data outside the admissible region")
     s_f = interval_sqrt(a2 + lamv * lamv, bits)
     s_g = interval_sqrt(a2 + (1 - lamv) ** 2, bits)
-    theta_f = interval_atan(alpha / lamv, bits)
-    theta_g = interval_atan(-alpha / (1 - lamv), bits) + interval_pi(bits)
-    return VertexMaps(alpha, lamv, s_f, s_g, theta_f, theta_g)
+    return VertexMaps(alpha, lamv, s_f, s_g)
 
 
 def triangle_disk(sys: BallSystem, maps: VertexMaps, r,

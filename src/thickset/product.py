@@ -16,7 +16,6 @@ from .cantor import (
     IDENTITY,
     IfsSet1D,
     difference_interval,
-    interval_in_cover,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
@@ -198,10 +197,12 @@ def _exact_sqrt_ratio(q: Q) -> Q:
 # -- difference hits -----------------------------------------------------
 
 
-def difference_hit(s: IfsSet1D, delta, depth: int = 20,
-                   check_bound: Optional[Q] = None) -> tuple[Interval, Interval]:
+def difference_hit(s: IfsSet1D, delta, depth: int = 20
+                   ) -> tuple[Interval, Interval]:
     """Enclosures (u, v) with u, v in the set and v - u = delta, for any
-    delta in [0, L] where [0, L] lies inside the difference set.
+    delta in [0, w], w the hull width: for a set of certified thickness
+    >= 1 the gap lemma makes [0, w] the difference segment (see
+    ``difference_interval``, which also checks that hypothesis).
 
     A certified descent of the set against its translate by -delta:
     the gap-lemma pair test of ``certified_descent``, run on the pieces
@@ -218,9 +219,7 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20,
         raise InputError("delta must be nonnegative")
     norm, back = normalize_to_unit(s)
     scale = back.scale  # positive hull width
-    bound = check_bound if check_bound is not None \
-        else difference_interval(s, min(depth, 10))
-    if div.hi > bound:
+    if div.hi > difference_interval(s):
         raise InputError("delta exceeds the certified difference bound")
     x = Piece(norm, (), Q(1), Q(0))
     y = Piece(norm, (), Q(1), -div.lo / scale)
@@ -266,7 +265,10 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     base pair (a, b) and the foot point, a difference hit at
     span * alpha provides the two heights, and the apex is assembled from
     the foot and the upper height.  Collinear triangles route through the
-    one-dimensional search directly.
+    one-dimensional search directly.  By the gap lemma the difference
+    segment is the hull width w, so the base span and the height
+    span * alpha both stay in it once the span is at most
+    w / max(alpha, 1).
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -296,23 +298,15 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
         raise InputError("degenerate split")
     alpha = norm.alpha
 
-    hull_w = s.hull[1] - s.hull[0]
-    ldepth = min(depth, 10)
-    diff_bound = difference_interval(s, ldepth)
-
-    # scale cap: the base span must keep both the base and the height
-    # within the certified difference segment
-    alpha_hi = alpha.hi
-    cap = diff_bound / max(alpha_hi, 1)
-    cap = min(cap, diff_bound)
+    # scale cap: span <= c_dyadic * w <= w / max(alpha, 1), w the hull width
     c_dyadic = Q(1)
-    while c_dyadic * hull_w > cap:
+    while c_dyadic * max(alpha.hi, 1) > 1:
         c_dyadic /= 2
 
     # run the combination search inside a subtree no wider than the cap,
     # so the witness span obeys it automatically
     m = IDENTITY
-    while m.scale > c_dyadic:  # the subtree's width is m.scale * hull_w
+    while m.scale > c_dyadic:  # the subtree's width is m.scale * w
         m = m.compose(s.branches[0])
     combo_depth = depth + 8
     w = find_convex_combo(s, lam, combo_depth)
@@ -332,7 +326,7 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
             push(w.b.enclosure)
     span = b_iv - a_iv
     delta = span * alpha
-    u_iv, v_iv = difference_hit(s, delta, depth, check_bound=diff_bound)
+    u_iv, v_iv = difference_hit(s, delta, depth)
 
     base_left = (a_iv, u_iv)
     base_right = (b_iv, u_iv)
@@ -363,14 +357,3 @@ def _triangle_sides(p0, p1, p2, bits: int = 192):
     d02 = interval_sqrt(_sq_dist(p0, p2), bits)
     d12 = interval_sqrt(_sq_dist(p1, p2), bits)
     return (d01, d02, d12)
-
-
-def product_witness_in_cover(s: IfsSet1D, w: ProductWitness,
-                             depth: int) -> bool:
-    """Machine check: every coordinate enclosure of the witness meets the
-    depth-d cover of the set."""
-    for (x, y) in w.vertices:
-        for coord in (x, y):
-            if not interval_in_cover(s, coord.lo, coord.hi, depth):
-                return False
-    return True

@@ -19,13 +19,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 from .errors import InputError
 
 Q = Fraction
-
-ScalarLike = Union[Fraction, int, str]
 
 DEFAULT_BITS = 128
 

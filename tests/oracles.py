@@ -1,0 +1,240 @@
+"""Reference implementations the tests check the library against.
+
+These are brute-force or cover-based computations that no library path
+needs: merged combination covers and the difference segment read off
+them, containment checks on covers, an unpruned k-term progression
+search, and two ball predicates.  The file is not collected; the tests
+import it by name.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from thickset.balls import (
+    LINF,
+    Ball,
+    common_denominator,
+    lattice_disjoint,
+    lattice_of,
+)
+from thickset.cantor import (
+    IfsSet1D,
+    cover,
+    interval_in_cover,
+    normalize_to_unit,
+    require_thickness_at_least_one,
+)
+from thickset.errors import Indeterminate, InputError
+from thickset.patterns1d import (
+    FEASIBLE,
+    INFEASIBLE,
+    _split_branches,
+    _tuple_y_range,
+)
+from thickset.product import ProductWitness
+from thickset.scalars import Q, to_q
+
+
+# -- Minkowski combinations of covers -----------------------------------
+
+
+def merge_intervals(intervals) -> list[tuple[Q, Q]]:
+    """Union of closed intervals; touching intervals merge."""
+    merged: list[list[Q]] = []
+    for a, b in sorted(intervals):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def self_combo_cover(s: IfsSet1D, mu, nu, depth: int,
+                     _memo: dict | None = None) -> tuple[tuple[Q, Q], ...]:
+    """Merged union of mu*cover(s, depth) + nu*cover(s, depth), computed
+    by self-similarity instead of pair enumeration.
+
+    Since mu*A + nu*A = mu*(A + (nu/mu)*A), only unit-mu unions are
+    built; scaling by mu carries their components onto those of the
+    result, in reverse order when mu < 0, and mu = 0 swaps the two
+    coefficients.  cover(depth) splits into branch images of
+    cover(depth - 1), so a unit union merges (#branches)^2 scaled
+    translates of lower-depth unit unions.  These are memoized on
+    (nu/mu, depth); k levels down the ratios are nu/mu times k branch
+    scale quotients r_j/r_i, which leaves one key per level for equal
+    scales and 2k + 1 for two unequal ones.
+    """
+    if _memo is None:
+        _memo = {}
+    muv, nuv = to_q(mu), to_q(nu)
+    if muv == 0:
+        muv, nuv = nuv, muv
+        if muv == 0:
+            return ((Q(0), Q(0)),)
+    unit = _unit_combo_cover(s, nuv / muv, depth, _memo)
+    if muv > 0:
+        return tuple((muv * a, muv * b) for a, b in unit)
+    return tuple((muv * b, muv * a) for a, b in reversed(unit))
+
+
+def _unit_combo_cover(s: IfsSet1D, ratio: Q, depth: int,
+                      memo: dict) -> tuple[tuple[Q, Q], ...]:
+    """Merged union of cover(s, depth) + ratio*cover(s, depth)."""
+    key = (ratio, depth)
+    if key in memo:
+        return memo[key]
+    lo, hi = s.hull
+    if depth == 0:
+        b0, b1 = sorted((ratio * lo, ratio * hi))
+        result: tuple[tuple[Q, Q], ...] = ((lo + b0, hi + b1),)
+    else:
+        pieces: list[tuple[Q, Q]] = []
+        for b1_ in s.branches:
+            for b2_ in s.branches:
+                sub = _unit_combo_cover(s, ratio * b2_.scale / b1_.scale,
+                                        depth - 1, memo)
+                m = b1_.scale
+                shift = b1_.offset + ratio * b2_.offset
+                pieces.extend((m * a + shift, m * b + shift) for a, b in sub)
+        result = tuple(merge_intervals(pieces))
+        if len(result) > 200_000:
+            raise Indeterminate("self-similar combination cover grew too "
+                                "fragmented to continue")
+    memo[key] = result
+    return result
+
+
+def subtree_combo_cover(s: IfsSet1D, left_branches, right_branches,
+                        mu, nu, depth: int) -> tuple[tuple[Q, Q], ...]:
+    """Merged union of mu*A_d + nu*B_d where A_d (resp. B_d) is the part
+    of cover(s, depth) under the given left (resp. right) first-level
+    branches.  Used for combinations of the two sides of a gap."""
+    if depth < 1:
+        raise InputError("depth must be at least 1 to split at a gap")
+    muv, nuv = to_q(mu), to_q(nu)
+    memo: dict = {}
+    pieces: list[tuple[Q, Q]] = []
+    for i in left_branches:
+        for j in right_branches:
+            bi, bj = s.branches[i], s.branches[j]
+            sub = self_combo_cover(s, muv * bi.scale, nuv * bj.scale,
+                                   depth - 1, memo)
+            shift = muv * bi.offset + nuv * bj.offset
+            pieces.extend((a + shift, b + shift) for a, b in sub)
+    return tuple(merge_intervals(pieces))
+
+
+def combo_difference_interval(s: IfsSet1D, max_depth: int = 10) -> Q:
+    """Largest L with [0, L] inside the merged cover of C - C at every
+    depth up to ``max_depth``: the difference segment read off covers."""
+    require_thickness_at_least_one(s)
+    if max_depth < 0:
+        raise InputError("max_depth must be nonnegative")
+    best: Q | None = None
+    memo: dict = {}
+    for d in range(max_depth + 1):
+        merged = self_combo_cover(s, Q(1), Q(-1), d, memo)
+        reach = Q(0)
+        for a, b in merged:
+            if a <= 0 <= b:
+                reach = b
+                break
+        best = reach if best is None or reach < best else best
+        if best == 0:
+            break
+    return best if best is not None else Q(0)
+
+
+# -- combinations across the largest gap --------------------------------
+
+
+def combo_core_intervals(lam, k1, k2) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
+    """The two closed intervals [lam*k2, lam] and
+    [lam*k2 + (1-lam)*k1, lam + (1-lam)*k1] that are guaranteed to lie in
+    (1-lam)*A + lam*B when A, B are the two sides of the gap (k1, k2) of
+    a unit-hull set of thickness >= 1.  They may touch or overlap."""
+    lamv, k1v, k2v = to_q(lam), to_q(k1), to_q(k2)
+    if not (0 < lamv < 1):
+        raise InputError("lambda must lie in (0, 1)")
+    if not (0 < k1v < k2v < 1):
+        raise InputError("need 0 < k1 < k2 < 1")
+    first = (lamv * k2v, lamv)
+    second = (lamv * k2v + (1 - lamv) * k1v, lamv + (1 - lamv) * k1v)
+    return first, second
+
+
+def verify_combo_containment(s: IfsSet1D, lam, depth: int) -> bool:
+    """Check that both guaranteed core intervals lie inside the depth-d
+    cover of (1-lam)*A + lam*B, where A and B are the parts of the set
+    left and right of its largest gap.  A necessary consequence of the
+    guaranteed containment, machine-checkable on covers."""
+    lamv = to_q(lam)
+    require_thickness_at_least_one(s)
+    if s.hull != (Q(0), Q(1)):
+        raise InputError("normalize the set to hull [0, 1] first")
+    left, right, k1, k2 = _split_branches(s)
+    merged = subtree_combo_cover(s, left, right, 1 - lamv, lamv, depth)
+    for tlo, thi in combo_core_intervals(lamv, k1, k2):
+        if not any(a <= tlo and thi <= b for a, b in merged):
+            return False
+    return True
+
+
+# -- cover membership ---------------------------------------------------
+
+
+def point_in_cover(s: IfsSet1D, x, depth: int) -> bool:
+    q = to_q(x)
+    return interval_in_cover(s, q, q, depth)
+
+
+def product_witness_in_cover(s: IfsSet1D, w: ProductWitness,
+                             depth: int) -> bool:
+    """Machine check: every coordinate enclosure of the witness meets the
+    depth-d cover of the set."""
+    for (x, y) in w.vertices:
+        for coord in (x, y):
+            if not interval_in_cover(s, coord.lo, coord.hi, depth):
+                return False
+    return True
+
+
+# -- k-term progressions ------------------------------------------------
+
+
+def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
+    """No-pruning oracle: enumerate every split k-tuple of depth-d cover
+    intervals directly and run the same exact feasibility test."""
+    norm, _ = normalize_to_unit(s)
+    gaps = norm.top_gaps()
+    y_min = min(g1 - g0 for g0, g1 in gaps) / (k - 1)
+    ints = cover(norm, depth).intervals
+    per_branch = len(ints) // len(norm.branches)
+    for combo in itertools.combinations_with_replacement(
+            range(len(ints)), k):
+        if combo[0] // per_branch == combo[-1] // per_branch:
+            continue  # not split at the first level
+        boxes = [ints[i] for i in combo]
+        if _tuple_y_range(boxes, y_min) is not None:
+            return FEASIBLE
+    return INFEASIBLE
+
+
+# -- balls --------------------------------------------------------------
+
+
+def disjoint_from(a: Ball, b: Ball) -> bool:
+    """Strict disjointness of the closed balls (touching counts as
+    intersecting), on their lattice forms over a common scale."""
+    s = math.lcm(common_denominator(a), common_denominator(b))
+    return lattice_disjoint(lattice_of(a, s), lattice_of(b, s), a.norm)
+
+
+def contains_point(ball: Ball, p: tuple[Q, ...]) -> bool:
+    if ball.norm == LINF:
+        return all(abs(a - b) <= ball.radius
+                   for a, b in zip(ball.center, p))
+    return sum((a - b) ** 2
+               for a, b in zip(ball.center, p)) <= ball.radius ** 2

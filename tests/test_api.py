@@ -1,0 +1,40 @@
+"""The public names of the package: every name ``thickset/__init__.py``
+imports resolves, and the reference oracles the tests use live in
+``tests/oracles.py``, not in the library."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import thickset
+
+MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
+           "product", "render", "scalars")
+ORACLES = ("merge_intervals", "self_combo_cover", "_unit_combo_cover",
+           "subtree_combo_cover", "verify_combo_containment",
+           "combo_core_intervals", "kap_bruteforce", "point_in_cover",
+           "product_witness_in_cover", "contains_point", "disjoint_from")
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse(Path(thickset.__file__).read_text())
+    return [alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_exports_resolve():
+    names = exported_names()
+    assert len(names) > 50
+    for name in names:
+        assert getattr(thickset, name) is not None, name
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracles_left_the_library(name):
+    assert not hasattr(thickset, name)
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"thickset.{module}"),
+                           name), module
+    assert not hasattr(thickset.Ball, name)

@@ -32,6 +32,8 @@ from thickset.balls import (
 from thickset.errors import InputError
 from thickset.scalars import Interval, interval_sqrt, sqrt3
 
+from oracles import contains_point, disjoint_from
+
 GAMMA = Q(99999, 100000)
 
 
@@ -75,15 +77,15 @@ class TestBallPredicates:
     def test_l2_touching_not_disjoint(self):
         a = Ball((Q(0), Q(0)), Q(1))
         b = Ball((Q(2), Q(0)), Q(1))
-        assert not a.disjoint_from(b)
-        assert a.disjoint_from(Ball((Q(2), Q(1, 100)), Q(1)))
+        assert not disjoint_from(a, b)
+        assert disjoint_from(a, Ball((Q(2), Q(1, 100)), Q(1)))
 
     def test_l2_exact_via_squares(self):
         # 3-4-5 triangle: distance 5 exactly
         a = Ball((Q(0), Q(0)), Q(2))
         b = Ball((Q(3), Q(4)), Q(3))
-        assert not a.disjoint_from(b)
-        assert a.disjoint_from(Ball((Q(3), Q(4)), Q(29, 10)))
+        assert not disjoint_from(a, b)
+        assert disjoint_from(a, Ball((Q(3), Q(4)), Q(29, 10)))
 
 
 class TestGridBuilder:
@@ -141,12 +143,12 @@ class TestHexBuilder:
         for j in (0, 1):
             for i, other in enumerate(kids):
                 if i != j:
-                    assert kids[j].disjoint_from(other)
+                    assert disjoint_from(kids[j], other)
 
     def test_gamma_one_designated_touch(self):
         sys = hex_packing_example(1)
         kids = sys.children(())
-        assert not kids[0].disjoint_from(kids[1])
+        assert not disjoint_from(kids[0], kids[1])
 
     def test_gamma_range(self):
         with pytest.raises(InputError):
@@ -170,7 +172,7 @@ def enumerated_ok(sys: BallSystem, depth: int) -> bool:
     g = sys.generator
     if isinstance(g, HexPacking) and g.gamma < 1:
         kids = sys.children(())
-        return all(kids[j].disjoint_from(other) for j in g.designated
+        return all(disjoint_from(kids[j], other) for j in g.designated
                    for i, other in enumerate(kids) if i != j)
     return True
 
@@ -414,7 +416,7 @@ class TestSampledSubsetSlack:
             dy = 2 * Q(rng.randint(0, 2**16), 2**16) - 1
             p = (child.center[0] + child.radius * dx,
                  child.center[1] + child.radius * dy)
-            if not child.contains_point(p):
+            if not contains_point(child, p):
                 continue
             b = greedy_near_ball(p)
             bound = 2 * h_upper(sys, ()).hi + b.radius
@@ -548,7 +550,7 @@ def subset_thickness_reference(sys: BallSystem, child_index: int,
         raise InputError("child index out of range")
     child = kids[child_index]
     i = next((i for i, other in enumerate(kids)
-              if i != child_index and not child.disjoint_from(other)), None)
+              if i != child_index and not disjoint_from(child, other)), None)
     if i is not None:
         raise InputError(f"designated child intersects sibling {i}")
 

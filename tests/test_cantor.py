@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from thickset.cantor import (
     IN_CERTIFIED,
@@ -20,17 +20,21 @@ from thickset.cantor import (
     ifs_from_branches,
     interval_in_cover,
     membership,
-    merge_intervals,
     middle_cantor,
     middle_thirds,
     newhouse_thickness,
     normalize_to_unit,
     off_center_cantor,
-    self_combo_cover,
     slides_into_gap,
-    subtree_combo_cover,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
+
+from oracles import (
+    combo_difference_interval,
+    merge_intervals,
+    self_combo_cover,
+    subtree_combo_cover,
+)
 
 
 class TestBuilders:
@@ -547,7 +551,40 @@ class TestComboCoverUpToScale:
         assert len(memo) == (depth + 1) ** 2
 
 
+@st.composite
+def difference_inputs(draw):
+    """A random 2- to 4-branch set on a random hull, reflected or not,
+    and a depth of at most 4."""
+    n = draw(st.integers(2, 4))
+    scales = draw(st.lists(st.integers(2, 9), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    total = sum(scales) + sum(gaps)
+    pairs, offset = [], Q(0)
+    for w, g in zip(scales, gaps + [0]):
+        pairs.append((Q(w, total), offset))
+        offset += Q(w + g, total)
+    a = Q(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    s = affine_image(ifs_from_branches(0, 1, pairs),
+                     a if draw(st.booleans()) else -a,
+                     Q(draw(st.integers(-4, 4)), 3))
+    return s, draw(st.integers(0, 4))
+
+
 class TestDifferenceInterval:
+    @settings(max_examples=80, deadline=None)
+    @given(difference_inputs())
+    @example((ifs_from_branches(0, 1, [(Q(2, 5), 0), (Q(1, 5), Q(9, 20)),
+                                       (Q(1, 3), Q(2, 3))]), 10))
+    def test_hull_width_is_the_covered_segment(self, case):
+        # the gap lemma's segment agrees with the one read off the
+        # merged covers of C - C at every depth
+        s, depth = case
+        try:
+            want = combo_difference_interval(s, depth)
+        except HypothesisError:
+            reject()
+        assert difference_interval(s, depth) == want == s.hull[1] - s.hull[0]
+
     def test_middle_thirds_full(self):
         assert difference_interval(middle_thirds(), 10) == 1
 

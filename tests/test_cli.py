@@ -247,6 +247,9 @@ class TestExitCodes:
          "hex_packing takes gamma: 'n, rho'"),
         ('{"kind":"off_center","a":"3/10","b":"1/10"}',
          "off_center takes a: 'b'"),
+        ('{"kind":"ifs1d","hull":["0","1"],"branches":[{"scale":"1/3",'
+         '"offset":"0","sclae":"1/2"},{"scale":"1/3","offset":"2/3"}]}',
+         "branch takes scale and offset: 'sclae'"),
     ])
     def test_unknown_json_key_one(self, tmp_path, capsys, desc, message):
         out = tmp_path / "c.json"

@@ -14,7 +14,6 @@ from thickset.cantor import (
     middle_cantor,
     middle_thirds,
     off_center_cantor,
-    point_in_cover,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.patterns1d import (
@@ -25,19 +24,23 @@ from thickset.patterns1d import (
     Piece,
     WitnessPoint,
     certified_descent,
-    combo_core_intervals,
     find_3ap,
     find_convex_combo,
     gap_lemma_check,
     hausdorff_lower_bound,
-    kap_bruteforce,
     kap_search,
     largest_gap,
     pieces_certified,
     shmerkin_4ap,
-    verify_combo_containment,
 )
 from thickset.scalars import Interval
+
+from oracles import (
+    combo_core_intervals,
+    kap_bruteforce,
+    point_in_cover,
+    verify_combo_containment,
+)
 
 
 class TestLargestGap:
@@ -236,7 +239,6 @@ class TestKapSearch:
         assert [p.enclosure.lo for p in exact.points] == \
             [Q(0), Q(1, 3), Q(2, 3), Q(1)]
         # the reported midpoints land inside the depth-6 cover
-        from thickset.cantor import point_in_cover
 
         y_mid = cert.y.mid
         x_mid = cert.x.mid
@@ -272,7 +274,6 @@ class TestKapSearch:
             if prev is not None:
                 # the midpoint progression stays inside the coarser boxes
                 y, x = cert.y.mid, cert.x.mid
-                from thickset.cantor import point_in_cover
 
                 for j in range(k):
                     assert point_in_cover(s, x + j * y, prev)

@@ -182,14 +182,21 @@ class TestVertexMaps:
         assert m.s_f.intersects(m.s_g)
         assert (m.s_f.square()).contains(Q(1, 2))
 
-    def test_angles(self):
-        e = equilateral()
-        m = vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
-        from thickset.scalars import interval_pi
+    def test_search_encloses_no_angle(self, monkeypatch):
+        # the maps act by their matrices; no rotation angle is needed
+        import thickset.scalars as scalars
 
-        # theta_f = atan(sqrt(3)) = pi/3; theta_g = pi - pi/3
-        assert (m.theta_f * 3).intersects(interval_pi())
-        assert (m.theta_g * Q(3, 2)).intersects(interval_pi())
+        calls = []
+        atan_bounds = scalars._atan_bounds
+
+        def counted(q, bits):
+            calls.append(q)
+            return atan_bounds(q, bits)
+
+        monkeypatch.setattr(scalars, "_atan_bounds", counted)
+        find_triangle_nd(hex_packing_example(GAMMA), equilateral(), HEX_R,
+                         depth=3)
+        assert calls == []
 
     def test_degenerate_rejected(self):
         with pytest.raises(InputError):

@@ -12,15 +12,17 @@ from thickset.cantor import (
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.product import (
+    NormalizedTriangle,
     Triangle,
     difference_hit,
     equilateral,
     equilateral_triangle,
     find_triangle_in_product,
     normalize_triangle,
-    product_witness_in_cover,
 )
 from thickset.scalars import Interval, interval_sqrt, sqrt3
+
+from oracles import product_witness_in_cover
 
 
 class TestNormalizeTriangle:
@@ -178,6 +180,13 @@ class TestFindTriangleInProduct:
 
 # sha256 of repr(result) recorded before the difference descent carried
 # word maps, on the line benchmark's kinds of input at depths 20-40
+def wide_alpha(lo, hi) -> NormalizedTriangle:
+    """A height enclosure reaching past 1, which ``region_ok`` admits
+    because it bounds only the lower end of the apex reach."""
+    return NormalizedTriangle(alpha=Interval(lo, hi),
+                              lam=Interval.point(Q(1, 2)), lam_exact=Q(1, 2))
+
+
 HIT_PINS = [
     (lambda: difference_hit(middle_cantor(Q(17, 64)), Q(9, 16), 20),
      "e92ddec25b24359e481af4a535edc1e5a72bf59125c803bee251d6462ca57518"),
@@ -214,6 +223,15 @@ HIT_PINS = [
     (lambda: difference_hit(middle_thirds(),
                             Interval(Q(2, 5), Q(2, 5) + Q(1, 2**40)), 24),
      "2ef32c1904ed350f0c16ee5ab393b7d7744ec7528a0826863ab7b103156eb8f6"),
+    # apex heights above 1, the only inputs that shrink the base into a
+    # subtree, recorded while the scale cap still read the difference
+    # segment off merged covers
+    (lambda: find_triangle_in_product(
+        middle_thirds(), wide_alpha(Q(1, 2), Q(3, 2)), 2),
+     "fa0ea492304bc0867f564ab8ca4927c7902e45ecc2a95110d637e555318860fe"),
+    (lambda: find_triangle_in_product(
+        off_center_cantor(Q(37, 128)), wide_alpha(Q(4, 5), Q(101, 100)), 2),
+     "d2feb4f494ee72fe5646065fb65b711c2fea9620c69de360786fd8baef07ab5e"),
 ]
 
 
@@ -221,6 +239,11 @@ class TestDifferenceDescent:
     @pytest.mark.parametrize("call, digest", HIT_PINS)
     def test_pinned_results(self, call, digest):
         assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest
+
+    def test_wide_alpha_dead_end(self):
+        with pytest.raises(Indeterminate, match="exhausted"):
+            find_triangle_in_product(middle_thirds(),
+                                     wide_alpha(Q(1, 2), Q(3, 2)), 3)
 
     @pytest.mark.parametrize("budget, passes", [(50, True), (49, False)])
     def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
