@@ -2,14 +2,22 @@
 systems, with exact covers, gap enumeration, Newhouse thickness, membership
 queries, gap queries, and the difference segment of a thick set.
 
-All geometry is exact: hull endpoints, branch maps, cover intervals, and
-gap endpoints are rationals, so thickness values are exact rationals rather
-than approximations.
+All geometry is exact.  Each set has one integer form, computed once: the
+hull endpoints are numerators over E, the lcm of their denominators, and
+each branch image's position relative to the hull is a pair of numerators
+over D, the lcm of those denominators.  A depth-k word image is then a
+pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
+[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Covers, gaps, membership, gap queries
+and the line descents walk these integers; a query's rationals are put over
+one denominator with the hull first.  ``Fraction``s are built only for what
+is reported (cover intervals, gap records, word intervals), so thickness
+values are exact rationals rather than approximations.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import os
 from dataclasses import dataclass
 
@@ -85,6 +93,44 @@ class AffineMap:
 IDENTITY = AffineMap(Q(1), Q(0))
 
 
+@dataclass(frozen=True, slots=True)
+class WordForm:
+    """Branch images relative to a parent image, as numerators over
+    ``den``: the child i of an image with numerators [lo, hi] over N has
+    numerators ``[lo*den + (hi-lo)*a, lo*den + (hi-lo)*b]`` over
+    ``N*den``, (a, b) = ``rel[i]``, and ``gaps`` are the relative gaps
+    between consecutive children."""
+
+    den: int
+    rel: tuple[tuple[int, int], ...]
+    gaps: tuple[tuple[int, int], ...]
+
+    def children(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        w, base = hi - lo, lo * self.den
+        return [(base + w * a, base + w * b) for a, b in self.rel]
+
+    def walk(self, lo: int, hi: int, word) -> tuple[int, int]:
+        """The image of ``word`` below the image [lo, hi]."""
+        den, rel = self.den, self.rel
+        for i in word:
+            a, b = rel[i]
+            lo, hi = lo * den + (hi - lo) * a, lo * den + (hi - lo) * b
+        return lo, hi
+
+    def over(self, den: int) -> "WordForm":
+        """The same form over ``den``, a multiple of ``self.den``."""
+        f = den // self.den
+        return WordForm(den, tuple((a * f, b * f) for a, b in self.rel),
+                        tuple((a * f, b * f) for a, b in self.gaps))
+
+    def mirrored(self) -> "WordForm":
+        """The form of the reflected images, branch order kept: child i
+        of a reflected image is the reflection of child i."""
+        d = self.den
+        return WordForm(d, tuple((d - b, d - a) for a, b in self.rel),
+                        tuple((d - b, d - a) for a, b in self.gaps))
+
+
 @dataclass(frozen=True)
 class IfsSet1D:
     """Attractor of finitely many orientation-preserving contractions on a
@@ -94,6 +140,11 @@ class IfsSet1D:
     consecutive images, the leftmost image shares the hull's left endpoint
     and the rightmost shares the right endpoint, so the convex hull of the
     attractor is exactly ``hull``.
+
+    The integer form is computed once: ``hull_num`` holds the hull's
+    numerators over ``hull_den``, and ``form`` the branch images relative
+    to the hull, so a depth-k word image has numerators over
+    ``hull_den * form.den**k``.
     """
 
     hull: tuple[Q, Q]
@@ -120,6 +171,15 @@ class IfsSet1D:
         if images[0][0] != lo or images[-1][1] != hi:
             raise InputError("extreme branch images must share the hull "
                              "endpoints")
+        e = math.lcm(lo.denominator, hi.denominator)
+        rel = [((a - lo) / (hi - lo), (b - lo) / (hi - lo))
+               for a, b in images]
+        d = math.lcm(*(q.denominator for pair in rel for q in pair))
+        rel = tuple((_over(a, d), _over(b, d)) for a, b in rel)
+        object.__setattr__(self, "hull_den", e)
+        object.__setattr__(self, "hull_num", (_over(lo, e), _over(hi, e)))
+        object.__setattr__(self, "form", WordForm(d, rel, tuple(
+            (b, a) for (_, b), (a, _) in zip(rel, rel[1:]))))
 
     # -- basic structure ------------------------------------------------
 
@@ -135,14 +195,23 @@ class IfsSet1D:
         imgs = self.branch_images()
         return [(a1, b0) for (a0, a1), (b0, b1) in zip(imgs, imgs[1:])]
 
-    def word_map(self, word: tuple[int, ...]) -> AffineMap:
-        m = IDENTITY
-        for i in word:
-            m = m.compose(self.branches[i])
-        return m
-
     def word_interval(self, word: tuple[int, ...]) -> tuple[Q, Q]:
-        return self.word_map(word).apply_interval(*self.hull)
+        lo, hi = self.form.walk(*self.hull_num, word)
+        scale = self.hull_den * self.form.den ** len(word)
+        return Q(lo, scale), Q(hi, scale)
+
+
+def _over(q: Q, den: int) -> int:
+    """The numerator of q over ``den``, a multiple of its denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _lift(s: IfsSet1D, *qs) -> tuple[int, int, list[int]]:
+    """The hull of ``s`` and the rationals ``qs`` as numerators over one
+    denominator, a multiple of ``hull_den``: (lo, hi, [q...])."""
+    c = math.lcm(s.hull_den, *(q.denominator for q in qs))
+    f = c // s.hull_den
+    return s.hull_num[0] * f, s.hull_num[1] * f, [_over(q, c) for q in qs]
 
 
 # -- builders ----------------------------------------------------------
@@ -222,18 +291,12 @@ class Cover1D:
 def cover(s: IfsSet1D, depth: int) -> Cover1D:
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    lo, hi = s.hull
-    out: list[tuple[Q, Q]] = []
-
-    def rec(m: AffineMap, d: int):
-        if d == 0:
-            out.append(m.apply_interval(lo, hi))
-            return
-        for b in s.branches:
-            rec(m.compose(b), d - 1)
-
-    rec(IDENTITY, depth)
-    return Cover1D(depth, tuple(out))
+    level = [s.hull_num]
+    for _ in range(depth):
+        level = [kid for lo, hi in level for kid in s.form.children(lo, hi)]
+    scale = s.hull_den * s.form.den ** depth
+    return Cover1D(depth, tuple((Q(lo, scale), Q(hi, scale))
+                                for lo, hi in level))
 
 
 def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
@@ -241,13 +304,16 @@ def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
     by branch descent (no cover materialization)."""
     if not (s.hull[0] <= lo and hi <= s.hull[1]):
         return False
-    m = IDENTITY
+    h_lo, h_hi, (y0, y1) = _lift(s, lo, hi)
+    # offsets from the current image's left end, and its width
+    y0, y1, w = y0 - h_lo, y1 - h_lo, h_hi - h_lo
+    den, rel = s.form.den, s.form.rel
     for _ in range(depth):
-        for b in s.branches:
-            nm = m.compose(b)
-            c_lo, c_hi = nm.apply_interval(*s.hull)
-            if c_lo <= lo and hi <= c_hi:
-                m = nm
+        y0, y1 = y0 * den, y1 * den
+        for a, b in rel:
+            c_lo = w * a
+            if c_lo <= y0 and y1 <= w * b:
+                y0, y1, w = y0 - c_lo, y1 - c_lo, w * (b - a)
                 break
         else:
             return False
@@ -269,10 +335,15 @@ class GapRecord:
 
     @property
     def ratio(self) -> Q:
-        g = self.gap[1] - self.gap[0]
-        left = self.left_bridge[1] - self.left_bridge[0]
-        right = self.right_bridge[1] - self.right_bridge[0]
-        return min(left, right) / g
+        return Q(*_bridge_and_gap(self))
+
+
+def _bridge_and_gap(r: GapRecord) -> tuple:
+    """The shorter bridge's length and the gap's, whose quotient is the
+    ratio; numerators when the record holds numerators."""
+    left = r.left_bridge[1] - r.left_bridge[0]
+    right = r.right_bridge[1] - r.right_bridge[0]
+    return min(left, right), r.gap[1] - r.gap[0]
 
 
 STABILIZED = "stabilized"
@@ -291,26 +362,34 @@ class ThicknessReport:
 
 def enumerate_gaps(s: IfsSet1D, max_depth: int) -> list[tuple[Q, Q, int]]:
     """All gaps created at depths 1..max_depth as (lo, hi, depth)."""
-    gaps: list[tuple[Q, Q, int]] = []
-    top = s.top_gaps()
+    scales = [s.hull_den * s.form.den ** d
+              for d in range(max(max_depth, 1) + 1)]
+    return [(Q(lo, scales[d]), Q(hi, scales[d]), d)
+            for lo, hi, d in _gap_numerators(s, max_depth)]
 
-    def rec(m: AffineMap, d: int):
-        for glo, ghi in top:
-            gaps.append((m(glo), m(ghi), d + 1))
-        if d + 1 >= max_depth:
-            return
-        for b in s.branches:
-            rec(m.compose(b), d + 1)
 
-    rec(IDENTITY, 0)
+def _gap_numerators(s: IfsSet1D, max_depth: int
+                    ) -> list[tuple[int, int, int]]:
+    """``enumerate_gaps`` in the same order, a gap created at depth d as
+    numerators over hull_den * den**d."""
+    gaps: list[tuple[int, int, int]] = []
+    form = s.form
+    stack = [(*s.hull_num, 1)]  # an image and the depth of its gaps
+    while stack:
+        lo, hi, d = stack.pop()
+        w, base = hi - lo, lo * form.den
+        gaps.extend((base + w * a, base + w * b, d) for a, b in form.gaps)
+        if d < max_depth:
+            stack.extend((c_lo, c_hi, d + 1) for c_lo, c_hi
+                         in reversed(form.children(lo, hi)))
     return gaps
 
 
-def _ordered_removal(s: IfsSet1D, gaps: list[tuple[Q, Q, int]]
-                     ) -> list[GapRecord]:
+def _ordered_removal(hull: tuple, gaps: list[tuple]) -> list[GapRecord]:
     """Simulate removal in decreasing length (ties by left endpoint) and
-    record the bridges flanking each gap at its removal step."""
-    hull_lo, hull_hi = s.hull
+    record the bridges flanking each gap at its removal step.  The hull
+    and the gaps are rationals, or numerators over one denominator."""
+    hull_lo, hull_hi = hull
     order = sorted(gaps, key=lambda g: (g[0] - g[1], g[0]))
     removed_rights: list[Q] = []  # right endpoints of removed gaps
     removed_lefts: list[Q] = []   # left endpoints of removed gaps
@@ -373,11 +452,24 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
         raise InputError("max_depth must be at least 2")
     if len(s.branches) == 1:
         raise InputError("set with a single branch has no gaps")
-    records = _ordered_removal(s, enumerate_gaps(s, gap_depth(s)))
+    depth = gap_depth(s)
+    # every gap over the denominator of the deepest ones, ratios compared
+    # by cross-multiplying
+    up = [s.form.den ** (depth - d) for d in range(depth + 1)]
+    records = _ordered_removal(
+        tuple(h * up[0] for h in s.hull_num),
+        [(lo * up[d], hi * up[d], d)
+         for lo, hi, d in _gap_numerators(s, depth)])
     witness = records[0]  # keep the earliest-removed gap on ratio ties
+    w_bridge, w_gap = _bridge_and_gap(witness)
     for r in records[1:]:
-        if r.ratio < witness.ratio:
-            witness = r
+        bridge, gap = _bridge_and_gap(r)
+        if bridge * w_gap < w_bridge * gap:
+            witness, w_bridge, w_gap = r, bridge, gap
+    scale = s.hull_den * up[0]
+    witness = GapRecord(*(tuple(Q(v, scale) for v in pair) for pair in
+                          (witness.gap, witness.left_bridge,
+                           witness.right_bridge)), witness.creation_depth)
     return ThicknessReport(witness.ratio, STABILIZED, witness, max_depth)
 
 
@@ -415,18 +507,22 @@ def membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
     lo, hi = s.hull
     if q < lo or q > hi:
         return MembershipResult(OUT, 0)
-    m = IDENTITY
+    h_lo, h_hi, (y,) = _lift(s, q)
+    # the point's offset from the current image's left end, and its width
+    y, w = y - h_lo, h_hi - h_lo
+    den, rel = s.form.den, s.form.rel
     for d in range(depth + 1):
-        cur_lo, cur_hi = m.apply_interval(lo, hi)
-        if q == cur_lo or q == cur_hi:
+        if y == 0 or y == w:
             return MembershipResult(IN_CERTIFIED, d)
         if d == depth:
             break
-        for b in s.branches:
-            nm = m.compose(b)
-            c_lo, c_hi = nm.apply_interval(lo, hi)
-            if c_lo <= q <= c_hi:
-                m = nm
+        y *= den
+        for a, b in rel:
+            c_lo = w * a
+            if y < c_lo:
+                return MembershipResult(OUT, d + 1)
+            if y <= w * b:
+                y, w = y - c_lo, w * (b - a)
                 break
         else:
             return MembershipResult(OUT, d + 1)
@@ -443,31 +539,36 @@ def certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
     returns False when neither a certificate nor a refutation appears
     within ``max_steps``.
     """
-    q = to_q(x)
-    lo, hi = s.hull
-    rel = (q - lo) / (hi - lo)
+    h_lo, h_hi, (y,) = _lift(s, to_q(x))
+    # the position as p/q in lowest terms
+    p, q = y - h_lo, h_hi - h_lo
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    den, rel = s.form.den, s.form.rel
     seen = set()
     for _ in range(max_steps):
-        if rel == 0 or rel == 1:
+        if p == 0 or p == q:
             return True  # hull endpoint of the current subtree
-        if rel in seen:
+        if (p, q) in seen:
             return True  # periodic descent
-        seen.add(rel)
-        pos = lo + rel * (hi - lo)
-        for b in s.branches:
-            c_lo, c_hi = b.apply_interval(lo, hi)
-            if c_lo <= pos <= c_hi:
-                rel = (pos - c_lo) / (c_hi - c_lo)
+        seen.add((p, q))
+        pd = p * den
+        for a, b in rel:
+            if a * q <= pd <= b * q:
+                p, q = pd - a * q, (b - a) * q
+                g = math.gcd(p, q)
+                p, q = p // g, q // g
                 break
         else:
             return False  # lies in a gap
     return False
 
 
-def slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
+def slides_into_gap(s: IfsSet1D, word: tuple[int, ...], lo: Q, hi: Q,
                     t0: Q = 0, t1: Q = 0) -> bool:
     """Whether [lo + t, hi + t], for some t in [t0, t1], lies strictly
-    inside a bounded gap of the subtree with word map ``m``.
+    inside a bounded gap of the subtree of ``word`` (``()`` for the whole
+    set).
 
     The translates sweep from [lo + t0, hi + t0] to [lo + t1, hi + t1].
     An interval holds one exactly when it is at least hi - lo long,
@@ -485,35 +586,46 @@ def slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
     """
     if lo >= hi or t0 > t1:
         raise InputError("a gap query needs lo < hi and t0 <= t1")
-    # zero slides are not added, so a point query costs what the greedy
-    # descent alone costs
-    first_lo, first_hi = (lo + t0, hi + t0) if t0 else (lo, hi)
-    last_lo, last_hi = (lo + t1, hi + t1) if t1 else (lo, hi)
-    h_lo, h_hi = s.hull
-    c_lo, c_hi = m.apply_interval(h_lo, h_hi)
+    c_lo, c_hi, (lo, hi, t0, t1) = _lift(s, *map(to_q, (lo, hi, t0, t1)))
+    c_lo, c_hi = s.form.walk(c_lo, c_hi, word)
+    f = s.form.den ** len(word)  # the query over the word's denominator
+    return gap_holds_translate(s.form, c_lo, c_hi, (lo + t0) * f,
+                               (lo + t1) * f, (hi - lo) * f)
+
+
+def gap_holds_translate(form: WordForm, c_lo: int, c_hi: int,
+                        first: int, last: int, width: int) -> bool:
+    """``slides_into_gap`` on integers: the subtree image [c_lo, c_hi] of
+    ``form``, and translates of length ``width`` starting from ``first``
+    to ``last``, all numerators over one denominator."""
     # the start's width goes unchecked: below a start narrower than
-    # hi - lo, no child passes the tests in the loop
-    if not (c_lo <= last_lo and c_hi >= first_hi):
+    # width, no child passes the tests in the loop
+    if not (c_lo <= last and c_hi >= first + width):
         return False
-    stack = [m]
+    den, rel, gaps = form.den, form.rel, form.gaps
+    stack = [(c_lo, c_hi, first, last, width)]
     while stack:
-        m = stack.pop()
+        lo, hi, first, last, width = stack.pop()
+        # the children's level
+        first, last, width = first * den, last * den, width * den
+        w, base = hi - lo, lo * den
         kids = []
-        for b in s.branches:
-            c = m.compose(b)
-            c_lo, c_hi = c.apply_interval(h_lo, h_hi)
-            if c_lo <= first_lo and last_hi <= c_hi:
-                stack.append(c)
+        for a, b in rel:
+            c_lo, c_hi = base + w * a, base + w * b
+            if c_lo <= first and last + width <= c_hi:
+                stack.append((c_lo, c_hi, first, last, width))
                 break
-            kids.append((c, c_lo, c_hi))
+            kids.append((c_lo, c_hi))
         else:
-            for g0, g1 in s.top_gaps():
-                glo, ghi = m(g0), m(g1)
-                if glo < last_lo and ghi > first_hi and ghi - glo >= hi - lo:
+            for a, b in gaps:
+                g_lo, g_hi = base + w * a, base + w * b
+                if g_lo < last and g_hi > first + width \
+                        and g_hi - g_lo >= width:
                     return True
-            stack.extend(c for c, c_lo, c_hi in kids
-                         if c_lo <= last_lo and c_hi >= first_hi
-                         and c_hi - c_lo >= hi - lo)
+            stack.extend((c_lo, c_hi, first, last, width)
+                         for c_lo, c_hi in kids
+                         if c_lo <= last and c_hi >= first + width
+                         and c_hi - c_lo >= width)
     return False
 
 
@@ -532,7 +644,7 @@ def difference_interval(s: IfsSet1D, max_depth: int = 10) -> Q:
     and nothing in that cover lies beyond w, the hull width.
     ``max_depth`` is validated but does not change the value, as with
     ``newhouse_thickness``."""
-    require_thickness_at_least_one(s)
     if max_depth < 0:
         raise InputError("max_depth must be nonnegative")
+    require_thickness_at_least_one(s)
     return s.hull[1] - s.hull[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys as _sys
 import time
 from fractions import Fraction
@@ -109,28 +110,49 @@ def parse_description(text: str) -> dict:
     return desc
 
 
+def _field(obj: dict, name: str, owner: str):
+    """``obj[name]``, or an InputError saying that ``owner`` lacks it."""
+    if name not in obj:
+        raise InputError(f"{owner} lacks {name}")
+    return obj[name]
+
+
+def _branches(desc: dict) -> list[tuple]:
+    """The (scale, offset) pairs of an ifs1d description; a branch that
+    is not a JSON object, lacks a field or has another is an
+    InputError naming its index."""
+    pairs = []
+    for i, b in enumerate(_field(desc, "branches", "ifs1d")):
+        if not isinstance(b, dict):
+            raise InputError(f"ifs1d branch {i} is not a JSON object")
+        _reject_unknown_fields("branch", b)
+        pairs.append(tuple(_field(b, name, f"ifs1d branch {i}")
+                           for name in FIELDS["branch"]))
+    return pairs
+
+
 def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
-    """The set or ball system a description names.  A field of the wrong
-    type or length, or a branch field other than scale and offset, is an
-    InputError, like any other bad description."""
+    """The set or ball system a description names.  A missing field, a
+    field of the wrong type or length, or a branch field other than
+    scale and offset, is an InputError, like any other bad
+    description."""
     kind = desc.get("kind")
     try:
         if kind == "middle_cantor":
-            return cantor.middle_cantor(to_q(desc["epsilon"]))
+            return cantor.middle_cantor(to_q(_field(desc, "epsilon", kind)))
         if kind == "off_center":
-            return cantor.off_center_cantor(to_q(desc["a"]))
+            return cantor.off_center_cantor(to_q(_field(desc, "a", kind)))
         if kind == "ifs1d":
-            for b in desc["branches"]:
-                _reject_unknown_fields("branch", b)
-            return cantor.ifs_from_branches(
-                desc["hull"][0], desc["hull"][1],
-                [(b["scale"], b["offset"]) for b in desc["branches"]])
+            branches = _branches(desc)
+            hull = _field(desc, "hull", kind)
+            return cantor.ifs_from_branches(hull[0], hull[1], branches)
         if kind == "grid_ifs":
-            return grid_ifs_example(int(desc["n"]), to_q(desc["rho"]),
-                                    to_q(desc["d"]),
+            return grid_ifs_example(int(_field(desc, "n", kind)),
+                                    to_q(_field(desc, "rho", kind)),
+                                    to_q(_field(desc, "d", kind)),
                                     int(desc.get("seed", 1)))
         if kind == "hex_packing":
-            return hex_packing_example(to_q(desc["gamma"]))
+            return hex_packing_example(to_q(_field(desc, "gamma", kind)))
     except (TypeError, IndexError) as e:
         raise InputError(f"malformed {kind!r} description: {e}") from e
     raise InputError(f"unknown description kind {kind!r}")
@@ -287,8 +309,15 @@ class Run:
             "outputs": [p for p, _ in self.artifacts],
             "wall_time_s": round(time.monotonic() - self.start, 6),
         }
-        Path(str(out) + ".manifest.json").write_text(
+        manifest_path(out).write_text(
             json.dumps(m, indent=2, sort_keys=True) + "\n")
+
+
+def manifest_path(out: str) -> Path:
+    """Where the manifest of ``--out out`` goes: the absolute, normalized
+    form of ``out`` with ``.manifest.json`` appended, so ``--out .`` run
+    in /work/runs writes /work/runs.manifest.json."""
+    return Path(os.path.abspath(out) + ".manifest.json")
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -13,15 +13,14 @@ split tuples of cover intervals, which is sound by self-similarity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cantor import (
-    IDENTITY,
-    AffineMap,
     IfsSet1D,
     certified_member,
     descend,
+    gap_holds_translate,
     interval_in_cover,
     membership,
     IN_CERTIFIED,
@@ -64,37 +63,64 @@ def _split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
 # -- certified piece descent --------------------------------------------
 
 
-@dataclass(frozen=True)
 class Piece:
     """An affine image mul*(C restricted to a branch word) + shift.
 
     The restriction of the attractor to any word image is an affine copy
     of the whole attractor, so a piece carries full structural knowledge:
     exact hull, children, and gap queries all reduce to the base set.
-    The word's map is built from the word when not given; children get
-    theirs by one composition with their parent's.
+    The piece holds its hull in image coordinates as integer numerators
+    ``lo < hi`` over ``den``; its children follow by the child rule of
+    the base's integer form, mirrored when mul < 0 so that child i stays
+    the image of the base's child i.  ``hull`` and ``interval`` are
+    built as rationals only when asked for.
     """
 
-    base: IfsSet1D
-    word: tuple[int, ...]
-    mul: Q
-    shift: Q
-    map: Optional[AffineMap] = field(default=None, repr=False)
-    interval: tuple[Q, Q] = field(init=False, repr=False)  # in the base
-    hull: tuple[Q, Q] = field(init=False, repr=False)  # of the image
+    __slots__ = ("base", "word", "mul", "shift", "form", "lo", "hi", "den")
 
-    def __post_init__(self):
-        m = self.base.word_map(self.word) if self.map is None else self.map
-        lo, hi = m.apply_interval(*self.base.hull)
-        a, b = self.mul * lo + self.shift, self.mul * hi + self.shift
-        object.__setattr__(self, "map", m)
-        object.__setattr__(self, "interval", (lo, hi))
-        object.__setattr__(self, "hull", (a, b) if a <= b else (b, a))
+    def __init__(self, base: IfsSet1D, word: tuple[int, ...], mul: Q,
+                 shift: Q):
+        mul, shift = to_q(mul), to_q(shift)
+        self._place(base, tuple(word), mul, shift,
+                    _unit(base, mul, shift), base.form.den)
+
+    def _place(self, base, word, mul, shift, unit: int, den: int):
+        """Put the piece over ``unit * den**len(word)``: ``unit`` is a
+        multiple of ``_unit(base, mul, shift)`` and ``den`` one of the
+        base's form denominator."""
+        if mul == 0:
+            raise InputError("a piece needs a nonzero multiplier")
+        form = base.form.over(den)
+        alpha, beta = mul * unit / base.hull_den, shift * unit  # integers
+        a, b = (int(alpha * h + beta) for h in base.hull_num)
+        if mul < 0:
+            form, a, b = form.mirrored(), b, a
+        self.base, self.word, self.mul, self.shift = base, word, mul, shift
+        self.form, self.den = form, unit * den ** len(word)
+        self.lo, self.hi = form.walk(a, b, word)
+
+    def __repr__(self):
+        return (f"Piece(base={self.base!r}, word={self.word!r}, "
+                f"mul={self.mul!r}, shift={self.shift!r})")
+
+    @property
+    def hull(self) -> tuple[Q, Q]:  # of the image
+        return Q(self.lo, self.den), Q(self.hi, self.den)
+
+    @property
+    def interval(self) -> tuple[Q, Q]:  # in the base
+        a, b = ((v - self.shift) / self.mul for v in self.hull)
+        return (a, b) if a <= b else (b, a)
 
     def children(self) -> list["Piece"]:
-        return [Piece(self.base, self.word + (i,), self.mul, self.shift,
-                      self.map.compose(b))
-                for i, b in enumerate(self.base.branches)]
+        kids, den = [], self.den * self.form.den
+        for i, (lo, hi) in enumerate(self.form.children(self.lo, self.hi)):
+            p = object.__new__(Piece)
+            p.base, p.mul, p.shift, p.form = \
+                self.base, self.mul, self.shift, self.form
+            p.word, p.lo, p.hi, p.den = self.word + (i,), lo, hi, den
+            kids.append(p)
+        return kids
 
     def contains_set_point(self, x: Q) -> bool:
         """Certified membership of x in the piece's set (endpoint or
@@ -106,17 +132,42 @@ class Piece:
         return certified_member(self.base, back)
 
 
-def _slides_into_piece_gap(lo: Q, hi: Q, p: Piece, t0: Q, t1: Q) -> bool:
-    """Whether [lo + t, hi + t], for some t in [t0, t1], lies inside a
-    bounded gap of the piece's set."""
-    if p.mul > 0:
-        blo, bhi = (lo - p.shift) / p.mul, (hi - p.shift) / p.mul
-    else:
-        blo, bhi = (hi - p.shift) / p.mul, (lo - p.shift) / p.mul
-        t0, t1 = t1, t0
-    if t0 or t1:  # a zero slide needs no division
-        t0, t1 = t0 / p.mul, t1 / p.mul
-    return slides_into_gap(p.base, p.map, blo, bhi, t0, t1)
+def _unit(base: IfsSet1D, mul: Q, shift: Q) -> int:
+    """The least unit over which mul/hull_den and shift are integers, so
+    that the piece's hull ends are integers over unit * den**k."""
+    return math.lcm((mul / base.hull_den).denominator, shift.denominator)
+
+
+def _aligned(pieces: list[Piece], slide: Q) -> list[Piece]:
+    """The pieces over one denominator, a multiple of the slide's: one
+    unit and one form denominator for all, and the shallower pieces
+    lifted to the deepest one's level."""
+    unit = math.lcm(slide.denominator,
+                    *(_unit(p.base, p.mul, p.shift) for p in pieces))
+    den = math.lcm(*(p.base.form.den for p in pieces))
+    out = []
+    for p in pieces:
+        q = object.__new__(Piece)
+        q._place(p.base, p.word, p.mul, p.shift, unit, den)
+        out.append(q)
+    top = max(p.den for p in out)
+    for p in out:
+        f = top // p.den
+        p.lo, p.hi, p.den = p.lo * f, p.hi * f, top
+    return out
+
+
+def _certified(x: Piece, y: Piece, slide: Q) -> bool:
+    """``pieces_certified`` on pieces over one denominator, a multiple
+    of the slide's."""
+    sl = slide.numerator * (x.den // slide.denominator)
+    if x.hi < y.lo or y.hi - sl < x.lo:
+        return False
+    if gap_holds_translate(x.form, x.lo, x.hi, y.lo - sl, y.lo,
+                           y.hi - y.lo):
+        return False
+    return not gap_holds_translate(y.form, y.lo, y.hi, x.lo, x.lo + sl,
+                                   x.hi - x.lo)
 
 
 def pieces_certified(x: Piece, y: Piece, slide: Q = 0) -> bool:
@@ -125,15 +176,8 @@ def pieces_certified(x: Piece, y: Piece, slide: Q = 0) -> bool:
     gap of the other.  Together with thickness product >= 1 (checked
     once per search) this certifies the sets intersect at every
     placement."""
-    xlo, xhi = x.hull
-    ylo, yhi = y.hull
-    if xhi < ylo or yhi - slide < xlo:
-        return False
-    if _slides_into_piece_gap(ylo, yhi, x, -slide, 0):
-        return False
-    if _slides_into_piece_gap(xlo, xhi, y, 0, slide):
-        return False
-    return True
+    slide = to_q(slide)
+    return _certified(*_aligned([x, y], slide), slide)
 
 
 def certified_descent(xs: list[Piece], ys: list[Piece], depth: int,
@@ -142,17 +186,21 @@ def certified_descent(xs: list[Piece], ys: list[Piece], depth: int,
     placement of y in y - [0, slide], refined level by level.  A
     certified pair's sets intersect, and any intersection point lies in
     some child pair, which is then itself certified, so ``descend``
-    commits to the leftmost one at every level."""
+    commits to the leftmost one at every level.  All pieces are put over
+    one denominator first, so the pair tests compare integers."""
+    slide = to_q(slide)
+    levels = max(depth - len(xs[0].word), 0)
+    tops = _aligned(xs + ys, slide)
+    xs, ys = tops[:len(xs)], tops[len(xs):]
 
     def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
         return sorted(((px, py) for px in xs for py in ys),
-                      key=lambda t: (t[0].hull[0], t[1].hull[0]))
+                      key=lambda t: (t[0].lo, t[1].lo))
 
     return descend(pairs(xs, ys),
                    lambda px, py: pairs(px.children(), py.children()),
-                   lambda px, py: pieces_certified(px, py, slide),
-                   max(depth - len(xs[0].word), 0),
-                   "certified descent", backtrack=False)
+                   lambda px, py: _certified(px, py, slide),
+                   levels, "certified descent", backtrack=False)
 
 
 # -- convex-combination witnesses ----------------------------------------
@@ -422,14 +470,9 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         raise InputError("depth must be at least 1")
     norm, back = normalize_to_unit(s)
     n = len(norm.branches)
-    den = math.lcm(*(q.denominator for b in norm.branches
-                     for q in (b.scale, b.offset)))
-
-    def scaled(q: Q) -> int:
-        return q.numerator * (den // q.denominator)  # exact: den is a multiple
-
-    images = [(scaled(b.offset), scaled(b.offset + b.scale))
-              for b in norm.branches]
+    # on the unit hull, the integer form's relative images are the
+    # branch images
+    den, images = norm.form.den, norm.form.rel
     g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(images, images[1:]))
     explored = math.comb(n + k - 1, k) - n
     if (k - 1) * g_min > den:
@@ -570,8 +613,8 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
     hull_ok = h1[0] <= h2[1] and h2[0] <= h1[1]
     inter_ok = False
     if hull_ok:
-        inter_ok = not (slides_into_gap(c1, IDENTITY, *h2)
-                        or slides_into_gap(c2, IDENTITY, *h1))
+        inter_ok = not (slides_into_gap(c1, (), *h2)
+                        or slides_into_gap(c2, (), *h1))
 
     tau1 = newhouse_thickness(c1, thickness_depth).value
     tau2 = newhouse_thickness(c2, thickness_depth).value

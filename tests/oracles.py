@@ -3,8 +3,10 @@
 These are brute-force or cover-based computations that no library path
 needs: merged combination covers and the difference segment read off
 them, containment checks on covers, an unpruned k-term progression
-search, and two ball predicates.  The file is not collected; the tests
-import it by name.
+search, two ball predicates, and the line's word geometry computed by
+composing affine maps in rationals, as the library did before it moved
+to integer numerators.  The file is not collected; the tests import it
+by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from thickset.balls import (
     lattice_of,
 )
 from thickset.cantor import (
+    IDENTITY,
+    IN_CERTIFIED,
+    IN_COVER,
+    OUT,
+    AffineMap,
+    Cover1D,
     IfsSet1D,
+    MembershipResult,
     cover,
     interval_in_cover,
     normalize_to_unit,
@@ -35,6 +44,143 @@ from thickset.patterns1d import (
 )
 from thickset.product import ProductWitness
 from thickset.scalars import Q, to_q
+
+
+# -- word geometry through affine maps -----------------------------------
+
+
+def word_map(s: IfsSet1D, word: tuple[int, ...]) -> AffineMap:
+    m = IDENTITY
+    for i in word:
+        m = m.compose(s.branches[i])
+    return m
+
+
+def ref_cover(s: IfsSet1D, depth: int) -> Cover1D:
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    lo, hi = s.hull
+    out: list[tuple[Q, Q]] = []
+
+    def rec(m: AffineMap, d: int):
+        if d == 0:
+            out.append(m.apply_interval(lo, hi))
+            return
+        for b in s.branches:
+            rec(m.compose(b), d - 1)
+
+    rec(IDENTITY, depth)
+    return Cover1D(depth, tuple(out))
+
+
+def ref_interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
+    if not (s.hull[0] <= lo and hi <= s.hull[1]):
+        return False
+    m = IDENTITY
+    for _ in range(depth):
+        for b in s.branches:
+            nm = m.compose(b)
+            c_lo, c_hi = nm.apply_interval(*s.hull)
+            if c_lo <= lo and hi <= c_hi:
+                m = nm
+                break
+        else:
+            return False
+    return True
+
+
+def ref_enumerate_gaps(s: IfsSet1D, max_depth: int
+                       ) -> list[tuple[Q, Q, int]]:
+    gaps: list[tuple[Q, Q, int]] = []
+    top = s.top_gaps()
+
+    def rec(m: AffineMap, d: int):
+        for glo, ghi in top:
+            gaps.append((m(glo), m(ghi), d + 1))
+        if d + 1 >= max_depth:
+            return
+        for b in s.branches:
+            rec(m.compose(b), d + 1)
+
+    rec(IDENTITY, 0)
+    return gaps
+
+
+def ref_membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
+    q = to_q(x)
+    lo, hi = s.hull
+    if q < lo or q > hi:
+        return MembershipResult(OUT, 0)
+    m = IDENTITY
+    for d in range(depth + 1):
+        cur_lo, cur_hi = m.apply_interval(lo, hi)
+        if q == cur_lo or q == cur_hi:
+            return MembershipResult(IN_CERTIFIED, d)
+        if d == depth:
+            break
+        for b in s.branches:
+            nm = m.compose(b)
+            c_lo, c_hi = nm.apply_interval(lo, hi)
+            if c_lo <= q <= c_hi:
+                m = nm
+                break
+        else:
+            return MembershipResult(OUT, d + 1)
+    return MembershipResult(IN_COVER, depth)
+
+
+def ref_certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
+    q = to_q(x)
+    lo, hi = s.hull
+    rel = (q - lo) / (hi - lo)
+    seen = set()
+    for _ in range(max_steps):
+        if rel == 0 or rel == 1:
+            return True
+        if rel in seen:
+            return True
+        seen.add(rel)
+        pos = lo + rel * (hi - lo)
+        for b in s.branches:
+            c_lo, c_hi = b.apply_interval(lo, hi)
+            if c_lo <= pos <= c_hi:
+                rel = (pos - c_lo) / (c_hi - c_lo)
+                break
+        else:
+            return False
+    return False
+
+
+def ref_slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
+                        t0: Q = 0, t1: Q = 0) -> bool:
+    if lo >= hi or t0 > t1:
+        raise InputError("a gap query needs lo < hi and t0 <= t1")
+    first_lo, first_hi = (lo + t0, hi + t0) if t0 else (lo, hi)
+    last_lo, last_hi = (lo + t1, hi + t1) if t1 else (lo, hi)
+    h_lo, h_hi = s.hull
+    c_lo, c_hi = m.apply_interval(h_lo, h_hi)
+    if not (c_lo <= last_lo and c_hi >= first_hi):
+        return False
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        kids = []
+        for b in s.branches:
+            c = m.compose(b)
+            c_lo, c_hi = c.apply_interval(h_lo, h_hi)
+            if c_lo <= first_lo and last_hi <= c_hi:
+                stack.append(c)
+                break
+            kids.append((c, c_lo, c_hi))
+        else:
+            for g0, g1 in s.top_gaps():
+                glo, ghi = m(g0), m(g1)
+                if glo < last_lo and ghi > first_hi and ghi - glo >= hi - lo:
+                    return True
+            stack.extend(c for c, c_lo, c_hi in kids
+                         if c_lo <= last_lo and c_hi >= first_hi
+                         and c_hi - c_lo >= hi - lo)
+    return False
 
 
 # -- Minkowski combinations of covers -----------------------------------

@@ -11,6 +11,7 @@ from thickset.cantor import (
     STABILIZED,
     _ordered_removal,
     affine_image,
+    certified_member,
     cover,
     descend,
     difference_interval,
@@ -32,8 +33,15 @@ from thickset.errors import HypothesisError, Indeterminate, InputError
 from oracles import (
     combo_difference_interval,
     merge_intervals,
+    ref_certified_member,
+    ref_cover,
+    ref_enumerate_gaps,
+    ref_interval_in_cover,
+    ref_membership,
+    ref_slides_into_gap,
     self_combo_cover,
     subtree_combo_cover,
+    word_map,
 )
 
 
@@ -168,11 +176,11 @@ class TestThickness:
             s = middle_cantor(eps)
             gaps = enumerate_gaps(s, 5)
             rng = random.Random(9)
-            baseline = min(r.ratio for r in _ordered_removal(s, gaps))
+            baseline = min(r.ratio for r in _ordered_removal(s.hull, gaps))
             for _ in range(10):
                 shuffled = gaps[:]
                 rng.shuffle(shuffled)  # sort is stable; shuffle the ties
-                got = min(r.ratio for r in _ordered_removal(s, shuffled))
+                got = min(r.ratio for r in _ordered_removal(s.hull, shuffled))
                 assert got == baseline
 
 
@@ -219,7 +227,7 @@ class TestThicknessByProof:
         # the gaps to gap_depth(s) decide the value and the witness: two
         # more levels of gaps change neither
         depth = gap_depth(s)
-        records = _ordered_removal(s, enumerate_gaps(s, depth + 2))
+        records = _ordered_removal(s.hull, enumerate_gaps(s, depth + 2))
         best = min(r.ratio for r in records)
         witness = next(r for r in records if r.ratio == best)
         rep = newhouse_thickness(s)
@@ -274,12 +282,12 @@ class TestGaps:
 
     def test_gap_containing_interval(self):
         s = middle_thirds()
-        assert slides_into_gap(s, IDENTITY, Q(4, 10), Q(5, 10))
-        assert not slides_into_gap(s, IDENTITY, Q(1, 4), Q(1, 2))
-        assert slides_into_gap(s, IDENTITY, Q(1, 27) + Q(1, 200),
+        assert slides_into_gap(s, (), Q(4, 10), Q(5, 10))
+        assert not slides_into_gap(s, (), Q(1, 4), Q(1, 2))
+        assert slides_into_gap(s, (), Q(1, 27) + Q(1, 200),
                                Q(2, 27) - Q(1, 200))
-        # the subtree at a word map only answers for its own gaps
-        assert not slides_into_gap(s, s.branches[1], Q(4, 10), Q(5, 10))
+        # the subtree of a word only answers for its own gaps
+        assert not slides_into_gap(s, (1,), Q(4, 10), Q(5, 10))
 
 
 def old_gap_containing(s, m, lo, hi):
@@ -326,15 +334,15 @@ def gap_queries(draw):
     weight = st.integers(1, 9)
     s = weighted(draw(st.lists(weight, min_size=n, max_size=n)),
                  draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
-    m = s.word_map(tuple(draw(st.lists(st.integers(0, n - 1),
-                                       max_size=2))))
+    word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=2)))
+    m = word_map(s, word)
     lo = Q(draw(st.integers(-8, 72)), 64)
     hi = lo + Q(draw(st.integers(1, 24)), 64)
     t0 = t1 = Q(0)
     if draw(st.booleans()):
         t0 = Q(draw(st.integers(-16, 16)), 64)
         t1 = t0 + Q(draw(st.integers(1, 16)), 64)
-    return s, m, m(lo), m(hi), m.scale * t0, m.scale * t1
+    return s, word, m, m(lo), m(hi), m.scale * t0, m.scale * t1
 
 
 class TestSlidesIntoGap:
@@ -342,19 +350,19 @@ class TestSlidesIntoGap:
     @given(gap_queries())
     # an equal-length gap straddled by the slide: no translate lies
     # strictly inside it, yet the window test counts it
-    @example((middle_thirds(), IDENTITY, Q(0), Q(1, 3), Q(1, 6), Q(1, 2)))
+    @example((middle_thirds(), (), IDENTITY, Q(0), Q(1, 3), Q(1, 6),
+              Q(1, 2)))
     def test_agrees_with_old_queries(self, case):
-        s, m, lo, hi, t0, t1 = case
-        got = slides_into_gap(s, m, lo, hi, t0, t1)
+        s, word, m, lo, hi, t0, t1 = case
+        got = slides_into_gap(s, word, lo, hi, t0, t1)
         assert got == old_window_test(s, m, lo, hi, t0, t1)
         if t0 == t1:
             assert got == old_gap_containing(s, m, lo + t0, hi + t0)
 
     def test_equal_length_straddle_counts(self):
         s = middle_thirds()
-        assert slides_into_gap(s, IDENTITY, Q(0), Q(1, 3), Q(1, 6), Q(1, 2))
-        assert not slides_into_gap(s, IDENTITY, Q(0), Q(1, 3), Q(1, 6),
-                                   Q(1, 3))
+        assert slides_into_gap(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 2))
+        assert not slides_into_gap(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 3))
 
     @pytest.mark.parametrize("lo, hi, t0, t1", [
         (Q(1, 2), Q(1, 2), 0, 0), (Q(1, 2), Q(1, 4), 0, 0),
@@ -363,7 +371,57 @@ class TestSlidesIntoGap:
         # a point query on a set point, or an inverted sweep, could
         # descend forever
         with pytest.raises(InputError, match="needs lo < hi and t0 <= t1"):
-            slides_into_gap(middle_thirds(), IDENTITY, lo, hi, t0, t1)
+            slides_into_gap(middle_thirds(), (), lo, hi, t0, t1)
+
+
+@st.composite
+def placed_sets(draw):
+    """A 2-4-branch presentation on a rational, non-unit hull, or an
+    affine image of one with a scale of either sign, plus a word of
+    length at most 3 and rationals on a grid finer than its branches."""
+    n = draw(st.integers(2, 4))
+    weight = st.integers(1, 9)
+    s = weighted(draw(st.lists(weight, min_size=n, max_size=n)),
+                 draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    a = Q(draw(st.integers(-9, 9).filter(lambda v: v not in (0, 1))),
+          draw(st.integers(1, 4)))
+    b = Q(draw(st.integers(-8, 8)), draw(st.integers(1, 8)))
+    s = affine_image(s, a, b)
+    word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    lo, hi = s.hull
+    grid = st.integers(-4, 392).map(lambda k: lo + (hi - lo) * Q(k, 388))
+    return s, word, draw(st.lists(grid, min_size=4, max_size=4))
+
+
+class TestAgainstAffineMaps:
+    """The integer-form functions against their rational references in
+    ``oracles``: equal Fractions, verdicts and depths."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(placed_sets())
+    def test_word_geometry_matches(self, case):
+        s, word, pts = case
+        m = word_map(s, word)
+        for depth in range(4):
+            assert cover(s, depth) == ref_cover(s, depth)
+        for depth in range(1, 4):
+            assert enumerate_gaps(s, depth) == ref_enumerate_gaps(s, depth)
+        c_lo, c_hi = m.apply_interval(*s.hull)
+        for x in pts + [c_lo, c_hi, (c_lo + c_hi) / 2]:
+            for depth in (0, 1, 5):
+                assert membership(s, x, depth) == ref_membership(s, x, depth)
+                assert interval_in_cover(s, x, x, depth) == \
+                    ref_interval_in_cover(s, x, x, depth)
+            assert certified_member(s, x, 40) == ref_certified_member(s, x, 40)
+        lo, hi = sorted(pts[:2])
+        t0, t1 = sorted(pts[2:])
+        t0, t1 = t0 - s.hull[0], t1 - s.hull[0]
+        if lo < hi:
+            assert interval_in_cover(s, lo, hi, 2) == \
+                ref_interval_in_cover(s, lo, hi, 2)
+            for a, b in ((t0, t0), (t0, t1), (-t1, -t0)):
+                assert slides_into_gap(s, word, lo, hi, a, b) == \
+                    ref_slides_into_gap(s, m, lo, hi, a, b)
 
 
 class TestCertifiedMember:
@@ -594,6 +652,12 @@ class TestDifferenceInterval:
     def test_thin_set_refused(self):
         with pytest.raises(HypothesisError):
             difference_interval(middle_cantor(Q(2, 5)), 4)
+
+    def test_negative_depth_checked_first(self):
+        # as in find_convex_combo and difference_hit, a bad depth is an
+        # input error even on a set that fails the hypothesis
+        with pytest.raises(InputError, match="max_depth must be nonnegative"):
+            difference_interval(middle_cantor(Q(1, 2)), -1)
 
 
 class TestNormalize:

@@ -220,12 +220,36 @@ class TestExitCodes:
     ])
     def test_plot_io_errors_one(self, tmp_path, monkeypatch, capsys, extra,
                                 out):
-        monkeypatch.chdir(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
         assert main(["plot", "--set", "middle_thirds", "--out", out]
                     + extra) == 1
         assert capsys.readouterr().err.startswith("input error: ")
-        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        # beside the absolute --out: "." names the working directory
+        want = {"p.svg": work / "p.svg.manifest.json",
+                ".": tmp_path / "work.manifest.json"}[out]
+        manifest = json.loads(want.read_text())
         assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("out, want", [
+        (".", "work.manifest.json"),
+        ("some/dir", "work/some/dir.manifest.json"),
+        ("some/dir/../dir/", "work/some/dir.manifest.json"),
+    ])
+    def test_directory_out_manifest_path(self, tmp_path, monkeypatch,
+                                         capsys, out, want):
+        # an --out naming a directory is an input error; the manifest goes
+        # beside the directory, named after it, and no hidden file is left
+        work = tmp_path / "work"
+        (work / "some" / "dir").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert main(["thickness", "--set", "middle_thirds",
+                     "--out", out]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / want).read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+        assert sorted(p.name for p in work.iterdir()) == ["some"]
 
     def test_unknown_grid_key_one(self, tmp_path, capsys):
         out = tmp_path / "w.json"
@@ -250,6 +274,16 @@ class TestExitCodes:
         ('{"kind":"ifs1d","hull":["0","1"],"branches":[{"scale":"1/3",'
          '"offset":"0","sclae":"1/2"},{"scale":"1/3","offset":"2/3"}]}',
          "branch takes scale and offset: 'sclae'"),
+        ('{"kind":"ifs1d","hull":["0","1"],"branches":[{"scale":"1/3"},'
+         '{"scale":"1/3","offset":"2/3"}]}', "ifs1d branch 0 lacks offset"),
+        ('{"kind":"ifs1d","hull":["0","1"],"branches":[{"scale":"1/3",'
+         '"offset":"0"},{"offset":"2/3"}]}', "ifs1d branch 1 lacks scale"),
+        ('{"kind":"ifs1d","hull":["0","1"]}', "ifs1d lacks branches"),
+        ('{"kind":"ifs1d","branches":[]}', "ifs1d lacks hull"),
+        ('{"kind":"ifs1d","hull":["0","1"],"branches":[["1/3","0"],'
+         '{"scale":"1/3","offset":"2/3"}]}',
+         "ifs1d branch 0 is not a JSON object"),
+        ('{"kind":"middle_cantor"}', "middle_cantor lacks epsilon"),
     ])
     def test_unknown_json_key_one(self, tmp_path, capsys, desc, message):
         out = tmp_path / "c.json"

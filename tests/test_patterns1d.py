@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from thickset import patterns1d
 from thickset.cantor import (
     IN_CERTIFIED,
     AffineMap,
@@ -40,6 +41,7 @@ from oracles import (
     kap_bruteforce,
     point_in_cover,
     verify_combo_containment,
+    word_map,
 )
 
 
@@ -519,7 +521,7 @@ def old_hull(p):
 def old_gap_containing(s, lo, hi, word):
     """The gap query as it was, descending from the word's map rebuilt
     from the identity."""
-    m = s.word_map(word)
+    m = word_map(s, word)
     cur_lo, cur_hi = m.apply_interval(*s.hull)
     if not (cur_lo <= lo and hi <= cur_hi):
         return None
@@ -628,7 +630,39 @@ def as_image(p):
     return Piece(affine_image(p.base, p.mul, p.shift), (), Q(1), Q(0))
 
 
+@st.composite
+def unmatched_pieces(draw):
+    """A piece of each of two random 2- or 3-branch presentations, whose
+    integer forms usually differ, at words of different lengths."""
+    def piece():
+        n = draw(st.integers(2, 3))
+        weight = st.integers(1, 9)
+        scales = draw(st.lists(weight, min_size=n, max_size=n))
+        gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+        total = sum(scales) + sum(gaps)
+        pairs, offset = [], Q(0)
+        for w, g in zip(scales, gaps + [0]):
+            pairs.append((Q(w, total), offset))
+            offset += Q(w + g, total)
+        s = ifs_from_branches(0, 1, pairs)
+        word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        lo, hi = s.word_interval(word)
+        mul = Q(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4)))
+        # placed so that the two hulls often overlap
+        at = Q(draw(st.integers(0, 8)), 8)
+        return Piece(s, word, mul / (hi - lo), at - mul * lo / (hi - lo))
+    return piece(), piece()
+
+
 class TestCertifiedDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(unmatched_pieces())
+    def test_pair_test_on_unmatched_pieces(self, case):
+        # pieces of different depths and of different sets are put over
+        # one denominator before their integers are compared
+        x, y = case
+        assert pieces_certified(x, y) == old_certified(x, y)
+
     @settings(max_examples=80, deadline=None)
     @given(sliding_pairs())
     def test_slide_depends_only_on_the_sets(self, case):
@@ -662,7 +696,6 @@ class TestCertifiedDescent:
             return
         assert (px.word, py.word) == want
         for p in (px, py):
-            assert p.map == p.base.word_map(p.word)
             assert p.interval == p.base.word_interval(p.word)
             assert p.hull == old_hull(p)
 
@@ -677,10 +710,9 @@ class TestCertifiedDescent:
         with pytest.raises(Indeterminate, match="certified descent exhausted"):
             certified_descent(xs, ys, 7)
 
-    def test_compose_calls_grow_linearly_in_depth(self, monkeypatch):
-        # machine-independent: rebuilding every map from the identity
-        # made the count grow with the square of the depth (about 4x
-        # from depth 100 to 200)
+    def test_line_paths_compose_no_maps(self, monkeypatch):
+        # machine-independent: the descents, membership and gap queries
+        # walk the sets' integer forms, never composing branch maps
         calls = [0]
         compose = AffineMap.compose
 
@@ -689,12 +721,29 @@ class TestCertifiedDescent:
             return compose(self, inner)
 
         monkeypatch.setattr(AffineMap, "compose", counted)
+        s = off_center_cantor(Q(3, 10))
+        find_3ap(affine_image(s, Q(-5, 4), Q(3, 8)), 60)
+        membership(s, Q(1, 4), 64)
+        gap_lemma_check(middle_thirds(), s)
+        assert calls[0] == 0
+
+    def test_pair_tests_grow_linearly_in_depth(self, monkeypatch):
+        # machine-independent: a search that revisited its levels, or
+        # backtracked, would make the count grow faster than the depth
+        calls = [0]
+        certified = patterns1d._certified
+
+        def counted(*args):
+            calls[0] += 1
+            return certified(*args)
+
+        monkeypatch.setattr(patterns1d, "_certified", counted)
         counts = []
         for depth in (100, 200):
             calls[0] = 0
             find_3ap(middle_thirds(), depth)
             counts.append(calls[0])
-        assert counts[1] <= Q(5, 2) * counts[0]
+        assert 0 < counts[1] <= Q(5, 2) * counts[0]
 
     @pytest.mark.parametrize("budget, passes", [(79, True), (78, False)])
     def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
