@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .cantor import (
     IfsSet1D,
@@ -24,6 +24,7 @@ from .cantor import (
     interval_in_cover,
     membership,
     IN_CERTIFIED,
+    ThicknessReport,
     newhouse_thickness,
     node_budget,
     normalize_to_unit,
@@ -284,12 +285,20 @@ def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
     witness is reflected back, mirroring how the guarantee extends to
     small lam.
     """
+    return _convex_combo(s, lam, depth, None)
+
+
+def _convex_combo(s: IfsSet1D, lam, depth: int,
+                  thickness: Optional[ThicknessReport]) -> Witness1D:
+    """``find_convex_combo``; a caller that has already certified the
+    set's thickness passes its report, and the check is not repeated."""
     lamv = to_q(lam)
     if not (0 < lamv < 1):
         raise InputError("lambda must lie in (0, 1)")
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    require_thickness_at_least_one(s)
+    if thickness is None:
+        require_thickness_at_least_one(s)
     norm, back = normalize_to_unit(s)
     if lamv >= Q(1, 2):
         w = _find_combo_unit(norm, lamv, depth)
@@ -378,14 +387,15 @@ def _tuple_y_range(boxes: list[tuple[Q, Q]], y_min: Q
 _NO_UPPER = (1, 0)
 
 
-def _ordered_extensions(kids: list[list[tuple[int, int]]],
-                        y_min: tuple[int, int],
-                        budget: Optional[int] = None
+def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
+                        k: int, y_min: tuple[int, int],
+                        budget: Optional[int] = None, first: bool = False
                         ) -> Optional[list[tuple[int, ...]]]:
     """Index tuples e, in lexicographic order, such that the boxes
-    kids[0][e[0]], ..., kids[k-1][e[k-1]] have nondecreasing left ends and
+    row(0)[e[0]], ..., row(k-1)[e[k-1]] have nondecreasing left ends and
     a nonempty pairwise y-range (as in ``_tuple_y_range``) at or above
-    ``y_min``.
+    ``y_min``; with ``first``, only the first of them.  Every row holds
+    the same number of boxes.
 
     Boxes are integers over one common denominator; y bounds are
     (numerator, step) pairs compared by cross-multiplication, so no
@@ -396,22 +406,31 @@ def _ordered_extensions(kids: list[list[tuple[int, int]]],
     over k.
 
     With a ``budget``, each prefix charges its pair checks (one per
-    earlier position) and the walk returns None once they pass it.
+    earlier position) and the walk returns None once they pass it.  A
+    prefix that ends at position m has then charged at least m(m+1)/2,
+    so the walk keeps state only for the positions up to
+    isqrt(2 * budget) + 1, however long k is.
     """
-    k = len(kids)
-    lefts, rights, chosen = [0] * k, [0] * k, [0] * k
-    bounds: list[tuple[int, int, int, int]] = [y_min + _NO_UPPER] * k
-    nxt = [0] * k
+    size = k if budget is None else \
+        min(k, math.isqrt(2 * max(budget, 0)) + 2)
+    lefts, rights, chosen = [0] * size, [0] * size, [0] * size
+    bounds: list[tuple[int, int, int, int]] = [y_min + _NO_UPPER] * size
+    nxt = [0] * size
     out = []
     checks = 0
     m = 0
-    while m >= 0:
+    kids = row(0)
+    n = len(kids)
+    while True:
         e = nxt[m]
-        if e == len(kids[m]):
+        if e == n:
             m -= 1
+            if m < 0:
+                return out
+            kids = row(m)
             continue
         nxt[m] = e + 1
-        a, b = kids[m][e]
+        a, b = kids[e]
         lo_n, lo_d, hi_n, hi_d = bounds[m]
         if m:
             if a < lefts[m - 1]:
@@ -435,11 +454,13 @@ def _ordered_extensions(kids: list[list[tuple[int, int]]],
         lefts[m], rights[m], chosen[m] = a, b, e
         if m == k - 1:
             out.append(tuple(chosen))
+            if first:
+                return out
         else:
             m += 1
+            kids = row(m)
             bounds[m] = (lo_n, lo_d, hi_n, hi_d)
             nxt[m] = 0
-    return out
 
 
 def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
@@ -454,11 +475,21 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
     Boxes at depth d are integers over den**d, den the lcm of the
     normalized branch denominators, and a child box comes from its
-    parent's without rebuilding a word map.  ``explored_nodes`` counts the
-    C(n+k-1, k) - n split tuples at depth 1 and n**k candidate extensions
-    of every live tuple below, however many prefix pruning visits; the
-    search stops with ``unknown`` before a fan would pass the node budget,
-    and at depth 1 once the pair checks of the tuple walk pass it.
+    parent's; a live tuple is its k boxes and nothing else.  On the last
+    level the walk below each tuple stops at its first surviving
+    extension.  The children of one tuple are sorted by left end at
+    every position, so their lexicographic index order is the order of
+    their left-end vectors, and that first survivor is the tuple's
+    smallest child; distinct tuples have distinct children, so the
+    smallest of these survivors is the smallest live tuple of the full
+    expansion, which is the witness.
+
+    ``explored_nodes`` counts the C(n+k-1, k) - n split tuples at depth 1
+    and the full fan of n**k candidate extensions of every live tuple
+    below, last level included, however many prefix pruning or the early
+    stop visits; the search stops with ``unknown`` before a fan would
+    pass the node budget, and at depth 1 once the pair checks of the
+    tuple walk pass it.
 
     When (k-1) * g_min > 1 the verdict is immediate: consecutive points
     on the two sides of a first-level gap force y >= g_min, while
@@ -478,44 +509,40 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     if (k - 1) * g_min > den:
         return KapCertificate(k, INFEASIBLE, 1, explored)
     budget = node_budget()
-    fan = n ** k
 
-    def children(boxes, words, d, walk_budget=None):
-        """Live children at depth d + 1 of a tuple at depth d, or None
-        when the tuple walk passes ``walk_budget``."""
-        kids = [[(lo * den + (hi - lo) * a, lo * den + (hi - lo) * b)
-                 for a, b in images] for lo, hi in boxes]
-        y_min = (g_min * den ** d, k - 1)
-        ext = _ordered_extensions(kids, y_min, walk_budget)
-        if ext is None:
-            return None
-        return [(tuple(kids[j][e[j]] for j in range(k)),
-                 tuple(w + (i,) for w, i in zip(words, e)))
-                for e in ext]
-
-    # depth 1: ordered tuples of first-level images are the nondecreasing
-    # index tuples; drop the unsplit ones
-    first = children(((0, 1),) * k, ((),) * k, 0, budget)
-    if first is None:
+    # depth 1: every position takes one of the same first-level images,
+    # ordered tuples of them are the nondecreasing index tuples, and the
+    # unsplit ones drop out
+    top = _ordered_extensions(lambda m: images, k, (g_min, k - 1), budget)
+    if top is None:
         return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
-    live = [t for t in first if t[1][0] != t[1][-1]]
+    live = [tuple(images[i] for i in e) for e in top if e[0] != e[-1]]
+    children = norm.form.children
     d = 1
     while live and d < depth:
+        # a live tuple means the walk charged k(k-1)/2 <= budget checks,
+        # so this stays small
+        fan = n ** k
+        last = d + 1 == depth
+        y_min = (g_min * den ** d, k - 1)
         nxt = []
-        for boxes, words in live:
+        for boxes in live:
             if explored + fan > budget:
                 return KapCertificate(k, UNKNOWN, d,
                                       max(explored, budget) + 1)
             explored += fan
-            nxt.extend(children(boxes, words, d))
+            kids = [children(lo, hi) for lo, hi in boxes]
+            ext = _ordered_extensions(kids.__getitem__, k, y_min, first=last)
+            nxt.extend(tuple(row[i] for row, i in zip(kids, e)) for e in ext)
         live = nxt
         d += 1
     if not live:
         return KapCertificate(k, INFEASIBLE, d, explored)
 
     # boxes share the denominator den**d, so numerators order them
-    _, words = min(live, key=lambda t: [lo for lo, _ in t[0]])
-    boxes = [norm.word_interval(w) for w in words]
+    scale = den ** d
+    boxes = [(Q(lo, scale), Q(hi, scale))
+             for lo, hi in min(live, key=lambda t: [lo for lo, _ in t])]
     y_min = Q(g_min, den) / (k - 1)
     y_lo, y_hi = _tuple_y_range(boxes, y_min)
     y_mid = (y_lo + y_hi) / 2

@@ -15,15 +15,15 @@ from typing import Optional, Sequence, Union
 from .cantor import (
     IDENTITY,
     IfsSet1D,
-    difference_interval,
+    ThicknessReport,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
 from .errors import Indeterminate, InputError
 from .patterns1d import (
     Piece,
+    _convex_combo,
     certified_descent,
-    find_convex_combo,
     pieces_certified,
 )
 from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
@@ -212,14 +212,26 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20
     final cover width.  The descent commits, so an enclosure straddling
     a chain transition can dead-end it.
     """
+    return _difference_hit(s, delta, depth, None)
+
+
+def _difference_hit(s: IfsSet1D, delta, depth: int,
+                    thickness: Optional[ThicknessReport]
+                    ) -> tuple[Interval, Interval]:
+    """``difference_hit``; a caller that has already certified the set's
+    thickness passes its report, and the check is not repeated."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     div = Interval.coerce(delta)
     if div.lo < 0:
         raise InputError("delta must be nonnegative")
+    if thickness is None:
+        require_thickness_at_least_one(s)
     norm, back = normalize_to_unit(s)
-    scale = back.scale  # positive hull width
-    if div.hi > difference_interval(s):
+    # the positive hull width, which is the difference segment
+    # (``difference_interval``) once the thickness is certified
+    scale = back.scale
+    if div.hi > scale:
         raise InputError("delta exceeds the certified difference bound")
     x = Piece(norm, (), Q(1), Q(0))
     y = Piece(norm, (), Q(1), -div.lo / scale)
@@ -273,12 +285,12 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     if depth < 0:
         raise InputError("depth must be nonnegative")
     norm = t if isinstance(t, NormalizedTriangle) else normalize_triangle(t)
-    require_thickness_at_least_one(s)
+    thickness = require_thickness_at_least_one(s)
 
     if norm.degenerate:
         if norm.lam_exact is None:
             raise Indeterminate("collinear split ratio not exact")
-        w = find_convex_combo(s, norm.lam_exact, depth)
+        w = _convex_combo(s, norm.lam_exact, depth, thickness)
         e = Interval.point(s.hull[0])  # hull endpoints always belong
         sides = _triangle_sides((w.a.enclosure, e), (w.b.enclosure, e),
                                 (w.m.enclosure, e))
@@ -309,7 +321,7 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     while m.scale > c_dyadic:  # the subtree's width is m.scale * w
         m = m.compose(s.branches[0])
     combo_depth = depth + 8
-    w = find_convex_combo(s, lam, combo_depth)
+    w = _convex_combo(s, lam, combo_depth, thickness)
 
     def push(iv: Interval) -> Interval:
         lo, hi = m(iv.lo), m(iv.hi)
@@ -326,7 +338,7 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
             push(w.b.enclosure)
     span = b_iv - a_iv
     delta = span * alpha
-    u_iv, v_iv = difference_hit(s, delta, depth)
+    u_iv, v_iv = _difference_hit(s, delta, depth, thickness)
 
     base_left = (a_iv, u_iv)
     base_right = (b_iv, u_iv)

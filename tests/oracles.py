@@ -3,10 +3,10 @@
 These are brute-force or cover-based computations that no library path
 needs: merged combination covers and the difference segment read off
 them, containment checks on covers, an unpruned k-term progression
-search, two ball predicates, and the line's word geometry computed by
-composing affine maps in rationals, as the library did before it moved
-to integer numerators.  The file is not collected; the tests import it
-by name.
+search and the pruned one expanded in full down to its last level, two
+ball predicates, and the line's word geometry computed by composing
+affine maps in rationals, as the library did before it moved to integer
+numerators.  The file is not collected; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from thickset.cantor import (
     MembershipResult,
     cover,
     interval_in_cover,
+    node_budget,
     normalize_to_unit,
     require_thickness_at_least_one,
 )
@@ -39,11 +40,14 @@ from thickset.errors import Indeterminate, InputError
 from thickset.patterns1d import (
     FEASIBLE,
     INFEASIBLE,
+    UNKNOWN,
+    KapCertificate,
+    WitnessPoint,
     _split_branches,
     _tuple_y_range,
 )
 from thickset.product import ProductWitness
-from thickset.scalars import Q, to_q
+from thickset.scalars import Interval, Q, to_q
 
 
 # -- word geometry through affine maps -----------------------------------
@@ -366,6 +370,120 @@ def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
         if _tuple_y_range(boxes, y_min) is not None:
             return FEASIBLE
     return INFEASIBLE
+
+
+def _ref_ordered_extensions(kids, y_min, budget=None):
+    """Every ordered index tuple whose boxes keep a nonempty pairwise
+    y-range at or above ``y_min``, in lexicographic order, or None once
+    the walk's pair checks pass ``budget``."""
+    k = len(kids)
+    lefts, rights, chosen = [0] * k, [0] * k, [0] * k
+    bounds = [y_min + (1, 0)] * k
+    nxt = [0] * k
+    out = []
+    checks = 0
+    m = 0
+    while m >= 0:
+        e = nxt[m]
+        if e == len(kids[m]):
+            m -= 1
+            continue
+        nxt[m] = e + 1
+        a, b = kids[m][e]
+        lo_n, lo_d, hi_n, hi_d = bounds[m]
+        if m:
+            if a < lefts[m - 1]:
+                continue
+            if budget is not None:
+                checks += m
+                if checks > budget:
+                    return None
+            for j in range(m):
+                step = m - j
+                c = a - rights[j]
+                if c * lo_d > lo_n * step:
+                    lo_n, lo_d = c, step
+                c = b - lefts[j]
+                if c * hi_d < hi_n * step:
+                    hi_n, hi_d = c, step
+            if lo_n * hi_d > hi_n * lo_d:
+                continue
+        lefts[m], rights[m], chosen[m] = a, b, e
+        if m == k - 1:
+            out.append(tuple(chosen))
+        else:
+            m += 1
+            bounds[m] = (lo_n, lo_d, hi_n, hi_d)
+            nxt[m] = 0
+    return out
+
+
+def ref_kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
+    """The pruned progression search with every live tuple expanded to
+    ``depth`` and carried with its words, and the witness boxes rebuilt
+    from the smallest survivor's words: the full expansion that the
+    library's search stops early on the last level."""
+    if k < 3:
+        raise InputError("k must be at least 3")
+    if depth < 1:
+        raise InputError("depth must be at least 1")
+    norm, back = normalize_to_unit(s)
+    n = len(norm.branches)
+    den, images = norm.form.den, norm.form.rel
+    g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(images, images[1:]))
+    explored = math.comb(n + k - 1, k) - n
+    if (k - 1) * g_min > den:
+        return KapCertificate(k, INFEASIBLE, 1, explored)
+    budget = node_budget()
+    fan = n ** k
+
+    def children(boxes, words, d, walk_budget=None):
+        kids = [[(lo * den + (hi - lo) * a, lo * den + (hi - lo) * b)
+                 for a, b in images] for lo, hi in boxes]
+        ext = _ref_ordered_extensions(kids, (g_min * den ** d, k - 1),
+                                      walk_budget)
+        if ext is None:
+            return None
+        return [(tuple(kids[j][e[j]] for j in range(k)),
+                 tuple(w + (i,) for w, i in zip(words, e)))
+                for e in ext]
+
+    first = children(((0, 1),) * k, ((),) * k, 0, budget)
+    if first is None:
+        return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
+    live = [t for t in first if t[1][0] != t[1][-1]]
+    d = 1
+    while live and d < depth:
+        nxt = []
+        for boxes, words in live:
+            if explored + fan > budget:
+                return KapCertificate(k, UNKNOWN, d,
+                                      max(explored, budget) + 1)
+            explored += fan
+            nxt.extend(children(boxes, words, d))
+        live = nxt
+        d += 1
+    if not live:
+        return KapCertificate(k, INFEASIBLE, d, explored)
+
+    _, words = min(live, key=lambda t: [lo for lo, _ in t[0]])
+    boxes = [norm.word_interval(w) for w in words]
+    y_lo, y_hi = _tuple_y_range(boxes, Q(g_min, den) / (k - 1))
+    y_mid = (y_lo + y_hi) / 2
+    x_lo = max(boxes[j][0] - j * y_mid for j in range(k))
+    x_hi = min(boxes[j][1] - j * y_mid for j in range(k))
+    pts = []
+    for j in range(k):
+        v = (x_lo + x_hi) / 2 + j * y_mid
+        assert boxes[j][0] <= v <= boxes[j][1]
+        pts.append(WitnessPoint(Interval(back(boxes[j][0]),
+                                         back(boxes[j][1])),
+                                f"in_cover_at_depth({d})"))
+    return KapCertificate(
+        k, FEASIBLE, d, explored,
+        x=Interval(back(x_lo), back(x_hi)),
+        y=Interval(y_lo * back.scale, y_hi * back.scale),
+        points=tuple(pts))
 
 
 # -- balls --------------------------------------------------------------

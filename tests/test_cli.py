@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,21 @@ class TestExitCodes:
                      "--k", "3000", "--depth", "1", "--out", str(out)]) == 3
         manifest = json.loads((tmp_path / "k.json.manifest.json").read_text())
         assert manifest["exit_code"] == 3
+
+    def test_long_k_walk_memory_stays_flat(self, monkeypatch):
+        # a walk charged m pair checks at position m cannot pass position
+        # isqrt(2 * budget), so its state must not grow with k; state kept
+        # for every position costs about 0.35 KB each, some 70 MB at this k
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(10**5))
+        tracemalloc.start()
+        try:
+            code = main(["search-kap", "--set", "middle_cantor:1/1000000",
+                         "--k", "200000", "--depth", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**20
 
     def test_thickness_ignores_huge_depth(self, capsys):
         assert main(["thickness", "--set", "middle_cantor:1/3",

@@ -40,6 +40,7 @@ from oracles import (
     combo_core_intervals,
     kap_bruteforce,
     point_in_cover,
+    ref_kap_search,
     verify_combo_containment,
     word_map,
 )
@@ -345,14 +346,21 @@ PINNED_BUDGET = [
     # the search needs exactly 35 nodes
     ("34", off_center_cantor(Q(3, 10)), 4, 10, UNKNOWN, 2, 35),
     ("35", off_center_cantor(Q(3, 10)), 4, 10, INFEASIBLE, 3, 35),
+    # the budget runs out on the first parent of the last level, or just
+    # before its last one; the fan of every parent there is charged in
+    # full, however early its walk stops
+    ("902", ROADMAP_SET, 4, 3, UNKNOWN, 2, 903),
+    ("903", ROADMAP_SET, 4, 4, UNKNOWN, 3, 904),
+    ("2360", ROADMAP_SET, 4, 4, UNKNOWN, 3, 2361),
+    ("2361", ROADMAP_SET, 4, 4, FEASIBLE, 4, 2361),
 ]
 
 
 @st.composite
-def kap_inputs(draw):
+def kap_inputs(draw, max_depth=3, max_tuples=30_000):
     """A 2- or 3-branch presentation on a random hull (reflected half the
-    time), k in {3, 4, 5} and a depth of at most 3, small enough for the
-    no-pruning oracle."""
+    time), k in {3, 4, 5} and a depth of at most ``max_depth``; with
+    ``max_tuples``, small enough for the no-pruning oracle."""
     n = draw(st.integers(2, 3))
     weight = st.integers(1, 9)
     scales = draw(st.lists(weight, min_size=n, max_size=n))
@@ -367,8 +375,9 @@ def kap_inputs(draw):
         mul = -mul
     s = affine_image(ifs_from_branches(0, 1, pairs), mul,
                      Q(draw(st.integers(-4, 4)), 3))
-    k, depth = draw(st.integers(3, 5)), draw(st.integers(1, 3))
-    assume(math.comb(n ** depth + k - 1, k) <= 30_000)
+    k, depth = draw(st.integers(3, 5)), draw(st.integers(1, max_depth))
+    if max_tuples is not None:
+        assume(math.comb(n ** depth + k - 1, k) <= max_tuples)
     return s, k, depth
 
 
@@ -423,6 +432,53 @@ class TestKapSearchParity:
             for j in range(k):
                 v = cert.x.mid + j * cert.y.mid
                 assert point_in_cover(s, v, cert.depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kap_inputs(max_depth=5, max_tuples=None), st.booleans(),
+           st.data())
+    def test_agrees_with_full_expansion(self, case, budgeted, data):
+        # the whole certificate, explored_nodes included, matches the
+        # search that expands every live tuple to the last level; half
+        # the time under a budget that runs out on that level
+        s, k, depth = case
+        with pytest.MonkeyPatch.context() as mp:
+            if budgeted:
+                mp.setenv("THICKSET_MAX_NODES", str(10**5))
+                full = ref_kap_search(s, k, depth)
+                above = ref_kap_search(s, k, max(depth - 1, 1))
+                budget = data.draw(st.integers(
+                    above.explored_nodes,
+                    max(full.explored_nodes, above.explored_nodes)))
+                mp.setenv("THICKSET_MAX_NODES", str(budget))
+            assert kap_search(s, k, depth) == ref_kap_search(s, k, depth)
+
+    def test_last_level_keeps_one_tuple_per_parent(self, monkeypatch):
+        # the witness reads only the smallest live tuple of the last
+        # level; a parent's first surviving extension is its smallest
+        # child, so the walk stops there (the full expansion builds 737
+        # tuples from 114 parents on the first set below)
+        walk = patterns1d._ordered_extensions
+        for k, depth in ((3, 4), (4, 8)):
+            walks = []
+
+            def recording(row, k_, y_min, *args, **kwargs):
+                # y_min's numerator grows with the depth of the parent
+                out = walk(row, k_, y_min, *args, **kwargs)
+                walks.append((y_min[0], out))
+                return out
+
+            monkeypatch.setattr(patterns1d, "_ordered_extensions",
+                                recording)
+            cert = kap_search(ROADMAP_SET, k, depth)
+            monkeypatch.undo()
+            last = max(y for y, _ in walks)
+            built = [len(out) for y, out in walks if y == last]
+            assert cert.verdict == FEASIBLE and max(built) <= 1
+            if depth == 4:
+                assert len(built) == 114
+        assert cert == next(want for s, k, depth, want in PINNED
+                            if (k, depth) == (4, 8))
+        assert cert.explored_nodes == 740271
 
 
 class TestGapLemmaCheck:

@@ -4,10 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from thickset import cantor
 from thickset.cantor import (
     affine_image,
     middle_cantor,
     middle_thirds,
+    newhouse_thickness,
     off_center_cantor,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
@@ -151,6 +153,24 @@ class TestFindTriangleInProduct:
         with pytest.raises(HypothesisError):
             find_triangle_in_product(middle_cantor(Q(2, 5)), equilateral(),
                                      depth=8)
+
+    @pytest.mark.parametrize("t", [
+        Triangle.make([(0, 0), (Q(1, 2), 0), (1, 0)]),  # collinear
+        Triangle.make([(0, 0), (1, 0), (Q(3, 10), Q(2, 5))]),
+    ])
+    def test_thickness_computed_once(self, monkeypatch, t):
+        # the convex-combination search and the difference hit inside
+        # reuse the call's own thickness check
+        calls = []
+
+        def counting(s, *args, **kwargs):
+            calls.append(s)
+            return newhouse_thickness(s, *args, **kwargs)
+
+        monkeypatch.setattr(cantor, "newhouse_thickness", counting)
+        for _ in range(2):
+            find_triangle_in_product(middle_thirds(), t, depth=12)
+        assert len(calls) == 2
 
     def test_right_isoceles(self):
         s = middle_thirds()
