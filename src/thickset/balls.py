@@ -347,13 +347,17 @@ class ExplicitTree:
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         """One-step bound from a farthest-point grid over the ball against
-        the deepest level of the table below it."""
+        the deepest level of the table below it.  The grid spans two
+        coordinates, so balls that are not planar are rejected."""
         ball = sys.ball(word)
         words = [word]
         while nxt := [w + (i,) for w in words
                       for i in range(self.child_count(w))]:
             words = nxt
         deepest = [sys.ball(w) for w in words]
+        if any(len(b.center) != 2 for b in (ball, *deepest)):
+            raise InputError("explicit-tree slack bounds need planar "
+                             f"balls (word {word})")
         if any(b.center == ball.center and b.radius == ball.radius
                for b in deepest):
             return Interval.point(Q(0))  # ball-filling chain
@@ -550,7 +554,7 @@ def h_upper(sys: BallSystem, word: Word = (), bits: int = 128) -> Interval:
 
     Closed forms for the self-similar builders; for explicit trees a
     one-step bound from a farthest-point grid over the ball against the
-    deepest level of the table.
+    deepest level of the table, which needs planar balls.
     """
     return sys.generator.h_upper(sys, word, bits)
 

@@ -164,12 +164,11 @@ def canonical_description(desc: dict) -> str:
 
 def default_r(sys: BallSystem, raw: Optional[str]):
     """The --r value: the given one, else the builder's analytic density
-    constant (rounded up to 8 decimals when it is not rational)."""
+    constant (rounded up to 8 decimals when it is not rational).  Every
+    builder the command line makes has one."""
     if raw and raw != "auto":
         return to_q(raw)
     c = sys.generator.density()
-    if c is None:
-        raise InputError("pass --r explicitly for explicit trees")
     if c.lo == c.hi:
         return c.lo
     return Q(c.hi * 10**8 // 1 + 1, 10**8)

@@ -7,12 +7,20 @@ two designated subtrees, pick an exact target point close to the set
 inside that disk, and refine the preimage pair of subtrees level by
 level.  Every hypothesis that the construction relies on is checked with
 certified arithmetic and recorded in the witness report.
+
+The hypotheses the two share run on one path: ``_designated_pair``
+checks the designated children, ``_disk_radius`` certifies the
+thickness threshold and the disk radius against the covering slack,
+and ``_refine_to_target`` certifies r-uniformity, picks the target and
+refines the pair.  Only the triangle's half-ball containment and
+disk-meets-set checks, and each report's keys, stay with its pipeline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .balls import (
@@ -43,7 +51,7 @@ from .scalars import (
 STANDARD = "standard"
 APPENDIX = "appendix"
 
-IVec = tuple[Interval, Interval]
+IVec = tuple[Interval, ...]
 
 
 def _as_r(r) -> Interval:
@@ -53,16 +61,12 @@ def _as_r(r) -> Interval:
     return iv
 
 
-def _ivec(p) -> IVec:
-    return tuple(Interval.coerce(c) for c in p)  # type: ignore[return-value]
-
-
-def _vsub(a: IVec, b: IVec) -> IVec:
-    return (a[0] - b[0], a[1] - b[1])
+def _vsub(a, b) -> IVec:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _sq_norm(a: IVec) -> Interval:
-    return a[0].square() + a[1].square()
+    return sum(x.square() for x in a)
 
 
 def _norm(a: IVec, bits: int = 128) -> Interval:
@@ -126,15 +130,16 @@ def lambda_window(sys: BallSystem, r, mode: str = STANDARD
 # -- designated children and shared hypothesis plumbing ---------------------
 
 
-def _designated(sys: BallSystem, idx_a: Optional[int],
-                idx_b: Optional[int]) -> tuple[int, int]:
+Pair = tuple[int, int, Ball, Ball]
+
+
+def _designated_pair(sys: BallSystem, idx_a: Optional[int],
+                     idx_b: Optional[int]) -> Pair:
+    """The designated root children (the system's own pair unless both
+    indices are given), checked in range and disjoint from their
+    siblings, as their indices and balls with the smaller ball first."""
     if idx_a is None or idx_b is None:
-        return sys.generator.designated
-    return (idx_a, idx_b)
-
-
-def _check_disjoint_children(sys: BallSystem, idx_a: int, idx_b: int
-                             ) -> tuple[Ball, Ball]:
+        idx_a, idx_b = sys.generator.designated
     kids = sys.kids(())
     for j in (idx_a, idx_b):
         if not (0 <= j < len(kids)):
@@ -144,16 +149,19 @@ def _check_disjoint_children(sys: BallSystem, idx_a: int, idx_b: int
             raise HypothesisError(
                 f"designated child {j} is not disjoint from sibling {i}")
     s = sys.scale(1)
-    return sys.to_ball(kids[idx_a], s), sys.to_ball(kids[idx_b], s)
+    ball_a, ball_b = sys.to_ball(kids[idx_a], s), sys.to_ball(kids[idx_b], s)
+    if ball_a.radius > ball_b.radius:
+        return idx_b, idx_a, ball_b, ball_a
+    return idx_a, idx_b, ball_a, ball_b
 
 
-def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, mode: str,
-               bits: int) -> tuple[Interval, str]:
+def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, h_root: Interval,
+               mode: str, bits: int) -> tuple[Interval, str]:
     """Certified stand-in for the covering slack of the designated
-    subtrees: twice the root slack in standard mode, the root slack
-    itself in appendix mode (valid only when each designated child's own
-    slack certifiably stays below its distance to every sibling)."""
-    h_root = h_upper(sys, (), bits)
+    subtrees: twice the root slack ``h_root`` in standard mode, the root
+    slack itself in appendix mode (valid only when each designated
+    child's own slack certifiably stays below its distance to every
+    sibling)."""
     if mode == STANDARD:
         return 2 * h_root, "2*h_root (generic subset bound)"
     for j in (idx_a, idx_b):
@@ -165,7 +173,24 @@ def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, mode: str,
     return h_root, "h_root (distance-child condition certified)"
 
 
-def _certify_threshold(tau: Interval, thr: Interval) -> None:
+def _disk_radius(sys: BallSystem, pair: Pair, lam: Q,
+                 maps: Optional[VertexMaps], r_iv: Interval, mode: str,
+                 h_root: Interval, bits: int) -> tuple[dict, dict]:
+    """The disk certificate both pipelines share.  The thickness bound
+    tau must be certified at or above the configuration's threshold;
+    then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for the
+    designated balls of radii t_a <= t_b, must be certified positive and
+    above the root covering slack ``h_root``.  (c_a, c_b) is (lam, 1-lam)
+    for the linear combination (``maps`` None) and (s_f, s_g) for the
+    triangle.  Returns the report entries of the designated pair and the
+    threshold, and those of the radius; each pipeline places its own
+    entries around them."""
+    ia, ib, ball_a, ball_b = pair
+    tau = yavicoli_thickness(sys, bits).lower_bound
+    alpha, alpha_sq, c_a, c_b = (
+        (None, None, lam, 1 - lam) if maps is None
+        else (maps.alpha, maps.alpha_sq, maps.s_f, maps.s_g))
+    thr = threshold(alpha, lam, r_iv, mode, alpha_sq, bits)
     c = Interval.point(tau.lo).compare(thr)
     if c is Cmp.LESS:
         raise HypothesisError(
@@ -174,6 +199,18 @@ def _certify_threshold(tau: Interval, thr: Interval) -> None:
     if c is Cmp.OVERLAP and tau.lo < thr.hi:
         raise Indeterminate("threshold comparison undecided at the "
                             "current precision")
+    h_b, h_b_note = _h_b_bound(sys, ia, ib, h_root, mode, bits)
+    t_d = (c_a * (1 - 2 * r_iv) * ball_a.radius + c_b * ball_b.radius
+           - c_b * h_b)
+    if not t_d.certainly_gt(Interval.point(Q(0))):
+        raise Indeterminate("disk radius not certified positive")
+    if not t_d.certainly_gt(h_root):
+        raise Indeterminate("disk radius not certified above the root "
+                            "covering slack")
+    return ({"tau_lower": tau, "threshold": thr, "threshold_ok": True,
+             "children": (ia, ib), "children_disjoint": True},
+            {"h_b_bound": h_b, "h_b_note": h_b_note, "h_root": h_root,
+             "disk_radius": t_d})
 
 
 # -- disks ------------------------------------------------------------------
@@ -183,7 +220,6 @@ def _certify_threshold(tau: Interval, thr: Interval) -> None:
 class Disk:
     center: IVec
     radius: Interval
-    provenance: str  # "convex_combo" | "triangle"
 
 
 def x_constant(r, mode: str = STANDARD) -> Interval:
@@ -208,43 +244,15 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
     meet the set."""
     lamv = to_q(lam)
     r_iv = _as_r(r)
-    ia, ib = _designated(sys, idx_a, idx_b)
-    ball_a, ball_b = _check_disjoint_children(sys, ia, ib)
-    if ball_a.radius > ball_b.radius:
-        ia, ib = ib, ia
-        ball_a, ball_b = ball_b, ball_a
-    tau = yavicoli_thickness(sys, bits).lower_bound
-    thr = threshold(None, lamv, r_iv, mode)
-    _certify_threshold(tau, thr)
-    h_b, h_b_note = _h_b_bound(sys, ia, ib, mode, bits)
-    h_root = h_upper(sys, (), bits)
-
-    t_a, t_b = ball_a.radius, ball_b.radius
-    t_d = (lamv * (1 - 2 * r_iv) * t_a + Interval.point((1 - lamv) * t_b)
-           - (1 - lamv) * h_b)
-    if not t_d.certainly_gt(Interval.point(Q(0))):
-        raise Indeterminate("disk radius not certified positive")
-    if not t_d.certainly_gt(h_root):
-        raise Indeterminate("disk radius not certified above the root "
-                            "covering slack")
+    pair = _designated_pair(sys, idx_a, idx_b)
+    _, _, ball_a, ball_b = pair
+    hypotheses, radius = _disk_radius(sys, pair, lamv, None, r_iv, mode,
+                                      h_upper(sys, (), bits), bits)
     center = tuple(Interval.point(lamv * ca + (1 - lamv) * cb)
                    for ca, cb in zip(ball_a.center, ball_b.center))
-    report = {
-        "mode": mode,
-        "lambda": lamv,
-        "r": r_iv,
-        "tau_lower": tau,
-        "threshold": thr,
-        "threshold_ok": True,
-        "children": (ia, ib),
-        "children_disjoint": True,
-        "h_b_bound": h_b,
-        "h_b_note": h_b_note,
-        "h_root": h_root,
-        "disk_radius": t_d,
-        "disk_radius_above_h_root": True,
-    }
-    return Disk(center, t_d, "convex_combo"), report
+    report = {"mode": mode, "lambda": lamv, "r": r_iv, **hypotheses,
+              **radius, "disk_radius_above_h_root": True}
+    return Disk(center, radius["disk_radius"]), report
 
 
 # -- target point selection --------------------------------------------------
@@ -271,10 +279,8 @@ def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                                   for x, a in zip(kids[i], at)))
         word, lat = word + (j,), kids[j]
         center = tuple(Q(x, s) for x in lat[:-1])
-        diff = tuple(Interval.point(a) - b
-                     for a, b in zip(center, disk.center))
-        dist = interval_sqrt(diff[0].square() + diff[1].square(), bits)
-        if dist.certainly_lt(disk.radius):
+        if _norm(_vsub(center, disk.center), bits).certainly_lt(
+                disk.radius):
             best = (word, center)
     if best is None:
         raise Indeterminate("no ball center certified inside the disk")
@@ -298,9 +304,6 @@ class WitnessNd:
     depth_used: int
     hypotheses_report: dict = field(default_factory=dict)
     convention: str = "c = lam*a + (1-lam)*b"
-
-    def points(self):
-        return (self.a, self.b, tuple(Interval.point(x) for x in self.c))
 
 
 def _ball_box(b: Ball) -> IVec:
@@ -411,6 +414,26 @@ def _combo_images(lam: Q, c: tuple[Q, ...]):
     return image_a, image_b
 
 
+def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
+                      target_key: str, images, depth: int, bits: int
+                      ) -> tuple[tuple[Q, ...], Ball, Ball]:
+    """The step after the disk, shared by both drivers: certify
+    r-uniformity, take the deepest ball center inside the disk as the
+    target (its word recorded under ``target_key``), and refine the
+    designated pair against it with the image maps ``images(target)``
+    down to ``depth``.  Returns the target and the two refined balls."""
+    uni = r_uniformity_check(sys, report["r"])
+    report["r_uniformity"] = uni.status
+    if uni.status == "falsified":
+        raise HypothesisError("system is not r-uniformly dense")
+    word, target = _deepest_center_in_disk(sys, disk, depth, bits)
+    report[target_key] = word
+    ia, ib = report["children"]
+    wa, wb = _refine_pair(sys, *images(target), (ia,), (ib,), depth)
+    report["depth"] = depth
+    return target, sys.ball(wa), sys.ball(wb)
+
+
 def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
                          mode: str = STANDARD,
                          idx_a: Optional[int] = None,
@@ -426,22 +449,14 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
         raise InputError("depth must be nonnegative")
     lamv = to_q(lam)
     disk, report = convex_combo_disk(sys, lamv, r, mode, idx_a, idx_b, bits)
-    ia, ib = report["children"]
-    uni = r_uniformity_check(sys, _as_r(r))
-    report["r_uniformity"] = uni.status
-    if uni.status == "falsified":
-        raise HypothesisError("system is not r-uniformly dense")
-    word_c, c = _deepest_center_in_disk(sys, disk, depth, bits)
-    report["c_word"] = word_c
-
-    wa, wb = _refine_pair(sys, *_combo_images(lamv, c), (ia,), (ib,), depth)
-    ball_a, ball_b = sys.ball(wa), sys.ball(wb)
+    c, ball_a, ball_b = _refine_to_target(
+        sys, disk, report, "c_word", partial(_combo_images, lamv), depth,
+        bits)
     residual = lamv * 2 * ball_a.radius + (1 - lamv) * 2 * ball_b.radius
     defect_vec = tuple(
         Interval.point(lamv * xa + (1 - lamv) * xb - xc)
         for xa, xb, xc in zip(ball_a.center, ball_b.center, c))
     defect = _norm(defect_vec, bits)
-    report["depth"] = depth
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), c,
                      residual, defect, depth, report)
 
@@ -460,6 +475,7 @@ class VertexMaps:
     lam: Q
     s_f: Interval
     s_g: Interval
+    alpha_sq: Optional[Q] = None  # alpha^2 exactly, when it is rational
 
     def apply_f(self, p) -> IVec:
         x, y = (Interval.coerce(c) for c in p)
@@ -485,78 +501,56 @@ def vertex_maps(alpha: Interval, lam, alpha_sq: Optional[Q] = None,
         raise InputError("triangle data outside the admissible region")
     s_f = interval_sqrt(a2 + lamv * lamv, bits)
     s_g = interval_sqrt(a2 + (1 - lamv) ** 2, bits)
-    return VertexMaps(alpha, lamv, s_f, s_g)
+    return VertexMaps(alpha, lamv, s_f, s_g, alpha_sq)
 
 
 def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
                   mode: str = STANDARD,
                   idx_a: Optional[int] = None, idx_b: Optional[int] = None,
-                  alpha_sq: Optional[Q] = None,
                   bits: int = 128) -> tuple[Disk, dict]:
     """Disk certified inside f(A) - g(B) whose radius clears the root
     covering slack, so it meets the set: the apex locations of similar
-    copies with base pairs in the designated subtrees."""
+    copies with base pairs in the designated subtrees.  The threshold is
+    exact when ``maps`` carries alpha^2."""
     if sys.norm != L2:
         raise InputError("triangle search needs a Euclidean-norm system")
     r_iv = _as_r(r)
-    ia, ib = _designated(sys, idx_a, idx_b)
-    ball_a, ball_b = _check_disjoint_children(sys, ia, ib)
-    if ball_a.radius > ball_b.radius:
-        ia, ib = ib, ia
-        ball_a, ball_b = ball_b, ball_a
+    pair = _designated_pair(sys, idx_a, idx_b)
+    _, _, ball_a, ball_b = pair
+    root = sys.root
     t_min = Q(min(lat[-1] for lat in sys.kids(())), sys.scale(1))
     h_root = h_upper(sys, (), bits)
     x_c = x_constant(r_iv, mode)
 
     # containment of the designated children: the basic half ball, else
     # the enlarged ball with radius 1/2 + t_min - h*x/(2 s_f)
-    containment = None
-    root_rad = sys.root.radius
-    half = Ball(sys.root.center, root_rad / 2, sys.norm)
-    if half.contains_ball(ball_a) and half.contains_ball(ball_b):
-        containment = "half_ball"
-    else:
-        enlarged = (Interval.point(root_rad / 2 + t_min)
+    half = Ball(root.center, root.radius / 2, sys.norm)
+    containment = "half_ball"
+    if not (half.contains_ball(ball_a) and half.contains_ball(ball_b)):
+        enlarged = (Interval.point(root.radius / 2 + t_min)
                     - h_root * x_c / (2 * maps.s_f))
-        ok = True
-        for b in (ball_a, ball_b):
-            off = sum((c - rc) ** 2
-                      for c, rc in zip(b.center, sys.root.center))
-            reach = interval_sqrt(Interval.point(off), bits) + b.radius
-            if not reach.certainly_le(enlarged):
-                ok = False
-        if ok:
-            containment = "enlarged_ball"
-    if containment is None:
-        raise HypothesisError("designated children not certified inside "
-                              "the half ball (or its enlargement)")
+        if not all(_ball_pair_distance(b.center, root.center, b.radius,
+                                       Q(0), bits).certainly_le(enlarged)
+                   for b in (ball_a, ball_b)):
+            raise HypothesisError("designated children not certified "
+                                  "inside the half ball (or its "
+                                  "enlargement)")
+        containment = "enlarged_ball"
 
-    tau = yavicoli_thickness(sys, bits).lower_bound
-    thr = threshold(maps.alpha, maps.lam, r_iv, mode, alpha_sq, bits)
-    _certify_threshold(tau, thr)
-    h_b, h_b_note = _h_b_bound(sys, ia, ib, mode, bits)
-
-    t_a, t_b = ball_a.radius, ball_b.radius
-    t_d = ((1 - 2 * r_iv) * maps.s_f * t_a + maps.s_g * t_b
-           - maps.s_g * h_b)
-    if not t_d.certainly_gt(Interval.point(Q(0))):
-        raise Indeterminate("disk radius not certified positive")
-    if not t_d.certainly_gt(h_root):
-        raise Indeterminate("disk radius not certified above the root "
-                            "covering slack")
+    hypotheses, radius = _disk_radius(sys, pair, maps.lam, maps, r_iv, mode,
+                                      h_root, bits)
+    t_d = radius["disk_radius"]
     center = _vsub(maps.apply_f(ball_a.center), maps.apply_g(ball_b.center))
     center_norm = _norm(center, bits)
 
     # the disk must reach the set: entirely inside the root, or
     # overlapping it deeply enough to trap a slack-sized ball
-    inside = (center_norm + t_d).certainly_le(
-        Interval.point(sys.root.radius))
-    overlap = (Interval.point(sys.root.radius) + t_d - 2 * h_root
-               - center_norm)
-    meets = "disk_inside_root" if inside else None
-    if meets is None and overlap.certainly_ge(Interval.point(Q(0))):
+    if (center_norm + t_d).certainly_le(Interval.point(root.radius)):
+        meets = "disk_inside_root"
+    elif (Interval.point(root.radius) + t_d - 2 * h_root
+          - center_norm).certainly_ge(Interval.point(Q(0))):
         meets = "boundary_overlap"
-    if meets is None:
+    else:
         raise Indeterminate("disk-meets-set condition not certified")
 
     report = {
@@ -564,11 +558,7 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
         "lambda": maps.lam,
         "alpha": maps.alpha,
         "r": r_iv,
-        "tau_lower": tau,
-        "threshold": thr,
-        "threshold_ok": True,
-        "children": (ia, ib),
-        "children_disjoint": True,
+        **hypotheses,
         "containment": containment,
         "x_constant": x_c,
         "x_formula": ("max(1 - 2r/(1-2r), 0)" if mode == STANDARD
@@ -576,13 +566,10 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
         "x_note": "smaller of the two candidate constants; sound for both",
         "s_f": maps.s_f,
         "s_g": maps.s_g,
-        "h_b_bound": h_b,
-        "h_b_note": h_b_note,
-        "h_root": h_root,
-        "disk_radius": t_d,
+        **radius,
         "disk_meets_set": meets,
     }
-    return Disk(center, t_d, "triangle"), report
+    return Disk(center, t_d), report
 
 
 def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
@@ -639,27 +626,16 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
         raise Indeterminate("base split ratio must be exact for the "
                             "search")
     maps = vertex_maps(norm.alpha, norm.lam_exact, norm.alpha_sq, bits)
-    disk, report = triangle_disk(sys, maps, r, mode, idx_a, idx_b,
-                                 norm.alpha_sq, bits)
-    ia, ib = report["children"]
-    uni = r_uniformity_check(sys, _as_r(r))
-    report["r_uniformity"] = uni.status
-    if uni.status == "falsified":
-        raise HypothesisError("system is not r-uniformly dense")
-    word_c, z = _deepest_center_in_disk(sys, disk, depth, bits)
-    report["apex_word"] = word_c
-    z_iv = _ivec(z)
-
-    wa, wb = _refine_pair(sys, *_triangle_images(maps, z), (ia,), (ib,),
-                          depth)
-    ball_a, ball_b = sys.ball(wa), sys.ball(wb)
+    disk, report = triangle_disk(sys, maps, r, mode, idx_a, idx_b, bits)
+    z, ball_a, ball_b = _refine_to_target(
+        sys, disk, report, "apex_word", partial(_triangle_images, maps),
+        depth, bits)
     residual = (maps.s_f.hi * 2 * ball_a.radius
                 + maps.s_g.hi * 2 * ball_b.radius)
     # defect of the apex equation at the reported centers; the apex map
     # lam*x + (1-lam)*y + alpha*(y2-x2, x1-y1) equals f(x) - g(y)
     apex = _vsub(maps.apply_f(ball_a.center), maps.apply_g(ball_b.center))
-    defect = _norm(_vsub(apex, z_iv), bits)
-    report["depth"] = depth
+    defect = _norm(_vsub(apex, z), bits)
     report["side_ratio_deviation"] = _side_ratio_deviation(
         ball_a, ball_b, z, maps, bits)
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), z,

@@ -3,12 +3,15 @@ imports resolves, and the reference oracles the tests use live in
 ``tests/oracles.py``, not in the library."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import thickset
+from thickset import patterns_nd
 
 MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
            "product", "render", "scalars")
@@ -16,6 +19,10 @@ ORACLES = ("merge_intervals", "self_combo_cover", "_unit_combo_cover",
            "subtree_combo_cover", "verify_combo_containment",
            "combo_core_intervals", "kap_bruteforce", "point_in_cover",
            "product_witness_in_cover", "contains_point", "disjoint_from")
+# the helpers the two ball-system witness pipelines used to keep apart,
+# before they shared one hypothesis core
+MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
+          "_ivec")
 
 
 def exported_names() -> list[str]:
@@ -38,3 +45,19 @@ def test_oracles_left_the_library(name):
         assert not hasattr(importlib.import_module(f"thickset.{module}"),
                            name), module
     assert not hasattr(thickset.Ball, name)
+
+
+@pytest.mark.parametrize("name", MERGED)
+def test_merged_helpers_are_gone(name):
+    assert not hasattr(patterns_nd, name)
+
+
+def test_unread_members_are_gone():
+    assert not hasattr(patterns_nd.WitnessNd, "points")
+    assert "provenance" not in {f.name
+                                for f in dataclasses.fields(patterns_nd.Disk)}
+
+
+def test_triangle_disk_reads_alpha_sq_from_its_maps():
+    params = inspect.signature(patterns_nd.triangle_disk).parameters
+    assert "alpha_sq" not in params

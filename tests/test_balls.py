@@ -277,6 +277,19 @@ class TestHUpper:
         with pytest.raises(InputError):
             validate_system(sys, depth=2)  # word (1,) dangles
 
+    def test_explicit_tree_must_be_planar(self):
+        # the bottom pole (0, 0, -1) is 2 - 2/10 = 9/5 from the only child
+        # ball, which holds the generated set, so the slack is at least
+        # 9/5; a grid over the first two coordinates bounded it by 1.525
+        # and certified a thickness of 0.0656 > (1/10) / (9/5)
+        root = Ball((Q(0), Q(0), Q(0)), Q(1))
+        child = Ball((Q(0), Q(0), Q(9, 10)), Q(1, 10))
+        sys = BallSystem(root, ExplicitTree({(0,): child}))
+        for bound in (lambda: h_upper(sys, ()),
+                      lambda: yavicoli_thickness(sys)):
+            with pytest.raises(InputError, match="planar"):
+                bound()
+
 
 class TestClosedFormsScaleWithRoot:
     # h is a length, so it scales with the root radius; thickness is a

@@ -10,6 +10,8 @@ from thickset.balls import (
     Ball,
     BallSystem,
     ExplicitTree,
+    HexPacking,
+    L2,
     grid_ifs_example,
     hex_packing_example,
     yavicoli_thickness,
@@ -18,8 +20,10 @@ from thickset.errors import HypothesisError, Indeterminate, InputError
 from thickset.patterns_nd import (
     APPENDIX,
     STANDARD,
+    Disk,
     _ball_box,
     _combo_images,
+    _deepest_center_in_disk,
     _refine_pair,
     _sq_norm,
     _vsub,
@@ -297,6 +301,211 @@ class TestFindTriangleNd:
         x = x_constant(HEX_R)
         bound = (maps.s_f + maps.s_g) / 2 - h0 * x
         assert center_norm.certainly_le(Interval.point(bound.lo))
+
+
+# -- hypothesis failures -----------------------------------------------------
+
+
+def _maps(alpha, lam, bits=128):
+    """Vertex maps of a rational apex height, so alpha^2 is exact."""
+    return vertex_maps(Interval.point(alpha), lam, bits=bits)
+
+
+def _equilateral_maps():
+    e = equilateral()
+    return vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
+
+
+def _far_hex():
+    """The hex system with its root moved to (10, 0).  The meets-set
+    check measures the disk center from the origin, not from the root's
+    center, so this system fails it."""
+    return BallSystem(Ball((Q(10), Q(0)), Q(1), L2), HexPacking(GAMMA))
+
+
+LOW, THIN = (Q(3, 10), Q(1, 10)), (Q(1, 100), Q(1, 100))
+TIE, R_TIE = (Q(2, 5), Q(4, 5)), Q(339446, 981621)  # tau inside thr at 16 bits
+R_WIDE = Interval(Q(340, 10000), Q(355, 10000))  # thr at lam = 1/5 spans tau
+OUT_OF_RANGE = "designated child index out of range"
+TOUCHING = "designated child 0 is not disjoint from sibling 1"
+DISTANCE_CHILD = ("appendix mode needs the distance-child condition; it "
+                  "fails for designated child 0")
+HEX_BELOW = "thickness lower bound 7.25076626 ± 0.00000000 is below the "
+NOT_L2 = "triangle search needs a Euclidean-norm system"
+NOT_UNIFORM = "system is not r-uniformly dense"
+UNDECIDED = "threshold comparison undecided at the current precision"
+NOT_MEETS = "disk-meets-set condition not certified"
+NO_TARGET = "no ball center certified inside the disk"  # depth 0
+
+# Each failing input through the disk functions and the public drivers,
+# with the exception type and message the pipelines raise; the cases
+# named "a-before-b" fail both ways and pin which check runs first.
+FAILURES = [
+    ("range-combo-disk", lambda: convex_combo_disk(
+        grid(), Q(1, 2), Q(1, 5), idx_a=0, idx_b=100),
+     "InputError", OUT_OF_RANGE),
+    ("range-combo", lambda: find_convex_combo_nd(
+        grid(), Q(1, 2), Q(1, 5), 3, idx_a=0, idx_b=100),
+     "InputError", OUT_OF_RANGE),
+    ("range-triangle-disk", lambda: triangle_disk(
+        _hex(), _equilateral_maps(), HEX_R, idx_a=0, idx_b=85),
+     "InputError", OUT_OF_RANGE),
+    ("range-triangle", lambda: find_triangle_nd(
+        _hex(), equilateral(), HEX_R, 3, idx_a=0, idx_b=85),
+     "InputError", OUT_OF_RANGE),
+    ("touch-combo-disk", lambda: convex_combo_disk(
+        hex_packing_example(1), Q(1, 2), HEX_R),
+     "HypothesisError", TOUCHING),
+    ("touch-combo", lambda: find_convex_combo_nd(
+        hex_packing_example(1), Q(1, 2), HEX_R, 3),
+     "HypothesisError", TOUCHING),
+    ("touch-triangle-disk", lambda: triangle_disk(
+        hex_packing_example(1), _equilateral_maps(), HEX_R),
+     "HypothesisError", TOUCHING),
+    ("touch-triangle", lambda: find_triangle_nd(
+        hex_packing_example(1), equilateral(), HEX_R, 3),
+     "HypothesisError", TOUCHING),
+    ("touch-before-range", lambda: triangle_disk(
+        hex_packing_example(1), _equilateral_maps(), HEX_R, idx_a=0,
+        idx_b=85),
+     "HypothesisError", TOUCHING),
+    ("range-before-touch", lambda: triangle_disk(
+        hex_packing_example(1), _equilateral_maps(), HEX_R, idx_a=85,
+        idx_b=0),
+     "InputError", OUT_OF_RANGE),
+    ("touch-before-appendix", lambda: convex_combo_disk(
+        hex_packing_example(1), Q(1, 2), HEX_R, APPENDIX),
+     "HypothesisError", TOUCHING),
+    ("below-combo-disk", lambda: convex_combo_disk(
+        grid(), Q(1, 5), Q(1, 5)),
+     "HypothesisError",
+     "thickness lower bound 8.59750000 is below the threshold 13.33333333"),
+    ("below-combo", lambda: find_convex_combo_nd(
+        grid(), Q(1, 5), Q(1, 5), 3),
+     "HypothesisError",
+     "thickness lower bound 8.59750000 is below the threshold 13.33333333"),
+    ("below-triangle-disk", lambda: triangle_disk(
+        _hex(), _maps(LOW[1], LOW[0]), HEX_R),
+     "HypothesisError", HEX_BELOW + "threshold 9.41224893 ± 0.00000000"),
+    ("below-triangle", lambda: find_triangle_nd(
+        _hex(), _triangle(LOW), HEX_R, 3),
+     "HypothesisError", HEX_BELOW + "threshold 9.41224893 ± 0.00000000"),
+    ("lambda-combo-disk", lambda: convex_combo_disk(
+        grid(), Q(3, 4), Q(1, 5)),
+     "InputError", "lambda must lie in (0, 1/2]"),
+    ("mode-combo-disk", lambda: convex_combo_disk(
+        grid(), Q(1, 2), Q(1, 5), "bogus"),
+     "InputError", "unknown mode 'bogus'"),
+    ("mode-triangle", lambda: find_triangle_nd(
+        _hex(), equilateral(), HEX_R, 3, "bogus"),
+     "InputError", "unknown mode 'bogus'"),
+    ("appendix-combo-disk", lambda: convex_combo_disk(
+        _hex(), Q(1, 2), HEX_R, APPENDIX),
+     "HypothesisError", DISTANCE_CHILD),
+    ("appendix-combo", lambda: find_convex_combo_nd(
+        _hex(), Q(1, 2), HEX_R, 3, APPENDIX),
+     "HypothesisError", DISTANCE_CHILD),
+    ("appendix-triangle-disk", lambda: triangle_disk(
+        _hex(), _equilateral_maps(), HEX_R, APPENDIX),
+     "HypothesisError", DISTANCE_CHILD),
+    ("appendix-triangle", lambda: find_triangle_nd(
+        _hex(), equilateral(), HEX_R, 3, APPENDIX),
+     "HypothesisError", DISTANCE_CHILD),
+    ("below-before-appendix", lambda: find_triangle_nd(
+        _hex(), _triangle(THIN), HEX_R, 3, APPENDIX),
+     "HypothesisError", HEX_BELOW + "threshold 221.01004702 ± 0.00000000"),
+    ("linf-triangle-disk", lambda: triangle_disk(
+        grid(), _equilateral_maps(), Q(1, 5)),
+     "InputError", NOT_L2),
+    ("linf-triangle", lambda: find_triangle_nd(
+        grid(), equilateral(), Q(1, 5), 3),
+     "InputError", NOT_L2),
+    ("linf-before-range", lambda: triangle_disk(
+        grid(), _equilateral_maps(), Q(1, 5), idx_a=0, idx_b=100),
+     "InputError", NOT_L2),
+    ("thin-triangle-disk", lambda: triangle_disk(
+        _hex(), _maps(*THIN), HEX_R),
+     "HypothesisError", HEX_BELOW + "threshold 294.68006269 ± 0.00000000"),
+    ("thin-triangle", lambda: find_triangle_nd(
+        _hex(), _triangle(THIN), HEX_R, 3),
+     "HypothesisError", HEX_BELOW + "threshold 294.68006269 ± 0.00000000"),
+    ("uniform-combo", lambda: find_convex_combo_nd(
+        grid(), Q(1, 2), Q(19, 400), 3),
+     "HypothesisError", NOT_UNIFORM),
+    ("uniform-triangle", lambda: find_triangle_nd(
+        _hex(), equilateral(), Q(1, 20), 3),
+     "HypothesisError", NOT_UNIFORM),
+    ("below-before-uniform", lambda: find_convex_combo_nd(
+        grid(), Q(1, 5), Q(19, 400), 3),
+     "HypothesisError",
+     "thickness lower bound 8.59750000 is below the threshold 8.83977901"),
+    ("target-combo", lambda: find_convex_combo_nd(
+        grid(), Q(1, 2), Q(1, 5), 0),
+     "Indeterminate", NO_TARGET),
+    ("target-triangle", lambda: find_triangle_nd(
+        _hex(), equilateral(), HEX_R, 0),
+     "Indeterminate", NO_TARGET),
+    ("uniform-before-target", lambda: find_convex_combo_nd(
+        grid(), Q(1, 2), Q(19, 400), 0),
+     "HypothesisError", NOT_UNIFORM),
+    ("undecided-combo-disk", lambda: convex_combo_disk(
+        grid(), Q(1, 5), R_WIDE),
+     "Indeterminate", UNDECIDED),
+    ("undecided-combo", lambda: find_convex_combo_nd(
+        grid(), Q(1, 5), R_WIDE, 3),
+     "Indeterminate", UNDECIDED),
+    ("undecided-triangle-disk", lambda: triangle_disk(
+        _hex(), _maps(TIE[1], TIE[0], 16), R_TIE, bits=16),
+     "Indeterminate", UNDECIDED),
+    ("undecided-triangle", lambda: find_triangle_nd(
+        _hex(), _triangle(TIE), R_TIE, 3, bits=16),
+     "Indeterminate", UNDECIDED),
+    ("meets-triangle-disk", lambda: triangle_disk(
+        _far_hex(), _equilateral_maps(), HEX_R),
+     "Indeterminate", NOT_MEETS),
+    ("meets-triangle", lambda: find_triangle_nd(
+        _far_hex(), equilateral(), HEX_R, 3),
+     "Indeterminate", NOT_MEETS),
+    ("meets-before-uniform", lambda: find_triangle_nd(
+        _far_hex(), equilateral(), Q(1, 20), 3),
+     "Indeterminate", NOT_MEETS),
+]
+
+
+@pytest.mark.parametrize("call, kind, message",
+                         [case[1:] for case in FAILURES],
+                         ids=[case[0] for case in FAILURES])
+def test_failure_outcomes(call, kind, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def test_triangle_disk_threshold_exact_from_maps():
+    # the maps carry alpha^2, so the equilateral threshold is the exact
+    # point 2/(1-2r), as find_triangle_nd reports it
+    _, report = triangle_disk(_hex(), _equilateral_maps(), HEX_R)
+    thr = report["threshold"]
+    assert thr.lo == thr.hi == 2 / (1 - 2 * HEX_R)
+
+
+def test_center_descent_measures_every_coordinate():
+    # one child, on the axis the first two coordinates do not see
+    child = Ball((Q(0), Q(0), Q(1, 2)), Q(1, 4))
+    sysv = BallSystem(Ball((Q(0), Q(0), Q(0)), Q(1)),
+                      ExplicitTree({(0,): child}))
+    gap = _vsub(tuple(map(Interval.point, child.center)),
+                (Q(0), Q(0), Q(-1, 2)))
+    assert _sq_norm(gap) == Interval.point(Q(1))
+
+    def disk_at(z):
+        return Disk(tuple(map(Interval.point, (Q(0), Q(0), z))),
+                    Interval.point(Q(1, 10)))
+
+    assert _deepest_center_in_disk(sysv, disk_at(Q(1, 2)), 1) \
+        == ((0,), child.center)
+    with pytest.raises(Indeterminate, match="no ball center"):
+        _deepest_center_in_disk(sysv, disk_at(Q(-1, 2)), 1)
 
 
 # -- pair refinement ---------------------------------------------------------
