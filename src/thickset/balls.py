@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Protocol
 
-from .errors import InputError
+from .cantor import node_budget
+from .errors import Indeterminate, InputError
 from .scalars import Cmp, Interval, Q, interval_sqrt, sqrt3, to_q
 
 LINF = "linf"
@@ -85,15 +88,6 @@ def lattice_disjoint(a: Lattice, b: Lattice, norm: str) -> bool:
     return sq_dist(a, b, norm) > reach * reach
 
 
-def contains_any(outer: Ball, lats: list[Lattice], scale: int) -> bool:
-    """Whether ``outer`` contains one of the lattice balls over
-    ``scale``; both sides are brought to the product of the scales."""
-    own = common_denominator(outer)
-    o = tuple(x * scale for x in lattice_of(outer, own))
-    return any(lattice_contains(o, tuple(x * own for x in lat), outer.norm)
-               for lat in lats)
-
-
 def first_touching_sibling(kids: list[Lattice], j: int,
                            norm: str) -> Optional[int]:
     """Index of the first sibling that ``kids[j]`` is not strictly
@@ -101,6 +95,109 @@ def first_touching_sibling(kids: list[Lattice], j: int,
     return next((i for i, other in enumerate(kids)
                  if i != j and not lattice_disjoint(kids[j], other, norm)),
                 None)
+
+
+# -- farthest point ----------------------------------------------------------
+
+
+def _farthest(region: Lattice, targets: list[Lattice], scale: int,
+              norm: str, *, width: Optional[Q] = None,
+              threshold: Optional[Q] = None) -> tuple[Q, Q, tuple[Q, ...]]:
+    """Enclosure ``(lo, hi, x)`` of the maximum over the ball ``region``
+    of F(y) = min_i (|y - c_i| + w_i), for targets given as center
+    numerators followed by the weight numerator w_i (of either sign),
+    all over ``scale``; F(x) >= lo at the point x of the region.
+
+    Branch and bound on integers.  The region is translated to the
+    origin and the whole input divided by its gcd, so the search, and
+    hence its result up to that similarity, does not depend on where the
+    region sits or how large it is.  With D the region's radius, boxes
+    of level k are the cubes of half-width D centered at odd multiples
+    of D, in units of 1/2^k of the reduced lattice step, covering the
+    region's bounding cube.  F is 1-Lipschitz in the norm, so on a box
+    with center y and half-diagonal delta (D in the sup norm, at least
+    D*sqrt(d) in the Euclidean one) the maximum is at most F(y) + delta,
+    and F(y) is a lower end when y lies in the region.  Euclidean
+    distances are bracketed by integer square roots.  A target whose
+    lower end at y exceeds the box's least upper end by more than
+    2*delta is the minimizer nowhere in the box, so its sub-boxes drop
+    it.  The box with the largest upper end is split first; the region
+    center is the first point evaluated.
+
+    The search stops once ``hi - lo <= width`` or, with a ``threshold``,
+    once ``lo > threshold`` or ``hi <= threshold``, or when the region is
+    a point.  Every box evaluated is charged to ``node_budget()``, and
+    passing it is ``Indeterminate``.
+    """
+    dim, center = len(region) - 1, region[:-1]
+    g = math.gcd(region[-1], *(t - c for tg in targets
+                               for t, c in zip(tg, center)),
+                 *(tg[-1] for tg in targets)) or 1
+    d = region[-1] // g
+    levels = {0: [(tuple((t - c) // g for t, c in zip(tg, center)),
+                   tg[-1] // g) for tg in targets]}
+    unit = Q(g, scale)  # the reduced lattice step at level 0
+    if norm == LINF:
+        delta = d
+    else:
+        root = math.isqrt(dim * d * d)
+        delta = root + (root * root < dim * d * d)
+
+    def evaluate(k: int, m: tuple[int, ...], live: list[int]):
+        """Bounds of F at the center of box (k, m), its least upper end
+        and the targets that stay live below it, in level-k units."""
+        if k not in levels:
+            levels[k] = [(tuple(x << k for x in c), w << k)
+                         for c, w in levels[0]]
+        at, ends = levels[k], []
+        y = [mj * d for mj in m]
+        for i in live:
+            c, w = at[i]
+            if norm == LINF:
+                lo = hi = max(abs(a - b) for a, b in zip(y, c))
+            else:
+                n = sum((a - b) ** 2 for a, b in zip(y, c))
+                lo = math.isqrt(n)
+                hi = lo + (lo * lo < n)
+            ends.append((lo + w, hi + w, i))
+        least = min(hi for _, hi, _ in ends)
+        kept = [i for lo, _, i in ends if lo - 2 * delta <= least]
+        return min(lo for lo, _, _ in ends), least, kept
+
+    budget, boxes = node_budget(), 1
+    origin = (0,) * dim
+    f_lo, least, live = evaluate(0, origin, list(range(len(targets))))
+    lo, best = Q(f_lo), (0, origin)
+    heap = [(-Q(least + delta), 0, origin, live)]
+    thr = None if threshold is None else threshold / unit
+    wide = None if width is None else width / unit
+    while True:
+        hi = max(-heap[0][0], lo) if heap else lo
+        if (wide is not None and hi - lo <= wide or thr is not None
+                and (lo > thr or hi <= thr) or not heap or d == 0):
+            break
+        _, k, m, live = heapq.heappop(heap)
+        k += 1
+        for signs in itertools.product((-1, 1), repeat=dim):
+            sub = tuple(2 * x + s for x, s in zip(m, signs))
+            if norm == L2 and sum(max(abs(x) - 1, 0) ** 2
+                                  for x in sub) > 4 ** k:
+                continue  # the box misses the Euclidean region
+            boxes += 1
+            if boxes > budget:
+                raise Indeterminate("farthest-point search passed the "
+                                    f"budget of {budget} boxes")
+            f_lo, least, kept = evaluate(k, sub, live)
+            if Q(f_lo, 1 << k) > lo and (
+                    norm == LINF or sum(x * x for x in sub) <= 4 ** k):
+                lo, best = Q(f_lo, 1 << k), (k, sub)  # a point of the region
+            upper = Q(least + delta, 1 << k)
+            if upper > lo:
+                heapq.heappush(heap, (-upper, k, sub, kept))
+    k, m = best
+    x = tuple(Q(c * (1 << k) + mj * d * g, scale << k)
+              for c, mj in zip(center, m))
+    return lo * unit, hi * unit, x
 
 
 # -- generators ----------------------------------------------------------
@@ -346,39 +443,25 @@ class ExplicitTree:
         return lattice_of(self.nodes[w], self._scales[len(w)])
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
-        """One-step bound from a farthest-point grid over the ball against
-        the deepest level of the table below it.  The grid spans two
-        coordinates, so balls that are not planar are rejected."""
-        ball = sys.ball(word)
+        """Every ball of the table meets the generated set, so a point x
+        lies within |x - c| + r of it for each ball (c, r) of the
+        deepest level below ``word``.  The bound is the upper end of the
+        farthest-point enclosure of the smallest such reach over the
+        ball, run to a width of a sixteenth of its radius; zero for a
+        ball-filling chain."""
         words = [word]
         while nxt := [w + (i,) for w in words
                       for i in range(self.child_count(w))]:
             words = nxt
-        deepest = [sys.ball(w) for w in words]
-        if any(len(b.center) != 2 for b in (ball, *deepest)):
-            raise InputError("explicit-tree slack bounds need planar "
-                             f"balls (word {word})")
-        if any(b.center == ball.center and b.radius == ball.radius
-               for b in deepest):
+        s = math.lcm(sys.scale(len(word)), sys.scale(len(words[0])))
+        ball, *deepest = (tuple(x * (s // sys.scale(len(w)))
+                                for x in sys.lattice(w))
+                          for w in (word, *words))
+        if ball in deepest:
             return Interval.point(Q(0))  # ball-filling chain
-
-        def reach(x, b: Ball) -> Q:  # upper bound on |x - c_b| + r_b
-            if sys.norm == LINF:
-                return max(abs(a - c) for a, c in zip(x, b.center)) + b.radius
-            sq = sum((a - c) ** 2 for a, c in zip(x, b.center))
-            return interval_sqrt(Interval.point(sq), bits).hi + b.radius
-
-        # max over the ball of min_b reach(x, b), bounded on an 8 x 8 grid
-        # of points placed relative to the ball, plus the 1-Lipschitz mesh
-        # slack
-        pitch = ball.radius / 4
-        ticks = [-ball.radius + pitch * (i + Q(1, 2)) for i in range(8)]
-        best = max(min(reach((ball.center[0] + ox, ball.center[1] + oy), b)
-                       for b in deepest)
-                   for ox in ticks for oy in ticks)
-        # pitch/2 in the sup norm; a rational bound above pitch*sqrt(2)/2
-        mesh = pitch / 2 if sys.norm == LINF else pitch * Q(3, 4)
-        return Interval(Q(0), best + mesh)
+        _, hi, _ = _farthest(ball, deepest, s, sys.norm,
+                             width=Q(ball[-1], 16 * s))
+        return Interval(Q(0), hi)
 
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
         """The minimum over the table's internal words, tagged with the
@@ -552,9 +635,9 @@ def h_upper(sys: BallSystem, word: Word = (), bits: int = 128) -> Interval:
     ``word``: the largest distance from a point of that ball to the
     generated set.
 
-    Closed forms for the self-similar builders; for explicit trees a
-    one-step bound from a farthest-point grid over the ball against the
-    deepest level of the table, which needs planar balls.
+    Closed forms for the self-similar builders; for explicit trees the
+    upper end of the farthest-point enclosure over the ball against the
+    deepest level of the table, in any dimension.
     """
     return sys.generator.h_upper(sys, word, bits)
 
@@ -584,8 +667,9 @@ def yavicoli_thickness(sys: BallSystem, bits: int = 128) -> ThicknessReportNd:
 
 
 CERTIFIED_ANALYTIC = "certified_analytic"
+CERTIFIED = "certified"
 FALSIFIED = "falsified"
-UNFALSIFIED_SAMPLED = "unfalsified_sampled"
+UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -595,8 +679,36 @@ class UniformityResult:
     counterexample: Optional[Ball] = None
 
 
-def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
-                       seed: int = 0) -> UniformityResult:
+def _uniform_word(sys: BallSystem, word: Word, r_iv: Interval
+                  ) -> UniformityResult:
+    """Whether the ball at ``word``, of center c and radius R, is
+    r-uniform.  B(x, rR) contains child i exactly when
+    |x - c_i| + r_i <= rR, and a sub-ball of radius at least rR contains
+    one of radius rR, so the ball is r-uniform exactly when the largest
+    min_i (|x - c_i| + r_i) over |x - c| <= (1 - r)R is at most rR.
+    Certified at r.lo holds for the whole interval, and so does
+    falsified at r.hi, with the sub-ball at the farthest point as the
+    counterexample."""
+    own, below = sys.scale(len(word)), sys.scale(len(word) + 1)
+    s = math.lcm(own, below)
+    ball = tuple(x * (s // own) for x in sys.lattice(word))
+    kids = sys.kids(word)
+    for r in dict.fromkeys((r_iv.lo, r_iv.hi)):
+        p, q = r.numerator, r.denominator
+        reach = r * Q(ball[-1], s)
+        step = s // below * q
+        lo, hi, x = _farthest((*(c * q for c in ball[:-1]),
+                               (q - p) * ball[-1]),
+                              [tuple(v * step for v in kid) for kid in kids],
+                              s * q, sys.norm, threshold=reach)
+        if r == r_iv.lo and hi <= reach:
+            return UniformityResult(CERTIFIED, r_iv)
+        if r == r_iv.hi and lo > reach:
+            return UniformityResult(FALSIFIED, r_iv, Ball(x, reach, sys.norm))
+    return UniformityResult(UNKNOWN, r_iv)
+
+
+def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
     """Check whether every sub-ball of relative radius at least r inside
     any tree ball contains a child ball.
 
@@ -604,7 +716,13 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
     (any such sub-ball contains a whole grid cell even after
     perturbation) and the hexagonal arrangement is
     ((2 + sqrt(3))/sqrt(3) * rho)-dense.  Larger r values inherit the
-    certificate; smaller ones are probed for counterexamples.
+    certificate.  Below it, the root and the depth-1 words are checked
+    exactly with the farthest-point enclosure, which can falsify but not
+    certify the levels below: the answer is ``falsified`` or
+    ``unknown``.  A system with no analytic constant, a finite table, is
+    checked at every word with children, the words its thickness bound
+    ranges over, and the answer is ``certified`` or ``falsified``.  A
+    search that passes the node budget is ``Indeterminate``.
     """
     r_iv = Interval.coerce(to_q(r)) if not isinstance(r, Interval) else r
     if not (0 < r_iv.lo and r_iv.hi < 1):
@@ -612,38 +730,20 @@ def r_uniformity_check(sys: BallSystem, r, samples: int = 64,
     analytic = sys.generator.density()
     if analytic is not None and r_iv.certainly_ge(analytic):
         return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
-
-    # deterministic counterexample: a sub-ball smaller than every child
-    kids = sys.kids(())
-    s1 = sys.scale(1)
-    if kids and r_iv.hi * sys.root.radius < Q(min(k[-1] for k in kids), s1):
-        bad = Ball(sys.root.center, r_iv.lo * sys.root.radius, sys.norm)
-        if not contains_any(bad, kids, s1):
-            return UniformityResult(FALSIFIED, r_iv, bad)
-
-    # randomized probes at the minimal admissible radius
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        word: Word = ()
-        for _ in range(rng.randint(0, 2)):
-            word = word + (rng.randrange(sys.child_count(word)),)
-        lat = sys.lattice(word)
-        parent = sys.to_ball(lat, sys.scale(len(word)))
-        rad = r_iv.lo * parent.radius
-        span = parent.radius - rad
-        if span < 0:
+    status = CERTIFIED if analytic is None else UNKNOWN
+    words: list[Word] = [()]
+    for w in words:  # breadth first; the list grows as it is walked
+        count = sys.child_count(w)
+        if not count:
             continue
-        cx = parent.center[0] + span * (2 * Q(rng.randint(0, 2**20), 2**20) - 1)
-        cy = parent.center[1] + span * (2 * Q(rng.randint(0, 2**20), 2**20) - 1)
-        cand = Ball((cx, cy), rad, sys.norm)
-        if not parent.contains_ball(cand):
-            continue
-        if not contains_any(cand, sys.kids(word, lat),
-                            sys.scale(len(word) + 1)):
-            return UniformityResult(FALSIFIED, r_iv, cand)
-    return UniformityResult(UNFALSIFIED_SAMPLED, r_iv)
+        res = _uniform_word(sys, w, r_iv)
+        if res.status == FALSIFIED:
+            return res
+        if res.status == UNKNOWN:
+            status = UNKNOWN
+        if analytic is None or not w:
+            words += [w + (i,) for i in range(count)]
+    return UniformityResult(status, r_iv)
 
 
 # -- subset thickness ------------------------------------------------------
@@ -736,7 +836,6 @@ def subset_thickness(sys: BallSystem, child_index: int,
 
 HOLDS = "hypotheses_hold"
 FAILS = "fail"
-UNKNOWN_ND = "unknown"
 
 
 @dataclass(frozen=True)
@@ -823,7 +922,7 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
 
     unis = [r_uniformity_check(s, r_iv) for s in (sys1, sys2)]
     details["uniformity"] = tuple(u.status for u in unis)
-    if all(u.status == CERTIFIED_ANALYTIC for u in unis):
+    if all(u.status in (CERTIFIED_ANALYTIC, CERTIFIED) for u in unis):
         uni_ok: Optional[bool] = True
     elif any(u.status == FALSIFIED for u in unis):
         uni_ok = False
@@ -839,7 +938,7 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
         verdict = FAILS
         reason = "; ".join(n for n, c in zip(names, checks) if c is False)
     else:
-        verdict = UNKNOWN_ND
+        verdict = UNKNOWN
         reason = "; ".join(f"{n} undecided"
                            for n, c in zip(names, checks) if c is None)
     return RdHypothesesReport(prod_ok, meets, ratio_ok, uni_ok,

@@ -299,7 +299,6 @@ class Run:
             "command": self.args.command,
             "input_hash": hashlib.sha256(
                 canonical_description(desc or {}).encode()).hexdigest(),
-            "seed": getattr(self.args, "seed", None),
             "depth": getattr(self.args, "depth", None),
             "precision_bits": getattr(self.args, "precision_bits", None),
             "mode": getattr(self.args, "mode", None),
@@ -610,7 +609,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="interval precision in bits, at least 1; read "
                              "by find-ap and find-combo on ball systems and "
                              "by find-triangle")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--mode", choices=["standard", "appendix"],
                         default="standard")
 

@@ -24,6 +24,9 @@ from functools import partial
 from typing import Optional, Union
 
 from .balls import (
+    CERTIFIED,
+    CERTIFIED_ANALYTIC,
+    FALSIFIED,
     Ball,
     BallSystem,
     FULL_BOUND,
@@ -418,14 +421,18 @@ def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
                       target_key: str, images, depth: int, bits: int
                       ) -> tuple[tuple[Q, ...], Ball, Ball]:
     """The step after the disk, shared by both drivers: certify
-    r-uniformity, take the deepest ball center inside the disk as the
-    target (its word recorded under ``target_key``), and refine the
-    designated pair against it with the image maps ``images(target)``
-    down to ``depth``.  Returns the target and the two refined balls."""
+    r-uniformity (falsified is a hypothesis failure, anything short of
+    certified is indeterminate), take the deepest ball center inside the
+    disk as the target (its word recorded under ``target_key``), and
+    refine the designated pair against it with the image maps
+    ``images(target)`` down to ``depth``.  Returns the target and the two
+    refined balls."""
     uni = r_uniformity_check(sys, report["r"])
     report["r_uniformity"] = uni.status
-    if uni.status == "falsified":
+    if uni.status == FALSIFIED:
         raise HypothesisError("system is not r-uniformly dense")
+    if uni.status not in (CERTIFIED_ANALYTIC, CERTIFIED):
+        raise Indeterminate("r-uniformity not certified")
     word, target = _deepest_center_in_disk(sys, disk, depth, bits)
     report[target_key] = word
     ia, ib = report["children"]
@@ -541,7 +548,7 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
                                       h_root, bits)
     t_d = radius["disk_radius"]
     center = _vsub(maps.apply_f(ball_a.center), maps.apply_g(ball_b.center))
-    center_norm = _norm(center, bits)
+    center_norm = _norm(_vsub(center, root.center), bits)
 
     # the disk must reach the set: entirely inside the root, or
     # overlapping it deeply enough to trap a slack-sized ball

@@ -4,9 +4,10 @@ These are brute-force or cover-based computations that no library path
 needs: merged combination covers and the difference segment read off
 them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, two
-ball predicates, and the line's word geometry computed by composing
-affine maps in rationals, as the library did before it moved to integer
-numerators.  The file is not collected; the tests import it by name.
+ball predicates, a dense-grid farthest-point maximum in floats, and the
+line's word geometry computed by composing affine maps in rationals, as
+the library did before it moved to integer numerators.  The file is not
+collected; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -502,3 +503,41 @@ def contains_point(ball: Ball, p: tuple[Q, ...]) -> bool:
                    for a, b in zip(ball.center, p))
     return sum((a - b) ** 2
                for a, b in zip(ball.center, p)) <= ball.radius ** 2
+
+
+def _reach(x, c, norm: str) -> float:
+    diffs = [a - b for a, b in zip(x, c)]
+    if norm == LINF:
+        return max(map(abs, diffs))
+    return math.sqrt(sum(t * t for t in diffs))
+
+
+def reach_at(x, targets, norm: str) -> float:
+    """min_i (|x - c_i| + w_i) at the one point ``x``, in floats."""
+    x = [float(a) for a in x]
+    return min(_reach(x, map(float, c), norm) + float(w) for c, w in targets)
+
+
+def grid_farthest(ball: Ball, targets, n: int) -> tuple[float, float]:
+    """The largest min_i (|x - c_i| + w_i), in floats, over the points x
+    of the ball on an n-per-axis grid spanning its bounding cube, for
+    ``targets`` given as (center, weight) pairs of rationals, and the
+    mesh term the true maximum over the ball can exceed it by.
+
+    With grid step h, every point of the cube is within h*sqrt(d)/2 of
+    a grid point in the Euclidean norm.  Moving a maximizer that far
+    toward the center first and then to its nearest grid point stays in
+    the ball, so a grid point of the ball lies within h*sqrt(d) of it in
+    either norm, and the function is 1-Lipschitz.  Rounding moves a
+    grid point by far less than the tolerance the tests allow."""
+    dim, rad = len(ball.center), float(ball.radius)
+    mid = [float(c) for c in ball.center]
+    near = [([float(a) for a in c], float(w)) for c, w in targets]
+    step = 2 * rad / (n - 1)
+    best = -math.inf
+    for x in itertools.product(*([c - rad + step * j for j in range(n)]
+                                 for c in mid)):
+        if _reach(x, mid, ball.norm) <= rad:
+            best = max(best, min(_reach(x, c, ball.norm) + w
+                                 for c, w in near))
+    return best, step * math.sqrt(dim)

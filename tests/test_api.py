@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import thickset
-from thickset import patterns_nd
+from thickset import balls, patterns_nd
 
 MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
            "product", "render", "scalars")
@@ -61,3 +61,13 @@ def test_unread_members_are_gone():
 def test_triangle_disk_reads_alpha_sq_from_its_maps():
     params = inspect.signature(patterns_nd.triangle_disk).parameters
     assert "alpha_sq" not in params
+
+
+@pytest.mark.parametrize("name", ["UNFALSIFIED_SAMPLED", "contains_any"])
+def test_sampled_uniformity_is_gone(name):
+    assert not hasattr(balls, name)
+
+
+def test_r_uniformity_check_takes_no_sampling_knobs():
+    params = inspect.signature(balls.r_uniformity_check).parameters
+    assert list(params) == ["sys", "r"]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as Q
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thickset.balls import (
+    CERTIFIED,
     CERTIFIED_ANALYTIC,
     FALSIFIED,
     FULL_BOUND,
@@ -25,6 +27,10 @@ from thickset.balls import (
     hex_packing_example,
     r_uniformity_check,
     SubsetThicknessReport,
+    UNKNOWN,
+    _farthest,
+    common_denominator,
+    lattice_of,
     subset_thickness,
     validate_system,
     yavicoli_thickness,
@@ -32,7 +38,7 @@ from thickset.balls import (
 from thickset.errors import InputError
 from thickset.scalars import Interval, interval_sqrt, sqrt3
 
-from oracles import contains_point, disjoint_from
+from oracles import contains_point, disjoint_from, grid_farthest, reach_at
 
 GAMMA = Q(99999, 100000)
 
@@ -277,18 +283,16 @@ class TestHUpper:
         with pytest.raises(InputError):
             validate_system(sys, depth=2)  # word (1,) dangles
 
-    def test_explicit_tree_must_be_planar(self):
+    def test_explicit_tree_slack_in_3d(self):
         # the bottom pole (0, 0, -1) is 2 - 2/10 = 9/5 from the only child
         # ball, which holds the generated set, so the slack is at least
-        # 9/5; a grid over the first two coordinates bounded it by 1.525
-        # and certified a thickness of 0.0656 > (1/10) / (9/5)
+        # 9/5 and the thickness at most (1/10) / (9/5) = 1/18; a grid over
+        # the first two coordinates once bounded the slack by 1.525
         root = Ball((Q(0), Q(0), Q(0)), Q(1))
         child = Ball((Q(0), Q(0), Q(9, 10)), Q(1, 10))
         sys = BallSystem(root, ExplicitTree({(0,): child}))
-        for bound in (lambda: h_upper(sys, ()),
-                      lambda: yavicoli_thickness(sys)):
-            with pytest.raises(InputError, match="planar"):
-                bound()
+        assert h_upper(sys, ()).hi >= Q(9, 5)
+        assert yavicoli_thickness(sys).lower_bound.hi <= Q(1, 18)
 
 
 class TestClosedFormsScaleWithRoot:
@@ -348,8 +352,8 @@ class TestYavicoliThickness:
         t0 = yavicoli_thickness(base).lower_bound.lo
         rot = transform_system(base, rotation=(Q(3, 5), Q(4, 5)))
         t1 = yavicoli_thickness(rot).lower_bound.lo
-        # the farthest-point grid is axis-aligned, so the bounds agree
-        # only up to the mesh slack
+        # the farthest-point boxes are axis-aligned, so the bounds agree
+        # only up to the enclosure width
         assert abs(t1 - t0) <= t0 * Q(1, 4)
 
 
@@ -368,6 +372,92 @@ class TestRUniformity:
         res = r_uniformity_check(sys, Q(19, 2000))
         assert res.status == FALSIFIED
         assert res.counterexample is not None
+
+    def test_builder_below_its_constant_is_unknown(self):
+        # every sub-ball checked at the root and the depth-1 words holds a
+        # child, but the levels below are not checked
+        sys = grid_ifs_example(3, Q(1, 4), Q(1, 6), 1)
+        assert r_uniformity_check(sys, Q(13, 20)).status == UNKNOWN
+
+    def test_depth_one_tree_certified(self):
+        # a sub-ball of radius 9/10 inside the unit ball has its center
+        # within 1/10 of the origin, so it holds a child of radius 1/4
+        # centered 1/2 away; a probe inside a leaf once falsified this
+        kids = {(0,): Ball((Q(1, 2), Q(0)), Q(1, 4)),
+                (1,): Ball((Q(-1, 2), Q(0)), Q(1, 4))}
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)), ExplicitTree(kids))
+        assert r_uniformity_check(sys, Q(9, 10)).status == CERTIFIED
+
+    def test_3d_counterexample(self):
+        kids = {(0,): Ball((Q(0), Q(0), Q(9, 10)), Q(1, 10)),
+                (1,): Ball((Q(0), Q(0), Q(-9, 10)), Q(1, 10))}
+        sys = BallSystem(Ball((Q(0), Q(0), Q(0)), Q(1)), ExplicitTree(kids))
+        res = r_uniformity_check(sys, Q(1, 5))
+        assert res.status == FALSIFIED
+        assert res.counterexample == Ball((Q(0), Q(0), Q(0)), Q(1, 5))
+
+
+def kernel(ball: Ball, targets, **stop):
+    """``_farthest`` over ``ball`` against (center, weight) targets of
+    rationals, all brought to one lattice scale."""
+    s = math.lcm(common_denominator(ball),
+                 *(q.denominator for c, w in targets for q in (*c, w)))
+    rows = [(*(x.numerator * (s // x.denominator) for x in c),
+             w.numerator * (s // w.denominator)) for c, w in targets]
+    return _farthest(lattice_of(ball, s), rows, s, ball.norm, **stop)
+
+
+def one_level(sys: BallSystem, word, **stop):
+    """The kernel with w_i = -r_i over the children of ``word``: the
+    largest distance from a point of the ball to its children, a lower
+    bound on its covering slack."""
+    ball = sys.ball(word)
+    return kernel(ball, [(b.center, -b.radius) for b in sys.children(word)],
+                  **stop)
+
+
+small = st.fractions(-2, 2, max_denominator=12)
+
+
+class TestFarthestKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), norm=st.sampled_from([L2, LINF]),
+           center=st.lists(small, min_size=3, max_size=3),
+           radius=st.fractions(Q(1, 4), 2, max_denominator=12),
+           kids=st.lists(st.tuples(st.lists(small, min_size=3, max_size=3),
+                                   st.fractions(0, 1, max_denominator=12),
+                                   st.sampled_from([1, -1])),
+                         min_size=1, max_size=6))
+    def test_encloses_dense_grid_maximum(self, dim, norm, center, radius,
+                                         kids):
+        # a random tree of depth 1: the root and its children, with
+        # weights +r_i (reach of a child) or -r_i (distance to it)
+        ball = Ball(tuple(center[:dim]), radius, norm)
+        targets = [(tuple(c[:dim]), sign * r) for c, r, sign in kids]
+        lo, hi, x = kernel(ball, targets, width=radius / 16)
+        assert hi - lo <= radius / 16
+        assert contains_point(ball, x)
+        assert reach_at(x, targets, norm) >= float(lo) - 1e-9
+        seen, mesh = grid_farthest(ball, targets, 33 if dim == 2 else 13)
+        assert seen <= float(hi) + 1e-9
+        assert float(lo) <= seen + mesh + 1e-9
+
+    @pytest.mark.parametrize("word", [(), (3, 7)])
+    def test_grid_closed_form_above_one_level_slack(self, word):
+        sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
+        bound = h_upper(sys, word).hi
+        lo, _, _ = one_level(sys, word, threshold=bound)
+        assert lo <= bound
+
+    @pytest.mark.parametrize("gamma", [Q(1), GAMMA])
+    def test_hex_root_slack_above_a_thirtieth(self, gamma):
+        # the crescent between the outer circles and the root circle: the
+        # hex closed form, about 0.0168, stays below this bound (see
+        # ROADMAP item 12)
+        lo, _, x = one_level(hex_packing_example(gamma), (),
+                             threshold=Q(1, 30))
+        assert lo >= Q(1, 30)
+        assert x[0] ** 2 + x[1] ** 2 <= 1
 
 
 class TestSubsetThickness:

@@ -197,6 +197,15 @@ class TestExitCodes:
         assert (manifest["command"], manifest["exit_code"], manifest["depth"],
                 manifest["outputs"]) == ("find-ap", 1, None, [])
 
+    def test_no_seed_flag(self, tmp_path):
+        # nothing read --seed; the grid's seed is a description field
+        out = tmp_path / "t.json"
+        argv = ["thickness", "--set", "middle_cantor:1/3", "--out", str(out)]
+        assert main(argv + ["--seed", "3"]) == 1
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert "seed" not in manifest
+
     def test_rejected_arguments_without_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["find-ap", "--set", "middle_thirds", "--out"]) == 1

@@ -12,6 +12,8 @@ from thickset.balls import (
     ExplicitTree,
     HexPacking,
     L2,
+    UNKNOWN,
+    UniformityResult,
     grid_ifs_example,
     hex_packing_example,
     yavicoli_thickness,
@@ -317,10 +319,24 @@ def _equilateral_maps():
 
 
 def _far_hex():
-    """The hex system with its root moved to (10, 0).  The meets-set
-    check measures the disk center from the origin, not from the root's
-    center, so this system fails it."""
+    """The hex system with its root moved to (10, 0)."""
     return BallSystem(Ball((Q(10), Q(0)), Q(1), L2), HexPacking(GAMMA))
+
+
+def _loose_norms(call):
+    """``call`` run with every norm enclosure of the disk pipelines
+    widened by 2, the hex root's diameter.  No admitted input places its
+    disk center near the root's boundary (the disk-meets-set bound), so
+    only an enclosure this loose leaves the check uncertified."""
+    import thickset.patterns_nd as nd
+
+    def run():
+        exact = nd._norm
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nd, "_norm", lambda a, bits=128:
+                       exact(a, bits) + Interval(Q(0), Q(2)))
+            return call()
+    return run
 
 
 LOW, THIN = (Q(3, 10), Q(1, 10)), (Q(1, 100), Q(1, 100))
@@ -460,14 +476,11 @@ FAILURES = [
     ("undecided-triangle", lambda: find_triangle_nd(
         _hex(), _triangle(TIE), R_TIE, 3, bits=16),
      "Indeterminate", UNDECIDED),
-    ("meets-triangle-disk", lambda: triangle_disk(
-        _far_hex(), _equilateral_maps(), HEX_R),
+    ("meets-triangle-disk", _loose_norms(lambda: triangle_disk(
+        _hex(), _equilateral_maps(), HEX_R)),
      "Indeterminate", NOT_MEETS),
-    ("meets-triangle", lambda: find_triangle_nd(
-        _far_hex(), equilateral(), HEX_R, 3),
-     "Indeterminate", NOT_MEETS),
-    ("meets-before-uniform", lambda: find_triangle_nd(
-        _far_hex(), equilateral(), Q(1, 20), 3),
+    ("meets-triangle", _loose_norms(lambda: find_triangle_nd(
+        _hex(), equilateral(), HEX_R, 3)),
      "Indeterminate", NOT_MEETS),
 ]
 
@@ -479,6 +492,25 @@ def test_failure_outcomes(call, kind, message):
     with pytest.raises(Exception) as info:
         call()
     assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def test_far_root_finds_the_centered_witness():
+    # f - g is the identity, so moving the root moves the disk with it;
+    # the disk-meets-set check measures the disk center from the root
+    wit = find_triangle_nd(_far_hex(), equilateral(), HEX_R, 3)
+    centered = find_triangle_nd(_hex(), equilateral(), HEX_R, 3)
+    assert wit.hypotheses_report["disk_meets_set"] == "disk_inside_root"
+    assert wit.hypotheses_report["apex_word"] \
+        == centered.hypotheses_report["apex_word"]
+
+
+def test_unknown_uniformity_is_indeterminate(monkeypatch):
+    import thickset.patterns_nd as nd
+
+    monkeypatch.setattr(nd, "r_uniformity_check",
+                        lambda sys, r: UniformityResult(UNKNOWN, r))
+    with pytest.raises(Indeterminate, match="r-uniformity not certified"):
+        find_convex_combo_nd(grid(), Q(1, 2), Q(1, 5), 3)
 
 
 def test_triangle_disk_threshold_exact_from_maps():
