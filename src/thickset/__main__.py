@@ -1,0 +1,5 @@
+"""``python -m thickset``: the ``thickset`` command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

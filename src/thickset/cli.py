@@ -2,6 +2,12 @@
 search, certification, reproduction of the worked-example constants, and
 SVG/CSV/JSON artifact emission.
 
+Only find-ap, find-combo, find-triangle and search-kap have a CSV form
+(their witness points); ``--format csv`` on another command is an input
+error.  The argument parser is built on the first ``main()`` call and
+kept for the rest of the process; nothing derived from a set, a system
+or a description outlives a call.
+
 Exit codes: 0 a verdict was produced (including a sound infeasibility),
 1 input error (unreadable or unwritable files included) or an internal
 error, 2 a certified hypothesis or threshold failure, 3 indeterminate
@@ -13,6 +19,7 @@ arguments are rejected; an unwritable manifest is exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +47,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_UNKNOWN = 3
+
+# the commands whose artifact has a CSV form: their witness points
+CSV_COMMANDS = ("find-ap", "find-combo", "find-triangle", "search-kap")
 
 
 # -- descriptions ------------------------------------------------------------
@@ -267,12 +277,21 @@ class Run:
         self.artifacts: list[tuple[str, str]] = []  # (path, content)
         self.verdicts: list[str] = []
         self.lines: list[str] = []
+        self._desc: Optional[dict] = None
+
+    def description(self) -> dict:
+        """The parsed ``--set``, parsed on the first call and the same
+        dict on every later one, so that the handler and the manifest
+        read a ``--set`` file once."""
+        if self._desc is None:
+            self._desc = parse_description(self.args.set)
+        return self._desc
 
     def say(self, line: str):
         self.lines.append(line)
         print(line)
 
-    def emit(self, payload, kind: str):
+    def emit(self, payload):
         out = getattr(self.args, "out", None)
         fmt = getattr(self.args, "format", None) or "json"
         if out is None:
@@ -280,9 +299,8 @@ class Run:
         path = Path(out)
         if isinstance(payload, str):
             content = payload
-        elif fmt == "csv" and kind in ("witness", "kap"):
-            pts = payload.get("_csv_points", [])
-            content = witness_csv(pts)
+        elif fmt == "csv":  # main admits it for CSV_COMMANDS only
+            content = witness_csv(payload.get("_csv_points", []))
         else:
             payload = {k: v for k, v in payload.items()
                        if not k.startswith("_")}
@@ -322,7 +340,7 @@ def manifest_path(out: str) -> Path:
 
 
 def cmd_construct(run: Run) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         validate_system(obj, depth=2)
@@ -335,14 +353,13 @@ def cmd_construct(run: Run) -> int:
                 f"{len(obj.branches)} branches, "
                 f"{len(c.intervals)} cover intervals at depth "
                 f"{min(run.args.depth, 10)}")
-    run.emit({"schema": SCHEMA, "type": "description", **desc},
-             "description")
+    run.emit({"schema": SCHEMA, "type": "description", **desc})
     run.verdicts.append("constructed")
     return EXIT_OK
 
 
 def cmd_thickness(run: Run) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         rep = yavicoli_thickness(obj)
@@ -353,7 +370,7 @@ def cmd_thickness(run: Run) -> int:
                   "input": desc,
                   "lower_bound": jsonable(rep.lower_bound),
                   "achieved_word": list(rep.achieved_word),
-                  "tail_certificate": rep.tail_certificate}, "report")
+                  "tail_certificate": rep.tail_certificate})
         return EXIT_OK
     rep = cantor.newhouse_thickness(obj)
     run.say(f"{decimal_str(rep.value)} ({rep.status})")
@@ -361,12 +378,12 @@ def cmd_thickness(run: Run) -> int:
     run.emit({"schema": SCHEMA, "type": "thickness_1d", "input": desc,
               "value": str(rep.value), "status": rep.status,
               "witness_gap": jsonable(list(rep.witness.gap)),
-              "ratio": str(rep.witness.ratio)}, "report")
+              "ratio": str(rep.witness.ratio)})
     return EXIT_OK
 
 
 def _combo_common(run: Run, lam) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         r = default_r(obj, getattr(run.args, "r", None))
@@ -378,7 +395,7 @@ def _combo_common(run: Run, lam) -> int:
         payload = witness_nd_json(w, desc)
         payload["_csv_points"] = [w.a, w.b,
                                   tuple(Interval.point(x) for x in w.c)]
-        run.emit(payload, "witness")
+        run.emit(payload)
         run.verdicts.append("witness")
         return EXIT_OK
     w = patterns1d.find_convex_combo(obj, lam, depth=run.args.depth)
@@ -386,7 +403,7 @@ def _combo_common(run: Run, lam) -> int:
             f"residual <= {decimal_approx(w.residual, 15)}")
     payload = witness1d_json(w, desc)
     payload["_csv_points"] = [p.enclosure for p in w.points]
-    run.emit(payload, "witness")
+    run.emit(payload)
     run.verdicts.append("witness")
     return EXIT_OK
 
@@ -410,7 +427,7 @@ def _parse_triangle(raw: str):
 
 
 def cmd_find_triangle(run: Run) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     tri = _parse_triangle(run.args.triangle)
     if isinstance(obj, BallSystem):
@@ -424,7 +441,7 @@ def cmd_find_triangle(run: Run) -> int:
         payload = witness_nd_json(w, desc)
         payload["_csv_points"] = [w.a, w.b,
                                   tuple(Interval.point(x) for x in w.c)]
-        run.emit(payload, "witness")
+        run.emit(payload)
         run.verdicts.append("witness")
         return EXIT_OK
     w = product.find_triangle_in_product(obj, tri, depth=run.args.depth,
@@ -439,13 +456,13 @@ def cmd_find_triangle(run: Run) -> int:
         "depth_used": w.depth_used,
         "collinear": w.collinear,
         "_csv_points": list(w.vertices),
-    }, "witness")
+    })
     run.verdicts.append("witness")
     return EXIT_OK
 
 
 def cmd_search_kap(run: Run) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         raise InputError("progression search runs on one-dimensional sets")
@@ -455,7 +472,7 @@ def cmd_search_kap(run: Run) -> int:
     payload = kap_json(cert, desc)
     if cert.points:
         payload["_csv_points"] = [p.enclosure for p in cert.points]
-    run.emit(payload, "kap")
+    run.emit(payload)
     run.verdicts.append(cert.verdict)
     if cert.verdict == patterns1d.UNKNOWN:
         return EXIT_UNKNOWN
@@ -463,7 +480,7 @@ def cmd_search_kap(run: Run) -> int:
 
 
 def cmd_certify_gap_lemma(run: Run) -> int:
-    desc1 = parse_description(run.args.set)
+    desc1 = run.description()
     desc2 = parse_description(run.args.set2)
     o1, o2 = build_object(desc1), build_object(desc2)
     if isinstance(o1, BallSystem) != isinstance(o2, BallSystem):
@@ -480,7 +497,7 @@ def cmd_certify_gap_lemma(run: Run) -> int:
                       "root_meets_shrunk_ball": rep.root_meets_shrunk_ball,
                       "radius_ratio": rep.radius_ratio_ok,
                       "uniformity": rep.uniformity_ok},
-                  "details": jsonable(rep.details)}, "report")
+                  "details": jsonable(rep.details)})
         run.verdicts.append(rep.verdict)
         if rep.verdict == "hypotheses_hold":
             return EXIT_OK
@@ -492,8 +509,7 @@ def cmd_certify_gap_lemma(run: Run) -> int:
               "reason": rep.reason,
               "hull_intersect": rep.hull_intersect,
               "interwoven": rep.interwoven,
-              "thickness_product": jsonable(rep.thickness_product)},
-             "report")
+              "thickness_product": jsonable(rep.thickness_product)})
     run.verdicts.append(rep.verdict)
     return EXIT_OK if rep.verdict == "hypotheses_hold" else EXIT_HYPOTHESIS
 
@@ -538,7 +554,7 @@ def reproduce_rows() -> list[dict]:
 
 def cmd_reproduce(run: Run) -> int:
     table = run.args.table
-    if table not in ("section6", "examples"):
+    if table != "section6":
         raise InputError(f"unknown table {table!r}")
     rows = reproduce_rows()
     width = max(len(r["name"]) for r in rows)
@@ -549,13 +565,13 @@ def cmd_reproduce(run: Run) -> int:
         run.say(f"{r['name']:<{width}}  target {r['target']:<12} "
                 f"computed {r['computed']:<28} {status}")
     run.emit({"schema": SCHEMA, "type": "reproduction", "table": "section6",
-              "rows": rows}, "report")
+              "rows": rows})
     run.verdicts.append("all_pass" if ok_all else "mismatch")
     return EXIT_OK if ok_all else EXIT_HYPOTHESIS
 
 
 def cmd_plot(run: Run) -> int:
-    desc = parse_description(run.args.set)
+    desc = run.description()
     obj = build_object(desc)
     marks = []
     if run.args.witness:
@@ -581,7 +597,7 @@ def cmd_plot(run: Run) -> int:
                                    marks=marks or None)
     if run.args.out is None:
         raise InputError("plot needs --out")
-    run.emit(svg, "svg")
+    run.emit(svg)
     run.say(f"wrote {run.args.out}")
     run.verdicts.append("plotted")
     return EXIT_OK
@@ -590,7 +606,11 @@ def cmd_plot(run: Run) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The full parser, built on the first call and shared by every later
+    one: ``parse_args`` stores nothing on it, and help text reads
+    ``COLUMNS`` when it is formatted.  Callers must not add to it."""
     p = argparse.ArgumentParser(
         prog="thickset",
         description="Certified computations on thick compact sets")
@@ -687,6 +707,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "precision_bits", 1) <= 0:
             raise InputError("precision bits must be positive")
+        if (getattr(args, "format", None) == "csv"
+                and args.command not in CSV_COMMANDS):
+            raise InputError("--format csv is only for "
+                             + ", ".join(CSV_COMMANDS))
         code = handler(run)
     except InputError as e:
         print(f"input error: {e}", file=_sys.stderr)
@@ -713,7 +737,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = EXIT_INPUT
     try:
         if getattr(args, "set", None):
-            desc = parse_description(args.set)
+            desc = run.description()
     except Exception:
         desc = None
     try:

@@ -1,4 +1,9 @@
+import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +41,27 @@ class TestDescriptions:
                      '"branches":[{"scale":"1/3","offset":"0"},'
                      '{"scale":"1/3","offset":"2/3"}]}'])
         assert code == 0
+
+    def test_set_read_once_per_call(self, tmp_path, monkeypatch):
+        # the manifest hashes the description the handler ran on, even
+        # when --out then overwrites the --set file
+        desc = {"kind": "middle_cantor", "epsilon": "1/3"}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(desc))
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_description(text)
+
+        monkeypatch.setattr(cli, "parse_description", counting)
+        assert main(["construct", "--set", str(path), "--out",
+                     str(path)]) == 0
+        assert calls == [str(path)]
+        manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        want = cli.canonical_description({**desc, "schema": cli.SCHEMA})
+        assert manifest["input_hash"] == \
+            hashlib.sha256(want.encode()).hexdigest()
 
     def test_bad_schema(self):
         code = main(["thickness", "--set",
@@ -340,6 +366,69 @@ class TestExitCodes:
                      "--set2", "middle_cantor:1/3"]) == 0
 
 
+class TestSharedParser:
+    def test_parser_built_once(self, monkeypatch):
+        assert main(["thickness", "--set", "middle_thirds"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["construct", "--set", "off_center:3/10",
+                     "--depth", "3"]) == 0
+        assert main(["thickness", "--set", "middle_cantor:1/3"]) == 0
+        assert main(["search-kap", "--set", "middle_cantor:1/3",
+                     "--k", "3", "--depth", "3"]) == 0
+        assert built == []
+
+    def test_rejection_leaves_parser_unchanged(self, tmp_path):
+        out = tmp_path / "w.json"
+        manifest = tmp_path / "w.json.manifest.json"
+        valid = ["find-ap", "--set", "middle_cantor:1/3", "--depth", "10",
+                 "--out", str(out)]
+
+        def files():
+            m = json.loads(manifest.read_text())
+            m.pop("wall_time_s")
+            return out.read_bytes(), json.dumps(m, sort_keys=True)
+
+        cli.make_parser.cache_clear()
+        assert main(valid) == 0
+        first = files()
+        out.unlink()
+        manifest.unlink()
+        assert main(["find-ap", "--set", "middle_cantor:1/3", "--depth", "zz",
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert main(valid) == 0
+        assert files() == first
+
+    def test_help_wraps_to_columns_of_each_call(self, monkeypatch, capsys):
+        texts = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["--help"]) == 0
+            texts.append(capsys.readouterr().out)
+        narrow, wide = texts
+        assert len(narrow.splitlines()) > len(wide.splitlines())
+
+    def test_python_m_thickset(self, tmp_path):
+        out = tmp_path / "r.json"
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "thickset", "reproduce", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["command"] == "reproduce"
+        assert manifest["exit_code"] == 0
+        assert manifest["outputs"] == [str(out)]
+
+
 class TestArtifacts:
     def test_witness_json_and_manifest(self, tmp_path):
         out = tmp_path / "w.json"
@@ -373,6 +462,36 @@ class TestArtifacts:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4 and "," in lines[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["find-combo", "--set", "middle_cantor:1/3", "--lam", "1/3"],
+        ["find-triangle", "--set", "middle_thirds"],
+        ["search-kap", "--set", "middle_cantor:1/3", "--k", "3"],
+    ])
+    def test_csv_format_other_witness_commands(self, tmp_path, argv):
+        out = tmp_path / "w.csv"
+        assert main(argv + ["--depth", "3", "--format", "csv",
+                            "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "point,approx,error_bound" and len(lines) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--set", "middle_thirds"],
+        ["thickness", "--set", "middle_cantor:1/3"],
+        ["certify-gap-lemma", "--set", "middle_thirds", "--set2",
+         "middle_thirds"],
+        ["reproduce"],
+        ["plot", "--set", "middle_thirds"],
+    ])
+    def test_csv_format_without_csv_form_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 1
+        assert "--format csv is only for find-ap, find-combo, " \
+            "find-triangle, search-kap" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert (manifest["command"], manifest["exit_code"],
+                manifest["outputs"]) == (argv[0], 1, [])
 
     def test_construct_exit(self, tmp_path):
         assert main(["construct", "--set", "off_center:3/10",
@@ -418,6 +537,16 @@ class TestReproduce:
                        "0.26243", "7.25077"):
             assert target in out
         assert "FAIL" not in out
+
+    def test_unknown_table_one(self, tmp_path, capsys):
+        # section6 is the only table; "examples" is no alias of it
+        out = tmp_path / "r.json"
+        assert main(["reproduce", "--table", "examples",
+                     "--out", str(out)]) == 1
+        assert "unknown table 'examples'" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
 
 
 class TestRender:
