@@ -203,13 +203,18 @@ def _farthest(region: Lattice, targets: list[Lattice], scale: int,
 # -- generators ----------------------------------------------------------
 
 
-def _hash_words(seed: int, word: Word, child: int) -> tuple[int, int]:
-    """Deterministic 64-bit values, one per coordinate, derived from the
-    seed and position (keys "seed|word|child|coord")."""
-    key = f"{seed}|{','.join(map(str, word))}|{child}|"
-    x = hashlib.sha256(f"{key}0".encode()).digest()
-    y = hashlib.sha256(f"{key}1".encode()).digest()
-    return int.from_bytes(x[:8], "big"), int.from_bytes(y[:8], "big")
+def _hash_words(seed: int, word: Word, children):
+    """Deterministic 64-bit values, one per coordinate, for each of the
+    ``children`` of ``word`` (keys "seed|word|child|coord").  The key
+    prefix "seed|word|" is hashed once and its SHA-256 state copied for
+    each key."""
+    prefix = hashlib.sha256(f"{seed}|{','.join(map(str, word))}|".encode())
+    for child in children:
+        x, y = prefix.copy(), prefix.copy()
+        x.update(f"{child}|0".encode())
+        y.update(f"{child}|1".encode())
+        yield (int.from_bytes(x.digest()[:8], "big"),
+               int.from_bytes(y.digest()[:8], "big"))
 
 
 PERTURB_CLAMP = 1 - Q(1, 2**20)
@@ -217,15 +222,18 @@ PERTURB_CLAMP = 1 - Q(1, 2**20)
 
 class Generator(Protocol):
     """What a builder supplies to a ``BallSystem``: the scale of each
-    level and the lattice form of child ``i`` of the lattice ball
-    ``parent`` found at ``word``, the certified covering-slack and
-    thickness bounds, the analytic r-uniformity constant (None when there
-    is none), the default designated pair of root children, and the
-    structural check behind ``validate_system``."""
+    level; the lattice forms of the children of the lattice ball
+    ``parent`` found at ``word``, all of them (``children``, which does
+    the per-parent work once, for walks that visit a whole fan) or child
+    ``i`` alone (``child``, for one-letter walks to a word); the certified
+    covering-slack and thickness bounds, the analytic r-uniformity
+    constant (None when there is none), the default designated pair of
+    root children, and the structural check behind ``validate_system``."""
 
     designated: tuple[int, int]
     def child_count(self, word: Word) -> int: ...
     def scale(self, root_scale: int, k: int) -> int: ...
+    def children(self, parent: Lattice, word: Word) -> list[Lattice]: ...
     def child(self, parent: Lattice, word: Word, i: int) -> Lattice: ...
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval: ...
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd: ...
@@ -282,18 +290,29 @@ class GridIfs:
         _, q, t, _, _ = self._table
         return root_scale * (q * t) ** k
 
+    def _derive(self, parent: Lattice, word: Word, indices) -> list[Lattice]:
+        """Children ``indices`` of ``parent``: the parent's integers are
+        scaled and the key prefix hashed once for them all."""
+        p, q, t, taus, k = self._table
+        nx, ny, nr = parent
+        qt, qr = q * t, q * nr
+        x0, y0, r = nx * qt, ny * qt, nr * p * t
+        if not word:
+            return [(x0 + qr * taus[i][0], y0 + qr * taus[i][1], r)
+                    for i in indices]
+        # deeper levels are perturbed
+        return [(x0 + qr * (taus[i][0] + k * (vx - 2**63)),
+                 y0 + qr * (taus[i][1] + k * (vy - 2**63)), r)
+                for i, (vx, vy) in zip(indices, _hash_words(
+                    self.seed, word, indices))]
+
+    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
+        return self._derive(parent, word, range(self.n * self.n))
+
     def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         if not (0 <= i < self.n * self.n):
             raise InputError("child index out of range")
-        p, q, t, taus, k = self._table
-        tx, ty = taus[i]
-        if word:  # deeper levels are perturbed
-            vx, vy = _hash_words(self.seed, word, i)
-            tx += k * (vx - 2**63)
-            ty += k * (vy - 2**63)
-        nx, ny, nr = parent
-        qt, qr = q * t, q * nr
-        return nx * qt + qr * tx, ny * qt + qr * ty, nr * p * t
+        return self._derive(parent, word, (i,))[0]
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         return Interval.point(sys.root.radius * self.d_spacing
@@ -350,20 +369,29 @@ class HexPacking:
         return root_scale * (q * t) ** k * (self.gamma.denominator if k
                                             else 1)
 
+    def _derive(self, parent: Lattice, word: Word, indices) -> list[Lattice]:
+        """Children ``indices`` of ``parent``, with the parent's integers
+        scaled, and gamma folded at the root, once for them all."""
+        p, q, t, taus = self._table
+        nx, ny, nr = parent
+        r = nr * p * t
+        if word:
+            m, plain, shrunk = q, r, r
+        else:  # gamma = g/h folded into the root level
+            g, h = self.gamma.numerator, self.gamma.denominator
+            m, plain, shrunk = q * h, r * h, r * g
+        x0, y0, nm = nx * m * t, ny * m * t, nr * m
+        return [(x0 + nm * taus[i][0], y0 + nm * taus[i][1],
+                 shrunk if i in self.designated else plain)
+                for i in indices]
+
+    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
+        return self._derive(parent, word, range(85))
+
     def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         if not (0 <= i < 85):
             raise InputError("child index out of range")
-        p, q, t, taus = self._table
-        hx, hy = taus[i]
-        if word:
-            m, shrink = q, 1
-        else:  # gamma = g/h folded into the root level
-            h = self.gamma.denominator
-            m = q * h
-            shrink = self.gamma.numerator if i in self.designated else h
-        nx, ny, nr = parent
-        return (nx * m * t + nr * m * hx, ny * m * t + nr * m * hy,
-                nr * p * t * shrink)
+        return self._derive(parent, word, (i,))[0]
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         # one level of interstitial slack below the ball's own radius:
@@ -435,6 +463,10 @@ class ExplicitTree:
 
     def scale(self, root_scale: int, k: int) -> int:
         return self._scales.get(k, 1) if k else root_scale
+
+    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
+        return [self.child(parent, word, i)
+                for i in range(self.child_count(word))]
 
     def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
         w = word + (i,)
@@ -532,7 +564,10 @@ class BallSystem:
     of a pair of equal-length words, compare as plain integers.  A
     child's integers come from its parent's, so searches walk lattices
     and build a ``Ball`` only for what they report.  Nothing is cached:
-    ``ball`` and ``children`` walk from the root on every call.
+    ``ball`` and ``children`` walk from the root on every call.  A walk
+    to one word (``lattice``) takes one child per level through the
+    generator's ``child``; a walk over a whole fan of children (``kids``)
+    takes them all at once through its ``children``.
     """
 
     root: Ball
@@ -561,11 +596,11 @@ class BallSystem:
     def kids(self, word: Word, lat: Optional[Lattice] = None
              ) -> list[Lattice]:
         """The children of the ball at ``word`` in lattice form, from its
-        lattice ``lat`` when the caller has it."""
-        g = self.generator
+        lattice ``lat`` when the caller has it, derived in one batch by
+        the generator's ``children``."""
         if lat is None:
             lat = self.lattice(word)
-        return [g.child(lat, word, i) for i in range(g.child_count(word))]
+        return self.generator.children(lat, word)
 
     def to_ball(self, lat: Lattice, scale: int) -> Ball:
         return Ball(tuple(Q(x, scale) for x in lat[:-1]), Q(lat[-1], scale),
@@ -625,8 +660,10 @@ def validate_system(sys: BallSystem, depth: int = 2) -> None:
 # -- covering slack (h) and thickness -------------------------------------
 
 
+@functools.cache
 def _hex_q(bits: int = 128) -> Interval:
-    # (2 - sqrt(3)) / sqrt(3) = (2*sqrt(3) - 3) / 3
+    """Enclosure of (2 - sqrt(3))/sqrt(3) = (2*sqrt(3) - 3)/3, a
+    function of ``bits`` alone like ``sqrt3``."""
     return (2 * sqrt3(bits) - 3) / 3
 
 
@@ -797,16 +834,16 @@ def subset_thickness(sys: BallSystem, child_index: int,
     kids = sys.kids(())
     if not (0 <= child_index < len(kids)):
         raise InputError("child index out of range")
-    norm = sys.norm
-    i = first_touching_sibling(kids, child_index, norm)
+    norm, child = sys.norm, kids[child_index]
+    d2 = [sq_dist(child, other, norm) for other in kids]
+    reach = [child[-1] + other[-1] for other in kids]
+    i = next((j for j in range(len(kids))  # first_touching_sibling's test
+              if j != child_index and d2[j] <= reach[j] * reach[j]), None)
     if i is not None:
         raise InputError(f"designated child intersects sibling {i}")
     if len(kids) < 2:
         raise InputError("the child has no siblings")
     s = sys.scale(1)
-    child = kids[child_index]
-    d2 = [sq_dist(child, other, norm) for other in kids]
-    reach = [child[-1] + other[-1] for other in kids]
     order = sorted((j for j in range(len(kids)) if j != child_index),
                    key=lambda j: math.isqrt(d2[j]) - reach[j])
     slack = Q(1, 2 ** (bits + 1))

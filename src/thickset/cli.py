@@ -51,6 +51,9 @@ EXIT_UNKNOWN = 3
 # the commands whose artifact has a CSV form: their witness points
 CSV_COMMANDS = ("find-ap", "find-combo", "find-triangle", "search-kap")
 
+# the inputs besides --set that the manifest's input_hash covers
+OTHER_INPUTS = ("set2", "lam", "r", "triangle", "k", "table", "witness")
+
 
 # -- descriptions ------------------------------------------------------------
 
@@ -277,15 +280,48 @@ class Run:
         self.artifacts: list[tuple[str, str]] = []  # (path, content)
         self.verdicts: list[str] = []
         self.lines: list[str] = []
-        self._desc: Optional[dict] = None
+        self._desc: dict[str, dict] = {}
+        self._witness: Optional[str] = None
 
-    def description(self) -> dict:
-        """The parsed ``--set``, parsed on the first call and the same
-        dict on every later one, so that the handler and the manifest
-        read a ``--set`` file once."""
-        if self._desc is None:
-            self._desc = parse_description(self.args.set)
-        return self._desc
+    def description(self, key: str = "set") -> dict:
+        """The parsed ``--set`` (``--set2`` for key "set2"), parsed on
+        the first call and the same dict on every later one, so that the
+        handler and the manifest read a description file once."""
+        if key not in self._desc:
+            self._desc[key] = parse_description(getattr(self.args, key))
+        return self._desc[key]
+
+    def witness(self) -> str:
+        """The text of the ``--witness`` file, read once per run."""
+        if self._witness is None:
+            self._witness = Path(self.args.witness).read_text()
+        return self._witness
+
+    def input_hash(self, desc: Optional[dict]) -> str:
+        """sha256 of the canonical ``--set`` description (``{}`` when
+        there is none or it did not parse), followed, when the command
+        reads other inputs, by a newline and those inputs as canonical
+        JSON: ``--set2`` parsed, ``--witness`` as the sha256 of its
+        text, the others as given, and null for one that cannot be read.
+        A command with ``--set`` alone hashes its description alone."""
+        text = canonical_description(desc or {})
+        other: dict[str, Any] = {}
+        for key in OTHER_INPUTS:
+            value = getattr(self.args, key, None)
+            if value is None:
+                continue
+            try:
+                if key == "set2":
+                    value = self.description("set2")
+                elif key == "witness":
+                    value = hashlib.sha256(
+                        self.witness().encode()).hexdigest()
+            except Exception:  # the handler reported it; still hash
+                value = None
+            other[key] = value
+        if other:
+            text += "\n" + canonical_description(other)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def say(self, line: str):
         self.lines.append(line)
@@ -315,8 +351,7 @@ class Run:
         m = {
             "schema": SCHEMA,
             "command": self.args.command,
-            "input_hash": hashlib.sha256(
-                canonical_description(desc or {}).encode()).hexdigest(),
+            "input_hash": self.input_hash(desc),
             "depth": getattr(self.args, "depth", None),
             "precision_bits": getattr(self.args, "precision_bits", None),
             "mode": getattr(self.args, "mode", None),
@@ -481,7 +516,7 @@ def cmd_search_kap(run: Run) -> int:
 
 def cmd_certify_gap_lemma(run: Run) -> int:
     desc1 = run.description()
-    desc2 = parse_description(run.args.set2)
+    desc2 = run.description("set2")
     o1, o2 = build_object(desc1), build_object(desc2)
     if isinstance(o1, BallSystem) != isinstance(o2, BallSystem):
         raise InputError("both inputs must be sets or both ball systems")
@@ -572,10 +607,12 @@ def cmd_reproduce(run: Run) -> int:
 
 def cmd_plot(run: Run) -> int:
     desc = run.description()
+    if run.args.out is None:
+        raise InputError("plot needs --out")
     obj = build_object(desc)
     marks = []
     if run.args.witness:
-        data = json.loads(Path(run.args.witness).read_text())
+        data = json.loads(run.witness())
         pts = data.get("points") or []
         if not pts and "a" not in data:
             raise InputError("witness artifact holds no points")
@@ -595,8 +632,6 @@ def cmd_plot(run: Run) -> int:
     else:
         svg = render.render_set_1d(obj, depth=min(run.args.depth, 8),
                                    marks=marks or None)
-    if run.args.out is None:
-        raise InputError("plot needs --out")
     run.emit(svg)
     run.say(f"wrote {run.args.out}")
     run.verdicts.append("plotted")

@@ -47,6 +47,7 @@ from .scalars import (
     Cmp,
     Interval,
     Q,
+    _sqrt_bounds,
     interval_sqrt,
     to_q,
 )
@@ -261,6 +262,20 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
 # -- target point selection --------------------------------------------------
 
 
+def _certainly_inside(center: tuple[Q, ...], disk: Disk, bits: int) -> bool:
+    """Whether the point ``center`` is certified inside ``disk``: the
+    upper end of the enclosure of |center - disk.center| is below
+    ``disk.radius.lo``.  That upper end is the upper square-root bound,
+    at bits + 1, of the sum over the coordinates of the larger squared
+    distance from the point's coordinate to the two ends of the disk
+    center's.  These are the two rationals that
+    ``_norm(_vsub(center, disk.center), bits).certainly_lt(disk.radius)``
+    compares, found without building intervals."""
+    far = sum(max((c - d.lo) ** 2, (c - d.hi) ** 2)
+              for c, d in zip(center, disk.center))
+    return _sqrt_bounds(far, bits + 1)[1] < disk.radius.lo
+
+
 def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                             bits: int = 128) -> tuple[Word, tuple[Q, ...]]:
     """Greedy descent toward the disk center; returns the deepest word
@@ -282,8 +297,7 @@ def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                                   for x, a in zip(kids[i], at)))
         word, lat = word + (j,), kids[j]
         center = tuple(Q(x, s) for x in lat[:-1])
-        if _norm(_vsub(center, disk.center), bits).certainly_lt(
-                disk.radius):
+        if _certainly_inside(center, disk, bits):
             best = (word, center)
     if best is None:
         raise Indeterminate("no ball center certified inside the disk")
@@ -357,14 +371,13 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     square, and orderings and ties are unchanged.
 
     ``descend`` runs the search, backtracking past dead ends; a node is
-    a word, its lattice ball and its image.  A frame derives each child
-    of its pair once from the pair's lattices and tests the child pairs
-    in lexicographic order, skipping, uncharged, those whose first
-    coordinates alone are farther apart than the largest reach of the
-    frame, which the full test would reject too.
+    a word, its lattice ball and its image.  A frame derives the children
+    of its pair once, in one batch per side, from the pair's lattices
+    and tests the child pairs in lexicographic order, skipping,
+    uncharged, those whose first coordinates alone are farther apart
+    than the largest reach of the frame, which the full test would
+    reject too.
     """
-    g = sys.generator
-
     def candidates(a, b):
         (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
         s = sys.scale(len(wa) + 1)
@@ -376,8 +389,7 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
         xs = [kids_b[j][0][0][0] for j in by_x]
         r_b = max(r for _, r in kids_b)
         width = max(c[0][1] - c[0][0] for c, _ in kids_b)
-        for i in range(g.child_count(wa)):
-            x = g.child(lat_a, wa, i)
+        for i, x in enumerate(sys.kids(wa, lat_a)):
             a = image_a(x, s)
             (alo, ahi), reach = a[0][0], a[1] + r_b
             near = by_x[bisect_left(xs, alo - reach - width):

@@ -173,6 +173,11 @@ class Interval:
         o = Interval.coerce(other)
         if o.lo <= 0 <= o.hi:
             raise InputError("division by an interval containing zero")
+        if o.is_point():  # scaling fast path
+            s = o.lo
+            if s > 0:
+                return Interval(self.lo / s, self.hi / s)
+            return Interval(self.hi / s, self.lo / s)
         quotients = (self.lo / o.lo, self.lo / o.hi,
                      self.hi / o.lo, self.hi / o.hi)
         return Interval(min(quotients), max(quotients))

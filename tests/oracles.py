@@ -12,12 +12,17 @@ collected; the tests import it by name.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 from thickset.balls import (
     LINF,
     Ball,
+    BallSystem,
+    GridIfs,
+    HexPacking,
+    Lattice,
     common_denominator,
     lattice_disjoint,
     lattice_of,
@@ -488,6 +493,44 @@ def ref_kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
 
 # -- balls --------------------------------------------------------------
+
+
+def ref_child(gen, parent: Lattice, word, i: int) -> Lattice:
+    """Child ``i`` of the lattice ball ``parent`` found at ``word``, one
+    child at a time by each builder's formula; the grid's perturbation
+    hashes the full keys "seed|word|child|coord" on its own."""
+    if isinstance(gen, GridIfs):
+        p, q, t, taus, k = gen._table
+        tx, ty = taus[i]
+        if word:
+            key = f"{gen.seed}|{','.join(map(str, word))}|{i}|"
+            vx, vy = (int.from_bytes(
+                hashlib.sha256(f"{key}{c}".encode()).digest()[:8], "big")
+                for c in "01")
+            tx += k * (vx - 2**63)
+            ty += k * (vy - 2**63)
+        nx, ny, nr = parent
+        return nx * q * t + q * nr * tx, ny * q * t + q * nr * ty, nr * p * t
+    if isinstance(gen, HexPacking):
+        p, q, t, taus = gen._table
+        hx, hy = taus[i]
+        m, shrink = q, 1
+        if not word:  # gamma = g/h folded into the root level
+            h = gen.gamma.denominator
+            m = q * h
+            shrink = gen.gamma.numerator if i in gen.designated else h
+        nx, ny, nr = parent
+        return (nx * m * t + nr * m * hx, ny * m * t + nr * m * hy,
+                nr * p * t * shrink)
+    return lattice_of(gen.nodes[word + (i,)], gen._scales[len(word) + 1])
+
+
+def ref_lattice(sys: BallSystem, word) -> Lattice:
+    """The ball at ``word`` in lattice form, walked with ``ref_child``."""
+    lat = lattice_of(sys.root, common_denominator(sys.root))
+    for j in range(len(word)):
+        lat = ref_child(sys.generator, lat, word[:j], word[j])
+    return lat
 
 
 def disjoint_from(a: Ball, b: Ball) -> bool:

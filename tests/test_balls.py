@@ -35,10 +35,18 @@ from thickset.balls import (
     validate_system,
     yavicoli_thickness,
 )
+from thickset import balls
 from thickset.errors import InputError
 from thickset.scalars import Interval, interval_sqrt, sqrt3
 
-from oracles import contains_point, disjoint_from, grid_farthest, reach_at
+from oracles import (
+    contains_point,
+    disjoint_from,
+    grid_farthest,
+    reach_at,
+    ref_child,
+    ref_lattice,
+)
 
 GAMMA = Q(99999, 100000)
 
@@ -159,6 +167,101 @@ class TestHexBuilder:
     def test_gamma_range(self):
         with pytest.raises(InputError):
             hex_packing_example(0)
+
+
+def random_words(sys: BallSystem, rng: random.Random, count: int):
+    """The root and ``count`` random words of length 1 to 3 that have
+    children."""
+    words = [()]
+    while len(words) <= count:
+        w = ()
+        for _ in range(rng.randint(1, 3)):
+            if not sys.child_count(w):
+                break
+            w += (rng.randrange(sys.child_count(w)),)
+        if sys.child_count(w):
+            words.append(w)
+    return words
+
+
+def explicit_tree(dim: int, depth: int, rng: random.Random) -> BallSystem:
+    """A random explicit tree in R^dim: every ball has 2 or 3 children of
+    a quarter of its radius, at random rational offsets inside it."""
+    root = Ball((Q(1, 3),) * dim, Q(5, 2))
+    nodes, frontier = {}, [((), root)]
+    for _ in range(depth):
+        nxt = []
+        for w, b in frontier:
+            for i in range(rng.randint(2, 3)):
+                off = tuple(Q(rng.randint(-10, 10), 40) for _ in range(dim))
+                kid = Ball(tuple(c + o * b.radius
+                                 for c, o in zip(b.center, off)),
+                           b.radius / 4)
+                nodes[w + (i,)] = kid
+                nxt.append((w + (i,), kid))
+        frontier = nxt
+    return BallSystem(root, ExplicitTree(nodes))
+
+
+class TestBatchedChildren:
+    """``Generator.children`` derives a parent's whole fan in one batch;
+    it must give, child by child, what the per-child formula gives, and
+    ``child`` must agree with it."""
+
+    def check(self, sys: BallSystem, words):
+        g = sys.generator
+        for w in words:
+            parent = ref_lattice(sys, w)
+            assert sys.lattice(w) == parent
+            want = [ref_child(g, parent, w, i)
+                    for i in range(sys.child_count(w))]
+            assert want
+            assert g.children(parent, w) == want
+            assert sys.kids(w) == want
+            assert [g.child(parent, w, i) for i in range(len(want))] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_grid(self, seed):
+        sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), seed)
+        self.check(sys, random_words(sys, random.Random(seed), 6))
+
+    def test_grid_off_center_root(self):
+        sys = BallSystem(Ball((Q(1, 3), Q(-2, 7)), Q(5, 3), LINF),
+                         GridIfs(4, Q(1, 5), Q(1, 10), 3))
+        self.check(sys, random_words(sys, random.Random(3), 6))
+
+    @pytest.mark.parametrize("gamma", [Q(1), GAMMA, Q(1, 2)])
+    def test_hex(self, gamma):
+        sys = hex_packing_example(gamma)
+        self.check(sys, random_words(sys, random.Random(5), 6))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_explicit_tree(self, dim):
+        rng = random.Random(dim)
+        sys = explicit_tree(dim, 3, rng)
+        self.check(sys, random_words(sys, rng, 6))
+
+    def test_one_sha256_per_fan(self, monkeypatch):
+        # the grid hashes the key prefix of a parent once and copies the
+        # state per child, where it hashed two full keys per child
+        sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
+        calls, real = [], balls.hashlib.sha256
+        monkeypatch.setattr(balls.hashlib, "sha256",
+                            lambda *a: calls.append(a) or real(*a))
+        assert len(sys.kids((3,))) == 100
+        assert len(calls) == 1
+
+    def test_hex_constant_once_per_bits(self, monkeypatch):
+        balls._hex_q.cache_clear()
+        calls, real = [], balls.sqrt3
+        monkeypatch.setattr(balls, "sqrt3",
+                            lambda bits: calls.append(bits) or real(bits))
+        sys = hex_packing_example(GAMMA)
+        first = [yavicoli_thickness(sys, bits) for bits in (64, 128)]
+        for _ in range(3):
+            assert [yavicoli_thickness(sys, bits)
+                    for bits in (64, 128)] == first
+        assert sorted(calls) == [64, 128]
 
 
 def enumerated_ok(sys: BallSystem, depth: int) -> bool:

@@ -366,6 +366,69 @@ class TestExitCodes:
                      "--set2", "middle_cantor:1/3"]) == 0
 
 
+def input_hash(tmp_path, argv) -> str:
+    """The manifest's input_hash of one run of ``argv``, whatever its
+    exit code."""
+    out = tmp_path / "o.out"
+    main(argv + ["--out", str(out)])
+    return json.loads(Path(f"{out}.manifest.json").read_text())["input_hash"]
+
+
+class TestInputHash:
+    def test_set2_reaches_hash(self, tmp_path):
+        base = ["certify-gap-lemma", "--set", "middle_cantor:1/3", "--set2"]
+        assert input_hash(tmp_path, base + ["middle_cantor:1/3"]) != \
+            input_hash(tmp_path, base + ["off_center:3/10"])
+
+    @pytest.mark.parametrize("argv, key, values", [
+        (["find-combo", "--set", "middle_cantor:1/3"], "--lam",
+         ("1/2", "2/5")),
+        (["find-combo", "--set", "middle_cantor:1/3", "--lam", "1/2"],
+         "--r", ("1/5", "1/4")),
+        (["find-triangle", "--set", "hex_packing:0.99999", "--depth", "0"],
+         "--triangle", ("equilateral", "0,0;1,0;0,1")),
+        (["search-kap", "--set", "off_center:3/10", "--depth", "2"], "--k",
+         ("3", "4")),
+        (["reproduce"], "--table", ("section6", "other")),
+    ])
+    def test_other_inputs_reach_hash(self, tmp_path, argv, key, values):
+        a, b = (input_hash(tmp_path, argv + [key, v]) for v in values)
+        assert a != b
+
+    def test_witness_content_reaches_hash(self, tmp_path):
+        w = tmp_path / "w.json"
+        argv = ["plot", "--set", "middle_cantor:1/3", "--depth", "2",
+                "--witness", str(w)]
+        hashes = []
+        for depth in ("6", "10"):
+            assert main(["find-ap", "--set", "middle_cantor:1/3", "--depth",
+                         depth, "--out", str(w)]) == 0
+            hashes.append(input_hash(tmp_path, argv))
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("command", ["construct", "thickness"])
+    def test_set_alone_hashes_description(self, tmp_path, command):
+        desc = {"kind": "middle_cantor", "epsilon": "1/3",
+                "schema": cli.SCHEMA}
+        want = hashlib.sha256(
+            cli.canonical_description(desc).encode()).hexdigest()
+        assert input_hash(tmp_path, [command, "--set",
+                                     "middle_cantor:1/3"]) == want
+
+    def test_set2_read_once_per_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_description(text)
+
+        monkeypatch.setattr(cli, "parse_description", counting)
+        input_hash(tmp_path, ["certify-gap-lemma", "--set",
+                              "middle_cantor:1/3", "--set2",
+                              "off_center:3/10"])
+        assert sorted(calls) == ["middle_cantor:1/3", "off_center:3/10"]
+
+
 class TestSharedParser:
     def test_parser_built_once(self, monkeypatch):
         assert main(["thickness", "--set", "middle_thirds"]) == 0
@@ -578,6 +641,19 @@ class TestRender:
         assert main(["plot", "--set", "middle_cantor:1/3", "--depth", "3",
                      "--witness", str(w), "--out", str(out)]) == 0
         assert "circle" in out.read_text()
+
+    @pytest.mark.parametrize("desc", ["grid_ifs:seed=1", "middle_thirds"])
+    def test_plot_without_out_renders_nothing(self, monkeypatch, capsys,
+                                              desc):
+        # the missing --out is found before the set is built or drawn
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rendered without --out")
+
+        for name in ("render_ball_system", "render_set_1d"):
+            monkeypatch.setattr(cli.render, name, forbidden)
+        monkeypatch.setattr(cli, "build_object", forbidden)
+        assert main(["plot", "--set", desc]) == 1
+        assert capsys.readouterr().err == "input error: plot needs --out\n"
 
     def test_empty_witness_error(self, tmp_path):
         w = tmp_path / "empty.json"

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 import sys as _sys
 from fractions import Fraction as Q
 
@@ -24,8 +25,10 @@ from thickset.patterns_nd import (
     STANDARD,
     Disk,
     _ball_box,
+    _certainly_inside,
     _combo_images,
     _deepest_center_in_disk,
+    _norm,
     _refine_pair,
     _sq_norm,
     _vsub,
@@ -538,6 +541,43 @@ def test_center_descent_measures_every_coordinate():
         == ((0,), child.center)
     with pytest.raises(Indeterminate, match="no ball center"):
         _deepest_center_in_disk(sysv, disk_at(Q(-1, 2)), 1)
+
+
+class TestCertainlyInside:
+    """The target test compares two rationals where it compared the norm
+    enclosure with the radius; both must decide alike."""
+
+    @staticmethod
+    def enclosure_test(center, disk, bits):
+        return _norm(_vsub(center, disk.center), bits).certainly_lt(
+            disk.radius)
+
+    def test_matches_norm_enclosure(self):
+        rng = random.Random(23)
+        sys = _hex()
+        centers = []
+        for _ in range(12):  # lattice centers at random words
+            w = tuple(rng.randrange(85) for _ in range(rng.randint(1, 3)))
+            centers.append(sys.ball(w).center)
+        tri, _ = triangle_disk(sys, _equilateral_maps(), HEX_R)
+        assert not all(c.is_point() for c in tri.center)  # alpha = sqrt3/2
+        combo, _ = convex_combo_disk(grid(), Q(1, 2), Q(1, 5))
+        disk_centers = [tri.center, combo.center,
+                        (Interval(Q(-1, 3), Q(1, 7)),
+                         Interval.point(Q(2, 9)))]
+        eps = Q(1, 2 ** 300)
+        seen = set()
+        for bits in (8, 128):
+            for dc in disk_centers:
+                for c in centers:
+                    upper = _norm(_vsub(c, dc), bits).hi
+                    for lo in (upper - eps, upper, upper + eps,
+                               Q(rng.randint(1, 400), 200)):
+                        disk = Disk(dc, Interval(lo, lo + 1))
+                        got = _certainly_inside(c, disk, bits)
+                        assert got == self.enclosure_test(c, disk, bits)
+                        seen.add(got)
+        assert seen == {True, False}
 
 
 # -- pair refinement ---------------------------------------------------------

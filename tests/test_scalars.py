@@ -156,6 +156,26 @@ class TestContainmentProperty:
         with pytest.raises(InputError):
             Interval.make(1, 2) / Interval.make(-1, 1)
 
+    @pytest.mark.parametrize("divisor", [(-1, 1), (0, 0), (0, 1), (-1, 0)])
+    def test_division_by_interval_holding_zero(self, divisor):
+        with pytest.raises(InputError):
+            Interval.make(1, 2) / Interval.make(*divisor)
+
+    def test_point_divisor_fast_path(self):
+        # dividing by a point takes two quotients; the result is the
+        # four-quotient form's, for either sign of the divisor
+        rng = random.Random(44)
+        for _ in range(2000):
+            a = Q(rng.randint(-300, 300), rng.randint(1, 40))
+            x = Interval(a, a + Q(rng.randint(0, 99), 17))
+            d = Q(rng.choice((-1, 1)) * rng.randint(1, 300),
+                  rng.randint(1, 40))
+            o = Interval.point(d)
+            quotients = (x.lo / o.lo, x.lo / o.hi, x.hi / o.lo, x.hi / o.hi)
+            want = Interval(min(quotients), max(quotients))
+            assert x / d == want
+            assert x / Interval.point(d) == want
+
 
 class TestLogAtanPi:
     def test_ln2(self):
