@@ -7,7 +7,6 @@ verdicts as exhaustive interval-search certificates.
 """
 
 from .scalars import (
-    Cmp,
     Interval,
     Q,
     decimal_approx,

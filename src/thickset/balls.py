@@ -7,7 +7,8 @@ Ball predicates are exact: centers and radii are rational, and both
 norms compare squared distances, so containment and disjointness never
 involve rounding.  Square roots appear only in reported enclosures.
 The searches work on lattice balls, integers over one scale per level,
-and build rational ``Ball`` objects only for what they report.
+derived by each builder's one ``children`` method, and build rational
+``Ball`` objects only for what they report.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Protocol
 
 from .cantor import node_budget
 from .errors import Indeterminate, InputError
-from .scalars import Cmp, Interval, Q, interval_sqrt, sqrt3, to_q
+from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
 
 LINF = "linf"
 L2 = "l2"
@@ -222,19 +223,19 @@ PERTURB_CLAMP = 1 - Q(1, 2**20)
 
 class Generator(Protocol):
     """What a builder supplies to a ``BallSystem``: the scale of each
-    level; the lattice forms of the children of the lattice ball
-    ``parent`` found at ``word``, all of them (``children``, which does
-    the per-parent work once, for walks that visit a whole fan) or child
-    ``i`` alone (``child``, for one-letter walks to a word); the certified
-    covering-slack and thickness bounds, the analytic r-uniformity
-    constant (None when there is none), the default designated pair of
-    root children, and the structural check behind ``validate_system``."""
+    level; the lattice forms of the children ``indices`` of the lattice
+    ball ``parent`` found at ``word`` (``children``, which does the
+    per-parent work once for all of them, whether a whole fan or the one
+    child a walk to a word takes); the certified covering-slack and
+    thickness bounds, the analytic r-uniformity constant (None when there
+    is none), the default designated pair of root children, and the
+    structural check behind ``validate_system``."""
 
     designated: tuple[int, int]
     def child_count(self, word: Word) -> int: ...
     def scale(self, root_scale: int, k: int) -> int: ...
-    def children(self, parent: Lattice, word: Word) -> list[Lattice]: ...
-    def child(self, parent: Lattice, word: Word, i: int) -> Lattice: ...
+    def children(self, parent: Lattice, word: Word,
+                 indices) -> list[Lattice]: ...
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval: ...
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd: ...
     def density(self) -> Optional[Interval]: ...
@@ -290,7 +291,8 @@ class GridIfs:
         _, q, t, _, _ = self._table
         return root_scale * (q * t) ** k
 
-    def _derive(self, parent: Lattice, word: Word, indices) -> list[Lattice]:
+    def children(self, parent: Lattice, word: Word,
+                 indices) -> list[Lattice]:
         """Children ``indices`` of ``parent``: the parent's integers are
         scaled and the key prefix hashed once for them all."""
         p, q, t, taus, k = self._table
@@ -305,14 +307,6 @@ class GridIfs:
                  y0 + qr * (taus[i][1] + k * (vy - 2**63)), r)
                 for i, (vx, vy) in zip(indices, _hash_words(
                     self.seed, word, indices))]
-
-    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
-        return self._derive(parent, word, range(self.n * self.n))
-
-    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
-        if not (0 <= i < self.n * self.n):
-            raise InputError("child index out of range")
-        return self._derive(parent, word, (i,))[0]
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         return Interval.point(sys.root.radius * self.d_spacing
@@ -347,8 +341,8 @@ class HexPacking:
     the factor h and the designated radius numerators g in place of h."""
 
     gamma: Q
-    rho: Q = Q(12179, 100000)
-    designated: tuple[int, int] = (0, 1)
+    rho = Q(12179, 100000)  # the spacing of the bundled centers
+    designated = (0, 1)
 
     def __post_init__(self):
         if not (0 < self.gamma <= 1):
@@ -369,7 +363,8 @@ class HexPacking:
         return root_scale * (q * t) ** k * (self.gamma.denominator if k
                                             else 1)
 
-    def _derive(self, parent: Lattice, word: Word, indices) -> list[Lattice]:
+    def children(self, parent: Lattice, word: Word,
+                 indices) -> list[Lattice]:
         """Children ``indices`` of ``parent``, with the parent's integers
         scaled, and gamma folded at the root, once for them all."""
         p, q, t, taus = self._table
@@ -384,14 +379,6 @@ class HexPacking:
         return [(x0 + nm * taus[i][0], y0 + nm * taus[i][1],
                  shrunk if i in self.designated else plain)
                 for i in indices]
-
-    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
-        return self._derive(parent, word, range(85))
-
-    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
-        if not (0 <= i < 85):
-            raise InputError("child index out of range")
-        return self._derive(parent, word, (i,))[0]
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         # one level of interstitial slack below the ball's own radius:
@@ -412,7 +399,7 @@ class HexPacking:
         interior = Interval.point(1 + self.rho) / q
         # the smaller ratio, or their pointwise minimum when they overlap
         lower = Interval(min(root.lo, interior.lo), min(root.hi, interior.hi))
-        word = (2,) if root.compare(interior) is Cmp.GREATER else ()
+        word = (2,) if root.certainly_gt(interior) else ()
         return ThicknessReportNd(
             lower, word, {(): h0, (2,): self.h_upper(sys, (2,), bits)},
             SELF_SIMILAR)
@@ -464,15 +451,10 @@ class ExplicitTree:
     def scale(self, root_scale: int, k: int) -> int:
         return self._scales.get(k, 1) if k else root_scale
 
-    def children(self, parent: Lattice, word: Word) -> list[Lattice]:
-        return [self.child(parent, word, i)
-                for i in range(self.child_count(word))]
-
-    def child(self, parent: Lattice, word: Word, i: int) -> Lattice:
-        w = word + (i,)
-        if w not in self.nodes:
-            raise InputError(f"word {w} not in the explicit tree")
-        return lattice_of(self.nodes[w], self._scales[len(w)])
+    def children(self, parent: Lattice, word: Word,
+                 indices) -> list[Lattice]:
+        return [lattice_of(self.nodes[word + (i,)],
+                           self._scales[len(word) + 1]) for i in indices]
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         """Every ball of the table meets the generated set, so a point x
@@ -564,10 +546,10 @@ class BallSystem:
     of a pair of equal-length words, compare as plain integers.  A
     child's integers come from its parent's, so searches walk lattices
     and build a ``Ball`` only for what they report.  Nothing is cached:
-    ``ball`` and ``children`` walk from the root on every call.  A walk
-    to one word (``lattice``) takes one child per level through the
-    generator's ``child``; a walk over a whole fan of children (``kids``)
-    takes them all at once through its ``children``.
+    ``ball`` and ``children`` walk from the root on every call.  Both
+    walks derive children through the generator's ``children``: a walk
+    to one word (``lattice``) asks for one child per level, a walk over a
+    whole fan (``kids``) for all of them at once.
     """
 
     root: Ball
@@ -587,10 +569,11 @@ class BallSystem:
     def lattice(self, word: Word) -> Lattice:
         """The ball at ``word`` in lattice form, one letter at a time (a
         loop, so any word length works)."""
-        g = self.generator
         lat = lattice_of(self.root, common_denominator(self.root))
-        for j in range(len(word)):
-            lat = g.child(lat, word[:j], word[j])
+        for j, i in enumerate(word):
+            if not (0 <= i < self.child_count(word[:j])):
+                raise InputError("child index out of range")
+            lat, = self.generator.children(lat, word[:j], (i,))
         return lat
 
     def kids(self, word: Word, lat: Optional[Lattice] = None
@@ -600,7 +583,8 @@ class BallSystem:
         the generator's ``children``."""
         if lat is None:
             lat = self.lattice(word)
-        return self.generator.children(lat, word)
+        return self.generator.children(lat, word,
+                                       range(self.child_count(word)))
 
     def to_ball(self, lat: Lattice, scale: int) -> Ball:
         return Ball(tuple(Q(x, scale) for x in lat[:-1]), Q(lat[-1], scale),
@@ -932,11 +916,10 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
     need = 1 / (1 - 2 * r_iv).square()
     details["thickness_product"] = product
     details["thickness_required"] = need
-    c = product.compare(need)
     prod_ok: Optional[bool]
-    if c is Cmp.GREATER or product.lo >= need.hi:
+    if product.certainly_ge(need):
         prod_ok = True
-    elif c is Cmp.LESS:
+    elif product.certainly_lt(need):
         prod_ok = False
     else:
         prod_ok = None

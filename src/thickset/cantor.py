@@ -9,7 +9,8 @@ over D, the lcm of those denominators.  A depth-k word image is then a
 pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
 [L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Covers, gaps, membership, gap queries
 and the line descents walk these integers; a query's rationals are put over
-one denominator with the hull first.  ``Fraction``s are built only for what
+one denominator with the hull first.  The branch maps are the set's
+presentation and are applied, never composed.  ``Fraction``s are built only for what
 is reported (cover intervals, gap records, word intervals), so thickness
 values are exact rationals rather than approximations.
 """
@@ -83,14 +84,6 @@ class AffineMap:
 
     def apply_interval(self, lo: Q, hi: Q) -> tuple[Q, Q]:
         return self.scale * lo + self.offset, self.scale * hi + self.offset
-
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        # self after inner: x -> self(inner(x))
-        return AffineMap(self.scale * inner.scale,
-                         self.scale * inner.offset + self.offset)
-
-
-IDENTITY = AffineMap(Q(1), Q(0))
 
 
 @dataclass(frozen=True, slots=True)

@@ -327,7 +327,9 @@ class Run:
         self.lines.append(line)
         print(line)
 
-    def emit(self, payload):
+    def emit(self, payload, points=()):
+        """Write ``--out``: a string as it is, else ``payload`` as JSON,
+        or the witness ``points`` as CSV under ``--format csv``."""
         out = getattr(self.args, "out", None)
         fmt = getattr(self.args, "format", None) or "json"
         if out is None:
@@ -336,10 +338,8 @@ class Run:
         if isinstance(payload, str):
             content = payload
         elif fmt == "csv":  # main admits it for CSV_COMMANDS only
-            content = witness_csv(payload.get("_csv_points", []))
+            content = witness_csv(points)
         else:
-            payload = {k: v for k, v in payload.items()
-                       if not k.startswith("_")}
             content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         path.write_text(content)
         self.artifacts.append((str(path), content))
@@ -417,6 +417,15 @@ def cmd_thickness(run: Run) -> int:
     return EXIT_OK
 
 
+def _witness_nd(run: Run, w, desc: dict, line: str) -> int:
+    """Report a ball-system witness: ``line``, then its JSON or CSV."""
+    run.say(line)
+    run.emit(witness_nd_json(w, desc),
+             [w.a, w.b, tuple(Interval.point(x) for x in w.c)])
+    run.verdicts.append("witness")
+    return EXIT_OK
+
+
 def _combo_common(run: Run, lam) -> int:
     desc = run.description()
     obj = build_object(desc)
@@ -425,20 +434,13 @@ def _combo_common(run: Run, lam) -> int:
         w = patterns_nd.find_convex_combo_nd(
             obj, lam, r, depth=run.args.depth, mode=run.args.mode,
             bits=run.args.precision_bits)
-        run.say(f"witness found: residual <= "
-                f"{decimal_approx(w.residual, 12)} at depth {w.depth_used}")
-        payload = witness_nd_json(w, desc)
-        payload["_csv_points"] = [w.a, w.b,
-                                  tuple(Interval.point(x) for x in w.c)]
-        run.emit(payload)
-        run.verdicts.append("witness")
-        return EXIT_OK
+        return _witness_nd(run, w, desc, (
+            f"witness found: residual <= "
+            f"{decimal_approx(w.residual, 12)} at depth {w.depth_used}"))
     w = patterns1d.find_convex_combo(obj, lam, depth=run.args.depth)
     run.say(f"witness found: m = {w.m.enclosure.approx_str(12)}, "
             f"residual <= {decimal_approx(w.residual, 15)}")
-    payload = witness1d_json(w, desc)
-    payload["_csv_points"] = [p.enclosure for p in w.points]
-    run.emit(payload)
+    run.emit(witness1d_json(w, desc), [p.enclosure for p in w.points])
     run.verdicts.append("witness")
     return EXIT_OK
 
@@ -471,14 +473,10 @@ def cmd_find_triangle(run: Run) -> int:
                                          depth=run.args.depth,
                                          mode=run.args.mode,
                                          bits=run.args.precision_bits)
-        run.say(f"triangle witness: side-ratio deviation <= "
-                f"{decimal_approx(w.hypotheses_report['side_ratio_deviation'], 12)}")
-        payload = witness_nd_json(w, desc)
-        payload["_csv_points"] = [w.a, w.b,
-                                  tuple(Interval.point(x) for x in w.c)]
-        run.emit(payload)
-        run.verdicts.append("witness")
-        return EXIT_OK
+        dev = w.hypotheses_report["side_ratio_deviation"]
+        return _witness_nd(run, w, desc, (
+            f"triangle witness: side-ratio deviation <= "
+            f"{decimal_approx(dev, 12)}"))
     w = product.find_triangle_in_product(obj, tri, depth=run.args.depth,
                                          bits=run.args.precision_bits)
     run.say(f"product witness: side ratio deviation <= "
@@ -490,8 +488,7 @@ def cmd_find_triangle(run: Run) -> int:
         "ratio_deviation": str(w.ratio_deviation),
         "depth_used": w.depth_used,
         "collinear": w.collinear,
-        "_csv_points": list(w.vertices),
-    })
+    }, list(w.vertices))
     run.verdicts.append("witness")
     return EXIT_OK
 
@@ -504,10 +501,7 @@ def cmd_search_kap(run: Run) -> int:
     cert = patterns1d.kap_search(obj, run.args.k, depth=run.args.depth)
     run.say(f"{cert.verdict} (k={cert.k}, depth={cert.depth}, "
             f"explored={cert.explored_nodes})")
-    payload = kap_json(cert, desc)
-    if cert.points:
-        payload["_csv_points"] = [p.enclosure for p in cert.points]
-    run.emit(payload)
+    run.emit(kap_json(cert, desc), [p.enclosure for p in cert.points])
     run.verdicts.append(cert.verdict)
     if cert.verdict == patterns1d.UNKNOWN:
         return EXIT_UNKNOWN

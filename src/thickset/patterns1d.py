@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .cantor import (
+    AffineMap,
     IfsSet1D,
+    affine_image,
     certified_member,
     descend,
     gap_holds_translate,
@@ -302,31 +304,22 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
     norm, back = normalize_to_unit(s)
     if lamv >= Q(1, 2):
         w = _find_combo_unit(norm, lamv, depth)
-    else:
-        from .cantor import affine_image
-
-        reflected = affine_image(norm, Q(-1), Q(1))
-        wr = _find_combo_unit(reflected, 1 - lamv, depth)
-
-        def reflect(pt: WitnessPoint) -> WitnessPoint:
-            iv = Interval(1 - pt.enclosure.hi, 1 - pt.enclosure.lo)
-            return WitnessPoint(iv, pt.status)
-
-        w = Witness1D(a=reflect(wr.b), m=reflect(wr.m), b=reflect(wr.a),
-                      lam=lamv, residual=wr.residual,
-                      depth_used=wr.depth_used,
-                      a_exact=None if wr.b_exact is None else 1 - wr.b_exact,
-                      b_exact=None if wr.a_exact is None else 1 - wr.a_exact)
+        ends = (w.a, w.a_exact), (w.b, w.b_exact)
+    else:  # search the reflected set, whose map back reflects first
+        w = _find_combo_unit(affine_image(norm, Q(-1), Q(1)), 1 - lamv, depth)
+        ends = (w.b, w.b_exact), (w.a, w.a_exact)
+        back = AffineMap(-back.scale, back(1))
 
     def unmap(pt: WitnessPoint) -> WitnessPoint:
         lo, hi = back(pt.enclosure.lo), back(pt.enclosure.hi)
         return WitnessPoint(Interval(min(lo, hi), max(lo, hi)), pt.status)
 
-    return Witness1D(a=unmap(w.a), m=unmap(w.m), b=unmap(w.b), lam=lamv,
-                     residual=w.residual * back.scale,
+    (a, a_exact), (b, b_exact) = ends
+    return Witness1D(a=unmap(a), m=unmap(w.m), b=unmap(b), lam=lamv,
+                     residual=w.residual * abs(back.scale),
                      depth_used=w.depth_used,
-                     a_exact=None if w.a_exact is None else back(w.a_exact),
-                     b_exact=None if w.b_exact is None else back(w.b_exact))
+                     a_exact=None if a_exact is None else back(a_exact),
+                     b_exact=None if b_exact is None else back(b_exact))
 
 
 def find_3ap(s: IfsSet1D, depth: int = 20) -> Witness1D:

@@ -44,7 +44,6 @@ from .cantor import descend
 from .errors import HypothesisError, Indeterminate, InputError
 from .product import NormalizedTriangle, Triangle, normalize_triangle
 from .scalars import (
-    Cmp,
     Interval,
     Q,
     _sqrt_bounds,
@@ -195,12 +194,11 @@ def _disk_radius(sys: BallSystem, pair: Pair, lam: Q,
         (None, None, lam, 1 - lam) if maps is None
         else (maps.alpha, maps.alpha_sq, maps.s_f, maps.s_g))
     thr = threshold(alpha, lam, r_iv, mode, alpha_sq, bits)
-    c = Interval.point(tau.lo).compare(thr)
-    if c is Cmp.LESS:
+    if tau.lo < thr.lo:
         raise HypothesisError(
             f"thickness lower bound {tau.approx_str(8)} is below the "
             f"threshold {thr.approx_str(8)}")
-    if c is Cmp.OVERLAP and tau.lo < thr.hi:
+    if tau.lo < thr.hi:
         raise Indeterminate("threshold comparison undecided at the "
                             "current precision")
     h_b, h_b_note = _h_b_bound(sys, ia, ib, h_root, mode, bits)

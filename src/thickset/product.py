@@ -4,7 +4,10 @@ sets, plus triangle normalization to the (height, base-split) form.
 A triangle is realized in C x C by composing two one-dimensional
 certified searches: a convex-combination witness supplies the base, and
 a difference-set hit supplies the pair of heights.  All coordinates come
-out as exact rationals or shrinking enclosures.
+out as exact rationals or shrinking enclosures.  Normalization has one
+formula for proper and exactly collinear triangles: the split is the
+apex's projection on the base over the squared base, so it needs no
+square root.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .cantor import (
-    IDENTITY,
     IfsSet1D,
     ThicknessReport,
     normalize_to_unit,
@@ -109,8 +111,9 @@ def normalize_triangle(t: Triangle) -> NormalizedTriangle:
 
     For rational vertices both invariants are exact rationals (the height
     over the base equals twice the area divided by the squared base, no
-    square root involved).  Collinear input returns a degenerate record
-    with alpha = 0 and lam the interior split ratio.
+    square root involved).  Exactly collinear input takes the same path
+    and returns a degenerate record with alpha = 0 and lam the interior
+    split ratio; collinearity that is not decided is Indeterminate.
     """
     v = t.vertices
     for i in range(3):
@@ -128,24 +131,9 @@ def normalize_triangle(t: Triangle) -> NormalizedTriangle:
              (0, 2): _sq_dist(v[0], v[2]),
              (1, 2): _sq_dist(v[1], v[2])}
 
-    if cross.lo <= 0 <= cross.hi:
-        if not (cross.is_point() and cross.lo == 0 and t.is_exact()):
-            raise Indeterminate("collinearity not decided at this "
-                                "precision")
-        # exact degenerate case: order the points along the line
-        (i, j), _ = max(sides.items(), key=lambda kv: kv[1].lo)
-        k = 3 - i - j
-        dik, djk = sides[(min(i, k), max(i, k))], sides[(min(j, k), max(j, k))]
-        dij = sides[(i, j)]
-        # ratio of the split, from squared distances (all exact points)
-        lam_sq = dik.lo / dij.lo
-        lam = _exact_sqrt_ratio(lam_sq)
-        if lam > Q(1, 2):
-            lam = 1 - lam
-        return NormalizedTriangle(alpha=Interval.point(Q(0)),
-                                  lam=Interval.point(lam),
-                                  alpha_sq=Q(0), lam_exact=lam,
-                                  degenerate=True)
+    degenerate = cross.lo <= 0 <= cross.hi
+    if degenerate and not (cross.is_point() and t.is_exact()):
+        raise Indeterminate("collinearity not decided at this precision")
 
     # base = longest side (certified or tie; ties are harmless since the
     # invariants agree for congruent candidates)
@@ -176,22 +164,8 @@ def normalize_triangle(t: Triangle) -> NormalizedTriangle:
         lam_exact = None if lam_exact is None else min(lam_exact,
                                                        1 - lam_exact)
     return NormalizedTriangle(alpha=alpha_iv, lam=lam_iv,
-                              alpha_sq=alpha_sq, lam_exact=lam_exact)
-
-
-def _exact_sqrt_ratio(q: Q) -> Q:
-    """Exact square root of a rational that must be a perfect square.
-
-    Collinear splits always give one: for exact collinear points
-    v_k - v_i = t*(v_j - v_i) with t rational, so the ratio of squared
-    distances is t^2."""
-    from math import isqrt
-
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise Indeterminate(f"split ratio {q} is not a perfect square")
-    return Q(rn, rd)
+                              alpha_sq=alpha_sq, lam_exact=lam_exact,
+                              degenerate=degenerate)
 
 
 # -- difference hits -----------------------------------------------------
@@ -315,23 +289,24 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     while c_dyadic * max(alpha.hi, 1) > 1:
         c_dyadic /= 2
 
-    # run the combination search inside a subtree no wider than the cap,
-    # so the witness span obeys it automatically
-    m = IDENTITY
-    while m.scale > c_dyadic:  # the subtree's width is m.scale * w
-        m = m.compose(s.branches[0])
+    # move the combination witness into the subtree of the word 0...0
+    # that is no wider than the cap, so the witness span obeys it
+    # automatically: branch 0 shares the hull's left end lo, so that
+    # subtree is the image of x -> lo + m*(x - lo), m = s_0^j
+    lo, m = s.hull[0], Q(1)
+    while m > c_dyadic:  # the subtree's width is m * w
+        m *= s.branches[0].scale
     combo_depth = depth + 8
     w = _convex_combo(s, lam, combo_depth, thickness)
 
     def push(iv: Interval) -> Interval:
-        lo, hi = m(iv.lo), m(iv.hi)
-        return Interval(min(lo, hi), max(lo, hi))
+        return Interval(lo + m * (iv.lo - lo), lo + m * (iv.hi - lo))
 
     if w.a_exact is not None and w.b_exact is not None:
         # exact base pair: the span is a point and the height enclosure
         # is as tight as the height data itself
-        a_iv = Interval.point(m(w.a_exact))
-        b_iv = Interval.point(m(w.b_exact))
+        a_iv = Interval.point(lo + m * (w.a_exact - lo))
+        b_iv = Interval.point(lo + m * (w.b_exact - lo))
         m_iv = push(w.m.enclosure)
     else:
         a_iv, m_iv, b_iv = push(w.a.enclosure), push(w.m.enclosure), \

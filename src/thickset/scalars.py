@@ -14,7 +14,6 @@ No floating point is used on any certified path.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,12 +76,6 @@ def decimal_approx(q: Q, places: int = 12) -> str:
     sign = "-" if v < 0 else ""
     digits = str(abs(v)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-class Cmp(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    OVERLAP = "overlap"
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,17 +194,6 @@ class Interval:
 
     # -- certified comparison ------------------------------------------
 
-    def compare(self, other) -> Cmp:
-        """Three-valued comparison.  LESS iff self.hi < other.lo,
-        GREATER iff self.lo > other.hi, OVERLAP otherwise.  Callers that
-        need a definite answer treat OVERLAP as "refine and retry"."""
-        o = Interval.coerce(other)
-        if self.hi < o.lo:
-            return Cmp.LESS
-        if self.lo > o.hi:
-            return Cmp.GREATER
-        return Cmp.OVERLAP
-
     def certainly_le(self, other) -> bool:
         return self.hi <= Interval.coerce(other).lo
 
@@ -297,7 +279,10 @@ def _log_ratio_bounds(z: Q, bits: int) -> tuple[Q, Q]:
         j += 1
 
 
-_LN2_CACHE: dict[int, tuple[Q, Q]] = {}
+@functools.cache
+def _ln2_bounds(bits: int) -> tuple[Q, Q]:
+    """Bounds on ln 2 = 2*atanh(1/3), a function of ``bits`` alone."""
+    return _log_ratio_bounds(Q(1, 3), bits)
 
 
 def _ln_bounds(q: Q, bits: int) -> tuple[Q, Q]:
@@ -314,9 +299,7 @@ def _ln_bounds(q: Q, bits: int) -> tuple[Q, Q]:
         m /= 2
         k += 1
     extra = max(k.bit_length(), 1) + 2
-    if (bits + extra) not in _LN2_CACHE:
-        _LN2_CACHE[bits + extra] = _log_ratio_bounds(Q(1, 3), bits + extra)
-    l2lo, l2hi = _LN2_CACHE[bits + extra]
+    l2lo, l2hi = _ln2_bounds(bits + extra)
     mlo, mhi = _log_ratio_bounds((m - 1) / (m + 1), bits + extra)
     return k * l2lo + mlo, k * l2hi + mhi
 
@@ -362,16 +345,11 @@ def _atan_small(z: Q, bits: int) -> tuple[Q, Q]:
         j += 1
 
 
-_PI_CACHE: dict[int, tuple[Q, Q]] = {}
-
-
+@functools.cache
 def _pi_bounds(bits: int) -> tuple[Q, Q]:
-    if bits not in _PI_CACHE:
-        a5 = _atan_small(Q(1, 5), bits + 6)
-        a239 = _atan_small(Q(1, 239), bits + 6)
-        _PI_CACHE[bits] = (16 * a5[0] - 4 * a239[1],
-                           16 * a5[1] - 4 * a239[0])
-    return _PI_CACHE[bits]
+    a5 = _atan_small(Q(1, 5), bits + 6)
+    a239 = _atan_small(Q(1, 239), bits + 6)
+    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
 
 
 def interval_pi(bits: int = DEFAULT_BITS) -> Interval:

@@ -28,7 +28,6 @@ from thickset.balls import (
     lattice_of,
 )
 from thickset.cantor import (
-    IDENTITY,
     IN_CERTIFIED,
     IN_COVER,
     OUT,
@@ -59,10 +58,19 @@ from thickset.scalars import Interval, Q, to_q
 # -- word geometry through affine maps -----------------------------------
 
 
+IDENTITY = AffineMap(Q(1), Q(0))
+
+
+def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
+    """``outer`` after ``inner``: x -> outer(inner(x))."""
+    return AffineMap(outer.scale * inner.scale,
+                     outer.scale * inner.offset + outer.offset)
+
+
 def word_map(s: IfsSet1D, word: tuple[int, ...]) -> AffineMap:
     m = IDENTITY
     for i in word:
-        m = m.compose(s.branches[i])
+        m = compose(m, s.branches[i])
     return m
 
 
@@ -77,7 +85,7 @@ def ref_cover(s: IfsSet1D, depth: int) -> Cover1D:
             out.append(m.apply_interval(lo, hi))
             return
         for b in s.branches:
-            rec(m.compose(b), d - 1)
+            rec(compose(m, b), d - 1)
 
     rec(IDENTITY, depth)
     return Cover1D(depth, tuple(out))
@@ -89,7 +97,7 @@ def ref_interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
     m = IDENTITY
     for _ in range(depth):
         for b in s.branches:
-            nm = m.compose(b)
+            nm = compose(m, b)
             c_lo, c_hi = nm.apply_interval(*s.hull)
             if c_lo <= lo and hi <= c_hi:
                 m = nm
@@ -110,7 +118,7 @@ def ref_enumerate_gaps(s: IfsSet1D, max_depth: int
         if d + 1 >= max_depth:
             return
         for b in s.branches:
-            rec(m.compose(b), d + 1)
+            rec(compose(m, b), d + 1)
 
     rec(IDENTITY, 0)
     return gaps
@@ -129,7 +137,7 @@ def ref_membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
         if d == depth:
             break
         for b in s.branches:
-            nm = m.compose(b)
+            nm = compose(m, b)
             c_lo, c_hi = nm.apply_interval(lo, hi)
             if c_lo <= q <= c_hi:
                 m = nm
@@ -176,7 +184,7 @@ def ref_slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
         m = stack.pop()
         kids = []
         for b in s.branches:
-            c = m.compose(b)
+            c = compose(m, b)
             c_lo, c_hi = c.apply_interval(h_lo, h_hi)
             if c_lo <= first_lo and last_hi <= c_hi:
                 stack.append(c)
@@ -355,6 +363,45 @@ def product_witness_in_cover(s: IfsSet1D, w: ProductWitness,
             if not interval_in_cover(s, coord.lo, coord.hi, depth):
                 return False
     return True
+
+
+# -- triangle invariants from side lengths ------------------------------
+
+
+def exact_sqrt_ratio(q: Q) -> Q:
+    """Exact square root of a rational that must be a perfect square."""
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        raise Indeterminate(f"split ratio {q} is not a perfect square")
+    return Q(rn, rd)
+
+
+def ref_triangle_invariants(points) -> tuple[Q, Q, bool]:
+    """(alpha^2, lam, collinear) of three distinct rational points, read
+    off the squared side lengths alone.  The longest side (i, j) is the
+    base, of squared length b; with d_i, d_j the squared distances from
+    the third point to i and to j, the points are collinear exactly when
+    the area in Heron's form, 4*d_i*d_j - (b - d_i - d_j)^2, is zero.
+    A collinear triple splits the base at sqrt(d_i / b), the square-root
+    split; any other at the altitude foot (b + d_i - d_j) / (2b), by the
+    law of cosines, with alpha^2 = d_i / b - lam^2.  lam is folded into
+    [0, 1/2]."""
+    def d2(p, q):
+        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+    pts = [tuple(map(to_q, p)) for p in points]
+    i, j = max(((0, 1), (0, 2), (1, 2)),
+               key=lambda e: d2(pts[e[0]], pts[e[1]]))
+    k = 3 - i - j
+    b, di, dj = d2(pts[i], pts[j]), d2(pts[i], pts[k]), d2(pts[j], pts[k])
+    collinear = 4 * di * dj == (b - di - dj) ** 2
+    if collinear:
+        lam, alpha_sq = exact_sqrt_ratio(di / b), Q(0)
+    else:
+        lam = (b + di - dj) / (2 * b)
+        alpha_sq = di / b - lam * lam
+    return alpha_sq, min(lam, 1 - lam), collinear
 
 
 # -- k-term progressions ------------------------------------------------

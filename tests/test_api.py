@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import thickset
-from thickset import balls, patterns_nd
+from thickset import balls, cantor, patterns_nd, product, scalars
 
 MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
            "product", "render", "scalars")
@@ -23,6 +23,11 @@ ORACLES = ("merge_intervals", "self_combo_cover", "_unit_combo_cover",
 # before they shared one hypothesis core
 MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
           "_ivec")
+# the second path each of these jobs kept beside the one callers use
+SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
+                (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
+                (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio")]
+BUILDERS = (balls.GridIfs, balls.HexPacking, balls.ExplicitTree)
 
 
 def exported_names() -> list[str]:
@@ -71,3 +76,27 @@ def test_sampled_uniformity_is_gone(name):
 def test_r_uniformity_check_takes_no_sampling_knobs():
     params = inspect.signature(balls.r_uniformity_check).parameters
     assert list(params) == ["sys", "r"]
+
+
+@pytest.mark.parametrize("owner, name", SECOND_PATHS)
+def test_second_paths_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def public_methods(cls) -> set[str]:
+    return {name for name, value in vars(cls).items()
+            if inspect.isfunction(value) and not name.startswith("_")}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builders_have_exactly_the_generator_methods(builder):
+    assert "child" not in public_methods(balls.Generator)
+    assert not hasattr(builder, "child")
+    assert public_methods(builder) == public_methods(balls.Generator)
+
+
+def test_hex_packing_sets_gamma_alone():
+    assert [f.name for f in dataclasses.fields(balls.HexPacking)] == ["gamma"]
+    for name in ("rho", "designated"):
+        with pytest.raises(TypeError):
+            balls.HexPacking(1, **{name: getattr(balls.HexPacking, name)})

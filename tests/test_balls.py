@@ -204,9 +204,9 @@ def explicit_tree(dim: int, depth: int, rng: random.Random) -> BallSystem:
 
 
 class TestBatchedChildren:
-    """``Generator.children`` derives a parent's whole fan in one batch;
-    it must give, child by child, what the per-child formula gives, and
-    ``child`` must agree with it."""
+    """``Generator.children`` derives the children ``indices`` of a
+    parent in one batch; the whole fan and each child asked for alone
+    must give, child by child, what the per-child formula gives."""
 
     def check(self, sys: BallSystem, words):
         g = sys.generator
@@ -216,9 +216,10 @@ class TestBatchedChildren:
             want = [ref_child(g, parent, w, i)
                     for i in range(sys.child_count(w))]
             assert want
-            assert g.children(parent, w) == want
+            assert g.children(parent, w, range(len(want))) == want
             assert sys.kids(w) == want
-            assert [g.child(parent, w, i) for i in range(len(want))] == want
+            assert [g.children(parent, w, (i,))
+                    for i in range(len(want))] == [[kid] for kid in want]
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_grid(self, seed):
@@ -240,6 +241,19 @@ class TestBatchedChildren:
         rng = random.Random(dim)
         sys = explicit_tree(dim, 3, rng)
         self.check(sys, random_words(sys, rng, 6))
+        leaf = (0, 0, 0)
+        assert sys.child_count(leaf) == 0
+        assert sys.kids(leaf) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: grid_ifs_example(10, Q(19, 200), Q(1, 100), 1),
+        lambda: hex_packing_example(GAMMA),
+        lambda: explicit_tree(2, 2, random.Random(2))])
+    def test_index_out_of_range(self, make):
+        sys = make()
+        for word in [(sys.child_count(()),), (0, -1)]:
+            with pytest.raises(InputError, match="child index out of range"):
+                sys.lattice(word)
 
     def test_one_sha256_per_fan(self, monkeypatch):
         # the grid hashes the key prefix of a parent once and copies the
@@ -327,9 +341,11 @@ class TestValidateByArgument:
         with pytest.raises(InputError, match="not disjoint from sibling"):
             validate_system(sys)
 
-    def test_hex_circle_escaping(self):
-        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)),
-                         HexPacking(Q(1), rho=Q(1, 8)))
+    def test_hex_circle_escaping(self, monkeypatch):
+        # the last bundled circle moved across the unit circle
+        centers = [*hex_centers()[:-1], (Q(9, 10), Q(0))]
+        monkeypatch.setattr(balls, "hex_centers", lambda: centers)
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)), HexPacking(Q(1)))
         assert not enumerated_ok(sys, 1)
         with pytest.raises(InputError, match="escapes the unit ball"):
             validate_system(sys)
@@ -353,7 +369,7 @@ class TestValidateByArgument:
         b = Ball((Q(0), Q(0)), Q(1))
         sys = BallSystem(b, ExplicitTree({(0,): b}))
         assert sys.ball(()) == b and sys.children(()) == [b]
-        with pytest.raises(InputError, match="not in the explicit tree"):
+        with pytest.raises(InputError, match="child index out of range"):
             sys.ball((0, 0))
 
 

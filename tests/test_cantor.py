@@ -15,7 +15,6 @@ from thickset.cantor import (
     cover,
     descend,
     difference_interval,
-    IDENTITY,
     enumerate_gaps,
     gap_depth,
     ifs_from_branches,
@@ -31,7 +30,9 @@ from thickset.cantor import (
 from thickset.errors import HypothesisError, Indeterminate, InputError
 
 from oracles import (
+    IDENTITY,
     combo_difference_interval,
+    compose,
     merge_intervals,
     ref_certified_member,
     ref_cover,
@@ -271,10 +272,8 @@ class TestGaps:
                 return False
             if depth == 0:
                 return True
-            return any(cover_meets_open(s, m.compose(b), glo, ghi,
+            return any(cover_meets_open(s, compose(m, b), glo, ghi,
                                         depth - 1) for b in s.branches)
-
-        from thickset.cantor import IDENTITY
 
         for s in [middle_thirds(), off_center_cantor(Q(3, 10))]:
             for glo, ghi, d in enumerate_gaps(s, 4):
@@ -297,7 +296,7 @@ def old_gap_containing(s, m, lo, hi):
         return False
     while True:
         for b in s.branches:
-            nm = m.compose(b)
+            nm = compose(m, b)
             c_lo, c_hi = nm.apply_interval(*s.hull)
             if c_lo <= lo and hi <= c_hi:
                 m = nm
@@ -319,7 +318,7 @@ def old_window_test(s, m, lo, hi, t0, t1):
             continue
         gaps.extend((m(g0), m(g1)) for g0, g1 in s.top_gaps()
                     if m(g1) - m(g0) >= width)
-        stack.extend(c for c in (m.compose(b) for b in s.branches)
+        stack.extend(c for c in (compose(m, b) for b in s.branches)
                      if c.scale * hull_w >= width)
     return any(t1 > glo - lo and t0 < ghi - hi for glo, ghi in gaps)
 

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from thickset import patterns1d
 from thickset.cantor import (
     IN_CERTIFIED,
-    AffineMap,
     affine_image,
     ifs_from_branches,
     membership,
@@ -38,6 +37,7 @@ from thickset.scalars import Interval
 
 from oracles import (
     combo_core_intervals,
+    compose,
     kap_bruteforce,
     point_in_cover,
     ref_kap_search,
@@ -583,7 +583,7 @@ def old_gap_containing(s, lo, hi, word):
         return None
     while True:
         for b in s.branches:
-            nm = m.compose(b)
+            nm = compose(m, b)
             c_lo, c_hi = nm.apply_interval(*s.hull)
             if c_lo <= lo and hi <= c_hi:
                 m = nm
@@ -765,23 +765,6 @@ class TestCertifiedDescent:
         ys = [Piece(s, (), Q(3), Q(-1))]
         with pytest.raises(Indeterminate, match="certified descent exhausted"):
             certified_descent(xs, ys, 7)
-
-    def test_line_paths_compose_no_maps(self, monkeypatch):
-        # machine-independent: the descents, membership and gap queries
-        # walk the sets' integer forms, never composing branch maps
-        calls = [0]
-        compose = AffineMap.compose
-
-        def counted(self, inner):
-            calls[0] += 1
-            return compose(self, inner)
-
-        monkeypatch.setattr(AffineMap, "compose", counted)
-        s = off_center_cantor(Q(3, 10))
-        find_3ap(affine_image(s, Q(-5, 4), Q(3, 8)), 60)
-        membership(s, Q(1, 4), 64)
-        gap_lemma_check(middle_thirds(), s)
-        assert calls[0] == 0
 
     def test_pair_tests_grow_linearly_in_depth(self, monkeypatch):
         # machine-independent: a search that revisited its levels, or

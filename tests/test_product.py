@@ -24,7 +24,7 @@ from thickset.product import (
 )
 from thickset.scalars import Interval, interval_sqrt, sqrt3
 
-from oracles import product_witness_in_cover
+from oracles import product_witness_in_cover, ref_triangle_invariants
 
 
 class TestNormalizeTriangle:
@@ -49,15 +49,45 @@ class TestNormalizeTriangle:
         assert n.lam_exact == Q(1, 2)
 
     def test_collinear_split_is_exact(self):
-        # squared-distance ratios of exact collinear points are perfect
-        # squares; any other ratio is refused rather than approximated
-        from thickset.product import _exact_sqrt_ratio
-
-        n = normalize_triangle(Triangle.make([(0, 0), (Q(3, 7), Q(6, 7)),
-                                              (3, 6)]))
+        # the general split formula, dot / |base|^2, is exact on
+        # collinear points too; the square-root split is the reference
+        pts = [(0, 0), (Q(3, 7), Q(6, 7)), (3, 6)]
+        n = normalize_triangle(Triangle.make(pts))
         assert n.degenerate and n.lam_exact == Q(1, 7)
-        with pytest.raises(Indeterminate):
-            _exact_sqrt_ratio(Q(1, 2))
+        assert ref_triangle_invariants(pts) == (Q(0), Q(1, 7), True)
+
+    @pytest.mark.parametrize("collinear", [True, False])
+    def test_matches_side_length_reference(self, collinear):
+        # random exact triangles, collinear ones as p, q and a point of
+        # the line through them, against the invariants read off the
+        # squared side lengths (the square-root split when collinear)
+        rng = random.Random(int(collinear))
+
+        def rand_q():
+            return Q(rng.randint(-60, 60), rng.randint(1, 12))
+
+        for _ in range(200):
+            p, q = (rand_q(), rand_q()), (rand_q(), rand_q())
+            if p == q:
+                continue
+            if collinear:
+                t = rand_q()
+                if t in (0, 1):
+                    continue
+                r = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            else:
+                r = (rand_q(), rand_q())
+                if r in (p, q):
+                    continue
+            pts = [p, q, r]
+            rng.shuffle(pts)
+            alpha_sq, lam, degenerate = ref_triangle_invariants(pts)
+            assert degenerate or not collinear
+            n = normalize_triangle(Triangle.make(pts))
+            assert n.degenerate == degenerate
+            assert n.lam == Interval.point(lam) and n.lam_exact == lam
+            assert n.alpha_sq == alpha_sq
+            assert n.alpha.is_point() and n.alpha.lo ** 2 == alpha_sq
 
     def test_repeated_vertices_rejected(self):
         with pytest.raises(InputError):

@@ -5,7 +5,6 @@ import pytest
 
 from thickset.errors import InputError
 from thickset.scalars import (
-    Cmp,
     Interval,
     decimal_str,
     interval_atan,
@@ -100,15 +99,25 @@ class TestIntervalSqrt:
 
 class TestCompare:
     def test_trivial(self):
-        assert Interval.make(1, 2).compare(Interval.make(3, 4)) is Cmp.LESS
-        assert Interval.make(0, 5).compare(Interval.make(4, 6)) is Cmp.OVERLAP
-        assert Interval.make(9, 10).compare(Interval.make(1, 2)) is Cmp.GREATER
+        low, high = Interval.make(1, 2), Interval.make(9, 10)
+        assert low.certainly_lt(high) and low.certainly_le(high)
+        assert high.certainly_gt(low) and high.certainly_ge(low)
+        assert not (high.certainly_lt(low) or low.certainly_gt(high))
+        a, b = Interval.make(0, 5), Interval.make(4, 6)
+        for x, y in ((a, b), (b, a)):
+            assert not (x.certainly_lt(y) or x.certainly_le(y)
+                        or x.certainly_gt(y) or x.certainly_ge(y))
+
+    def test_touching_endpoints(self):
+        a, b = Interval.make(1, 2), Interval.make(2, 3)
+        assert a.certainly_le(b) and not a.certainly_lt(b)
+        assert b.certainly_ge(a) and not b.certainly_gt(a)
 
     def test_sqrt3_vs_7_4(self):
         # squaring oracle: (7/4)^2 = 49/16 > 3, so sqrt(3) < 7/4
         assert Q(7, 4) ** 2 > 3
         r = interval_sqrt(Interval.point(3), 60)
-        assert r.compare(Interval.point(Q(7, 4))) is Cmp.LESS
+        assert r.certainly_lt(Interval.point(Q(7, 4)))
 
 
 class TestContainmentProperty:
