@@ -228,7 +228,7 @@ class Generator(Protocol):
     per-parent work once for all of them, whether a whole fan or the one
     child a walk to a word takes); the certified covering-slack and
     thickness bounds, the analytic r-uniformity constant (None when there
-    is none), the default designated pair of root children, and the
+    is none), the designated pair of root children, and the
     structural check behind ``validate_system``."""
 
     designated: tuple[int, int]
@@ -508,6 +508,15 @@ class ExplicitTree:
         if self.nodes.get((), sys.root) != sys.root:
             raise InputError("the explicit tree's ball at () is not the "
                              "system's root")
+        # the children of a word are numbered 0, 1, ... without a gap,
+        # so every letter of every word is below its prefix's count
+        for w in self.nodes:
+            for j, i in enumerate(w):
+                count = self.child_count(w[:j])
+                if i >= count:
+                    raise InputError(
+                        f"explicit tree word {w} skips child index {count} "
+                        f"of word {w[:j]}")
         for w in sorted([(), *(w for w in self.nodes if w)], key=len):
             if len(w) >= depth:
                 break

@@ -10,9 +10,9 @@ pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
 [L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Covers, gaps, membership, gap queries
 and the line descents walk these integers; a query's rationals are put over
 one denominator with the hull first.  The branch maps are the set's
-presentation and are applied, never composed.  ``Fraction``s are built only for what
-is reported (cover intervals, gap records, word intervals), so thickness
-values are exact rationals rather than approximations.
+presentation and are applied, never composed.  ``Fraction``s are built
+only for what is reported (cover intervals and gap records), so
+thickness values are exact rationals rather than approximations.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def descend(first, children, ok, levels: int, what: str, *,
 
 @dataclass(frozen=True, slots=True)
 class AffineMap:
-    """x -> scale*x + offset with scale in (0, 1)."""
+    """x -> scale*x + offset; a branch map has scale in (0, 1)."""
 
     scale: Q
     offset: Q
@@ -188,11 +188,6 @@ class IfsSet1D:
         imgs = self.branch_images()
         return [(a1, b0) for (a0, a1), (b0, b1) in zip(imgs, imgs[1:])]
 
-    def word_interval(self, word: tuple[int, ...]) -> tuple[Q, Q]:
-        lo, hi = self.form.walk(*self.hull_num, word)
-        scale = self.hull_den * self.form.den ** len(word)
-        return Q(lo, scale), Q(hi, scale)
-
 
 def _over(q: Q, den: int) -> int:
     """The numerator of q over ``den``, a multiple of its denominator."""
@@ -257,16 +252,6 @@ def affine_image(s: IfsSet1D, a, b) -> IfsSet1D:
     if av < 0:
         branches.reverse()
     return IfsSet1D((pts[0], pts[1]), tuple(branches))
-
-
-def normalize_to_unit(s: IfsSet1D) -> tuple[IfsSet1D, AffineMap]:
-    """Rescale so the hull is [0, 1]; returns the map sending the
-    normalized set back onto the original one."""
-    lo, hi = s.hull
-    w = hi - lo
-    back = AffineMap(w, lo)  # not a contraction in general; used as a map only
-    normalized = affine_image(s, 1 / w, -lo / w)
-    return normalized, back
 
 
 # -- covers ------------------------------------------------------------
@@ -353,18 +338,11 @@ class ThicknessReport:
         return f"{self.value} ({self.status})"
 
 
-def enumerate_gaps(s: IfsSet1D, max_depth: int) -> list[tuple[Q, Q, int]]:
-    """All gaps created at depths 1..max_depth as (lo, hi, depth)."""
-    scales = [s.hull_den * s.form.den ** d
-              for d in range(max(max_depth, 1) + 1)]
-    return [(Q(lo, scales[d]), Q(hi, scales[d]), d)
-            for lo, hi, d in _gap_numerators(s, max_depth)]
-
-
 def _gap_numerators(s: IfsSet1D, max_depth: int
                     ) -> list[tuple[int, int, int]]:
-    """``enumerate_gaps`` in the same order, a gap created at depth d as
-    numerators over hull_den * den**d."""
+    """All gaps created at depths 1..max_depth, depth first and left to
+    right below each image, a gap created at depth d as numerators over
+    hull_den * den**d: (lo, hi, d)."""
     gaps: list[tuple[int, int, int]] = []
     form = s.form
     stack = [(*s.hull_num, 1)]  # an image and the depth of its gaps

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 from .cantor import (
     AffineMap,
     IfsSet1D,
-    affine_image,
     certified_member,
     descend,
     gap_holds_translate,
@@ -29,7 +28,6 @@ from .cantor import (
     ThicknessReport,
     newhouse_thickness,
     node_budget,
-    normalize_to_unit,
     middle_cantor,
     require_thickness_at_least_one,
     slides_into_gap,
@@ -46,21 +44,18 @@ def largest_gap(s: IfsSet1D) -> tuple[Q, Q]:
     longest gap is always a first-level one: every deeper gap is a
     contraction of a first-level gap."""
     gaps = s.top_gaps()
+    return gaps[_longest_gap(gaps, rightmost=False)]
+
+
+def _longest_gap(gaps: list[tuple[Q, Q]], rightmost: bool) -> int:
+    """The index g of the longest of a set's first-level ``gaps``, the
+    gap between branches g and g + 1: the leftmost on ties, or the
+    rightmost."""
     if not gaps:
         raise InputError("set with a single branch has no gap")
-    return max(gaps, key=lambda g: (g[1] - g[0], -g[0]))
-
-
-def _split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
-    """Branch indices left/right of the largest gap plus its endpoints."""
-    k1, k2 = largest_gap(s)
-    left, right = [], []
-    for i, (ilo, ihi) in enumerate(s.branch_images()):
-        if ihi <= k1:
-            left.append(i)
-        else:
-            right.append(i)
-    return left, right, k1, k2
+    side = 1 if rightmost else -1
+    return max(range(len(gaps)),
+               key=lambda g: (gaps[g][1] - gaps[g][0], side * g))
 
 
 # -- certified piece descent --------------------------------------------
@@ -243,49 +238,16 @@ class Witness1D:
         return (self.a, self.m, self.b)
 
 
-def _find_combo_unit(s: IfsSet1D, lam: Q, depth: int) -> Witness1D:
-    """Witness for a unit-hull set and lam >= 1/2: the middle point is
-    pinned at the right endpoint of the largest gap (an exact member),
-    and the two ends are refined by certified descent."""
-    assert lam >= Q(1, 2) and s.hull == (Q(0), Q(1))
-    left, right, k1, k2 = _split_branches(s)
-    c = k2
-    xs = [Piece(s, (i,), -(1 - lam), Q(0)) for i in left]
-    ys = [Piece(s, (j,), lam, -c) for j in right]
-    px, py = certified_descent(xs, ys, depth)
-    a_lo, a_hi = px.interval
-    b_lo, b_hi = py.interval
-    w_a, w_b = a_hi - a_lo, b_hi - b_lo
-    residual = (1 - lam) * w_a + lam * w_b
-    assert membership(s, c).kind == IN_CERTIFIED
-    # try to pin an exact pair: any point u of the final intersection
-    # that is a certified member of both pieces yields a = -u/(1-lam),
-    # b = (u+c)/lam with (1-lam)a + lam b = c exactly.  Candidates: the
-    # intersection endpoints (word-image endpoints) and the simplest
-    # rational inside (catches eventually periodic witnesses)
-    a_exact = b_exact = None
-    hx, hy = px.hull, py.hull
-    k_lo, k_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
-    for u in dict.fromkeys((k_lo, k_hi, simplest_between(k_lo, k_hi))):
-        if px.contains_set_point(u) and py.contains_set_point(u):
-            a_exact = (u - px.shift) / px.mul
-            b_exact = (u - py.shift) / py.mul
-            break
-    return Witness1D(
-        a=WitnessPoint(Interval(a_lo, a_hi), f"in_cover_at_depth({depth})"),
-        m=WitnessPoint(Interval.point(c), IN_CERTIFIED),
-        b=WitnessPoint(Interval(b_lo, b_hi), f"in_cover_at_depth({depth})"),
-        lam=lam, residual=residual, depth_used=depth,
-        a_exact=a_exact, b_exact=b_exact)
-
-
 def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
     """A nondegenerate configuration {a, (1-lam)a + lam b, b} inside a
     set of certified thickness >= 1, for any lam in (0, 1).
 
-    For lam below 1/2 the search runs on the reflected set and the
-    witness is reflected back, mirroring how the guarantee extends to
-    small lam.
+    The search reads the set in a unit coordinate t of its hull, from
+    the left end for lam >= 1/2 and from the right end below, so that
+    the far side always weighs max(lam, 1 - lam) >= 1/2.  Its pieces
+    carry that change of coordinates in their multipliers and shifts,
+    so the enclosures and the exact pair come out in the set's own
+    coordinates.
     """
     return _convex_combo(s, lam, depth, None)
 
@@ -293,7 +255,14 @@ def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
 def _convex_combo(s: IfsSet1D, lam, depth: int,
                   thickness: Optional[ThicknessReport]) -> Witness1D:
     """``find_convex_combo``; a caller that has already certified the
-    set's thickness passes its report, and the check is not repeated."""
+    set's thickness passes its report, and the check is not repeated.
+
+    With t = (x - o)/w, where o = lo and w = hi - lo for lam >= 1/2 and
+    o = hi and w = lo - hi (mirrored) below, the far weight is
+    lt = max(lam, 1 - lam).  The middle point m is pinned at the far end
+    of the longest gap, leftmost in t on ties: an exact member.  The
+    near side's branches are placed as -(1 - lt)*t and the far side's as
+    lt*t - t(m), and a certified descent refines the two ends."""
     lamv = to_q(lam)
     if not (0 < lamv < 1):
         raise InputError("lambda must lie in (0, 1)")
@@ -301,25 +270,39 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
         raise InputError("depth must be nonnegative")
     if thickness is None:
         require_thickness_at_least_one(s)
-    norm, back = normalize_to_unit(s)
-    if lamv >= Q(1, 2):
-        w = _find_combo_unit(norm, lamv, depth)
-        ends = (w.a, w.a_exact), (w.b, w.b_exact)
-    else:  # search the reflected set, whose map back reflects first
-        w = _find_combo_unit(affine_image(norm, Q(-1), Q(1)), 1 - lamv, depth)
-        ends = (w.b, w.b_exact), (w.a, w.a_exact)
-        back = AffineMap(-back.scale, back(1))
-
-    def unmap(pt: WitnessPoint) -> WitnessPoint:
-        lo, hi = back(pt.enclosure.lo), back(pt.enclosure.hi)
-        return WitnessPoint(Interval(min(lo, hi), max(lo, hi)), pt.status)
-
-    (a, a_exact), (b, b_exact) = ends
-    return Witness1D(a=unmap(a), m=unmap(w.m), b=unmap(b), lam=lamv,
-                     residual=w.residual * abs(back.scale),
-                     depth_used=w.depth_used,
-                     a_exact=None if a_exact is None else back(a_exact),
-                     b_exact=None if b_exact is None else back(b_exact))
+    (lo, hi), n = s.hull, len(s.branches)
+    mirrored = lamv < Q(1, 2)
+    o, w, lt = (hi, lo - hi, 1 - lamv) if mirrored else (lo, hi - lo, lamv)
+    gaps = s.top_gaps()
+    g = _longest_gap(gaps, rightmost=mirrored)
+    m = gaps[g][0] if mirrored else gaps[g][1]
+    near, far = (range(g + 1, n), range(g + 1)) if mirrored \
+        else (range(g + 1), range(g + 1, n))
+    xs = [Piece(s, (i,), (lt - 1) / w, (1 - lt) * o / w) for i in near]
+    ys = [Piece(s, (j,), lt / w, ((1 - lt) * o - m) / w) for j in far]
+    px, py = certified_descent(xs, ys, depth)
+    assert membership(s, m).kind == IN_CERTIFIED
+    pa, pb = (py, px) if mirrored else (px, py)
+    # try to pin an exact pair: any point u of the final intersection
+    # that is a certified member of both pieces yields the ends
+    # (u - shift)/mul, which m combines exactly.  Candidates: the
+    # intersection endpoints (word-image endpoints) and the simplest
+    # rational inside (catches eventually periodic witnesses)
+    a_exact = b_exact = None
+    hx, hy = px.hull, py.hull
+    k_lo, k_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
+    for u in dict.fromkeys((k_lo, k_hi, simplest_between(k_lo, k_hi))):
+        if px.contains_set_point(u) and py.contains_set_point(u):
+            a_exact, b_exact = ((u - p.shift) / p.mul for p in (pa, pb))
+            break
+    (a_lo, a_hi), (b_lo, b_hi) = pa.interval, pb.interval
+    status = f"in_cover_at_depth({depth})"
+    return Witness1D(
+        a=WitnessPoint(Interval(a_lo, a_hi), status),
+        m=WitnessPoint(Interval.point(m), IN_CERTIFIED),
+        b=WitnessPoint(Interval(b_lo, b_hi), status),
+        lam=lamv, residual=(1 - lamv) * (a_hi - a_lo) + lamv * (b_hi - b_lo),
+        depth_used=depth, a_exact=a_exact, b_exact=b_exact)
 
 
 def find_3ap(s: IfsSet1D, depth: int = 20) -> Witness1D:
@@ -466,16 +449,16 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     the exact pairwise y-range; if every tuple dies by some depth, no
     k-term progression exists in the set at all.
 
-    Boxes at depth d are integers over den**d, den the lcm of the
-    normalized branch denominators, and a child box comes from its
-    parent's; a live tuple is its k boxes and nothing else.  On the last
-    level the walk below each tuple stops at its first surviving
-    extension.  The children of one tuple are sorted by left end at
-    every position, so their lexicographic index order is the order of
-    their left-end vectors, and that first survivor is the tuple's
-    smallest child; distinct tuples have distinct children, so the
-    smallest of these survivors is the smallest live tuple of the full
-    expansion, which is the witness.
+    Boxes at depth d are integers over den**d in the hull's unit
+    coordinate, den the denominator of the set's integer form, and a
+    child box comes from its parent's; a live tuple is its k boxes and
+    nothing else.  On the last level the walk below each tuple stops at
+    its first surviving extension.  The children of one tuple are sorted
+    by left end at every position, so their lexicographic index order is
+    the order of their left-end vectors, and that first survivor is the
+    tuple's smallest child; distinct tuples have distinct children, so
+    the smallest of these survivors is the smallest live tuple of the
+    full expansion, which is the witness.
 
     ``explored_nodes`` counts the C(n+k-1, k) - n split tuples at depth 1
     and the full fan of n**k candidate extensions of every live tuple
@@ -484,19 +467,21 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     pass the node budget, and at depth 1 once the pair checks of the
     tuple walk pass it.
 
-    When (k-1) * g_min > 1 the verdict is immediate: consecutive points
-    on the two sides of a first-level gap force y >= g_min, while
-    (k-1) * y <= 1, so every depth-1 tuple dies.
+    When (k-1) * g_min > 1, g_min the shortest first-level gap in t,
+    the verdict is immediate: consecutive points on the two sides of a
+    first-level gap force y >= g_min, while (k-1) * y <= 1, so every
+    depth-1 tuple dies.
     """
     if k < 3:
         raise InputError("k must be at least 3")
     if depth < 1:
         raise InputError("depth must be at least 1")
-    norm, back = normalize_to_unit(s)
-    n = len(norm.branches)
-    # on the unit hull, the integer form's relative images are the
-    # branch images
-    den, images = norm.form.den, norm.form.rel
+    n = len(s.branches)
+    # the integer form's images relative to the hull are the branch
+    # images in the hull's unit coordinate t = (x - lo)/w, and
+    # back = w*t + lo maps the witness to the set
+    den, images = s.form.den, s.form.rel
+    back = AffineMap(s.width, s.hull[0])
     g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(images, images[1:]))
     explored = math.comb(n + k - 1, k) - n
     if (k - 1) * g_min > den:
@@ -510,7 +495,7 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     if top is None:
         return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
     live = [tuple(images[i] for i in e) for e in top if e[0] != e[-1]]
-    children = norm.form.children
+    children = s.form.children
     d = 1
     while live and d < depth:
         # a live tuple means the walk charged k(k-1)/2 <= budget checks,
@@ -548,7 +533,6 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         lo, hi = back(boxes[j][0]), back(boxes[j][1])
         pts.append(WitnessPoint(Interval(lo, hi),
                                 f"in_cover_at_depth({d})"))
-    # map enclosures back to the original coordinates
     return KapCertificate(
         k, FEASIBLE, d, explored,
         x=Interval(back(x_lo), back(x_hi)),

@@ -136,13 +136,11 @@ def lambda_window(sys: BallSystem, r, mode: str = STANDARD
 Pair = tuple[int, int, Ball, Ball]
 
 
-def _designated_pair(sys: BallSystem, idx_a: Optional[int],
-                     idx_b: Optional[int]) -> Pair:
-    """The designated root children (the system's own pair unless both
-    indices are given), checked in range and disjoint from their
-    siblings, as their indices and balls with the smaller ball first."""
-    if idx_a is None or idx_b is None:
-        idx_a, idx_b = sys.generator.designated
+def _designated_pair(sys: BallSystem) -> Pair:
+    """The generator's designated root children, checked in range and
+    disjoint from their siblings, as their indices and balls with the
+    smaller ball first."""
+    idx_a, idx_b = sys.generator.designated
     kids = sys.kids(())
     for j in (idx_a, idx_b):
         if not (0 <= j < len(kids)):
@@ -238,15 +236,13 @@ def x_constant(r, mode: str = STANDARD) -> Interval:
 
 
 def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
-                      idx_a: Optional[int] = None,
-                      idx_b: Optional[int] = None,
                       bits: int = 128) -> tuple[Disk, dict]:
     """Disk certified to lie inside lam*A + (1-lam)*B for the designated
     subtrees, with radius exceeding the root covering slack so it must
     meet the set."""
     lamv = to_q(lam)
     r_iv = _as_r(r)
-    pair = _designated_pair(sys, idx_a, idx_b)
+    pair = _designated_pair(sys)
     _, _, ball_a, ball_b = pair
     hypotheses, radius = _disk_radius(sys, pair, lamv, None, r_iv, mode,
                                       h_upper(sys, (), bits), bits)
@@ -453,8 +449,6 @@ def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
 
 def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
                          mode: str = STANDARD,
-                         idx_a: Optional[int] = None,
-                         idx_b: Optional[int] = None,
                          bits: int = 128) -> WitnessNd:
     """Witness for a three-point configuration {a, lam*a + (1-lam)*b, b}
     in the set generated by the system, under the certified threshold.
@@ -465,7 +459,7 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
     if depth < 0:
         raise InputError("depth must be nonnegative")
     lamv = to_q(lam)
-    disk, report = convex_combo_disk(sys, lamv, r, mode, idx_a, idx_b, bits)
+    disk, report = convex_combo_disk(sys, lamv, r, mode, bits)
     c, ball_a, ball_b = _refine_to_target(
         sys, disk, report, "c_word", partial(_combo_images, lamv), depth,
         bits)
@@ -523,7 +517,6 @@ def vertex_maps(alpha: Interval, lam, alpha_sq: Optional[Q] = None,
 
 def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
                   mode: str = STANDARD,
-                  idx_a: Optional[int] = None, idx_b: Optional[int] = None,
                   bits: int = 128) -> tuple[Disk, dict]:
     """Disk certified inside f(A) - g(B) whose radius clears the root
     covering slack, so it meets the set: the apex locations of similar
@@ -532,7 +525,7 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
     if sys.norm != L2:
         raise InputError("triangle search needs a Euclidean-norm system")
     r_iv = _as_r(r)
-    pair = _designated_pair(sys, idx_a, idx_b)
+    pair = _designated_pair(sys)
     _, _, ball_a, ball_b = pair
     root = sys.root
     t_min = Q(min(lat[-1] for lat in sys.kids(())), sys.scale(1))
@@ -623,8 +616,6 @@ def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
 def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
                                                  NormalizedTriangle],
                      r, depth: int = 6, mode: str = STANDARD,
-                     idx_a: Optional[int] = None,
-                     idx_b: Optional[int] = None,
                      bits: int = 128) -> WitnessNd:
     """Witness for the vertices of a similar copy of ``tri`` in the set
     generated by a Euclidean ball system: base points x, y in the two
@@ -643,7 +634,7 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
         raise Indeterminate("base split ratio must be exact for the "
                             "search")
     maps = vertex_maps(norm.alpha, norm.lam_exact, norm.alpha_sq, bits)
-    disk, report = triangle_disk(sys, maps, r, mode, idx_a, idx_b, bits)
+    disk, report = triangle_disk(sys, maps, r, mode, bits)
     z, ball_a, ball_b = _refine_to_target(
         sys, disk, report, "apex_word", partial(_triangle_images, maps),
         depth, bits)

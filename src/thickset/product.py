@@ -18,7 +18,6 @@ from typing import Optional, Sequence, Union
 from .cantor import (
     IfsSet1D,
     ThicknessReport,
-    normalize_to_unit,
     require_thickness_at_least_one,
 )
 from .errors import Indeterminate, InputError
@@ -201,22 +200,19 @@ def _difference_hit(s: IfsSet1D, delta, depth: int,
         raise InputError("delta must be nonnegative")
     if thickness is None:
         require_thickness_at_least_one(s)
-    norm, back = normalize_to_unit(s)
-    # the positive hull width, which is the difference segment
-    # (``difference_interval``) once the thickness is certified
-    scale = back.scale
-    if div.hi > scale:
+    # the hull width is the difference segment (``difference_interval``)
+    # once the thickness is certified
+    if div.hi > s.width:
         raise InputError("delta exceeds the certified difference bound")
-    x = Piece(norm, (), Q(1), Q(0))
-    y = Piece(norm, (), Q(1), -div.lo / scale)
-    slide = (div.hi - div.lo) / scale
+    x = Piece(s, (), Q(1), Q(0))
+    y = Piece(s, (), Q(1), -div.lo)
+    slide = div.hi - div.lo
     if not pieces_certified(x, y, slide):
         raise Indeterminate("difference refinement could not be certified "
                             "at the root")
     if depth > 0:
         x, y = certified_descent(x.children(), y.children(), depth, slide)
-    (ulo, uhi), (vlo, vhi) = x.interval, y.interval
-    return (Interval(back(ulo), back(uhi)), Interval(back(vlo), back(vhi)))
+    return Interval(*x.interval), Interval(*y.interval)
 
 
 # -- triangles in the product ---------------------------------------------

@@ -6,8 +6,9 @@ them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, two
 ball predicates, a dense-grid farthest-point maximum in floats, and the
 line's word geometry computed by composing affine maps in rationals, as
-the library did before it moved to integer numerators.  The file is not
-collected; the tests import it by name.
+the library did before it moved to integer numerators, and the set
+rescaled to the unit hull, which the progression oracles search.  The
+file is not collected; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from thickset.cantor import (
     MembershipResult,
     cover,
     interval_in_cover,
+    affine_image,
     node_budget,
-    normalize_to_unit,
     require_thickness_at_least_one,
 )
 from thickset.errors import Indeterminate, InputError
@@ -48,8 +49,8 @@ from thickset.patterns1d import (
     UNKNOWN,
     KapCertificate,
     WitnessPoint,
-    _split_branches,
     _tuple_y_range,
+    largest_gap,
 )
 from thickset.product import ProductWitness
 from thickset.scalars import Interval, Q, to_q
@@ -72,6 +73,18 @@ def word_map(s: IfsSet1D, word: tuple[int, ...]) -> AffineMap:
     for i in word:
         m = compose(m, s.branches[i])
     return m
+
+
+def word_interval(s: IfsSet1D, word: tuple[int, ...]) -> tuple[Q, Q]:
+    return word_map(s, word).apply_interval(*s.hull)
+
+
+def normalize_to_unit(s: IfsSet1D) -> tuple[IfsSet1D, AffineMap]:
+    """The set rescaled to the hull [0, 1], and the map sending it back
+    onto ``s``."""
+    lo, hi = s.hull
+    w = hi - lo
+    return affine_image(s, 1 / w, -lo / w), AffineMap(w, lo)
 
 
 def ref_cover(s: IfsSet1D, depth: int) -> Cover1D:
@@ -329,6 +342,18 @@ def combo_core_intervals(lam, k1, k2) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
     return first, second
 
 
+def split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
+    """Branch indices left/right of the largest gap plus its endpoints."""
+    k1, k2 = largest_gap(s)
+    left, right = [], []
+    for i, (ilo, ihi) in enumerate(s.branch_images()):
+        if ihi <= k1:
+            left.append(i)
+        else:
+            right.append(i)
+    return left, right, k1, k2
+
+
 def verify_combo_containment(s: IfsSet1D, lam, depth: int) -> bool:
     """Check that both guaranteed core intervals lie inside the depth-d
     cover of (1-lam)*A + lam*B, where A and B are the parts of the set
@@ -338,7 +363,7 @@ def verify_combo_containment(s: IfsSet1D, lam, depth: int) -> bool:
     require_thickness_at_least_one(s)
     if s.hull != (Q(0), Q(1)):
         raise InputError("normalize the set to hull [0, 1] first")
-    left, right, k1, k2 = _split_branches(s)
+    left, right, k1, k2 = split_branches(s)
     merged = subtree_combo_cover(s, left, right, 1 - lamv, lamv, depth)
     for tlo, thi in combo_core_intervals(lamv, k1, k2):
         if not any(a <= tlo and thi <= b for a, b in merged):
@@ -520,7 +545,7 @@ def ref_kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         return KapCertificate(k, INFEASIBLE, d, explored)
 
     _, words = min(live, key=lambda t: [lo for lo, _ in t[0]])
-    boxes = [norm.word_interval(w) for w in words]
+    boxes = [word_interval(norm, w) for w in words]
     y_lo, y_hi = _tuple_y_range(boxes, Q(g_min, den) / (k - 1))
     y_mid = (y_lo + y_hi) / 2
     x_lo = max(boxes[j][0] - j * y_mid for j in range(k))

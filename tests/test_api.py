@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import thickset
-from thickset import balls, cantor, patterns_nd, product, scalars
+from thickset import (balls, cantor, patterns1d, patterns_nd, product,
+                      scalars)
 
 MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
            "product", "render", "scalars")
@@ -23,10 +24,17 @@ ORACLES = ("merge_intervals", "self_combo_cover", "_unit_combo_cover",
 # before they shared one hypothesis core
 MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
           "_ivec")
-# the second path each of these jobs kept beside the one callers use
+# the second path each of these jobs kept beside the one callers use: a
+# second way to compare or compose, the line searches' unit-hull and
+# mirrored copies of the set, and gap and word geometry in rationals
+# that no library path reached
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
-                (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio")]
+                (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
+                (cantor, "normalize_to_unit"),
+                (patterns1d, "_find_combo_unit"),
+                (patterns1d, "_split_branches"), (cantor, "enumerate_gaps"),
+                (cantor.IfsSet1D, "word_interval")]
 BUILDERS = (balls.GridIfs, balls.HexPacking, balls.ExplicitTree)
 
 
@@ -71,6 +79,14 @@ def test_triangle_disk_reads_alpha_sq_from_its_maps():
 @pytest.mark.parametrize("name", ["UNFALSIFIED_SAMPLED", "contains_any"])
 def test_sampled_uniformity_is_gone(name):
     assert not hasattr(balls, name)
+
+
+@pytest.mark.parametrize("func", [
+    patterns_nd.convex_combo_disk, patterns_nd.find_convex_combo_nd,
+    patterns_nd.triangle_disk, patterns_nd.find_triangle_nd])
+def test_designated_pair_comes_from_the_generator(func):
+    params = inspect.signature(func).parameters
+    assert not {"idx_a", "idx_b"} & set(params)
 
 
 def test_r_uniformity_check_takes_no_sampling_knobs():

@@ -365,6 +365,23 @@ class TestValidateByArgument:
         with pytest.raises(InputError, match="not the system's root"):
             validate_system(BallSystem(b, tree))
 
+    @pytest.mark.parametrize("nodes, message", [
+        ({(0,): Ball((Q(-1, 2), Q(0)), Q(1, 4)),
+          (2,): Ball((Q(5), Q(0)), Q(1, 4))},
+         r"explicit tree word \(2,\) skips child index 1 of word \(\)"),
+        ({(0,): Ball((Q(0), Q(0)), Q(1, 2)),
+          (0, 1): Ball((Q(0), Q(0)), Q(1, 4))},
+         r"explicit tree word \(0, 1\) skips child index 0 of word \(0,\)"),
+        ({(0, 0): Ball((Q(0), Q(0)), Q(1, 4))},
+         r"explicit tree word \(0, 0\) skips child index 0 of word \(\)"),
+    ])
+    def test_explicit_numbering_gap_named(self, nodes, message):
+        # a ball after a skipped index would sit outside the tree, and
+        # the one at (2,) even outside the root
+        sys = BallSystem(Ball((Q(0), Q(0)), Q(1)), ExplicitTree(nodes))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            validate_system(sys, 3)
+
     def test_explicit_ball_at_empty_word_is_root(self):
         b = Ball((Q(0), Q(0)), Q(1))
         sys = BallSystem(b, ExplicitTree({(0,): b}))

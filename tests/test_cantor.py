@@ -9,13 +9,13 @@ from thickset.cantor import (
     IN_COVER,
     OUT,
     STABILIZED,
+    _gap_numerators,
     _ordered_removal,
     affine_image,
     certified_member,
     cover,
     descend,
     difference_interval,
-    enumerate_gaps,
     gap_depth,
     ifs_from_branches,
     interval_in_cover,
@@ -23,7 +23,6 @@ from thickset.cantor import (
     middle_cantor,
     middle_thirds,
     newhouse_thickness,
-    normalize_to_unit,
     off_center_cantor,
     slides_into_gap,
 )
@@ -34,6 +33,7 @@ from oracles import (
     combo_difference_interval,
     compose,
     merge_intervals,
+    normalize_to_unit,
     ref_certified_member,
     ref_cover,
     ref_enumerate_gaps,
@@ -71,7 +71,7 @@ class TestBuilders:
     def test_off_center_depth2_contains_split_gap(self):
         a = Q(3, 10)
         s = off_center_cantor(a)
-        got = {(g[0], g[1]) for g in enumerate_gaps(s, 2)}
+        got = {(g[0], g[1]) for g in ref_enumerate_gaps(s, 2)}
         assert (3 * a - 2 * a**2, 4 * a - 4 * a**2) in got
         assert (3 * a - 2 * a**2, 4 * a - 4 * a**2) == (Q(18, 25), Q(21, 25))
 
@@ -175,7 +175,7 @@ class TestThickness:
         # minimum ratio must not depend on which of them is removed first
         for eps in [Q(1, 3), Q(1, 4)]:
             s = middle_cantor(eps)
-            gaps = enumerate_gaps(s, 5)
+            gaps = ref_enumerate_gaps(s, 5)
             rng = random.Random(9)
             baseline = min(r.ratio for r in _ordered_removal(s.hull, gaps))
             for _ in range(10):
@@ -228,7 +228,7 @@ class TestThicknessByProof:
         # the gaps to gap_depth(s) decide the value and the witness: two
         # more levels of gaps change neither
         depth = gap_depth(s)
-        records = _ordered_removal(s.hull, enumerate_gaps(s, depth + 2))
+        records = _ordered_removal(s.hull, ref_enumerate_gaps(s, depth + 2))
         best = min(r.ratio for r in records)
         witness = next(r for r in records if r.ratio == best)
         rep = newhouse_thickness(s)
@@ -276,7 +276,7 @@ class TestGaps:
                                         depth - 1) for b in s.branches)
 
         for s in [middle_thirds(), off_center_cantor(Q(3, 10))]:
-            for glo, ghi, d in enumerate_gaps(s, 4):
+            for glo, ghi, d in ref_enumerate_gaps(s, 4):
                 assert not cover_meets_open(s, IDENTITY, glo, ghi, 20)
 
     def test_gap_containing_interval(self):
@@ -392,6 +392,13 @@ def placed_sets(draw):
     return s, word, draw(st.lists(grid, min_size=4, max_size=4))
 
 
+def gap_fractions(s, max_depth):
+    """The gaps thickness walks, as (lo, hi, depth) in rationals."""
+    return [(Q(lo, s.hull_den * s.form.den ** d),
+             Q(hi, s.hull_den * s.form.den ** d), d)
+            for lo, hi, d in _gap_numerators(s, max_depth)]
+
+
 class TestAgainstAffineMaps:
     """The integer-form functions against their rational references in
     ``oracles``: equal Fractions, verdicts and depths."""
@@ -404,7 +411,7 @@ class TestAgainstAffineMaps:
         for depth in range(4):
             assert cover(s, depth) == ref_cover(s, depth)
         for depth in range(1, 4):
-            assert enumerate_gaps(s, depth) == ref_enumerate_gaps(s, depth)
+            assert gap_fractions(s, depth) == ref_enumerate_gaps(s, depth)
         c_lo, c_hi = m.apply_interval(*s.hull)
         for x in pts + [c_lo, c_hi, (c_lo + c_hi) / 2]:
             for depth in (0, 1, 5):
@@ -661,6 +668,7 @@ class TestDifferenceInterval:
 
 class TestNormalize:
     def test_round_trip(self):
+        # the reference rescaling the progression oracles run on
         s = affine_image(middle_thirds(), Q(3), Q(-2))
         norm, back = normalize_to_unit(s)
         assert norm.hull == (Q(0), Q(1))

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from thickset import patterns1d
 from thickset.cantor import (
     IN_CERTIFIED,
+    IfsSet1D,
     affine_image,
     ifs_from_branches,
     membership,
@@ -33,6 +34,7 @@ from thickset.patterns1d import (
     pieces_certified,
     shmerkin_4ap,
 )
+from thickset.product import Triangle, difference_hit, find_triangle_in_product
 from thickset.scalars import Interval
 
 from oracles import (
@@ -42,6 +44,7 @@ from oracles import (
     point_in_cover,
     ref_kap_search,
     verify_combo_containment,
+    word_interval,
     word_map,
 )
 
@@ -569,7 +572,7 @@ DESCENT_PINS = [
 
 
 def old_hull(p):
-    lo, hi = p.base.word_interval(p.word)
+    lo, hi = word_interval(p.base, p.word)
     a, b = p.mul * lo + p.shift, p.mul * hi + p.shift
     return (a, b) if a <= b else (b, a)
 
@@ -702,7 +705,7 @@ def unmatched_pieces(draw):
             offset += Q(w + g, total)
         s = ifs_from_branches(0, 1, pairs)
         word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=3)))
-        lo, hi = s.word_interval(word)
+        lo, hi = word_interval(s, word)
         mul = Q(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4)))
         # placed so that the two hulls often overlap
         at = Q(draw(st.integers(0, 8)), 8)
@@ -752,7 +755,7 @@ class TestCertifiedDescent:
             return
         assert (px.word, py.word) == want
         for p in (px, py):
-            assert p.interval == p.base.word_interval(p.word)
+            assert p.interval == word_interval(p.base, p.word)
             assert p.hull == old_hull(p)
 
     def test_commits_at_a_dead_end(self):
@@ -809,3 +812,91 @@ class TestCertifiedDescent:
         assert w.depth_used == 0
         assert (w.a.enclosure, w.b.enclosure) == \
             (Interval(Q(0), Q(1, 3)), Interval(Q(2, 3), Q(1)))
+
+
+# -- the line searches run on the set as given ----------------------------
+
+
+def tied_set():
+    """Three branches of scale 1/5 with two equal gaps, so tau = 1: the
+    longest gap is (1/5, 2/5) leftmost and (3/5, 4/5) rightmost."""
+    return ifs_from_branches(0, 1, [("1/5", "0"), ("1/5", "2/5"),
+                                    ("1/5", "4/5")])
+
+
+def flip(x):
+    return Q(-3, 7) * x + Q(2, 9)
+
+
+def flipped_set():
+    """The tied set under x -> -3x/7 + 2/9, which reverses its branches."""
+    return affine_image(tied_set(), Q(-3, 7), Q(2, 9))
+
+
+# (set, lam, middle point, sha256 of repr(find_convex_combo(set, lam, 12)))
+# recorded while the searches ran on unit-hull and mirrored copies; below
+# lam = 1/2 the middle point is the left end of the rightmost longest gap
+COMBO_PINS = [
+    (tied_set, Q(5, 16), Q(3, 5),
+     "aad5e507f0ab2c9c895974ef6af470b39e385649798da1c887c84abdb325cb50"),
+    (tied_set, Q(1, 2), Q(2, 5),
+     "7c2e25c534f8f99b763dfc6b6cf6a4eb2916a45abdc328871b7075332f5238e9"),
+    (tied_set, Q(11, 16), Q(2, 5),
+     "3670dc6a8da7e17bc5698f5ae0ee15db700241e76aa1f02540947ef838e84f13"),
+    (flipped_set, Q(5, 16), flip(Q(2, 5)),
+     "9e17a281ed97c974d716bcd2ecd647782054cc5ac616ce0fa67d61651945243a"),
+    (flipped_set, Q(1, 2), flip(Q(3, 5)),
+     "f150199e6019ae278afc5556a55cbf66fafd46ec238fb5122a4b97c679a42fbd"),
+    (flipped_set, Q(11, 16), flip(Q(3, 5)),
+     "dd92f1451cae194af5e2b4f757a2693021caf31698aeeb2560786811cc892caf"),
+]
+
+# sha256 of repr(result), recorded the same way
+SEARCH_PINS = [
+    (lambda: difference_hit(tied_set(), Q(3, 16), 6),
+     "9ee7563c5d9342c864219faff386a197a54a80f929b1371ba25d0b9928e5ff14"),
+    (lambda: difference_hit(flipped_set(), Q(3, 16) * Q(3, 7), 6),
+     "0e6a142a4025a7a473ede6fe891b3f9915a8686d336863d640bd454ec48297af"),
+    (lambda: kap_search(tied_set(), 4, 4),
+     "0a23a302ccedf7272638dae073b7eaa6a9c929e20dd125315735d3ccfe3524b0"),
+    (lambda: kap_search(flipped_set(), 4, 4),
+     "256dbda3ffc58a6bbc0faa81af602686e853d00d0dc8684874e68f2a4ba7e5bf"),
+]
+
+
+def digest(result):
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+class TestSearchesOnTheSetAsGiven:
+    @pytest.mark.parametrize("make, lam, m, want", COMBO_PINS)
+    def test_combo_pins(self, make, lam, m, want):
+        w = find_convex_combo(make(), lam, 12)
+        assert w.m.enclosure == Interval.point(m)
+        assert digest(w) == want
+
+    @pytest.mark.parametrize("call, want", SEARCH_PINS)
+    def test_search_pins(self, call, want):
+        assert digest(call()) == want
+
+    def test_no_set_is_built(self, monkeypatch):
+        # pieces carry the change to unit coordinates, so no search
+        # builds a rescaled or mirrored copy of the set
+        s = flipped_set()
+        tri = Triangle.make([(0, 0), (1, 0), (Q(1, 3), Q(1, 2))])
+        built = []
+        post_init = IfsSet1D.__post_init__
+
+        def counting(self):
+            built.append(self.hull)
+            post_init(self)
+
+        monkeypatch.setattr(IfsSet1D, "__post_init__", counting)
+        for lam in (Q(5, 16), Q(1, 2), Q(11, 16)):
+            find_convex_combo(s, lam, 8)
+        difference_hit(s, Q(1, 16), 6)
+        kap_search(s, 4, 4)
+        find_triangle_in_product(s, tri, 6)
+        assert built == []
+        tied_set()  # the count does see a set being built
+        assert built == [(Q(0), Q(1))]

@@ -13,6 +13,7 @@ from thickset.balls import (
     ExplicitTree,
     HexPacking,
     L2,
+    LINF,
     UNKNOWN,
     UniformityResult,
     grid_ifs_example,
@@ -326,6 +327,24 @@ def _far_hex():
     return BallSystem(Ball((Q(10), Q(0)), Q(1), L2), HexPacking(GAMMA))
 
 
+def _explicit(nodes, designated=(0, 1), norm=L2):
+    """An explicit tree under the unit root ball.  Every builder
+    designates the root children (0, 1); another pair needs a generator
+    of its own."""
+    gen = ExplicitTree if designated == (0, 1) else \
+        type("Designating", (ExplicitTree,), {"designated": designated})
+    return BallSystem(Ball((Q(0), Q(0)), Q(1), norm),
+                      gen({w: Ball(b.center, b.radius, norm)
+                           for w, b in nodes.items()}))
+
+
+# a root with one child, so the designated child 1 is out of range
+ONE_CHILD = {(0,): Ball((Q(0), Q(0)), Q(1, 2))}
+# two root children that touch at the origin
+TOUCHING_PAIR = {(0,): Ball((Q(-1, 2), Q(0)), Q(1, 2)),
+                 (1,): Ball((Q(1, 2), Q(0)), Q(1, 2))}
+
+
 def _loose_norms(call):
     """``call`` run with every norm enclosure of the disk pipelines
     widened by 2, the hex root's diameter.  No admitted input places its
@@ -361,16 +380,16 @@ NO_TARGET = "no ball center certified inside the disk"  # depth 0
 # named "a-before-b" fail both ways and pin which check runs first.
 FAILURES = [
     ("range-combo-disk", lambda: convex_combo_disk(
-        grid(), Q(1, 2), Q(1, 5), idx_a=0, idx_b=100),
+        _explicit(ONE_CHILD), Q(1, 2), Q(1, 5)),
      "InputError", OUT_OF_RANGE),
     ("range-combo", lambda: find_convex_combo_nd(
-        grid(), Q(1, 2), Q(1, 5), 3, idx_a=0, idx_b=100),
+        _explicit(ONE_CHILD), Q(1, 2), Q(1, 5), 3),
      "InputError", OUT_OF_RANGE),
     ("range-triangle-disk", lambda: triangle_disk(
-        _hex(), _equilateral_maps(), HEX_R, idx_a=0, idx_b=85),
+        _explicit(ONE_CHILD), _equilateral_maps(), HEX_R),
      "InputError", OUT_OF_RANGE),
     ("range-triangle", lambda: find_triangle_nd(
-        _hex(), equilateral(), HEX_R, 3, idx_a=0, idx_b=85),
+        _explicit(ONE_CHILD), equilateral(), HEX_R, 3),
      "InputError", OUT_OF_RANGE),
     ("touch-combo-disk", lambda: convex_combo_disk(
         hex_packing_example(1), Q(1, 2), HEX_R),
@@ -385,12 +404,10 @@ FAILURES = [
         hex_packing_example(1), equilateral(), HEX_R, 3),
      "HypothesisError", TOUCHING),
     ("touch-before-range", lambda: triangle_disk(
-        hex_packing_example(1), _equilateral_maps(), HEX_R, idx_a=0,
-        idx_b=85),
+        _explicit(TOUCHING_PAIR, (0, 2)), _equilateral_maps(), HEX_R),
      "HypothesisError", TOUCHING),
     ("range-before-touch", lambda: triangle_disk(
-        hex_packing_example(1), _equilateral_maps(), HEX_R, idx_a=85,
-        idx_b=0),
+        _explicit(TOUCHING_PAIR, (2, 0)), _equilateral_maps(), HEX_R),
      "InputError", OUT_OF_RANGE),
     ("touch-before-appendix", lambda: convex_combo_disk(
         hex_packing_example(1), Q(1, 2), HEX_R, APPENDIX),
@@ -440,7 +457,7 @@ FAILURES = [
         grid(), equilateral(), Q(1, 5), 3),
      "InputError", NOT_L2),
     ("linf-before-range", lambda: triangle_disk(
-        grid(), _equilateral_maps(), Q(1, 5), idx_a=0, idx_b=100),
+        _explicit(ONE_CHILD, norm=LINF), _equilateral_maps(), Q(1, 5)),
      "InputError", NOT_L2),
     ("thin-triangle-disk", lambda: triangle_disk(
         _hex(), _maps(*THIN), HEX_R),
