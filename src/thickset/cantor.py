@@ -110,12 +110,6 @@ class WordForm:
             lo, hi = lo * den + (hi - lo) * a, lo * den + (hi - lo) * b
         return lo, hi
 
-    def over(self, den: int) -> "WordForm":
-        """The same form over ``den``, a multiple of ``self.den``."""
-        f = den // self.den
-        return WordForm(den, tuple((a * f, b * f) for a, b in self.rel),
-                        tuple((a * f, b * f) for a, b in self.gaps))
-
     def mirrored(self) -> "WordForm":
         """The form of the reflected images, branch order kept: child i
         of a reflected image is the reflection of child i."""
@@ -280,6 +274,10 @@ def cover(s: IfsSet1D, depth: int) -> Cover1D:
 def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
     """Whether [lo, hi] is contained in some depth-``depth`` word image,
     by branch descent (no cover materialization)."""
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    if lo > hi:
+        raise InputError("an interval query needs lo <= hi")
     if not (s.hull[0] <= lo and hi <= s.hull[1]):
         return False
     h_lo, h_hi, (y0, y1) = _lift(s, lo, hi)
@@ -474,6 +472,8 @@ def membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
     landing in a gap refutes it at the gap's creation depth; otherwise the
     point stays in the cover to the requested depth.
     """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     q = to_q(x)
     lo, hi = s.hull
     if q < lo or q > hi:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cantor import (
     AffineMap,
@@ -62,44 +62,21 @@ def _longest_gap(gaps: list[tuple[Q, Q]], rightmost: bool) -> int:
 
 
 class Piece:
-    """An affine image mul*(C restricted to a branch word) + shift.
+    """An affine image mul*(C restricted to a branch word) + shift, a node
+    of ``certified_descent``.
 
     The restriction of the attractor to any word image is an affine copy
     of the whole attractor, so a piece carries full structural knowledge:
     exact hull, children, and gap queries all reduce to the base set.
     The piece holds its hull in image coordinates as integer numerators
     ``lo < hi`` over ``den``; its children follow by the child rule of
-    the base's integer form, mirrored when mul < 0 so that child i stays
-    the image of the base's child i.  ``hull`` and ``interval`` are
-    built as rationals only when asked for.
+    ``form``, the base's integer form, mirrored when mul < 0 so that
+    child i stays the image of the base's child i.  ``hull`` and
+    ``interval`` are built as rationals only when asked for.  Pieces are
+    made by the descent's placement and by ``children``.
     """
 
     __slots__ = ("base", "word", "mul", "shift", "form", "lo", "hi", "den")
-
-    def __init__(self, base: IfsSet1D, word: tuple[int, ...], mul: Q,
-                 shift: Q):
-        mul, shift = to_q(mul), to_q(shift)
-        self._place(base, tuple(word), mul, shift,
-                    _unit(base, mul, shift), base.form.den)
-
-    def _place(self, base, word, mul, shift, unit: int, den: int):
-        """Put the piece over ``unit * den**len(word)``: ``unit`` is a
-        multiple of ``_unit(base, mul, shift)`` and ``den`` one of the
-        base's form denominator."""
-        if mul == 0:
-            raise InputError("a piece needs a nonzero multiplier")
-        form = base.form.over(den)
-        alpha, beta = mul * unit / base.hull_den, shift * unit  # integers
-        a, b = (int(alpha * h + beta) for h in base.hull_num)
-        if mul < 0:
-            form, a, b = form.mirrored(), b, a
-        self.base, self.word, self.mul, self.shift = base, word, mul, shift
-        self.form, self.den = form, unit * den ** len(word)
-        self.lo, self.hi = form.walk(a, b, word)
-
-    def __repr__(self):
-        return (f"Piece(base={self.base!r}, word={self.word!r}, "
-                f"mul={self.mul!r}, shift={self.shift!r})")
 
     @property
     def hull(self) -> tuple[Q, Q]:  # of the image
@@ -130,34 +107,48 @@ class Piece:
         return certified_member(self.base, back)
 
 
-def _unit(base: IfsSet1D, mul: Q, shift: Q) -> int:
-    """The least unit over which mul/hull_den and shift are integers, so
-    that the piece's hull ends are integers over unit * den**k."""
-    return math.lcm((mul / base.hull_den).denominator, shift.denominator)
-
-
-def _aligned(pieces: list[Piece], slide: Q) -> list[Piece]:
-    """The pieces over one denominator, a multiple of the slide's: one
-    unit and one form denominator for all, and the shallower pieces
-    lifted to the deepest one's level."""
+def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
+            ) -> tuple[list[Piece], list[Piece]]:
+    """The top pieces of both sides of a descent, each side a placement
+    (mul, shift) of ``s`` and its words, over one denominator: unit *
+    den**k, k the words' common length, den the set's form denominator,
+    and unit the least multiple of the slide's denominator over which
+    mul/hull_den and shift are integers for both placements."""
+    sides = [(to_q(mul), to_q(shift), words)
+             for (mul, shift), words in ((x, x_words), (y, y_words))]
+    if any(mul == 0 for mul, _, _ in sides):
+        raise InputError("a piece needs a nonzero multiplier")
+    lengths = {len(w) for _, _, words in sides for w in words}
+    if len(lengths) != 1:
+        raise InputError("a descent needs top words of one length")
+    (k,) = lengths
     unit = math.lcm(slide.denominator,
-                    *(_unit(p.base, p.mul, p.shift) for p in pieces))
-    den = math.lcm(*(p.base.form.den for p in pieces))
-    out = []
-    for p in pieces:
-        q = object.__new__(Piece)
-        q._place(p.base, p.word, p.mul, p.shift, unit, den)
-        out.append(q)
-    top = max(p.den for p in out)
-    for p in out:
-        f = top // p.den
-        p.lo, p.hi, p.den = p.lo * f, p.hi * f, top
-    return out
+                    *((mul / s.hull_den).denominator for mul, _, _ in sides),
+                    *(shift.denominator for _, shift, _ in sides))
+    den = unit * s.form.den ** k
+    xs, ys = out = [], []
+    for (mul, shift, words), pieces in zip(sides, out):
+        alpha, beta = mul * unit / s.hull_den, shift * unit  # integers
+        a, b = (int(alpha * h + beta) for h in s.hull_num)
+        form = s.form
+        if mul < 0:
+            form, a, b = form.mirrored(), b, a
+        for w in words:
+            p = object.__new__(Piece)
+            p.base, p.word, p.mul, p.shift, p.form, p.den = \
+                s, tuple(w), mul, shift, form, den
+            p.lo, p.hi = form.walk(a, b, w)
+            pieces.append(p)
+    return xs, ys
 
 
 def _certified(x: Piece, y: Piece, slide: Q) -> bool:
-    """``pieces_certified`` on pieces over one denominator, a multiple
-    of the slide's."""
+    """Gap-lemma hypotheses for x's set against every placement of y's
+    set in y - [0, slide]: hulls intersect and neither set lies inside a
+    gap of the other.  Together with thickness product >= 1 (checked
+    once per search) this certifies the sets intersect at every
+    placement.  The pieces are over one denominator, a multiple of the
+    slide's."""
     sl = slide.numerator * (x.den // slide.denominator)
     if x.hi < y.lo or y.hi - sl < x.lo:
         return False
@@ -168,28 +159,26 @@ def _certified(x: Piece, y: Piece, slide: Q) -> bool:
                                    x.hi - x.lo)
 
 
-def pieces_certified(x: Piece, y: Piece, slide: Q = 0) -> bool:
-    """Gap-lemma hypotheses for x's set against every placement of y's
-    set in y - [0, slide]: hulls intersect and neither set lies inside a
-    gap of the other.  Together with thickness product >= 1 (checked
-    once per search) this certifies the sets intersect at every
-    placement."""
-    slide = to_q(slide)
-    return _certified(*_aligned([x, y], slide), slide)
-
-
-def certified_descent(xs: list[Piece], ys: list[Piece], depth: int,
+def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
                       slide: Q = 0) -> tuple[Piece, Piece]:
-    """Leftmost pair among the given top pieces certified for every
-    placement of y in y - [0, slide], refined level by level.  A
-    certified pair's sets intersect, and any intersection point lies in
-    some child pair, which is then itself certified, so ``descend``
-    commits to the leftmost one at every level.  All pieces are put over
-    one denominator first, so the pair tests compare integers."""
+    """Leftmost pair of top pieces certified for every placement of y in
+    y - [0, slide], refined level by level.  The two sides are affine
+    placements x = (mul, shift) and y of the set ``s``; their top pieces
+    are the images of ``x_words`` and ``y_words``, all of one length,
+    and each is placed once, over one denominator, so the pair tests
+    compare integers.  A certified pair's sets intersect, and any
+    intersection point lies in some child pair, which is then itself
+    certified, so ``descend`` commits to the leftmost one at every
+    level."""
     slide = to_q(slide)
+    return _descent(*_placed(s, x, x_words, y, y_words, slide), depth, slide)
+
+
+def _descent(xs: list[Piece], ys: list[Piece], depth: int,
+             slide: Q) -> tuple[Piece, Piece]:
+    """``certified_descent`` from top pieces over one denominator, a
+    multiple of the slide's."""
     levels = max(depth - len(xs[0].word), 0)
-    tops = _aligned(xs + ys, slide)
-    xs, ys = tops[:len(xs)], tops[len(xs):]
 
     def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
         return sorted(((px, py) for px in xs for py in ys),
@@ -199,6 +188,20 @@ def certified_descent(xs: list[Piece], ys: list[Piece], depth: int,
                    lambda px, py: pairs(px.children(), py.children()),
                    lambda px, py: _certified(px, py, slide),
                    levels, "certified descent", backtrack=False)
+
+
+def _exact_point(px: Piece, py: Piece,
+                 candidates: Callable[[Q, Q], Iterable[Q]]
+                 ) -> tuple[Q, Q, Optional[Q]]:
+    """The intersection [lo, hi] of a final pair's hulls, and the first
+    of ``candidates(lo, hi)`` that is a certified member of both
+    pieces' sets, or None."""
+    hx, hy = px.hull, py.hull
+    lo, hi = max(hx[0], hy[0]), min(hx[1], hy[1])
+    u = next((u for u in candidates(lo, hi)
+              if px.contains_set_point(u) and py.contains_set_point(u)),
+             None)
+    return lo, hi, u
 
 
 # -- convex-combination witnesses ----------------------------------------
@@ -278,9 +281,9 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
     m = gaps[g][0] if mirrored else gaps[g][1]
     near, far = (range(g + 1, n), range(g + 1)) if mirrored \
         else (range(g + 1), range(g + 1, n))
-    xs = [Piece(s, (i,), (lt - 1) / w, (1 - lt) * o / w) for i in near]
-    ys = [Piece(s, (j,), lt / w, ((1 - lt) * o - m) / w) for j in far]
-    px, py = certified_descent(xs, ys, depth)
+    px, py = certified_descent(
+        s, ((lt - 1) / w, (1 - lt) * o / w), [(i,) for i in near],
+        (lt / w, ((1 - lt) * o - m) / w), [(j,) for j in far], depth)
     assert membership(s, m).kind == IN_CERTIFIED
     pa, pb = (py, px) if mirrored else (px, py)
     # try to pin an exact pair: any point u of the final intersection
@@ -288,13 +291,11 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
     # (u - shift)/mul, which m combines exactly.  Candidates: the
     # intersection endpoints (word-image endpoints) and the simplest
     # rational inside (catches eventually periodic witnesses)
+    _, _, u = _exact_point(px, py, lambda lo, hi: dict.fromkeys(
+        (lo, hi, simplest_between(lo, hi))))
     a_exact = b_exact = None
-    hx, hy = px.hull, py.hull
-    k_lo, k_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
-    for u in dict.fromkeys((k_lo, k_hi, simplest_between(k_lo, k_hi))):
-        if px.contains_set_point(u) and py.contains_set_point(u):
-            a_exact, b_exact = ((u - p.shift) / p.mul for p in (pa, pb))
-            break
+    if u is not None:
+        a_exact, b_exact = ((u - p.shift) / p.mul for p in (pa, pb))
     (a_lo, a_hi), (b_lo, b_hi) = pa.interval, pb.interval
     status = f"in_cover_at_depth({depth})"
     return Witness1D(
@@ -556,18 +557,10 @@ def shmerkin_4ap(epsilon, depth: int = 16) -> KapCertificate:
         raise InputError("depth must be nonnegative")
     s = middle_cantor(eps)
     require_thickness_at_least_one(s)
-    x_piece = Piece(s, (), Q(1), Q(-1, 2))
-    y_piece = Piece(s, (), Q(1, 3), Q(-1, 6))
-    px, py = certified_descent([x_piece], [y_piece], depth)
-    hx, hy = px.hull, py.hull
-    t_lo, t_hi = max(hx[0], hy[0]), min(hx[1], hy[1])
-
+    px, py = certified_descent(s, (1, Q(-1, 2)), [()],
+                               (Q(1, 3), Q(-1, 6)), [()], depth)
     # try to pin an exact witness at an enclosure endpoint
-    t_exact: Optional[Q] = None
-    for cand in (t_lo, t_hi):
-        if px.contains_set_point(cand) and py.contains_set_point(cand):
-            t_exact = cand
-            break
+    t_lo, t_hi, t_exact = _exact_point(px, py, lambda lo, hi: (lo, hi))
 
     def ap_points(tv_lo: Q, tv_hi: Q):
         out = []

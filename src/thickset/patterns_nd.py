@@ -42,7 +42,13 @@ from .balls import (
 )
 from .cantor import descend
 from .errors import HypothesisError, Indeterminate, InputError
-from .product import NormalizedTriangle, Triangle, normalize_triangle
+from .product import (
+    NormalizedTriangle,
+    Triangle,
+    _ratio_deviation,
+    _side_ratios,
+    normalize_triangle,
+)
 from .scalars import (
     Interval,
     Q,
@@ -510,9 +516,7 @@ def vertex_maps(alpha: Interval, lam, alpha_sq: Optional[Q] = None,
     reach = a2 + (1 - lamv) ** 2
     if reach.lo > 1:
         raise InputError("triangle data outside the admissible region")
-    s_f = interval_sqrt(a2 + lamv * lamv, bits)
-    s_g = interval_sqrt(a2 + (1 - lamv) ** 2, bits)
-    return VertexMaps(alpha, lamv, s_f, s_g, alpha_sq)
+    return VertexMaps(alpha, lamv, *_side_ratios(a2, lamv, bits), alpha_sq)
 
 
 def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
@@ -667,10 +671,4 @@ def _side_ratio_deviation(ball_a: Ball, ball_b: Ball, z, maps: VertexMaps,
                                ball_a.radius, ball_b.radius, bits)
     left = _ball_pair_distance(ball_a.center, z, ball_a.radius, Q(0), bits)
     right = _ball_pair_distance(ball_b.center, z, ball_b.radius, Q(0), bits)
-    dev = Q(0)
-    for measured, expected in ((left / base, maps.s_f),
-                               (right / base, maps.s_g)):
-        gap = max(abs(measured.hi - expected.lo),
-                  abs(expected.hi - measured.lo))
-        dev = max(dev, gap)
-    return dev
+    return _ratio_deviation(base, left, right, maps.s_f, maps.s_g)

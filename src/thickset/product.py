@@ -21,12 +21,7 @@ from .cantor import (
     require_thickness_at_least_one,
 )
 from .errors import Indeterminate, InputError
-from .patterns1d import (
-    Piece,
-    _convex_combo,
-    certified_descent,
-    pieces_certified,
-)
+from .patterns1d import _certified, _convex_combo, _descent, _placed
 from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
 
 Coord = Union[Q, int, str, Interval]
@@ -115,20 +110,16 @@ def normalize_triangle(t: Triangle) -> NormalizedTriangle:
     split ratio; collinearity that is not decided is Indeterminate.
     """
     v = t.vertices
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = _sq_dist(v[i], v[j])
-            if d.hi == 0:
-                raise InputError("triangle vertices must be pairwise "
-                                 "distinct")
-            if d.lo <= 0:
-                raise Indeterminate("vertex separation not certified at "
-                                    "this precision")
+    sides = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d = sides[i, j] = _sq_dist(v[i], v[j])
+        if d.hi == 0:
+            raise InputError("triangle vertices must be pairwise distinct")
+        if d.lo <= 0:
+            raise Indeterminate("vertex separation not certified at this "
+                                "precision")
 
     cross = _cross(*v)
-    sides = {(0, 1): _sq_dist(v[0], v[1]),
-             (0, 2): _sq_dist(v[0], v[2]),
-             (1, 2): _sq_dist(v[1], v[2])}
 
     degenerate = cross.lo <= 0 <= cross.hi
     if degenerate and not (cross.is_point() and t.is_exact()):
@@ -178,10 +169,12 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20
     ``difference_interval``, which also checks that hypothesis).
 
     A certified descent of the set against its translate by -delta:
-    the gap-lemma pair test of ``certified_descent``, run on the pieces
-    of C and of C - delta.lo with y sliding over the enclosure's width,
-    certifies each pair choice for every value delta* in the enclosure
-    at once.  That requires the enclosure to be narrow relative to the
+    the two sides are placed once, as C and C - delta.lo, with y sliding
+    over the enclosure's width, and the gap-lemma pair test of
+    ``certified_descent`` certifies each pair choice for every value
+    delta* in the enclosure at once.  The root pair is tested first,
+    outside the node budget, and the descent starts from its children.
+    That requires the enclosure to be narrow relative to the
     final cover width.  The descent commits, so an enclosure straddling
     a chain transition can dead-end it.
     """
@@ -204,14 +197,13 @@ def _difference_hit(s: IfsSet1D, delta, depth: int,
     # once the thickness is certified
     if div.hi > s.width:
         raise InputError("delta exceeds the certified difference bound")
-    x = Piece(s, (), Q(1), Q(0))
-    y = Piece(s, (), Q(1), -div.lo)
     slide = div.hi - div.lo
-    if not pieces_certified(x, y, slide):
+    (x,), (y,) = _placed(s, (1, 0), [()], (1, -div.lo), [()], slide)
+    if not _certified(x, y, slide):
         raise Indeterminate("difference refinement could not be certified "
                             "at the root")
     if depth > 0:
-        x, y = certified_descent(x.children(), y.children(), depth, slide)
+        x, y = _descent(x.children(), y.children(), depth, slide)
     return Interval(*x.interval), Interval(*y.interval)
 
 
@@ -317,22 +309,32 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     sides = _triangle_sides(base_left, base_right, apex, bits)
 
     # expected side ratios for the similarity class
-    sf_sq = (norm.alpha_sq + lam * lam) if norm.alpha_sq is not None \
-        else (alpha.square() + Interval.point(lam).square())
-    sg_sq = (norm.alpha_sq + (1 - lam) ** 2) if norm.alpha_sq is not None \
-        else (alpha.square() + Interval.point(1 - lam).square())
-    sf = interval_sqrt(Interval.coerce(sf_sq), bits)
-    sg = interval_sqrt(Interval.coerce(sg_sq), bits)
-    base_len, left_len, right_len = sides
-    dev = Q(0)
-    for measured, expected in ((left_len / base_len, sf),
-                               (right_len / base_len, sg)):
-        # largest possible |measured* - expected*| over both enclosures
-        d_hi = max(abs(measured.hi - expected.lo),
-                   abs(expected.hi - measured.lo))
-        dev = max(dev, d_hi)
+    a2 = Interval.point(norm.alpha_sq) if norm.alpha_sq is not None \
+        else alpha.square()
+    dev = _ratio_deviation(*sides, *_side_ratios(a2, lam, bits))
     return ProductWitness(base_left, base_right, apex, sides,
                           ratio_deviation=dev, depth_used=depth)
+
+
+def _side_ratios(a2: Interval, lam: Q, bits: int
+                 ) -> tuple[Interval, Interval]:
+    """s_f = sqrt(alpha^2 + lam^2) and s_g = sqrt(alpha^2 + (1-lam)^2),
+    the apex's side lengths over a unit base split at lam, from the
+    enclosure ``a2`` of alpha^2."""
+    return (interval_sqrt(a2 + lam * lam, bits),
+            interval_sqrt(a2 + (1 - lam) ** 2, bits))
+
+
+def _ratio_deviation(base: Interval, left: Interval, right: Interval,
+                     s_f: Interval, s_g: Interval) -> Q:
+    """The largest possible |measured - expected| of the side ratios
+    left/base against s_f and right/base against s_g, over all values in
+    the enclosures."""
+    dev = Q(0)
+    for measured, expected in ((left / base, s_f), (right / base, s_g)):
+        dev = max(dev, abs(measured.hi - expected.lo),
+                  abs(expected.hi - measured.lo))
+    return dev
 
 
 def _triangle_sides(p0, p1, p2, bits: int = 192):

@@ -6,8 +6,9 @@ them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, two
 ball predicates, a dense-grid farthest-point maximum in floats, and the
 line's word geometry computed by composing affine maps in rationals, as
-the library did before it moved to integer numerators, and the set
-rescaled to the unit hull, which the progression oracles search.  The
+the library did before it moved to integer numerators, the pair test of
+a line descent over listed gaps, and the set rescaled to the unit hull,
+which the progression oracles search.  The
 file is not collected; the tests import it by name.
 """
 
@@ -212,6 +213,48 @@ def ref_slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,
                          if c_lo <= last_lo and c_hi >= first_hi
                          and c_hi - c_lo >= hi - lo)
     return False
+
+
+def _ref_gap_holds(s: IfsSet1D, word, lo: Q, hi: Q, t0: Q, t1: Q) -> bool:
+    """Whether some [lo + t, hi + t], t0 <= t <= t1, lies inside a bounded
+    gap of the subtree of ``word``, strictly at both ends, by listing
+    every gap of the subtree that is at least hi - lo long."""
+    width, (h_lo, h_hi) = hi - lo, s.hull
+    stack = [word_map(s, word)]
+    while stack:
+        m = stack.pop()
+        for g0, g1 in s.top_gaps():
+            a, b = m(g0), m(g1)
+            if b - a >= width and a < lo + t1 and b > hi + t0:
+                return True
+        # a gap at least width long lies in a subtree wider than that
+        stack.extend(c for c in (compose(m, b) for b in s.branches)
+                     if c.scale * (h_hi - h_lo) > width)
+    return False
+
+
+def ref_slid_pair_test(s: IfsSet1D, x, x_word, y, y_word, slide) -> bool:
+    """The pair test of a line descent in rationals.  The pieces are
+    X = mul*C_w + shift for x = (mul, shift) and the word w, and Y alike;
+    the test passes when, for every placement Y - t with 0 <= t <= slide,
+    the hulls meet and neither set lies inside a bounded gap of the
+    other.  A query on a piece is asked of its word's subtree in C, in
+    the coordinate (u - shift)/mul, which reverses a slide when mul < 0.
+    """
+    def hull(p, word):
+        a, b = (p[0] * v + p[1] for v in word_interval(s, word))
+        return (a, b) if a <= b else (b, a)
+
+    def in_gap(p, word, lo, hi, t0, t1):
+        mul, shift = p
+        ends = sorted(((lo - shift) / mul, (hi - shift) / mul))
+        return _ref_gap_holds(s, word, *ends, *sorted((t0 / mul, t1 / mul)))
+
+    (xl, xh), (yl, yh) = hull(x, x_word), hull(y, y_word)
+    if xh < yl or yh - slide < xl:
+        return False
+    return not (in_gap(x, x_word, yl, yh, -slide, 0)
+                or in_gap(y, y_word, xl, xh, 0, slide))
 
 
 # -- Minkowski combinations of covers -----------------------------------

@@ -26,15 +26,18 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
           "_ivec")
 # the second path each of these jobs kept beside the one callers use: a
 # second way to compare or compose, the line searches' unit-hull and
-# mirrored copies of the set, and gap and word geometry in rationals
-# that no library path reached
+# mirrored copies of the set, gap and word geometry in rationals that no
+# library path reached, and a second placement of a descent's pieces
+# over a common denominator, for pieces of two sets or two word lengths
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
                 (cantor, "normalize_to_unit"),
                 (patterns1d, "_find_combo_unit"),
                 (patterns1d, "_split_branches"), (cantor, "enumerate_gaps"),
-                (cantor.IfsSet1D, "word_interval")]
+                (cantor.IfsSet1D, "word_interval"),
+                (patterns1d, "pieces_certified"), (patterns1d, "_aligned"),
+                (patterns1d, "_unit"), (cantor.WordForm, "over")]
 BUILDERS = (balls.GridIfs, balls.HexPacking, balls.ExplicitTree)
 
 
@@ -116,3 +119,54 @@ def test_hex_packing_sets_gamma_alone():
     for name in ("rho", "designated"):
         with pytest.raises(TypeError):
             balls.HexPacking(1, **{name: getattr(balls.HexPacking, name)})
+
+
+# every module of the package but the re-exports of ``__init__``
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(thickset.__file__).parent.glob("*.py"))
+           if path.stem != "__init__"}
+
+
+def referenced(tree, skip=None) -> set[str]:
+    """The names ``tree`` reads, attributes and imported names included,
+    outside the node ``skip``."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_imported_names_are_used(module):
+    tree = SOURCES[module]
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_private_definitions_are_referenced(module):
+    # a private function or class that nothing outside its own body
+    # reads is left over from a deletion
+    unread = []
+    for node in SOURCES[module].body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in referenced(tree, node if name == module
+                                           else None)
+                   for name, tree in SOURCES.items()):
+            unread.append(node.name)
+    assert unread == []

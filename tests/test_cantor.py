@@ -495,6 +495,20 @@ class TestMembership:
     def test_outside_hull(self):
         assert membership(middle_thirds(), Q(2)).kind == OUT
 
+    @pytest.mark.parametrize("query, match", [
+        (lambda s: membership(s, Q(1, 2), -1), "depth must be nonnegative"),
+        (lambda s: membership(s, Q(2), -1), "depth must be nonnegative"),
+        (lambda s: interval_in_cover(s, Q(1, 2), Q(1, 2), -1),
+         "depth must be nonnegative"),
+        (lambda s: interval_in_cover(s, Q(2, 5), Q(1, 5), 1), "lo <= hi"),
+        (lambda s: interval_in_cover(s, Q(3), Q(2), 1), "lo <= hi"),
+    ])
+    def test_bad_line_query_rejected(self, query, match):
+        # a negative depth used to be echoed back as in_cover_at_depth(-1)
+        # or answered True, and a reversed interval passed as covered
+        with pytest.raises(InputError, match=match):
+            query(middle_thirds())
+
 
 class TestSelfComboCover:
     @staticmethod

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import namedtuple
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from thickset import patterns1d
 from thickset.cantor import (
     IN_CERTIFIED,
     IfsSet1D,
+    WordForm,
     affine_image,
     ifs_from_branches,
     membership,
@@ -22,7 +24,6 @@ from thickset.patterns1d import (
     INFEASIBLE,
     UNKNOWN,
     KapCertificate,
-    Piece,
     WitnessPoint,
     certified_descent,
     find_3ap,
@@ -31,7 +32,6 @@ from thickset.patterns1d import (
     hausdorff_lower_bound,
     kap_search,
     largest_gap,
-    pieces_certified,
     shmerkin_4ap,
 )
 from thickset.product import Triangle, difference_hit, find_triangle_in_product
@@ -43,6 +43,7 @@ from oracles import (
     kap_bruteforce,
     point_in_cover,
     ref_kap_search,
+    ref_slid_pair_test,
     verify_combo_containment,
     word_interval,
     word_map,
@@ -571,6 +572,10 @@ DESCENT_PINS = [
 ]
 
 
+# one side of a descent at one word, for the references below
+Side = namedtuple("Side", "base word mul shift")
+
+
 def old_hull(p):
     lo, hi = word_interval(p.base, p.word)
     a, b = p.mul * lo + p.shift, p.mul * hi + p.shift
@@ -609,7 +614,7 @@ def old_certified(x, y):
                 or old_in_gap(xlo, xhi, y))
 
 
-def old_descent(xs, ys, depth):
+def old_descent(s, x, x_words, y, y_words, depth):
     """The descent as it was: every hull and gap query rebuilds its
     word's map from the identity.  Returns the final pair's words, or
     None where the search is Indeterminate."""
@@ -619,25 +624,23 @@ def old_descent(xs, ys, depth):
         return next((t for t in pairs if old_certified(*t)), None)
 
     def kids(p):
-        return [Piece(p.base, p.word + (i,), p.mul, p.shift)
-                for i in range(len(p.base.branches))]
+        return [p._replace(word=p.word + (i,))
+                for i in range(len(s.branches))]
 
-    pair = first([(x, y) for x in xs for y in ys])
+    pair = first([(Side(s, xw, *x), Side(s, yw, *y))
+                  for xw in x_words for yw in y_words])
     if pair is None:
         return None
     for _ in range(depth - len(pair[0].word)):
-        pair = first([(x, y) for x in kids(pair[0]) for y in kids(pair[1])])
+        pair = first([(a, b) for a in kids(pair[0]) for b in kids(pair[1])])
         if pair is None:
             return None
     return pair[0].word, pair[1].word
 
 
 @st.composite
-def descent_inputs(draw):
-    """Top pieces on a random 2- or 3-branch presentation, thick or not:
-    either the two sides of the largest gap against each other, as in
-    the combination search, or two whole-set pieces with random affine
-    placements."""
+def presentations(draw):
+    """A random 2- or 3-branch presentation on [0, 1], thick or not."""
     n = draw(st.integers(2, 3))
     weight = st.integers(1, 9)
     scales = draw(st.lists(weight, min_size=n, max_size=n))
@@ -647,97 +650,117 @@ def descent_inputs(draw):
     for w, g in zip(scales, gaps + [0]):
         pairs.append((Q(w, total), offset))
         offset += Q(w + g, total)
-    s = ifs_from_branches(0, 1, pairs)
+    return ifs_from_branches(0, 1, pairs)
+
+
+@st.composite
+def descent_inputs(draw):
+    """The arguments of a descent on a random presentation: either the
+    two sides of the largest gap against each other, as in the
+    combination search, or two random affine placements of the whole
+    set."""
+    s = draw(presentations())
+    n = len(s.branches)
     depth = draw(st.integers(0, 10))
     if draw(st.booleans()):
         lam = Q(draw(st.integers(8, 15)), 16)
         k1, k2 = largest_gap(s)
         imgs = s.branch_images()
-        xs = [Piece(s, (i,), -(1 - lam), Q(0))
-              for i in range(n) if imgs[i][1] <= k1]
-        ys = [Piece(s, (j,), lam, -k2) for j in range(n) if imgs[j][1] > k1]
-        return xs, ys, depth
+        return (s, (-(1 - lam), Q(0)),
+                [(i,) for i in range(n) if imgs[i][1] <= k1],
+                (lam, -k2), [(j,) for j in range(n) if imgs[j][1] > k1],
+                depth)
     mul = st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4))
     shift = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
-    return ([Piece(s, (), draw(mul), draw(shift))],
-            [Piece(s, (), draw(mul), draw(shift))], depth)
+    return (s, (draw(mul), draw(shift)), [()], (draw(mul), draw(shift)),
+            [()], depth)
 
 
 @st.composite
 def sliding_pairs(draw):
-    """Two whole-set pieces of a random 2- or 3-branch presentation with
-    multipliers of either sign, a slide of at most 1/4 and a depth."""
-    n = draw(st.integers(2, 3))
-    weight = st.integers(1, 9)
-    scales = draw(st.lists(weight, min_size=n, max_size=n))
-    gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
-    total = sum(scales) + sum(gaps)
-    pairs, offset = [], Q(0)
-    for w, g in zip(scales, gaps + [0]):
-        pairs.append((Q(w, total), offset))
-        offset += Q(w + g, total)
-    s = ifs_from_branches(0, 1, pairs)
-    mul = st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 4))
-    shift = st.builds(Q, st.integers(-8, 8), st.integers(1, 8))
-    x = Piece(s, (), draw(mul), draw(shift))
-    y = Piece(s, (), draw(mul), draw(shift))
-    return x, y, Q(draw(st.integers(0, 16)), 64), draw(st.integers(0, 6))
+    """One word on each side of a random presentation, both of one
+    length, placed with multipliers of either sign so that the two hulls
+    often overlap; a slide of at most 1/4, a depth, and a positive
+    affine change u -> c*u + d of the image line."""
+    s = draw(presentations())
+    n = len(s.branches)
+    k = draw(st.integers(0, 3))
 
-
-def as_image(p):
-    """The same set as a piece with multiplier 1 on its affine image."""
-    return Piece(affine_image(p.base, p.mul, p.shift), (), Q(1), Q(0))
-
-
-@st.composite
-def unmatched_pieces(draw):
-    """A piece of each of two random 2- or 3-branch presentations, whose
-    integer forms usually differ, at words of different lengths."""
-    def piece():
-        n = draw(st.integers(2, 3))
-        weight = st.integers(1, 9)
-        scales = draw(st.lists(weight, min_size=n, max_size=n))
-        gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
-        total = sum(scales) + sum(gaps)
-        pairs, offset = [], Q(0)
-        for w, g in zip(scales, gaps + [0]):
-            pairs.append((Q(w, total), offset))
-            offset += Q(w + g, total)
-        s = ifs_from_branches(0, 1, pairs)
-        word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    def side():
+        word = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                   max_size=k)))
         lo, hi = word_interval(s, word)
-        mul = Q(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4)))
-        # placed so that the two hulls often overlap
+        mul = Q(draw(st.integers(-6, 6).filter(bool)),
+                draw(st.integers(1, 4)))
         at = Q(draw(st.integers(0, 8)), 8)
-        return Piece(s, word, mul / (hi - lo), at - mul * lo / (hi - lo))
-    return piece(), piece()
+        # the word's image is [at, at + mul]
+        return (mul / (hi - lo), at - mul * lo / (hi - lo)), word
+
+    (x, xw), (y, yw) = side(), side()
+    change = (Q(draw(st.integers(1, 9)), draw(st.integers(1, 9))),
+              Q(draw(st.integers(-8, 8)), draw(st.integers(1, 8))))
+    return (s, x, xw, y, yw, Q(draw(st.integers(0, 16)), 64),
+            draw(st.integers(0, 6)), change)
+
+
+def passes_pair_test(s, x, xw, y, yw, slide):
+    """Whether the descent keeps the one top pair: at depth 0 it returns
+    that pair exactly when the pair test passes."""
+    try:
+        certified_descent(s, x, [xw], y, [yw], 0, slide)
+    except Indeterminate:
+        return False
+    return True
 
 
 class TestCertifiedDescent:
-    @settings(max_examples=150, deadline=None)
-    @given(unmatched_pieces())
-    def test_pair_test_on_unmatched_pieces(self, case):
-        # pieces of different depths and of different sets are put over
-        # one denominator before their integers are compared
-        x, y = case
-        assert pieces_certified(x, y) == old_certified(x, y)
+    def test_rejects_unmatched_words_and_zero_multiplier(self):
+        for x, x_words, y, y_words, match in [
+                ((0, 0), [(0,)], (1, 0), [(1,)], "nonzero multiplier"),
+                ((1, 0), [(0,)], (Q(0), Q(1, 2)), [(1,)],
+                 "nonzero multiplier"),
+                ((1, 0), [(0,)], (1, 0), [(0, 1)], "one length"),
+                ((1, 0), [(0,), ()], (1, 0), [(1,)], "one length"),
+                ((1, 0), [], (1, 0), [], "one length")]:
+            with pytest.raises(InputError, match=match):
+                certified_descent(middle_thirds(), x, x_words, y, y_words, 4)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(sliding_pairs())
     def test_slide_depends_only_on_the_sets(self, case):
-        # a piece with a negative multiplier maps the slide reversed; its
-        # set is the affine image's, so every verdict and hull must agree
-        x, y, slide, depth = case
-        assert pieces_certified(x, y, slide) == \
-            pieces_certified(as_image(x), as_image(y), slide)
+        # the pair test agrees with the rational reference for every
+        # placement y - t, 0 <= t <= slide, and a positive affine change
+        # of the image line, applied to both sides and the slide, moves
+        # no verdict and no word
+        s, x, xw, y, yw, slide, depth, (c, d) = case
+        assert passes_pair_test(s, x, xw, y, yw, slide) == \
+            ref_slid_pair_test(s, x, xw, y, yw, slide)
         results = []
-        for xs, ys in (([x], [y]), ([as_image(x)], [as_image(y)])):
+        for px, py, sl in ((x, y, slide),
+                           ((c * x[0], c * x[1] + d),
+                            (c * y[0], c * y[1] + d), c * slide)):
             try:
-                px, py = certified_descent(xs, ys, depth, slide)
-                results.append((px.hull, py.hull))
+                fx, fy = certified_descent(s, px, [xw], py, [yw], depth, sl)
+                results.append((fx.word, fy.word))
             except Indeterminate:
                 results.append(None)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("lam", [Q(5, 16), Q(11, 16)])
+    def test_each_side_is_placed_once(self, monkeypatch, lam):
+        # one walk per top word and one mirrored form for the side with
+        # a negative multiplier; placing every piece on its own and then
+        # again over a common denominator made 6 walks and 4 or 2
+        # mirrored forms
+        calls = dict.fromkeys(("walk", "mirrored"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _method=getattr(WordForm, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(WordForm, name, counted)
+        find_convex_combo(tied_set(), lam, 12)
+        assert calls == {"walk": 3, "mirrored": 1}
 
     @pytest.mark.parametrize("call, digest", DESCENT_PINS)
     def test_pinned_results(self, call, digest):
@@ -746,17 +769,17 @@ class TestCertifiedDescent:
     @settings(max_examples=60, deadline=None)
     @given(descent_inputs())
     def test_agrees_with_recomputing_search(self, case):
-        xs, ys, depth = case
-        want = old_descent(xs, ys, depth)
+        s, x, x_words, y, y_words, depth = case
+        want = old_descent(*case)
         try:
-            px, py = certified_descent(xs, ys, depth)
+            px, py = certified_descent(*case)
         except Indeterminate:
             assert want is None
             return
         assert (px.word, py.word) == want
-        for p in (px, py):
-            assert p.interval == word_interval(p.base, p.word)
-            assert p.hull == old_hull(p)
+        for p, placement in ((px, x), (py, y)):
+            assert p.interval == word_interval(s, p.word)
+            assert p.hull == old_hull(Side(s, p.word, *placement))
 
     def test_commits_at_a_dead_end(self):
         # a thin set: the leftmost certified pair at some level has no
@@ -764,10 +787,9 @@ class TestCertifiedDescent:
         # searching around it; a backtracking search would return the
         # words ((0, 0, 1, 0, 1, 1, 1), (0, 0, 1, 0, 0, 0, 1))
         s = ifs_from_branches(0, 1, [(Q(6, 19), 0), (Q(5, 19), Q(14, 19))])
-        xs = [Piece(s, (), Q(-1, 3), Q(-3, 4))]
-        ys = [Piece(s, (), Q(3), Q(-1))]
         with pytest.raises(Indeterminate, match="certified descent exhausted"):
-            certified_descent(xs, ys, 7)
+            certified_descent(s, (Q(-1, 3), Q(-3, 4)), [()], (Q(3), Q(-1)),
+                              [()], 7)
 
     def test_pair_tests_grow_linearly_in_depth(self, monkeypatch):
         # machine-independent: a search that revisited its levels, or
