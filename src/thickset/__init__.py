@@ -13,7 +13,6 @@ from .scalars import (
     decimal_str,
     interval_atan,
     interval_ln,
-    interval_pi,
     interval_sqrt,
     sqrt3,
     to_q,
@@ -41,9 +40,7 @@ from .patterns1d import (
     find_3ap,
     find_convex_combo,
     gap_lemma_check,
-    hausdorff_lower_bound,
     kap_search,
-    largest_gap,
     shmerkin_4ap,
 )
 from .product import (
@@ -52,7 +49,6 @@ from .product import (
     Triangle,
     difference_hit,
     equilateral,
-    equilateral_triangle,
     find_triangle_in_product,
     normalize_triangle,
 )

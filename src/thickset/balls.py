@@ -754,7 +754,7 @@ def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
     ranges over, and the answer is ``certified`` or ``falsified``.  A
     search that passes the node budget is ``Indeterminate``.
     """
-    r_iv = Interval.coerce(to_q(r)) if not isinstance(r, Interval) else r
+    r_iv = Interval.coerce(r)
     if not (0 < r_iv.lo and r_iv.hi < 1):
         raise InputError("r must lie in (0, 1)")
     analytic = sys.generator.density()
@@ -904,6 +904,16 @@ def _meets_shrunk_ball(sys: BallSystem, target: Ball,
     return None
 
 
+def _decided_ge(a: Interval, b: Interval) -> Optional[bool]:
+    """Three-valued a >= b: True when certainly, False when a < b
+    certainly, None when the enclosures overlap."""
+    if a.certainly_ge(b):
+        return True
+    if a.certainly_lt(b):
+        return False
+    return None
+
+
 def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
                        depth: int = 3, bits: int = 128
                        ) -> RdHypothesesReport:
@@ -912,7 +922,7 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
     1/(1-2r)^2, the first set meeting the (1-2r)-shrunk root of the
     second, root radii comparable through r, and r-uniform density of
     both systems."""
-    r_iv = Interval.coerce(to_q(r)) if not isinstance(r, Interval) else r
+    r_iv = Interval.coerce(r)
     if not (0 < r_iv.lo and r_iv.hi < Q(1, 2)):
         raise InputError("r must lie in (0, 1/2)")
     if depth < 0:
@@ -925,13 +935,7 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
     need = 1 / (1 - 2 * r_iv).square()
     details["thickness_product"] = product
     details["thickness_required"] = need
-    prod_ok: Optional[bool]
-    if product.certainly_ge(need):
-        prod_ok = True
-    elif product.certainly_lt(need):
-        prod_ok = False
-    else:
-        prod_ok = None
+    prod_ok = _decided_ge(product, need)
 
     shrink = 1 - 2 * r_iv
     target = Ball(sys2.root.center, shrink.lo * sys2.root.radius,
@@ -939,15 +943,8 @@ def gap_lemma_rd_check(sys1: BallSystem, sys2: BallSystem, r,
     meets = _meets_shrunk_ball(sys1, target, depth)
     details["shrunk_ball_radius"] = Interval.point(target.radius)
 
-    ratio_ok: Optional[bool]
-    lhs = Interval.point(sys1.root.radius)
-    rhs = r_iv * sys2.root.radius
-    if lhs.certainly_ge(rhs):
-        ratio_ok = True
-    elif lhs.certainly_lt(rhs):
-        ratio_ok = False
-    else:
-        ratio_ok = None
+    ratio_ok = _decided_ge(Interval.point(sys1.root.radius),
+                           r_iv * sys2.root.radius)
 
     unis = [r_uniformity_check(s, r_iv) for s in (sys1, sys2)]
     details["uniformity"] = tuple(u.status for u in unis)

@@ -332,9 +332,6 @@ class ThicknessReport:
     witness: GapRecord
     max_depth: int
 
-    def __str__(self):
-        return f"{self.value} ({self.status})"
-
 
 def _gap_numerators(s: IfsSet1D, max_depth: int
                     ) -> list[tuple[int, int, int]]:
@@ -461,9 +458,6 @@ OUT = "out_at_depth"
 class MembershipResult:
     kind: str
     depth: int
-
-    def __str__(self):
-        return f"{self.kind}({self.depth})"
 
 
 def membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
@@ -618,4 +612,4 @@ def difference_interval(s: IfsSet1D, max_depth: int = 10) -> Q:
     if max_depth < 0:
         raise InputError("max_depth must be nonnegative")
     require_thickness_at_least_one(s)
-    return s.hull[1] - s.hull[0]
+    return s.width

@@ -39,7 +39,7 @@ from .balls import (
     yavicoli_thickness,
 )
 from .errors import HypothesisError, Indeterminate, InputError
-from .scalars import Interval, Q, decimal_approx, decimal_str, sqrt3, to_q
+from .scalars import Interval, Q, decimal_approx, decimal_str, to_q
 
 SCHEMA = "thickset/1"
 
@@ -561,9 +561,8 @@ def reproduce_rows() -> list[dict]:
     rows.append(("hex thickness (gamma=1)", "7.25137",
                  yavicoli_thickness(hex1).lower_bound, Q(1, 1000),
                  "within 1e-3"))
-    uni = (2 * sqrt3() + 3) / 3 * Q(12179, 100000)
-    rows.append(("hex uniformity constant", "0.26243", uni, Q(1, 10**4),
-                 "within 1e-4"))
+    rows.append(("hex uniformity constant", "0.26243",
+                 hex1.generator.density(), Q(1, 10**4), "within 1e-4"))
     hexg = hex_packing_example(Q(99999, 100000))
     rows.append(("hex thickness (gamma=0.99999)", "7.25077",
                  yavicoli_thickness(hexg).lower_bound, Q(1, 1000),

@@ -33,18 +33,10 @@ from .cantor import (
     slides_into_gap,
 )
 from .errors import InputError
-from .scalars import Interval, Q, interval_ln, simplest_between, to_q
+from .scalars import Interval, Q, simplest_between, to_q
 
 
 # -- gap geometry -------------------------------------------------------
-
-
-def largest_gap(s: IfsSet1D) -> tuple[Q, Q]:
-    """Endpoints of the longest bounded gap (leftmost on ties).  The
-    longest gap is always a first-level one: every deeper gap is a
-    contraction of a first-level gap."""
-    gaps = s.top_gaps()
-    return gaps[_longest_gap(gaps, rightmost=False)]
 
 
 def _longest_gap(gaps: list[tuple[Q, Q]], rightmost: bool) -> int:
@@ -170,6 +162,8 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
     intersection point lies in some child pair, which is then itself
     certified, so ``descend`` commits to the leftmost one at every
     level."""
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     slide = to_q(slide)
     return _descent(*_placed(s, x, x_words, y, y_words, slide), depth, slide)
 
@@ -211,9 +205,6 @@ def _exact_point(px: Piece, py: Piece,
 class WitnessPoint:
     enclosure: Interval
     status: str  # IN_CERTIFIED or IN_COVER-style tag
-
-    def __str__(self):
-        return f"{self.enclosure.approx_str()} [{self.status}]"
 
 
 @dataclass(frozen=True)
@@ -328,9 +319,6 @@ class KapCertificate:
     x: Optional[Interval] = None   # first point enclosure
     y: Optional[Interval] = None   # common difference enclosure
     points: tuple[WitnessPoint, ...] = ()
-
-    def __str__(self):
-        return f"{self.verdict}(k={self.k}, depth={self.depth})"
 
 
 def _tuple_y_range(boxes: list[tuple[Q, Q]], y_min: Q
@@ -628,21 +616,3 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
                               "hypotheses_hold")
     return GapLemmaReport(hull_ok, inter_ok, product, "fail",
                           f"thickness product {product.hi} below 1")
-
-
-# -- dimension bound -------------------------------------------------------
-
-
-def hausdorff_lower_bound(tau, bits: int = 128) -> Interval:
-    """Enclosure of log(2) / log(2 + 1/tau), the standard lower bound for
-    the Hausdorff dimension of a set of thickness tau."""
-    tv = Interval.coerce(tau)
-    if tv.lo <= 0:
-        raise InputError("tau must be strictly positive")
-    ln2 = interval_ln(Interval.point(2), bits)
-    denom_lo = interval_ln(Interval.point(2 + 1 / tv.lo), bits)
-    denom_hi = interval_ln(Interval.point(2 + 1 / tv.hi), bits)
-    # increasing in tau: evaluate outward at both ends
-    lo = ln2.lo / denom_lo.hi
-    hi = ln2.hi / denom_hi.lo
-    return Interval(lo, hi)

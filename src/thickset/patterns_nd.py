@@ -64,7 +64,7 @@ IVec = tuple[Interval, ...]
 
 
 def _as_r(r) -> Interval:
-    iv = r if isinstance(r, Interval) else Interval.point(to_q(r))
+    iv = Interval.coerce(r)
     if not (0 < iv.lo and iv.hi < Q(1, 2)):
         raise InputError("r must lie in (0, 1/2)")
     return iv

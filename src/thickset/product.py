@@ -22,13 +22,9 @@ from .cantor import (
 )
 from .errors import Indeterminate, InputError
 from .patterns1d import _certified, _convex_combo, _descent, _placed
-from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
+from .scalars import Interval, Q, interval_sqrt, sqrt3
 
 Coord = Union[Q, int, str, Interval]
-
-
-def _iv(x: Coord) -> Interval:
-    return Interval.coerce(to_q(x)) if not isinstance(x, Interval) else x
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,8 @@ class Triangle:
     def make(points: Sequence[Sequence[Coord]]) -> "Triangle":
         if len(points) != 3:
             raise InputError("a triangle needs exactly three vertices")
-        return Triangle(tuple((_iv(p[0]), _iv(p[1])) for p in points))
+        return Triangle(tuple((Interval.coerce(p[0]), Interval.coerce(p[1]))
+                              for p in points))
 
     def is_exact(self) -> bool:
         return all(x.is_point() and y.is_point() for x, y in self.vertices)
@@ -83,11 +80,6 @@ def equilateral(bits: int = 128) -> NormalizedTriangle:
     """The equilateral similarity class: lam = 1/2, alpha = sqrt(3)/2."""
     return NormalizedTriangle(alpha=sqrt3(bits) / 2, lam=Interval.point(Q(1, 2)),
                               alpha_sq=Q(3, 4), lam_exact=Q(1, 2))
-
-
-def equilateral_triangle(bits: int = 128) -> Triangle:
-    return Triangle.make([(Q(0), Q(0)), (Q(1), Q(0)),
-                          (Q(1, 2), sqrt3(bits) / 2)])
 
 
 def _sq_dist(p, q) -> Interval:

@@ -103,10 +103,6 @@ class Interval:
         return Interval(q, q)
 
     @staticmethod
-    def make(lo, hi) -> "Interval":
-        return Interval(to_q(lo), to_q(hi))
-
-    @staticmethod
     def coerce(x) -> "Interval":
         if isinstance(x, Interval):
             return x
@@ -124,13 +120,6 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, x) -> bool:
-        q = to_q(x)
-        return self.lo <= q <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     # -- arithmetic ----------------------------------------------------
 
@@ -350,10 +339,6 @@ def _pi_bounds(bits: int) -> tuple[Q, Q]:
     a5 = _atan_small(Q(1, 5), bits + 6)
     a239 = _atan_small(Q(1, 239), bits + 6)
     return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
-
-
-def interval_pi(bits: int = DEFAULT_BITS) -> Interval:
-    return Interval(*_pi_bounds(bits))
 
 
 def _atan_bounds(q: Q, bits: int) -> tuple[Q, Q]:

@@ -51,7 +51,6 @@ from thickset.patterns1d import (
     KapCertificate,
     WitnessPoint,
     _tuple_y_range,
-    largest_gap,
 )
 from thickset.product import ProductWitness
 from thickset.scalars import Interval, Q, to_q
@@ -385,9 +384,20 @@ def combo_core_intervals(lam, k1, k2) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
     return first, second
 
 
+def longest_gap(s: IfsSet1D) -> tuple[Q, Q]:
+    """Endpoints of the longest gap between consecutive first-level word
+    intervals, the leftmost on ties.  Every deeper gap is a contraction
+    of a first-level one, so no gap of the set is longer."""
+    imgs = sorted(word_interval(s, (i,)) for i in range(len(s.branches)))
+    gaps = [(a[1], b[0]) for a, b in zip(imgs, imgs[1:])]
+    if not gaps:
+        raise InputError("set with a single branch has no gap")
+    return max(gaps, key=lambda g: (g[1] - g[0], -g[0]))
+
+
 def split_branches(s: IfsSet1D) -> tuple[list[int], list[int], Q, Q]:
     """Branch indices left/right of the largest gap plus its endpoints."""
-    k1, k2 = largest_gap(s)
+    k1, k2 = longest_gap(s)
     left, right = [], []
     for i, (ilo, ihi) in enumerate(s.branch_images()):
         if ihi <= k1:

@@ -19,7 +19,6 @@ from thickset import (
     find_triangle_in_product,
     find_triangle_nd,
     grid_ifs_example,
-    hausdorff_lower_bound,
     hex_packing_example,
     interval_sqrt,
     kap_search,
@@ -34,17 +33,18 @@ from thickset import (
     threshold,
     yavicoli_thickness,
 )
+from thickset.balls import h_upper
 from thickset.cantor import IN_CERTIFIED, affine_image
 from thickset.patterns1d import FEASIBLE, INFEASIBLE
 from thickset.scalars import sqrt3
 
 from oracles import (
-    contains_point,
     kap_bruteforce,
     point_in_cover,
     product_witness_in_cover,
     verify_combo_containment,
 )
+from test_balls import kernel
 
 GAMMA = Q(99999, 100000)
 HEX_R = Q(26243, 100000)
@@ -202,8 +202,8 @@ class TestAcceptance:
             t = x.lo + x.width * Q(rng.randint(0, 128), 128)
             b = Q(rng.randint(-99, 99), rng.randint(1, 99))
             y = Interval.point(b)
-            ok &= (x + y).contains(t + b)
-            ok &= (x * y).contains(t * b)
+            add, mul = x + y, x * y
+            ok &= add.lo <= t + b <= add.hi and mul.lo <= t * b <= mul.hi
             if x.lo >= 0:
                 root = interval_sqrt(x, 40)
                 ok &= root.lo ** 2 <= t <= root.hi ** 2
@@ -232,37 +232,22 @@ class TestAcceptance:
         report("criterion 13c: core-interval containment in combination "
                "covers at lam in {1/5, 7/20, 1/2}, depths <= 12", ok)
 
-    def test_13d_sampled_subset_slack(self):
+    def test_13d_subset_slack(self):
+        # every point x of the designated child has a depth-3 ball b
+        # below it with |x - c_b| - r_b <= 2*h_root: the kernel bounds
+        # max_x min_b (|x - c_b| - r_b) over the whole child from above
         sys = hex_packing_example(GAMMA)
-        from thickset.balls import h_upper
-
-        child = sys.ball((0,))
-        rng = random.Random(11)
-        ok = True
-        checked = 0
-        while checked < 1000:
-            dx = 2 * Q(rng.randint(0, 2**16), 2**16) - 1
-            dy = 2 * Q(rng.randint(0, 2**16), 2**16) - 1
-            p = (child.center[0] + child.radius * dx,
-                 child.center[1] + child.radius * dy)
-            if not contains_point(child, p):
-                continue
-            w = (0,)
-            for _ in range(2):
-                kids = sys.children(w)
-                j = min(range(len(kids)),
-                        key=lambda i: sum(
-                            (a - b) ** 2
-                            for a, b in zip(p, kids[i].center)))
-                w = w + (j,)
-            b = sys.ball(w)
-            bound = 2 * h_upper(sys, ()).hi + b.radius
-            ok &= sum((a - c) ** 2
-                      for a, c in zip(p, b.center)) <= bound ** 2
-            checked += 1
-        report("criterion 13d: sampled points of a designated child stay "
-               "within 2*h_root + cover slack of the subset (10^3 "
-               "samples)", ok)
+        child = (0,)
+        balls = [b for i in range(sys.child_count(child))
+                 for b in sys.children(child + (i,))]
+        bound = 2 * h_upper(sys, ()).hi
+        _, hi, _ = kernel(sys.ball(child),
+                          [(b.center, -b.radius) for b in balls],
+                          threshold=bound)
+        report("criterion 13d: every point of a designated child lies "
+               "within 2*h_root + cover slack of the subset (kernel "
+               "over its 7225 depth-3 balls)",
+               len(balls) == 7225 and hi <= bound)
 
     def test_13e_subset_thickness_at_least_half(self):
         ok = True
@@ -273,11 +258,3 @@ class TestAcceptance:
             ok &= rep.bound.lo >= tau.lo / 2
         report("criterion 13e: subset thickness >= tau/2 for both "
                "builders", ok)
-
-    def test_13f_hausdorff_bound(self):
-        iv = hausdorff_lower_bound(Interval.point(1))
-        # log2/log3 to 18 places (independent series oracle frozen here)
-        target = Q("0.630929753571457437")
-        ok = abs(iv.mid - target) <= Q(1, 10**9) and iv.width <= Q(1, 10**9)
-        report("criterion 13f: dimension bound at tau = 1 within 1e-9 of "
-               "log2/log3", ok)

@@ -1,6 +1,7 @@
 """The public names of the package: every name ``thickset/__init__.py``
-imports resolves, and the reference oracles the tests use live in
-``tests/oracles.py``, not in the library."""
+imports resolves and is read by another module of the package or
+allowlisted with a reason, and the reference oracles the tests use live
+in ``tests/oracles.py``, not in the library."""
 
 import ast
 import dataclasses
@@ -27,8 +28,11 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # the second path each of these jobs kept beside the one callers use: a
 # second way to compare or compose, the line searches' unit-hull and
 # mirrored copies of the set, gap and word geometry in rationals that no
-# library path reached, and a second placement of a descent's pieces
-# over a common denominator, for pieces of two sets or two word lengths
+# library path reached, a second placement of a descent's pieces over a
+# common denominator, for pieces of two sets or two word lengths, a
+# second longest-gap helper, equilateral builder and interval coercion,
+# and the names only tests reached: a dimension bound, pi and three
+# interval queries
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -37,18 +41,50 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (patterns1d, "_split_branches"), (cantor, "enumerate_gaps"),
                 (cantor.IfsSet1D, "word_interval"),
                 (patterns1d, "pieces_certified"), (patterns1d, "_aligned"),
-                (patterns1d, "_unit"), (cantor.WordForm, "over")]
+                (patterns1d, "_unit"), (cantor.WordForm, "over"),
+                (thickset, "hausdorff_lower_bound"),
+                (patterns1d, "hausdorff_lower_bound"),
+                (thickset, "largest_gap"), (patterns1d, "largest_gap"),
+                (thickset, "equilateral_triangle"),
+                (product, "equilateral_triangle"), (product, "_iv"),
+                (thickset, "interval_pi"), (scalars, "interval_pi"),
+                (scalars.Interval, "make"), (scalars.Interval, "contains"),
+                (scalars.Interval, "intersects")]
+# exported names that no other module of the package reads, each public
+# for the reason given
+PUBLIC_ONLY = {
+    "Cover1D": "result type", "GapRecord": "result type",
+    "MembershipResult": "result type", "ProductWitness": "result type",
+    "ThicknessReportNd": "result type", "Disk": "result type",
+    "VertexMaps": "result type", "WitnessNd": "result type",
+    "ThicksetError": "base class of the errors callers catch",
+    "middle_thirds": "builder/construction API",
+    "affine_image": "builder/construction API",
+    "ExplicitTree": "builder/construction API",
+    "GridIfs": "builder/construction API",
+    "HexPacking": "builder/construction API",
+    "difference_interval": "paper result the bench times",
+    "find_3ap": "paper result the bench times",
+    "shmerkin_4ap": "paper result the bench times",
+    "difference_hit": "paper result the bench times",
+    "convex_combo_disk": "certified disk of the plane combination theorem",
+    "triangle_disk": "certified disk of the plane triangle theorem",
+    "vertex_maps": "vertex maps of the plane triangle theorem",
+    "interval_ln": "timed by the bench's enclosure jobs; goes with them",
+    "interval_atan": "timed by the bench's enclosure jobs; goes with them",
+}
 BUILDERS = (balls.GridIfs, balls.HexPacking, balls.ExplicitTree)
 
 
-def exported_names() -> list[str]:
+def exports() -> dict[str, str]:
+    """Each name ``thickset/__init__.py`` imports, with its module."""
     tree = ast.parse(Path(thickset.__file__).read_text())
-    return [alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return {alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_exports_resolve():
-    names = exported_names()
+    names = exports()
     assert len(names) > 50
     for name in names:
         assert getattr(thickset, name) is not None, name
@@ -170,3 +206,35 @@ def test_private_definitions_are_referenced(module):
                    for name, tree in SOURCES.items()):
             unread.append(node.name)
     assert unread == []
+
+
+READ = {module: referenced(tree) for module, tree in SOURCES.items()}
+
+
+def readers(name: str, home: str) -> list[str]:
+    """The modules of the package, other than ``home``, that read
+    ``name``."""
+    return [module for module, names in READ.items()
+            if module != home and name in names]
+
+
+def test_exports_are_read_or_allowlisted():
+    # a public name that no other module reads is reached only by
+    # tests, or by nothing, unless it is public for a stated reason
+    unread = [name for name, home in exports().items()
+              if name not in PUBLIC_ONLY and not readers(name, home)]
+    assert unread == []
+
+
+def test_allowlist_holds_only_unread_exports():
+    names = exports()
+    stale = [name for name in PUBLIC_ONLY
+             if name not in names or readers(name, names[name])]
+    assert stale == []
+
+
+@pytest.mark.parametrize("cls", [
+    cantor.ThicknessReport, cantor.MembershipResult,
+    patterns1d.WitnessPoint, patterns1d.KapCertificate])
+def test_result_types_keep_the_dataclass_repr(cls):
+    assert "__str__" not in vars(cls)

@@ -29,9 +29,8 @@ from thickset.patterns1d import (
     find_3ap,
     find_convex_combo,
     gap_lemma_check,
-    hausdorff_lower_bound,
+    _longest_gap,
     kap_search,
-    largest_gap,
     shmerkin_4ap,
 )
 from thickset.product import Triangle, difference_hit, find_triangle_in_product
@@ -41,6 +40,7 @@ from oracles import (
     combo_core_intervals,
     compose,
     kap_bruteforce,
+    longest_gap,
     point_in_cover,
     ref_kap_search,
     ref_slid_pair_test,
@@ -50,16 +50,27 @@ from oracles import (
 )
 
 
+def library_longest_gap(s) -> tuple[Q, Q]:
+    gaps = s.top_gaps()
+    return gaps[_longest_gap(gaps, rightmost=False)]
+
+
 class TestLargestGap:
+    # the library's choice of gap, against the oracle's and closed forms
     def test_middle_thirds(self):
-        assert largest_gap(middle_thirds()) == (Q(1, 3), Q(2, 3))
+        s = middle_thirds()
+        assert library_longest_gap(s) == longest_gap(s) == (Q(1, 3), Q(2, 3))
 
     def test_off_center(self):
-        assert largest_gap(off_center_cantor(Q(3, 10))) == (Q(3, 10), Q(6, 10))
+        s = off_center_cantor(Q(3, 10))
+        assert library_longest_gap(s) == longest_gap(s) == \
+            (Q(3, 10), Q(6, 10))
 
     def test_middle_cantor_formula(self):
         eps = Q(1, 5)
-        assert largest_gap(middle_cantor(eps)) == ((1 - eps) / 2, (1 + eps) / 2)
+        s = middle_cantor(eps)
+        assert library_longest_gap(s) == longest_gap(s) == \
+            ((1 - eps) / 2, (1 + eps) / 2)
 
 
 class TestComboCoreIntervals:
@@ -77,7 +88,7 @@ class TestComboCoreIntervals:
         middle_thirds, lambda: off_center_cantor(Q(3, 10))])
     def test_k2_in_core_for_lam_at_least_half(self, lam, builder):
         s = builder()
-        k1, k2 = largest_gap(s)
+        k1, k2 = longest_gap(s)
         first, second = combo_core_intervals(lam, k1, k2)
         assert (first[0] <= k2 <= first[1]) or (second[0] <= k2 <= second[1])
 
@@ -518,27 +529,6 @@ class TestGapLemmaCheck:
         assert r.thickness_product.hi == Q(9, 16)
 
 
-class TestHausdorffBound:
-    def test_tau_one_is_log2_log3(self):
-        iv = hausdorff_lower_bound(Interval.point(1))
-        # oracle value: log2/log3 = 0.63092975357145743710...
-        target = Q("0.630929753571457437")
-        assert abs(iv.mid - target) < Q(1, 10**9)
-        assert iv.width < Q(1, 10**20)
-
-    def test_closed_form_half(self):
-        iv = hausdorff_lower_bound(Interval.point(Q(1, 2)))
-        assert iv.contains(Q(1, 2))  # log2/log4 = 1/2 exactly
-
-    def test_large_tau_approaches_one(self):
-        iv = hausdorff_lower_bound(Interval.point(10**6))
-        assert iv.lo > Q(99, 100)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(InputError):
-            hausdorff_lower_bound(Interval.point(0))
-
-
 # -- certified descent: stored word maps, budget, depth ------------------
 
 
@@ -664,7 +654,7 @@ def descent_inputs(draw):
     depth = draw(st.integers(0, 10))
     if draw(st.booleans()):
         lam = Q(draw(st.integers(8, 15)), 16)
-        k1, k2 = largest_gap(s)
+        k1, k2 = longest_gap(s)
         imgs = s.branch_images()
         return (s, (-(1 - lam), Q(0)),
                 [(i,) for i in range(n) if imgs[i][1] <= k1],
@@ -724,6 +714,10 @@ class TestCertifiedDescent:
                 ((1, 0), [], (1, 0), [], "one length")]:
             with pytest.raises(InputError, match=match):
                 certified_descent(middle_thirds(), x, x_words, y, y_words, 4)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(InputError, match="depth must be nonnegative"):
+            certified_descent(middle_thirds(), (1, 0), [()], (1, 0), [()], -3)
 
     @settings(max_examples=150, deadline=None)
     @given(sliding_pairs())

@@ -18,7 +18,6 @@ from thickset.product import (
     Triangle,
     difference_hit,
     equilateral,
-    equilateral_triangle,
     find_triangle_in_product,
     normalize_triangle,
 )
@@ -29,9 +28,11 @@ from oracles import product_witness_in_cover, ref_triangle_invariants
 
 class TestNormalizeTriangle:
     def test_equilateral_from_vertices(self):
-        n = normalize_triangle(equilateral_triangle())
-        assert n.lam.contains(Q(1, 2))
-        assert n.alpha.intersects(sqrt3() / 2)
+        n = normalize_triangle(Triangle.make([(0, 0), (1, 0),
+                                              (Q(1, 2), sqrt3() / 2)]))
+        assert n.lam.lo <= Q(1, 2) <= n.lam.hi
+        root = sqrt3() / 2
+        assert n.alpha.lo <= root.hi and root.lo <= n.alpha.hi
         assert n.region_ok()
 
     def test_right_isoceles(self):
@@ -138,13 +139,13 @@ class TestNormalizeTriangle:
 class TestDifferenceHit:
     def test_delta_one(self):
         u, v = difference_hit(middle_thirds(), Q(1), depth=10)
-        assert u.contains(0) and v.contains(1)
+        assert u.lo <= 0 <= u.hi and v.lo <= 1 <= v.hi
         assert u.width <= Q(3) ** -10
 
     def test_delta_third(self):
         u, v = difference_hit(middle_thirds(), Q(1, 3), depth=12)
         assert u.lo == 0  # leftmost admissible pair starts at the origin
-        assert v.contains(u.lo + Q(1, 3))
+        assert v.lo <= u.lo + Q(1, 3) <= v.hi
 
     def test_delta_irrational(self):
         delta = interval_sqrt(Interval.point(Q(1, 3)), 128)  # sqrt(3)/3
@@ -152,7 +153,8 @@ class TestDifferenceHit:
         assert u.width <= Q(3) ** -40
         assert v.width <= Q(3) ** -40
         # v - u must overlap the requested difference
-        assert (v - u).intersects(delta)
+        d = v - u
+        assert d.lo <= delta.hi and delta.lo <= d.hi
 
     def test_delta_too_large(self):
         with pytest.raises(InputError):
@@ -223,8 +225,8 @@ class TestFindTriangleInProduct:
         assert w.base_right[0].lo == w.base_right[0].hi == Q(11, 12)
         # exact foot, height enclosures pinned around the exact config
         assert w.apex[0] == Interval.point(Q(1, 3))
-        assert w.apex[1].contains(Q(1, 3))
-        assert w.base_left[1].contains(Q(0))
+        assert w.apex[1].lo <= Q(1, 3) <= w.apex[1].hi
+        assert w.base_left[1].lo <= 0 <= w.base_left[1].hi
         assert w.apex[1].width <= Q(3) ** -28
 
 
