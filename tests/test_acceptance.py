@@ -44,7 +44,7 @@ from oracles import (
     product_witness_in_cover,
     verify_combo_containment,
 )
-from test_balls import kernel
+from test_balls import kernel, sampled_slack
 
 GAMMA = Q(99999, 100000)
 HEX_R = Q(26243, 100000)
@@ -248,6 +248,12 @@ class TestAcceptance:
                "within 2*h_root + cover slack of the subset (kernel "
                "over its 7225 depth-3 balls)",
                len(balls) == 7225 and hi <= bound)
+
+    def test_13d_sampled_subset_slack(self):
+        ok = sampled_slack(hex_packing_example(GAMMA), (0,), 3, seed=11)
+        report("criterion 13d: sampled points of a designated child stay "
+               "within 2*h_root + cover slack of the subset (10^3 "
+               "samples)", ok)
 
     def test_13e_subset_thickness_at_least_half(self):
         ok = True

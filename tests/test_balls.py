@@ -552,6 +552,53 @@ def one_level(sys: BallSystem, word, **stop):
                   **stop)
 
 
+def sampled_slack(sys: BallSystem, word, depth: int, seed: int,
+                  n: int = 1000) -> bool:
+    """Draw ``n`` points of ball ``word`` on a 2^-16 grid and descend
+    greedily toward each, to the nearest child center at every level,
+    down to a ball ``depth - 1`` levels below.  True if every point lies
+    within 2*h_upper(root) + that ball's radius of its center, a sampled
+    check of the covering slack of the subtree.  Exact: each level's
+    nearest child is found in integers on one lattice scale."""
+    child = sys.ball(word)
+    grid = math.lcm(common_denominator(child),
+                    child.radius.denominator * 2**16)
+    levels = {}
+
+    def nearest(w, p):
+        if w not in levels:
+            kids = sys.children(w)
+            s = math.lcm(grid, *(q.denominator for b in kids
+                                 for q in b.center))
+            levels[w] = s, [lattice_of(b, s)[:-1] for b in kids]
+        s, rows = levels[w]
+        x = [q.numerator * (s // q.denominator) for q in p]
+        return min(range(len(rows)),
+                   key=lambda i: sum((a - b) ** 2
+                                     for a, b in zip(x, rows[i])))
+
+    rng = random.Random(seed)
+    h2 = 2 * h_upper(sys, ()).hi
+    checked = 0
+    while checked < n:
+        dx = 2 * Q(rng.randint(0, 2**16), 2**16) - 1
+        dy = 2 * Q(rng.randint(0, 2**16), 2**16) - 1
+        p = (child.center[0] + child.radius * dx,
+             child.center[1] + child.radius * dy)
+        if not contains_point(child, p):
+            continue
+        w = word
+        for _ in range(depth - 1):
+            w = w + (nearest(w, p),)
+        b = sys.ball(w)
+        bound = h2 + b.radius
+        # |p - c_b| <= bound  <=>  |p - c_b|^2 <= bound^2
+        if sum((a - c) ** 2 for a, c in zip(p, b.center)) > bound ** 2:
+            return False
+        checked += 1
+    return True
+
+
 small = st.fractions(-2, 2, max_denominator=12)
 
 
@@ -625,6 +672,13 @@ class TestSubsetThickness:
             tau = yavicoli_thickness(sys).lower_bound
             rep = subset_thickness(sys, 0)
             assert rep.bound.lo >= tau.lo / 2
+
+
+class TestSampledSubsetSlack:
+    def test_designated_child_points_near_subset(self):
+        # sampled points x in the designated child ball: the distance to
+        # the subset cover is within 2*h_upper(root) plus the cover slack
+        assert sampled_slack(hex_packing_example(GAMMA), (0,), 3, seed=7)
 
 
 class TestGapLemmaRd:
