@@ -226,10 +226,11 @@ class Generator(Protocol):
     level; the lattice forms of the children ``indices`` of the lattice
     ball ``parent`` found at ``word`` (``children``, which does the
     per-parent work once for all of them, whether a whole fan or the one
-    child a walk to a word takes); the certified covering-slack and
-    thickness bounds, the analytic r-uniformity constant (None when there
-    is none), the designated pair of root children, and the
-    structural check behind ``validate_system``."""
+    child that a walk to a word or a pair refinement takes); the
+    certified covering-slack and thickness bounds, the analytic
+    r-uniformity constant (None when there is none), the designated pair
+    of root children, and the structural check behind
+    ``validate_system``."""
 
     designated: tuple[int, int]
     def child_count(self, word: Word) -> int: ...

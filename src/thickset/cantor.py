@@ -505,11 +505,17 @@ def certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
     within ``max_steps``.
     """
     h_lo, h_hi, (y,) = _lift(s, to_q(x))
-    # the position as p/q in lowest terms
-    p, q = y - h_lo, h_hi - h_lo
+    return position_member(s.form, y - h_lo, h_hi - h_lo, max_steps)
+
+
+def position_member(form: WordForm, p: int, q: int,
+                    max_steps: int = 256) -> bool:
+    """``certified_member`` of the point at position p/q (q > 0) in the
+    root hull of a set with the integer form ``form``; the steps count
+    from the root."""
     g = math.gcd(p, q)
-    p, q = p // g, q // g
-    den, rel = s.form.den, s.form.rel
+    p, q = p // g, q // g  # the position in lowest terms
+    den, rel = form.den, form.rel
     seen = set()
     for _ in range(max_steps):
         if p == 0 or p == q:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cantor import (
     AffineMap,
     IfsSet1D,
-    certified_member,
     descend,
     gap_holds_translate,
     interval_in_cover,
@@ -29,6 +28,7 @@ from .cantor import (
     newhouse_thickness,
     node_budget,
     middle_cantor,
+    position_member,
     require_thickness_at_least_one,
     slides_into_gap,
 )
@@ -63,12 +63,15 @@ class Piece:
     The piece holds its hull in image coordinates as integer numerators
     ``lo < hi`` over ``den``; its children follow by the child rule of
     ``form``, the base's integer form, mirrored when mul < 0 so that
-    child i stays the image of the base's child i.  ``hull`` and
-    ``interval`` are built as rationals only when asked for.  Pieces are
-    made by the descent's placement and by ``children``.
+    child i stays the image of the base's child i.  ``origin`` places
+    the image of the base's hull: (a, w, unit) for the image of its left
+    end at a/unit and a signed width w/unit.  ``hull`` and ``interval``
+    are built as rationals only when asked for.  Pieces are made by the
+    descent's placement and by ``children``.
     """
 
-    __slots__ = ("base", "word", "mul", "shift", "form", "lo", "hi", "den")
+    __slots__ = ("base", "word", "mul", "shift", "form", "origin", "lo",
+                 "hi", "den")
 
     @property
     def hull(self) -> tuple[Q, Q]:  # of the image
@@ -83,20 +86,26 @@ class Piece:
         kids, den = [], self.den * self.form.den
         for i, (lo, hi) in enumerate(self.form.children(self.lo, self.hi)):
             p = object.__new__(Piece)
-            p.base, p.mul, p.shift, p.form = \
-                self.base, self.mul, self.shift, self.form
+            p.base, p.mul, p.shift, p.form, p.origin = \
+                self.base, self.mul, self.shift, self.form, self.origin
             p.word, p.lo, p.hi, p.den = self.word + (i,), lo, hi, den
             kids.append(p)
         return kids
 
-    def contains_set_point(self, x: Q) -> bool:
-        """Certified membership of x in the piece's set (endpoint or
-        periodic-descent certificates)."""
-        back = (x - self.shift) / self.mul
-        blo, bhi = self.interval
-        if not (blo <= back <= bhi):
+    def contains_set_point(self, x: Q, max_steps: int = 256) -> bool:
+        """Certified membership of x in the piece's set: x lies in the
+        hull, and ``position_member`` certifies x's position in the image
+        of the base's hull (endpoint or periodic-descent certificates),
+        as ``certified_member`` does for (x - shift)/mul in the base.
+        Integers throughout."""
+        n, d = x.numerator, x.denominator
+        if not (self.lo * d <= n * self.den <= self.hi * d):
             return False
-        return certified_member(self.base, back)
+        a, w, unit = self.origin
+        p, q = n * unit - a * d, w * d
+        if q < 0:  # a mirrored placement
+            p, q = -p, -q
+        return position_member(self.base.form, p, q, max_steps)
 
 
 def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
@@ -122,13 +131,13 @@ def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
     for (mul, shift, words), pieces in zip(sides, out):
         alpha, beta = mul * unit / s.hull_den, shift * unit  # integers
         a, b = (int(alpha * h + beta) for h in s.hull_num)
-        form = s.form
+        origin, form = (a, b - a, unit), s.form
         if mul < 0:
             form, a, b = form.mirrored(), b, a
         for w in words:
             p = object.__new__(Piece)
-            p.base, p.word, p.mul, p.shift, p.form, p.den = \
-                s, tuple(w), mul, shift, form, den
+            p.base, p.word, p.mul, p.shift, p.form, p.origin, p.den = \
+                s, tuple(w), mul, shift, form, origin, den
             p.lo, p.hi = form.walk(a, b, w)
             pieces.append(p)
     return xs, ys
@@ -184,17 +193,24 @@ def _descent(xs: list[Piece], ys: list[Piece], depth: int,
                    levels, "certified descent", backtrack=False)
 
 
-def _exact_point(px: Piece, py: Piece,
-                 candidates: Callable[[Q, Q], Iterable[Q]]
+def _exact_point(px: Piece, py: Piece, simplest: bool
                  ) -> tuple[Q, Q, Optional[Q]]:
     """The intersection [lo, hi] of a final pair's hulls, and the first
-    of ``candidates(lo, hi)`` that is a certified member of both
-    pieces' sets, or None."""
-    hx, hy = px.hull, py.hull
-    lo, hi = max(hx[0], hy[0]), min(hx[1], hy[1])
-    u = next((u for u in candidates(lo, hi)
-              if px.contains_set_point(u) and py.contains_set_point(u)),
-             None)
+    of lo, hi and, with ``simplest``, the simplest rational in [lo, hi]
+    that is a certified member of both pieces' sets, or None.  Each
+    value is tried once, and the simplest rational is computed only when
+    both ends fail."""
+    den = px.den  # the pair's common denominator
+    lo, hi = Q(max(px.lo, py.lo), den), Q(min(px.hi, py.hi), den)
+
+    def member(u: Q) -> bool:
+        return px.contains_set_point(u) and py.contains_set_point(u)
+
+    u = next(filter(member, dict.fromkeys((lo, hi))), None)
+    if u is None and simplest:
+        u = simplest_between(lo, hi)
+        if not (lo < u < hi and member(u)):
+            u = None
     return lo, hi, u
 
 
@@ -282,8 +298,7 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
     # (u - shift)/mul, which m combines exactly.  Candidates: the
     # intersection endpoints (word-image endpoints) and the simplest
     # rational inside (catches eventually periodic witnesses)
-    _, _, u = _exact_point(px, py, lambda lo, hi: dict.fromkeys(
-        (lo, hi, simplest_between(lo, hi))))
+    _, _, u = _exact_point(px, py, simplest=True)
     a_exact = b_exact = None
     if u is not None:
         a_exact, b_exact = ((u - p.shift) / p.mul for p in (pa, pb))
@@ -548,7 +563,7 @@ def shmerkin_4ap(epsilon, depth: int = 16) -> KapCertificate:
     px, py = certified_descent(s, (1, Q(-1, 2)), [()],
                                (Q(1, 3), Q(-1, 6)), [()], depth)
     # try to pin an exact witness at an enclosure endpoint
-    t_lo, t_hi, t_exact = _exact_point(px, py, lambda lo, hi: (lo, hi))
+    t_lo, t_hi, t_exact = _exact_point(px, py, simplest=False)
 
     def ap_points(tv_lo: Q, tv_hi: Q):
         out = []

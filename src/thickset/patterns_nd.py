@@ -371,12 +371,12 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     square, and orderings and ties are unchanged.
 
     ``descend`` runs the search, backtracking past dead ends; a node is
-    a word, its lattice ball and its image.  A frame derives the children
-    of its pair once, in one batch per side, from the pair's lattices
-    and tests the child pairs in lexicographic order, skipping,
-    uncharged, those whose first coordinates alone are farther apart
-    than the largest reach of the frame, which the full test would
-    reject too.
+    a word, its lattice ball and its image.  A frame derives the b-side
+    children of its pair once, in one batch, and each a-side child only
+    when its loop reaches it, both from the pair's lattices.  It tests
+    the child pairs in lexicographic order, skipping, uncharged, those
+    whose first coordinates alone are farther apart than the largest
+    reach of the frame, which the full test would reject too.
     """
     def candidates(a, b):
         (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
@@ -389,7 +389,8 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
         xs = [kids_b[j][0][0][0] for j in by_x]
         r_b = max(r for _, r in kids_b)
         width = max(c[0][1] - c[0][0] for c, _ in kids_b)
-        for i, x in enumerate(sys.kids(wa, lat_a)):
+        for i in range(sys.child_count(wa)):
+            x, = sys.generator.children(lat_a, wa, (i,))
             a = image_a(x, s)
             (alo, ahi), reach = a[0][0], a[1] + r_b
             near = by_x[bisect_left(xs, alo - reach - width):

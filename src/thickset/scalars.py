@@ -25,6 +25,9 @@ Q = Fraction
 
 DEFAULT_BITS = 128
 
+_NO_FLOATS = ("floats are not accepted on certified paths; "
+              "pass a Fraction or a decimal string")
+
 
 def to_q(x) -> Q:
     """Coerce to an exact rational; decimal strings parse exactly
@@ -39,8 +42,7 @@ def to_q(x) -> Q:
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"cannot parse rational from {x!r}") from e
     if isinstance(x, float):
-        raise InputError("floats are not accepted on certified paths; "
-                         "pass a Fraction or a decimal string")
+        raise InputError(_NO_FLOATS)
     raise InputError(f"cannot coerce {type(x).__name__} to a rational")
 
 
@@ -84,13 +86,16 @@ class Interval:
 
     Every operation returns an interval containing the exact image of the
     operands, and for the field operations the result is the exact image
-    (rational endpoints, no rounding).
+    (rational endpoints, no rounding).  A float end is refused, as
+    ``to_q`` refuses one.
     """
 
     lo: Q
     hi: Q
 
     def __post_init__(self):
+        if type(self.lo) is float or type(self.hi) is float:
+            raise InputError(_NO_FLOATS)
         if self.lo > self.hi:
             raise InputError(f"interval endpoints out of order: "
                              f"[{self.lo}, {self.hi}]")
@@ -376,16 +381,32 @@ def sqrt3(bits: int = DEFAULT_BITS) -> Interval:
 
 def simplest_between(lo: Q, hi: Q) -> Q:
     """The rational with the smallest denominator (then smallest
-    numerator magnitude) in the closed interval [lo, hi]."""
+    numerator magnitude) in the closed interval [lo, hi].
+
+    For 0 < lo <= hi it walks the continued fraction the two ends share
+    (Khinchin, Continued Fractions, 1964): with a = floor(lo), the
+    smallest integer in [lo, hi] is the answer if there is one, and
+    otherwise the answer is a + 1/y, y the simplest rational in
+    [1/(hi - a), 1/(lo - a)].  The ends stay integer pairs, and each
+    partial quotient a folds into the matrix [[A, B], [C, D]] with
+    x = (A*y + B)/(C*y + D), so the walk is a loop however many terms
+    it takes."""
     if lo > hi:
         raise InputError("empty interval")
     if lo <= 0 <= hi:
         return Q(0)
+    sign = 1
     if hi < 0:
-        return -simplest_between(-hi, -lo)
-    a = lo.numerator // lo.denominator  # floor, lo > 0
-    if a + 1 <= hi or lo == a:
-        # an integer lies in the interval; the smallest one is simplest
-        return Q(a if lo == a else a + 1)
-    frac = simplest_between(1 / (hi - a), 1 / (lo - a))
-    return a + 1 / frac
+        sign, lo, hi = -1, -hi, -lo
+    p0, q0, p1, q1 = lo.numerator, lo.denominator, hi.numerator, \
+        hi.denominator
+    A, B, C, D = 1, 0, 0, 1
+    while True:
+        a, r = divmod(p0, q0)
+        if r == 0 or (a + 1) * q1 <= p1:
+            # an integer lies in [lo, hi]; the smallest one is simplest
+            y = a if r == 0 else a + 1
+            return Q(sign * (A * y + B), C * y + D)
+        # lo < a + 1/y with y in [1/(hi - a), 1/(lo - a)]
+        p0, q0, p1, q1 = q1, p1 - a * q1, q0, r
+        A, B, C, D = A * a + B, A, C * a + D, C

@@ -7,9 +7,10 @@ search and the pruned one expanded in full down to its last level, two
 ball predicates, a dense-grid farthest-point maximum in floats, and the
 line's word geometry computed by composing affine maps in rationals, as
 the library did before it moved to integer numerators, the pair test of
-a line descent over listed gaps, and the set rescaled to the unit hull,
-which the progression oracles search.  The
-file is not collected; the tests import it by name.
+a line descent over listed gaps, the set rescaled to the unit hull,
+which the progression oracles search, and the simplest rational in an
+interval found by Stern-Brocot mediants.  The file is not collected; the
+tests import it by name.
 """
 
 from __future__ import annotations
@@ -54,6 +55,28 @@ from thickset.patterns1d import (
 )
 from thickset.product import ProductWitness
 from thickset.scalars import Interval, Q, to_q
+
+
+# -- the simplest rational -----------------------------------------------
+
+
+def ref_simplest_between(lo: Q, hi: Q) -> Q:
+    """The simplest rational in [lo, hi]: the first node of the
+    Stern-Brocot tree that the walk toward the interval lands in, one
+    mediant at a time (no continued fractions)."""
+    if lo <= 0 <= hi:
+        return Q(0)
+    if hi < 0:
+        return -ref_simplest_between(-hi, -lo)
+    a, b, c, d = 0, 1, 1, 0  # the node lies between a/b and c/d
+    while True:
+        n, m = a + c, b + d
+        if n * lo.denominator < lo.numerator * m:
+            a, b = n, m
+        elif n * hi.denominator > hi.numerator * m:
+            c, d = n, m
+        else:
+            return Q(n, m)
 
 
 # -- word geometry through affine maps -----------------------------------

@@ -443,6 +443,21 @@ class TestCertifiedMember:
         assert not certified_member(s, Q(1, 2))   # in the central gap
         assert not certified_member(s, Q(5, 12))  # 0.1021...: hits a gap
 
+    def test_cap_matches_oracle(self):
+        # 1/(4*3^k) walks k steps toward 0 before its period shows, so
+        # the step cap decides it; the library counts steps as the
+        # oracle does
+        s = middle_thirds()
+        points = [q for k in range(8) for q in (Q(1, 4 * 3**k),
+                                                1 - Q(1, 4 * 3**k))]
+        verdicts = set()
+        for q in points:
+            for steps in range(12):
+                got = certified_member(s, q, steps)
+                assert got == ref_certified_member(s, q, steps)
+                verdicts.add((q, got))
+        assert len(verdicts) > len(points)  # the cap flips some verdicts
+
     def test_against_digit_oracle(self):
         # the middle-thirds set is exactly the reals with a base-3
         # expansion avoiding the digit 1

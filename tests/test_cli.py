@@ -159,6 +159,17 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["outputs"] == []
 
+    def test_deep_combo_exits_zero(self, tmp_path, capsys):
+        # a recursive simplest rational after this descent passes the
+        # interpreter's limit and would turn the witness into exit 3
+        out = tmp_path / "w.json"
+        assert main(["find-combo", "--set", "middle_cantor:1/5", "--lam",
+                     "2/7", "--depth", "3000", "--out", str(out)]) == 0
+        assert "witness found" in capsys.readouterr().out
+        assert json.loads(out.read_text())["depth_used"] == 3000
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 0 and manifest["outputs"] == [str(out)]
+
     def test_line_descent_over_budget_three(self, monkeypatch, tmp_path):
         monkeypatch.setenv("THICKSET_MAX_NODES", "50")
         out = tmp_path / "w.json"

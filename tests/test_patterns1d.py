@@ -12,6 +12,7 @@ from thickset.cantor import (
     IfsSet1D,
     WordForm,
     affine_image,
+    certified_member,
     ifs_from_branches,
     membership,
     middle_cantor,
@@ -916,3 +917,67 @@ class TestSearchesOnTheSetAsGiven:
         assert built == []
         tied_set()  # the count does see a set being built
         assert built == [(Q(0), Q(1))]
+
+
+def piece_tree(s, placement, depth):
+    """The pieces of one placement of ``s`` down to ``depth``."""
+    (top,), _ = patterns1d._placed(s, placement, [()], (1, 0), [()], Q(0))
+    level, out = [top], [top]
+    for _ in range(depth):
+        level = [kid for p in level for kid in p.children()]
+        out += level
+    return out
+
+
+class TestExactPoint:
+    @pytest.mark.parametrize("lam", [Q(2, 7), Q(1, 3), Q(3, 5)])
+    def test_deep_descent_returns_a_witness(self, lam):
+        # a recursive simplest rational takes one call per continued-
+        # fraction term of the final intersection, past the interpreter's
+        # limit here, and would end a successful descent in RecursionError
+        s = middle_cantor(Q(1, 5))
+        w = find_convex_combo(s, lam, 3000)
+        assert w.depth_used == 3000
+        assert 0 < w.residual < Q(1, 2**3900)  # (2/5)**3000 is 2**-3966
+        assert w.a.enclosure.hi < w.m.enclosure.lo < w.b.enclosure.lo
+
+    @pytest.mark.parametrize("placement", [
+        (Q(1), Q(0)), (Q(2, 3), Q(1, 5)), (Q(-3, 7), Q(2)), (Q(-1), Q(0))])
+    def test_contains_set_point_matches_certified_member(self, placement):
+        # x in a piece of the placement (mul, shift) is certified exactly
+        # when (x - shift)/mul lies in the piece's word image and is a
+        # certified member of the base; the steps count from the base's
+        # root, so a small cap decides some points the same way on both
+        s = middle_thirds()
+        mul, shift = placement
+        base = [q for k in range(6) for q in (
+            Q(1, 4 * 3**k), 1 - Q(1, 4 * 3**k), Q(3, 4 * 3**k), Q(1, 2 * 3**k),
+            Q(1, 10 * 3**k), Q(7, 13 * 3**k))]
+        capped = set()
+        for p in piece_tree(s, placement, 3):
+            lo, hi = p.interval
+            for back in base + [lo, hi]:
+                x = mul * back + shift
+                for steps in range(12):
+                    want = lo <= back <= hi and certified_member(s, back, steps)
+                    assert p.contains_set_point(x, steps) == want
+                    if not want and certified_member(s, back):
+                        capped.add(back)
+        assert len(capped) > 10
+
+    def test_simplest_rational_only_when_both_ends_fail(self, monkeypatch):
+        calls = []
+        simplest = patterns1d.simplest_between
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return simplest(lo, hi)
+
+        monkeypatch.setattr(patterns1d, "simplest_between", counted)
+        assert find_convex_combo(middle_thirds(), Q(1, 3), 12).a_exact \
+            is not None
+        shmerkin_4ap(Q(1, 5), 12)
+        assert calls == []
+        assert find_convex_combo(middle_cantor(Q(1, 5)), Q(1, 3), 12).a_exact \
+            is None
+        assert len(calls) == 1

@@ -890,3 +890,51 @@ class TestBallBuilds:
         shallow, _ = ball_builds(monkeypatch, lambda: search(sysv, 4))
         deep, _ = ball_builds(monkeypatch, lambda: search(sysv, 8))
         assert deep <= shallow + 2 * 4
+
+
+# The benchmark's plane pipeline jobs at seed 1 (r = 31/128 on the grids,
+# 37/128 on the hex system, depth 4), with the lattice children each
+# derives in all and inside the pair refinement, which derives an a-side
+# child only when its loop reaches it.  Deriving every fan whole takes
+# 1110/602 on each grid, 1030/512 for each triangle and 945/512 for the
+# hex combination.
+SEED1_PIPELINES = [
+    (_grid(1), COMBO, (Q(1, 2), Q(31, 128), 4), 858, 350),
+    (_grid(4), COMBO, (Q(1, 2), Q(31, 128), 4), 830, 322),
+    (_grid(6), COMBO, (Q(1, 2), Q(31, 128), 4), 821, 313),
+    (_hex, TRIANGLE, (_triangle((Q(9, 20), Q(17, 20))), Q(37, 128), 4),
+     805, 287),
+    (_hex, TRIANGLE, (_triangle((Q(1, 2), Q(7, 8))), Q(37, 128), 4),
+     797, 279),
+    (_hex, TRIANGLE, (_triangle((Q(1, 3), Q(3, 4))), Q(37, 128), 4),
+     789, 271),
+    (_hex, COMBO, (Q(1, 2), Q(37, 128), 4), 741, 308),
+]
+
+
+@pytest.mark.parametrize("make, search, args, total, refined",
+                         SEED1_PIPELINES)
+def test_children_derived_per_pipeline(monkeypatch, make, search, args,
+                                       total, refined):
+    import thickset.patterns_nd as nd
+
+    sysv = make()
+    derived, inside = [0], [0]
+    method, refine_pair = type(sysv.generator).children, nd._refine_pair
+
+    def counted(self, parent, word, indices):
+        kids = method(self, parent, word, indices)
+        derived[0] += len(kids)
+        return kids
+
+    def refine(*a):
+        before = derived[0]
+        try:
+            return refine_pair(*a)
+        finally:
+            inside[0] += derived[0] - before
+
+    monkeypatch.setattr(type(sysv.generator), "children", counted)
+    monkeypatch.setattr(nd, "_refine_pair", refine)
+    search(sysv, *args)
+    assert (derived[0], inside[0]) == (total, refined)

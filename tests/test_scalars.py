@@ -15,6 +15,8 @@ from thickset.scalars import (
     to_q,
 )
 
+from oracles import ref_simplest_between
+
 
 # Independent oracle: digit-by-digit integer square root of 3 * 10^(2*digits),
 # i.e. long division style, no dependence on the interval code.
@@ -272,3 +274,57 @@ class TestSimplestBetween:
             for den in range(1, best.denominator):
                 lo_n = -(-lo.numerator * den // lo.denominator)  # ceil
                 assert lo_n * hi.denominator > hi.numerator * den
+
+    def test_matches_stern_brocot_oracle(self):
+        from thickset.scalars import simplest_between
+
+        rng = random.Random(7)
+        for _ in range(1500):
+            lo = Q(rng.randint(-300, 300), rng.randint(1, 300))
+            hi = lo + rng.choice((Q(0), Q(1, rng.randint(1, 10**6)),
+                                  Q(rng.randint(1, 300), rng.randint(1, 300))))
+            assert simplest_between(lo, hi) == ref_simplest_between(lo, hi)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_fibonacci_neighbours_need_no_recursion(self, sign):
+        # F(n+1)/F(n) and F(n+2)/F(n+1) are Farey neighbours whose
+        # continued fractions have about n terms, all 1: the closed
+        # interval's simplest point is the one over F(n), and any point
+        # strictly between them is over at least F(n+2), the mediant's
+        # denominator
+        from thickset.scalars import simplest_between
+
+        fib = [0, 1]
+        while len(fib) < 3005:
+            fib.append(fib[-1] + fib[-2])
+        n = 3000
+        near, far, mediant = (Q(fib[n + 1], fib[n]), Q(fib[n + 2], fib[n + 1]),
+                              Q(fib[n + 3], fib[n + 2]))
+        lo, hi = sorted((near, far))
+        eps = Q(1, 10 * fib[n + 2] ** 2)
+        for a, b, want in ((lo, hi, near), (lo + eps, hi - eps, mediant)):
+            a, b = sorted((sign * a, sign * b))
+            assert simplest_between(a, b) == sign * want \
+                == ref_simplest_between(a, b)
+
+
+class TestFloatEndpoints:
+    # an Interval end refuses a float as to_q does, so no float reaches a
+    # certified path through an Interval argument
+    def test_interval_refuses_a_float_end(self):
+        for lo, hi in ((0.2, 0.2), (Q(0), 0.5), (0.25, Q(1))):
+            with pytest.raises(InputError, match="floats are not accepted"):
+                Interval(lo, hi)
+
+    def test_threshold_refuses_a_float_interval(self):
+        from thickset.patterns_nd import threshold
+
+        with pytest.raises(InputError, match="floats are not accepted"):
+            threshold(None, Q(1, 2), Interval(0.2, 0.2))
+
+    def test_uniformity_refuses_a_float_interval(self):
+        from thickset.balls import hex_packing_example, r_uniformity_check
+
+        with pytest.raises(InputError, match="floats are not accepted"):
+            r_uniformity_check(hex_packing_example(1),
+                               Interval(0.26243, 0.26243))
