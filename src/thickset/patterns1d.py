@@ -92,7 +92,7 @@ class Piece:
             kids.append(p)
         return kids
 
-    def contains_set_point(self, x: Q, max_steps: int = 256) -> bool:
+    def contains_set_point(self, x: Q) -> bool:
         """Certified membership of x in the piece's set: x lies in the
         hull, and ``position_member`` certifies x's position in the image
         of the base's hull (endpoint or periodic-descent certificates),
@@ -105,7 +105,7 @@ class Piece:
         p, q = n * unit - a * d, w * d
         if q < 0:  # a mirrored placement
             p, q = -p, -q
-        return position_member(self.base.form, p, q, max_steps)
+        return position_member(self.base.form, p, q)
 
 
 def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q

@@ -2,11 +2,12 @@ import hashlib
 import math
 from collections import namedtuple
 from fractions import Fraction as Q
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from thickset import patterns1d
+from thickset import cantor, patterns1d
 from thickset.cantor import (
     IN_CERTIFIED,
     IfsSet1D,
@@ -943,7 +944,8 @@ class TestExactPoint:
 
     @pytest.mark.parametrize("placement", [
         (Q(1), Q(0)), (Q(2, 3), Q(1, 5)), (Q(-3, 7), Q(2)), (Q(-1), Q(0))])
-    def test_contains_set_point_matches_certified_member(self, placement):
+    def test_contains_set_point_matches_certified_member(
+            self, placement, monkeypatch):
         # x in a piece of the placement (mul, shift) is certified exactly
         # when (x - shift)/mul lies in the piece's word image and is a
         # certified member of the base; the steps count from the base's
@@ -954,16 +956,35 @@ class TestExactPoint:
             Q(1, 4 * 3**k), 1 - Q(1, 4 * 3**k), Q(3, 4 * 3**k), Q(1, 2 * 3**k),
             Q(1, 10 * 3**k), Q(7, 13 * 3**k))]
         capped = set()
-        for p in piece_tree(s, placement, 3):
-            lo, hi = p.interval
-            for back in base + [lo, hi]:
-                x = mul * back + shift
-                for steps in range(12):
-                    want = lo <= back <= hi and certified_member(s, back, steps)
-                    assert p.contains_set_point(x, steps) == want
+        for steps in range(12):
+            monkeypatch.setattr(patterns1d, "position_member", partial(
+                cantor.position_member, max_steps=steps))
+            for p in piece_tree(s, placement, 3):
+                lo, hi = p.interval
+                for back in base + [lo, hi]:
+                    want = (lo <= back <= hi
+                            and certified_member(s, back, steps))
+                    assert p.contains_set_point(mul * back + shift) == want
                     if not want and certified_member(s, back):
                         capped.add(back)
         assert len(capped) > 10
+
+    @pytest.mark.parametrize("placement", [(Q(2, 3), Q(1, 5)), (Q(-1), Q(0))])
+    def test_default_cap_counts_from_the_root(self, placement):
+        # 1/(4*3^k) and its mirror take k steps to reach 1/4 or 3/4 and two
+        # more to repeat, so the 256-step cap certifies them up to k = 253
+        s = middle_thirds()
+        mul, shift = placement
+        verdicts = set()
+        for p in piece_tree(s, placement, 3):
+            lo, hi = p.interval
+            for k in range(248, 262):
+                for back in (Q(1, 4 * 3**k), 1 - Q(1, 4 * 3**k)):
+                    want = lo <= back <= hi and certified_member(s, back)
+                    assert p.contains_set_point(mul * back + shift) == want
+                    if lo <= back <= hi:
+                        verdicts.add((k, want))
+        assert (253, True) in verdicts and (254, False) in verdicts
 
     def test_simplest_rational_only_when_both_ends_fail(self, monkeypatch):
         calls = []
