@@ -19,13 +19,11 @@ from .scalars import (
 )
 from .cantor import (
     AffineMap,
-    Cover1D,
     GapRecord,
     IfsSet1D,
     MembershipResult,
     ThicknessReport,
     affine_image,
-    cover,
     difference_interval,
     ifs_from_branches,
     membership,

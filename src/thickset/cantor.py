@@ -1,18 +1,18 @@
 """Self-similar compact subsets of the line presented by iterated function
-systems, with exact covers, gap enumeration, Newhouse thickness, membership
-queries, gap queries, and the difference segment of a thick set.
+systems, with cover queries, gap enumeration, Newhouse thickness,
+membership queries, gap queries, and the difference segment of a thick set.
 
 All geometry is exact.  Each set has one integer form, computed once: the
 hull endpoints are numerators over E, the lcm of their denominators, and
 each branch image's position relative to the hull is a pair of numerators
 over D, the lcm of those denominators.  A depth-k word image is then a
 pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
-[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Covers, gaps, membership, gap queries
-and the line descents walk these integers; a query's rationals are put over
-one denominator with the hull first.  The branch maps are the set's
-presentation and are applied, never composed.  ``Fraction``s are built
-only for what is reported (cover intervals and gap records), so
-thickness values are exact rationals rather than approximations.
+[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Cover queries, gaps, membership, gap
+queries and the line descents walk these integers; a query's rationals are
+put over one denominator with the hull first.  The branch maps are the
+set's presentation and are applied, never composed.  ``Fraction``s are
+built only for what is reported (gap records), so thickness values are
+exact rationals rather than approximations.
 """
 
 from __future__ import annotations
@@ -249,26 +249,6 @@ def affine_image(s: IfsSet1D, a, b) -> IfsSet1D:
 
 
 # -- covers ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cover1D:
-    """Finite-depth outer approximation: the sorted disjoint union of all
-    depth-n branch-word images."""
-
-    depth: int
-    intervals: tuple[tuple[Q, Q], ...]
-
-
-def cover(s: IfsSet1D, depth: int) -> Cover1D:
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
-    level = [s.hull_num]
-    for _ in range(depth):
-        level = [kid for lo, hi in level for kid in s.form.children(lo, hi)]
-    scale = s.hull_den * s.form.den ** depth
-    return Cover1D(depth, tuple((Q(lo, scale), Q(hi, scale))
-                                for lo, hi in level))
 
 
 def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:

@@ -382,12 +382,13 @@ def cmd_construct(run: Run) -> int:
         run.say(f"valid ball system ({obj.norm}), "
                 f"{obj.child_count(())} first-generation children")
     else:
-        c = cantor.cover(obj, min(run.args.depth, 10))
+        depth = min(run.args.depth, 10)
+        if depth < 0:
+            raise InputError("depth must be nonnegative")
+        n = len(obj.branches)
         run.say(f"valid set, hull [{decimal_str(obj.hull[0])}, "
-                f"{decimal_str(obj.hull[1])}], "
-                f"{len(obj.branches)} branches, "
-                f"{len(c.intervals)} cover intervals at depth "
-                f"{min(run.args.depth, 10)}")
+                f"{decimal_str(obj.hull[1])}], {n} branches, "
+                f"{n ** depth} cover intervals at depth {depth}")
     run.emit({"schema": SCHEMA, "type": "description", **desc})
     run.verdicts.append("constructed")
     return EXIT_OK
@@ -732,7 +733,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         handler = lambda run: EXIT_INPUT  # argparse printed the reason
     run = Run(args)
     desc = None
+    # Python (3.10.7 on) limits int/str conversion to 4300 digits, which a
+    # deep witness's rationals pass: lifted for the command, then restored
+    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if limit:
+            _sys.set_int_max_str_digits(0)
         if getattr(args, "precision_bits", 1) <= 0:
             raise InputError("precision bits must be positive")
         if (getattr(args, "format", None) == "csv"
@@ -763,6 +769,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
         traceback.print_exc(file=_sys.stderr)
         code = EXIT_INPUT
+    finally:
+        if limit:
+            _sys.set_int_max_str_digits(limit)
     try:
         if getattr(args, "set", None):
             desc = run.description()

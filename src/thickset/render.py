@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balls import BallSystem, LINF
-from .cantor import IfsSet1D, cover
+from .cantor import IfsSet1D
 from .errors import InputError
-from .scalars import Q, decimal_approx
+from .scalars import Q, decimal_approx, decimal_ratio
 
 _W = 640.0
 
@@ -31,29 +31,31 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 def render_set_1d(s: IfsSet1D, depth: int = 4,
                   marks: list[Q] | None = None) -> str:
     """Nested interval bars, one row per depth, deepest at the bottom;
-    optional marked points drawn as circles under the last row."""
+    optional marked points drawn as circles under the last row.  A bar
+    [a, b] of the hull [h0, h0 + w], numerators over one denominator,
+    starts at ((a - h0)*616 + 12*w)/w pixels and is (b - a)*616/w wide."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    lo, hi = s.hull
-    span = hi - lo
     row_h, pad = 28, 12
+    px = int(_W - 2 * pad)
     height = pad * 2 + row_h * (depth + 1) + (24 if marks else 0)
     body = []
-
-    def x_of(v) -> str:
-        return _fmt((v - lo) / span * Q(int(_W - 2 * pad)) + pad)
-
+    level, (h0, h1), den = [s.hull_num], s.hull_num, s.form.den
     for d in range(depth + 1):
-        y = pad + d * row_h
-        for a, b in cover(s, d).intervals:
-            wpx = (b - a) / span * Q(int(_W - 2 * pad))
+        if d:
+            level = [kid for a, b in level for kid in s.form.children(a, b)]
+            h0, h1 = h0 * den, h1 * den
+        w, y = h1 - h0, pad + d * row_h
+        for a, b in level:
             body.append(
-                f'<rect x="{x_of(a)}" y="{y}" width="{_fmt(wpx)}" '
+                f'<rect x="{decimal_ratio((a - h0) * px + pad * w, w, 3)}" '
+                f'y="{y}" width="{decimal_ratio((b - a) * px, w, 3)}" '
                 f'height="{row_h - 8}" fill="#30567f" />')
     if marks:
-        y = pad + (depth + 1) * row_h + 4
+        lo, y = s.hull[0], pad + (depth + 1) * row_h + 4
         for p in marks:
-            body.append(f'<circle cx="{x_of(p)}" cy="{y}" r="5" '
+            cx = _fmt((p - lo) / s.width * Q(px) + pad)
+            body.append(f'<circle cx="{cx}" cy="{y}" r="5" '
                         f'fill="#c23b21" />')
     return _svg(int(_W), height, body)
 

@@ -72,9 +72,13 @@ def decimal_str(q: Q) -> str:
 def decimal_approx(q: Q, places: int = 12) -> str:
     """Decimal approximation rounded half-up, for display only."""
     q = to_q(q)
-    scale = 10**places
-    n = q.numerator * scale * 2 + q.denominator  # half-up via +1/2
-    v = n // (2 * q.denominator)
+    return decimal_ratio(q.numerator, q.denominator, places)
+
+
+def decimal_ratio(n: int, d: int, places: int) -> str:
+    """``decimal_approx(n/d, places)`` for integers n and d > 0, with no
+    rational built: n/d need not be in lowest terms."""
+    v = (n * 10**places * 2 + d) // (2 * d)  # half-up via +1/2
     sign = "-" if v < 0 else ""
     digits = str(abs(v)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

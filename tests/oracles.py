@@ -8,9 +8,11 @@ ball predicates, a dense-grid farthest-point maximum in floats, and the
 line's word geometry computed by composing affine maps in rationals, as
 the library did before it moved to integer numerators, the pair test of
 a line descent over listed gaps, the set rescaled to the unit hull,
-which the progression oracles search, and the simplest rational in an
-interval found by Stern-Brocot mediants.  The file is not collected; the
-tests import it by name.
+which the progression oracles search, the simplest rational in an
+interval found by Stern-Brocot mediants, and the SVG bars of a set drawn
+from its rational cover, as the library drew them before it moved to
+integer numerators.  The file is not collected; the tests import it by
+name.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 from thickset.balls import (
     LINF,
@@ -35,10 +38,8 @@ from thickset.cantor import (
     IN_COVER,
     OUT,
     AffineMap,
-    Cover1D,
     IfsSet1D,
     MembershipResult,
-    cover,
     interval_in_cover,
     affine_image,
     node_budget,
@@ -108,6 +109,15 @@ def normalize_to_unit(s: IfsSet1D) -> tuple[IfsSet1D, AffineMap]:
     lo, hi = s.hull
     w = hi - lo
     return affine_image(s, 1 / w, -lo / w), AffineMap(w, lo)
+
+
+@dataclass(frozen=True)
+class Cover1D:
+    """Finite-depth outer approximation: the sorted disjoint union of all
+    depth-n branch-word images."""
+
+    depth: int
+    intervals: tuple[tuple[Q, Q], ...]
 
 
 def ref_cover(s: IfsSet1D, depth: int) -> Cover1D:
@@ -447,6 +457,40 @@ def verify_combo_containment(s: IfsSet1D, lam, depth: int) -> bool:
     return True
 
 
+# -- drawing -------------------------------------------------------------
+
+
+def _ref_fmt(q: Q) -> str:
+    """q rounded half-up to three decimals."""
+    v = math.floor(q * 1000 + Q(1, 2))
+    digits = str(abs(v)).rjust(4, "0")
+    return f"{'-' if v < 0 else ''}{digits[:-3]}.{digits[-3:]}"
+
+
+def ref_render_set_1d(s: IfsSet1D, depth: int,
+                      marks: list[Q] | None = None) -> str:
+    """``render.render_set_1d`` from ``ref_cover``: every bar end mapped to
+    pixels in rationals."""
+    lo, hi = s.hull
+    height = 24 + 28 * (depth + 1) + (24 if marks else 0)
+
+    def x_of(v: Q) -> str:
+        return _ref_fmt((v - lo) / (hi - lo) * 616 + 12)
+
+    body = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="640" height="{height}" '
+            f'viewBox="0 0 640 {height}">']
+    for d in range(depth + 1):
+        for a, b in ref_cover(s, d).intervals:
+            body.append(f'<rect x="{x_of(a)}" y="{12 + 28 * d}" '
+                        f'width="{_ref_fmt((b - a) / (hi - lo) * 616)}" '
+                        f'height="20" fill="#30567f" />')
+    for p in marks or []:
+        body.append(f'<circle cx="{x_of(p)}" cy="{16 + 28 * (depth + 1)}" '
+                    f'r="5" fill="#c23b21" />')
+    return "\n".join(body + ["</svg>"]) + "\n"
+
+
 # -- cover membership ---------------------------------------------------
 
 
@@ -514,7 +558,7 @@ def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
     norm, _ = normalize_to_unit(s)
     gaps = norm.top_gaps()
     y_min = min(g1 - g0 for g0, g1 in gaps) / (k - 1)
-    ints = cover(norm, depth).intervals
+    ints = ref_cover(norm, depth).intervals
     per_branch = len(ints) // len(norm.branches)
     for combo in itertools.combinations_with_replacement(
             range(len(ints)), k):

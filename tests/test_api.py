@@ -31,8 +31,8 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # library path reached, a second placement of a descent's pieces over a
 # common denominator, for pieces of two sets or two word lengths, a
 # second longest-gap helper, equilateral builder and interval coercion,
-# and the names only tests reached: a dimension bound, pi and three
-# interval queries
+# and the names only tests reached: a dimension bound, pi, three
+# interval queries, and the materialized cover and its result type
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -49,11 +49,12 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (product, "equilateral_triangle"), (product, "_iv"),
                 (thickset, "interval_pi"), (scalars, "interval_pi"),
                 (scalars.Interval, "make"), (scalars.Interval, "contains"),
-                (scalars.Interval, "intersects")]
+                (scalars.Interval, "intersects"), (thickset, "cover"),
+                (cantor, "cover"), (thickset, "Cover1D")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
-    "Cover1D": "result type", "GapRecord": "result type",
+    "GapRecord": "result type",
     "MembershipResult": "result type", "ProductWitness": "result type",
     "ThicknessReportNd": "result type", "Disk": "result type",
     "VertexMaps": "result type", "WitnessNd": "result type",

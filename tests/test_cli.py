@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import os
+import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -9,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from thickset import cli
+from thickset import cantor, cli
 from thickset.cli import main, parse_description, reproduce_rows
 from thickset.render import render_ball_system, render_set_1d
 from thickset.balls import grid_ifs_example, hex_packing_example
-from thickset.cantor import off_center_cantor
+from thickset.cantor import affine_image, ifs_from_branches, off_center_cantor
 from fractions import Fraction as Q
+
+from oracles import ref_render_set_1d
 
 
 class TestDescriptions:
@@ -170,6 +175,38 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 0 and manifest["outputs"] == [str(out)]
 
+    def test_witness_past_the_digit_limit_exits_zero(self, tmp_path):
+        # the depth-9020 rationals have more than 4300 digits, the
+        # interpreter's default limit on int/str conversion; main lifts it
+        # for the call and restores it
+        limit = sys.get_int_max_str_digits()
+        out, svg = tmp_path / "w.json", tmp_path / "w.svg"
+        assert main(["find-ap", "--set", "middle_thirds", "--depth", "9020",
+                     "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        rationals = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    collect(item)
+            elif isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?",
+                                                        node):
+                rationals.append(node)
+
+        collect(json.loads(out.read_text()))
+        assert len(rationals) >= 8 and max(map(len, rationals)) > 2 * 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert all(str(Q(r)) == r for r in rationals)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert main(["plot", "--set", "middle_thirds", "--witness", str(out),
+                     "--out", str(svg)]) == 0
+        assert svg.read_text().count("<circle") == 3
+
     def test_line_descent_over_budget_three(self, monkeypatch, tmp_path):
         monkeypatch.setenv("THICKSET_MAX_NODES", "50")
         out = tmp_path / "w.json"
@@ -189,6 +226,8 @@ class TestExitCodes:
         ["find-triangle", "--set", "hex_packing:0.99999"],
         ["certify-gap-lemma", "--set", "hex_packing:1", "--set2",
          "hex_packing:1"],
+        ["construct", "--set", "middle_thirds"],
+        ["plot", "--set", "middle_thirds"],
     ])
     def test_negative_depth_one(self, tmp_path, capsys, argv):
         out = tmp_path / "w.json"
@@ -572,6 +611,23 @@ class TestArtifacts:
                      "--depth", "3"]) == 0
         assert main(["construct", "--set", "hex_packing:1"]) == 0
 
+    def test_construct_counts_without_deriving(self, monkeypatch, capsys):
+        # n branches give n**depth images, so none is derived
+        calls = []
+        children = cantor.WordForm.children
+
+        def counting(form, lo, hi):
+            calls.append((lo, hi))
+            return children(form, lo, hi)
+
+        monkeypatch.setattr(cantor.WordForm, "children", counting)
+        desc = json.dumps({"kind": "ifs1d", "hull": ["0", "1"], "branches": [
+            {"scale": "1/4", "offset": "0"}, {"scale": "1/5", "offset": "3/8"},
+            {"scale": "1/4", "offset": "3/4"}]})
+        assert main(["construct", "--set", desc, "--depth", "12"]) == 0
+        assert "59049 cover intervals at depth 10" in capsys.readouterr().out
+        assert calls == []
+
     def test_kap_certificate_json(self, tmp_path):
         out = tmp_path / "cert.json"
         code = main(["search-kap", "--set", "off_center:3/10", "--k", "4",
@@ -596,6 +652,9 @@ class TestArtifacts:
                          "--depth", "2", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("<svg")
+        # the README's plot, as the rational rendering drew it
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "61a6da84bbf9713a9bf546c943c6839b26759be68d57e45623231a04a7d1ba6a")
 
 
 class TestReproduce:
@@ -628,6 +687,29 @@ class TestRender:
         svg = render_set_1d(off_center_cantor(Q(3, 10)), depth=2)
         # one bar per cover interval per depth: 1 + 2 + 4
         assert svg.count("<rect") == 7
+
+    def test_set_bars_match_the_rational_rendering(self):
+        # 200 sets of 2-4 branches from integer weights, placed by affine
+        # maps of either sign, at depths 0-5, half of them with marks
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            weights = [rng.randint(1, 9) for _ in range(2 * n - 1)]
+            total, offset, pairs = sum(weights), Q(0), []
+            for i in range(0, 2 * n, 2):
+                pairs.append((Q(weights[i], total), offset))
+                offset += Q(sum(weights[i:i + 2]), total)
+            s = affine_image(ifs_from_branches(0, 1, pairs),
+                             Q(rng.choice((-1, 1)) * rng.randint(1, 30),
+                               rng.randint(1, 13)),
+                             Q(rng.randint(-50, 50), rng.randint(1, 17)))
+            lo, hi = s.hull
+            marks = rng.choice([None, [lo + (hi - lo) * Q(rng.randint(0, 97),
+                                                          97)
+                                       for _ in range(3)]])
+            depth = rng.randint(0, 5)
+            assert render_set_1d(s, depth, marks) == \
+                ref_render_set_1d(s, depth, marks)
 
     def test_grid_squares(self):
         svg = render_ball_system(grid_ifs_example(10, Q(19, 200),
@@ -672,3 +754,27 @@ class TestRender:
         out = tmp_path / "plot.svg"
         assert main(["plot", "--set", "middle_cantor:1/3",
                      "--witness", str(w), "--out", str(out)]) == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``thickset`` line in the README's "Command
+    line" block, continuation lines joined, split as a shell splits
+    them."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("thickset ")]
+
+
+def test_readme_command_lines(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+        if "--out" in argv:
+            path = cli.manifest_path(argv[argv.index("--out") + 1])
+            manifest = json.loads(path.read_text())
+            assert (manifest["command"], manifest["exit_code"]) == \
+                (argv[0], 0)
