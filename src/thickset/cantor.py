@@ -474,25 +474,19 @@ def membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
     return MembershipResult(IN_COVER, depth)
 
 
-def certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
-    """Stronger membership certificate than the endpoint rule: descend
-    greedily tracking the point's position rescaled to the unit hull of
-    the current subtree; a repeated position means the descent recurs
-    forever, so the point lies in every cover and hence in the set.
+def position_member(form: WordForm, p: int, q: int,
+                    max_steps: int = 256) -> bool:
+    """Stronger membership certificate than the endpoint rule for the
+    point at position p/q (q > 0) in the root hull of a set with the
+    integer form ``form``: descend greedily tracking the point's
+    position rescaled to the unit hull of the current subtree; a
+    repeated position means the descent recurs forever, so the point
+    lies in every cover and hence in the set.
 
     Decides eventually-periodic rationals (the typical exact witnesses);
     returns False when neither a certificate nor a refutation appears
-    within ``max_steps``.
+    within ``max_steps``, counted from the root.
     """
-    h_lo, h_hi, (y,) = _lift(s, to_q(x))
-    return position_member(s.form, y - h_lo, h_hi - h_lo, max_steps)
-
-
-def position_member(form: WordForm, p: int, q: int,
-                    max_steps: int = 256) -> bool:
-    """``certified_member`` of the point at position p/q (q > 0) in the
-    root hull of a set with the integer form ``form``; the steps count
-    from the root."""
     g = math.gcd(p, q)
     p, q = p // g, q // g  # the position in lowest terms
     den, rel = form.den, form.rel

@@ -383,8 +383,6 @@ def cmd_construct(run: Run) -> int:
                 f"{obj.child_count(())} first-generation children")
     else:
         depth = min(run.args.depth, 10)
-        if depth < 0:
-            raise InputError("depth must be nonnegative")
         n = len(obj.branches)
         run.say(f"valid set, hull [{decimal_str(obj.hull[0])}, "
                 f"{decimal_str(obj.hull[1])}], {n} branches, "
@@ -741,6 +739,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             _sys.set_int_max_str_digits(0)
         if getattr(args, "precision_bits", 1) <= 0:
             raise InputError("precision bits must be positive")
+        if getattr(args, "depth", 0) < 0:
+            raise InputError("depth must be nonnegative")
         if (getattr(args, "format", None) == "csv"
                 and args.command not in CSV_COMMANDS):
             raise InputError("--format csv is only for "

@@ -96,7 +96,7 @@ class Piece:
         """Certified membership of x in the piece's set: x lies in the
         hull, and ``position_member`` certifies x's position in the image
         of the base's hull (endpoint or periodic-descent certificates),
-        as ``certified_member`` does for (x - shift)/mul in the base.
+        which is the position of (x - shift)/mul in the base's hull.
         Integers throughout."""
         n, d = x.numerator, x.denominator
         if not (self.lo * d <= n * self.den <= self.hi * d):
@@ -174,13 +174,7 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
     if depth < 0:
         raise InputError("depth must be nonnegative")
     slide = to_q(slide)
-    return _descent(*_placed(s, x, x_words, y, y_words, slide), depth, slide)
-
-
-def _descent(xs: list[Piece], ys: list[Piece], depth: int,
-             slide: Q) -> tuple[Piece, Piece]:
-    """``certified_descent`` from top pieces over one denominator, a
-    multiple of the slide's."""
+    xs, ys = _placed(s, x, x_words, y, y_words, slide)
     levels = max(depth - len(xs[0].word), 0)
 
     def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
@@ -336,31 +330,6 @@ class KapCertificate:
     points: tuple[WitnessPoint, ...] = ()
 
 
-def _tuple_y_range(boxes: list[tuple[Q, Q]], y_min: Q
-                   ) -> Optional[tuple[Q, Q]]:
-    """Feasible range of the common difference y for points
-    x + j*y constrained to boxes[j], intersected over all index pairs.
-
-    Eliminating x from the two-variable system leaves exactly these
-    pairwise constraints, so a nonempty range is also sufficient for a
-    real solution (x, y) to exist.
-    """
-    lo, hi = y_min, None
-    k = len(boxes)
-    for j in range(k):
-        for l in range(j + 1, k):
-            step = l - j
-            cand_lo = (boxes[l][0] - boxes[j][1]) / step
-            cand_hi = (boxes[l][1] - boxes[j][0]) / step
-            if cand_lo > lo:
-                lo = cand_lo
-            if hi is None or cand_hi < hi:
-                hi = cand_hi
-            if hi is not None and lo > hi:
-                return None
-    return (lo, hi)
-
-
 # the upper bound on y before any pair constrains it: +infinity as a
 # (numerator, step) pair, since cross-multiplied comparisons never let it
 # bind
@@ -373,9 +342,10 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
                         ) -> Optional[list[tuple[int, ...]]]:
     """Index tuples e, in lexicographic order, such that the boxes
     row(0)[e[0]], ..., row(k-1)[e[k-1]] have nondecreasing left ends and
-    a nonempty pairwise y-range (as in ``_tuple_y_range``) at or above
-    ``y_min``; with ``first``, only the first of them.  Every row holds
-    the same number of boxes.
+    a nonempty pairwise y-range at or above ``y_min``: every
+    (a_l - b_j)/(l - j) at most every (b_l - a_j)/(l - j), j < l, for
+    boxes [a, b]; with ``first``, only the first of them.  Every row
+    holds the same number of boxes.
 
     Boxes are integers over one common denominator; y bounds are
     (numerator, step) pairs compared by cross-multiplication, so no
@@ -525,8 +495,14 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     scale = den ** d
     boxes = [(Q(lo, scale), Q(hi, scale))
              for lo, hi in min(live, key=lambda t: [lo for lo, _ in t])]
-    y_min = Q(g_min, den) / (k - 1)
-    y_lo, y_hi = _tuple_y_range(boxes, y_min)
+    # eliminating x leaves exactly the bounds on y from the pairs j < l,
+    # whose range the walk found nonempty, so every y in it has an x;
+    # generators, as k runs to about isqrt(2 * budget)
+    y_lo = max(Q(g_min, den) / (k - 1),
+               max((boxes[l][0] - boxes[j][1]) / (l - j)
+                   for l in range(k) for j in range(l)))
+    y_hi = min((boxes[l][1] - boxes[j][0]) / (l - j)
+               for l in range(k) for j in range(l))
     y_mid = (y_lo + y_hi) / 2
     x_lo = max(boxes[j][0] - j * y_mid for j in range(k))
     x_hi = min(boxes[j][1] - j * y_mid for j in range(k))

@@ -21,7 +21,7 @@ from .cantor import (
     require_thickness_at_least_one,
 )
 from .errors import Indeterminate, InputError
-from .patterns1d import _certified, _convex_combo, _descent, _placed
+from .patterns1d import _convex_combo, certified_descent
 from .scalars import Interval, Q, interval_sqrt, sqrt3
 
 Coord = Union[Q, int, str, Interval]
@@ -36,10 +36,15 @@ class Triangle:
 
     @staticmethod
     def make(points: Sequence[Sequence[Coord]]) -> "Triangle":
-        if len(points) != 3:
-            raise InputError("a triangle needs exactly three vertices")
-        return Triangle(tuple((Interval.coerce(p[0]), Interval.coerce(p[1]))
-                              for p in points))
+        def sized(v, n: int) -> bool:  # a sequence of n items, not a str
+            return isinstance(v, Sequence) and not isinstance(v, str) \
+                and len(v) == n
+
+        if not (sized(points, 3) and all(sized(p, 2) for p in points)):
+            raise InputError("a triangle needs exactly three vertices of "
+                             "two coordinates each")
+        return Triangle(tuple((Interval.coerce(x), Interval.coerce(y))
+                              for x, y in points))
 
     def is_exact(self) -> bool:
         return all(x.is_point() and y.is_point() for x, y in self.vertices)
@@ -160,15 +165,14 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20
     >= 1 the gap lemma makes [0, w] the difference segment (see
     ``difference_interval``, which also checks that hypothesis).
 
-    A certified descent of the set against its translate by -delta:
+    A ``certified_descent`` of the set against its translate by -delta:
     the two sides are placed once, as C and C - delta.lo, with y sliding
-    over the enclosure's width, and the gap-lemma pair test of
-    ``certified_descent`` certifies each pair choice for every value
-    delta* in the enclosure at once.  The root pair is tested first,
-    outside the node budget, and the descent starts from its children.
-    That requires the enclosure to be narrow relative to the
-    final cover width.  The descent commits, so an enclosure straddling
-    a chain transition can dead-end it.
+    over the enclosure's width, and the gap-lemma pair test certifies
+    each pair choice for every value delta* in the enclosure at once.
+    That requires the enclosure to be narrow relative to the final cover
+    width.  The root pair is the first pair test, charged to the node
+    budget like every other.  The descent commits, so an enclosure
+    straddling a chain transition can dead-end it.
     """
     return _difference_hit(s, delta, depth, None)
 
@@ -189,13 +193,8 @@ def _difference_hit(s: IfsSet1D, delta, depth: int,
     # once the thickness is certified
     if div.hi > s.width:
         raise InputError("delta exceeds the certified difference bound")
-    slide = div.hi - div.lo
-    (x,), (y,) = _placed(s, (1, 0), [()], (1, -div.lo), [()], slide)
-    if not _certified(x, y, slide):
-        raise Indeterminate("difference refinement could not be certified "
-                            "at the root")
-    if depth > 0:
-        x, y = _descent(x.children(), y.children(), depth, slide)
+    x, y = certified_descent(s, (1, 0), [()], (1, -div.lo), [()], depth,
+                             div.hi - div.lo)
     return Interval(*x.interval), Interval(*y.interval)
 
 

@@ -3,7 +3,8 @@
 These are brute-force or cover-based computations that no library path
 needs: merged combination covers and the difference segment read off
 them, containment checks on covers, an unpruned k-term progression
-search and the pruned one expanded in full down to its last level, two
+search and the pruned one expanded in full down to its last level, both
+with their own step range for a tuple of boxes, two
 ball predicates, a dense-grid farthest-point maximum in floats, and the
 line's word geometry computed by composing affine maps in rationals, as
 the library did before it moved to integer numerators, the pair test of
@@ -21,6 +22,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from thickset.balls import (
     LINF,
@@ -40,7 +42,6 @@ from thickset.cantor import (
     AffineMap,
     IfsSet1D,
     MembershipResult,
-    interval_in_cover,
     affine_image,
     node_budget,
     require_thickness_at_least_one,
@@ -52,7 +53,6 @@ from thickset.patterns1d import (
     UNKNOWN,
     KapCertificate,
     WitnessPoint,
-    _tuple_y_range,
 )
 from thickset.product import ProductWitness
 from thickset.scalars import Interval, Q, to_q
@@ -496,7 +496,7 @@ def ref_render_set_1d(s: IfsSet1D, depth: int,
 
 def point_in_cover(s: IfsSet1D, x, depth: int) -> bool:
     q = to_q(x)
-    return interval_in_cover(s, q, q, depth)
+    return ref_interval_in_cover(s, q, q, depth)
 
 
 def product_witness_in_cover(s: IfsSet1D, w: ProductWitness,
@@ -505,7 +505,7 @@ def product_witness_in_cover(s: IfsSet1D, w: ProductWitness,
     depth-d cover of the set."""
     for (x, y) in w.vertices:
         for coord in (x, y):
-            if not interval_in_cover(s, coord.lo, coord.hi, depth):
+            if not ref_interval_in_cover(s, coord.lo, coord.hi, depth):
                 return False
     return True
 
@@ -552,6 +552,19 @@ def ref_triangle_invariants(points) -> tuple[Q, Q, bool]:
 # -- k-term progressions ------------------------------------------------
 
 
+def ref_y_range(boxes: list[tuple[Q, Q]], y_min: Q
+                ) -> Optional[tuple[Q, Q]]:
+    """The steps y >= y_min for which some x puts every x + j*y in
+    boxes[j], or None.  Such an x exists exactly when the largest
+    a_j - j*y is at most the smallest b_l - l*y, that is when every pair
+    j < l has (a_l - b_j)/(l - j) <= y <= (b_l - a_j)/(l - j)."""
+    pairs = [(j, l) for l in range(len(boxes)) for j in range(l)]
+    lo = max([y_min] + [(boxes[l][0] - boxes[j][1]) / (l - j)
+                        for j, l in pairs])
+    hi = min((boxes[l][1] - boxes[j][0]) / (l - j) for j, l in pairs)
+    return (lo, hi) if lo <= hi else None
+
+
 def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
     """No-pruning oracle: enumerate every split k-tuple of depth-d cover
     intervals directly and run the same exact feasibility test."""
@@ -565,7 +578,7 @@ def kap_bruteforce(s: IfsSet1D, k: int, depth: int) -> str:
         if combo[0] // per_branch == combo[-1] // per_branch:
             continue  # not split at the first level
         boxes = [ints[i] for i in combo]
-        if _tuple_y_range(boxes, y_min) is not None:
+        if ref_y_range(boxes, y_min) is not None:
             return FEASIBLE
     return INFEASIBLE
 
@@ -666,7 +679,7 @@ def ref_kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
     _, words = min(live, key=lambda t: [lo for lo, _ in t[0]])
     boxes = [word_interval(norm, w) for w in words]
-    y_lo, y_hi = _tuple_y_range(boxes, Q(g_min, den) / (k - 1))
+    y_lo, y_hi = ref_y_range(boxes, Q(g_min, den) / (k - 1))
     y_mid = (y_lo + y_hi) / 2
     x_lo = max(boxes[j][0] - j * y_mid for j in range(k))
     x_hi = min(boxes[j][1] - j * y_mid for j in range(k))

@@ -32,7 +32,10 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # common denominator, for pieces of two sets or two word lengths, a
 # second longest-gap helper, equilateral builder and interval coercion,
 # and the names only tests reached: a dimension bound, pi, three
-# interval queries, and the materialized cover and its result type
+# interval queries, the materialized cover and its result type, and a
+# rational-point wrapper of the position certificate; the difference
+# hit's own root test and descent over the root's children, and the
+# witness step range's second pass over the pairs the tuple walk checks
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -50,7 +53,9 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (thickset, "interval_pi"), (scalars, "interval_pi"),
                 (scalars.Interval, "make"), (scalars.Interval, "contains"),
                 (scalars.Interval, "intersects"), (thickset, "cover"),
-                (cantor, "cover"), (thickset, "Cover1D")]
+                (cantor, "cover"), (thickset, "Cover1D"),
+                (cantor, "certified_member"), (patterns1d, "_descent"),
+                (patterns1d, "_tuple_y_range")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
@@ -232,6 +237,65 @@ def test_allowlist_holds_only_unread_exports():
     stale = [name for name in PUBLIC_ONLY
              if name not in names or readers(name, names[name])]
     assert stale == []
+
+
+# the private names a module of the package, or the oracles, takes from
+# another module of the package, each for the reason given; any other is
+# a second way into that module's internals
+PRIVATE_IMPORTS = {
+    ("patterns_nd", "product", "_side_ratios"):
+        "the plane triangle witness expects the product's side ratios",
+    ("patterns_nd", "product", "_ratio_deviation"):
+        "the plane triangle witness bounds its deviation as the product's",
+    ("patterns_nd", "scalars", "_sqrt_bounds"):
+        "a disk test needs only the upper end of one square root",
+    ("product", "patterns1d", "_convex_combo"):
+        "the base search skips the thickness check the caller has made",
+}
+IMPORTERS = dict(SOURCES, oracles=ast.parse(
+    Path(__file__).with_name("oracles.py").read_text()))
+
+
+def package_module(node: ast.ImportFrom):
+    """The module of the package an import reads from, "thickset" for
+    the package itself, or None for a module outside it."""
+    name = node.module or ""
+    if node.level:
+        return name or "thickset"
+    if name == "thickset" or name.startswith("thickset."):
+        return name.rpartition(".")[2]
+    return None
+
+
+def private_imports() -> set[tuple[str, str, str]]:
+    """(importer, owner, name) for each private name that a module of
+    ``IMPORTERS`` imports from another module of the package, by name or
+    as an attribute of an imported module."""
+    found = set()
+    for importer, tree in IMPORTERS.items():
+        modules = {}  # local name -> module of the package
+        for node in ast.walk(tree):
+            owner = isinstance(node, ast.ImportFrom) and package_module(node)
+            if not owner:
+                continue
+            for alias in node.names:
+                if owner == "thickset" and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((importer, owner, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules and node.attr.startswith("_"):
+                found.add((importer, modules[node.value.id], node.attr))
+    return {(importer, owner, name) for importer, owner, name in found
+            if importer != owner and not name.startswith("__")}
+
+
+def test_private_imports_are_allowlisted():
+    found = private_imports()
+    assert sorted(found - set(PRIVATE_IMPORTS)) == []
+    assert sorted(set(PRIVATE_IMPORTS) - found) == []  # none stale
 
 
 @pytest.mark.parametrize("cls", [

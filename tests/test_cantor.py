@@ -10,9 +10,9 @@ from thickset.cantor import (
     OUT,
     STABILIZED,
     _gap_numerators,
+    _lift,
     _ordered_removal,
     affine_image,
-    certified_member,
     descend,
     difference_interval,
     gap_depth,
@@ -23,6 +23,7 @@ from thickset.cantor import (
     middle_thirds,
     newhouse_thickness,
     off_center_cantor,
+    position_member,
     slides_into_gap,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
@@ -43,6 +44,12 @@ from oracles import (
     subtree_combo_cover,
     word_map,
 )
+
+
+def certified_member(s, x, max_steps=256):
+    """``position_member`` of x's position in the hull of ``s``."""
+    h_lo, h_hi, (y,) = _lift(s, Q(x))
+    return position_member(s.form, y - h_lo, h_hi - h_lo, max_steps)
 
 
 class TestBuilders:
@@ -429,8 +436,6 @@ class TestAgainstAffineMaps:
 
 class TestCertifiedMember:
     def test_periodic_rationals(self):
-        from thickset.cantor import certified_member
-
         s = middle_thirds()
         # base-3 expansion 0.020202... descends periodically
         assert certified_member(s, Q(1, 4))
@@ -458,8 +463,6 @@ class TestCertifiedMember:
     def test_against_digit_oracle(self):
         # the middle-thirds set is exactly the reals with a base-3
         # expansion avoiding the digit 1
-        from thickset.cantor import certified_member
-
         def in_cantor_digits(q: Q, steps: int = 200) -> bool:
             x = q
             seen = set()

@@ -228,6 +228,12 @@ class TestExitCodes:
          "hex_packing:1"],
         ["construct", "--set", "middle_thirds"],
         ["plot", "--set", "middle_thirds"],
+        ["construct", "--set", "hex_packing:1"],
+        ["thickness", "--set", "middle_thirds"],
+        ["thickness", "--set", "hex_packing:1"],
+        ["certify-gap-lemma", "--set", "middle_thirds", "--set2",
+         "middle_thirds"],
+        ["reproduce"],
     ])
     def test_negative_depth_one(self, tmp_path, capsys, argv):
         out = tmp_path / "w.json"
@@ -236,6 +242,23 @@ class TestExitCodes:
         assert not out.exists()
         manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
         assert manifest["exit_code"] == 1 and manifest["depth"] == -3
+
+    @pytest.mark.parametrize("triangle", [
+        "0;1,0;0,1", "0,0;1,0,0;0,1", "0,0;1,0",
+        '{"vertices":5}', '{"vertices":"abc"}',
+        '{"vertices":[[0],[1,0],[0,1]]}', '{"vertices":[[0,0],[1,0]]}',
+        '{"vertices":[[0,0,0],[1,0],[0,1]]}', '{"vertices":["12","34","56"]}',
+    ])
+    def test_malformed_triangle_one(self, tmp_path, capsys, triangle):
+        out = tmp_path / "w.json"
+        assert main(["find-triangle", "--set", "middle_thirds", "--triangle",
+                     triangle, "--depth", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: a triangle needs exactly three "
+                              "vertices of two coordinates each")
+        assert "Traceback" not in err and not out.exists()
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1
 
     @pytest.mark.parametrize("argv", [
         ["find-ap", "--set", "middle_thirds"],

@@ -13,7 +13,6 @@ from thickset.cantor import (
     IfsSet1D,
     WordForm,
     affine_image,
-    certified_member,
     ifs_from_branches,
     membership,
     middle_cantor,
@@ -50,6 +49,12 @@ from oracles import (
     word_interval,
     word_map,
 )
+
+
+def certified_member(s, x, max_steps=256):
+    """``position_member`` of x's position in the hull of ``s``."""
+    h_lo, h_hi, (y,) = cantor._lift(s, Q(x))
+    return cantor.position_member(s.form, y - h_lo, h_hi - h_lo, max_steps)
 
 
 def library_longest_gap(s) -> tuple[Q, Q]:

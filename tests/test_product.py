@@ -94,6 +94,14 @@ class TestNormalizeTriangle:
         with pytest.raises(InputError):
             normalize_triangle(Triangle.make([(0, 0), (0, 0), (1, 1)]))
 
+    @pytest.mark.parametrize("points", [
+        5, "abc", [(0, 0), (1, 0)], [(0,), (1, 0), (0, 1)],
+        [(0, 0, 0), (1, 0), (0, 1)], ["12", "34", "56"], [(0, 0), 1, (0, 1)],
+    ])
+    def test_malformed_vertices_rejected(self, points):
+        with pytest.raises(InputError, match="two coordinates each"):
+            Triangle.make(points)
+
     def test_similarity_invariance(self):
         rng = random.Random(17)
         base = Triangle.make([(0, 0), (1, 0), (Q(3, 10), Q(2, 5))])
@@ -297,14 +305,15 @@ class TestDifferenceDescent:
             find_triangle_in_product(middle_thirds(),
                                      wide_alpha(Q(1, 2), Q(3, 2)), 3)
 
-    @pytest.mark.parametrize("budget, passes", [(50, True), (49, False)])
+    @pytest.mark.parametrize("budget, passes", [(51, True), (50, False)])
     def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
+        # the root pair, then 50 child-pair tests on the way to depth 20
         monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
         if passes:
             u, v = difference_hit(middle_thirds(), Q(1, 2), 20)
             assert u.width == v.width == Q(3) ** -20
         else:
-            with pytest.raises(Indeterminate, match="budget of 49"):
+            with pytest.raises(Indeterminate, match="budget of 50"):
                 difference_hit(middle_thirds(), Q(1, 2), 20)
 
     @pytest.mark.parametrize("call", [
