@@ -144,6 +144,15 @@ def _branches(desc: dict) -> list[tuple]:
     return pairs
 
 
+def _integer(value, name: str) -> int:
+    """A description's integer field, given as a JSON integer or a
+    string of one; a float is not truncated, nor a bool read as 0 or 1,
+    but refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
     """The set or ball system a description names.  A missing field, a
     field of the wrong type or length, or a branch field other than
@@ -158,12 +167,15 @@ def build_object(desc: dict) -> Union[cantor.IfsSet1D, BallSystem]:
         if kind == "ifs1d":
             branches = _branches(desc)
             hull = _field(desc, "hull", kind)
-            return cantor.ifs_from_branches(hull[0], hull[1], branches)
+            if not (isinstance(hull, list) and len(hull) == 2):
+                raise InputError("ifs1d hull must be a list of two "
+                                 f"numbers, not {hull!r}")
+            return cantor.ifs_from_branches(*hull, branches)
         if kind == "grid_ifs":
-            return grid_ifs_example(int(_field(desc, "n", kind)),
+            return grid_ifs_example(_integer(_field(desc, "n", kind), "n"),
                                     to_q(_field(desc, "rho", kind)),
                                     to_q(_field(desc, "d", kind)),
-                                    int(desc.get("seed", 1)))
+                                    _integer(desc.get("seed", 1), "seed"))
         if kind == "hex_packing":
             return hex_packing_example(to_q(_field(desc, "gamma", kind)))
     except (TypeError, IndexError) as e:

@@ -413,6 +413,26 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
             nxt[m] = 0
 
 
+def _step_range(boxes: Sequence[tuple[int, int]], y_min: tuple[int, int]
+                ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The bounds of the pairwise y-range of integer boxes at or above
+    ``y_min``, as (numerator, step) pairs: the largest of y_min and every
+    (a_l - b_j)/(l - j), and the smallest (b_l - a_j)/(l - j), j < l.
+    They are compared by cross-multiplication, as the tuple walk
+    compares them."""
+    (lo_n, lo_d), (hi_n, hi_d) = y_min, _NO_UPPER
+    for m, (a, b) in enumerate(boxes):
+        for j in range(m):
+            step = m - j
+            c = a - boxes[j][1]
+            if c * lo_d > lo_n * step:
+                lo_n, lo_d = c, step
+            c = b - boxes[j][0]
+            if c * hi_d < hi_n * step:
+                hi_n, hi_d = c, step
+    return (lo_n, lo_d), (hi_n, hi_d)
+
+
 def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     """Branch-and-prune search for k-term arithmetic progressions.
 
@@ -493,16 +513,13 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
     # boxes share the denominator den**d, so numerators order them
     scale = den ** d
-    boxes = [(Q(lo, scale), Q(hi, scale))
-             for lo, hi in min(live, key=lambda t: [lo for lo, _ in t])]
+    witness = min(live, key=lambda t: [lo for lo, _ in t])
+    boxes = [(Q(lo, scale), Q(hi, scale)) for lo, hi in witness]
     # eliminating x leaves exactly the bounds on y from the pairs j < l,
-    # whose range the walk found nonempty, so every y in it has an x;
-    # generators, as k runs to about isqrt(2 * budget)
-    y_lo = max(Q(g_min, den) / (k - 1),
-               max((boxes[l][0] - boxes[j][1]) / (l - j)
-                   for l in range(k) for j in range(l)))
-    y_hi = min((boxes[l][1] - boxes[j][0]) / (l - j)
-               for l in range(k) for j in range(l))
+    # whose range the walk found nonempty, so every y in it has an x
+    (lo_n, lo_d), (hi_n, hi_d) = _step_range(
+        witness, (g_min * den ** (d - 1), k - 1))
+    y_lo, y_hi = Q(lo_n, lo_d * scale), Q(hi_n, hi_d * scale)
     y_mid = (y_lo + y_hi) / 2
     x_lo = max(boxes[j][0] - j * y_mid for j in range(k))
     x_hi = min(boxes[j][1] - j * y_mid for j in range(k))

@@ -85,10 +85,11 @@ def _norm(a: IVec, bits: int = 128) -> Interval:
 # -- thresholds and windows ------------------------------------------------
 
 
-def threshold(alpha: Optional[Interval], lam, r, mode: str = STANDARD,
-              alpha_sq: Optional[Q] = None, bits: int = 128) -> Interval:
+def threshold(alpha_sq: Optional[Q], lam, r, mode: str = STANDARD,
+              bits: int = 128) -> Interval:
     """Certified thickness threshold for the requested configuration:
-    linear combinations when alpha is absent, triangles otherwise.
+    linear combinations when ``alpha_sq`` is None, triangles of squared
+    height ``alpha_sq`` otherwise.
 
     Linear, standard:   2(1-lam) / (lam (1-2r))
     Linear, appendix:   3(1-lam) / (2 lam (1-2r))
@@ -102,17 +103,12 @@ def threshold(alpha: Optional[Interval], lam, r, mode: str = STANDARD,
     if mode not in (STANDARD, APPENDIX):
         raise InputError(f"unknown mode {mode!r}")
     one_minus_2r = 1 - 2 * r_iv
-    if alpha is None:
+    if alpha_sq is None:
         if mode == STANDARD:
             return Interval.point(2 * (1 - lamv)) / (lamv * one_minus_2r)
         return Interval.point(3 * (1 - lamv)) / (2 * lamv * one_minus_2r)
-    if alpha_sq is not None:
-        ratio_sq = Interval.point((alpha_sq + (1 - lamv) ** 2)
-                                  / (alpha_sq + lamv ** 2))
-    else:
-        a2 = alpha.square()
-        ratio_sq = (a2 + (1 - lamv) ** 2) / (a2 + lamv ** 2)
-    ratio = interval_sqrt(ratio_sq, bits)
+    ratio = interval_sqrt((alpha_sq + (1 - lamv) ** 2)
+                          / (alpha_sq + lamv ** 2), bits)
     if mode == STANDARD:
         return ratio * 2 / one_minus_2r
     return ratio * 3 / (2 * one_minus_2r)
@@ -194,10 +190,9 @@ def _disk_radius(sys: BallSystem, pair: Pair, lam: Q,
     entries around them."""
     ia, ib, ball_a, ball_b = pair
     tau = yavicoli_thickness(sys, bits).lower_bound
-    alpha, alpha_sq, c_a, c_b = (
-        (None, None, lam, 1 - lam) if maps is None
-        else (maps.alpha, maps.alpha_sq, maps.s_f, maps.s_g))
-    thr = threshold(alpha, lam, r_iv, mode, alpha_sq, bits)
+    alpha_sq, c_a, c_b = ((None, lam, 1 - lam) if maps is None
+                          else (maps.alpha_sq, maps.s_f, maps.s_g))
+    thr = threshold(alpha_sq, lam, r_iv, mode, bits)
     if tau.lo < thr.lo:
         raise HypothesisError(
             f"thickness lower bound {tau.approx_str(8)} is below the "
@@ -493,7 +488,7 @@ class VertexMaps:
     lam: Q
     s_f: Interval
     s_g: Interval
-    alpha_sq: Optional[Q] = None  # alpha^2 exactly, when it is rational
+    alpha_sq: Q  # alpha^2 exactly
 
     def apply_f(self, p) -> IVec:
         x, y = (Interval.coerce(c) for c in p)
@@ -506,18 +501,18 @@ class VertexMaps:
         return (-lm * x - self.alpha * y, self.alpha * x - lm * y)
 
 
-def vertex_maps(alpha: Interval, lam, alpha_sq: Optional[Q] = None,
-                bits: int = 128) -> VertexMaps:
-    lamv = to_q(lam)
-    if alpha.lo <= 0 and alpha_sq is None:
-        raise InputError("alpha must be certified positive")
+def vertex_maps(alpha: Interval, lam, alpha_sq, bits: int = 128
+                ) -> VertexMaps:
+    """The maps of the class with height ``alpha``, an enclosure of the
+    square root of the exact ``alpha_sq``, and base split ``lam``."""
+    lamv, a2 = to_q(lam), to_q(alpha_sq)
+    if a2 <= 0:
+        raise InputError("alpha must be positive")
     if not (0 < lamv <= Q(1, 2)):
         raise InputError("lambda must lie in (0, 1/2]")
-    a2 = Interval.point(alpha_sq) if alpha_sq is not None else alpha.square()
-    reach = a2 + (1 - lamv) ** 2
-    if reach.lo > 1:
+    if a2 + (1 - lamv) ** 2 > 1:
         raise InputError("triangle data outside the admissible region")
-    return VertexMaps(alpha, lamv, *_side_ratios(a2, lamv, bits), alpha_sq)
+    return VertexMaps(alpha, lamv, *_side_ratios(a2, lamv, bits), a2)
 
 
 def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
@@ -525,8 +520,8 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
                   bits: int = 128) -> tuple[Disk, dict]:
     """Disk certified inside f(A) - g(B) whose radius clears the root
     covering slack, so it meets the set: the apex locations of similar
-    copies with base pairs in the designated subtrees.  The threshold is
-    exact when ``maps`` carries alpha^2."""
+    copies with base pairs in the designated subtrees.  The threshold
+    ratio is exact, from the maps' alpha^2."""
     if sys.norm != L2:
         raise InputError("triangle search needs a Euclidean-norm system")
     r_iv = _as_r(r)
@@ -635,10 +630,7 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
                          "combination search instead")
     if not norm.region_ok():
         raise InputError("triangle data outside the admissible region")
-    if norm.lam_exact is None:
-        raise Indeterminate("base split ratio must be exact for the "
-                            "search")
-    maps = vertex_maps(norm.alpha, norm.lam_exact, norm.alpha_sq, bits)
+    maps = vertex_maps(norm.alpha, norm.lam, norm.alpha_sq, bits)
     disk, report = triangle_disk(sys, maps, r, mode, bits)
     z, ball_a, ball_b = _refine_to_target(
         sys, disk, report, "apex_word", partial(_triangle_images, maps),

@@ -34,6 +34,8 @@ def to_q(x) -> Q:
     ("0.095" -> 19/200)."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise InputError(f"cannot coerce bool {x!r} to a rational")
     if isinstance(x, int):
         return Q(x)
     if isinstance(x, str):

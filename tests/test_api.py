@@ -34,8 +34,10 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # and the names only tests reached: a dimension bound, pi, three
 # interval queries, the materialized cover and its result type, and a
 # rational-point wrapper of the position certificate; the difference
-# hit's own root test and descent over the root's children, and the
-# witness step range's second pass over the pairs the tuple walk checks
+# hit's own root test and descent over the root's children, the witness
+# step range's second pass over the pairs the tuple walk checks, and a
+# triangle's interval vertices and the enclosure of its split beside the
+# exact one
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -55,7 +57,9 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "intersects"), (thickset, "cover"),
                 (cantor, "cover"), (thickset, "Cover1D"),
                 (cantor, "certified_member"), (patterns1d, "_descent"),
-                (patterns1d, "_tuple_y_range")]
+                (patterns1d, "_tuple_y_range"),
+                (product.Triangle, "is_exact"),
+                (product.NormalizedTriangle, "lam_exact")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
@@ -119,6 +123,15 @@ def test_unread_members_are_gone():
 def test_triangle_disk_reads_alpha_sq_from_its_maps():
     params = inspect.signature(patterns_nd.triangle_disk).parameters
     assert "alpha_sq" not in params
+
+
+def test_triangle_class_is_exact():
+    # the class is one rational (alpha^2, lam): no interval height feeds
+    # the threshold, and the region check has no tolerance
+    params = inspect.signature(patterns_nd.threshold).parameters
+    assert list(params) == ["alpha_sq", "lam", "r", "mode", "bits"]
+    region = inspect.signature(product.NormalizedTriangle.region_ok)
+    assert list(region.parameters) == ["self"]
 
 
 @pytest.mark.parametrize("name", ["UNFALSIFIED_SAMPLED", "contains_any"])
@@ -303,3 +316,71 @@ def test_private_imports_are_allowlisted():
     patterns1d.WitnessPoint, patterns1d.KapCertificate])
 def test_result_types_keep_the_dataclass_repr(cls):
     assert "__str__" not in vars(cls)
+
+
+# the parameters a function of the package takes and does not read, each
+# for the reason given; any other is left over from a deletion, or an
+# option that changes nothing
+UNREAD_PARAMETERS = {
+    ("balls", "GridIfs.child_count", "word"):
+        "generator protocol: every grid word has n**d children",
+    ("balls", "GridIfs.h_upper", "bits"):
+        "generator protocol: the grid slack is an exact rational",
+    ("balls", "GridIfs.validate", "depth"):
+        "generator protocol: the grid's check is on its norm alone",
+    ("balls", "HexPacking.child_count", "word"):
+        "generator protocol: every hex word has the same children",
+    ("balls", "HexPacking.validate", "depth"):
+        "generator protocol: the hex check is on the root's children alone",
+    ("balls", "ExplicitTree.children", "parent"):
+        "generator protocol: the tree looks its children up by word",
+    ("balls", "ExplicitTree.h_upper", "bits"):
+        "generator protocol: the tree's slack is a kernel run to a fixed "
+        "relative width",
+    ("patterns_nd", "_combo_images.image_a", "s"):
+        "image-map protocol: only the target side's map scales the target",
+    ("patterns_nd", "_triangle_images.image_b", "s"):
+        "image-map protocol: only the target side's map scales the target",
+}
+
+
+def functions(tree, prefix=""):
+    """(qualified name, node) for each ``def`` in ``tree``, methods and
+    nested functions included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from functions(node, prefix + node.name + ".")
+        else:
+            yield from functions(node, prefix)
+
+
+def unread_parameters() -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter, other than a
+    method's receiver, that its function's body never reads; protocol
+    stubs, whose body is ``...``, have none."""
+    found = set()
+    for module, tree in SOURCES.items():
+        for name, node in functions(tree):
+            body = node.body
+            if len(body) == 1 and isinstance(body[0], ast.Expr) and \
+                    getattr(body[0].value, "value", None) is Ellipsis:
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            found.update((module, name, p) for p in params
+                         if p not in read and p not in ("self", "cls"))
+    return found
+
+
+def test_parameters_are_read_or_allowlisted():
+    found = unread_parameters()
+    assert sorted(found - set(UNREAD_PARAMETERS)) == []
+    assert sorted(set(UNREAD_PARAMETERS) - found) == []  # none stale

@@ -155,6 +155,30 @@ class TestExitCodes:
         listed.write_text("[1, 2]")
         assert main(["construct", "--set", str(listed)]) == 1
 
+    @pytest.mark.parametrize("desc", [
+        '{"kind":"grid_ifs","n":10.7,"rho":"19/200","d":"1/100"}',
+        '{"kind":"grid_ifs","n":true,"rho":"19/200","d":"1/100"}',
+        '{"kind":"grid_ifs","n":10,"rho":"19/200","d":"1/100","seed":1.5}',
+        '{"kind":"grid_ifs","n":10,"rho":"19/200","d":"1/100","seed":true}',
+        '{"kind":"hex_packing","gamma":true}',
+        '{"kind":"middle_cantor","epsilon":false}',
+        '{"kind":"ifs1d","hull":[0,1,5],"branches":[{"scale":"1/3",'
+        '"offset":"0"},{"scale":"1/3","offset":"2/3"}]}',
+        '{"kind":"ifs1d","hull":"01","branches":[{"scale":"1/3",'
+        '"offset":"0"},{"scale":"1/3","offset":"2/3"}]}',
+    ])
+    def test_json_number_not_truncated_one(self, tmp_path, capsys, desc):
+        # a float or bool where an integer or rational belongs, and a
+        # hull that is not two numbers, are refused rather than read as
+        # the nearest value that builds
+        out = tmp_path / "c.json"
+        assert main(["construct", "--set", desc, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        assert manifest["exit_code"] == 1 and manifest["outputs"] == []
+
     def test_pair_refinement_over_budget_three(self, monkeypatch, tmp_path):
         monkeypatch.setenv("THICKSET_MAX_NODES", "50")
         out = tmp_path / "w.json"

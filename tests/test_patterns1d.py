@@ -45,6 +45,7 @@ from oracles import (
     point_in_cover,
     ref_kap_search,
     ref_slid_pair_test,
+    ref_y_range,
     verify_combo_containment,
     word_interval,
     word_map,
@@ -473,6 +474,39 @@ class TestKapSearchParity:
                     max(full.explored_nodes, above.explored_nodes)))
                 mp.setenv("THICKSET_MAX_NODES", str(budget))
             assert kap_search(s, k, depth) == ref_kap_search(s, k, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kap_inputs(max_depth=4, max_tuples=None))
+    def test_witness_range_matches_reference(self, case):
+        # the certificate's y is the reference step range of its boxes,
+        # above the shortest first-level gap over k - 1, and x is the
+        # range of starts that puts the midpoint step in every box
+        s, k, depth = case
+        cert = kap_search(s, k, depth)
+        assume(cert.verdict == FEASIBLE)
+        tops = sorted(word_interval(s, (i,)) for i in range(len(s.branches)))
+        g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(tops, tops[1:]))
+        boxes = [(p.enclosure.lo, p.enclosure.hi) for p in cert.points]
+        assert (cert.y.lo, cert.y.hi) == ref_y_range(boxes, g_min / (k - 1))
+        y = cert.y.mid
+        assert cert.x.lo == max(a - j * y for j, (a, _) in enumerate(boxes))
+        assert cert.x.hi == min(b - j * y for j, (_, b) in enumerate(boxes))
+        assert cert.x.lo <= cert.x.hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 20)),
+                    min_size=2, max_size=7),
+           st.integers(-10, 30), st.integers(1, 6))
+    def test_step_range_matches_reference(self, spans, y_num, y_step):
+        # integer (numerator, step) bounds against the reference range in
+        # Fractions, on boxes in any order, feasible or not
+        boxes = [(a, a + w) for a, w in spans]
+        (lo_n, lo_d), (hi_n, hi_d) = patterns1d._step_range(
+            boxes, (y_num, y_step))
+        lo, hi = Q(lo_n, lo_d), Q(hi_n, hi_d)
+        want = ref_y_range([tuple(map(Q, b)) for b in boxes],
+                           Q(y_num, y_step))
+        assert (lo, hi) == want if want is not None else lo > hi
 
     def test_last_level_keeps_one_tuple_per_parent(self, monkeypatch):
         # the witness reads only the smallest live tuple of the last

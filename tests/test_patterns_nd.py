@@ -66,7 +66,7 @@ class TestThreshold:
         # alpha^2 + lam^2 = 1 exactly, so the ratio collapses to 1 and
         # the threshold equals the linear one at lam = 1/2
         e = equilateral()
-        t = threshold(e.alpha, Q(1, 2), Q(1, 5), STANDARD, e.alpha_sq)
+        t = threshold(e.alpha_sq, Q(1, 2), Q(1, 5), STANDARD)
         assert t.lo == t.hi == Q(10, 3)
 
     def test_appendix_below_standard(self):
@@ -187,7 +187,7 @@ class TestVertexMaps:
         assert m.s_g.lo == m.s_g.hi == 1
 
     def test_half_half(self):
-        m = vertex_maps(Interval.point(Q(1, 2)), Q(1, 2))
+        m = vertex_maps(Interval.point(Q(1, 2)), Q(1, 2), Q(1, 4))
         # s_f = s_g = sqrt(1/2)
         assert m.s_f.lo <= m.s_g.hi and m.s_g.lo <= m.s_f.hi
         sq = m.s_f.square()
@@ -211,7 +211,7 @@ class TestVertexMaps:
 
     def test_degenerate_rejected(self):
         with pytest.raises(InputError):
-            vertex_maps(Interval.point(Q(0)), Q(1, 2))
+            vertex_maps(Interval.point(Q(0)), Q(1, 2), Q(0))
 
 
 class TestTriangleDisk:
@@ -230,8 +230,6 @@ class TestTriangleDisk:
         # the thickness bound of the modified arrangement; the thin
         # corner (small alpha at lam = 3/10) genuinely exceeds it since
         # the ratio grows like (1-lam)/lam as alpha -> 0
-        from thickset.scalars import interval_sqrt
-
         sys = hex_packing_example(GAMMA)
         tau = yavicoli_thickness(sys).lower_bound
         holds = []
@@ -239,8 +237,7 @@ class TestTriangleDisk:
             for alpha_sq in (Q(1, 100), Q(1, 4), Q(3, 4)):
                 if alpha_sq + (1 - lam) ** 2 > 1:
                     continue
-                alpha = interval_sqrt(Interval.point(alpha_sq), 128)
-                t = threshold(alpha, lam, HEX_R, STANDARD, alpha_sq)
+                t = threshold(alpha_sq, lam, HEX_R, STANDARD)
                 holds.append(((lam, alpha_sq),
                               Interval.point(tau.lo).certainly_ge(t)))
         failing = {key for key, ok in holds if not ok}
@@ -314,8 +311,8 @@ class TestFindTriangleNd:
 
 
 def _maps(alpha, lam, bits=128):
-    """Vertex maps of a rational apex height, so alpha^2 is exact."""
-    return vertex_maps(Interval.point(alpha), lam, bits=bits)
+    """Vertex maps of a rational apex height."""
+    return vertex_maps(Interval.point(alpha), lam, alpha * alpha, bits)
 
 
 def _equilateral_maps():

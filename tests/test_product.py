@@ -28,18 +28,17 @@ from oracles import product_witness_in_cover, ref_triangle_invariants
 
 class TestNormalizeTriangle:
     def test_equilateral_from_vertices(self):
-        n = normalize_triangle(Triangle.make([(0, 0), (1, 0),
-                                              (Q(1, 2), sqrt3() / 2)]))
-        assert n.lam.lo <= Q(1, 2) <= n.lam.hi
-        root = sqrt3() / 2
-        assert n.alpha.lo <= root.hi and root.lo <= n.alpha.hi
-        assert n.region_ok()
+        # vertices are rational: an enclosure of sqrt(3)/2 is refused,
+        # and the class comes from ``equilateral()`` instead
+        with pytest.raises(InputError, match="cannot coerce Interval"):
+            Triangle.make([(0, 0), (1, 0), (Q(1, 2), sqrt3() / 2)])
+        assert equilateral().region_ok()
 
     def test_right_isoceles(self):
         n = normalize_triangle(Triangle.make([(0, 0), (1, 0), (0, 1)]))
         # hypotenuse is the base; altitude foot splits it in half,
         # height is half the hypotenuse
-        assert n.lam_exact == Q(1, 2)
+        assert n.lam == Q(1, 2)
         assert n.alpha_sq == Q(1, 4)
         assert n.region_ok()
 
@@ -47,14 +46,14 @@ class TestNormalizeTriangle:
         n = normalize_triangle(Triangle.make([(0, 0), (1, 0), (2, 0)]))
         assert n.degenerate
         assert n.alpha.lo == 0
-        assert n.lam_exact == Q(1, 2)
+        assert n.lam == Q(1, 2)
 
     def test_collinear_split_is_exact(self):
         # the general split formula, dot / |base|^2, is exact on
         # collinear points too; the square-root split is the reference
         pts = [(0, 0), (Q(3, 7), Q(6, 7)), (3, 6)]
         n = normalize_triangle(Triangle.make(pts))
-        assert n.degenerate and n.lam_exact == Q(1, 7)
+        assert n.degenerate and n.lam == Q(1, 7)
         assert ref_triangle_invariants(pts) == (Q(0), Q(1, 7), True)
 
     @pytest.mark.parametrize("collinear", [True, False])
@@ -86,7 +85,7 @@ class TestNormalizeTriangle:
             assert degenerate or not collinear
             n = normalize_triangle(Triangle.make(pts))
             assert n.degenerate == degenerate
-            assert n.lam == Interval.point(lam) and n.lam_exact == lam
+            assert n.lam == lam
             assert n.alpha_sq == alpha_sq
             assert n.alpha.is_point() and n.alpha.lo ** 2 == alpha_sq
 
@@ -122,7 +121,7 @@ class TestNormalizeTriangle:
                 ry = scale * (s * x + c * y) + ty
                 pts.append((rx, ry))
             n = normalize_triangle(Triangle.make(pts))
-            assert n.lam_exact == n0.lam_exact
+            assert n.lam == n0.lam
             assert n.alpha_sq == n0.alpha_sq
 
     def test_region_membership_random(self):
@@ -137,10 +136,13 @@ class TestNormalizeTriangle:
                 continue
             if n.degenerate:
                 continue
-            a2 = n.alpha_sq
-            lam = n.lam_exact
-            assert a2 + (1 - lam) ** 2 <= 1 + Q(1, 2**60)
-            assert 0 <= lam <= Q(1, 2)
+            a2, lam = n.alpha_sq, n.lam
+            assert n.region_ok()
+            assert a2 + (1 - lam) ** 2 <= 1
+            assert 0 < lam <= Q(1, 2)
+            # the bound that keeps the height span * alpha inside the
+            # difference segment in ``find_triangle_in_product``
+            assert 0 < a2 <= Q(3, 4)
             checked += 1
 
 
@@ -212,6 +214,18 @@ class TestFindTriangleInProduct:
             find_triangle_in_product(middle_thirds(), t, depth=12)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("alpha_sq, lam", [
+        (Q(5, 4), Q(1, 2)),  # a height above 1: the base is not longest
+        (Q(3, 4), Q(2, 5)), (Q(1, 4), Q(0)), (Q(1, 4), Q(3, 5)),
+        (Q(0), Q(1, 2)),
+    ])
+    def test_class_outside_region_rejected(self, alpha_sq, lam):
+        t = NormalizedTriangle(alpha=Interval.point(Q(1, 2)),
+                               alpha_sq=alpha_sq, lam=lam)
+        assert not t.region_ok()
+        with pytest.raises(InputError, match="admissible"):
+            find_triangle_in_product(middle_thirds(), t, 4)
+
     def test_right_isoceles(self):
         s = middle_thirds()
         t = Triangle.make([(0, 0), (1, 0), (0, 1)])
@@ -240,13 +254,6 @@ class TestFindTriangleInProduct:
 
 # sha256 of repr(result) recorded before the difference descent carried
 # word maps, on the line benchmark's kinds of input at depths 20-40
-def wide_alpha(lo, hi) -> NormalizedTriangle:
-    """A height enclosure reaching past 1, which ``region_ok`` admits
-    because it bounds only the lower end of the apex reach."""
-    return NormalizedTriangle(alpha=Interval(lo, hi),
-                              lam=Interval.point(Q(1, 2)), lam_exact=Q(1, 2))
-
-
 HIT_PINS = [
     (lambda: difference_hit(middle_cantor(Q(17, 64)), Q(9, 16), 20),
      "e92ddec25b24359e481af4a535edc1e5a72bf59125c803bee251d6462ca57518"),
@@ -283,15 +290,6 @@ HIT_PINS = [
     (lambda: difference_hit(middle_thirds(),
                             Interval(Q(2, 5), Q(2, 5) + Q(1, 2**40)), 24),
      "2ef32c1904ed350f0c16ee5ab393b7d7744ec7528a0826863ab7b103156eb8f6"),
-    # apex heights above 1, the only inputs that shrink the base into a
-    # subtree, recorded while the scale cap still read the difference
-    # segment off merged covers
-    (lambda: find_triangle_in_product(
-        middle_thirds(), wide_alpha(Q(1, 2), Q(3, 2)), 2),
-     "fa0ea492304bc0867f564ab8ca4927c7902e45ecc2a95110d637e555318860fe"),
-    (lambda: find_triangle_in_product(
-        off_center_cantor(Q(37, 128)), wide_alpha(Q(4, 5), Q(101, 100)), 2),
-     "d2feb4f494ee72fe5646065fb65b711c2fea9620c69de360786fd8baef07ab5e"),
 ]
 
 
@@ -299,11 +297,6 @@ class TestDifferenceDescent:
     @pytest.mark.parametrize("call, digest", HIT_PINS)
     def test_pinned_results(self, call, digest):
         assert hashlib.sha256(repr(call()).encode()).hexdigest() == digest
-
-    def test_wide_alpha_dead_end(self):
-        with pytest.raises(Indeterminate, match="exhausted"):
-            find_triangle_in_product(middle_thirds(),
-                                     wide_alpha(Q(1, 2), Q(3, 2)), 3)
 
     @pytest.mark.parametrize("budget, passes", [(51, True), (50, False)])
     def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
