@@ -12,6 +12,7 @@ split tuples of cover intervals, which is sound by self-similarity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -452,14 +453,22 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     the order of their left-end vectors, and that first survivor is the
     tuple's smallest child; distinct tuples have distinct children, so
     the smallest of these survivors is the smallest live tuple of the
-    full expansion, which is the witness.
+    full expansion, which is the witness.  The last level walks the live
+    tuples in groups that share a first box, in order of that box's left
+    end, and stops after the first group with a survivor: boxes of one
+    depth are disjoint and ordered, so every child of a tuple whose first
+    box lies further left has a smaller first left end than every child
+    of a tuple to its right, and the smallest survivor lies in the
+    leftmost group that has one.
 
     ``explored_nodes`` counts the C(n+k-1, k) - n split tuples at depth 1
     and the full fan of n**k candidate extensions of every live tuple
     below, last level included, however many prefix pruning or the early
-    stop visits; the search stops with ``unknown`` before a fan would
-    pass the node budget, and at depth 1 once the pair checks of the
-    tuple walk pass it.
+    stops visit.  The budget is checked once per level, before its walks:
+    the search stops with ``unknown`` when the level's fans would pass
+    the node budget, with the same certificate as a check before each
+    tuple's fan, and at depth 1 once the pair checks of the tuple walk
+    pass it.
 
     When (k-1) * g_min > 1, g_min the shortest first-level gap in t,
     the verdict is immediate: consecutive points on the two sides of a
@@ -490,24 +499,34 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
     live = [tuple(images[i] for i in e) for e in top if e[0] != e[-1]]
     children = s.form.children
+
+    def extend(boxes, y_min, first=False):
+        kids = [children(lo, hi) for lo, hi in boxes]
+        ext = _ordered_extensions(kids.__getitem__, k, y_min, first=first)
+        return [tuple(row[i] for row, i in zip(kids, e)) for e in ext]
+
     d = 1
     while live and d < depth:
         # a live tuple means the walk charged k(k-1)/2 <= budget checks,
         # so this stays small
         fan = n ** k
-        last = d + 1 == depth
+        if explored + fan * len(live) > budget:
+            return KapCertificate(k, UNKNOWN, d, max(explored, budget) + 1)
+        explored += fan * len(live)
         y_min = (g_min * den ** d, k - 1)
-        nxt = []
-        for boxes in live:
-            if explored + fan > budget:
-                return KapCertificate(k, UNKNOWN, d,
-                                      max(explored, budget) + 1)
-            explored += fan
-            kids = [children(lo, hi) for lo, hi in boxes]
-            ext = _ordered_extensions(kids.__getitem__, k, y_min, first=last)
-            nxt.extend(tuple(row[i] for row, i in zip(kids, e)) for e in ext)
-        live = nxt
         d += 1
+        if d < depth:
+            live = [t for boxes in live for t in extend(boxes, y_min)]
+            continue
+        # the last level: groups of one first box, leftmost first, up to
+        # the first group with a survivor
+        live.sort(key=lambda t: t[0])
+        found = []
+        for _, group in itertools.groupby(live, key=lambda t: t[0]):
+            found = [t for boxes in group for t in extend(boxes, y_min, True)]
+            if found:
+                break
+        live = found
     if not live:
         return KapCertificate(k, INFEASIBLE, d, explored)
 

@@ -48,6 +48,7 @@ from .product import (
     _ratio_deviation,
     _side_ratios,
     normalize_triangle,
+    require_height,
 )
 from .scalars import (
     Interval,
@@ -506,6 +507,7 @@ def vertex_maps(alpha: Interval, lam, alpha_sq, bits: int = 128
     """The maps of the class with height ``alpha``, an enclosure of the
     square root of the exact ``alpha_sq``, and base split ``lam``."""
     lamv, a2 = to_q(lam), to_q(alpha_sq)
+    require_height(alpha, a2)
     if a2 <= 0:
         raise InputError("alpha must be positive")
     if not (0 < lamv <= Q(1, 2)):

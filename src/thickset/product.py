@@ -46,6 +46,16 @@ class Triangle:
         return Triangle(tuple((to_q(x), to_q(y)) for x, y in points))
 
 
+def require_height(alpha: Interval, alpha_sq) -> None:
+    """Refuse a height enclosure ``alpha`` that does not hold the square
+    root of ``alpha_sq``: 0 <= alpha.lo and alpha.lo^2 <= alpha_sq <=
+    alpha.hi^2.  The searches read alpha_sq for the region and the
+    threshold and alpha for the apex step and the vertex maps, so the
+    two must describe one class."""
+    if not (0 <= alpha.lo and alpha.lo ** 2 <= alpha_sq <= alpha.hi ** 2):
+        raise InputError("alpha must enclose the square root of alpha_sq")
+
+
 @dataclass(frozen=True)
 class NormalizedTriangle:
     """Similarity class data: longest side scaled to 1, apex height
@@ -60,6 +70,9 @@ class NormalizedTriangle:
     alpha_sq: Q
     lam: Q
     degenerate: bool = False
+
+    def __post_init__(self):
+        require_height(self.alpha, self.alpha_sq)
 
     def region_ok(self) -> bool:
         """0 < alpha^2, 0 < lam <= 1/2 and alpha^2 + (1-lam)^2 <= 1: the

@@ -379,6 +379,23 @@ PINNED_BUDGET = [
 ]
 
 
+def recorded_kap_search(s, k, depth):
+    """``kap_search`` with every tuple walk recorded as (y_min's
+    numerator, which grows with the depth of the parent, the children
+    rows, the surviving index tuples)."""
+    walk, walks = patterns1d._ordered_extensions, []
+
+    def recording(row, k_, y_min, *args, **kwargs):
+        out = walk(row, k_, y_min, *args, **kwargs)
+        walks.append((y_min[0], tuple(tuple(row(m)) for m in range(k_)),
+                      out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns1d, "_ordered_extensions", recording)
+        return kap_search(s, k, depth), walks
+
+
 @st.composite
 def kap_inputs(draw, max_depth=3, max_tuples=30_000):
     """A 2- or 3-branch presentation on a random hull (reflected half the
@@ -508,30 +525,61 @@ class TestKapSearchParity:
                            Q(y_num, y_step))
         assert (lo, hi) == want if want is not None else lo > hi
 
-    def test_last_level_keeps_one_tuple_per_parent(self, monkeypatch):
+    @pytest.mark.parametrize("pairs, k, depth, verdict, groups", [
+        # the leftmost first-box group dies and the next holds the witness
+        ([(Q(1, 20), 0), (Q(1, 4), Q(11, 40)), (Q(1, 4), Q(3, 4))], 4, 4,
+         FEASIBLE, [(2, 0), (3, 3)]),
+        # every group dies on the last level, one group or three
+        ([(Q(3, 10), 0), (Q(3, 20), Q(21, 40)), (Q(1, 10), Q(9, 10))], 4, 2,
+         INFEASIBLE, [(1, 0)]),
+        ([(Q(3, 11), 0), (Q(3, 11), Q(7, 22)), (Q(1, 22), Q(21, 22))], 5, 3,
+         INFEASIBLE, [(1, 0), (1, 0), (1, 0)]),
+    ])
+    def test_last_level_group_edges(self, pairs, k, depth, verdict, groups):
+        # the last level's walks, grouped by first box: the groups come
+        # leftmost first, and each is (walks, survivors)
+        s = ifs_from_branches(0, 1, pairs)
+        cert, walks = recorded_kap_search(s, k, depth)
+        last = max(y for y, _, _ in walks)
+        seen = {}
+        for y, rows, out in walks:
+            if y == last:
+                walked, built = seen.get(rows[0], (0, 0))
+                seen[rows[0]] = (walked + 1, built + len(out))
+        assert list(seen) == sorted(seen)
+        assert list(seen.values()) == groups
+        assert (cert.verdict, cert.depth) == (verdict, depth)
+        assert cert == ref_kap_search(s, k, depth)
+
+    def test_last_level_keeps_one_tuple_per_parent(self):
         # the witness reads only the smallest live tuple of the last
         # level; a parent's first surviving extension is its smallest
-        # child, so the walk stops there (the full expansion builds 737
-        # tuples from 114 parents on the first set below)
-        walk = patterns1d._ordered_extensions
+        # child, so the walk stops there, and parents are walked in
+        # groups of one first box, leftmost first, up to the witness's
+        # group (the full expansion builds 737 tuples from 114 parents on
+        # the first set below)
+        den, children = ROADMAP_SET.form.den, ROADMAP_SET.form.children
         for k, depth in ((3, 4), (4, 8)):
-            walks = []
-
-            def recording(row, k_, y_min, *args, **kwargs):
-                # y_min's numerator grows with the depth of the parent
-                out = walk(row, k_, y_min, *args, **kwargs)
-                walks.append((y_min[0], out))
-                return out
-
-            monkeypatch.setattr(patterns1d, "_ordered_extensions",
-                                recording)
-            cert = kap_search(ROADMAP_SET, k, depth)
-            monkeypatch.undo()
-            last = max(y for y, _ in walks)
-            built = [len(out) for y, out in walks if y == last]
+            cert, walks = recorded_kap_search(ROADMAP_SET, k, depth)
+            last = max(y for y, _, _ in walks)
+            built = [len(out) for y, _, out in walks if y == last]
             assert cert.verdict == FEASIBLE and max(built) <= 1
             if depth == 4:
-                assert len(built) == 114
+                assert len(built) == 16
+            # the live parents, from the walks of the level above, and
+            # the one whose first box holds the witness's first point
+            # (the hull is [0, 1], so boxes are over den**(depth - 1))
+            parents = [tuple(rows[m][i] for m, i in enumerate(e))
+                       for y, rows, out in walks if y == last // den
+                       for e in out]
+            scale, first = den ** (depth - 1), cert.points[0].enclosure
+            (top,) = {t[0] for t in parents
+                      if Q(t[0][0], scale) <= first.lo
+                      and first.hi <= Q(t[0][1], scale)}
+            walked = sorted(rows for y, rows, _ in walks if y == last)
+            assert walked == sorted(
+                tuple(tuple(children(lo, hi)) for lo, hi in t)
+                for t in parents if t[0][0] <= top[0])
         assert cert == next(want for s, k, depth, want in PINNED
                             if (k, depth) == (4, 8))
         assert cert.explored_nodes == 740271

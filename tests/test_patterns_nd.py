@@ -213,6 +213,11 @@ class TestVertexMaps:
         with pytest.raises(InputError):
             vertex_maps(Interval.point(Q(0)), Q(1, 2), Q(0))
 
+    def test_height_must_enclose_root(self):
+        # a height enclosure of another class than alpha_sq's
+        with pytest.raises(InputError, match="enclose the square root"):
+            vertex_maps(Interval.point(Q(1, 10)), Q(1, 2), Q(3, 4))
+
 
 class TestTriangleDisk:
     def test_hex_equilateral(self):

@@ -48,6 +48,27 @@ class TestNormalizeTriangle:
         assert n.alpha.lo == 0
         assert n.lam == Q(1, 2)
 
+    @pytest.mark.parametrize("alpha, alpha_sq", [
+        (Interval.point(Q(1, 10)), Q(3, 4)),  # another class's height
+        (Interval(Q(-1, 2), Q(1, 2)), Q(1, 4)),  # a negative lower end
+        (Interval.point(Q(1, 2)), Q(3, 4)),  # below the root
+        (Interval(Q(9, 10), Q(1)), Q(3, 4)),  # above the root
+    ])
+    def test_height_must_enclose_root(self, alpha, alpha_sq):
+        # the searches read alpha_sq for the region and alpha for the
+        # apex step, so a class whose two heights disagree is refused
+        with pytest.raises(InputError, match="enclose the square root"):
+            NormalizedTriangle(alpha=alpha, alpha_sq=alpha_sq, lam=Q(1, 2))
+
+    def test_root_enclosures_build(self):
+        # equilateral() at any precision, and an enclosure of an
+        # irrational height, pass the check; rational vertices give a
+        # point height (test_right_isoceles, test_collinear)
+        for bits in (1, 8, 128):
+            assert equilateral(bits).region_ok()
+        alpha = interval_sqrt(Interval.point(Q(1, 5)), 64)
+        assert NormalizedTriangle(alpha, Q(1, 5), Q(1, 2)).region_ok()
+
     def test_collinear_split_is_exact(self):
         # the general split formula, dot / |base|^2, is exact on
         # collinear points too; the square-root split is the reference
@@ -220,8 +241,8 @@ class TestFindTriangleInProduct:
         (Q(0), Q(1, 2)),
     ])
     def test_class_outside_region_rejected(self, alpha_sq, lam):
-        t = NormalizedTriangle(alpha=Interval.point(Q(1, 2)),
-                               alpha_sq=alpha_sq, lam=lam)
+        alpha = interval_sqrt(Interval.point(alpha_sq), 64)
+        t = NormalizedTriangle(alpha=alpha, alpha_sq=alpha_sq, lam=lam)
         assert not t.region_ok()
         with pytest.raises(InputError, match="admissible"):
             find_triangle_in_product(middle_thirds(), t, 4)
