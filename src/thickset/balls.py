@@ -92,10 +92,17 @@ def lattice_disjoint(a: Lattice, b: Lattice, norm: str) -> bool:
 def first_touching_sibling(kids: list[Lattice], j: int,
                            norm: str) -> Optional[int]:
     """Index of the first sibling that ``kids[j]`` is not strictly
-    disjoint from, or None when it is disjoint from all of them."""
+    disjoint from, or None when it is disjoint from all of them.
+
+    Both norms are at least the gap of the first coordinates, so a
+    sibling whose first coordinate is farther from that of ``kids[j]``
+    than ``kids[j]``'s radius plus the largest sibling radius is strictly
+    disjoint from it; only the siblings inside that window get the exact
+    test, in index order."""
+    x, reach = kids[j][0], kids[j][-1] + max(k[-1] for k in kids)
     return next((i for i, other in enumerate(kids)
-                 if i != j and not lattice_disjoint(kids[j], other, norm)),
-                None)
+                 if i != j and abs(other[0] - x) <= reach
+                 and not lattice_disjoint(kids[j], other, norm)), None)
 
 
 # -- farthest point ----------------------------------------------------------
@@ -230,13 +237,22 @@ class Generator(Protocol):
     certified covering-slack and thickness bounds, the analytic
     r-uniformity constant (None when there is none), the designated pair
     of root children, and the structural check behind
-    ``validate_system``."""
+    ``validate_system``.
+
+    ``cells`` is what a search may know of a fan before deriving it:
+    every child's nominal lattice ball and one integer widening e such
+    that each child, as ``children`` derives it, has the nominal radius
+    and a center within e of the nominal one in every coordinate.  A
+    child that a search excludes from its cell alone need not be
+    derived; with e = 0 the cells are the children themselves."""
 
     designated: tuple[int, int]
     def child_count(self, word: Word) -> int: ...
     def scale(self, root_scale: int, k: int) -> int: ...
     def children(self, parent: Lattice, word: Word,
                  indices) -> list[Lattice]: ...
+    def cells(self, parent: Lattice, word: Word
+              ) -> tuple[list[Lattice], int]: ...
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval: ...
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd: ...
     def density(self) -> Optional[Interval]: ...
@@ -292,14 +308,20 @@ class GridIfs:
         _, q, t, _, _ = self._table
         return root_scale * (q * t) ** k
 
+    def _nominal(self, parent: Lattice) -> tuple[int, int, int, int]:
+        """The parent's integers on the children's scale: the grid origin
+        x0, y0, the factor q*N_r of the cell offsets and the children's
+        radius numerator."""
+        p, q, t, _, _ = self._table
+        nx, ny, nr = parent
+        return nx * q * t, ny * q * t, q * nr, nr * p * t
+
     def children(self, parent: Lattice, word: Word,
                  indices) -> list[Lattice]:
         """Children ``indices`` of ``parent``: the parent's integers are
         scaled and the key prefix hashed once for them all."""
-        p, q, t, taus, k = self._table
-        nx, ny, nr = parent
-        qt, qr = q * t, q * nr
-        x0, y0, r = nx * qt, ny * qt, nr * p * t
+        _, _, _, taus, k = self._table
+        x0, y0, qr, r = self._nominal(parent)
         if not word:
             return [(x0 + qr * taus[i][0], y0 + qr * taus[i][1], r)
                     for i in indices]
@@ -308,6 +330,17 @@ class GridIfs:
                  y0 + qr * (taus[i][1] + k * (vy - 2**63)), r)
                 for i, (vx, vy) in zip(indices, _hash_words(
                     self.seed, word, indices))]
+
+    def cells(self, parent: Lattice, word: Word
+              ) -> tuple[list[Lattice], int]:
+        """The unperturbed children, with no hashing.  A hash v lies in
+        [0, 2^64), so the perturbation q*N_r*K*(v - 2^63) that
+        ``children`` adds below the root is at most q*N_r*K*2^63 in
+        size."""
+        _, _, _, taus, k = self._table
+        x0, y0, qr, r = self._nominal(parent)
+        return ([(x0 + qr * tx, y0 + qr * ty, r) for tx, ty in taus],
+                qr * k * 2**63 if word else 0)
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         return Interval.point(sys.root.radius * self.d_spacing
@@ -380,6 +413,11 @@ class HexPacking:
         return [(x0 + nm * taus[i][0], y0 + nm * taus[i][1],
                  shrunk if i in self.designated else plain)
                 for i in indices]
+
+    def cells(self, parent: Lattice, word: Word
+              ) -> tuple[list[Lattice], int]:
+        """The exact children: they cost no more than their cells."""
+        return self.children(parent, word, range(85)), 0
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         # one level of interstitial slack below the ball's own radius:
@@ -456,6 +494,12 @@ class ExplicitTree:
                  indices) -> list[Lattice]:
         return [lattice_of(self.nodes[word + (i,)],
                            self._scales[len(word) + 1]) for i in indices]
+
+    def cells(self, parent: Lattice, word: Word
+              ) -> tuple[list[Lattice], int]:
+        """The exact children, read from the table."""
+        return self.children(parent, word,
+                             range(self.child_count(word))), 0
 
     def h_upper(self, sys: BallSystem, word: Word, bits: int) -> Interval:
         """Every ball of the table meets the generated set, so a point x
@@ -559,7 +603,12 @@ class BallSystem:
     ``ball`` and ``children`` walk from the root on every call.  Both
     walks derive children through the generator's ``children``: a walk
     to one word (``lattice``) asks for one child per level, a walk over a
-    whole fan (``kids``) for all of them at once.
+    whole fan (``kids``) for all of them at once.  ``cells`` gives the
+    generator's cells of a fan instead, so that a search derives only
+    the children it cannot exclude by their cells: a child that lies
+    within the widening e of its cell in every coordinate is farther
+    than a cell's distance less e, and nearer than that distance plus e,
+    from any point, in each coordinate.
     """
 
     root: Ball
@@ -595,6 +644,12 @@ class BallSystem:
             lat = self.lattice(word)
         return self.generator.children(lat, word,
                                        range(self.child_count(word)))
+
+    def cells(self, word: Word, lat: Lattice) -> tuple[list[Lattice], int]:
+        """The generator's cells of the fan below the ball at ``word``,
+        whose lattice is ``lat``: every child's nominal lattice ball and
+        the widening that bounds each child's offset from it."""
+        return self.generator.cells(lat, word)
 
     def to_ball(self, lat: Lattice, scale: int) -> Ball:
         return Ball(tuple(Q(x, scale) for x in lat[:-1]), Q(lat[-1], scale),

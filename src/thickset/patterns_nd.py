@@ -272,26 +272,85 @@ def _certainly_inside(center: tuple[Q, ...], disk: Disk, bits: int) -> bool:
     return _sqrt_bounds(far, bits + 1)[1] < disk.radius.lo
 
 
+def _nearest_child(sys: BallSystem, word: Word, lat: Lattice,
+                   at: tuple[int, ...], den: int) -> tuple[int, Lattice]:
+    """The index and lattice of the child of the ball at ``word`` (of
+    lattice ``lat``) whose center is nearest to the point ``at`` over
+    s*den, s the children's scale, ties to the lower index.  Squared
+    distances times (s*den)^2 order the children as rational ones do.
+
+    The sorted-projection search of Friedman, Baskett and Shustek (1975)
+    on the cells.  Bounds run on small integers: each offset of a cell
+    from the point, scaled by den, is rounded down to a multiple of 2^k,
+    k keeping about 32 bits of a child's radius, so the child's offset
+    lies within one unit plus e*den (e the cells' widening) of it.
+    Summed over the coordinates, the squares of the smallest and largest
+    such offsets bound the child's squared distance from below and
+    above.  Cells are visited nearest first in x until that x-offset's
+    lower bound alone, squared, passes the least upper bound U so far,
+    which every cell left also passes.  The nearest child, and any tied
+    with it, is at most U away, so only the cells whose lower bound is
+    at most U are derived (taken as they are when e = 0) and measured
+    exactly."""
+    cells, e = sys.cells(word, lat)
+    k = max((cells[0][-1] * den).bit_length() - 32, 0)
+    slack = -(-e * den >> k)  # e*den in units of 2^k, rounded up
+
+    def offsets(v: int) -> tuple[int, int]:
+        """Bounds of |v + t| in units of 2^k, for |t| <= e*den."""
+        w = v >> k
+        lo, hi = (w, w + 1) if w >= 0 else (-w - 1, -w)
+        return max(lo - slack, 0), hi + slack
+
+    xs = [c[0] * den for c in cells]
+    order = sorted(range(len(cells)), key=xs.__getitem__)
+    right = bisect_left([xs[i] for i in order], at[0])
+    left, least, seen = right - 1, None, []
+    while left >= 0 or right < len(order):
+        if right == len(order) or left >= 0 and (
+                at[0] - xs[order[left]] <= xs[order[right]] - at[0]):
+            i, left = order[left], left - 1
+        else:
+            i, right = order[right], right + 1
+        near, _ = offsets(xs[i] - at[0])
+        if least is not None and near * near > least:
+            break  # the nearest cell left in x, so every one left
+        lo = hi = 0
+        for x, a in zip(cells[i], at):  # zip stops at the radius
+            low, high = offsets(x * den - a)
+            lo, hi = lo + low * low, hi + high * high
+        seen.append((lo, i))
+        least = hi if least is None else min(least, hi)
+    kept = sorted(i for lo, i in seen if lo <= least)
+    kids = (sys.generator.children(lat, word, kept) if e
+            else [cells[i] for i in kept])
+    _, j, kid = min((sum((x * den - a) ** 2 for x, a in zip(kid, at)), j,
+                     kid) for j, kid in zip(kept, kids))
+    return j, kid
+
+
 def _deepest_center_in_disk(sys: BallSystem, disk: Disk, depth: int,
                             bits: int = 128) -> tuple[Word, tuple[Q, ...]]:
     """Greedy descent toward the disk center; returns the deepest word
-    (up to ``depth``) whose ball center is certified inside the disk.
+    (up to ``depth``, or to a leaf of a finite table) whose ball center
+    is certified inside the disk.
 
-    The nearest child is chosen on integers: with the guide point over G
-    and the level's scale s, the squared distances times (s*G)^2 order
-    the children as the rational ones do, ties to the lower index."""
+    Each step takes the child nearest to the guide point, the disk
+    center's midpoint over G, on integers (``_nearest_child``).  Only the
+    children whose cells cannot exclude them are derived: a child whose
+    distance is bounded below, by its cell, above the least upper bound
+    of any child's distance is not the nearest, nor tied with it."""
     g_den, guide_n = on_common_scale([c.mid for c in disk.center])
     word: Word = ()
     lat = sys.lattice(word)
     best: Optional[tuple[Word, tuple[Q, ...]]] = None
     for k in range(1, depth + 1):
+        if not sys.child_count(word):
+            break
         s = sys.scale(k)
-        at = [g * s for g in guide_n]
-        kids = sys.kids(word, lat)
-        j = min(range(len(kids)),
-                key=lambda i: sum((x * g_den - a) ** 2  # zip stops at r
-                                  for x, a in zip(kids[i], at)))
-        word, lat = word + (j,), kids[j]
+        j, lat = _nearest_child(sys, word, lat, tuple(g * s for g in guide_n),
+                                g_den)
+        word += (j,)
         center = tuple(Q(x, s) for x in lat[:-1])
         if _certainly_inside(center, disk, bits):
             best = (word, center)
@@ -331,35 +390,41 @@ Image = tuple[tuple[tuple[int, int], ...], int]
 def _may_meet(a: Image, b: Image) -> bool:
     """False when the images are certifiably disjoint: the lower end of
     the squared center gap (coordinate by coordinate as
-    ``Interval.square`` bounds it) exceeds the squared reach."""
-    gap = 0
+    ``Interval.square`` bounds it) exceeds the squared reach.  A single
+    coordinate whose gap exceeds the reach decides it before anything is
+    squared, since the squared gap is at least that coordinate's
+    square."""
+    reach, gap = a[1] + b[1], 0
     for (alo, ahi), (blo, bhi) in zip(a[0], b[0]):
         d = alo - bhi
-        if d > 0:
-            gap += d * d
-        else:
-            d = ahi - blo
-            if d < 0:
-                gap += d * d
-    reach = a[1] + b[1]
+        if d <= 0:
+            d = blo - ahi
+            if d <= 0:
+                continue
+        if d > reach:
+            return False
+        gap += d * d
     return gap <= reach * reach
 
 
-def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
+def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
                  start_b: Word, depth: int) -> tuple[Word, Word]:
     """Lexicographic depth-first search for a chain of possibly
     intersecting image-ball pairs down to the requested word length.
 
     ``image_a``/``image_b`` send a lattice ball and its level's scale s
     to its ``Image`` in the common comparison space, as integers over an
-    image scale that depends only on s.  The two words of a pair have
-    the same length, so they share s and their images share a scale.
-    Pairs whose images are certifiably disjoint are pruned.  The test
-    compares Euclidean disks on both norms: on an L2 system the true
-    witness pair survives at every level, so the search cannot exhaust,
-    but on a sup-norm system it is stricter than box intersection and
-    may.  Exhaustion is ``Indeterminate``, and so is a search that needs
-    more than ``node_budget()`` child-pair tests.
+    image scale that depends only on s; an image's radius depends on the
+    ball's radius alone.  ``spread_b(e)`` bounds how far moving a center
+    by at most e in every coordinate moves each end of its b image, and
+    the width (hi - lo) of its first coordinate.  The two words of a
+    pair have the same length, so they share s and their images share a
+    scale.  Pairs whose images are certifiably disjoint are pruned.  The
+    test compares Euclidean disks on both norms: on an L2 system the
+    true witness pair survives at every level, so the search cannot
+    exhaust, but on a sup-norm system it is stricter than box
+    intersection and may.  Exhaustion is ``Indeterminate``, and so is a
+    search that needs more than ``node_budget()`` child-pair tests.
 
     The integer tests decide exactly what tests on the rational images
     would: every endpoint, reach and gap is the rational one times the
@@ -367,32 +432,84 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     square, and orderings and ties are unchanged.
 
     ``descend`` runs the search, backtracking past dead ends; a node is
-    a word, its lattice ball and its image.  A frame derives the b-side
-    children of its pair once, in one batch, and each a-side child only
-    when its loop reaches it, both from the pair's lattices.  It tests
-    the child pairs in lexicographic order, skipping, uncharged, those
-    whose first coordinates alone are farther apart than the largest
-    reach of the frame, which the full test would reject too.
+    a word, its lattice ball (None until derived) and its image.  A
+    frame derives each a-side child only when its loop reaches it.  It
+    tests the child pairs in lexicographic order, skipping, uncharged,
+    those whose first coordinates alone are farther apart than the
+    largest reach of the frame, which the full test would reject too: a
+    b child is in the window of an a child when the low end of its first
+    coordinate lies within the reach of the a image's, widened below by
+    the widest b image.
+
+    The b side starts as cells (``BallSystem.cells``): a child's image
+    has its cell's radius and ends within spread_b(e) of its cell's.  So
+    a cell that far inside a window end is in, one that far outside is
+    out, and only a cell straddling an end is derived to decide; the
+    widest image is the widest cell's unless widths move, and then the
+    widest among the children derived whose cells may be widest.  An
+    underived b node carries its cell's image widened by spread_b(e),
+    which holds the child's: the charged test answers False when that
+    image is certifiably disjoint from the a image, and otherwise
+    derives the child and tests its own.  So the frames test the pairs,
+    in the order and with the answers, of whole b fans.
     """
+    def settle(node: list) -> list:
+        """Derive an underived b node's child and its image, once."""
+        if node[1] is None:
+            word, _, _, parent, s = node
+            node[1], = sys.generator.children(parent, word[:-1], word[-1:])
+            node[2] = image_b(node[1], s)
+        return node
+
+    def meets(a, b) -> bool:
+        if b[1] is None:
+            if not _may_meet(a[2], b[2]):
+                return False
+            settle(b)
+        return _may_meet(a[2], b[2])
+
     def candidates(a, b):
         (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
         s = sys.scale(len(wa) + 1)
-        lats_b = sys.kids(wb, lat_b)
-        kids_b = [image_b(x, s) for x in lats_b]
-        if not kids_b:
+        cells, e = sys.cells(wb, lat_b)
+        if not cells:
             return
-        by_x = sorted(range(len(kids_b)), key=lambda j: kids_b[j][0][0][0])
-        xs = [kids_b[j][0][0][0] for j in by_x]
-        r_b = max(r for _, r in kids_b)
-        width = max(c[0][1] - c[0][0] for c, _ in kids_b)
+        shift, stretch = spread_b(e)
+        imgs = [image_b(c, s) for c in cells]
+        nodes: list = [None] * len(cells)
+
+        def node(j: int) -> list:
+            """The b node of child j, made once: derived, or its cell."""
+            if nodes[j] is None:
+                box, r = imgs[j]
+                nodes[j] = ([wb + (j,), None, (tuple(
+                    (lo - shift, hi + shift) for lo, hi in box), r), lat_b, s]
+                    if e else [wb + (j,), cells[j], imgs[j]])
+            return nodes[j]
+
+        lows = [box[0][0] for box, _ in imgs]
+        by_x = sorted(range(len(cells)), key=lows.__getitem__)
+        xs = [lows[j] for j in by_x]
+        r_b = max(r for _, r in imgs)
+        width = max(box[0][1] - box[0][0] for box, _ in imgs)
+        if e and stretch:  # the widest child is among those settled
+            width = max(box[0][1] - box[0][0] for box in (
+                settle(node(j))[2][0] for j, (cell, _) in enumerate(imgs)
+                if cell[0][1] - cell[0][0] + 2 * stretch >= width))
         for i in range(sys.child_count(wa)):
             x, = sys.generator.children(lat_a, wa, (i,))
-            a = image_a(x, s)
-            (alo, ahi), reach = a[0][0], a[1] + r_b
-            near = by_x[bisect_left(xs, alo - reach - width):
-                        bisect_right(xs, ahi + reach)]
+            a = (wa + (i,), x, image_a(x, s))
+            (alo, ahi), reach = a[2][0][0], a[2][1] + r_b
+            low, high = alo - reach - width, ahi + reach
+            near = by_x[bisect_left(xs, low - shift):
+                        bisect_right(xs, high + shift)]
             for j in sorted(near):
-                yield (wa + (i,), x, a), (wb + (j,), lats_b[j], kids_b[j])
+                b = node(j)
+                if b[1] is None and not (low <= lows[j] - shift
+                                         and lows[j] + shift <= high):
+                    settle(b)  # the cell straddles a window end
+                if b[1] is None or low <= b[2][0][0][0] <= high:
+                    yield a, b
 
     lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
     s = sys.scale(len(start_a))
@@ -401,16 +518,17 @@ def _refine_pair(sys: BallSystem, image_a, image_b, start_a: Word,
     if len(start_a) >= depth:
         return start_a, start_b
     a, b = descend(candidates((start_a, lat_a), (start_b, lat_b)),
-                   candidates, lambda a, b: _may_meet(a[2], b[2]),
-                   depth - len(start_a) - 1, "pair refinement",
-                   backtrack=True)
+                   candidates, meets, depth - len(start_a) - 1,
+                   "pair refinement", backtrack=True)
     return a[0], b[0]
 
 
 def _combo_images(lam: Q, c: tuple[Q, ...]):
-    """Image maps refining -lam*A against (1-lam)*B - c.  They are
-    exact, so every coordinate has lo = hi.  With lam = a/m and c over
-    C, the image scale is m*C*s."""
+    """Image maps refining -lam*A against (1-lam)*B - c, and the spread
+    of the b map.  They are exact, so every coordinate has lo = hi and
+    every width is 0.  With lam = a/m and c over C, the image scale is
+    m*C*s, and moving a center coordinate by e moves its b image by
+    (m-a)*C*e."""
     m, a = lam.denominator, lam.numerator
     cd, cn = on_common_scale(c)
 
@@ -423,7 +541,10 @@ def _combo_images(lam: Q, c: tuple[Q, ...]):
                       for x, cc in zip(lat[:-1], cn)),
                 (m - a) * cd * lat[-1])
 
-    return image_a, image_b
+    def spread_b(e: int) -> tuple[int, int]:
+        return (m - a) * cd * e, 0
+
+    return image_a, image_b, spread_b
 
 
 def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
@@ -590,7 +711,14 @@ def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
     take the min and max of the two endpoint products, as
     ``Interval.__mul__`` does, and the radii are s_f.hi and s_g.hi times
     the ball radius.  With every constant over D, the image scale is
-    D*s."""
+    D*s.
+
+    The spread of the b map: moving x and y by at most e moves -lm*x by
+    at most lm*e and each of the two products with alpha by at most
+    max|alpha|*e, hence their min and max too, so an end of the b image
+    moves by at most (lm + max|alpha|)*e.  The first coordinate's width
+    is (alpha.hi - alpha.lo)*|y|, which moves by at most
+    (alpha.hi - alpha.lo)*e."""
     d, (lam, a_lo, a_hi, sf, sg, z0, z1) = on_common_scale(
         (maps.lam, maps.alpha.lo, maps.alpha.hi, maps.s_f.hi, maps.s_g.hi,
          *z))
@@ -612,7 +740,10 @@ def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
         u, v = -lm * x, lm * y
         return ((u - ay_hi, u - ay_lo), (ax_lo - v, ax_hi - v)), sg * r
 
-    return image_a, image_b
+    def spread_b(e: int) -> tuple[int, int]:
+        return (lm + max(abs(a_lo), abs(a_hi))) * e, (a_hi - a_lo) * e
+
+    return image_a, image_b, spread_b
 
 
 def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,

@@ -4,16 +4,16 @@ These are brute-force or cover-based computations that no library path
 needs: merged combination covers and the difference segment read off
 them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, both
-with their own step range for a tuple of boxes, two
-ball predicates, a dense-grid farthest-point maximum in floats, and the
-line's word geometry computed by composing affine maps in rationals, as
-the library did before it moved to integer numerators, the pair test of
-a line descent over listed gaps, the set rescaled to the unit hull,
-which the progression oracles search, the simplest rational in an
-interval found by Stern-Brocot mediants, and the SVG bars of a set drawn
-from its rational cover, as the library drew them before it moved to
-integer numerators.  The file is not collected; the tests import it by
-name.
+with their own step range for a tuple of boxes, two ball predicates,
+the nearest child and the first touching sibling found by scanning a
+whole fan, a dense-grid farthest-point maximum in floats, and the line's
+word geometry computed by composing affine maps in rationals, as the
+library did before it moved to integer numerators, the pair test of a
+line descent over listed gaps, the set rescaled to the unit hull, which
+the progression oracles search, the simplest rational in an interval
+found by Stern-Brocot mediants, and the SVG bars of a set drawn from its
+rational cover, as the library drew them before it moved to integer
+numerators.  The file is not collected; the tests import it by name.
 """
 
 from __future__ import annotations
@@ -743,6 +743,24 @@ def disjoint_from(a: Ball, b: Ball) -> bool:
     intersecting), on their lattice forms over a common scale."""
     s = math.lcm(common_denominator(a), common_denominator(b))
     return lattice_disjoint(lattice_of(a, s), lattice_of(b, s), a.norm)
+
+
+def ref_first_touching_sibling(kids: list[Ball], j: int) -> Optional[int]:
+    """The lowest index of a sibling that ``kids[j]`` is not strictly
+    disjoint from, scanning every sibling."""
+    for i, other in enumerate(kids):
+        if i != j and not disjoint_from(kids[j], other):
+            return i
+    return None
+
+
+def ref_nearest_child(sys: BallSystem, word, point: tuple[Q, ...]) -> int:
+    """The index of the child of the ball at ``word`` whose center is
+    nearest to ``point`` in the Euclidean norm, over the whole fan in
+    rationals, ties to the lower index."""
+    kids = sys.children(word)
+    return min(range(len(kids)), key=lambda i: (sum(
+        (c - p) ** 2 for c, p in zip(kids[i].center, point)), i))
 
 
 def contains_point(ball: Ball, p: tuple[Q, ...]) -> bool:

@@ -30,6 +30,7 @@ from thickset.balls import (
     UNKNOWN,
     _farthest,
     common_denominator,
+    first_touching_sibling,
     lattice_of,
     subset_thickness,
     validate_system,
@@ -45,6 +46,7 @@ from oracles import (
     grid_farthest,
     reach_at,
     ref_child,
+    ref_first_touching_sibling,
     ref_lattice,
 )
 
@@ -276,6 +278,128 @@ class TestBatchedChildren:
             assert [yavicoli_thickness(sys, bits)
                     for bits in (64, 128)] == first
         assert sorted(calls) == [64, 128]
+
+
+def words_of_lengths(sys: BallSystem, rng: random.Random, lengths,
+                     per_length: int = 3):
+    """``per_length`` random words with children of each length in
+    ``lengths``."""
+    words = []
+    for length in lengths:
+        while sum(len(w) == length for w in words) < per_length:
+            w = ()
+            while len(w) < length and sys.child_count(w):
+                w += (rng.randrange(sys.child_count(w)),)
+            if len(w) == length and sys.child_count(w):
+                words.append(w)
+    return words
+
+
+class TestCells:
+    """A fan's cells: every child, as ``children`` derives it, has its
+    cell's radius and a center within the widening e of its cell's in
+    every coordinate, at the root, at depth 1 and at depth 3 and 4."""
+
+    LENGTHS = (0, 1, 3, 4)
+
+    def check(self, sys: BallSystem, words) -> int:
+        """The largest offset seen, over the widening when it is
+        positive."""
+        worst = Q(0)
+        for w in words:
+            lat = sys.lattice(w)
+            cells, e = sys.cells(w, lat)
+            kids = sys.kids(w, lat)
+            assert len(cells) == len(kids) == sys.child_count(w) > 0
+            assert e >= 0
+            for cell, kid in zip(cells, kids):
+                assert cell[-1] == kid[-1]
+                off = max(abs(x - c) for x, c in zip(kid[:-1], cell[:-1]))
+                assert off <= e
+                if e:
+                    worst = max(worst, Q(off, e))
+            if not w:
+                assert e == 0 and cells == kids  # the root is exact
+        return worst
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_grid(self, seed):
+        sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), seed)
+        self.check(sys, words_of_lengths(sys, random.Random(seed),
+                                         self.LENGTHS))
+
+    @pytest.mark.parametrize("hashes", [(0, 0), (2**64 - 1, 2**64 - 1),
+                                        (0, 2**64 - 1), (2**64 - 1, 0)])
+    def test_grid_extreme_hashes(self, monkeypatch, hashes):
+        # random hashes never come near 0 or 2^64 - 1, where the
+        # perturbation is largest; a hash of 0 reaches the widening
+        monkeypatch.setattr(balls, "_hash_words",
+                            lambda seed, word, children: (
+                                hashes for _ in children))
+        for sys in (grid_ifs_example(10, Q(19, 200), Q(1, 100), 1),
+                    BallSystem(Ball((Q(1, 3), Q(-2, 7)), Q(5, 3), LINF),
+                               GridIfs(4, Q(1, 5), Q(1, 10), 3))):
+            worst = self.check(sys, words_of_lengths(
+                sys, random.Random(4), self.LENGTHS))
+            assert worst == (1 if 0 in hashes else 1 - Q(1, 2**63))
+
+    @pytest.mark.parametrize("gamma", [Q(1), GAMMA, Q(1, 2)])
+    def test_hex(self, gamma):
+        sys = hex_packing_example(gamma)
+        words = words_of_lengths(sys, random.Random(5), self.LENGTHS)
+        self.check(sys, words)
+        for w in words:
+            lat = sys.lattice(w)
+            assert sys.cells(w, lat) == (sys.kids(w, lat), 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_explicit_tree(self, dim):
+        rng = random.Random(dim)
+        sys = explicit_tree(dim, 5, rng)
+        words = words_of_lengths(sys, rng, self.LENGTHS)
+        self.check(sys, words)
+        for w in words:
+            lat = sys.lattice(w)
+            assert sys.cells(w, lat) == (sys.kids(w, lat), 0)
+
+
+class TestFirstTouchingSibling:
+    """The windowed scan finds the sibling that scanning every sibling
+    finds."""
+
+    @staticmethod
+    def balls_of(sys: BallSystem, word, kids):
+        s = sys.scale(len(word) + 1)
+        return [sys.to_ball(k, s) for k in kids]
+
+    @pytest.mark.parametrize("make", [
+        lambda: grid_ifs_example(10, Q(19, 200), Q(1, 100), 1),
+        lambda: grid_ifs_example(4, Q(1, 5), Q(1, 10), 2),
+        lambda: hex_packing_example(GAMMA),
+        lambda: hex_packing_example(Q(1)),
+        lambda: explicit_tree(2, 3, random.Random(11))])
+    def test_matches_full_scan(self, make):
+        sys, rng = make(), random.Random(6)
+        for w in words_of_lengths(sys, rng, (0, 2), 2):
+            kids = sys.kids(w)
+            ref = self.balls_of(sys, w, kids)
+            for j in {0, 1, *rng.sample(range(len(kids)), 2)}:
+                assert first_touching_sibling(kids, j, sys.norm) \
+                    == ref_first_touching_sibling(ref, j)
+
+    @pytest.mark.parametrize("norm", [L2, LINF])
+    def test_reach_exactly_met_is_touching(self, norm):
+        # sibling 2 is exactly one reach away along x, and sibling 1
+        # a lattice unit farther; sibling 3 overlaps only in y's window
+        kids = [(0, 0, 3), (10, 0, 6), (9, 0, 6), (0, 9, 6), (40, 40, 6)]
+        assert first_touching_sibling(kids, 0, norm) == 2
+        ref = [Ball((Q(x), Q(y)), Q(r), norm) for x, y, r in kids]
+        assert ref_first_touching_sibling(ref, 0) == 2
+        # a larger sibling widens the window: its reach counts too
+        wide = [(0, 0, 1), (30, 0, 1), (21, 0, 20)]
+        assert first_touching_sibling(wide, 0, norm) == 2
+        assert first_touching_sibling(wide, 1, norm) == 2
+        assert first_touching_sibling(kids, 4, norm) is None
 
 
 def enumerated_ok(sys: BallSystem, depth: int) -> bool:

@@ -825,3 +825,110 @@ def test_readme_command_lines(tmp_path, monkeypatch):
             manifest = json.loads(path.read_text())
             assert (manifest["command"], manifest["exit_code"]) == \
                 (argv[0], 0)
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+# Malformed and extreme values for each slot of a command line.  Every
+# set is cheap at the depths below, no --r reaches below a builder's
+# analytic density constant (where the farthest-point kernel would run),
+# and nothing asks for threads or processes.
+
+# each command's required options, then the others it takes
+COMMON = ["--depth", "--precision-bits", "--mode", "--format"]
+FUZZ_COMMANDS = {
+    "construct": ([], COMMON), "thickness": ([], COMMON),
+    "find-ap": ([], COMMON + ["--r"]),
+    "find-combo": (["--lam"], COMMON + ["--r"]),
+    "find-triangle": ([], COMMON + ["--triangle", "--r"]),
+    "search-kap": (["--k"], COMMON),
+    "certify-gap-lemma": (["--set2"], COMMON + ["--r"]),
+    "reproduce": ([], COMMON + ["--table"]),
+    "plot": ([], COMMON + ["--witness"]), "frobnicate": ([], []),
+    "": ([], [])}
+# well-formed sets, then malformed or extreme ones
+FUZZ_SETS = ([
+    "middle_thirds", "middle_cantor:1/5", "off_center:2/5", "grid_ifs",
+    "grid_ifs:seed=7", "hex_packing:99999/100000",
+    "hex_packing:1/2",
+    '{"kind": "ifs1d", "hull": [0, 1], "branches": [{"scale": "1/3", '
+    '"offset": 0}, {"scale": "1/3", "offset": "2/3"}]}'], [
+    "middle_cantor:0", "middle_cantor:1", "middle_cantor:-1/3",
+    "middle_cantor:1/0", "middle_cantor:abc", "middle_cantor:nan",
+    "middle_cantor:1e400", "off_center:", "off_center:7", "grid_ifs:n=1",
+    "grid_ifs:n=4", "grid_ifs:seed=x", "grid_ifs:foo",
+    "grid_ifs:n=10,,seed=99999999999999999999", "hex_packing:2",
+    "hex_packing:0", "hex_packing:", "nosuch", "nosuch:1",
+    "missing/description.json", "{", "[1, 2]", '{"kind": "nope"}',
+    '{"kind": "grid_ifs", "n": 10.0, "rho": "19/200", "d": "1/100"}',
+    '{"kind": "grid_ifs", "n": true, "rho": "19/200", "d": "1/100"}',
+    '{"kind": "ifs1d", "hull": [0], "branches": []}',
+    '{"kind": "ifs1d", "hull": [0, 1], "branches": [[1, 2]]}',
+    '{"kind": "middle_cantor", "epsilon": "1/3", "schema": "other/9"}',
+    '{"kind": "hex_packing", "gamma": 1e-320}'])
+# each option's well-formed values, then its malformed or extreme ones
+FUZZ_OPTIONS = {
+    "--depth": (["0", "1", "2", "3"], ["-1", "x", "1.5", "", "0x10"]),
+    "--precision-bits": (["64", "128"], ["0", "-5", "1", "x"]),
+    "--mode": (["standard", "appendix"], ["weird"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--lam": (["1/2", "1/3", "2/5"], ["0", "1", "-1/2", "1/0", "abc", "nan",
+                                     "inf", "1e400", "1/1000"]),
+    "--r": (["auto", "3/10"], ["x", "-1", "0", "1/2", "2", "nan"]),
+    "--k": (["2", "3", "4"], ["0", "1", "-2", "x"]),
+    "--triangle": (["equilateral", "0,0;1,0;1/2,7/8"],
+                   ["0,0;1,0", "0,0;1,0;2,0", "0,0;1,0;x,1",
+                    "0,0;1,0;1/2,nan", "[[0, 0], [1, 0], [0, 1]]",
+                    '{"a": 1}', "0,0;0,0;0,0", "scalene"]),
+    "--table": (["section6"], ["nope", ""]),
+    "--set2": (["middle_thirds", "hex_packing:1", "grid_ifs"],
+               ["{", "nosuch"]),
+    "--witness": (["w.json"], ["missing.json", "bad.json",
+                               "nopoints.json"]),
+}
+
+
+def fuzz_argv(rng: random.Random, outs: list[str]) -> list[str]:
+    """One command line from the pools above: mostly the options its
+    command takes, sometimes one it does not."""
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    argv = [command] if command else []
+    if command != "reproduce" and rng.random() < 0.95:
+        good, bad = FUZZ_SETS
+        argv += ["--set", rng.choice(bad if rng.random() < 0.3 else good)]
+    required, takes = FUZZ_COMMANDS[command]
+    options = [o for o in required if rng.random() < 0.9]
+    options += rng.sample(takes, rng.randint(0, min(3, len(takes))))
+    if rng.random() < 0.1:
+        options.append(rng.choice(sorted(FUZZ_OPTIONS)))
+    for option in options:
+        good, bad = FUZZ_OPTIONS[option]
+        argv += [option, rng.choice(bad if rng.random() < 0.15 else good)]
+    if rng.random() < 0.8:
+        argv += ["--out", rng.choice(outs)]
+    return argv
+
+
+def test_cli_fuzz(tmp_path, capsys, monkeypatch):
+    # every exit is a documented code, with no traceback, and every run
+    # given --out leaves its manifest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "nopoints.json").write_text('{"points": []}')
+    (tmp_path / "dir").mkdir()
+    outs = ["w.json", "w.csv", "w.svg", "dir", "dir/", ".", "dir/x.json",
+            str(tmp_path / "abs.json")]
+    rng = random.Random(2027)
+    cases = [fuzz_argv(rng, outs) for _ in range(300)]
+    # a witness whose rationals pass Python's 4300-digit str limit
+    cases.append(["find-ap", "--set", "middle_thirds", "--depth", "9100",
+                  "--out", "deep.json"])
+    for argv in cases:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if "--out" in argv:
+            manifest = cli.manifest_path(argv[argv.index("--out") + 1])
+            assert manifest.exists(), argv
+            manifest.unlink()  # the next run's manifest is its own

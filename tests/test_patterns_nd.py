@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -18,6 +19,7 @@ from thickset.balls import (
     UniformityResult,
     grid_ifs_example,
     hex_packing_example,
+    on_common_scale,
     yavicoli_thickness,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
@@ -29,6 +31,7 @@ from thickset.patterns_nd import (
     _certainly_inside,
     _combo_images,
     _deepest_center_in_disk,
+    _nearest_child,
     _norm,
     _refine_pair,
     _sq_norm,
@@ -44,6 +47,8 @@ from thickset.patterns_nd import (
 )
 from thickset.product import Triangle, equilateral
 from thickset.scalars import Interval
+
+from oracles import ref_nearest_child
 
 GAMMA = Q(99999, 100000)
 HEX_R = Q(26243, 100000)
@@ -558,7 +563,8 @@ def test_center_descent_measures_every_coordinate():
                     Interval.point(Q(1, 10)))
 
     assert _deepest_center_in_disk(sysv, disk_at(Q(1, 2)), 1) \
-        == ((0,), child.center)
+        == _deepest_center_in_disk(sysv, disk_at(Q(1, 2)), 3) \
+        == ((0,), child.center)  # the descent stops at the table's leaf
     with pytest.raises(Indeterminate, match="no ball center"):
         _deepest_center_in_disk(sysv, disk_at(Q(-1, 2)), 1)
 
@@ -736,6 +742,12 @@ def _identity(lat, s):
     return tuple((x, x) for x in lat[:-1]), lat[-1]
 
 
+def _rigid(e):
+    """The spread of an image map that translates the ball: its ends move
+    with the center and its widths stay."""
+    return e, 0
+
+
 class TestPairEngine:
     @pytest.mark.parametrize("make, search, args, words, target, digest",
                              PINNED_WITNESSES)
@@ -798,9 +810,11 @@ class TestPairEngine:
 
         want = interval_dfs(sysv, map_id, map_wide, (0,), (1,), 2)
         assert want == ((0, 0), (1, 1))
-        assert _refine_pair(sysv, _identity, wide, (0,), (1,), 2) == want
+        assert _refine_pair(sysv, _identity, wide, _rigid, (0,), (1,),
+                            2) == want
         # the depth-2 balls have no children
-        assert outcome(_refine_pair, sysv, _identity, wide, (0,), (1,), 3) \
+        assert outcome(_refine_pair, sysv, _identity, wide, _rigid, (0,),
+                       (1,), 3) \
             == outcome(interval_dfs, sysv, map_id, map_wide, (0,), (1,), 3) \
             == "pair refinement exhausted (no chain to the requested depth)"
 
@@ -823,12 +837,14 @@ class TestPairEngine:
 
         want = ((0, 1, 0), (1, 1, 0))
         assert interval_dfs(sysv, map_id, map_id, (0,), (1,), 3) == want
-        assert _refine_pair(sysv, _identity, _identity, (0,), (1,), 3) == want
+        assert _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
+                            3) == want
 
     def test_chain_deeper_than_recursion_limit(self):
         length = _sys.getrecursionlimit() + 100
         sysv = _chain_system(length)
-        wa, wb = _refine_pair(sysv, _identity, _identity, (0,), (1,), length)
+        wa, wb = _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
+                              length)
         assert wa == (0,) * length and wb == (1,) + (0,) * (length - 1)
 
     def test_budget_counts_pair_tests(self, monkeypatch):
@@ -896,10 +912,10 @@ class TestBallBuilds:
 
 # The benchmark's plane pipeline jobs at seed 1 (r = 31/128 on the grids,
 # 37/128 on the hex system, depth 4), with the lattice children each
-# derives in all and inside the pair refinement, which derives an a-side
-# child only when its loop reaches it.  Deriving every fan whole takes
-# 1110/602 on each grid, 1030/512 for each triangle and 945/512 for the
-# hex combination.
+# derived in all and inside the pair refinement when every b-side fan and
+# every nearest-child fan was derived whole, and only the a-side children
+# lazily.  Deriving every fan whole takes 1110/602 on each grid, 1030/512
+# for each triangle and 945/512 for the hex combination.
 SEED1_PIPELINES = [
     (_grid(1), COMBO, (Q(1, 2), Q(31, 128), 4), 858, 350),
     (_grid(4), COMBO, (Q(1, 2), Q(31, 128), 4), 830, 322),
@@ -912,14 +928,31 @@ SEED1_PIPELINES = [
      789, 271),
     (_hex, COMBO, (Q(1, 2), Q(37, 128), 4), 741, 308),
 ]
+# Row by row: the child-pair tests that the pair refinement charges, and
+# the children derived now, in all and inside the pair refinement.
+SEED1_COUNTS = [
+    (791, 244, 132),
+    (168, 137, 25),
+    (58, 129, 17),
+    (5, 805, 287),
+    (3, 797, 279),
+    (8, 789, 271),
+    (11, 741, 308),
+]
 
 
-@pytest.mark.parametrize("make, search, args, total, refined",
+def seed1_counts(*row) -> tuple[int, int, int]:
+    return SEED1_COUNTS[SEED1_PIPELINES.index(row)]
+
+
+@pytest.mark.parametrize("make, search, args, whole_total, whole_refined",
                          SEED1_PIPELINES)
 def test_children_derived_per_pipeline(monkeypatch, make, search, args,
-                                       total, refined):
+                                       whole_total, whole_refined):
     import thickset.patterns_nd as nd
 
+    _, total, refined = seed1_counts(make, search, args, whole_total,
+                                     whole_refined)
     sysv = make()
     derived, inside = [0], [0]
     method, refine_pair = type(sysv.generator).children, nd._refine_pair
@@ -940,3 +973,193 @@ def test_children_derived_per_pipeline(monkeypatch, make, search, args,
     monkeypatch.setattr(nd, "_refine_pair", refine)
     search(sysv, *args)
     assert (derived[0], inside[0]) == (total, refined)
+    assert total <= whole_total and refined <= whole_refined
+
+
+def pair_tests(monkeypatch, call) -> int:
+    """The child-pair tests that ``descend`` charges to the budget during
+    ``call``: one per call of its test function."""
+    import thickset.patterns_nd as nd
+
+    tests, run = [0], nd.descend
+
+    def counting(first, children, ok, *args, **kwargs):
+        def charged(x, y):
+            tests[0] += 1
+            return ok(x, y)
+        return run(first, children, charged, *args, **kwargs)
+
+    monkeypatch.setattr(nd, "descend", counting)
+    call()
+    return tests[0]
+
+
+@pytest.mark.parametrize("make, search, args, whole_total, whole_refined",
+                         SEED1_PIPELINES)
+def test_pair_tests_per_pipeline(monkeypatch, make, search, args,
+                                 whole_total, whole_refined):
+    tests, _, _ = seed1_counts(make, search, args, whole_total,
+                               whole_refined)
+    sysv = make()
+    assert pair_tests(monkeypatch, lambda: search(sysv, *args)) == tests
+
+
+def derived_children(monkeypatch, sysv, call) -> int:
+    """The children ``sysv``'s generator derives during ``call``."""
+    derived, method = [0], type(sysv.generator).children
+
+    def counted(self, parent, word, indices):
+        kids = method(self, parent, word, indices)
+        derived[0] += len(kids)
+        return kids
+
+    monkeypatch.setattr(type(sysv.generator), "children", counted)
+    call()
+    monkeypatch.undo()
+    return derived[0]
+
+
+class TestNearestChild:
+    """The sorted-projection step takes the child that an argmin over the
+    whole fan, in rationals, takes."""
+
+    MAKES = [_grid(1), _grid(7), _hex,
+             lambda: hex_packing_example(Q(1, 2))]
+
+    @staticmethod
+    def nearest(sysv, word, point) -> int:
+        den, nums = on_common_scale(point)
+        s = sysv.scale(len(word) + 1)
+        j, lat = _nearest_child(sysv, word, sysv.lattice(word),
+                                tuple(x * s for x in nums), den)
+        assert lat == sysv.kids(word)[j]
+        return j
+
+    @staticmethod
+    def words(sysv, rng):
+        """The root, a depth-1 word and a depth-3 word."""
+        return [(), (rng.randrange(sysv.child_count(())),),
+                tuple(rng.randrange(sysv.child_count(())) for _ in range(3))]
+
+    @pytest.mark.parametrize("make", MAKES)
+    def test_random_guides(self, make):
+        sysv, rng = make(), random.Random(3)
+        for word in self.words(sysv, rng):
+            ball = sysv.ball(word)
+            for spread in (Q(1, 10), Q(1), Q(5)):
+                for _ in range(8):
+                    point = tuple(c + Q(rng.randint(-1000, 1000), 1000)
+                                  * spread * ball.radius
+                                  for c in ball.center)
+                    assert self.nearest(sysv, word, point) \
+                        == ref_nearest_child(sysv, word, point)
+
+    @pytest.mark.parametrize("make", MAKES)
+    def test_equidistant_guide_takes_the_lower_index(self, make):
+        # the midpoint of two neighbouring children is equally far from
+        # both, and nearer to them than to any other child
+        sysv, rng = make(), random.Random(4)
+        for word in self.words(sysv, rng):
+            kids = sysv.children(word)
+            for i in rng.sample(range(len(kids)), 4):
+                j = min((k for k in range(len(kids)) if k != i),
+                        key=lambda k: sum((a - b) ** 2 for a, b in zip(
+                            kids[k].center, kids[i].center)))
+                point = tuple((a + b) / 2 for a, b in
+                              zip(kids[i].center, kids[j].center))
+                dist = [sum((a - b) ** 2 for a, b in zip(k.center, point))
+                        for k in kids]
+                assert dist[i] == dist[j] == min(dist)
+                assert self.nearest(sysv, word, point) \
+                    == ref_nearest_child(sysv, word, point) == min(i, j)
+
+    def test_perturbed_level_derives_few_children(self, monkeypatch):
+        # below the root the grid's cells are unperturbed; a guide at a
+        # child's center derives that child and few others
+        sysv = _grid(1)()
+        word = (3, 41)
+        lat, s = sysv.lattice(word), sysv.scale(3)
+        den, nums = on_common_scale(sysv.children(word)[57].center)
+        at = tuple(x * s for x in nums)
+        got = []
+        count = derived_children(monkeypatch, sysv, lambda: got.append(
+            _nearest_child(sysv, word, lat, at, den)))
+        assert got == [(57, sysv.kids(word)[57])]
+        assert count == 1
+
+
+@dataclasses.dataclass(frozen=True)
+class MovedCells:
+    """Another builder behind cells moved off its children: coordinate c
+    of child i by ``move(i, c)`` times the radius of the fan's first
+    child, with the widening ``reach`` times that radius."""
+
+    inner: object
+    move: object
+    reach: int
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def cells(self, parent, word):
+        kids = self.inner.children(parent, word,
+                                   range(self.inner.child_count(word)))
+        unit = kids[0][-1] if kids else 0
+        return [tuple(x + self.move(i, c) * unit
+                      for c, x in enumerate(kid[:-1])) + kid[-1:]
+                for i, kid in enumerate(kids)], self.reach * unit
+
+
+# the seed-1 pipelines, and a triangle whose height is irrational, so
+# that its images have widths that move with the center
+LOOSE_CASES = [row[:3] for row in SEED1_PIPELINES] + [
+    (_hex, TRIANGLE, (equilateral(), Q(35, 128), 4))]
+
+
+@pytest.mark.parametrize("make, search, args", LOOSE_CASES)
+def test_loose_cells_change_nothing(monkeypatch, make, search, args):
+    # cells up to two radii off their children, far enough to sit beyond
+    # a neighbouring row, make the searches derive more children to
+    # decide, and the equilateral triangle's settle the widest ones
+    # first, but every pair test and the witness stay as they are
+    plain = make()
+    loose = BallSystem(plain.root, MovedCells(
+        plain.generator, lambda i, c: 2 * ((i + c) % 3 - 1), 2))
+    tests = [pair_tests(monkeypatch, lambda: search(sysv, *args))
+             for sysv in (plain, loose)]
+    assert tests[0] == tests[1]
+    assert repr(search(plain, *args)) == repr(search(loose, *args))
+
+
+def test_window_takes_the_widest_child_not_the_widest_cell(monkeypatch):
+    # b images span x - |y| to x, so a child's width is |y|.  Child 1 is
+    # the widest, 10, but its cell shows 7; child 2's cell shows 12 for
+    # a width of 9.  Child 3's low end, -12, is inside the window of the
+    # a child only when the window is widened by 10, not by 9.
+    def at(x, y, r=1):
+        return Ball((Q(x), Q(y)), Q(r))
+
+    nodes = {(0,): at(0, 0, 20), (1,): at(0, 0, 20), (0, 0): at(0, 0),
+             (1, 0): at(100, 0), (1, 1): at(0, 10), (1, 2): at(0, 9),
+             (1, 3): at(-12, 0)}
+    tree = ExplicitTree(nodes)
+    shifts = {1: (0, -3), 2: (0, 3)}  # in radii, which are 1
+    shifted = MovedCells(tree, lambda i, c: shifts.get(i, (0, 0))[c], 3)
+
+    def image_b(lat, s):
+        x, y, r = lat
+        return ((x - abs(y), x), (y, y)), r
+
+    def spread_b(e):
+        return 2 * e, e
+
+    got = []
+    for gen in (tree, shifted):
+        sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), gen)
+        got.append((outcome(_refine_pair, sysv, _identity, image_b,
+                            spread_b, (0,), (1,), 2),
+                    pair_tests(monkeypatch, lambda: outcome(
+                        _refine_pair, sysv, _identity, image_b, spread_b,
+                        (0,), (1,), 2))))
+    assert got[0] == got[1] == (
+        "pair refinement exhausted (no chain to the requested depth)", 3)
