@@ -603,12 +603,8 @@ class BallSystem:
     ``ball`` and ``children`` walk from the root on every call.  Both
     walks derive children through the generator's ``children``: a walk
     to one word (``lattice``) asks for one child per level, a walk over a
-    whole fan (``kids``) for all of them at once.  ``cells`` gives the
-    generator's cells of a fan instead, so that a search derives only
-    the children it cannot exclude by their cells: a child that lies
-    within the widening e of its cell in every coordinate is farther
-    than a cell's distance less e, and nearer than that distance plus e,
-    from any point, in each coordinate.
+    whole fan (``kids``) for all of them at once.  Searches derive only
+    the children that the generator's ``cells`` cannot exclude.
     """
 
     root: Ball
@@ -644,12 +640,6 @@ class BallSystem:
             lat = self.lattice(word)
         return self.generator.children(lat, word,
                                        range(self.child_count(word)))
-
-    def cells(self, word: Word, lat: Lattice) -> tuple[list[Lattice], int]:
-        """The generator's cells of the fan below the ball at ``word``,
-        whose lattice is ``lat``: every child's nominal lattice ball and
-        the widening that bounds each child's offset from it."""
-        return self.generator.cells(lat, word)
 
     def to_ball(self, lat: Lattice, scale: int) -> Ball:
         return Ball(tuple(Q(x, scale) for x in lat[:-1]), Q(lat[-1], scale),

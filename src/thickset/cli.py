@@ -12,8 +12,8 @@ Exit codes: 0 a verdict was produced (including a sound infeasibility),
 1 input error (unreadable or unwritable files included) or an internal
 error, 2 a certified hypothesis or threshold failure, 3 indeterminate
 (precision, search budget, recursion depth or memory exhausted).  Every
-exit writes the manifest when ``--out`` is given, also when other
-arguments are rejected; an unwritable manifest is exit 1.
+exit writes the manifest when ``--out`` is given, also on ``--help`` or
+rejected arguments; an unwritable manifest is exit 1.
 """
 
 from __future__ import annotations
@@ -719,8 +719,9 @@ HANDLERS = {
 
 def _rejected_args(argv: list[str]) -> argparse.Namespace:
     """The command, ``--out`` and ``--set`` of an argument list that the
-    full parser rejected, read leniently so that the rejection still gets
-    a manifest; ``out`` is None when it cannot be read."""
+    full parser rejected or answered with its help, read leniently so
+    that the exit still gets a manifest; ``out`` is None when it cannot
+    be read."""
     p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     p.add_argument("command", nargs="?")
     p.add_argument("--out")
@@ -736,11 +737,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         handler = HANDLERS[args.command]
-    except SystemExit as e:
-        if e.code in (0, None):
-            return 0
+    except SystemExit as e:  # --help, or a rejection argparse printed
         args = _rejected_args(_sys.argv[1:] if argv is None else argv)
-        handler = lambda run: EXIT_INPUT  # argparse printed the reason
+        code = 0 if e.code in (0, None) else EXIT_INPUT
+        handler = lambda run: code
     run = Run(args)
     desc = None
     # Python (3.10.7 on) limits int/str conversion to 4300 digits, which a

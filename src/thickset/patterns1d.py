@@ -71,8 +71,7 @@ class Piece:
     descent's placement and by ``children``.
     """
 
-    __slots__ = ("base", "word", "mul", "shift", "form", "origin", "lo",
-                 "hi", "den")
+    __slots__ = ("base", "mul", "shift", "form", "origin", "lo", "hi", "den")
 
     @property
     def hull(self) -> tuple[Q, Q]:  # of the image
@@ -85,11 +84,11 @@ class Piece:
 
     def children(self) -> list["Piece"]:
         kids, den = [], self.den * self.form.den
-        for i, (lo, hi) in enumerate(self.form.children(self.lo, self.hi)):
+        for lo, hi in self.form.children(self.lo, self.hi):
             p = object.__new__(Piece)
             p.base, p.mul, p.shift, p.form, p.origin = \
                 self.base, self.mul, self.shift, self.form, self.origin
-            p.word, p.lo, p.hi, p.den = self.word + (i,), lo, hi, den
+            p.lo, p.hi, p.den = lo, hi, den
             kids.append(p)
         return kids
 
@@ -137,8 +136,8 @@ def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
             form, a, b = form.mirrored(), b, a
         for w in words:
             p = object.__new__(Piece)
-            p.base, p.word, p.mul, p.shift, p.form, p.origin, p.den = \
-                s, tuple(w), mul, shift, form, origin, den
+            p.base, p.mul, p.shift, p.form, p.origin, p.den = \
+                s, mul, shift, form, origin, den
             p.lo, p.hi = form.walk(a, b, w)
             pieces.append(p)
     return xs, ys
@@ -176,7 +175,7 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
         raise InputError("depth must be nonnegative")
     slide = to_q(slide)
     xs, ys = _placed(s, x, x_words, y, y_words, slide)
-    levels = max(depth - len(xs[0].word), 0)
+    levels = max(depth - len(x_words[0]), 0)
 
     def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
         return sorted(((px, py) for px in xs for py in ys),

@@ -292,7 +292,7 @@ def _nearest_child(sys: BallSystem, word: Word, lat: Lattice,
     with it, is at most U away, so only the cells whose lower bound is
     at most U are derived (taken as they are when e = 0) and measured
     exactly."""
-    cells, e = sys.cells(word, lat)
+    cells, e = sys.generator.cells(lat, word)
     k = max((cells[0][-1] * den).bit_length() - 32, 0)
     slack = -(-e * den >> k)  # e*den in units of 2^k, rounded up
 
@@ -441,7 +441,7 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     coordinate lies within the reach of the a image's, widened below by
     the widest b image.
 
-    The b side starts as cells (``BallSystem.cells``): a child's image
+    The b side starts as cells (``Generator.cells``): a child's image
     has its cell's radius and ends within spread_b(e) of its cell's.  So
     a cell that far inside a window end is in, one that far outside is
     out, and only a cell straddling an end is derived to decide; the
@@ -471,7 +471,7 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     def candidates(a, b):
         (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
         s = sys.scale(len(wa) + 1)
-        cells, e = sys.cells(wb, lat_b)
+        cells, e = sys.generator.cells(lat_b, wb)
         if not cells:
             return
         shift, stretch = spread_b(e)

@@ -59,7 +59,8 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (cantor, "certified_member"), (patterns1d, "_descent"),
                 (patterns1d, "_tuple_y_range"),
                 (product.Triangle, "is_exact"),
-                (product.NormalizedTriangle, "lam_exact")]
+                (product.NormalizedTriangle, "lam_exact"),
+                (patterns1d.Piece, "word"), (balls.BallSystem, "cells")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {

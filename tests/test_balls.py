@@ -308,7 +308,7 @@ class TestCells:
         worst = Q(0)
         for w in words:
             lat = sys.lattice(w)
-            cells, e = sys.cells(w, lat)
+            cells, e = sys.generator.cells(lat, w)
             kids = sys.kids(w, lat)
             assert len(cells) == len(kids) == sys.child_count(w) > 0
             assert e >= 0
@@ -350,7 +350,7 @@ class TestCells:
         self.check(sys, words)
         for w in words:
             lat = sys.lattice(w)
-            assert sys.cells(w, lat) == (sys.kids(w, lat), 0)
+            assert sys.generator.cells(lat, w) == (sys.kids(w, lat), 0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_explicit_tree(self, dim):
@@ -360,7 +360,7 @@ class TestCells:
         self.check(sys, words)
         for w in words:
             lat = sys.lattice(w)
-            assert sys.cells(w, lat) == (sys.kids(w, lat), 0)
+            assert sys.generator.cells(lat, w) == (sys.kids(w, lat), 0)
 
 
 class TestFirstTouchingSibling:

@@ -320,6 +320,16 @@ class TestExitCodes:
         assert (manifest["command"], manifest["exit_code"], manifest["depth"],
                 manifest["outputs"]) == ("find-ap", 1, None, [])
 
+    def test_help_writes_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["find-ap", "--help", "--out", "w.json"]) == 0
+        assert "--depth" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["w.json.manifest.json"]
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert (manifest["command"], manifest["exit_code"],
+                manifest["outputs"]) == ("find-ap", 0, [])
+
     def test_no_seed_flag(self, tmp_path):
         # nothing read --seed; the grid's seed is a description field
         out = tmp_path / "t.json"

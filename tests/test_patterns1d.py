@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import partial
@@ -814,7 +816,8 @@ class TestCertifiedDescent:
         # the pair test agrees with the rational reference for every
         # placement y - t, 0 <= t <= slide, and a positive affine change
         # of the image line, applied to both sides and the slide, moves
-        # no verdict and no word
+        # no verdict and no piece of the base: branch images are
+        # disjoint, so equal intervals are equal words
         s, x, xw, y, yw, slide, depth, (c, d) = case
         assert passes_pair_test(s, x, xw, y, yw, slide) == \
             ref_slid_pair_test(s, x, xw, y, yw, slide)
@@ -824,7 +827,7 @@ class TestCertifiedDescent:
                             (c * y[0], c * y[1] + d), c * slide)):
             try:
                 fx, fy = certified_descent(s, px, [xw], py, [yw], depth, sl)
-                results.append((fx.word, fy.word))
+                results.append((fx.interval, fy.interval))
             except Indeterminate:
                 results.append(None)
         assert results[0] == results[1]
@@ -859,10 +862,13 @@ class TestCertifiedDescent:
         except Indeterminate:
             assert want is None
             return
-        assert (px.word, py.word) == want
-        for p, placement in ((px, x), (py, y)):
-            assert p.interval == word_interval(s, p.word)
-            assert p.hull == old_hull(Side(s, p.word, *placement))
+        assert want is not None
+        # pieces carry no word; branch images are disjoint, so a piece
+        # is the reference's word exactly when its interval is that
+        # word's
+        for p, word, placement in zip((px, py), want, (x, y)):
+            assert p.interval == word_interval(s, word)
+            assert p.hull == old_hull(Side(s, word, *placement))
 
     def test_commits_at_a_dead_end(self):
         # a thin set: the leftmost certified pair at some level has no
@@ -891,6 +897,30 @@ class TestCertifiedDescent:
             find_3ap(middle_thirds(), depth)
             counts.append(calls[0])
         assert 0 < counts[1] <= Q(5, 2) * counts[0]
+
+    def test_child_cost_does_not_grow_with_depth(self):
+        # the bytes that building a piece's children allocates, less
+        # their integers (whose bit lengths grow with the level, about
+        # 1.6 bits a level on the middle thirds), are the same at level
+        # 5000 as at level 50; a per-child copy of a branch word would
+        # add 8 bytes per level
+        def cost(level: int) -> int:
+            p, _ = certified_descent(middle_thirds(), (1, 0), [()], (1, 0),
+                                     [()], 0)
+            for _ in range(level):
+                p = p.children()[1]  # lo, hi and den all grow
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kids = p.children()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            ints = {id(v): v for k in kids for v in (k.lo, k.hi, k.den)}
+            return grown - sum(map(sys.getsizeof, ints.values()))
+
+        near, deep = cost(50), cost(5000)
+        assert 0 < deep <= 2 * near
 
     @pytest.mark.parametrize("budget, passes", [(79, True), (78, False)])
     def test_budget_counts_pair_tests(self, monkeypatch, budget, passes):
