@@ -486,26 +486,58 @@ def position_member(form: WordForm, p: int, q: int,
     Decides eventually-periodic rationals (the typical exact witnesses);
     returns False when neither a certificate nor a refutation appears
     within ``max_steps``, counted from the root.
+
+    The walk runs in two passes.  The first keeps the position
+    unreduced, as (u, v), with no gcd and no record of past positions:
+    the branch test a*v <= u*den <= b*v and the endpoint test do not
+    depend on scale, so it takes the reduced walk's branches and meets
+    its endpoints and gaps at the same steps.  A position that repeats
+    repeats forever and never meets a gap, so a gap within the cap is
+    met before any repeat and is the answer, as is an endpoint.  Only a
+    walk that survives the cap needs the second pass, which looks for a
+    repeat in lowest terms.  Its start takes one full-width gcd; after
+    that a step's common factor is gcd(p' mod M, q' mod M, M) with
+    M = den*(b - a): when gcd(p, q) = 1, gcd(p*den - a*q, q) =
+    gcd(p*den, q) divides den, so gcd(p', q') divides den*(b - a).
+
+    A start too fine to repeat skips the second pass.  If the position
+    x_i at step i comes back at step j = i + L, the L steps between map
+    it to (den**L * x_i - C)/W = x_i, C an integer and W < den**L the
+    product of their widths b - a, so x_i = C/(den**L - W) has a
+    denominator below den**L.  Since x_0 = (W' * x_i + C')/den**i for
+    integers W' and C', x_0's denominator is below den**j, and a repeat
+    within the cap needs j <= max_steps - 1.
     """
+    den, rel = form.den, form.rel
+    u, v = p, q
+    for _ in range(max_steps):
+        if u == 0 or u == v:
+            return True  # hull endpoint of the current subtree
+        ud = u * den
+        for a, b in rel:
+            if a * v <= ud <= b * v:
+                u, v = ud - a * v, (b - a) * v
+                break
+        else:
+            return False  # lies in a gap
+    # neither within the cap: only a repeat certifies
     g = math.gcd(p, q)
     p, q = p // g, q // g  # the position in lowest terms
-    den, rel = form.den, form.rel
+    if q >= den ** max(max_steps - 1, 0):
+        return False  # no repeat fits within the cap
     seen = set()
     for _ in range(max_steps):
-        if p == 0 or p == q:
-            return True  # hull endpoint of the current subtree
         if (p, q) in seen:
             return True  # periodic descent
         seen.add((p, q))
         pd = p * den
-        for a, b in rel:
+        for a, b in rel:  # the first pass's branches: no gap is met
             if a * q <= pd <= b * q:
+                m = den * (b - a)
                 p, q = pd - a * q, (b - a) * q
-                g = math.gcd(p, q)
+                g = math.gcd(p % m, q % m, m)
                 p, q = p // g, q // g
                 break
-        else:
-            return False  # lies in a gap
     return False
 
 

@@ -122,6 +122,8 @@ def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
     lengths = {len(w) for _, _, words in sides for w in words}
     if len(lengths) != 1:
         raise InputError("a descent needs top words of one length")
+    if not (x_words and y_words):
+        raise InputError("a descent needs top words on both sides")
     (k,) = lengths
     unit = math.lcm(slide.denominator,
                     *((mul / s.hull_den).denominator for mul, _, _ in sides),

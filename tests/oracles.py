@@ -11,7 +11,8 @@ word geometry computed by composing affine maps in rationals, as the
 library did before it moved to integer numerators, the pair test of a
 line descent over listed gaps, the set rescaled to the unit hull, which
 the progression oracles search, the simplest rational in an interval
-found by Stern-Brocot mediants, and the SVG bars of a set drawn from its
+found by Stern-Brocot mediants, probe points for a certified-membership
+walk on the line, and the SVG bars of a set drawn from its
 rational cover, as the library drew them before it moved to integer
 numerators.  The file is not collected; the tests import it by name.
 """
@@ -213,6 +214,33 @@ def ref_certified_member(s: IfsSet1D, x, max_steps: int = 256) -> bool:
         else:
             return False
     return False
+
+
+def position_probes(s: IfsSet1D, rng) -> list[Q]:
+    """Points that test a certified-membership walk on ``s``: both ends
+    of a random word of each length 1-12; eventually periodic points,
+    the fixed point of a word of length 1-6 carried below a random
+    prefix; the middle of a random top gap below a word of length k,
+    which the walk meets at step k; and rationals whose denominators
+    have over 1000 bits, in the hull and in a depth-48 word image."""
+    n, (lo, hi) = len(s.branches), s.hull
+
+    def word(k: int) -> tuple[int, ...]:
+        return tuple(rng.randrange(n) for _ in range(k))
+
+    points = [x for k in range(1, 13) for x in word_interval(s, word(k))]
+    for period in (1, 1, 2, 2, 3, 3, 4, 4, 5, 6):
+        m = word_map(s, word(period))
+        points.append(word_map(s, word(rng.randrange(8)))(
+            m.offset / (1 - m.scale)))
+    for k in (0, 1, 2, 5, 11, 23, 39):
+        g0, g1 = rng.choice(s.top_gaps())
+        points.append(word_map(s, word(k))((g0 + g1) / 2))
+    for k in (0, 0, 48, 48):
+        q = rng.getrandbits(1010) | 1 << 1010
+        t = Q(rng.randrange(1, q), q)
+        points.append(word_map(s, word(k))(lo + (hi - lo) * t))
+    return points
 
 
 def ref_slides_into_gap(s: IfsSet1D, m: AffineMap, lo: Q, hi: Q,

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from thickset import cantor
 from thickset.cantor import (
     IN_CERTIFIED,
     IN_COVER,
@@ -34,6 +37,7 @@ from oracles import (
     compose,
     merge_intervals,
     normalize_to_unit,
+    position_probes,
     ref_certified_member,
     ref_cover,
     ref_enumerate_gaps,
@@ -459,6 +463,42 @@ class TestCertifiedMember:
                 assert got == ref_certified_member(s, q, steps)
                 verdicts.add((q, got))
         assert len(verdicts) > len(points)  # the cap flips some verdicts
+
+    @pytest.mark.parametrize("s", [
+        off_center_cantor(Q(3, 10)),  # den 10, widths 3 and 4
+        ifs_from_branches(0, 1, [(Q(1, 4), 0), (Q(1, 5), Q(3, 8)),
+                                 (Q(1, 4), Q(3, 4))]),
+        middle_cantor(Q(13, 64)),
+    ], ids=["off_center_3_10", "three_branches", "middle_13_64"])
+    def test_two_passes_match_oracle(self, s):
+        # the unreduced pass meets endpoints and gaps where the reduced
+        # walk does, and the repeat pass finds its repeats, at every cap
+        points = position_probes(s, random.Random(5))
+        verdicts = set()
+        for x in points:
+            for steps in [*range(41), 256]:
+                got = certified_member(s, x, steps)
+                assert got == ref_certified_member(s, x, steps), (x, steps)
+                verdicts.add((x, got))
+        assert len(verdicts) > len(points)  # the cap flips some verdicts
+
+    @pytest.mark.parametrize("x, certified", [
+        (Q(1, 4 * 3**3000), False),  # reaches the cap before its repeat
+        (Q(1, 4 * 3**200), True),    # repeats at step 202
+    ], ids=["cap", "repeat"])
+    def test_deep_point_takes_one_wide_gcd(self, monkeypatch, x, certified):
+        # only the start is put in lowest terms with a gcd of integers as
+        # wide as the point's denominator; every step's common factor
+        # comes from residues modulo den*(b - a)
+        form, widths = middle_thirds().form, []
+
+        def gcd(*args):
+            widths.append(max(a.bit_length() for a in args))
+            return math.gcd(*args)
+
+        monkeypatch.setattr(cantor, "math", SimpleNamespace(gcd=gcd))
+        assert position_member(form, x.numerator, x.denominator) == certified
+        assert sum(w > 64 for w in widths) <= 1
 
     def test_against_digit_oracle(self):
         # the middle-thirds set is exactly the reals with a base-3

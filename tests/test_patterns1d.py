@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import sys
 import tracemalloc
 from collections import namedtuple
@@ -45,6 +46,8 @@ from oracles import (
     kap_bruteforce,
     longest_gap,
     point_in_cover,
+    position_probes,
+    ref_certified_member,
     ref_kap_search,
     ref_slid_pair_test,
     ref_y_range,
@@ -810,6 +813,13 @@ class TestCertifiedDescent:
         with pytest.raises(InputError, match="depth must be nonnegative"):
             certified_descent(middle_thirds(), (1, 0), [()], (1, 0), [()], -3)
 
+    @pytest.mark.parametrize("x_words, y_words", [([], [(0,)]), ([(0,)], [])],
+                             ids=["empty_x", "empty_y"])
+    def test_rejects_an_empty_side(self, x_words, y_words):
+        with pytest.raises(InputError, match="top words on both sides"):
+            certified_descent(middle_thirds(), (1, 0), x_words, (1, 0),
+                              y_words, 4)
+
     @settings(max_examples=150, deadline=None)
     @given(sliding_pairs())
     def test_slide_depends_only_on_the_sets(self, case):
@@ -1102,6 +1112,25 @@ class TestExactPoint:
                     if lo <= back <= hi:
                         verdicts.add((k, want))
         assert (253, True) in verdicts and (254, False) in verdicts
+
+    def test_mirrored_piece_matches_oracle(self, monkeypatch):
+        # a reflected placement walks its base's form from the image of
+        # the base's left end; the oracle walks the image set's own
+        # branches, in reversed order
+        s, (mul, shift) = off_center_cantor(Q(3, 10)), (Q(-2, 3), Q(1, 5))
+        (top,) = piece_tree(s, (mul, shift), 0)
+        image = affine_image(s, mul, shift)
+        points = position_probes(image, random.Random(7))
+        verdicts = set()
+        for steps in [*range(41), 256]:
+            monkeypatch.setattr(patterns1d, "position_member", partial(
+                cantor.position_member, max_steps=steps))
+            for x in points:
+                got = top.contains_set_point(x)
+                assert got == ref_certified_member(image, x, steps), \
+                    (x, steps)
+                verdicts.add((x, got))
+        assert len(verdicts) > len(points)  # the cap flips some verdicts
 
     def test_simplest_rational_only_when_both_ends_fail(self, monkeypatch):
         calls = []
