@@ -474,6 +474,10 @@ def membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:
     return MembershipResult(IN_COVER, depth)
 
 
+# below it the repeat check's two products cost about what a step does
+_NARROW = 1 << 128
+
+
 def position_member(form: WordForm, p: int, q: int,
                     max_steps: int = 256) -> bool:
     """Stronger membership certificate than the endpoint rule for the
@@ -488,13 +492,19 @@ def position_member(form: WordForm, p: int, q: int,
     within ``max_steps``, counted from the root.
 
     The walk runs in two passes.  The first keeps the position
-    unreduced, as (u, v), with no gcd and no record of past positions:
-    the branch test a*v <= u*den <= b*v and the endpoint test do not
-    depend on scale, so it takes the reduced walk's branches and meets
-    its endpoints and gaps at the same steps.  A position that repeats
-    repeats forever and never meets a gap, so a gap within the cap is
-    met before any repeat and is the answer, as is an endpoint.  Only a
-    walk that survives the cap needs the second pass, which looks for a
+    unreduced, as (u, v), with no gcd: the branch test
+    a*v <= u*den <= b*v and the endpoint test do not depend on scale, so
+    it takes the reduced walk's branches and meets its endpoints and gaps
+    at the same steps.  A position that repeats repeats forever and never
+    meets a gap, so a gap within the cap is met before any repeat and is
+    the answer, as is an endpoint.  Until v passes 2**128 (no step
+    shrinks it) the first pass also looks for a repeat, by Brent's check
+    on positions saved at steps 0, 2, 6, 14, ..., compared by
+    cross-multiplication: a cycle of period L entered at step i shows by
+    step 2*max(i + 2, L) + L.  A repeat at step j < max_steps certifies
+    as the two passes would: the walk cycles from there and meets no
+    gap, and the second pass finds the repeat by step j.  Only a walk
+    that survives the cap needs the second pass, which looks for a
     repeat in lowest terms.  Its start takes one full-width gcd; after
     that a step's common factor is gcd(p' mod M, q' mod M, M) with
     M = den*(b - a): when gcd(p, q) = 1, gcd(p*den - a*q, q) =
@@ -510,9 +520,18 @@ def position_member(form: WordForm, p: int, q: int,
     """
     den, rel = form.den, form.rel
     u, v = p, q
+    su, sv, lap, span = 1, 0, 1, 1  # the saved position; 1/0 is none
+    narrow = v < _NARROW
     for _ in range(max_steps):
         if u == 0 or u == v:
             return True  # hull endpoint of the current subtree
+        if narrow:
+            if u * sv == su * v:
+                return True  # periodic descent
+            if lap == span:
+                su, sv, lap, span = u, v, 0, 2 * span
+            lap += 1
+            narrow = v < _NARROW  # v never shrinks: once wide, for good
         ud = u * den
         for a, b in rel:
             if a * v <= ud <= b * v:

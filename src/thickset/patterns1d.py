@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from .cantor import (
-    AffineMap,
     IfsSet1D,
     descend,
     gap_holds_translate,
@@ -336,18 +336,21 @@ class KapCertificate:
 # (numerator, step) pair, since cross-multiplied comparisons never let it
 # bind
 _NO_UPPER = (1, 0)
+# the bounds lo_n/lo_d and hi_n/hi_d of a y-range, as (lo_n, lo_d, hi_n, hi_d)
+_YRange = tuple[int, int, int, int]
 
 
 def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
-                        k: int, y_min: tuple[int, int],
+                        k: int, y_range: _YRange,
                         budget: Optional[int] = None, first: bool = False
-                        ) -> Optional[list[tuple[int, ...]]]:
+                        ) -> Optional[list[tuple[tuple[int, ...], _YRange]]]:
     """Index tuples e, in lexicographic order, such that the boxes
     row(0)[e[0]], ..., row(k-1)[e[k-1]] have nondecreasing left ends and
-    a nonempty pairwise y-range at or above ``y_min``: every
-    (a_l - b_j)/(l - j) at most every (b_l - a_j)/(l - j), j < l, for
-    boxes [a, b]; with ``first``, only the first of them.  Every row
-    holds the same number of boxes.
+    a pairwise y-range that meets ``y_range``: every (a_l - b_j)/(l - j)
+    at most every (b_l - a_j)/(l - j), j < l, for boxes [a, b], with
+    ``y_range`` as one more such pair.  Each comes with the bounds its
+    walk ended on, where the two ranges meet; with ``first``, only the
+    first of them.  Every row holds the same number of boxes.
 
     Boxes are integers over one common denominator; y bounds are
     (numerator, step) pairs compared by cross-multiplication, so no
@@ -366,7 +369,7 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
     size = k if budget is None else \
         min(k, math.isqrt(2 * max(budget, 0)) + 2)
     lefts, rights, chosen = [0] * size, [0] * size, [0] * size
-    bounds: list[tuple[int, int, int, int]] = [y_min + _NO_UPPER] * size
+    bounds = [y_range] * size
     nxt = [0] * size
     out = []
     checks = 0
@@ -405,7 +408,7 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
                 continue
         lefts[m], rights[m], chosen[m] = a, b, e
         if m == k - 1:
-            out.append(tuple(chosen))
+            out.append((tuple(chosen), (lo_n, lo_d, hi_n, hi_d)))
             if first:
                 return out
         else:
@@ -413,26 +416,6 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
             kids = row(m)
             bounds[m] = (lo_n, lo_d, hi_n, hi_d)
             nxt[m] = 0
-
-
-def _step_range(boxes: Sequence[tuple[int, int]], y_min: tuple[int, int]
-                ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The bounds of the pairwise y-range of integer boxes at or above
-    ``y_min``, as (numerator, step) pairs: the largest of y_min and every
-    (a_l - b_j)/(l - j), and the smallest (b_l - a_j)/(l - j), j < l.
-    They are compared by cross-multiplication, as the tuple walk
-    compares them."""
-    (lo_n, lo_d), (hi_n, hi_d) = y_min, _NO_UPPER
-    for m, (a, b) in enumerate(boxes):
-        for j in range(m):
-            step = m - j
-            c = a - boxes[j][1]
-            if c * lo_d > lo_n * step:
-                lo_n, lo_d = c, step
-            c = b - boxes[j][0]
-            if c * hi_d < hi_n * step:
-                hi_n, hi_d = c, step
-    return (lo_n, lo_d), (hi_n, hi_d)
 
 
 def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
@@ -447,11 +430,19 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
 
     Boxes at depth d are integers over den**d in the hull's unit
     coordinate, den the denominator of the set's integer form, and a
-    child box comes from its parent's; a live tuple is its k boxes and
-    nothing else.  On the last level the walk below each tuple stops at
-    its first surviving extension.  The children of one tuple are sorted
-    by left end at every position, so their lexicographic index order is
-    the order of their left-end vectors, and that first survivor is the
+    child box comes from its parent's.  A live tuple is its k boxes and
+    the bounds of their pairwise y-range at or above g_min/(k-1).  The
+    walk below it starts from that range, put over the children's
+    denominator: a child box lies inside its parent box, so a child
+    tuple's range lies inside its parent's, and the walk drops dead
+    prefixes earlier but returns the tuples, order and ranges of a walk
+    from g_min/(k-1) alone.  Each distinct box's children are derived
+    once per level, from a store emptied at every level.
+
+    On the last level the walk below each tuple stops at its first
+    surviving extension.  The children of one tuple are sorted by left
+    end at every position, so their lexicographic index order is the
+    order of their left-end vectors, and that first survivor is the
     tuple's smallest child; distinct tuples have distinct children, so
     the smallest of these survivors is the smallest live tuple of the
     full expansion, which is the witness.  The last level walks the live
@@ -461,6 +452,12 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     box lies further left has a smaller first left end than every child
     of a tuple to its right, and the smallest survivor lies in the
     leftmost group that has one.
+
+    The witness is built on one denominator: with its range lo_n/lo_d to
+    hi_n/hi_d over den**d, the midpoint step is Y/(D * den**d),
+    D = 2 * lo_d * hi_d and Y = lo_n * hi_d + hi_n * lo_d, and the
+    starts run from the largest a_j * D - j * Y to the smallest
+    b_j * D - j * Y; rationals are built only for the reported values.
 
     ``explored_nodes`` counts the C(n+k-1, k) - n split tuples at depth 1
     and the full fan of n**k candidate extensions of every live tuple
@@ -482,10 +479,8 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         raise InputError("depth must be at least 1")
     n = len(s.branches)
     # the integer form's images relative to the hull are the branch
-    # images in the hull's unit coordinate t = (x - lo)/w, and
-    # back = w*t + lo maps the witness to the set
+    # images in the hull's unit coordinate t = (x - lo)/w
     den, images = s.form.den, s.form.rel
-    back = AffineMap(s.width, s.hull[0])
     g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(images, images[1:]))
     explored = math.comb(n + k - 1, k) - n
     if (k - 1) * g_min > den:
@@ -495,16 +490,22 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
     # depth 1: every position takes one of the same first-level images,
     # ordered tuples of them are the nondecreasing index tuples, and the
     # unsplit ones drop out
-    top = _ordered_extensions(lambda m: images, k, (g_min, k - 1), budget)
+    top = _ordered_extensions(lambda m: images, k,
+                              (g_min, k - 1) + _NO_UPPER, budget)
     if top is None:
         return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
-    live = [tuple(images[i] for i in e) for e in top if e[0] != e[-1]]
+    live = [(tuple(images[i] for i in e), y) for e, y in top
+            if e[0] != e[-1]]
     children = s.form.children
 
-    def extend(boxes, y_min, first=False):
-        kids = [children(lo, hi) for lo, hi in boxes]
-        ext = _ordered_extensions(kids.__getitem__, k, y_min, first=first)
-        return [tuple(row[i] for row, i in zip(kids, e)) for e in ext]
+    def extend(boxes, y, rows, first=False):
+        kids = [rows[b] if b in rows else rows.setdefault(b, children(*b))
+                for b in boxes]
+        lo_n, lo_d, hi_n, hi_d = y
+        ext = _ordered_extensions(kids.__getitem__, k,
+                                  (lo_n * den, lo_d, hi_n * den, hi_d),
+                                  first=first)
+        return [(tuple(map(getitem, kids, e)), r) for e, r in ext]
 
     d = 1
     while live and d < depth:
@@ -514,47 +515,51 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
         if explored + fan * len(live) > budget:
             return KapCertificate(k, UNKNOWN, d, max(explored, budget) + 1)
         explored += fan * len(live)
-        y_min = (g_min * den ** d, k - 1)
         d += 1
+        rows = {}  # this level's children, by parent box
         if d < depth:
-            live = [t for boxes in live for t in extend(boxes, y_min)]
+            live = [t for boxes, y in live for t in extend(boxes, y, rows)]
             continue
         # the last level: groups of one first box, leftmost first, up to
         # the first group with a survivor
-        live.sort(key=lambda t: t[0])
+        live.sort(key=lambda t: t[0][0])
         found = []
-        for _, group in itertools.groupby(live, key=lambda t: t[0]):
-            found = [t for boxes in group for t in extend(boxes, y_min, True)]
+        for _, group in itertools.groupby(live, key=lambda t: t[0][0]):
+            found = [t for boxes, y in group
+                     for t in extend(boxes, y, rows, True)]
             if found:
                 break
         live = found
     if not live:
         return KapCertificate(k, INFEASIBLE, d, explored)
 
-    # boxes share the denominator den**d, so numerators order them
-    scale = den ** d
-    witness = min(live, key=lambda t: [lo for lo, _ in t])
-    boxes = [(Q(lo, scale), Q(hi, scale)) for lo, hi in witness]
+    # boxes share the denominator den**d, so numerators order them;
     # eliminating x leaves exactly the bounds on y from the pairs j < l,
     # whose range the walk found nonempty, so every y in it has an x
-    (lo_n, lo_d), (hi_n, hi_d) = _step_range(
-        witness, (g_min * den ** (d - 1), k - 1))
-    y_lo, y_hi = Q(lo_n, lo_d * scale), Q(hi_n, hi_d * scale)
-    y_mid = (y_lo + y_hi) / 2
-    x_lo = max(boxes[j][0] - j * y_mid for j in range(k))
-    x_hi = min(boxes[j][1] - j * y_mid for j in range(k))
-    pts = []
-    for j in range(k):
-        v = (x_lo + x_hi) / 2 + j * y_mid
-        assert boxes[j][0] <= v <= boxes[j][1]
-        lo, hi = back(boxes[j][0]), back(boxes[j][1])
-        pts.append(WitnessPoint(Interval(lo, hi),
-                                f"in_cover_at_depth({d})"))
+    scale = den ** d
+    witness, (lo_n, lo_d, hi_n, hi_d) = min(
+        live, key=lambda t: [lo for lo, _ in t[0]])
+    dd, yy = 2 * lo_d * hi_d, lo_n * hi_d + hi_n * lo_d
+    x_lo = max(lo * dd - j * yy for j, (lo, _) in enumerate(witness))
+    x_hi = min(hi * dd - j * yy for j, (_, hi) in enumerate(witness))
+    for j, (lo, hi) in enumerate(witness):
+        # the midpoint start plus j midpoint steps, over 2 * D * den**d
+        assert 2 * lo * dd <= x_lo + x_hi + 2 * j * yy <= 2 * hi * dd
+    # t = num/m maps to the set as w*t + lo, one Fraction per value
+    (wn, wd), (ln, ld) = (q.as_integer_ratio() for q in (s.width, s.hull[0]))
+
+    def back(num: int, m: int) -> Q:
+        return Q(wn * ld * num + ln * wd * m, wd * ld * m)
+
+    status = f"in_cover_at_depth({d})"
     return KapCertificate(
         k, FEASIBLE, d, explored,
-        x=Interval(back(x_lo), back(x_hi)),
-        y=Interval(y_lo * back.scale, y_hi * back.scale),
-        points=tuple(pts))
+        x=Interval(back(x_lo, dd * scale), back(x_hi, dd * scale)),
+        y=Interval(Q(wn * lo_n, wd * lo_d * scale),
+                   Q(wn * hi_n, wd * hi_d * scale)),
+        points=tuple(WitnessPoint(Interval(back(lo, scale),
+                                           back(hi, scale)), status)
+                     for lo, hi in witness))
 
 
 # -- symmetric 4-term progressions ---------------------------------------

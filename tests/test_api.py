@@ -35,9 +35,10 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # interval queries, the materialized cover and its result type, and a
 # rational-point wrapper of the position certificate; the difference
 # hit's own root test and descent over the root's children, the witness
-# step range's second pass over the pairs the tuple walk checks, and a
-# triangle's interval vertices and the enclosure of its split beside the
-# exact one
+# step range's second pass over the pairs the tuple walk checks, in
+# Fractions and then in integers (the walk returns the range it ends
+# on), and a triangle's interval vertices and the enclosure of its split
+# beside the exact one
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -60,7 +61,8 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (patterns1d, "_tuple_y_range"),
                 (product.Triangle, "is_exact"),
                 (product.NormalizedTriangle, "lam_exact"),
-                (patterns1d.Piece, "word"), (balls.BallSystem, "cells")]
+                (patterns1d.Piece, "word"), (balls.BallSystem, "cells"),
+                (patterns1d, "_step_range")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
@@ -69,6 +71,7 @@ PUBLIC_ONLY = {
     "ThicknessReportNd": "result type", "Disk": "result type",
     "VertexMaps": "result type", "WitnessNd": "result type",
     "ThicksetError": "base class of the errors callers catch",
+    "AffineMap": "type of the branch maps a set is built from",
     "middle_thirds": "builder/construction API",
     "affine_image": "builder/construction API",
     "ExplicitTree": "builder/construction API",

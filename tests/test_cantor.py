@@ -500,6 +500,33 @@ class TestCertifiedMember:
         assert position_member(form, x.numerator, x.denominator) == certified
         assert sum(w > 64 for w in widths) <= 1
 
+    @pytest.mark.parametrize("s, x", [
+        (middle_thirds(), Q(1, 4)),
+        (middle_thirds(), Q(3, 4)),
+        (middle_thirds(), Q(1, 10)),
+        (middle_cantor(Q(13, 64)), Q(51, 179)),  # the word (0, 1) repeated
+    ], ids=["1/4", "3/4", "1/10", "51/179"])
+    def test_periodic_point_stops_at_its_repeat(self, monkeypatch, s, x):
+        # a periodic position is certified a few steps in, while the
+        # unreduced pair is narrow, with no gcd: not after the whole cap
+        # and a second pass in lowest terms
+        steps, widths = [], []
+
+        class Branches(tuple):
+            def __iter__(self):  # read once per step
+                steps.append(None)
+                return super().__iter__()
+
+        def gcd(*args):
+            widths.append(max(a.bit_length() for a in args))
+            return math.gcd(*args)
+
+        form = SimpleNamespace(den=s.form.den, rel=Branches(s.form.rel))
+        h_lo, h_hi, (y,) = cantor._lift(s, x)
+        monkeypatch.setattr(cantor, "math", SimpleNamespace(gcd=gcd))
+        assert position_member(form, y - h_lo, h_hi - h_lo)
+        assert len(steps) <= 8 and widths == []
+
     def test_against_digit_oracle(self):
         # the middle-thirds set is exactly the reals with a base-3
         # expansion avoiding the digit 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -51,6 +52,7 @@ from oracles import (
     ref_kap_search,
     ref_slid_pair_test,
     ref_y_range,
+    _ref_ordered_extensions,
     verify_combo_containment,
     word_interval,
     word_map,
@@ -385,16 +387,25 @@ PINNED_BUDGET = [
 
 
 def recorded_kap_search(s, k, depth):
-    """``kap_search`` with every tuple walk recorded as (y_min's
-    numerator, which grows with the depth of the parent, the children
-    rows, the surviving index tuples)."""
+    """``kap_search`` with every tuple walk recorded as (its level, the
+    children rows, the surviving index tuples).  The search walks level
+    by level, one walk per live tuple of the level above, so the level
+    follows from call order: the depth-1 walk is level 1, its split
+    survivors are the walks of level 2, and the survivors of each level
+    after that are the walks of the next."""
     walk, walks = patterns1d._ordered_extensions, []
+    level, left, ahead = 0, 0, 1  # walks left in this level and the next
 
-    def recording(row, k_, y_min, *args, **kwargs):
-        out = walk(row, k_, y_min, *args, **kwargs)
-        walks.append((y_min[0], tuple(tuple(row(m)) for m in range(k_)),
-                      out))
-        return out
+    def recording(row, k_, y_range, *args, **kwargs):
+        nonlocal level, left, ahead
+        ext = walk(row, k_, y_range, *args, **kwargs)
+        out = [e for e, _ in ext]
+        if not left:
+            level, left, ahead = level + 1, ahead, 0
+        left -= 1
+        ahead += sum(level > 1 or e[0] != e[-1] for e in out)
+        walks.append((level, tuple(tuple(row(m)) for m in range(k_)), out))
+        return ext
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns1d, "_ordered_extensions", recording)
@@ -520,15 +531,92 @@ class TestKapSearchParity:
                     min_size=2, max_size=7),
            st.integers(-10, 30), st.integers(1, 6))
     def test_step_range_matches_reference(self, spans, y_num, y_step):
-        # integer (numerator, step) bounds against the reference range in
-        # Fractions, on boxes in any order, feasible or not
+        # a walk over one box per row, in any order, feasible or not:
+        # the tuple survives exactly when its left ends are ordered and
+        # the reference range in Fractions is nonempty, and its integer
+        # (numerator, step) bounds are that range
         boxes = [(a, a + w) for a, w in spans]
-        (lo_n, lo_d), (hi_n, hi_d) = patterns1d._step_range(
-            boxes, (y_num, y_step))
-        lo, hi = Q(lo_n, lo_d), Q(hi_n, hi_d)
+        out = patterns1d._ordered_extensions(
+            lambda m: [boxes[m]], len(boxes), (y_num, y_step, 1, 0))
         want = ref_y_range([tuple(map(Q, b)) for b in boxes],
                            Q(y_num, y_step))
-        assert (lo, hi) == want if want is not None else lo > hi
+        if boxes != sorted(boxes, key=lambda b: b[0]):
+            want = None
+        if want is None:
+            assert out == []
+        else:
+            ((e, (lo_n, lo_d, hi_n, hi_d)),) = out
+            assert e == (0,) * len(boxes)
+            assert (Q(lo_n, lo_d), Q(hi_n, hi_d)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(kap_inputs(max_tuples=None), st.randoms(use_true_random=False))
+    def test_seeded_walk_matches_unseeded_reference(self, case, rng):
+        # the walk below a live parent, started from the parent's range
+        # over the children's denominator, returns the index tuples of
+        # the reference walk that starts from g_min/(k - 1) alone, in the
+        # same order, each with the reference range of its boxes
+        s, k, depth = case
+        form, n = s.form, len(s.branches)
+        den, rel = form.den, form.rel
+        g_min = min(a1 - b0 for (_, b0), (a1, _) in zip(rel, rel[1:]))
+        boxes = sorted(form.walk(0, 1, w)
+                       for w in itertools.product(range(n), repeat=depth))
+        parents = _ref_ordered_extensions(
+            [boxes] * k, (g_min * den ** (depth - 1), k - 1))
+        assume(parents)
+        y_min = Q(g_min * den ** depth, k - 1)
+        for e in rng.sample(parents, min(len(parents), 4)):
+            parent = [tuple(map(Q, boxes[i])) for i in e]
+            lo, hi = (v * den for v in ref_y_range(parent, y_min / den))
+            kids = [form.children(*boxes[i]) for i in e]
+            got = patterns1d._ordered_extensions(
+                kids.__getitem__, k,
+                (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+            assert [t for t, _ in got] == _ref_ordered_extensions(
+                kids, (y_min.numerator, y_min.denominator))
+            for t, (lo_n, lo_d, hi_n, hi_d) in got:
+                child = [tuple(map(Q, row[i])) for row, i in zip(kids, t)]
+                assert (Q(lo_n, lo_d), Q(hi_n, hi_d)) == \
+                    ref_y_range(child, y_min)
+
+    @pytest.mark.parametrize("s, k, depth, visits", [
+        # the bench's kap_search job; 1096 when every walk started from
+        # g_min/(k - 1)
+        (ROADMAP_SET, 3, 4, 757),
+        # boxes of width one repeat their numerators at every depth
+        (middle_thirds(), 3, 5, None),
+    ], ids=["roadmap", "middle_thirds"])
+    def test_walk_visits_and_children_per_level(self, monkeypatch, s, k,
+                                                depth, visits):
+        # the walks look at no more candidate boxes than pinned, and each
+        # level derives the children of each of its distinct boxes once
+        calls, seen = [], [0]
+        children = WordForm.children
+
+        def counted(form, lo, hi):
+            calls.append((lo, hi))
+            return children(form, lo, hi)
+
+        class Row(tuple):
+            def __getitem__(self, i):
+                seen[0] += 1
+                return tuple.__getitem__(self, i)
+
+        walk = patterns1d._ordered_extensions
+        monkeypatch.setattr(WordForm, "children", counted)
+        monkeypatch.setattr(patterns1d, "_ordered_extensions",
+                            lambda row, *args, **kwargs: walk(
+                                lambda m: Row(row(m)), *args, **kwargs))
+        cert, walks = recorded_kap_search(s, k, depth)
+        assert cert == ref_kap_search(s, k, depth)
+        if visits is not None:
+            assert seen[0] <= visits
+        per_level = {}
+        for level, rows, _ in walks:
+            per_level.setdefault(level, set()).update(rows)
+        assert len(calls) == sum(len(rows) for level, rows in
+                                 per_level.items() if level > 1)
 
     @pytest.mark.parametrize("pairs, k, depth, verdict, groups", [
         # the leftmost first-box group dies and the next holds the witness
@@ -545,10 +633,11 @@ class TestKapSearchParity:
         # leftmost first, and each is (walks, survivors)
         s = ifs_from_branches(0, 1, pairs)
         cert, walks = recorded_kap_search(s, k, depth)
-        last = max(y for y, _, _ in walks)
+        last = max(level for level, _, _ in walks)
+        assert last == depth
         seen = {}
-        for y, rows, out in walks:
-            if y == last:
+        for level, rows, out in walks:
+            if level == last:
                 walked, built = seen.get(rows[0], (0, 0))
                 seen[rows[0]] = (walked + 1, built + len(out))
         assert list(seen) == sorted(seen)
@@ -566,8 +655,9 @@ class TestKapSearchParity:
         den, children = ROADMAP_SET.form.den, ROADMAP_SET.form.children
         for k, depth in ((3, 4), (4, 8)):
             cert, walks = recorded_kap_search(ROADMAP_SET, k, depth)
-            last = max(y for y, _, _ in walks)
-            built = [len(out) for y, _, out in walks if y == last]
+            last = max(level for level, _, _ in walks)
+            assert last == depth
+            built = [len(out) for level, _, out in walks if level == last]
             assert cert.verdict == FEASIBLE and max(built) <= 1
             if depth == 4:
                 assert len(built) == 16
@@ -575,13 +665,13 @@ class TestKapSearchParity:
             # the one whose first box holds the witness's first point
             # (the hull is [0, 1], so boxes are over den**(depth - 1))
             parents = [tuple(rows[m][i] for m, i in enumerate(e))
-                       for y, rows, out in walks if y == last // den
+                       for level, rows, out in walks if level == last - 1
                        for e in out]
             scale, first = den ** (depth - 1), cert.points[0].enclosure
             (top,) = {t[0] for t in parents
                       if Q(t[0][0], scale) <= first.lo
                       and first.hi <= Q(t[0][1], scale)}
-            walked = sorted(rows for y, rows, _ in walks if y == last)
+            walked = sorted(rows for level, rows, _ in walks if level == last)
             assert walked == sorted(
                 tuple(tuple(children(lo, hi)) for lo, hi in t)
                 for t in parents if t[0][0] <= top[0])
