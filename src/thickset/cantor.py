@@ -1,15 +1,15 @@
 """Self-similar compact subsets of the line presented by iterated function
-systems, with cover queries, gap enumeration, Newhouse thickness,
-membership queries, gap queries, and the difference segment of a thick set.
+systems, with gap enumeration, Newhouse thickness, membership queries, gap
+queries, and the difference segment of a thick set.
 
 All geometry is exact.  Each set has one integer form, computed once: the
 hull endpoints are numerators over E, the lcm of their denominators, and
 each branch image's position relative to the hull is a pair of numerators
 over D, the lcm of those denominators.  A depth-k word image is then a
 pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
-[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Cover queries, gaps, membership, gap
-queries and the line descents walk these integers; a query's rationals are
-put over one denominator with the hull first.  The branch maps are the
+[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Gaps, membership, gap queries and
+the line descents walk these integers; a query's rationals are put over
+one denominator with the hull first.  The branch maps are the
 set's presentation and are applied, never composed.  ``Fraction``s are
 built only for what is reported (gap records), so thickness values are
 exact rationals rather than approximations.
@@ -246,34 +246,6 @@ def affine_image(s: IfsSet1D, a, b) -> IfsSet1D:
     if av < 0:
         branches.reverse()
     return IfsSet1D((pts[0], pts[1]), tuple(branches))
-
-
-# -- covers ------------------------------------------------------------
-
-
-def interval_in_cover(s: IfsSet1D, lo: Q, hi: Q, depth: int) -> bool:
-    """Whether [lo, hi] is contained in some depth-``depth`` word image,
-    by branch descent (no cover materialization)."""
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
-    if lo > hi:
-        raise InputError("an interval query needs lo <= hi")
-    if not (s.hull[0] <= lo and hi <= s.hull[1]):
-        return False
-    h_lo, h_hi, (y0, y1) = _lift(s, lo, hi)
-    # offsets from the current image's left end, and its width
-    y0, y1, w = y0 - h_lo, y1 - h_lo, h_hi - h_lo
-    den, rel = s.form.den, s.form.rel
-    for _ in range(depth):
-        y0, y1 = y0 * den, y1 * den
-        for a, b in rel:
-            c_lo = w * a
-            if c_lo <= y0 and y1 <= w * b:
-                y0, y1, w = y0 - c_lo, y1 - c_lo, w * (b - a)
-                break
-        else:
-            return False
-    return True
 
 
 # -- gaps and thickness ------------------------------------------------
@@ -560,40 +532,26 @@ def position_member(form: WordForm, p: int, q: int,
     return False
 
 
-def slides_into_gap(s: IfsSet1D, word: tuple[int, ...], lo: Q, hi: Q,
-                    t0: Q = 0, t1: Q = 0) -> bool:
-    """Whether [lo + t, hi + t], for some t in [t0, t1], lies strictly
-    inside a bounded gap of the subtree of ``word`` (``()`` for the whole
-    set).
-
-    The translates sweep from [lo + t0, hi + t0] to [lo + t1, hi + t1].
-    An interval holds one exactly when it is at least hi - lo long,
-    starts no later than the last translate starts and ends no earlier
-    than the first one ends.  A gap counts when it does so strictly at
-    both ends, so an equal-length gap that the sweep straddles counts.
-    A counting gap holds a translate, so only subtrees whose hull holds
-    one are searched.  When one child's hull holds the whole sweep, no
-    gap of the node can count and the search steps into that child
-    alone: a point query (t0 = t1) is a greedy descent.  Otherwise the
-    node's gaps are checked and every child holding a translate is
-    searched.  Every subtree searched below the start is at least
-    hi - lo wide, so the search ends; an empty interval or an empty
-    range of t, which would break that, is an InputError.
-    """
-    if lo >= hi or t0 > t1:
-        raise InputError("a gap query needs lo < hi and t0 <= t1")
-    c_lo, c_hi, (lo, hi, t0, t1) = _lift(s, *map(to_q, (lo, hi, t0, t1)))
-    c_lo, c_hi = s.form.walk(c_lo, c_hi, word)
-    f = s.form.den ** len(word)  # the query over the word's denominator
-    return gap_holds_translate(s.form, c_lo, c_hi, (lo + t0) * f,
-                               (lo + t1) * f, (hi - lo) * f)
-
-
 def gap_holds_translate(form: WordForm, c_lo: int, c_hi: int,
                         first: int, last: int, width: int) -> bool:
-    """``slides_into_gap`` on integers: the subtree image [c_lo, c_hi] of
-    ``form``, and translates of length ``width`` starting from ``first``
-    to ``last``, all numerators over one denominator."""
+    """Whether some translate [x, x + width], first <= x <= last, lies
+    strictly inside a bounded gap below the subtree image [c_lo, c_hi] of
+    ``form``, all numerators over one denominator.
+
+    The translates sweep from [first, first + width] to
+    [last, last + width].  An interval holds one exactly when it is at
+    least ``width`` long, starts no later than ``last`` and ends no
+    earlier than first + width.  A gap counts when it does so strictly
+    at both ends, so an equal-length gap that the sweep straddles
+    counts.  A counting gap holds a translate, so only subtrees whose
+    hull holds one are searched.  When one child's hull holds the whole
+    sweep, no gap of the node can count and the search steps into that
+    child alone: a point query (first = last) is a greedy descent.
+    Otherwise the node's gaps are checked and every child holding a
+    translate is searched.  Every subtree searched below the start is at
+    least ``width`` wide, so the search ends when width > 0 and
+    first <= last, which the caller guarantees.
+    """
     # the start's width goes unchecked: below a start narrower than
     # width, no child passes the tests in the loop
     if not (c_lo <= last and c_hi >= first + width):

@@ -464,9 +464,11 @@ def cmd_find_combo(run: Run) -> int:
     return _combo_common(run, to_q(run.args.lam))
 
 
-def _parse_triangle(raw: str):
+def _parse_triangle(raw: str, bits: int):
+    """The ``--triangle`` argument; "equilateral" encloses sqrt(3)/2 to
+    ``bits`` bits."""
     if raw == "equilateral":
-        return product.equilateral()
+        return product.equilateral(bits)
     if raw.startswith("{"):
         data = json.loads(raw)
         return product.Triangle.make(data["vertices"])
@@ -477,7 +479,7 @@ def _parse_triangle(raw: str):
 def cmd_find_triangle(run: Run) -> int:
     desc = run.description()
     obj = build_object(desc)
-    tri = _parse_triangle(run.args.triangle)
+    tri = _parse_triangle(run.args.triangle, run.args.precision_bits)
     if isinstance(obj, BallSystem):
         r = default_r(obj, getattr(run.args, "r", None))
         w = patterns_nd.find_triangle_nd(obj, tri, r,
@@ -609,6 +611,36 @@ def cmd_reproduce(run: Run) -> int:
     return EXIT_OK if ok_all else EXIT_HYPOTHESIS
 
 
+def _midpoint(enc) -> Q:
+    if not (isinstance(enc, dict) and "lo" in enc and "hi" in enc):
+        raise InputError("a witness enclosure needs lo and hi")
+    return (to_q(enc["lo"]) + to_q(enc["hi"])) / 2
+
+
+def witness_marks(data, obj) -> list:
+    """The points a witness artifact marks on a plot of ``obj``: over a
+    1-D set the midpoints of its ``points`` enclosures; over a ball
+    system the midpoints of ``a`` and ``b`` and the point ``c``, each
+    with the system's coordinate count.  Any other artifact is an
+    InputError."""
+    if not isinstance(data, dict):
+        raise InputError("witness artifact must be a JSON object")
+    if isinstance(obj, BallSystem):
+        dim = len(obj.root.center)
+        a, b, c = (data.get(key) for key in ("a", "b", "c"))
+        if not all(isinstance(v, list) and len(v) == dim for v in (a, b, c)):
+            raise InputError("a witness over a ball system needs a, b and c "
+                             f"with {dim} coordinates each")
+        return [tuple(map(_midpoint, a)), tuple(map(_midpoint, b)),
+                tuple(map(to_q, c))]
+    pts = data.get("points")
+    if not (isinstance(pts, list) and pts):
+        raise InputError("a witness over a one-dimensional set needs a "
+                         "nonempty points list")
+    return [_midpoint(p.get("enclosure") if isinstance(p, dict) else None)
+            for p in pts]
+
+
 def cmd_plot(run: Run) -> int:
     desc = run.description()
     if run.args.out is None:
@@ -616,20 +648,7 @@ def cmd_plot(run: Run) -> int:
     obj = build_object(desc)
     marks = []
     if run.args.witness:
-        data = json.loads(run.witness())
-        pts = data.get("points") or []
-        if not pts and "a" not in data:
-            raise InputError("witness artifact holds no points")
-        if pts:
-            for p in pts:
-                enc = p["enclosure"]
-                marks.append((to_q(enc["lo"]) + to_q(enc["hi"])) / 2)
-        else:
-            for key in ("a", "b"):
-                coords = data[key]
-                marks.append(tuple(
-                    (to_q(c["lo"]) + to_q(c["hi"])) / 2 for c in coords))
-            marks.append(tuple(to_q(c) for c in data["c"]))
+        marks = witness_marks(json.loads(run.witness()), obj)
     if isinstance(obj, BallSystem):
         svg = render.render_ball_system(obj, depth=min(run.args.depth, 2),
                                         marks=marks or None)
@@ -667,7 +686,8 @@ def make_parser() -> argparse.ArgumentParser:
                         dest="precision_bits",
                         help="interval precision in bits, at least 1; read "
                              "by find-ap and find-combo on ball systems and "
-                             "by find-triangle")
+                             "by find-triangle, also for the sqrt(3)/2 of "
+                             "--triangle equilateral")
         sp.add_argument("--mode", choices=["standard", "appendix"],
                         default="standard")
 

@@ -15,14 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from .cantor import (
     IfsSet1D,
     descend,
     gap_holds_translate,
-    interval_in_cover,
     membership,
     IN_CERTIFIED,
     ThicknessReport,
@@ -31,7 +29,6 @@ from .cantor import (
     middle_cantor,
     position_member,
     require_thickness_at_least_one,
-    slides_into_gap,
 )
 from .errors import InputError
 from .scalars import Interval, Q, simplest_between, to_q
@@ -338,17 +335,20 @@ class KapCertificate:
 _NO_UPPER = (1, 0)
 # the bounds lo_n/lo_d and hi_n/hi_d of a y-range, as (lo_n, lo_d, hi_n, hi_d)
 _YRange = tuple[int, int, int, int]
+# a box [a, b] as integer numerators over one denominator
+_Box = tuple[int, int]
 
 
-def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
-                        k: int, y_range: _YRange,
-                        budget: Optional[int] = None, first: bool = False
-                        ) -> Optional[list[tuple[tuple[int, ...], _YRange]]]:
-    """Index tuples e, in lexicographic order, such that the boxes
-    row(0)[e[0]], ..., row(k-1)[e[k-1]] have nondecreasing left ends and
-    a pairwise y-range that meets ``y_range``: every (a_l - b_j)/(l - j)
-    at most every (b_l - a_j)/(l - j), j < l, for boxes [a, b], with
-    ``y_range`` as one more such pair.  Each comes with the bounds its
+def _ordered_extensions(row: Callable[[int], Sequence[_Box]], k: int,
+                        y_range: _YRange, budget: Optional[int] = None,
+                        first: bool = False
+                        ) -> Optional[list[tuple[tuple[_Box, ...], _YRange]]]:
+    """The box tuples (row(0)[e[0]], ..., row(k-1)[e[k-1]]), in
+    lexicographic order of their index tuples e, whose boxes have
+    nondecreasing left ends and a pairwise y-range that meets
+    ``y_range``: every (a_l - b_j)/(l - j) at most every
+    (b_l - a_j)/(l - j), j < l, for boxes [a, b], with ``y_range`` as
+    one more such pair.  Each comes with the bounds its
     walk ended on, where the two ranges meet; with ``first``, only the
     first of them.  Every row holds the same number of boxes.
 
@@ -385,7 +385,7 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
             kids = row(m)
             continue
         nxt[m] = e + 1
-        a, b = kids[e]
+        a, b = box = kids[e]
         lo_n, lo_d, hi_n, hi_d = bounds[m]
         if m:
             if a < lefts[m - 1]:
@@ -406,7 +406,7 @@ def _ordered_extensions(row: Callable[[int], Sequence[tuple[int, int]]],
                     hi_n, hi_d = c, step
             if lo_n * hi_d > hi_n * lo_d:
                 continue
-        lefts[m], rights[m], chosen[m] = a, b, e
+        lefts[m], rights[m], chosen[m] = a, b, box
         if m == k - 1:
             out.append((tuple(chosen), (lo_n, lo_d, hi_n, hi_d)))
             if first:
@@ -494,18 +494,16 @@ def kap_search(s: IfsSet1D, k: int, depth: int = 8) -> KapCertificate:
                               (g_min, k - 1) + _NO_UPPER, budget)
     if top is None:
         return KapCertificate(k, UNKNOWN, 1, max(explored, budget) + 1)
-    live = [(tuple(images[i] for i in e), y) for e, y in top
-            if e[0] != e[-1]]
+    live = [(boxes, y) for boxes, y in top if boxes[0] != boxes[-1]]
     children = s.form.children
 
     def extend(boxes, y, rows, first=False):
         kids = [rows[b] if b in rows else rows.setdefault(b, children(*b))
                 for b in boxes]
         lo_n, lo_d, hi_n, hi_d = y
-        ext = _ordered_extensions(kids.__getitem__, k,
-                                  (lo_n * den, lo_d, hi_n * den, hi_d),
-                                  first=first)
-        return [(tuple(map(getitem, kids, e)), r) for e, r in ext]
+        return _ordered_extensions(kids.__getitem__, k,
+                                   (lo_n * den, lo_d, hi_n * den, hi_d),
+                                   first=first)
 
     d = 1
     while live and d < depth:
@@ -591,9 +589,11 @@ def shmerkin_4ap(epsilon, depth: int = 16) -> KapCertificate:
             if iv.is_point():
                 st = membership(s, iv.lo, depth=64).kind
             else:
-                st = (f"in_cover_at_depth({depth})"
-                      if interval_in_cover(s, iv.lo, iv.hi, depth)
-                      else "enclosure")
+                # t lies in the final pieces of C - 1/2 and (C - 1/2)/3,
+                # so 1/2 + t and 1/2 + 3t lie in depth-``depth`` word
+                # images, and so do 1/2 - t and 1/2 - 3t, C being
+                # symmetric about 1/2
+                st = f"in_cover_at_depth({depth})"
             out.append(WitnessPoint(iv, st))
         out.sort(key=lambda p: p.enclosure.lo)
         return out
@@ -631,8 +631,14 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
     hull_ok = h1[0] <= h2[1] and h2[0] <= h1[1]
     inter_ok = False
     if hull_ok:
-        inter_ok = not (slides_into_gap(c1, (), *h2)
-                        or slides_into_gap(c2, (), *h1))
+        # both hulls over one denominator; each set's hull is a point
+        # query against the other set's gaps
+        e = math.lcm(c1.hull_den, c2.hull_den)
+        (a1, b1), (a2, b2) = [[v * (e // c.hull_den) for v in c.hull_num]
+                              for c in (c1, c2)]
+        inter_ok = not (
+            gap_holds_translate(c1.form, a1, b1, a2, a2, b2 - a2)
+            or gap_holds_translate(c2.form, a2, b2, a1, a1, b1 - a1))
 
     tau1 = newhouse_thickness(c1, thickness_depth).value
     tau2 = newhouse_thickness(c2, thickness_depth).value

@@ -62,7 +62,8 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (product.Triangle, "is_exact"),
                 (product.NormalizedTriangle, "lam_exact"),
                 (patterns1d.Piece, "word"), (balls.BallSystem, "cells"),
-                (patterns1d, "_step_range")]
+                (patterns1d, "_step_range"), (cantor, "interval_in_cover"),
+                (cantor, "slides_into_gap")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {

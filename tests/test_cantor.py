@@ -19,15 +19,14 @@ from thickset.cantor import (
     descend,
     difference_interval,
     gap_depth,
+    gap_holds_translate,
     ifs_from_branches,
-    interval_in_cover,
     membership,
     middle_cantor,
     middle_thirds,
     newhouse_thickness,
     off_center_cantor,
     position_member,
-    slides_into_gap,
 )
 from thickset.errors import HypothesisError, Indeterminate, InputError
 
@@ -41,7 +40,6 @@ from oracles import (
     ref_certified_member,
     ref_cover,
     ref_enumerate_gaps,
-    ref_interval_in_cover,
     ref_membership,
     ref_slides_into_gap,
     self_combo_cover,
@@ -54,6 +52,17 @@ def certified_member(s, x, max_steps=256):
     """``position_member`` of x's position in the hull of ``s``."""
     h_lo, h_hi, (y,) = _lift(s, Q(x))
     return position_member(s.form, y - h_lo, h_hi - h_lo, max_steps)
+
+
+def lifted_gap_query(s, word, lo, hi, t0=Q(0), t1=Q(0)):
+    """``gap_holds_translate`` on the subtree image of ``word`` and the
+    translates [lo + t, hi + t], t0 <= t <= t1, with every rational
+    lifted to numerators over one denominator."""
+    c_lo, c_hi, (lo, hi, t0, t1) = _lift(s, *map(Q, (lo, hi, t0, t1)))
+    c_lo, c_hi = s.form.walk(c_lo, c_hi, word)
+    f = s.form.den ** len(word)  # the query over the word's denominator
+    return gap_holds_translate(s.form, c_lo, c_hi, (lo + t0) * f,
+                               (lo + t1) * f, (hi - lo) * f)
 
 
 class TestBuilders:
@@ -128,15 +137,6 @@ class TestCover:
                 while outer[k][1] < b:
                     k += 1
                 assert outer[k][0] <= a and b <= outer[k][1]
-
-    def test_interval_in_cover_descent_matches_materialized(self):
-        s = off_center_cantor(Q(3, 10))
-        ints = ref_cover(s, 5).intervals
-        rng = random.Random(3)
-        for _ in range(300):
-            x = Q(rng.randint(0, 1000), 1000)
-            want = any(lo <= x <= hi for lo, hi in ints)
-            assert interval_in_cover(s, x, x, 5) == want
 
 
 class TestThickness:
@@ -291,12 +291,12 @@ class TestGaps:
 
     def test_gap_containing_interval(self):
         s = middle_thirds()
-        assert slides_into_gap(s, (), Q(4, 10), Q(5, 10))
-        assert not slides_into_gap(s, (), Q(1, 4), Q(1, 2))
-        assert slides_into_gap(s, (), Q(1, 27) + Q(1, 200),
-                               Q(2, 27) - Q(1, 200))
+        assert lifted_gap_query(s, (), Q(4, 10), Q(5, 10))
+        assert not lifted_gap_query(s, (), Q(1, 4), Q(1, 2))
+        assert lifted_gap_query(s, (), Q(1, 27) + Q(1, 200),
+                                Q(2, 27) - Q(1, 200))
         # the subtree of a word only answers for its own gaps
-        assert not slides_into_gap(s, (1,), Q(4, 10), Q(5, 10))
+        assert not lifted_gap_query(s, (1,), Q(4, 10), Q(5, 10))
 
 
 def old_gap_containing(s, m, lo, hi):
@@ -355,6 +355,9 @@ def gap_queries(draw):
 
 
 class TestSlidesIntoGap:
+    """Translates sliding into a gap, asked of ``gap_holds_translate``
+    and answered as the line's earlier gap queries answered them."""
+
     @settings(max_examples=200, deadline=None)
     @given(gap_queries())
     # an equal-length gap straddled by the slide: no translate lies
@@ -363,24 +366,15 @@ class TestSlidesIntoGap:
               Q(1, 2)))
     def test_agrees_with_old_queries(self, case):
         s, word, m, lo, hi, t0, t1 = case
-        got = slides_into_gap(s, word, lo, hi, t0, t1)
+        got = lifted_gap_query(s, word, lo, hi, t0, t1)
         assert got == old_window_test(s, m, lo, hi, t0, t1)
         if t0 == t1:
             assert got == old_gap_containing(s, m, lo + t0, hi + t0)
 
     def test_equal_length_straddle_counts(self):
         s = middle_thirds()
-        assert slides_into_gap(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 2))
-        assert not slides_into_gap(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 3))
-
-    @pytest.mark.parametrize("lo, hi, t0, t1", [
-        (Q(1, 2), Q(1, 2), 0, 0), (Q(1, 2), Q(1, 4), 0, 0),
-        (Q(1, 4), Q(1, 2), Q(1, 8), Q(1, 16))])
-    def test_empty_query_rejected(self, lo, hi, t0, t1):
-        # a point query on a set point, or an inverted sweep, could
-        # descend forever
-        with pytest.raises(InputError, match="needs lo < hi and t0 <= t1"):
-            slides_into_gap(middle_thirds(), (), lo, hi, t0, t1)
+        assert lifted_gap_query(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 2))
+        assert not lifted_gap_query(s, (), Q(0), Q(1, 3), Q(1, 6), Q(1, 3))
 
 
 @st.composite
@@ -424,17 +418,13 @@ class TestAgainstAffineMaps:
         for x in pts + [c_lo, c_hi, (c_lo + c_hi) / 2]:
             for depth in (0, 1, 5):
                 assert membership(s, x, depth) == ref_membership(s, x, depth)
-                assert interval_in_cover(s, x, x, depth) == \
-                    ref_interval_in_cover(s, x, x, depth)
             assert certified_member(s, x, 40) == ref_certified_member(s, x, 40)
         lo, hi = sorted(pts[:2])
         t0, t1 = sorted(pts[2:])
         t0, t1 = t0 - s.hull[0], t1 - s.hull[0]
         if lo < hi:
-            assert interval_in_cover(s, lo, hi, 2) == \
-                ref_interval_in_cover(s, lo, hi, 2)
             for a, b in ((t0, t0), (t0, t1), (-t1, -t0)):
-                assert slides_into_gap(s, word, lo, hi, a, b) == \
+                assert lifted_gap_query(s, word, lo, hi, a, b) == \
                     ref_slides_into_gap(s, m, lo, hi, a, b)
 
 
@@ -580,10 +570,6 @@ class TestMembership:
     @pytest.mark.parametrize("query, match", [
         (lambda s: membership(s, Q(1, 2), -1), "depth must be nonnegative"),
         (lambda s: membership(s, Q(2), -1), "depth must be nonnegative"),
-        (lambda s: interval_in_cover(s, Q(1, 2), Q(1, 2), -1),
-         "depth must be nonnegative"),
-        (lambda s: interval_in_cover(s, Q(2, 5), Q(1, 5), 1), "lo <= hi"),
-        (lambda s: interval_in_cover(s, Q(3), Q(2), 1), "lo <= hi"),
     ])
     def test_bad_line_query_rejected(self, query, match):
         # a negative depth used to be echoed back as in_cover_at_depth(-1)

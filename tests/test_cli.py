@@ -302,6 +302,14 @@ class TestExitCodes:
         assert manifest["exit_code"] == 1
         assert manifest["precision_bits"] == int(bits)
 
+    @pytest.mark.parametrize("bits, code", [("128", 3), ("256", 0)])
+    def test_equilateral_reads_precision_bits(self, tmp_path, bits, code):
+        # depth 100 on the middle thirds needs about 158 bits of
+        # sqrt(3)/2, and --precision-bits sets them
+        assert main(["find-triangle", "--set", "middle_thirds", "--depth",
+                     "100", "--precision-bits", bits,
+                     "--out", str(tmp_path / "w.json")]) == code
+
     def test_help_names_precision_readers(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside names
         with pytest.raises(SystemExit):
@@ -942,3 +950,31 @@ def test_cli_fuzz(tmp_path, capsys, monkeypatch):
             manifest = cli.manifest_path(argv[argv.index("--out") + 1])
             assert manifest.exists(), argv
             manifest.unlink()  # the next run's manifest is its own
+
+
+@pytest.mark.parametrize("desc, witness", [
+    ("hex_packing:1", ["find-ap", "--set", "middle_thirds"]),
+    ("middle_thirds", ["find-ap", "--set", "hex_packing:0.99999"]),
+    ("middle_thirds", '{"points": 5}'),
+    ("middle_thirds", '{"points": [3]}'),
+    ("middle_thirds", "[1, 2]"),
+    ("middle_thirds", '"x"'),
+    ("middle_thirds", '{"a": [], "b": [], "c": []}'),
+    ("hex_packing:1", '{"a": [], "b": [], "c": []}'),
+], ids=["line-on-plane", "plane-on-line", "points-int", "points-of-int",
+        "list", "string", "empty-abc-on-line", "empty-abc-on-plane"])
+def test_plot_hostile_witness(tmp_path, capsys, desc, witness):
+    # a witness file that does not fit the set it is drawn on: a witness
+    # made by a command line, or written out as it stands
+    w, out = tmp_path / "w.json", tmp_path / "plot.svg"
+    if isinstance(witness, list):
+        assert main(witness + ["--out", str(w)]) == 0
+    else:
+        w.write_text(witness)
+    capsys.readouterr()
+    assert main(["plot", "--set", desc, "--witness", str(w),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    manifest = json.loads(cli.manifest_path(str(out)).read_text())
+    assert manifest["exit_code"] == 1 and not out.exists()

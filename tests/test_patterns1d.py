@@ -42,6 +42,7 @@ from thickset.product import Triangle, difference_hit, find_triangle_in_product
 from thickset.scalars import Interval
 
 from oracles import (
+    IDENTITY,
     combo_core_intervals,
     compose,
     kap_bruteforce,
@@ -51,6 +52,7 @@ from oracles import (
     ref_certified_member,
     ref_kap_search,
     ref_slid_pair_test,
+    ref_slides_into_gap,
     ref_y_range,
     _ref_ordered_extensions,
     verify_combo_containment,
@@ -388,7 +390,7 @@ PINNED_BUDGET = [
 
 def recorded_kap_search(s, k, depth):
     """``kap_search`` with every tuple walk recorded as (its level, the
-    children rows, the surviving index tuples).  The search walks level
+    children rows, the surviving box tuples).  The search walks level
     by level, one walk per live tuple of the level above, so the level
     follows from call order: the depth-1 walk is level 1, its split
     survivors are the walks of level 2, and the survivors of each level
@@ -399,11 +401,11 @@ def recorded_kap_search(s, k, depth):
     def recording(row, k_, y_range, *args, **kwargs):
         nonlocal level, left, ahead
         ext = walk(row, k_, y_range, *args, **kwargs)
-        out = [e for e, _ in ext]
+        out = [t for t, _ in ext]
         if not left:
             level, left, ahead = level + 1, ahead, 0
         left -= 1
-        ahead += sum(level > 1 or e[0] != e[-1] for e in out)
+        ahead += sum(level > 1 or t[0] != t[-1] for t in out)
         walks.append((level, tuple(tuple(row(m)) for m in range(k_)), out))
         return ext
 
@@ -413,10 +415,10 @@ def recorded_kap_search(s, k, depth):
 
 
 @st.composite
-def kap_inputs(draw, max_depth=3, max_tuples=30_000):
-    """A 2- or 3-branch presentation on a random hull (reflected half the
-    time), k in {3, 4, 5} and a depth of at most ``max_depth``; with
-    ``max_tuples``, small enough for the no-pruning oracle."""
+def placed_set(draw, mul_dens=st.integers(1, 3), shift_dens=st.just(3)):
+    """A 2- or 3-branch presentation on a random hull, reflected half
+    the time: its scale over a denominator drawn from ``mul_dens`` and
+    its shift over one drawn from ``shift_dens``."""
     n = draw(st.integers(2, 3))
     weight = st.integers(1, 9)
     scales = draw(st.lists(weight, min_size=n, max_size=n))
@@ -426,11 +428,20 @@ def kap_inputs(draw, max_depth=3, max_tuples=30_000):
     for w, g in zip(scales, gaps + [0]):
         pairs.append((Q(w, total), offset))
         offset += Q(w + g, total)
-    mul = Q(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    mul = Q(draw(st.integers(1, 4)), draw(mul_dens))
     if draw(st.booleans()):
         mul = -mul
-    s = affine_image(ifs_from_branches(0, 1, pairs), mul,
-                     Q(draw(st.integers(-4, 4)), 3))
+    return affine_image(ifs_from_branches(0, 1, pairs), mul,
+                        Q(draw(st.integers(-4, 4)), draw(shift_dens)))
+
+
+@st.composite
+def kap_inputs(draw, max_depth=3, max_tuples=30_000):
+    """A ``placed_set``, k in {3, 4, 5} and a depth of at most
+    ``max_depth``; with ``max_tuples``, small enough for the no-pruning
+    oracle."""
+    s = draw(placed_set())
+    n = len(s.branches)
     k, depth = draw(st.integers(3, 5)), draw(st.integers(1, max_depth))
     if max_tuples is not None:
         assume(math.comb(n ** depth + k - 1, k) <= max_tuples)
@@ -545,17 +556,18 @@ class TestKapSearchParity:
         if want is None:
             assert out == []
         else:
-            ((e, (lo_n, lo_d, hi_n, hi_d)),) = out
-            assert e == (0,) * len(boxes)
+            ((t, (lo_n, lo_d, hi_n, hi_d)),) = out
+            assert t == tuple(boxes)
             assert (Q(lo_n, lo_d), Q(hi_n, hi_d)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(kap_inputs(max_tuples=None), st.randoms(use_true_random=False))
     def test_seeded_walk_matches_unseeded_reference(self, case, rng):
         # the walk below a live parent, started from the parent's range
-        # over the children's denominator, returns the index tuples of
-        # the reference walk that starts from g_min/(k - 1) alone, in the
-        # same order, each with the reference range of its boxes
+        # over the children's denominator, returns the boxes of the index
+        # tuples of the reference walk that starts from g_min/(k - 1)
+        # alone, in the same order, each with the reference range of its
+        # boxes
         s, k, depth = case
         form, n = s.form, len(s.branches)
         den, rel = form.den, form.rel
@@ -573,10 +585,12 @@ class TestKapSearchParity:
             got = patterns1d._ordered_extensions(
                 kids.__getitem__, k,
                 (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-            assert [t for t, _ in got] == _ref_ordered_extensions(
+            want = _ref_ordered_extensions(
                 kids, (y_min.numerator, y_min.denominator))
+            assert [t for t, _ in got] == \
+                [tuple(row[i] for row, i in zip(kids, w)) for w in want]
             for t, (lo_n, lo_d, hi_n, hi_d) in got:
-                child = [tuple(map(Q, row[i])) for row, i in zip(kids, t)]
+                child = [tuple(map(Q, box)) for box in t]
                 assert (Q(lo_n, lo_d), Q(hi_n, hi_d)) == \
                     ref_y_range(child, y_min)
 
@@ -664,9 +678,8 @@ class TestKapSearchParity:
             # the live parents, from the walks of the level above, and
             # the one whose first box holds the witness's first point
             # (the hull is [0, 1], so boxes are over den**(depth - 1))
-            parents = [tuple(rows[m][i] for m, i in enumerate(e))
-                       for level, rows, out in walks if level == last - 1
-                       for e in out]
+            parents = [t for level, _, out in walks if level == last - 1
+                       for t in out]
             scale, first = den ** (depth - 1), cert.points[0].enclosure
             (top,) = {t[0] for t in parents
                       if Q(t[0][0], scale) <= first.lo
@@ -711,6 +724,31 @@ class TestGapLemmaCheck:
         r = gap_lemma_check(middle_cantor(Q(2, 5)), middle_cantor(Q(2, 5)))
         assert r.verdict == "fail"
         assert r.thickness_product.hi == Q(9, 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(placed_set(shift_dens=st.integers(1, 9)), placed_set(),
+           st.integers(1, 64), st.integers(-10, 110), st.booleans())
+    def test_random_pairs_match_rational_oracle(self, c1, c2, size, at,
+                                                swap):
+        # hulls over unequal denominators, either set reflected, and the
+        # second set size/64 as wide as the first, its left end at/100
+        # of the way along the first hull, so that it often lies in a
+        # gap; either set goes first: the integer gap queries give the
+        # rational oracle's verdicts
+        (lo, hi), (lo2, hi2) = c1.hull, c2.hull
+        f = (hi - lo) * Q(size, 64) / (hi2 - lo2)
+        c2 = affine_image(c2, f, lo + (hi - lo) * Q(at, 100) - f * lo2)
+        if swap:
+            c1, c2 = c2, c1
+        r = gap_lemma_check(c1, c2)
+        (a1, b1), (a2, b2) = c1.hull, c2.hull
+        hull_ok = a1 <= b2 and a2 <= b1
+        interwoven = hull_ok and not (
+            ref_slides_into_gap(c1, IDENTITY, a2, b2)
+            or ref_slides_into_gap(c2, IDENTITY, a1, b1))
+        assert (r.hull_intersect, r.interwoven) == (hull_ok, interwoven)
+        holds = interwoven and r.thickness_product.lo >= 1
+        assert r.verdict == ("hypotheses_hold" if holds else "fail")
 
 
 # -- certified descent: stored word maps, budget, depth ------------------
