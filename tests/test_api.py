@@ -37,8 +37,10 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # hit's own root test and descent over the root's children, the witness
 # step range's second pass over the pairs the tuple walk checks, in
 # Fractions and then in integers (the walk returns the range it ends
-# on), and a triangle's interval vertices and the enclosure of its split
-# beside the exact one
+# on), a triangle's interval vertices and the enclosure of its split
+# beside the exact one, and the plane triangle's copy of the class beside
+# the ``NormalizedTriangle`` it was made from, with the class's side
+# ratios and height check outside it
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -63,14 +65,17 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (product.NormalizedTriangle, "lam_exact"),
                 (patterns1d.Piece, "word"), (balls.BallSystem, "cells"),
                 (patterns1d, "_step_range"), (cantor, "interval_in_cover"),
-                (cantor, "slides_into_gap")]
+                (cantor, "slides_into_gap"), (thickset, "VertexMaps"),
+                (patterns_nd, "VertexMaps"), (thickset, "vertex_maps"),
+                (patterns_nd, "vertex_maps"), (product, "require_height"),
+                (product, "_side_ratios")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
     "GapRecord": "result type",
     "MembershipResult": "result type", "ProductWitness": "result type",
     "ThicknessReportNd": "result type", "Disk": "result type",
-    "VertexMaps": "result type", "WitnessNd": "result type",
+    "WitnessNd": "result type",
     "ThicksetError": "base class of the errors callers catch",
     "AffineMap": "type of the branch maps a set is built from",
     "middle_thirds": "builder/construction API",
@@ -84,7 +89,6 @@ PUBLIC_ONLY = {
     "difference_hit": "paper result the bench times",
     "convex_combo_disk": "certified disk of the plane combination theorem",
     "triangle_disk": "certified disk of the plane triangle theorem",
-    "vertex_maps": "vertex maps of the plane triangle theorem",
     "interval_ln": "timed by the bench's enclosure jobs; goes with them",
     "interval_atan": "timed by the bench's enclosure jobs; goes with them",
 }
@@ -125,9 +129,9 @@ def test_unread_members_are_gone():
                                 for f in dataclasses.fields(patterns_nd.Disk)}
 
 
-def test_triangle_disk_reads_alpha_sq_from_its_maps():
+def test_triangle_disk_reads_alpha_sq_from_its_class():
     params = inspect.signature(patterns_nd.triangle_disk).parameters
-    assert "alpha_sq" not in params
+    assert list(params) == ["sys", "tri", "r", "mode", "bits"]
 
 
 def test_triangle_class_is_exact():
@@ -261,8 +265,6 @@ def test_allowlist_holds_only_unread_exports():
 # another module of the package, each for the reason given; any other is
 # a second way into that module's internals
 PRIVATE_IMPORTS = {
-    ("patterns_nd", "product", "_side_ratios"):
-        "the plane triangle witness expects the product's side ratios",
     ("patterns_nd", "product", "_ratio_deviation"):
         "the plane triangle witness bounds its deviation as the product's",
     ("patterns_nd", "scalars", "_sqrt_bounds"):

@@ -835,6 +835,14 @@ class TestGapLemmaRd:
         with pytest.raises(InputError):
             gap_lemma_rd_check(sys, sys, Q(1, 2))
 
+    @pytest.mark.parametrize("depth, meets", [(1, None), (3, True)])
+    def test_shrunk_ball_met_below_the_first_level(self, depth, meets):
+        # at r = 45/100 the shrunk root has radius 1/10: no root child
+        # lies inside it, and a grandchild does
+        sys = hex_packing_example(GAMMA)
+        rep = gap_lemma_rd_check(sys, sys, Q(45, 100), depth)
+        assert rep.root_meets_shrunk_ball is meets
+
 
 # -- lattice form ------------------------------------------------------------
 

@@ -310,6 +310,19 @@ class TestExitCodes:
                      "100", "--precision-bits", bits,
                      "--out", str(tmp_path / "w.json")]) == code
 
+    @pytest.mark.parametrize("bits, code", [("128", 3), ("160", 0)])
+    def test_deep_triangle_names_the_precision(self, tmp_path, capsys, bits,
+                                               code):
+        # 128 bits of sqrt(3)/2 reach depth 81: at 82 the difference hit
+        # dead-ends and says that its enclosure is too wide
+        assert main(["find-triangle", "--set", "middle_thirds", "--depth",
+                     "82", "--precision-bits", bits,
+                     "--out", str(tmp_path / "w.json")]) == code
+        err = capsys.readouterr().err
+        named = "difference hit (delta enclosure" in err \
+            and "more precision bits" in err
+        assert named == (code == 3)
+
     def test_help_names_precision_readers(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside names
         with pytest.raises(SystemExit):
@@ -479,6 +492,16 @@ class TestExitCodes:
                      "--set2", "middle_cantor:2/5"]) == 2
         assert main(["certify-gap-lemma", "--set", "middle_cantor:1/3",
                      "--set2", "middle_cantor:1/3"]) == 0
+
+    @pytest.mark.parametrize("extra, code, said", [
+        (["--r", "19/400"], 2, "fail: r-uniformity"),
+        (["--depth", "0"], 3, "unknown: root meets shrunk ball undecided")])
+    def test_gap_lemma_ball_systems(self, tmp_path, capsys, extra, code,
+                                    said):
+        assert main(["certify-gap-lemma", "--set", "grid_ifs:seed=1",
+                     "--set2", "grid_ifs:seed=2", *extra,
+                     "--out", str(tmp_path / "g.json")]) == code
+        assert said in capsys.readouterr().out
 
 
 def input_hash(tmp_path, argv) -> str:
@@ -799,6 +822,18 @@ class TestRender:
         assert main(["plot", "--set", "middle_cantor:1/3", "--depth", "3",
                      "--witness", str(w), "--out", str(out)]) == 0
         assert "circle" in out.read_text()
+
+    def test_plot_ball_system_witness(self, tmp_path):
+        # a, b and c of a witness over a ball system are marked, and the
+        # triangle through them drawn
+        w, out = tmp_path / "w.json", tmp_path / "plot.svg"
+        assert main(["find-ap", "--set", "grid_ifs:seed=1", "--depth", "3",
+                     "--out", str(w)]) == 0
+        assert main(["plot", "--set", "grid_ifs:seed=1", "--depth", "1",
+                     "--witness", str(w), "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert svg.count('r="4" fill="#c23b21"') == 3
+        assert svg.count("<polygon") == 1
 
     @pytest.mark.parametrize("desc", ["grid_ifs:seed=1", "middle_thirds"])
     def test_plot_without_out_renders_nothing(self, monkeypatch, capsys,

@@ -31,6 +31,7 @@ from thickset.patterns_nd import (
     _certainly_inside,
     _combo_images,
     _deepest_center_in_disk,
+    _designated_pair,
     _nearest_child,
     _norm,
     _refine_pair,
@@ -42,10 +43,9 @@ from thickset.patterns_nd import (
     lambda_window,
     threshold,
     triangle_disk,
-    vertex_maps,
     x_constant,
 )
-from thickset.product import Triangle, equilateral
+from thickset.product import NormalizedTriangle, Triangle, equilateral
 from thickset.scalars import Interval
 
 from oracles import ref_nearest_child
@@ -94,12 +94,14 @@ class TestLambdaWindow:
 
     def test_exact_boundary_threshold(self):
         # the closed form inverts the threshold: at the window's lower
-        # endpoint the threshold equals the thickness bound exactly
+        # endpoint the threshold equals the thickness bound exactly, in
+        # either mode
         sys = grid()
         tau = yavicoli_thickness(sys).lower_bound.lo
-        lo, _ = lambda_window(sys, Q(1, 5))
-        t = threshold(None, lo.lo, Q(1, 5))
-        assert t.lo == tau
+        for mode in (STANDARD, APPENDIX):
+            lo, _ = lambda_window(sys, Q(1, 5), mode)
+            t = threshold(None, lo.lo, Q(1, 5), mode)
+            assert t.lo == tau
 
     def test_empty_window(self):
         # r close to 1/2 pushes the threshold above any fixed thickness
@@ -185,17 +187,19 @@ class TestFindConvexComboNd:
 
 
 class TestVertexMaps:
+    """The scalings s_f and s_g of the vertex maps f and g come from the
+    class (``NormalizedTriangle.side_ratios``)."""
+
     def test_equilateral_scales_are_one(self):
-        e = equilateral()
-        m = vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
-        assert m.s_f.lo == m.s_f.hi == 1
-        assert m.s_g.lo == m.s_g.hi == 1
+        s_f, s_g = equilateral().side_ratios(128)
+        assert s_f.lo == s_f.hi == 1
+        assert s_g.lo == s_g.hi == 1
 
     def test_half_half(self):
-        m = vertex_maps(Interval.point(Q(1, 2)), Q(1, 2), Q(1, 4))
+        s_f, s_g = _class(Q(1, 2), Q(1, 2)).side_ratios(128)
         # s_f = s_g = sqrt(1/2)
-        assert m.s_f.lo <= m.s_g.hi and m.s_g.lo <= m.s_f.hi
-        sq = m.s_f.square()
+        assert s_f.lo <= s_g.hi and s_g.lo <= s_f.hi
+        sq = s_f.square()
         assert sq.lo <= Q(1, 2) <= sq.hi
 
     def test_search_encloses_no_angle(self, monkeypatch):
@@ -215,21 +219,19 @@ class TestVertexMaps:
         assert calls == []
 
     def test_degenerate_rejected(self):
-        with pytest.raises(InputError):
-            vertex_maps(Interval.point(Q(0)), Q(1, 2), Q(0))
+        with pytest.raises(InputError, match="admissible region"):
+            triangle_disk(_hex(), _class(Q(0), Q(1, 2)), HEX_R)
 
     def test_height_must_enclose_root(self):
         # a height enclosure of another class than alpha_sq's
         with pytest.raises(InputError, match="enclose the square root"):
-            vertex_maps(Interval.point(Q(1, 10)), Q(1, 2), Q(3, 4))
+            NormalizedTriangle(Interval.point(Q(1, 10)), Q(3, 4), Q(1, 2))
 
 
 class TestTriangleDisk:
     def test_hex_equilateral(self):
         sys = hex_packing_example(GAMMA)
-        e = equilateral()
-        maps = vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
-        disk, report = triangle_disk(sys, maps, HEX_R)
+        disk, report = triangle_disk(sys, equilateral(), HEX_R)
         assert report["containment"] == "half_ball"
         assert report["disk_meets_set"] in ("disk_inside_root",
                                             "boundary_overlap")
@@ -259,15 +261,13 @@ class TestTriangleDisk:
 
         alpha_sq = Q(1, 10000)
         alpha = interval_sqrt(Interval.point(alpha_sq), 128)
-        maps = vertex_maps(alpha, Q(1, 100), alpha_sq)
+        tri = NormalizedTriangle(alpha, alpha_sq, Q(1, 100))
         with pytest.raises(HypothesisError):
-            triangle_disk(sys, maps, HEX_R)
+            triangle_disk(sys, tri, HEX_R)
 
     def test_linf_rejected(self):
-        e = equilateral()
-        maps = vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
         with pytest.raises(InputError):
-            triangle_disk(grid(), maps, Q(1, 5))
+            triangle_disk(grid(), equilateral(), Q(1, 5))
 
 
 class TestFindTriangleNd:
@@ -307,32 +307,32 @@ class TestFindTriangleNd:
         from thickset.patterns_nd import _norm, triangle_disk, x_constant
 
         sys = hex_packing_example(GAMMA)
-        e = equilateral()
-        maps = vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
-        disk, _ = triangle_disk(sys, maps, HEX_R)
+        disk, report = triangle_disk(sys, equilateral(), HEX_R)
         center_norm = _norm(disk.center)
         h0 = h_upper(sys, ())
         x = x_constant(HEX_R)
-        bound = (maps.s_f + maps.s_g) / 2 - h0 * x
+        bound = (report["s_f"] + report["s_g"]) / 2 - h0 * x
         assert center_norm.certainly_le(Interval.point(bound.lo))
 
 
 # -- hypothesis failures -----------------------------------------------------
 
 
-def _maps(alpha, lam, bits=128):
-    """Vertex maps of a rational apex height."""
-    return vertex_maps(Interval.point(alpha), lam, alpha * alpha, bits)
-
-
-def _equilateral_maps():
-    e = equilateral()
-    return vertex_maps(e.alpha, Q(1, 2), e.alpha_sq)
+def _class(alpha, lam):
+    """The similarity class of a rational apex height."""
+    return NormalizedTriangle(Interval.point(alpha), alpha * alpha, lam)
 
 
 def _far_hex():
     """The hex system with its root moved to (10, 0)."""
     return BallSystem(Ball((Q(10), Q(0)), Q(1), L2), HexPacking(GAMMA))
+
+
+def _designating_hex(designated):
+    """The hex system at GAMMA with another designated pair, shrunk by
+    gamma in its place, as ``_explicit`` designates for trees."""
+    gen = type("Designating", (HexPacking,), {"designated": designated})
+    return BallSystem(_hex().root, gen(GAMMA))
 
 
 def _explicit(nodes, designated=(0, 1), norm=L2):
@@ -394,7 +394,7 @@ FAILURES = [
         _explicit(ONE_CHILD), Q(1, 2), Q(1, 5), 3),
      "InputError", OUT_OF_RANGE),
     ("range-triangle-disk", lambda: triangle_disk(
-        _explicit(ONE_CHILD), _equilateral_maps(), HEX_R),
+        _explicit(ONE_CHILD), equilateral(), HEX_R),
      "InputError", OUT_OF_RANGE),
     ("range-triangle", lambda: find_triangle_nd(
         _explicit(ONE_CHILD), equilateral(), HEX_R, 3),
@@ -406,16 +406,16 @@ FAILURES = [
         hex_packing_example(1), Q(1, 2), HEX_R, 3),
      "HypothesisError", TOUCHING),
     ("touch-triangle-disk", lambda: triangle_disk(
-        hex_packing_example(1), _equilateral_maps(), HEX_R),
+        hex_packing_example(1), equilateral(), HEX_R),
      "HypothesisError", TOUCHING),
     ("touch-triangle", lambda: find_triangle_nd(
         hex_packing_example(1), equilateral(), HEX_R, 3),
      "HypothesisError", TOUCHING),
     ("touch-before-range", lambda: triangle_disk(
-        _explicit(TOUCHING_PAIR, (0, 2)), _equilateral_maps(), HEX_R),
+        _explicit(TOUCHING_PAIR, (0, 2)), equilateral(), HEX_R),
      "HypothesisError", TOUCHING),
     ("range-before-touch", lambda: triangle_disk(
-        _explicit(TOUCHING_PAIR, (2, 0)), _equilateral_maps(), HEX_R),
+        _explicit(TOUCHING_PAIR, (2, 0)), equilateral(), HEX_R),
      "InputError", OUT_OF_RANGE),
     ("touch-before-appendix", lambda: convex_combo_disk(
         hex_packing_example(1), Q(1, 2), HEX_R, APPENDIX),
@@ -428,8 +428,12 @@ FAILURES = [
         grid(), Q(1, 5), Q(1, 5), 3),
      "HypothesisError",
      "thickness lower bound 8.59750000 is below the threshold 13.33333333"),
+    ("enlarged-triangle-disk", lambda: triangle_disk(
+        _designating_hex((0, 14)), equilateral(), HEX_R),
+     "HypothesisError", "designated children not certified inside the "
+     "half ball (or its enlargement)"),
     ("below-triangle-disk", lambda: triangle_disk(
-        _hex(), _maps(LOW[1], LOW[0]), HEX_R),
+        _hex(), _class(LOW[1], LOW[0]), HEX_R),
      "HypothesisError", HEX_BELOW + "threshold 9.41224893 ± 0.00000000"),
     ("below-triangle", lambda: find_triangle_nd(
         _hex(), _triangle(LOW), HEX_R, 3),
@@ -450,7 +454,7 @@ FAILURES = [
         _hex(), Q(1, 2), HEX_R, 3, APPENDIX),
      "HypothesisError", DISTANCE_CHILD),
     ("appendix-triangle-disk", lambda: triangle_disk(
-        _hex(), _equilateral_maps(), HEX_R, APPENDIX),
+        _hex(), equilateral(), HEX_R, APPENDIX),
      "HypothesisError", DISTANCE_CHILD),
     ("appendix-triangle", lambda: find_triangle_nd(
         _hex(), equilateral(), HEX_R, 3, APPENDIX),
@@ -459,16 +463,16 @@ FAILURES = [
         _hex(), _triangle(THIN), HEX_R, 3, APPENDIX),
      "HypothesisError", HEX_BELOW + "threshold 221.01004702 ± 0.00000000"),
     ("linf-triangle-disk", lambda: triangle_disk(
-        grid(), _equilateral_maps(), Q(1, 5)),
+        grid(), equilateral(), Q(1, 5)),
      "InputError", NOT_L2),
     ("linf-triangle", lambda: find_triangle_nd(
         grid(), equilateral(), Q(1, 5), 3),
      "InputError", NOT_L2),
     ("linf-before-range", lambda: triangle_disk(
-        _explicit(ONE_CHILD, norm=LINF), _equilateral_maps(), Q(1, 5)),
+        _explicit(ONE_CHILD, norm=LINF), equilateral(), Q(1, 5)),
      "InputError", NOT_L2),
     ("thin-triangle-disk", lambda: triangle_disk(
-        _hex(), _maps(*THIN), HEX_R),
+        _hex(), _class(*THIN), HEX_R),
      "HypothesisError", HEX_BELOW + "threshold 294.68006269 ± 0.00000000"),
     ("thin-triangle", lambda: find_triangle_nd(
         _hex(), _triangle(THIN), HEX_R, 3),
@@ -499,13 +503,13 @@ FAILURES = [
         grid(), Q(1, 5), R_WIDE, 3),
      "Indeterminate", UNDECIDED),
     ("undecided-triangle-disk", lambda: triangle_disk(
-        _hex(), _maps(TIE[1], TIE[0], 16), R_TIE, bits=16),
+        _hex(), _class(TIE[1], TIE[0]), R_TIE, bits=16),
      "Indeterminate", UNDECIDED),
     ("undecided-triangle", lambda: find_triangle_nd(
         _hex(), _triangle(TIE), R_TIE, 3, bits=16),
      "Indeterminate", UNDECIDED),
     ("meets-triangle-disk", _loose_norms(lambda: triangle_disk(
-        _hex(), _equilateral_maps(), HEX_R)),
+        _hex(), equilateral(), HEX_R)),
      "Indeterminate", NOT_MEETS),
     ("meets-triangle", _loose_norms(lambda: find_triangle_nd(
         _hex(), equilateral(), HEX_R, 3)),
@@ -520,6 +524,14 @@ def test_failure_outcomes(call, kind, message):
     with pytest.raises(Exception) as info:
         call()
     assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def test_designated_pair_puts_the_smaller_ball_first():
+    big = Ball((Q(-1, 2), Q(0)), Q(3, 8))
+    small = Ball((Q(1, 2), Q(0)), Q(1, 4))
+    ia, ib, ball_a, ball_b = _designated_pair(
+        _explicit({(0,): big, (1,): small}))
+    assert (ia, ib, ball_a.radius, ball_b.radius) == (1, 0, Q(1, 4), Q(3, 8))
 
 
 def test_far_root_finds_the_centered_witness():
@@ -541,12 +553,42 @@ def test_unknown_uniformity_is_indeterminate(monkeypatch):
         find_convex_combo_nd(grid(), Q(1, 2), Q(1, 5), 3)
 
 
-def test_triangle_disk_threshold_exact_from_maps():
-    # the maps carry alpha^2, so the equilateral threshold is the exact
+def test_triangle_disk_threshold_exact_from_class():
+    # the class carries alpha^2, so the equilateral threshold is the exact
     # point 2/(1-2r), as find_triangle_nd reports it
-    _, report = triangle_disk(_hex(), _equilateral_maps(), HEX_R)
+    _, report = triangle_disk(_hex(), equilateral(), HEX_R)
     thr = report["threshold"]
     assert thr.lo == thr.hi == 2 / (1 - 2 * HEX_R)
+
+
+def test_enlarged_ball_containment():
+    # child 10 sits beyond the half ball, but within its enlargement
+    # 1/2 + t_min - h*x/(2 s_f); the inequality is checked here in plain
+    # Fractions, with isqrt brackets for every square root
+    from math import isqrt
+
+    sys = _designating_hex((0, 10))
+    _, report = triangle_disk(sys, equilateral(), HEX_R)
+    assert report["containment"] == "enlarged_ball"
+    n = 2 ** 64
+    sqrt3_hi = Q(isqrt(3 * n * n) + 1, n)
+    rho, root = HexPacking.rho, sys.root
+    h_hi = ((1 - GAMMA) * rho + (2 * sqrt3_hi - 3) / 3 * rho / (1 + rho)) \
+        * root.radius
+    x = 1 - 2 * HEX_R / (1 - 2 * HEX_R)  # standard mode; s_f = 1
+    t_min = min(sys.ball((j,)).radius for j in range(85))
+    enlarged = root.radius / 2 + t_min - h_hi * x / 2
+    outside = []
+    for j in report["children"]:
+        ball = sys.ball((j,))
+        d2 = sum((c - o) ** 2 for c, o in zip(ball.center, root.center))
+        m = d2.denominator
+        root_lo = Q(isqrt(d2.numerator * m), m)
+        root_hi = Q(isqrt(d2.numerator * m) + 1, m)
+        assert root_hi + ball.radius <= enlarged
+        if root_lo + ball.radius > root.radius / 2:
+            outside.append(j)
+    assert outside == [10]
 
 
 def test_center_descent_measures_every_coordinate():
@@ -585,7 +627,7 @@ class TestCertainlyInside:
         for _ in range(12):  # lattice centers at random words
             w = tuple(rng.randrange(85) for _ in range(rng.randint(1, 3)))
             centers.append(sys.ball(w).center)
-        tri, _ = triangle_disk(sys, _equilateral_maps(), HEX_R)
+        tri, _ = triangle_disk(sys, equilateral(), HEX_R)
         assert not all(c.is_point() for c in tri.center)  # alpha = sqrt3/2
         combo, _ = convex_combo_disk(grid(), Q(1, 2), Q(1, 5))
         disk_centers = [tri.center, combo.center,

@@ -327,8 +327,22 @@ class TestDifferenceDescent:
             u, v = difference_hit(middle_thirds(), Q(1, 2), 20)
             assert u.width == v.width == Q(3) ** -20
         else:
-            with pytest.raises(Indeterminate, match="budget of 50"):
+            with pytest.raises(Indeterminate, match=r"^difference hit .* "
+                               "passed the budget of 50 pair tests$"):
                 difference_hit(middle_thirds(), Q(1, 2), 20)
+
+    def test_dead_end_names_the_enclosure_width(self):
+        # an enclosure 3^-22 wide carries the committed descent to depth
+        # 22 but not 24, where the exact delta still has a chain
+        delta = Interval(Q(1, 3), Q(1, 3) + Q(3) ** -22)
+        difference_hit(middle_thirds(), delta, 22)
+        difference_hit(middle_thirds(), delta.lo, 24)
+        with pytest.raises(Indeterminate) as info:
+            difference_hit(middle_thirds(), delta, 24)
+        assert str(info.value) == (
+            "difference hit (delta enclosure 3.19e-11 wide; a deeper chain "
+            "needs a narrower height enclosure, from more precision bits) "
+            "exhausted (no chain to the requested depth)")
 
     @pytest.mark.parametrize("call", [
         lambda: difference_hit(middle_thirds(), Q(1, 2), -1),
