@@ -233,11 +233,11 @@ class Generator(Protocol):
     level; the lattice forms of the children ``indices`` of the lattice
     ball ``parent`` found at ``word`` (``children``, which does the
     per-parent work once for all of them, whether a whole fan or the one
-    child that a walk to a word or a pair refinement takes); the
-    certified covering-slack and thickness bounds, the analytic
-    r-uniformity constant (None when there is none), the designated pair
-    of root children, and the structural check behind
-    ``validate_system``.
+    child that a walk to a word or a pair refinement takes); a word's
+    certified covering-slack bound, the thickness bound (no table of the
+    slack bounds behind it), the analytic r-uniformity constant (None
+    when there is none), the designated pair of root children, and the
+    structural check behind ``validate_system``.
 
     ``cells`` is what a search may know of a fan before deriving it:
     every child's nominal lattice ball and one integer widening e such
@@ -348,9 +348,7 @@ class GridIfs:
 
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
         val = self.rho * (1 - self.rho) / self.d_spacing
-        return ThicknessReportNd(Interval.point(val), (),
-                                 {(): self.h_upper(sys, (), bits)},
-                                 SELF_SIMILAR)
+        return ThicknessReportNd(Interval.point(val), (), SELF_SIMILAR)
 
     def density(self) -> Interval:
         # any such sub-ball contains a whole grid cell, even perturbed
@@ -439,9 +437,7 @@ class HexPacking:
         # the smaller ratio, or their pointwise minimum when they overlap
         lower = Interval(min(root.lo, interior.lo), min(root.hi, interior.hi))
         word = (2,) if root.certainly_gt(interior) else ()
-        return ThicknessReportNd(
-            lower, word, {(): h0, (2,): self.h_upper(sys, (2,), bits)},
-            SELF_SIMILAR)
+        return ThicknessReportNd(lower, word, SELF_SIMILAR)
 
     def density(self) -> Interval:
         return (2 * sqrt3() + 3) / 3 * self.rho  # (2+sqrt3)/sqrt3 * rho
@@ -527,14 +523,12 @@ class ExplicitTree:
         table's depth."""
         best: Optional[Q] = None
         best_word: Word = ()
-        h_bounds = {}
         for w in sorted([(), *(w for w in self.nodes if w)], key=len):
             count = self.child_count(w)
             if not count:
                 continue
             min_rad = min(self.nodes[w + (i,)].radius for i in range(count))
             h = self.h_upper(sys, w, bits)
-            h_bounds[w] = h
             if h.hi == 0:
                 continue  # slack-free word imposes no constraint
             lo = min_rad / h.hi
@@ -543,7 +537,7 @@ class ExplicitTree:
         if best is None:
             raise InputError("explicit tree has no internal nodes")
         max_depth = max(map(len, self.nodes), default=0)
-        return ThicknessReportNd(Interval.point(best), best_word, h_bounds,
+        return ThicknessReportNd(Interval.point(best), best_word,
                                  f"truncated_depth({max_depth})")
 
     def density(self) -> None:
@@ -725,7 +719,6 @@ SELF_SIMILAR = "self_similar_closed_form"
 class ThicknessReportNd:
     lower_bound: Interval
     achieved_word: Word
-    h_bounds: dict
     tail_certificate: str
 
 
@@ -751,7 +744,6 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class UniformityResult:
     status: str
-    r: Interval
     counterexample: Optional[Ball] = None
 
 
@@ -778,10 +770,10 @@ def _uniform_word(sys: BallSystem, word: Word, r_iv: Interval
                               [tuple(v * step for v in kid) for kid in kids],
                               s * q, sys.norm, threshold=reach)
         if r == r_iv.lo and hi <= reach:
-            return UniformityResult(CERTIFIED, r_iv)
+            return UniformityResult(CERTIFIED)
         if r == r_iv.hi and lo > reach:
-            return UniformityResult(FALSIFIED, r_iv, Ball(x, reach, sys.norm))
-    return UniformityResult(UNKNOWN, r_iv)
+            return UniformityResult(FALSIFIED, Ball(x, reach, sys.norm))
+    return UniformityResult(UNKNOWN)
 
 
 def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
@@ -805,7 +797,7 @@ def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
         raise InputError("r must lie in (0, 1)")
     analytic = sys.generator.density()
     if analytic is not None and r_iv.certainly_ge(analytic):
-        return UniformityResult(CERTIFIED_ANALYTIC, r_iv)
+        return UniformityResult(CERTIFIED_ANALYTIC)
     status = CERTIFIED if analytic is None else UNKNOWN
     words: list[Word] = [()]
     for w in words:  # breadth first; the list grows as it is walked
@@ -819,7 +811,7 @@ def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
             status = UNKNOWN
         if analytic is None or not w:
             words += [w + (i,) for i in range(count)]
-    return UniformityResult(status, r_iv)
+    return UniformityResult(status)
 
 
 # -- subset thickness ------------------------------------------------------
@@ -833,7 +825,6 @@ HALF_BOUND = "half_bound"
 class SubsetThicknessReport:
     kind: str
     bound: Interval
-    h_child_bound: Interval
     min_sibling_gap: Interval
 
 
@@ -898,13 +889,9 @@ def subset_thickness(sys: BallSystem, child_index: int,
             bn, bd = bound.numerator, bound.denominator
     min_gap = Interval(lo, hi)
     tau = yavicoli_thickness(sys, bits).lower_bound
-    h_child = h_upper(sys, (child_index,), bits)
-    h_child_subset = 2 * h_upper(sys, (), bits)
-    if h_child.certainly_lt(min_gap):
-        return SubsetThicknessReport(FULL_BOUND, tau, h_child_subset,
-                                     min_gap)
-    return SubsetThicknessReport(HALF_BOUND, tau / 2, h_child_subset,
-                                 min_gap)
+    if h_upper(sys, (child_index,), bits).certainly_lt(min_gap):
+        return SubsetThicknessReport(FULL_BOUND, tau, min_gap)
+    return SubsetThicknessReport(HALF_BOUND, tau / 2, min_gap)
 
 
 # -- higher-dimensional gap-lemma hypotheses --------------------------------

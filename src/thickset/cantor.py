@@ -259,7 +259,6 @@ class GapRecord:
     gap: tuple[Q, Q]
     left_bridge: tuple[Q, Q]
     right_bridge: tuple[Q, Q]
-    creation_depth: int
 
     @property
     def ratio(self) -> Q:
@@ -282,7 +281,6 @@ class ThicknessReport:
     value: Q
     status: str  # always STABILIZED: the value is exact
     witness: GapRecord
-    max_depth: int
 
 
 def _gap_numerators(s: IfsSet1D, max_depth: int
@@ -306,19 +304,20 @@ def _gap_numerators(s: IfsSet1D, max_depth: int
 def _ordered_removal(hull: tuple, gaps: list[tuple]) -> list[GapRecord]:
     """Simulate removal in decreasing length (ties by left endpoint) and
     record the bridges flanking each gap at its removal step.  The hull
-    and the gaps are rationals, or numerators over one denominator."""
+    and the (lo, hi) gaps are rationals, or numerators over one
+    denominator."""
     hull_lo, hull_hi = hull
     order = sorted(gaps, key=lambda g: (g[0] - g[1], g[0]))
     removed_rights: list[Q] = []  # right endpoints of removed gaps
     removed_lefts: list[Q] = []   # left endpoints of removed gaps
     records = []
-    for glo, ghi, d in order:
+    for glo, ghi in order:
         i = bisect.bisect_right(removed_rights, glo)
         left_bound = removed_rights[i - 1] if i else hull_lo
         j = bisect.bisect_left(removed_lefts, ghi)
         right_bound = removed_lefts[j] if j < len(removed_lefts) else hull_hi
         records.append(GapRecord((glo, ghi), (left_bound, glo),
-                                 (ghi, right_bound), d))
+                                 (ghi, right_bound)))
         bisect.insort(removed_rights, ghi)
         bisect.insort(removed_lefts, glo)
     return records
@@ -364,7 +363,7 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     and decide their records exactly.  Those records hold the minimum
     and the witness: the earliest-removed gap of minimum ratio, which is
     removed no later than the first-level minimizer.  ``max_depth`` is
-    validated and echoed in the report but does not change it.
+    validated but does not change the report.
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
@@ -376,7 +375,7 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     up = [s.form.den ** (depth - d) for d in range(depth + 1)]
     records = _ordered_removal(
         tuple(h * up[0] for h in s.hull_num),
-        [(lo * up[d], hi * up[d], d)
+        [(lo * up[d], hi * up[d])
          for lo, hi, d in _gap_numerators(s, depth)])
     witness = records[0]  # keep the earliest-removed gap on ratio ties
     w_bridge, w_gap = _bridge_and_gap(witness)
@@ -387,8 +386,8 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     scale = s.hull_den * up[0]
     witness = GapRecord(*(tuple(Q(v, scale) for v in pair) for pair in
                           (witness.gap, witness.left_bridge,
-                           witness.right_bridge)), witness.creation_depth)
-    return ThicknessReport(witness.ratio, STABILIZED, witness, max_depth)
+                           witness.right_bridge)))
+    return ThicknessReport(witness.ratio, STABILIZED, witness)
 
 
 def require_thickness_at_least_one(s: IfsSet1D) -> ThicknessReport:

@@ -289,9 +289,8 @@ class Run:
     def __init__(self, args):
         self.args = args
         self.start = time.monotonic()
-        self.artifacts: list[tuple[str, str]] = []  # (path, content)
+        self.outputs: list[str] = []  # the paths written
         self.verdicts: list[str] = []
-        self.lines: list[str] = []
         self._desc: dict[str, dict] = {}
         self._witness: Optional[str] = None
 
@@ -335,10 +334,6 @@ class Run:
             text += "\n" + canonical_description(other)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def say(self, line: str):
-        self.lines.append(line)
-        print(line)
-
     def emit(self, payload, points=()):
         """Write ``--out``: a string as it is, else ``payload`` as JSON,
         or the witness ``points`` as CSV under ``--format csv``."""
@@ -354,7 +349,7 @@ class Run:
         else:
             content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         path.write_text(content)
-        self.artifacts.append((str(path), content))
+        self.outputs.append(str(path))
 
     def manifest(self, desc: Optional[dict], code: int):
         out = getattr(self.args, "out", None)
@@ -369,7 +364,7 @@ class Run:
             "mode": getattr(self.args, "mode", None),
             "verdicts": self.verdicts,
             "exit_code": code,
-            "outputs": [p for p, _ in self.artifacts],
+            "outputs": self.outputs,
             "wall_time_s": round(time.monotonic() - self.start, 6),
         }
         manifest_path(out).write_text(
@@ -391,14 +386,14 @@ def cmd_construct(run: Run) -> int:
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         validate_system(obj, depth=2)
-        run.say(f"valid ball system ({obj.norm}), "
-                f"{obj.child_count(())} first-generation children")
+        print(f"valid ball system ({obj.norm}), "
+              f"{obj.child_count(())} first-generation children")
     else:
         depth = min(run.args.depth, 10)
         n = len(obj.branches)
-        run.say(f"valid set, hull [{decimal_str(obj.hull[0])}, "
-                f"{decimal_str(obj.hull[1])}], {n} branches, "
-                f"{n ** depth} cover intervals at depth {depth}")
+        print(f"valid set, hull [{decimal_str(obj.hull[0])}, "
+              f"{decimal_str(obj.hull[1])}], {n} branches, "
+              f"{n ** depth} cover intervals at depth {depth}")
     run.emit({"schema": SCHEMA, "type": "description", **desc})
     run.verdicts.append("constructed")
     return EXIT_OK
@@ -409,8 +404,8 @@ def cmd_thickness(run: Run) -> int:
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         rep = yavicoli_thickness(obj)
-        run.say(f"thickness lower bound {rep.lower_bound.approx_str(8)} "
-                f"[{rep.tail_certificate}]")
+        print(f"thickness lower bound {rep.lower_bound.approx_str(8)} "
+              f"[{rep.tail_certificate}]")
         run.verdicts.append(str(rep.lower_bound.approx_str(8)))
         run.emit({"schema": SCHEMA, "type": "thickness_nd",
                   "input": desc,
@@ -419,7 +414,7 @@ def cmd_thickness(run: Run) -> int:
                   "tail_certificate": rep.tail_certificate})
         return EXIT_OK
     rep = cantor.newhouse_thickness(obj)
-    run.say(f"{decimal_str(rep.value)} ({rep.status})")
+    print(f"{decimal_str(rep.value)} ({rep.status})")
     run.verdicts.append(f"{rep.value} ({rep.status})")
     run.emit({"schema": SCHEMA, "type": "thickness_1d", "input": desc,
               "value": str(rep.value), "status": rep.status,
@@ -430,7 +425,7 @@ def cmd_thickness(run: Run) -> int:
 
 def _witness_nd(run: Run, w, desc: dict, line: str) -> int:
     """Report a ball-system witness: ``line``, then its JSON or CSV."""
-    run.say(line)
+    print(line)
     run.emit(witness_nd_json(w, desc),
              [w.a, w.b, tuple(Interval.point(x) for x in w.c)])
     run.verdicts.append("witness")
@@ -449,8 +444,8 @@ def _combo_common(run: Run, lam) -> int:
             f"witness found: residual <= "
             f"{decimal_approx(w.residual, 12)} at depth {w.depth_used}"))
     w = patterns1d.find_convex_combo(obj, lam, depth=run.args.depth)
-    run.say(f"witness found: m = {w.m.enclosure.approx_str(12)}, "
-            f"residual <= {decimal_approx(w.residual, 15)}")
+    print(f"witness found: m = {w.m.enclosure.approx_str(12)}, "
+          f"residual <= {decimal_approx(w.residual, 15)}")
     run.emit(witness1d_json(w, desc), [p.enclosure for p in w.points])
     run.verdicts.append("witness")
     return EXIT_OK
@@ -492,8 +487,8 @@ def cmd_find_triangle(run: Run) -> int:
             f"{decimal_approx(dev, 12)}"))
     w = product.find_triangle_in_product(obj, tri, depth=run.args.depth,
                                          bits=run.args.precision_bits)
-    run.say(f"product witness: side ratio deviation <= "
-            f"{decimal_approx(w.ratio_deviation, 15)}")
+    print(f"product witness: side ratio deviation <= "
+          f"{decimal_approx(w.ratio_deviation, 15)}")
     run.emit({
         "schema": SCHEMA, "type": "witness_product", "input": desc,
         "vertices": jsonable(w.vertices),
@@ -512,8 +507,8 @@ def cmd_search_kap(run: Run) -> int:
     if isinstance(obj, BallSystem):
         raise InputError("progression search runs on one-dimensional sets")
     cert = patterns1d.kap_search(obj, run.args.k, depth=run.args.depth)
-    run.say(f"{cert.verdict} (k={cert.k}, depth={cert.depth}, "
-            f"explored={cert.explored_nodes})")
+    print(f"{cert.verdict} (k={cert.k}, depth={cert.depth}, "
+          f"explored={cert.explored_nodes})")
     run.emit(kap_json(cert, desc), [p.enclosure for p in cert.points])
     run.verdicts.append(cert.verdict)
     if cert.verdict == patterns1d.UNKNOWN:
@@ -530,7 +525,7 @@ def cmd_certify_gap_lemma(run: Run) -> int:
     if isinstance(o1, BallSystem):
         r = default_r(o1, getattr(run.args, "r", None))
         rep = gap_lemma_rd_check(o1, o2, r, depth=run.args.depth)
-        run.say(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
+        print(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
         run.emit({"schema": SCHEMA, "type": "gap_lemma_nd",
                   "inputs": [desc1, desc2], "verdict": rep.verdict,
                   "reason": rep.reason,
@@ -545,7 +540,7 @@ def cmd_certify_gap_lemma(run: Run) -> int:
             return EXIT_OK
         return EXIT_HYPOTHESIS if rep.verdict == "fail" else EXIT_UNKNOWN
     rep = patterns1d.gap_lemma_check(o1, o2)
-    run.say(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
+    print(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
     run.emit({"schema": SCHEMA, "type": "gap_lemma_1d",
               "inputs": [desc1, desc2], "verdict": rep.verdict,
               "reason": rep.reason,
@@ -603,8 +598,8 @@ def cmd_reproduce(run: Run) -> int:
     for r in rows:
         status = "PASS" if r["pass"] else "FAIL"
         ok_all &= r["pass"]
-        run.say(f"{r['name']:<{width}}  target {r['target']:<12} "
-                f"computed {r['computed']:<28} {status}")
+        print(f"{r['name']:<{width}}  target {r['target']:<12} "
+              f"computed {r['computed']:<28} {status}")
     run.emit({"schema": SCHEMA, "type": "reproduction", "table": "section6",
               "rows": rows})
     run.verdicts.append("all_pass" if ok_all else "mismatch")
@@ -656,7 +651,7 @@ def cmd_plot(run: Run) -> int:
         svg = render.render_set_1d(obj, depth=min(run.args.depth, 8),
                                    marks=marks or None)
     run.emit(svg)
-    run.say(f"wrote {run.args.out}")
+    print(f"wrote {run.args.out}")
     run.verdicts.append("plotted")
     return EXIT_OK
 

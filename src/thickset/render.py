@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balls import BallSystem, LINF
-from .cantor import IfsSet1D
-from .errors import InputError
+from .cantor import IfsSet1D, node_budget
+from .errors import Indeterminate, InputError
 from .scalars import Q, decimal_approx, decimal_ratio
 
 _W = 640.0
@@ -28,12 +28,21 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
+def _check_budget(shapes: int, depth: int) -> None:
+    """Refuse a plot of ``shapes`` shapes to ``depth``, counted before
+    the level at ``depth`` is derived, past ``node_budget()``."""
+    if shapes > (budget := node_budget()):
+        raise Indeterminate(f"plot needs {shapes} shapes to depth {depth}, "
+                            f"over the node budget of {budget}")
+
+
 def render_set_1d(s: IfsSet1D, depth: int = 4,
                   marks: list[Q] | None = None) -> str:
     """Nested interval bars, one row per depth, deepest at the bottom;
-    optional marked points drawn as circles under the last row.  A bar
-    [a, b] of the hull [h0, h0 + w], numerators over one denominator,
-    starts at ((a - h0)*616 + 12*w)/w pixels and is (b - a)*616/w wide."""
+    optional marked points drawn as circles under the last row; each row
+    counted against the node budget first.  A bar [a, b] of the hull
+    [h0, h0 + w], numerators over one denominator, starts at
+    ((a - h0)*616 + 12*w)/w pixels and is (b - a)*616/w wide."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     row_h, pad = 28, 12
@@ -42,6 +51,7 @@ def render_set_1d(s: IfsSet1D, depth: int = 4,
     body = []
     level, (h0, h1), den = [s.hull_num], s.hull_num, s.form.den
     for d in range(depth + 1):
+        _check_budget(len(body) + len(s.branches) ** d, d)
         if d:
             level = [kid for a, b in level for kid in s.form.children(a, b)]
             h0, h1 = h0 * den, h1 * den
@@ -64,7 +74,8 @@ def render_ball_system(sys: BallSystem, depth: int = 1,
                        marks: list[tuple[Q, Q]] | None = None) -> str:
     """Tree balls to the given depth as circles (Euclidean norm) or
     squares (sup norm), drawn over the root outline; optional marked
-    points as filled dots."""
+    points as filled dots; each level counted against the node budget
+    first."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     size = int(_W)
@@ -79,6 +90,8 @@ def render_ball_system(sys: BallSystem, depth: int = 1,
     shapes = [(0, root)]
     frontier = [((), sys.lattice(()))]
     for d in range(1, depth + 1):
+        _check_budget(len(shapes) + sum(sys.child_count(w)
+                                        for w, _ in frontier), d)
         s = sys.scale(d)
         nxt = []
         for w, lat in frontier:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import thickset
-from thickset import (balls, cantor, patterns1d, patterns_nd, product,
-                      scalars)
+from thickset import (balls, cantor, cli, patterns1d, patterns_nd,
+                      product, scalars)
 
 MODULES = ("balls", "cantor", "cli", "errors", "patterns1d", "patterns_nd",
            "product", "render", "scalars")
@@ -127,6 +127,26 @@ def test_unread_members_are_gone():
     assert not hasattr(patterns_nd.WitnessNd, "points")
     assert "provenance" not in {f.name
                                 for f in dataclasses.fields(patterns_nd.Disk)}
+
+
+# result fields that nothing read, and the slack bounds computed to fill
+# two of them
+UNREAD_FIELDS_GONE = [(balls.ThicknessReportNd, "h_bounds"),
+                      (balls.SubsetThicknessReport, "h_child_bound"),
+                      (balls.UniformityResult, "r"),
+                      (cantor.GapRecord, "creation_depth"),
+                      (cantor.ThicknessReport, "max_depth")]
+
+
+@pytest.mark.parametrize("cls, name", UNREAD_FIELDS_GONE)
+def test_unread_fields_are_gone(cls, name):
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_run_keeps_no_printed_lines():
+    run = cli.Run(cli.make_parser().parse_args(["construct", "--set",
+                                                "middle_thirds"]))
+    assert not hasattr(run, "lines") and not hasattr(run, "say")
 
 
 def test_triangle_disk_reads_alpha_sq_from_its_class():
@@ -333,6 +353,11 @@ UNREAD_PARAMETERS = {
         "generator protocol: every grid word has n**d children",
     ("balls", "GridIfs.h_upper", "bits"):
         "generator protocol: the grid slack is an exact rational",
+    ("balls", "GridIfs.thickness", "sys"):
+        "generator protocol: the grid thickness is a closed form in rho "
+        "and d alone",
+    ("balls", "GridIfs.thickness", "bits"):
+        "generator protocol: the grid thickness is an exact rational",
     ("balls", "GridIfs.validate", "depth"):
         "generator protocol: the grid's check is on its norm alone",
     ("balls", "HexPacking.child_count", "word"):
@@ -391,3 +416,57 @@ def test_parameters_are_read_or_allowlisted():
     found = unread_parameters()
     assert sorted(found - set(UNREAD_PARAMETERS)) == []
     assert sorted(set(UNREAD_PARAMETERS) - found) == []  # none stale
+
+
+# the dataclass fields of the package that no module of the package and
+# no bench script reads as an attribute, each for the reason given; any
+# other is a result field that nothing reads
+UNREAD_FIELDS: dict[tuple[str, str], str] = {}
+BENCH_SOURCES = [ast.parse(path.read_text()) for path in sorted(
+    Path(__file__).parents[1].joinpath("bench").glob("*.py"))]
+
+
+def attribute_reads(tree) -> set[tuple[str, frozenset]]:
+    """(attribute, names of the calls around it) for each attribute that
+    ``tree`` loads."""
+    found = set()
+
+    def visit(node, calls):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls = calls | {getattr(func, "id", getattr(func, "attr", ""))}
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            found.add((node.attr, calls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, calls)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unread_fields() -> set[tuple[str, str]]:
+    """(class, field) for each field of a dataclass of the package that
+    no module of the package and no bench script reads as an attribute.
+    A read inside a call of the field's own class, which only copies the
+    value into a new instance, does not count."""
+    reads = set().union(*map(attribute_reads,
+                             [*SOURCES.values(), *BENCH_SOURCES]))
+    found = set()
+    for module in MODULES:
+        for cls in vars(importlib.import_module(f"thickset.{module}")
+                        ).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == f"thickset.{module}"):
+                continue
+            found.update((cls.__name__, f.name)
+                         for f in dataclasses.fields(cls)
+                         if not any(attr == f.name and cls.__name__ not in
+                                    calls for attr, calls in reads))
+    return found
+
+
+def test_dataclass_fields_are_read_or_allowlisted():
+    found = unread_fields()
+    assert sorted(found - set(UNREAD_FIELDS)) == []
+    assert sorted(set(UNREAD_FIELDS) - found) == []  # none stale

@@ -790,6 +790,36 @@ class TestSubsetThickness:
         with pytest.raises(InputError):
             subset_thickness(sys, 0)
 
+    @pytest.mark.parametrize("sys, want", [
+        (hex_packing_example(1 - Q(3, 2**20)), (1, 2)),
+        (grid_ifs_example(10, Q(19, 200), Q(1, 100), 1), (0, 1))],
+        ids=["hex", "grid"])
+    def test_only_the_slack_bounds_read(self, monkeypatch, sys, want):
+        # the hex thickness reads the root's slack bound and the grid's
+        # none; the subset bound adds the designated child's, and no
+        # bound is computed that no verdict reads
+        gen, calls = type(sys.generator), []
+        real = gen.h_upper
+        monkeypatch.setattr(gen, "h_upper", lambda self, *args:
+                            calls.append(args) or real(self, *args))
+        yavicoli_thickness(sys)
+        thickness_calls = len(calls)
+        subset_thickness(sys, 0)
+        assert (thickness_calls, len(calls) - thickness_calls) == want
+
+    def test_explicit_tree_runs_one_kernel_for_the_child(self, monkeypatch):
+        # on a table every slack bound is a farthest-point run: the subset
+        # bound runs the thickness's and one more, for the child
+        sys = snapshot(grid_ifs_example(2, Q(49, 100), Q(1, 50), 1), 2)
+        runs = []
+        monkeypatch.setattr(balls, "_farthest", lambda *args, **kw:
+                            runs.append(args) or _farthest(*args, **kw))
+        yavicoli_thickness(sys)
+        thickness_runs = len(runs)
+        subset_thickness(sys, 0)
+        assert thickness_runs == 5  # the root and its four children
+        assert len(runs) == 2 * thickness_runs + 1
+
     def test_bound_at_least_half_for_builders(self):
         for sys in (grid_ifs_example(10, Q(19, 200), Q(1, 100), 1),
                     hex_packing_example(GAMMA)):
@@ -954,13 +984,9 @@ def subset_thickness_reference(sys: BallSystem, child_index: int,
     gaps = [gap_to(other) for i, other in enumerate(kids) if i != child_index]
     min_gap = Interval(min(g.lo for g in gaps), min(g.hi for g in gaps))
     tau = yavicoli_thickness(sys, bits).lower_bound
-    h_child = h_upper(sys, (child_index,), bits)
-    h_child_subset = 2 * h_upper(sys, (), bits)
-    if h_child.certainly_lt(min_gap):
-        return SubsetThicknessReport(FULL_BOUND, tau, h_child_subset,
-                                     min_gap)
-    return SubsetThicknessReport(HALF_BOUND, tau / 2, h_child_subset,
-                                 min_gap)
+    if h_upper(sys, (child_index,), bits).certainly_lt(min_gap):
+        return SubsetThicknessReport(FULL_BOUND, tau, min_gap)
+    return SubsetThicknessReport(HALF_BOUND, tau / 2, min_gap)
 
 
 def same_outcome(sys: BallSystem, child_index: int, bits: int = 128) -> None:

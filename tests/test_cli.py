@@ -17,6 +17,7 @@ from thickset.cli import main, parse_description, reproduce_rows
 from thickset.render import render_ball_system, render_set_1d
 from thickset.balls import grid_ifs_example, hex_packing_example
 from thickset.cantor import affine_image, ifs_from_branches, off_center_cantor
+from thickset.errors import Indeterminate
 from fractions import Fraction as Q
 
 from oracles import ref_render_set_1d
@@ -126,6 +127,33 @@ class TestExitCodes:
         assert main(["thickness", "--set", "middle_cantor:1/3",
                      "--depth", "100000"]) == 0
         assert "1 (stabilized)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, shapes", [
+        (["--set", "middle_thirds", "--depth", "8"], 511),
+        (["--set", "grid_ifs:seed=1", "--depth", "1"], 101)],
+        ids=["bars", "squares"])
+    def test_plot_over_budget_three(self, monkeypatch, tmp_path, capsys,
+                                    args, shapes):
+        # the plot counts its shapes against the node budget: all of them
+        # fit a budget of exactly that many, and a budget of 100 refuses
+        out = tmp_path / "p.svg"
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(shapes))
+        assert main(["plot", *args, "--out", str(out)]) == 0
+        out.unlink()
+        monkeypatch.setenv("THICKSET_MAX_NODES", "100")
+        assert main(["plot", *args, "--out", str(out)]) == 3
+        assert "over the node budget of 100" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "p.svg.manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["outputs"]) == (3, [])
+
+    def test_plot_counts_a_level_before_deriving_it(self, monkeypatch):
+        # 101 squares pass a budget of 100 before a child is derived
+        sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
+        monkeypatch.setenv("THICKSET_MAX_NODES", "100")
+        monkeypatch.setattr(type(sys.generator), "children", None)
+        with pytest.raises(Indeterminate, match="101 shapes to depth 1"):
+            render_ball_system(sys, depth=1)
 
     def test_thickness_over_budget_three(self, monkeypatch, tmp_path):
         # the second gap is 10^-9 long, so thickness needs gaps to depth 17

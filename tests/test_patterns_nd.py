@@ -548,7 +548,7 @@ def test_unknown_uniformity_is_indeterminate(monkeypatch):
     import thickset.patterns_nd as nd
 
     monkeypatch.setattr(nd, "r_uniformity_check",
-                        lambda sys, r: UniformityResult(UNKNOWN, r))
+                        lambda sys, r: UniformityResult(UNKNOWN))
     with pytest.raises(Indeterminate, match="r-uniformity not certified"):
         find_convex_combo_nd(grid(), Q(1, 2), Q(1, 5), 3)
 
