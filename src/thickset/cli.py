@@ -2,11 +2,14 @@
 search, certification, reproduction of the worked-example constants, and
 SVG/CSV/JSON artifact emission.
 
-Only find-ap, find-combo, find-triangle and search-kap have a CSV form
-(their witness points); ``--format csv`` on another command is an input
-error.  The argument parser is built on the first ``main()`` call and
-kept for the rest of the process; nothing derived from a set, a system
-or a description outlives a call.
+Each command takes only the options it reads (``COMMANDS``): only
+find-ap, find-combo, find-triangle and search-kap take ``--format``,
+whose csv form is their witness points.  A command returns a ``Result``,
+and ``Run.write`` writes ``--out`` before it prints the result or
+records its verdict, so a run whose artifact cannot be written reports
+no verdict.  The argument parser is built on the first ``main()`` call
+and kept for the rest of the process; nothing derived from a set, a
+system or a description outlives a call.
 
 Exit codes: 0 a verdict was produced (including a sound infeasibility),
 1 input error (unreadable or unwritable files included) or an internal
@@ -25,9 +28,10 @@ import json
 import os
 import sys as _sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 from . import cantor, patterns1d, patterns_nd, product, render
 from .balls import (
@@ -47,9 +51,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_UNKNOWN = 3
-
-# the commands whose artifact has a CSV form: their witness points
-CSV_COMMANDS = ("find-ap", "find-combo", "find-triangle", "search-kap")
 
 # the inputs besides --set that the manifest's input_hash covers
 OTHER_INPUTS = ("set2", "lam", "r", "triangle", "k", "table", "witness")
@@ -218,7 +219,6 @@ def jsonable(x: Any) -> Any:
 
 def witness1d_json(w: patterns1d.Witness1D, desc: dict) -> dict:
     return {
-        "schema": SCHEMA,
         "type": "witness_1d",
         "input": desc,
         "lambda": str(w.lam),
@@ -235,7 +235,6 @@ def witness1d_json(w: patterns1d.Witness1D, desc: dict) -> dict:
 
 def witness_nd_json(w, desc: dict) -> dict:
     return {
-        "schema": SCHEMA,
         "type": "witness_nd",
         "input": desc,
         "convention": w.convention,
@@ -266,7 +265,6 @@ def witness_csv(points) -> str:
 
 def kap_json(cert: patterns1d.KapCertificate, desc: dict) -> dict:
     out = {
-        "schema": SCHEMA,
         "type": "kap_certificate",
         "input": desc,
         "k": cert.k,
@@ -283,6 +281,18 @@ def kap_json(cert: patterns1d.KapCertificate, desc: dict) -> dict:
 
 
 # -- artifact output -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Result:
+    """What a command returns: the text it prints, its verdict, its
+    artifact (a JSON payload or the SVG text), the witness points of its
+    CSV form and its exit code."""
+    text: str
+    verdict: str
+    artifact: Union[dict, str]
+    points: Sequence = ()
+    code: int = EXIT_OK
 
 
 class Run:
@@ -334,25 +344,28 @@ class Run:
             text += "\n" + canonical_description(other)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def emit(self, payload, points=()):
-        """Write ``--out``: a string as it is, else ``payload`` as JSON,
-        or the witness ``points`` as CSV under ``--format csv``."""
-        out = getattr(self.args, "out", None)
-        fmt = getattr(self.args, "format", None) or "json"
-        if out is None:
-            return
-        path = Path(out)
-        if isinstance(payload, str):
-            content = payload
-        elif fmt == "csv":  # main admits it for CSV_COMMANDS only
-            content = witness_csv(points)
-        else:
-            content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        path.write_text(content)
-        self.outputs.append(str(path))
+    def write(self, result: Result) -> int:
+        """Write ``--out``, when given: the SVG text as it is, the witness
+        points as CSV under ``--format csv``, else the payload as JSON
+        with the schema.  Only then print the result and record its
+        verdict; returns its exit code."""
+        if self.args.out is not None:
+            path = Path(self.args.out)
+            if isinstance(result.artifact, str):
+                content = result.artifact
+            elif getattr(self.args, "format", "json") == "csv":
+                content = witness_csv(result.points)
+            else:
+                content = json.dumps({"schema": SCHEMA, **result.artifact},
+                                     indent=2, sort_keys=True) + "\n"
+            path.write_text(content)
+            self.outputs.append(str(path))
+        print(result.text)
+        self.verdicts.append(result.verdict)
+        return result.code
 
     def manifest(self, desc: Optional[dict], code: int):
-        out = getattr(self.args, "out", None)
+        out = self.args.out
         if out is None:
             return
         m = {
@@ -381,81 +394,72 @@ def manifest_path(out: str) -> Path:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_construct(run: Run) -> int:
+def cmd_construct(run: Run) -> Result:
     desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         validate_system(obj, depth=2)
-        print(f"valid ball system ({obj.norm}), "
-              f"{obj.child_count(())} first-generation children")
+        text = (f"valid ball system ({obj.norm}), "
+                f"{obj.child_count(())} first-generation children")
     else:
         depth = min(run.args.depth, 10)
         n = len(obj.branches)
-        print(f"valid set, hull [{decimal_str(obj.hull[0])}, "
-              f"{decimal_str(obj.hull[1])}], {n} branches, "
-              f"{n ** depth} cover intervals at depth {depth}")
-    run.emit({"schema": SCHEMA, "type": "description", **desc})
-    run.verdicts.append("constructed")
-    return EXIT_OK
+        text = (f"valid set, hull [{decimal_str(obj.hull[0])}, "
+                f"{decimal_str(obj.hull[1])}], {n} branches, "
+                f"{n ** depth} cover intervals at depth {depth}")
+    return Result(text, "constructed", {"type": "description", **desc})
 
 
-def cmd_thickness(run: Run) -> int:
+def cmd_thickness(run: Run) -> Result:
     desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
-        rep = yavicoli_thickness(obj)
-        print(f"thickness lower bound {rep.lower_bound.approx_str(8)} "
-              f"[{rep.tail_certificate}]")
-        run.verdicts.append(str(rep.lower_bound.approx_str(8)))
-        run.emit({"schema": SCHEMA, "type": "thickness_nd",
-                  "input": desc,
-                  "lower_bound": jsonable(rep.lower_bound),
-                  "achieved_word": list(rep.achieved_word),
-                  "tail_certificate": rep.tail_certificate})
-        return EXIT_OK
+        rep = yavicoli_thickness(obj, run.args.precision_bits)
+        bound = rep.lower_bound.approx_str(8)
+        return Result(
+            f"thickness lower bound {bound} [{rep.tail_certificate}]", bound,
+            {"type": "thickness_nd", "input": desc,
+             "lower_bound": jsonable(rep.lower_bound),
+             "achieved_word": list(rep.achieved_word),
+             "tail_certificate": rep.tail_certificate})
     rep = cantor.newhouse_thickness(obj)
-    print(f"{decimal_str(rep.value)} ({rep.status})")
-    run.verdicts.append(f"{rep.value} ({rep.status})")
-    run.emit({"schema": SCHEMA, "type": "thickness_1d", "input": desc,
-              "value": str(rep.value), "status": rep.status,
-              "witness_gap": jsonable(list(rep.witness.gap)),
-              "ratio": str(rep.witness.ratio)})
-    return EXIT_OK
+    return Result(f"{decimal_str(rep.value)} ({rep.status})",
+                  f"{rep.value} ({rep.status})",
+                  {"type": "thickness_1d", "input": desc,
+                   "value": str(rep.value), "status": rep.status,
+                   "witness_gap": jsonable(list(rep.witness.gap)),
+                   "ratio": str(rep.witness.ratio)})
 
 
-def _witness_nd(run: Run, w, desc: dict, line: str) -> int:
-    """Report a ball-system witness: ``line``, then its JSON or CSV."""
-    print(line)
-    run.emit(witness_nd_json(w, desc),
-             [w.a, w.b, tuple(Interval.point(x) for x in w.c)])
-    run.verdicts.append("witness")
-    return EXIT_OK
+def _witness_nd(w, desc: dict, text: str) -> Result:
+    """A ball-system witness, printed as ``text``."""
+    return Result(text, "witness", witness_nd_json(w, desc),
+                  [w.a, w.b, tuple(Interval.point(x) for x in w.c)])
 
 
-def _combo_common(run: Run, lam) -> int:
+def _combo_common(run: Run, lam) -> Result:
     desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
-        r = default_r(obj, getattr(run.args, "r", None))
+        r = default_r(obj, run.args.r)
         w = patterns_nd.find_convex_combo_nd(
             obj, lam, r, depth=run.args.depth, mode=run.args.mode,
             bits=run.args.precision_bits)
-        return _witness_nd(run, w, desc, (
+        return _witness_nd(w, desc, (
             f"witness found: residual <= "
             f"{decimal_approx(w.residual, 12)} at depth {w.depth_used}"))
     w = patterns1d.find_convex_combo(obj, lam, depth=run.args.depth)
-    print(f"witness found: m = {w.m.enclosure.approx_str(12)}, "
-          f"residual <= {decimal_approx(w.residual, 15)}")
-    run.emit(witness1d_json(w, desc), [p.enclosure for p in w.points])
-    run.verdicts.append("witness")
-    return EXIT_OK
+    return Result(f"witness found: m = {w.m.enclosure.approx_str(12)}, "
+                  f"residual <= {decimal_approx(w.residual, 15)}",
+                  "witness", witness1d_json(w, desc),
+                  [p.enclosure for p in w.points])
 
 
-def cmd_find_ap(run: Run) -> int:
+def cmd_find_ap(run: Run) -> Result:
     return _combo_common(run, Q(1, 2))
 
 
-def cmd_find_combo(run: Run) -> int:
+def cmd_find_combo(run: Run) -> Result:
     return _combo_common(run, to_q(run.args.lam))
 
 
@@ -471,84 +475,75 @@ def _parse_triangle(raw: str, bits: int):
     return product.Triangle.make(pts)
 
 
-def cmd_find_triangle(run: Run) -> int:
+def cmd_find_triangle(run: Run) -> Result:
     desc = run.description()
     obj = build_object(desc)
     tri = _parse_triangle(run.args.triangle, run.args.precision_bits)
     if isinstance(obj, BallSystem):
-        r = default_r(obj, getattr(run.args, "r", None))
+        r = default_r(obj, run.args.r)
         w = patterns_nd.find_triangle_nd(obj, tri, r,
                                          depth=run.args.depth,
                                          mode=run.args.mode,
                                          bits=run.args.precision_bits)
         dev = w.hypotheses_report["side_ratio_deviation"]
-        return _witness_nd(run, w, desc, (
+        return _witness_nd(w, desc, (
             f"triangle witness: side-ratio deviation <= "
             f"{decimal_approx(dev, 12)}"))
     w = product.find_triangle_in_product(obj, tri, depth=run.args.depth,
                                          bits=run.args.precision_bits)
-    print(f"product witness: side ratio deviation <= "
-          f"{decimal_approx(w.ratio_deviation, 15)}")
-    run.emit({
-        "schema": SCHEMA, "type": "witness_product", "input": desc,
-        "vertices": jsonable(w.vertices),
-        "side_lengths": jsonable(w.side_lengths),
-        "ratio_deviation": str(w.ratio_deviation),
-        "depth_used": w.depth_used,
-        "collinear": w.collinear,
-    }, list(w.vertices))
-    run.verdicts.append("witness")
-    return EXIT_OK
+    return Result(f"product witness: side ratio deviation <= "
+                  f"{decimal_approx(w.ratio_deviation, 15)}", "witness", {
+                      "type": "witness_product", "input": desc,
+                      "vertices": jsonable(w.vertices),
+                      "side_lengths": jsonable(w.side_lengths),
+                      "ratio_deviation": str(w.ratio_deviation),
+                      "depth_used": w.depth_used,
+                      "collinear": w.collinear,
+                  }, w.vertices)
 
 
-def cmd_search_kap(run: Run) -> int:
+def cmd_search_kap(run: Run) -> Result:
     desc = run.description()
     obj = build_object(desc)
     if isinstance(obj, BallSystem):
         raise InputError("progression search runs on one-dimensional sets")
     cert = patterns1d.kap_search(obj, run.args.k, depth=run.args.depth)
-    print(f"{cert.verdict} (k={cert.k}, depth={cert.depth}, "
-          f"explored={cert.explored_nodes})")
-    run.emit(kap_json(cert, desc), [p.enclosure for p in cert.points])
-    run.verdicts.append(cert.verdict)
-    if cert.verdict == patterns1d.UNKNOWN:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return Result(f"{cert.verdict} (k={cert.k}, depth={cert.depth}, "
+                  f"explored={cert.explored_nodes})", cert.verdict,
+                  kap_json(cert, desc), [p.enclosure for p in cert.points],
+                  EXIT_UNKNOWN if cert.verdict == patterns1d.UNKNOWN
+                  else EXIT_OK)
 
 
-def cmd_certify_gap_lemma(run: Run) -> int:
+def cmd_certify_gap_lemma(run: Run) -> Result:
     desc1 = run.description()
     desc2 = run.description("set2")
     o1, o2 = build_object(desc1), build_object(desc2)
     if isinstance(o1, BallSystem) != isinstance(o2, BallSystem):
         raise InputError("both inputs must be sets or both ball systems")
     if isinstance(o1, BallSystem):
-        r = default_r(o1, getattr(run.args, "r", None))
-        rep = gap_lemma_rd_check(o1, o2, r, depth=run.args.depth)
-        print(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
-        run.emit({"schema": SCHEMA, "type": "gap_lemma_nd",
-                  "inputs": [desc1, desc2], "verdict": rep.verdict,
-                  "reason": rep.reason,
-                  "checks": {
-                      "thickness_product": rep.thickness_product_ok,
-                      "root_meets_shrunk_ball": rep.root_meets_shrunk_ball,
-                      "radius_ratio": rep.radius_ratio_ok,
-                      "uniformity": rep.uniformity_ok},
-                  "details": jsonable(rep.details)})
-        run.verdicts.append(rep.verdict)
-        if rep.verdict == "hypotheses_hold":
-            return EXIT_OK
-        return EXIT_HYPOTHESIS if rep.verdict == "fail" else EXIT_UNKNOWN
-    rep = patterns1d.gap_lemma_check(o1, o2)
-    print(f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""))
-    run.emit({"schema": SCHEMA, "type": "gap_lemma_1d",
-              "inputs": [desc1, desc2], "verdict": rep.verdict,
-              "reason": rep.reason,
-              "hull_intersect": rep.hull_intersect,
-              "interwoven": rep.interwoven,
-              "thickness_product": jsonable(rep.thickness_product)})
-    run.verdicts.append(rep.verdict)
-    return EXIT_OK if rep.verdict == "hypotheses_hold" else EXIT_HYPOTHESIS
+        rep = gap_lemma_rd_check(o1, o2, default_r(o1, run.args.r),
+                                 depth=run.args.depth,
+                                 bits=run.args.precision_bits)
+        payload = {"type": "gap_lemma_nd", "checks": {
+            "thickness_product": rep.thickness_product_ok,
+            "root_meets_shrunk_ball": rep.root_meets_shrunk_ball,
+            "radius_ratio": rep.radius_ratio_ok,
+            "uniformity": rep.uniformity_ok},
+            "details": jsonable(rep.details)}
+        failed = EXIT_HYPOTHESIS if rep.verdict == "fail" else EXIT_UNKNOWN
+    else:
+        rep = patterns1d.gap_lemma_check(o1, o2)
+        payload = {"type": "gap_lemma_1d",
+                   "hull_intersect": rep.hull_intersect,
+                   "interwoven": rep.interwoven,
+                   "thickness_product": jsonable(rep.thickness_product)}
+        failed = EXIT_HYPOTHESIS
+    return Result(
+        f"{rep.verdict}" + (f": {rep.reason}" if rep.reason else ""),
+        rep.verdict, {**payload, "inputs": [desc1, desc2],
+                      "verdict": rep.verdict, "reason": rep.reason},
+        code=EXIT_OK if rep.verdict == "hypotheses_hold" else failed)
 
 
 def reproduce_rows() -> list[dict]:
@@ -588,22 +583,19 @@ def reproduce_rows() -> list[dict]:
     return out
 
 
-def cmd_reproduce(run: Run) -> int:
+def cmd_reproduce(run: Run) -> Result:
     table = run.args.table
     if table != "section6":
         raise InputError(f"unknown table {table!r}")
     rows = reproduce_rows()
     width = max(len(r["name"]) for r in rows)
-    ok_all = True
-    for r in rows:
-        status = "PASS" if r["pass"] else "FAIL"
-        ok_all &= r["pass"]
-        print(f"{r['name']:<{width}}  target {r['target']:<12} "
-              f"computed {r['computed']:<28} {status}")
-    run.emit({"schema": SCHEMA, "type": "reproduction", "table": "section6",
-              "rows": rows})
-    run.verdicts.append("all_pass" if ok_all else "mismatch")
-    return EXIT_OK if ok_all else EXIT_HYPOTHESIS
+    ok_all = all(r["pass"] for r in rows)
+    return Result("\n".join(
+        f"{r['name']:<{width}}  target {r['target']:<12} "
+        f"computed {r['computed']:<28} {'PASS' if r['pass'] else 'FAIL'}"
+        for r in rows), "all_pass" if ok_all else "mismatch",
+        {"type": "reproduction", "table": "section6", "rows": rows},
+        code=EXIT_OK if ok_all else EXIT_HYPOTHESIS)
 
 
 def _midpoint(enc) -> Q:
@@ -636,7 +628,7 @@ def witness_marks(data, obj) -> list:
             for p in pts]
 
 
-def cmd_plot(run: Run) -> int:
+def cmd_plot(run: Run) -> Result:
     desc = run.description()
     if run.args.out is None:
         raise InputError("plot needs --out")
@@ -650,13 +642,53 @@ def cmd_plot(run: Run) -> int:
     else:
         svg = render.render_set_1d(obj, depth=min(run.args.depth, 8),
                                    marks=marks or None)
-    run.emit(svg)
-    print(f"wrote {run.args.out}")
-    run.verdicts.append("plotted")
-    return EXIT_OK
+    return Result(f"wrote {run.args.out}", "plotted", svg)
 
 
 # -- argument parsing -----------------------------------------------------------
+
+
+# the argparse keywords of each option
+OPTIONS = {
+    "set": dict(required=True, help="set/system description (kind:arg, "
+                                    "JSON, or a JSON file path)"),
+    "out": dict(help="artifact output path"),
+    "format": dict(choices=["json", "csv"], default="json",
+                   help="csv writes the witness points"),
+    "depth": dict(type=int, default=8),
+    "precision-bits": dict(type=int, default=128,
+                           help="interval precision in bits, at least 1; "
+                                "find-triangle also encloses the "
+                                "sqrt(3)/2 of --triangle equilateral to it"),
+    "mode": dict(choices=["standard", "appendix"], default="standard"),
+    "lam": dict(required=True, help="combination ratio"),
+    "triangle": dict(default="equilateral",
+                     help='"equilateral", "x,y;x,y;x,y", or JSON'),
+    "r": dict(default="auto"),
+    "k": dict(type=int, required=True),
+    "set2": dict(required=True),
+    "table": dict(default="section6"),
+    "witness": dict(help="witness artifact to overlay"),
+}
+
+# each command's help and the options it reads besides --out; thickness
+# also keeps --depth, which it does not read, because the bench passes it
+SEARCH = ("set", "format", "depth", "precision-bits", "mode")
+COMMANDS = {
+    "construct": ("validate and normalize a set/system description",
+                  ("set", "depth")),
+    "thickness": ("thickness report", ("set", "depth", "precision-bits")),
+    "find-ap": ("3-term progression witness", SEARCH + ("r",)),
+    "find-combo": ("convex combination witness", SEARCH + ("lam", "r")),
+    "find-triangle": ("triangle witness", SEARCH + ("triangle", "r")),
+    "search-kap": ("k-term progression search",
+                   ("set", "format", "depth", "k")),
+    "certify-gap-lemma": ("check intersection criteria for two sets",
+                          ("set", "set2", "depth", "precision-bits", "r")),
+    "reproduce": ("re-derive the worked-example constants with pass/fail",
+                  ("table",)),
+    "plot": ("emit an SVG rendering", ("set", "depth", "witness")),
+}
 
 
 @functools.cache
@@ -668,54 +700,10 @@ def make_parser() -> argparse.ArgumentParser:
         prog="thickset",
         description="Certified computations on thick compact sets")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_set=True):
-        if with_set:
-            sp.add_argument("--set", required=True,
-                            help="set/system description (kind:arg, JSON, "
-                                 "or a JSON file path)")
-        sp.add_argument("--out", help="artifact output path")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--depth", type=int, default=8)
-        sp.add_argument("--precision-bits", type=int, default=128,
-                        dest="precision_bits",
-                        help="interval precision in bits, at least 1; read "
-                             "by find-ap and find-combo on ball systems and "
-                             "by find-triangle, also for the sqrt(3)/2 of "
-                             "--triangle equilateral")
-        sp.add_argument("--mode", choices=["standard", "appendix"],
-                        default="standard")
-
-    common(sub.add_parser("construct", help="validate and normalize a "
-                                            "set/system description"))
-    common(sub.add_parser("thickness", help="thickness report"))
-    common(sub.add_parser("find-ap", help="3-term progression witness"))
-    sp = sub.add_parser("find-combo", help="convex combination witness")
-    common(sp)
-    sp.add_argument("--lam", required=True, help="combination ratio")
-    sp.add_argument("--r", default="auto")
-    sp = sub.add_parser("find-triangle", help="triangle witness")
-    common(sp)
-    sp.add_argument("--triangle", default="equilateral",
-                    help='"equilateral", "x,y;x,y;x,y", or JSON')
-    sp.add_argument("--r", default="auto")
-    sp = sub.add_parser("search-kap", help="k-term progression search")
-    common(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp = sub.add_parser("certify-gap-lemma",
-                        help="check intersection criteria for two sets")
-    common(sp)
-    sp.add_argument("--set2", required=True)
-    sp.add_argument("--r", default="auto")
-    sp = sub.add_parser("reproduce", help="re-derive the worked-example "
-                                          "constants with pass/fail")
-    common(sp, with_set=False)
-    sp.add_argument("--table", default="section6")
-    sp = sub.add_parser("plot", help="emit an SVG rendering")
-    common(sp)
-    sp.add_argument("--witness", help="witness artifact to overlay")
-    # progression search on ball systems also needs the density constant
-    sub.choices["find-ap"].add_argument("--r", default="auto")
+    for command, (text, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for name in ("out", *options):
+            sp.add_argument(f"--{name}", **OPTIONS[name])
     return p
 
 
@@ -749,13 +737,13 @@ def _rejected_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = make_parser()
+    handler = None
     try:
         args = parser.parse_args(argv)
         handler = HANDLERS[args.command]
     except SystemExit as e:  # --help, or a rejection argparse printed
         args = _rejected_args(_sys.argv[1:] if argv is None else argv)
         code = 0 if e.code in (0, None) else EXIT_INPUT
-        handler = lambda run: code
     run = Run(args)
     desc = None
     # Python (3.10.7 on) limits int/str conversion to 4300 digits, which a
@@ -768,15 +756,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise InputError("precision bits must be positive")
         if getattr(args, "depth", 0) < 0:
             raise InputError("depth must be nonnegative")
-        if (getattr(args, "format", None) == "csv"
-                and args.command not in CSV_COMMANDS):
-            raise InputError("--format csv is only for "
-                             + ", ".join(CSV_COMMANDS))
-        code = handler(run)
-    except InputError as e:
-        print(f"input error: {e}", file=_sys.stderr)
-        code = EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as e:
+        if handler is not None:
+            code = run.write(handler(run))
+    except (KeyError, ValueError, OSError) as e:  # InputError and bad JSON
         print(f"input error: {e}", file=_sys.stderr)
         code = EXIT_INPUT
     except HypothesisError as e:

@@ -285,7 +285,6 @@ class TestExitCodes:
         ["thickness", "--set", "hex_packing:1"],
         ["certify-gap-lemma", "--set", "middle_thirds", "--set2",
          "middle_thirds"],
-        ["reproduce"],
     ])
     def test_negative_depth_one(self, tmp_path, capsys, argv):
         out = tmp_path / "w.json"
@@ -351,13 +350,42 @@ class TestExitCodes:
             and "more precision bits" in err
         assert named == (code == 3)
 
-    def test_help_names_precision_readers(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside names
-        with pytest.raises(SystemExit):
-            cli.make_parser().parse_args(["thickness", "--help"])
-        text = " ".join(capsys.readouterr().out.split())
-        assert "read by find-ap and find-combo on ball systems and by " \
-               "find-triangle" in text
+    @pytest.mark.parametrize("command", ["thickness", "certify-gap-lemma"])
+    def test_ball_systems_read_precision_bits(self, tmp_path, command):
+        # the hex thickness bound, and the gap-lemma details built on it,
+        # narrow with the bits they are computed to
+        argv = [command, "--set", "hex_packing:1"]
+        if command == "certify-gap-lemma":
+            argv += ["--set2", "hex_packing:0.99999"]
+        artifacts = []
+        for bits in ("16", "256"):
+            out = tmp_path / f"{bits}.json"
+            assert main(argv + ["--precision-bits", bits,
+                                "--out", str(out)]) == 0
+            artifacts.append(json.loads(out.read_text()))
+        if command == "thickness":
+            low, high = (Q(a["lower_bound"]["hi"]) - Q(a["lower_bound"]["lo"])
+                         for a in artifacts)
+            assert low > Q(1, 10**5) and high < Q(1, 10**70)
+        else:
+            assert artifacts[0]["details"] != artifacts[1]["details"]
+
+    @pytest.mark.parametrize("argv", [
+        ["thickness", "--set", "middle_thirds"],
+        ["find-ap", "--set", "middle_thirds", "--depth", "4"]])
+    def test_unwritten_artifact_reports_nothing(self, tmp_path, monkeypatch,
+                                                capsys, argv):
+        # an --out naming a directory: no result printed, no verdict
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(argv + ["--out", "."]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        manifest = json.loads((tmp_path / "work.manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["verdicts"],
+                manifest["outputs"]) == (1, [], [])
 
     @pytest.mark.parametrize("out_args", [["--out", "{}"], ["--out={}"]])
     def test_rejected_arguments_write_manifest(self, tmp_path, out_args):
@@ -658,6 +686,114 @@ class TestSharedParser:
         assert manifest["outputs"] == [str(out)]
 
 
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in cli.make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class ArgsRecorder:
+    """Parsed arguments that note each name read from them while
+    ``active`` is nonempty."""
+
+    def __init__(self, args, reads, active):
+        self._args, self._reads, self._active = args, reads, active
+
+    def __getattr__(self, name):
+        if self._active:
+            self._reads.add(name)
+        return getattr(self._args, name)
+
+
+# the options a command takes and does not read, each for the reason given
+UNREAD_OPTIONS = {
+    ("thickness", "depth"):
+        "bench/workloads.py passes it (ROADMAP item 18)",
+}
+
+# each command once on a set on the line, and once on a ball system where
+# it takes one; run i writes i.json, so the plots draw the first two runs'
+# witnesses
+OPTION_RUNS = [
+    ["find-ap", "--set", "middle_thirds", "--depth", "4"],
+    ["find-ap", "--set", "grid_ifs:seed=1", "--depth", "3"],
+    ["construct", "--set", "middle_thirds"],
+    ["construct", "--set", "hex_packing:1"],
+    ["thickness", "--set", "middle_thirds"],
+    ["thickness", "--set", "hex_packing:1"],
+    ["find-combo", "--set", "middle_thirds", "--lam", "1/3"],
+    ["find-combo", "--set", "grid_ifs:seed=1", "--lam", "1/2", "--depth",
+     "3"],
+    ["find-triangle", "--set", "middle_thirds", "--depth", "3"],
+    ["find-triangle", "--set", "hex_packing:0.99999", "--depth", "2"],
+    ["search-kap", "--set", "middle_thirds", "--k", "3", "--depth", "3"],
+    ["certify-gap-lemma", "--set", "middle_thirds", "--set2",
+     "middle_thirds"],
+    ["certify-gap-lemma", "--set", "hex_packing:1", "--set2",
+     "hex_packing:0.99999"],
+    ["reproduce"],
+    ["plot", "--set", "middle_thirds", "--witness", "0.json"],
+    ["plot", "--set", "grid_ifs:seed=1", "--depth", "1", "--witness",
+     "1.json"],
+]
+
+
+class TestOptions:
+    def test_subparsers_offer_their_options(self):
+        offered = {command: {s for a in sp._actions for s in a.option_strings}
+                   - {"-h", "--help"} for command, sp in subparsers().items()}
+        assert offered == {
+            command: {f"--{name}" for name in ("out", *options)}
+            for command, (_, options) in cli.COMMANDS.items()}
+        assert sum(map(len, offered.values())) == 47
+        assert set(cli.HANDLERS) == set(cli.COMMANDS)
+
+    def test_options_are_read_or_allowlisted(self, tmp_path, monkeypatch):
+        # an option is read when the handler or the writing of its result
+        # reads it, not when main checks it or the manifest records it
+        reads, active = set(), []
+        init = cli.Run.__init__
+
+        def recording_init(self, args):
+            init(self, ArgsRecorder(args, reads, active))
+
+        def recording(func):
+            def call(*args):
+                active.append(True)
+                try:
+                    return func(*args)
+                finally:
+                    active.pop()
+            return call
+
+        monkeypatch.setattr(cli.Run, "__init__", recording_init)
+        monkeypatch.setattr(cli.Run, "write", recording(cli.Run.write))
+        for command, handler in list(cli.HANDLERS.items()):
+            monkeypatch.setitem(cli.HANDLERS, command, recording(handler))
+        monkeypatch.chdir(tmp_path)
+        read = {command: set() for command in subparsers()}
+        for i, argv in enumerate(OPTION_RUNS):
+            reads.clear()
+            assert main(argv + ["--out", f"{i}.json"]) == 0, argv
+            read[argv[0]] |= reads
+        unread = {(command, a.dest) for command, sp in subparsers().items()
+                  for a in sp._actions
+                  if a.dest != "help" and a.dest not in read[command]}
+        assert sorted(unread - set(UNREAD_OPTIONS)) == []
+        assert sorted(set(UNREAD_OPTIONS) - unread) == []  # none stale
+
+    def test_every_format_option_writes_csv(self, tmp_path, monkeypatch):
+        # a command that offers --format has a CSV form
+        monkeypatch.chdir(tmp_path)
+        assert main(OPTION_RUNS[0] + ["--out", "0.json"]) == 0
+        first = {}
+        for argv in OPTION_RUNS:
+            first.setdefault(argv[0], argv)
+        failed = [command for command, argv in first.items()
+                  if "--format" in subparsers()[command]._option_string_actions
+                  and main(argv + ["--format", "csv", "--out", "o.csv"]) != 0]
+        assert failed == []
+
+
 class TestArtifacts:
     def test_witness_json_and_manifest(self, tmp_path):
         out = tmp_path / "w.json"
@@ -715,8 +851,8 @@ class TestArtifacts:
     def test_csv_format_without_csv_form_one(self, tmp_path, capsys, argv):
         out = tmp_path / "t.csv"
         assert main(argv + ["--format", "csv", "--out", str(out)]) == 1
-        assert "--format csv is only for find-ap, find-combo, " \
-            "find-triangle, search-kap" in capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" \
+            in capsys.readouterr().err
         assert not out.exists()
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert (manifest["command"], manifest["exit_code"],
@@ -916,16 +1052,17 @@ def test_readme_command_lines(tmp_path, monkeypatch):
 # and nothing asks for threads or processes.
 
 # each command's required options, then the others it takes
-COMMON = ["--depth", "--precision-bits", "--mode", "--format"]
+SEARCH = ["--depth", "--precision-bits", "--mode", "--format", "--r"]
 FUZZ_COMMANDS = {
-    "construct": ([], COMMON), "thickness": ([], COMMON),
-    "find-ap": ([], COMMON + ["--r"]),
-    "find-combo": (["--lam"], COMMON + ["--r"]),
-    "find-triangle": ([], COMMON + ["--triangle", "--r"]),
-    "search-kap": (["--k"], COMMON),
-    "certify-gap-lemma": (["--set2"], COMMON + ["--r"]),
-    "reproduce": ([], COMMON + ["--table"]),
-    "plot": ([], COMMON + ["--witness"]), "frobnicate": ([], []),
+    "construct": ([], ["--depth"]),
+    "thickness": ([], ["--depth", "--precision-bits"]),
+    "find-ap": ([], SEARCH), "find-combo": (["--lam"], SEARCH),
+    "find-triangle": ([], SEARCH + ["--triangle"]),
+    "search-kap": (["--k"], ["--depth", "--format"]),
+    "certify-gap-lemma": (["--set2"], ["--depth", "--precision-bits",
+                                       "--r"]),
+    "reproduce": ([], ["--table"]),
+    "plot": ([], ["--depth", "--witness"]), "frobnicate": ([], []),
     "": ([], [])}
 # well-formed sets, then malformed or extreme ones
 FUZZ_SETS = ([
