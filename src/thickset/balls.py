@@ -432,6 +432,10 @@ class HexPacking:
     def thickness(self, sys: BallSystem, bits: int) -> ThicknessReportNd:
         q = _hex_q(bits)
         h0 = self.h_upper(sys, (), bits)
+        if q.lo <= 0 or h0.lo <= 0:
+            raise Indeterminate("the hex thickness bound's divisors are not "
+                                f"certified positive at {bits} precision "
+                                "bits")
         root = Interval.point(self.gamma * self.rho * sys.root.radius) / h0
         interior = Interval.point(1 + self.rho) / q
         # the smaller ratio, or their pointwise minimum when they overlap

@@ -111,11 +111,12 @@ class WordForm:
         return lo, hi
 
     def mirrored(self) -> "WordForm":
-        """The form of the reflected images, branch order kept: child i
-        of a reflected image is the reflection of child i."""
+        """The form of the reflected set: child i of a reflected image is
+        the reflection of child n - 1 - i, so the children stay in
+        increasing order."""
         d = self.den
-        return WordForm(d, tuple((d - b, d - a) for a, b in self.rel),
-                        tuple((d - b, d - a) for a, b in self.gaps))
+        return WordForm(d, *(tuple((d - b, d - a) for a, b in reversed(t))
+                             for t in (self.rel, self.gaps)))
 
 
 @dataclass(frozen=True)
@@ -328,16 +329,23 @@ def gap_depth(s: IfsSet1D) -> int:
     shortest first-level gap: the largest m with
     s_max^(m-1) * g_max >= g_min.
 
+    In integers: the first-level gaps are the ``b - a`` of the form's
+    ``gaps`` and s_max is the largest ``b - a`` of its ``rel``, all in
+    units of the hull width over ``den``, so after k steps the test
+    reads reach * s_max >= g_min * den**(k+1), reach = g_max * s_max**k.
+
     Raises Indeterminate, before any gap is enumerated, when enumerating
     to depth D would visit more than ``node_budget()`` nodes.
     """
-    lens = [hi - lo for lo, hi in s.top_gaps()]
-    g_min, reach = min(lens), max(lens)
-    s_max = max(b.scale for b in s.branches)
+    form = s.form
+    lens = [b - a for a, b in form.gaps]
+    reach, floor = max(lens), min(lens) * form.den
+    s_max = max(b - a for a, b in form.rel)
     n, budget = len(s.branches), node_budget()
     depth, level, nodes = 1, 1, 1
-    while reach * s_max >= g_min:
+    while reach * s_max >= floor:
         reach *= s_max
+        floor *= form.den
         depth += 1
         level *= n
         nodes += level
@@ -387,7 +395,7 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     witness = GapRecord(*(tuple(Q(v, scale) for v in pair) for pair in
                           (witness.gap, witness.left_bridge,
                            witness.right_bridge)))
-    return ThicknessReport(witness.ratio, STABILIZED, witness)
+    return ThicknessReport(Q(w_bridge, w_gap), STABILIZED, witness)
 
 
 def require_thickness_at_least_one(s: IfsSet1D) -> ThicknessReport:

@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .cantor import (
     IfsSet1D,
+    WordForm,
     descend,
     gap_holds_translate,
     membership,
@@ -51,24 +53,31 @@ def _longest_gap(gaps: list[tuple[Q, Q]], rightmost: bool) -> int:
 # -- certified piece descent --------------------------------------------
 
 
+# a box [a, b] as integer numerators over one denominator
+_Box = tuple[int, int]
+
+
 class Piece:
-    """An affine image mul*(C restricted to a branch word) + shift, a node
-    of ``certified_descent``.
+    """An affine image mul*(C restricted to a branch word) + shift: one
+    of the pair that ``certified_descent`` returns.
 
     The restriction of the attractor to any word image is an affine copy
     of the whole attractor, so a piece carries full structural knowledge:
-    exact hull, children, and gap queries all reduce to the base set.
-    The piece holds its hull in image coordinates as integer numerators
-    ``lo < hi`` over ``den``; its children follow by the child rule of
-    ``form``, the base's integer form, mirrored when mul < 0 so that
-    child i stays the image of the base's child i.  ``origin`` places
-    the image of the base's hull: (a, w, unit) for the image of its left
-    end at a/unit and a signed width w/unit.  ``hull`` and ``interval``
-    are built as rationals only when asked for.  Pieces are made by the
-    descent's placement and by ``children``.
+    exact hull and membership queries reduce to the base set.  The piece
+    holds its hull in image coordinates as integer numerators
+    ``lo < hi`` over ``den``.  ``origin`` places the image of the base's
+    hull: (a, w, unit) for the image of its left end at a/unit and a
+    signed width w/unit.  ``hull`` and ``interval`` are built as
+    rationals only when asked for.  The descent walks bare integer boxes
+    and builds a piece for its final pair only.
     """
 
-    __slots__ = ("base", "mul", "shift", "form", "origin", "lo", "hi", "den")
+    __slots__ = ("base", "mul", "shift", "origin", "lo", "hi", "den")
+
+    def __init__(self, base: IfsSet1D, mul: Q, shift: Q, origin, lo: int,
+                 hi: int, den: int):
+        self.base, self.mul, self.shift, self.origin = base, mul, shift, origin
+        self.lo, self.hi, self.den = lo, hi, den
 
     @property
     def hull(self) -> tuple[Q, Q]:  # of the image
@@ -78,16 +87,6 @@ class Piece:
     def interval(self) -> tuple[Q, Q]:  # in the base
         a, b = ((v - self.shift) / self.mul for v in self.hull)
         return (a, b) if a <= b else (b, a)
-
-    def children(self) -> list["Piece"]:
-        kids, den = [], self.den * self.form.den
-        for lo, hi in self.form.children(self.lo, self.hi):
-            p = object.__new__(Piece)
-            p.base, p.mul, p.shift, p.form, p.origin = \
-                self.base, self.mul, self.shift, self.form, self.origin
-            p.lo, p.hi, p.den = lo, hi, den
-            kids.append(p)
-        return kids
 
     def contains_set_point(self, x: Q) -> bool:
         """Certified membership of x in the piece's set: x lies in the
@@ -105,13 +104,19 @@ class Piece:
         return position_member(self.base.form, p, q)
 
 
-def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
-            ) -> tuple[list[Piece], list[Piece]]:
-    """The top pieces of both sides of a descent, each side a placement
+def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q):
+    """The top boxes of both sides of a descent, each side a placement
     (mul, shift) of ``s`` and its words, over one denominator: unit *
     den**k, k the words' common length, den the set's form denominator,
     and unit the least multiple of the slide's denominator over which
-    mul/hull_den and shift are integers for both placements."""
+    mul/hull_den and shift are integers for both placements.
+
+    Returns each side as ((mul, shift, origin), form, boxes), with the
+    ``Piece`` fields of the placement, the integer form of its image
+    (the base's, mirrored when mul < 0) and its words' boxes, and then
+    the denominator.  A word is walked from the image of the base's hull
+    in the base's form, so its box is the image of the base's word
+    image, reflected or not."""
     sides = [(to_q(mul), to_q(shift), words)
              for (mul, shift), words in ((x, x_words), (y, y_words))]
     if any(mul == 0 for mul, _, _ in sides):
@@ -125,38 +130,32 @@ def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q
     unit = math.lcm(slide.denominator,
                     *((mul / s.hull_den).denominator for mul, _, _ in sides),
                     *(shift.denominator for _, shift, _ in sides))
-    den = unit * s.form.den ** k
-    xs, ys = out = [], []
-    for (mul, shift, words), pieces in zip(sides, out):
+    placed = []
+    for mul, shift, words in sides:
         alpha, beta = mul * unit / s.hull_den, shift * unit  # integers
         a, b = (int(alpha * h + beta) for h in s.hull_num)
-        origin, form = (a, b - a, unit), s.form
-        if mul < 0:
-            form, a, b = form.mirrored(), b, a
-        for w in words:
-            p = object.__new__(Piece)
-            p.base, p.mul, p.shift, p.form, p.origin, p.den = \
-                s, mul, shift, form, origin, den
-            p.lo, p.hi = form.walk(a, b, w)
-            pieces.append(p)
-    return xs, ys
+        form = s.form.mirrored() if mul < 0 else s.form
+        placed.append(((mul, shift, (a, b - a, unit)), form,
+                       [tuple(sorted(s.form.walk(a, b, w))) for w in words]))
+    return *placed, unit * s.form.den ** k
 
 
-def _certified(x: Piece, y: Piece, slide: Q) -> bool:
+def _certified(fx: WordForm, fy: WordForm, x: _Box,
+               y: tuple[int, int, int]) -> bool:
     """Gap-lemma hypotheses for x's set against every placement of y's
-    set in y - [0, slide]: hulls intersect and neither set lies inside a
+    set in y - [0, sl]: hulls intersect and neither set lies inside a
     gap of the other.  Together with thickness product >= 1 (checked
     once per search) this certifies the sets intersect at every
-    placement.  The pieces are over one denominator, a multiple of the
-    slide's."""
-    sl = slide.numerator * (x.den // slide.denominator)
-    if x.hi < y.lo or y.hi - sl < x.lo:
+    placement.  The box x = (lo, hi) has the form ``fx``, and y =
+    (lo, hi, sl) the form ``fy``, all numerators over one
+    denominator."""
+    (x_lo, x_hi), (y_lo, y_hi, sl) = x, y
+    if x_hi < y_lo or y_hi - sl < x_lo:
         return False
-    if gap_holds_translate(x.form, x.lo, x.hi, y.lo - sl, y.lo,
-                           y.hi - y.lo):
+    if gap_holds_translate(fx, x_lo, x_hi, y_lo - sl, y_lo, y_hi - y_lo):
         return False
-    return not gap_holds_translate(y.form, y.lo, y.hi, x.lo, x.lo + sl,
-                                   x.hi - x.lo)
+    return not gap_holds_translate(fy, y_lo, y_hi, x_lo, x_lo + sl,
+                                   x_hi - x_lo)
 
 
 def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
@@ -164,27 +163,42 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
                       ) -> tuple[Piece, Piece]:
     """Leftmost pair of top pieces certified for every placement of y in
     y - [0, slide], refined level by level.  The two sides are affine
-    placements x = (mul, shift) and y of the set ``s``; their top pieces
+    placements x = (mul, shift) and y of the set ``s``; their top boxes
     are the images of ``x_words`` and ``y_words``, all of one length,
     and each is placed once, over one denominator, so the pair tests
     compare integers.  A certified pair's sets intersect, and any
     intersection point lies in some child pair, which is then itself
     certified, so ``descend`` commits to the leftmost one at every
-    level; ``what`` names the search in its ``Indeterminate`` messages."""
+    level; ``what`` names the search in its ``Indeterminate`` messages.
+
+    The walk's nodes are bare integer boxes, the y box carrying the
+    slide over its denominator.  A level multiplies the denominator by
+    the form's ``den``: each side's children come from its form in
+    increasing ``lo``, and boxes of one side are disjoint, so the nested
+    order of the child pairs is their order by (x lo, y lo), and they
+    are built lazily, up to the first certified one.  Only the returned
+    pair becomes ``Piece``s."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     slide = to_q(slide)
-    xs, ys = _placed(s, x, x_words, y, y_words, slide)
+    (x_at, fx, x_boxes), (y_at, fy, y_boxes), den = \
+        _placed(s, x, x_words, y, y_words, slide)
+    step = s.form.den
+    sl = slide.numerator * (den // slide.denominator)
     levels = max(depth - len(x_words[0]), 0)
 
-    def pairs(xs: list[Piece], ys: list[Piece]) -> list[tuple[Piece, Piece]]:
-        return sorted(((px, py) for px in xs for py in ys),
-                      key=lambda t: (t[0].lo, t[1].lo))
+    def below(bx: _Box, by: tuple[int, int, int]):
+        y_lo, y_hi, y_sl = by
+        y_sl *= step
+        ys = [(lo, hi, y_sl) for lo, hi in fy.children(y_lo, y_hi)]
+        return ((cx, cy) for cx in fx.children(*bx) for cy in ys)
 
-    return descend(pairs(xs, ys),
-                   lambda px, py: pairs(px.children(), py.children()),
-                   lambda px, py: _certified(px, py, slide),
-                   levels, what, backtrack=False)
+    bx, (y_lo, y_hi, _) = descend(
+        sorted(((bx, (*by, sl)) for bx in x_boxes for by in y_boxes),
+               key=lambda t: (t[0][0], t[1][0])),
+        below, partial(_certified, fx, fy), levels, what, backtrack=False)
+    den *= step ** levels
+    return Piece(s, *x_at, *bx, den), Piece(s, *y_at, y_lo, y_hi, den)
 
 
 def _exact_point(px: Piece, py: Piece, simplest: bool
@@ -336,8 +350,6 @@ class KapCertificate:
 _NO_UPPER = (1, 0)
 # the bounds lo_n/lo_d and hi_n/hi_d of a y-range, as (lo_n, lo_d, hi_n, hi_d)
 _YRange = tuple[int, int, int, int]
-# a box [a, b] as integer numerators over one denominator
-_Box = tuple[int, int]
 
 
 def _ordered_extensions(row: Callable[[int], Sequence[_Box]], k: int,

@@ -8,7 +8,8 @@ with their own step range for a tuple of boxes, two ball predicates,
 the nearest child and the first touching sibling found by scanning a
 whole fan, a dense-grid farthest-point maximum in floats, and the line's
 word geometry computed by composing affine maps in rationals, as the
-library did before it moved to integer numerators, the pair test of a
+library did before it moved to integer numerators, the depth of gaps
+the thickness needs, computed in rationals, the pair test of a
 line descent over listed gaps, the set rescaled to the unit hull, which
 the progression oracles search, the simplest rational in an interval
 found by Stern-Brocot mediants, probe points for a certified-membership
@@ -169,6 +170,27 @@ def ref_enumerate_gaps(s: IfsSet1D, max_depth: int
 
     rec(IDENTITY, 0)
     return gaps
+
+
+def ref_gap_depth(s: IfsSet1D) -> int:
+    """``gap_depth`` in rationals: the largest m with
+    s_max^(m-1) * g_max >= g_min, from the first-level gaps and the
+    branch scales, raising the same ``Indeterminate`` once enumerating
+    the gaps to that depth would pass the node budget."""
+    lens = [hi - lo for lo, hi in s.top_gaps()]
+    g_min, reach = min(lens), max(lens)
+    s_max = max(b.scale for b in s.branches)
+    n, budget = len(s.branches), node_budget()
+    depth, level, nodes = 1, 1, 1
+    while reach * s_max >= g_min:
+        reach *= s_max
+        depth += 1
+        level *= n
+        nodes += level
+        if nodes > budget:
+            raise Indeterminate(f"thickness needs gaps to depth {depth}, "
+                                f"over the node budget of {budget}")
+    return depth
 
 
 def ref_membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:

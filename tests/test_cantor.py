@@ -1,7 +1,12 @@
+import cProfile
 import math
+import os
+import pstats
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -40,6 +45,7 @@ from oracles import (
     ref_certified_member,
     ref_cover,
     ref_enumerate_gaps,
+    ref_gap_depth,
     ref_membership,
     ref_slides_into_gap,
     self_combo_cover,
@@ -226,6 +232,37 @@ HOSTILE = ifs_from_branches(0, 1, [(Q(3, 10), 0),
                                    (Q(1, 5), Q(4, 5))])
 
 
+# branches on [0, 9/20], [1/2, 11/20] and [7/10, 1]: unequal gaps, and
+# gaps to depth 2
+UNEQUAL = ifs_from_branches(0, 1, [(Q(9, 20), 0), (Q(1, 20), Q(1, 2)),
+                                   (Q(3, 10), Q(7, 10))])
+
+
+@st.composite
+def gap_depth_cases(draw):
+    """A presentation of 2-4 branches with wide branch images, so that
+    unequal gaps often reach below the first level, as drawn or under an
+    affine image that may reflect it, and a node budget: the default or
+    a small one."""
+    n = draw(st.integers(2, 4))
+    s = weighted(draw(st.lists(st.integers(3, 12), min_size=n, max_size=n)),
+                 draw(st.lists(st.integers(1, 12), min_size=n - 1,
+                               max_size=n - 1)))
+    if draw(st.booleans()):
+        scale = Q(draw(st.integers(-9, 9).filter(bool)),
+                  draw(st.integers(1, 9)))
+        s = affine_image(s, scale, Q(draw(st.integers(-5, 5)), 4))
+    return s, draw(st.one_of(st.none(), st.integers(0, 20)))
+
+
+def depth_or_refusal(depth_of, s):
+    """``depth_of(s)``, or the message of the Indeterminate it raises."""
+    try:
+        return depth_of(s)
+    except Indeterminate as e:
+        return str(e)
+
+
 class TestThicknessByProof:
     @settings(max_examples=60, deadline=None)
     @given(presentations())
@@ -259,6 +296,48 @@ class TestThicknessByProof:
         assert s_max ** d * max(lens) < min(lens)
         for s in (middle_thirds(), off_center_cantor(Q(3, 10))):
             assert gap_depth(s) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(gap_depth_cases())
+    @example((UNEQUAL, None))
+    @example((affine_image(UNEQUAL, Q(-3, 7), Q(1, 2)), None))
+    # a depth-3 gap exactly as long as the shortest first-level gap
+    @example((weighted([11, 1, 11], [1, 9]), None))
+    @example((affine_image(weighted([11, 1, 11], [1, 9]), Q(-2, 5), Q(1)),
+              None))
+    @example((UNEQUAL, 2))
+    @example((HOSTILE, None))
+    @example((affine_image(HOSTILE, Q(-1, 3), Q(0)), 10**9))
+    def test_gap_depth_matches_rational_loop(self, case):
+        # the same depth, or the same Indeterminate, as the loop over the
+        # rational gap lengths and branch scales
+        s, budget = case
+        env = {} if budget is None else {"THICKSET_MAX_NODES": str(budget)}
+        with mock.patch.dict(os.environ, env):
+            assert depth_or_refusal(gap_depth, s) == \
+                depth_or_refusal(ref_gap_depth, s)
+
+    def test_unequal_gaps_reach_depth_two(self):
+        # gaps 1/20 and 3/20 and s_max = 9/20: a depth-2 gap is 27/400
+        # long, past 1/20, and a depth-3 one is 243/8000 long, short of it
+        assert gap_depth(UNEQUAL) == 2
+        with mock.patch.dict(os.environ, {"THICKSET_MAX_NODES": "3"}):
+            with pytest.raises(Indeterminate, match="to depth 2, over the "
+                               "node budget of 3"):
+                gap_depth(UNEQUAL)
+
+    def test_thickness_builds_seven_fractions(self):
+        # machine-independent, counted as the bench's traced pass counts
+        # fractions.Fraction.new_calls: the witness record's six ends and
+        # the value, and no rational arithmetic on the way
+        s = middle_cantor(Q(1, 4))
+        prof = cProfile.Profile()
+        rep = prof.runcall(newhouse_thickness, s)
+        built = sum(calls for (path, _, name), (_, calls, *_)
+                    in pstats.Stats(prof).stats.items()
+                    if Path(path).stem == "fractions" and name == "__new__")
+        assert rep.value == Q(3, 2)
+        assert built == 7
 
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         monkeypatch.setenv("THICKSET_MAX_NODES", "1000")

@@ -370,6 +370,26 @@ class TestExitCodes:
         else:
             assert artifacts[0]["details"] != artifacts[1]["details"]
 
+    @pytest.mark.parametrize("command", ["thickness", "certify-gap-lemma"])
+    @pytest.mark.parametrize("bits, code", [("1", 3), ("2", 0)])
+    def test_hex_precision_exhaustion_three(self, tmp_path, capsys, command,
+                                            bits, code):
+        # at 1 bit the enclosure of (2 - sqrt 3)/sqrt 3 reaches 0, and the
+        # hex bound's divisors with it: running out of precision, not bad
+        # input
+        argv = [command, "--set", "hex_packing:1"]
+        if command == "certify-gap-lemma":
+            argv += ["--set2", "hex_packing:1"]
+        out = tmp_path / "t.json"
+        assert main(argv + ["--precision-bits", bits,
+                            "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("at 1 precision bits" in err) == (code == 3)
+        assert out.exists() == (code == 0)
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["precision_bits"]) == \
+            (code, int(bits))
+
     @pytest.mark.parametrize("argv", [
         ["thickness", "--set", "middle_thirds"],
         ["find-ap", "--set", "middle_thirds", "--depth", "4"]])

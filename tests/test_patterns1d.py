@@ -1037,24 +1037,26 @@ class TestCertifiedDescent:
         assert 0 < counts[1] <= Q(5, 2) * counts[0]
 
     def test_child_cost_does_not_grow_with_depth(self):
-        # the bytes that building a piece's children allocates, less
-        # their integers (whose bit lengths grow with the level, about
-        # 1.6 bits a level on the middle thirds), are the same at level
-        # 5000 as at level 50; a per-child copy of a branch word would
-        # add 8 bytes per level
+        # the bytes that the descent's child rule, the side's form,
+        # allocates for a box's children, less their integers (whose bit
+        # lengths grow with the level, about 1.6 bits a level on the
+        # middle thirds), are the same at level 5000 as at level 50; a
+        # per-child copy of a branch word would add 8 bytes per level
+        (_, form, (top,)), _, _ = patterns1d._placed(
+            middle_thirds(), (1, 0), [()], (1, 0), [()], Q(0))
+
         def cost(level: int) -> int:
-            p, _ = certified_descent(middle_thirds(), (1, 0), [()], (1, 0),
-                                     [()], 0)
+            box = top
             for _ in range(level):
-                p = p.children()[1]  # lo, hi and den all grow
+                box = form.children(*box)[1]  # lo and hi both grow
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                kids = p.children()
+                kids = form.children(*box)
                 grown = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            ints = {id(v): v for k in kids for v in (k.lo, k.hi, k.den)}
+            ints = {id(v): v for k in kids for v in k}
             return grown - sum(map(sys.getsizeof, ints.values()))
 
         near, deep = cost(50), cost(5000)
@@ -1176,12 +1178,16 @@ class TestSearchesOnTheSetAsGiven:
 
 
 def piece_tree(s, placement, depth):
-    """The pieces of one placement of ``s`` down to ``depth``."""
-    (top,), _ = patterns1d._placed(s, placement, [()], (1, 0), [()], Q(0))
-    level, out = [top], [top]
-    for _ in range(depth):
-        level = [kid for p in level for kid in p.children()]
-        out += level
+    """The pieces of one placement of ``s`` down to ``depth``, over the
+    boxes that the descent's child rule, the placement's form, derives
+    level by level."""
+    (side, form, boxes), _, den = patterns1d._placed(
+        s, placement, [()], (1, 0), [()], Q(0))
+    out = []
+    for _ in range(depth + 1):
+        out += [patterns1d.Piece(s, *side, lo, hi, den) for lo, hi in boxes]
+        boxes = [kid for box in boxes for kid in form.children(*box)]
+        den *= form.den
     return out
 
 
