@@ -1,15 +1,16 @@
 """Self-similar compact subsets of the line presented by iterated function
-systems, with gap enumeration, Newhouse thickness, membership queries, gap
-queries, and the difference segment of a thick set.
+systems, with Newhouse thickness (one walk through a chain of images per
+side of each first-level gap; ``gap_depth`` only gates refusals),
+membership queries, gap queries, and the difference segment of a thick set.
 
 All geometry is exact.  Each set has one integer form, computed once: the
 hull endpoints are numerators over E, the lcm of their denominators, and
 each branch image's position relative to the hull is a pair of numerators
 over D, the lcm of those denominators.  A depth-k word image is then a
 pair of integer numerators [L, R] over E * D**k, and child i of [L, R] is
-[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Gaps, membership, gap queries and
-the line descents walk these integers; a query's rationals are put over
-one denominator with the hull first.  The branch maps are the
+[L*D + (R-L)*a_i, L*D + (R-L)*b_i].  Thickness, membership, gap queries
+and the line descents walk these integers; a query's rationals are put
+over one denominator with the hull first.  The branch maps are the
 set's presentation and are applied, never composed.  ``Fraction``s are
 built only for what is reported (gap records), so thickness values are
 exact rationals rather than approximations.
@@ -17,8 +18,9 @@ exact rationals rather than approximations.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -175,6 +177,10 @@ class IfsSet1D:
     def width(self) -> Q:
         return self.hull[1] - self.hull[0]
 
+    @functools.cached_property
+    def mirror(self) -> WordForm:  # the reflected set's integer form
+        return self.form.mirrored()
+
     def branch_images(self) -> list[tuple[Q, Q]]:
         lo, hi = self.hull
         return [b.apply_interval(lo, hi) for b in self.branches]
@@ -263,15 +269,10 @@ class GapRecord:
 
     @property
     def ratio(self) -> Q:
-        return Q(*_bridge_and_gap(self))
-
-
-def _bridge_and_gap(r: GapRecord) -> tuple:
-    """The shorter bridge's length and the gap's, whose quotient is the
-    ratio; numerators when the record holds numerators."""
-    left = r.left_bridge[1] - r.left_bridge[0]
-    right = r.right_bridge[1] - r.right_bridge[0]
-    return min(left, right), r.gap[1] - r.gap[0]
+        """The shorter bridge's length over the gap's."""
+        return min(self.left_bridge[1] - self.left_bridge[0],
+                   self.right_bridge[1] - self.right_bridge[0]) \
+            / (self.gap[1] - self.gap[0])
 
 
 STABILIZED = "stabilized"
@@ -284,58 +285,18 @@ class ThicknessReport:
     witness: GapRecord
 
 
-def _gap_numerators(s: IfsSet1D, max_depth: int
-                    ) -> list[tuple[int, int, int]]:
-    """All gaps created at depths 1..max_depth, depth first and left to
-    right below each image, a gap created at depth d as numerators over
-    hull_den * den**d: (lo, hi, d)."""
-    gaps: list[tuple[int, int, int]] = []
-    form = s.form
-    stack = [(*s.hull_num, 1)]  # an image and the depth of its gaps
-    while stack:
-        lo, hi, d = stack.pop()
-        w, base = hi - lo, lo * form.den
-        gaps.extend((base + w * a, base + w * b, d) for a, b in form.gaps)
-        if d < max_depth:
-            stack.extend((c_lo, c_hi, d + 1) for c_lo, c_hi
-                         in reversed(form.children(lo, hi)))
-    return gaps
-
-
-def _ordered_removal(hull: tuple, gaps: list[tuple]) -> list[GapRecord]:
-    """Simulate removal in decreasing length (ties by left endpoint) and
-    record the bridges flanking each gap at its removal step.  The hull
-    and the (lo, hi) gaps are rationals, or numerators over one
-    denominator."""
-    hull_lo, hull_hi = hull
-    order = sorted(gaps, key=lambda g: (g[0] - g[1], g[0]))
-    removed_rights: list[Q] = []  # right endpoints of removed gaps
-    removed_lefts: list[Q] = []   # left endpoints of removed gaps
-    records = []
-    for glo, ghi in order:
-        i = bisect.bisect_right(removed_rights, glo)
-        left_bound = removed_rights[i - 1] if i else hull_lo
-        j = bisect.bisect_left(removed_lefts, ghi)
-        right_bound = removed_lefts[j] if j < len(removed_lefts) else hull_hi
-        records.append(GapRecord((glo, ghi), (left_bound, glo),
-                                 (ghi, right_bound)))
-        bisect.insort(removed_rights, ghi)
-        bisect.insort(removed_lefts, glo)
-    return records
-
-
 def gap_depth(s: IfsSet1D) -> int:
     """Deepest creation depth D at which a gap can still be as long as the
     shortest first-level gap: the largest m with
-    s_max^(m-1) * g_max >= g_min.
+    s_max^(m-1) * g_max >= g_min, so no bridge walk goes deeper.
 
     In integers: the first-level gaps are the ``b - a`` of the form's
     ``gaps`` and s_max is the largest ``b - a`` of its ``rel``, all in
     units of the hull width over ``den``, so after k steps the test
     reads reach * s_max >= g_min * den**(k+1), reach = g_max * s_max**k.
 
-    Raises Indeterminate, before any gap is enumerated, when enumerating
-    to depth D would visit more than ``node_budget()`` nodes.
+    It only gates refusals: Indeterminate when the 1 + n + ... +
+    n**(D-1) images to depth D number more than ``node_budget()``.
     """
     form = s.form
     lens = [b - a for a, b in form.gaps]
@@ -355,47 +316,77 @@ def gap_depth(s: IfsSet1D) -> int:
     return depth
 
 
+def _bridge_end(form: WordForm, lo: int, hi: int, j: int, g: int,
+                reaches) -> tuple[int, int]:
+    """The far end of the left bridge of gap j of the image [lo, hi]: the
+    right end of the nearest gap to its left with ``reaches(length, g)``,
+    or the image's left end, as (numerator, k) over the image's
+    denominator times den**k.  A child's longest gap is its width times
+    the longest relative gap, so the walk passes the children on the
+    left that hold no reaching gap, checking the gap left of each, and
+    descends into the first that holds one, to start again from its
+    rightmost child; below the top it always ends at a gap."""
+    den, rel, gaps = form.den, form.rel, form.gaps
+    g_max = max(b - a for a, b in gaps)
+    start, k = j, 1  # the first child to pass; the children's level
+    while True:
+        w, base = hi - lo, lo * den
+        for i in range(start, -1, -1):
+            a, b = rel[i]
+            c_lo, c_hi = base + w * a, base + w * b
+            if reaches((c_hi - c_lo) * g_max, g * den):
+                break
+            if i and reaches(w * (gaps[i - 1][1] - gaps[i - 1][0]), g):
+                return base + w * gaps[i - 1][1], k
+        else:
+            return base, k
+        lo, hi, g, start, k = c_lo, c_hi, g * den, len(rel) - 1, k + 1
+
+
 def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     """Exact Newhouse thickness: the infimum of bridge/gap ratios under
-    ordered removal (decreasing length, ties by left endpoint).
+    ordered removal (decreasing length, ties by left endpoint), as in
+    Palis-Takens (1993, ch. 4).  The value is exact, so the status is
+    always STABILIZED.
 
-    The value is exact, so the status is always STABILIZED.  Every gap
-    below the first level is an affine copy w(g) of a first-level gap g;
-    gaps outside the subtree image w(hull) cannot enter it, and inside it
-    removal order is preserved by w, so the bridges of w(g) contain the
-    w-images of the bridges of g and its ratio is no smaller.  Hence the
-    thickness is the minimum over first-level gaps.  The bridges of a gap
-    depend only on gaps at least as long as it, and a gap created at
-    depth m is no longer than s_max^(m-1) * g_max, so the gaps created at
-    depths up to ``gap_depth(s)`` include every gap at least g_min long
-    and decide their records exactly.  Those records hold the minimum
-    and the witness: the earliest-removed gap of minimum ratio, which is
-    removed no later than the first-level minimizer.  ``max_depth`` is
-    validated but does not change the report.
+    When a gap G is removed, the removed gaps on its left are those at
+    least |G| long and those on its right are those longer, so its
+    bridges end at the nearest such gap on each side, or at the hull;
+    ``_bridge_end`` walks to each.  Every deeper gap is an affine copy
+    w(g) of a first-level gap g; gaps outside w(hull) cannot enter it,
+    and inside it w preserves removal order, so the bridges of w(g)
+    contain the w-images of those of g and its ratio is no smaller.  So
+    the thickness is the least ratio of the n - 1 first-level gaps, and
+    every gap of least ratio copies a first-level minimizer, no longer
+    and removed no earlier: the witness, the earliest-removed one, is
+    the first-level minimizer of greatest length, then leftmost.
+    ``max_depth`` is validated but does not change the report.
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
     if len(s.branches) == 1:
         raise InputError("set with a single branch has no gaps")
-    depth = gap_depth(s)
-    # every gap over the denominator of the deepest ones, ratios compared
-    # by cross-multiplying
-    up = [s.form.den ** (depth - d) for d in range(depth + 1)]
-    records = _ordered_removal(
-        tuple(h * up[0] for h in s.hull_num),
-        [(lo * up[d], hi * up[d])
-         for lo, hi, d in _gap_numerators(s, depth)])
-    witness = records[0]  # keep the earliest-removed gap on ratio ties
-    w_bridge, w_gap = _bridge_and_gap(witness)
-    for r in records[1:]:
-        bridge, gap = _bridge_and_gap(r)
-        if bridge * w_gap < w_bridge * gap:
-            witness, w_bridge, w_gap = r, bridge, gap
-    scale = s.hull_den * up[0]
-    witness = GapRecord(*(tuple(Q(v, scale) for v in pair) for pair in
-                          (witness.gap, witness.left_bridge,
-                           witness.right_bridge)))
-    return ThicknessReport(Q(w_bridge, w_gap), STABILIZED, witness)
+    gap_depth(s)
+    form, (lo, hi) = s.form, s.hull_num
+    den, w, base, last = form.den, hi - lo, lo * form.den, len(form.gaps) - 1
+    best = None  # (bridge, gap, g, ends), the ratio over one denominator
+    for j, (a, b) in enumerate(form.gaps):
+        g_lo, g_hi, g = base + w * a, base + w * b, w * (b - a)
+        left, kl = _bridge_end(form, lo, hi, j, g, operator.ge)
+        # the right bridge is the left one of the reflected set
+        right, kr = _bridge_end(s.mirror, -hi, -lo, last - j, g, operator.gt)
+        k = max(kl, kr)
+        bridge = min((g_lo * den ** (kl - 1) - left) * den ** (k - kl),
+                     (-right - g_hi * den ** (kr - 1)) * den ** (k - kr))
+        gap = g * den ** (k - 1)
+        if best is None or bridge * best[1] < best[0] * gap or (
+                bridge * best[1] == best[0] * gap and g > best[2]):
+            best = bridge, gap, g, ((g_lo, 1), (g_hi, 1)), \
+                ((left, kl), (g_lo, 1)), ((g_hi, 1), (-right, kr))
+    bridge, gap, _, *ends = best
+    witness = GapRecord(*(tuple(Q(v, s.hull_den * den ** k) for v, k in pair)
+                          for pair in ends))
+    return ThicknessReport(Q(bridge, gap), STABILIZED, witness)
 
 
 def require_thickness_at_least_one(s: IfsSet1D) -> ThicknessReport:

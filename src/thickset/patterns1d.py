@@ -134,7 +134,7 @@ def _placed(s: IfsSet1D, x, x_words, y, y_words, slide: Q):
     for mul, shift, words in sides:
         alpha, beta = mul * unit / s.hull_den, shift * unit  # integers
         a, b = (int(alpha * h + beta) for h in s.hull_num)
-        form = s.form.mirrored() if mul < 0 else s.form
+        form = s.mirror if mul < 0 else s.form
         placed.append(((mul, shift, (a, b - a, unit)), form,
                        [tuple(sorted(s.form.walk(a, b, w))) for w in words]))
     return *placed, unit * s.form.den ** k

@@ -15,6 +15,8 @@ from .errors import Indeterminate, InputError
 from .scalars import Q, decimal_approx, decimal_ratio
 
 _W = 640.0
+# a bar is about 70 bytes of SVG, so a plot stays under about 7 MB
+MAX_SHAPES = 100_000
 
 
 def _fmt(q) -> str:
@@ -30,10 +32,14 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 
 def _check_budget(shapes: int, depth: int) -> None:
     """Refuse a plot of ``shapes`` shapes to ``depth``, counted before
-    the level at ``depth`` is derived, past ``node_budget()``."""
-    if shapes > (budget := node_budget()):
+    the level at ``depth`` is derived, past ``MAX_SHAPES`` or
+    ``node_budget()``, whichever is lower."""
+    budget = node_budget()
+    limit = f"the node budget of {budget}" if budget < MAX_SHAPES \
+        else f"the plot cap of {MAX_SHAPES} shapes"
+    if shapes > min(budget, MAX_SHAPES):
         raise Indeterminate(f"plot needs {shapes} shapes to depth {depth}, "
-                            f"over the node budget of {budget}")
+                            f"over {limit}")
 
 
 def render_set_1d(s: IfsSet1D, depth: int = 4,

@@ -9,7 +9,8 @@ the nearest child and the first touching sibling found by scanning a
 whole fan, a dense-grid farthest-point maximum in floats, and the line's
 word geometry computed by composing affine maps in rationals, as the
 library did before it moved to integer numerators, the depth of gaps
-the thickness needs, computed in rationals, the pair test of a
+the thickness needs, computed in rationals, Newhouse thickness by
+simulating ordered removal over listed gaps, the pair test of a
 line descent over listed gaps, the set rescaled to the unit hull, which
 the progression oracles search, the simplest rational in an interval
 found by Stern-Brocot mediants, probe points for a certified-membership
@@ -20,6 +21,7 @@ numerators.  The file is not collected; the tests import it by name.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -42,6 +44,7 @@ from thickset.cantor import (
     IN_COVER,
     OUT,
     AffineMap,
+    GapRecord,
     IfsSet1D,
     MembershipResult,
     affine_image,
@@ -191,6 +194,38 @@ def ref_gap_depth(s: IfsSet1D) -> int:
             raise Indeterminate(f"thickness needs gaps to depth {depth}, "
                                 f"over the node budget of {budget}")
     return depth
+
+
+def ref_ordered_removal(hull: tuple[Q, Q], gaps) -> list[GapRecord]:
+    """Simulate removal of the (lo, hi) gaps in decreasing length, ties
+    by left endpoint, and record the bridges flanking each gap at its
+    removal step: from the nearest removed gap, or the hull's end, on
+    each side."""
+    hull_lo, hull_hi = hull
+    order = sorted(gaps, key=lambda g: (g[0] - g[1], g[0]))
+    removed_rights: list[Q] = []  # right endpoints of removed gaps
+    removed_lefts: list[Q] = []   # left endpoints of removed gaps
+    records = []
+    for glo, ghi in order:
+        i = bisect.bisect_right(removed_rights, glo)
+        left_bound = removed_rights[i - 1] if i else hull_lo
+        j = bisect.bisect_left(removed_lefts, ghi)
+        right_bound = removed_lefts[j] if j < len(removed_lefts) else hull_hi
+        records.append(GapRecord((glo, ghi), (left_bound, glo),
+                                 (ghi, right_bound)))
+        bisect.insort(removed_rights, ghi)
+        bisect.insort(removed_lefts, glo)
+    return records
+
+
+def ref_thickness(s: IfsSet1D) -> tuple[Q, GapRecord]:
+    """The least ratio under ordered removal of the gaps created to two
+    levels below ``ref_gap_depth(s)``, and the earliest-removed gap that
+    has it."""
+    gaps = [g[:2] for g in ref_enumerate_gaps(s, ref_gap_depth(s) + 2)]
+    records = ref_ordered_removal(s.hull, gaps)
+    best = min(r.ratio for r in records)
+    return best, next(r for r in records if r.ratio == best)
 
 
 def ref_membership(s: IfsSet1D, x, depth: int = 32) -> MembershipResult:

@@ -3,6 +3,7 @@ import math
 import os
 import pstats
 import random
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,9 +18,8 @@ from thickset.cantor import (
     IN_COVER,
     OUT,
     STABILIZED,
-    _gap_numerators,
+    GapRecord,
     _lift,
-    _ordered_removal,
     affine_image,
     descend,
     difference_interval,
@@ -47,7 +47,9 @@ from oracles import (
     ref_enumerate_gaps,
     ref_gap_depth,
     ref_membership,
+    ref_ordered_removal,
     ref_slides_into_gap,
+    ref_thickness,
     self_combo_cover,
     subtree_combo_cover,
     word_map,
@@ -191,14 +193,17 @@ class TestThickness:
         # minimum ratio must not depend on which of them is removed first
         for eps in [Q(1, 3), Q(1, 4)]:
             s = middle_cantor(eps)
-            gaps = [g[:2] for g in ref_enumerate_gaps(s, 5)]
+            gaps = [g[:2] for g in
+                    ref_enumerate_gaps(s, ref_gap_depth(s) + 2)]
             rng = random.Random(9)
-            baseline = min(r.ratio for r in _ordered_removal(s.hull, gaps))
+            rep = newhouse_thickness(s)
+            assert (rep.value, rep.witness) == ref_thickness(s)
             for _ in range(10):
                 shuffled = gaps[:]
                 rng.shuffle(shuffled)  # sort is stable; shuffle the ties
-                got = min(r.ratio for r in _ordered_removal(s.hull, shuffled))
-                assert got == baseline
+                got = min(r.ratio
+                          for r in ref_ordered_removal(s.hull, shuffled))
+                assert got == rep.value
 
 
 def weighted(scales, gaps):
@@ -214,9 +219,10 @@ def weighted(scales, gaps):
 
 @st.composite
 def presentations(draw):
-    """Presentations with 2-4 branches from small integer weights, often
-    with equal gap lengths or equal branch scales."""
-    n = draw(st.integers(2, 4))
+    """Presentations with 2-5 branches from small integer weights, often
+    with equal gap lengths or equal branch scales, as drawn or under an
+    affine image that may reflect them."""
+    n = draw(st.integers(2, 5))
     weight = st.integers(1, 12)
     scales = draw(st.lists(weight, min_size=n, max_size=n))
     gaps = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
@@ -224,7 +230,12 @@ def presentations(draw):
         scales = [scales[0]] * n
     if draw(st.booleans()):
         gaps = [gaps[0]] * (n - 1)
-    return weighted(scales, gaps)
+    s = weighted(scales, gaps)
+    if draw(st.booleans()):
+        s = affine_image(s, Q(draw(st.integers(-9, 9).filter(bool)),
+                              draw(st.integers(1, 9))),
+                         Q(draw(st.integers(-5, 5)), 4))
+    return s
 
 
 HOSTILE = ifs_from_branches(0, 1, [(Q(3, 10), 0),
@@ -263,25 +274,44 @@ def depth_or_refusal(depth_of, s):
         return str(e)
 
 
+# gaps 1/10 and 1/20480 long and s_max = 1/2: gaps reach depth 12
+DEEP = ifs_from_branches(0, 1, [(Q(1, 2), 0), (Q(1, 5), Q(3, 5)),
+                                (Q(819, 4096), Q(3277, 4096))])
+
+
 class TestThicknessByProof:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(presentations())
     # sets whose result changes with the gaps created at depth
     # gap_depth(s): one such gap is strictly longer than the shortest
     # first-level gap, the other exactly as long
     @example(weighted([1, 6, 8], [1, 4]))
     @example(weighted([11, 1, 11], [1, 9]))
+    # the same reflected: the equal-length gap lies on the other side
+    @example(affine_image(weighted([11, 1, 11], [1, 9]), Q(-2, 5), Q(1)))
+    @example(affine_image(UNEQUAL, Q(-3, 7), Q(1, 2)))
+    # four gaps of one length: a gap's left bridge ends at its left
+    # neighbour, its right bridge at the hull
+    @example(weighted([3, 1, 3, 1, 3], [2, 2, 2, 2]))
+    # both gaps have ratio 1: the longer, removed first, is the witness
+    @example(weighted([1, 1, 2], [1, 2]))
     def test_matches_deeper_enumeration(self, s):
-        # the gaps to gap_depth(s) decide the value and the witness: two
-        # more levels of gaps change neither
-        depth = gap_depth(s)
-        records = _ordered_removal(
-            s.hull, [g[:2] for g in ref_enumerate_gaps(s, depth + 2)])
-        best = min(r.ratio for r in records)
-        witness = next(r for r in records if r.ratio == best)
+        # the walks give the value and the witness of ordered removal
+        # over every gap to two levels below gap_depth(s)
         rep = newhouse_thickness(s)
         assert rep.status == STABILIZED
-        assert (rep.value, rep.witness) == (best, witness)
+        assert (rep.value, rep.witness) == ref_thickness(s)
+
+    def test_deep_gaps_walk_in_milliseconds(self):
+        # 265720 images lie above depth 12, but each of the four walks
+        # passes at most 3 children and 2 gaps on each of 12 levels
+        assert gap_depth(DEEP) == 12
+        start = time.perf_counter()
+        rep = newhouse_thickness(DEEP)
+        assert time.perf_counter() - start < 1
+        assert rep.value == 4
+        assert rep.witness == GapRecord((Q(1, 2), Q(3, 5)), (Q(0), Q(1, 2)),
+                                        (Q(3, 5), Q(1)))
 
     def test_gap_depth_bound(self, monkeypatch):
         # depth D is the last m with s_max^(m-1) * g_max >= g_min; the
@@ -476,13 +506,6 @@ def placed_sets(draw):
     return s, word, draw(st.lists(grid, min_size=4, max_size=4))
 
 
-def gap_fractions(s, max_depth):
-    """The gaps thickness walks, as (lo, hi, depth) in rationals."""
-    return [(Q(lo, s.hull_den * s.form.den ** d),
-             Q(hi, s.hull_den * s.form.den ** d), d)
-            for lo, hi, d in _gap_numerators(s, max_depth)]
-
-
 class TestAgainstAffineMaps:
     """The integer-form functions against their rational references in
     ``oracles``: equal Fractions, verdicts and depths."""
@@ -492,8 +515,6 @@ class TestAgainstAffineMaps:
     def test_word_geometry_matches(self, case):
         s, word, pts = case
         m = word_map(s, word)
-        for depth in range(1, 4):
-            assert gap_fractions(s, depth) == ref_enumerate_gaps(s, depth)
         c_lo, c_hi = m.apply_interval(*s.hull)
         for x in pts + [c_lo, c_hi, (c_lo + c_hi) / 2]:
             for depth in (0, 1, 5):

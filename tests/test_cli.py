@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from thickset import cantor, cli
+from thickset import cantor, cli, render
 from thickset.cli import main, parse_description, reproduce_rows
 from thickset.render import render_ball_system, render_set_1d
 from thickset.balls import grid_ifs_example, hex_packing_example
@@ -147,6 +148,41 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "p.svg.manifest.json").read_text())
         assert (manifest["exit_code"], manifest["outputs"]) == (3, [])
 
+    def test_plot_cap_three(self, tmp_path, capsys):
+        # 7 branches to depth 8 are 6.7 million bars, which the default
+        # budget admits; the cap refuses depth 6, 137257 bars, before
+        # deriving it
+        out = tmp_path / "p.svg"
+        seven = json.dumps({"kind": "ifs1d", "hull": ["0", "1"],
+                            "branches": [{"scale": "1/13",
+                                          "offset": f"{2 * i}/13"}
+                                         for i in range(7)]})
+        assert main(["plot", "--set", seven, "--depth", "8",
+                     "--out", str(out)]) == 3
+        assert "plot needs 137257 shapes to depth 6, over the plot cap " \
+            "of 100000 shapes" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "p.svg.manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["outputs"]) == (3, [])
+
+    @pytest.mark.parametrize("budget, cap, message", [
+        (None, 511, None), (None, 510, "the plot cap of 510 shapes"),
+        ("510", 511, "the node budget of 510"),
+        ("511", 510, "the plot cap of 510 shapes")])
+    def test_plot_takes_the_lower_limit(self, monkeypatch, budget, cap,
+                                        message):
+        # the middle thirds to depth 8 are 511 bars
+        if budget is not None:
+            monkeypatch.setenv("THICKSET_MAX_NODES", budget)
+        monkeypatch.setattr(render, "MAX_SHAPES", cap)
+        if message is None:
+            assert render_set_1d(cantor.middle_thirds(), 8).count("<rect") \
+                == 511
+        else:
+            with pytest.raises(Indeterminate, match=f"511 shapes to depth "
+                               f"8, over {message}"):
+                render_set_1d(cantor.middle_thirds(), 8)
+
     def test_plot_counts_a_level_before_deriving_it(self, monkeypatch):
         # 101 squares pass a budget of 100 before a child is derived
         sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
@@ -167,6 +203,19 @@ class TestExitCodes:
         assert not out.exists()
         manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["outputs"] == []
+
+    def test_thickness_deep_gaps_zero(self, tmp_path):
+        # gaps reach depth 12, below 265720 images, which the default
+        # budget admits; the bridge walks visit a few dozen
+        out = tmp_path / "t.json"
+        deep = ('{"kind":"ifs1d","hull":["0","1"],"branches":['
+                '{"scale":"1/2","offset":"0"},'
+                '{"scale":"1/5","offset":"3/5"},'
+                '{"scale":"819/4096","offset":"3277/4096"}]}')
+        start = time.perf_counter()
+        assert main(["thickness", "--set", deep, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(out.read_text())["value"] == "4"
 
     def test_wrong_shaped_description_one(self, tmp_path):
         out = tmp_path / "t.json"

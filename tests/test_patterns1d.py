@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from thickset import cantor, patterns1d
 from thickset.cantor import (
@@ -915,6 +915,17 @@ def sliding_pairs(draw):
             draw(st.integers(0, 6)), change)
 
 
+def word_of(s, interval):
+    """The word whose image in ``s`` is ``interval``: branch images are
+    disjoint, so each level has one branch image holding it."""
+    word = ()
+    while word_interval(s, word) != interval:
+        word += next((i,) for i in range(len(s.branches))
+                     if word_interval(s, word + (i,))[0] <= interval[0]
+                     and interval[1] <= word_interval(s, word + (i,))[1])
+    return word
+
+
 def passes_pair_test(s, x, xw, y, yw, slide):
     """Whether the descent keeps the one top pair: at depth 0 it returns
     that pair exactly when the pair test passes."""
@@ -950,6 +961,11 @@ class TestCertifiedDescent:
 
     @settings(max_examples=150, deadline=None)
     @given(sliding_pairs())
+    # the middle thirds against themselves, slid by 1/64: no pair four
+    # levels down, 1/81 wide, meets at every placement; with the slide
+    # left unscaled below the top the descent returned [0, 1/81] twice
+    @example((middle_thirds(), (Q(1), Q(0)), (), (Q(1), Q(0)), (), Q(1, 64),
+              4, (Q(1), Q(0))))
     def test_slide_depends_only_on_the_sets(self, case):
         # the pair test agrees with the rational reference for every
         # placement y - t, 0 <= t <= slide, and a positive affine change
@@ -969,6 +985,12 @@ class TestCertifiedDescent:
             except Indeterminate:
                 results.append(None)
         assert results[0] == results[1]
+        if results[0] is not None:
+            # the pair the descent committed to at every level passes
+            # the rational reference for the whole slide
+            fxw, fyw = (word_of(s, iv) for iv in results[0])
+            for m in range(len(xw), len(fxw) + 1):
+                assert ref_slid_pair_test(s, x, fxw[:m], y, fyw[:m], slide)
 
     @pytest.mark.parametrize("lam", [Q(5, 16), Q(11, 16)])
     def test_each_side_is_placed_once(self, monkeypatch, lam):
