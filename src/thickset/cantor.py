@@ -129,7 +129,9 @@ class IfsSet1D:
     Branch images are pairwise disjoint with positive gaps between
     consecutive images, the leftmost image shares the hull's left endpoint
     and the rightmost shares the right endpoint, so the convex hull of the
-    attractor is exactly ``hull``.
+    attractor is exactly ``hull``.  So a set has at least two branches,
+    and at least one first-level gap: a single image with a scale in
+    (0, 1) is shorter than the hull and cannot share both its ends.
 
     The integer form is computed once: ``hull_num`` holds the hull's
     numerators over ``hull_den``, and ``form`` the branch images relative
@@ -364,8 +366,6 @@ def newhouse_thickness(s: IfsSet1D, max_depth: int = 8) -> ThicknessReport:
     """
     if max_depth < 2:
         raise InputError("max_depth must be at least 2")
-    if len(s.branches) == 1:
-        raise InputError("set with a single branch has no gaps")
     gap_depth(s)
     form, (lo, hi) = s.form, s.hull_num
     den, w, base, last = form.den, hi - lo, lo * form.den, len(form.gaps) - 1

@@ -25,7 +25,6 @@ from .cantor import (
     gap_holds_translate,
     membership,
     IN_CERTIFIED,
-    ThicknessReport,
     newhouse_thickness,
     node_budget,
     middle_cantor,
@@ -43,8 +42,6 @@ def _longest_gap(gaps: list[tuple[Q, Q]], rightmost: bool) -> int:
     """The index g of the longest of a set's first-level ``gaps``, the
     gap between branches g and g + 1: the leftmost on ties, or the
     rightmost."""
-    if not gaps:
-        raise InputError("set with a single branch has no gap")
     side = 1 if rightmost else -1
     return max(range(len(gaps)),
                key=lambda g: (gaps[g][1] - gaps[g][0], side * g))
@@ -148,7 +145,8 @@ def _certified(fx: WordForm, fy: WordForm, x: _Box,
     once per search) this certifies the sets intersect at every
     placement.  The box x = (lo, hi) has the form ``fx``, and y =
     (lo, hi, sl) the form ``fy``, all numerators over one
-    denominator."""
+    denominator.  ``gap_lemma_check`` runs it at slide 0 on the hulls
+    of two sets."""
     (x_lo, x_hi), (y_lo, y_hi, sl) = x, y
     if x_hi < y_lo or y_hi - sl < x_lo:
         return False
@@ -266,14 +264,6 @@ def find_convex_combo(s: IfsSet1D, lam, depth: int = 20) -> Witness1D:
     carry that change of coordinates in their multipliers and shifts,
     so the enclosures and the exact pair come out in the set's own
     coordinates.
-    """
-    return _convex_combo(s, lam, depth, None)
-
-
-def _convex_combo(s: IfsSet1D, lam, depth: int,
-                  thickness: Optional[ThicknessReport]) -> Witness1D:
-    """``find_convex_combo``; a caller that has already certified the
-    set's thickness passes its report, and the check is not repeated.
 
     With t = (x - o)/w, where o = lo and w = hi - lo for lam >= 1/2 and
     o = hi and w = lo - hi (mirrored) below, the far weight is
@@ -286,8 +276,7 @@ def _convex_combo(s: IfsSet1D, lam, depth: int,
         raise InputError("lambda must lie in (0, 1)")
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    if thickness is None:
-        require_thickness_at_least_one(s)
+    require_thickness_at_least_one(s)
     (lo, hi), n = s.hull, len(s.branches)
     mirrored = lamv < Q(1, 2)
     o, w, lt = (hi, lo - hi, 1 - lamv) if mirrored else (lo, hi - lo, lamv)
@@ -644,14 +633,12 @@ def gap_lemma_check(c1: IfsSet1D, c2: IfsSet1D,
     hull_ok = h1[0] <= h2[1] and h2[0] <= h1[1]
     inter_ok = False
     if hull_ok:
-        # both hulls over one denominator; each set's hull is a point
-        # query against the other set's gaps
+        # both hulls over one denominator, and the descent's pair test
+        # at slide 0
         e = math.lcm(c1.hull_den, c2.hull_den)
         (a1, b1), (a2, b2) = [[v * (e // c.hull_den) for v in c.hull_num]
                               for c in (c1, c2)]
-        inter_ok = not (
-            gap_holds_translate(c1.form, a1, b1, a2, a2, b2 - a2)
-            or gap_holds_translate(c2.form, a2, b2, a1, a1, b1 - a1))
+        inter_ok = _certified(c1.form, c2.form, (a1, b1), (a2, b2, 0))
 
     tau1 = newhouse_thickness(c1, thickness_depth).value
     tau2 = newhouse_thickness(c2, thickness_depth).value

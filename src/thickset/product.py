@@ -1,28 +1,24 @@
 """Triangles with vertices in Cartesian squares C x C of thick linear
 sets, plus triangle normalization to the (height, base-split) form.
 
-A triangle is realized in C x C by composing two one-dimensional
-certified searches: a convex-combination witness supplies the base, and
-a difference-set hit supplies the pair of heights.  All coordinates come
-out as exact rationals or shrinking enclosures.  A triangle's vertices
-are rational, so its similarity class is a pair of rationals: the split
-is the apex's projection on the base over the squared base, and the
-squared height the squared cross product over the squared base squared,
-with no square root.
+A triangle is realized in C x C by composing the two public line
+searches, ``find_convex_combo`` for the base and ``difference_hit`` for
+the pair of heights; each checks the thickness hypothesis itself.  All
+coordinates come out as exact rationals or shrinking enclosures.  A
+triangle's vertices are rational, so its similarity class is a pair of
+rationals: the split is the apex's projection on the base over the
+squared base, and the squared height the squared cross product over the
+squared base squared, with no square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .cantor import (
-    IfsSet1D,
-    ThicknessReport,
-    require_thickness_at_least_one,
-)
+from .cantor import IfsSet1D, require_thickness_at_least_one
 from .errors import InputError
-from .patterns1d import _convex_combo, certified_descent
+from .patterns1d import certified_descent, find_convex_combo
 from .scalars import Interval, Q, interval_sqrt, sqrt3, to_q
 
 Coord = Union[Q, int, str]
@@ -138,21 +134,12 @@ def difference_hit(s: IfsSet1D, delta, depth: int = 20
     budget like every other.  The descent commits, so an enclosure
     straddling a chain transition can dead-end it.
     """
-    return _difference_hit(s, delta, depth, None)
-
-
-def _difference_hit(s: IfsSet1D, delta, depth: int,
-                    thickness: Optional[ThicknessReport]
-                    ) -> tuple[Interval, Interval]:
-    """``difference_hit``; a caller that has already certified the set's
-    thickness passes its report, and the check is not repeated."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     div = Interval.coerce(delta)
     if div.lo < 0:
         raise InputError("delta must be nonnegative")
-    if thickness is None:
-        require_thickness_at_least_one(s)
+    require_thickness_at_least_one(s)
     # the hull width is the difference segment (``difference_interval``)
     # once the thickness is certified
     if div.hi > s.width:
@@ -200,7 +187,9 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     base pair (a, b) and the foot point, a difference hit at
     span * alpha provides the two heights, and the apex is assembled from
     the foot and the upper height.  Collinear triangles route through the
-    one-dimensional search directly.  By the gap lemma the difference
+    one-dimensional search directly; any other class is checked against
+    the admissible region before either search.  Each search checks the
+    thickness hypothesis itself.  By the gap lemma the difference
     segment is [0, w], w the hull width.  The base pair lies in the hull,
     so its span is at most w; the base is the longest side, so
     alpha^2 <= 1 - (1 - lam)^2 <= 3/4 and the height span * alpha stays
@@ -209,10 +198,9 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     if depth < 0:
         raise InputError("depth must be nonnegative")
     norm = t if isinstance(t, NormalizedTriangle) else normalize_triangle(t)
-    thickness = require_thickness_at_least_one(s)
 
     if norm.degenerate:
-        w = _convex_combo(s, norm.lam, depth, thickness)
+        w = find_convex_combo(s, norm.lam, depth)
         e = Interval.point(s.hull[0])  # hull endpoints always belong
         sides = _triangle_sides((w.a.enclosure, e), (w.b.enclosure, e),
                                 (w.m.enclosure, e))
@@ -224,15 +212,14 @@ def find_triangle_in_product(s: IfsSet1D, t: Union[Triangle,
     if not norm.region_ok():
         raise InputError("triangle data outside the admissible "
                          "normalized region")
-    w = _convex_combo(s, norm.lam, depth + 8, thickness)
+    w = find_convex_combo(s, norm.lam, depth + 8)
     if w.a_exact is not None and w.b_exact is not None:
         # exact base pair: the span is a point and the height enclosure
         # is as tight as the height data itself
         a_iv, b_iv = Interval.point(w.a_exact), Interval.point(w.b_exact)
     else:
         a_iv, b_iv = w.a.enclosure, w.b.enclosure
-    u_iv, v_iv = _difference_hit(s, (b_iv - a_iv) * norm.alpha, depth,
-                                 thickness)
+    u_iv, v_iv = difference_hit(s, (b_iv - a_iv) * norm.alpha, depth)
 
     base_left = (a_iv, u_iv)
     base_right = (b_iv, u_iv)

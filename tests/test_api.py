@@ -40,7 +40,9 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # on), a triangle's interval vertices and the enclosure of its split
 # beside the exact one, and the plane triangle's copy of the class beside
 # the ``NormalizedTriangle`` it was made from, with the class's side
-# ratios and height check outside it
+# ratios and height check outside it; and the product search's forks of
+# the base search and the difference hit that skipped the thickness
+# check the caller had made
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -64,6 +66,7 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (product.Triangle, "is_exact"),
                 (product.NormalizedTriangle, "lam_exact"),
                 (patterns1d.Piece, "word"), (balls.BallSystem, "cells"),
+                (patterns1d, "_convex_combo"), (product, "_difference_hit"),
                 (patterns1d, "_step_range"), (cantor, "interval_in_cover"),
                 (cantor, "slides_into_gap"), (thickset, "VertexMaps"),
                 (patterns_nd, "VertexMaps"), (thickset, "vertex_maps"),
@@ -72,7 +75,7 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
-    "GapRecord": "result type",
+    "GapRecord": "result type", "ThicknessReport": "result type",
     "MembershipResult": "result type", "ProductWitness": "result type",
     "ThicknessReportNd": "result type", "Disk": "result type",
     "WitnessNd": "result type",
@@ -289,8 +292,6 @@ PRIVATE_IMPORTS = {
         "the plane triangle witness bounds its deviation as the product's",
     ("patterns_nd", "scalars", "_sqrt_bounds"):
         "a disk test needs only the upper end of one square root",
-    ("product", "patterns1d", "_convex_combo"):
-        "the base search skips the thickness check the caller has made",
 }
 IMPORTERS = dict(SOURCES, oracles=ast.parse(
     Path(__file__).with_name("oracles.py").read_text()))

@@ -106,6 +106,14 @@ class TestBuilders:
         with pytest.raises(InputError):
             off_center_cantor(Q(1, 3))
 
+    @pytest.mark.parametrize("branches", [
+        [(Q(1, 2), 0)], [(1, 0)], [(Q(99, 100), Q(1, 100))]])
+    def test_single_branch_rejected(self, branches):
+        # one image with a scale in (0, 1) cannot share both hull ends,
+        # so every set has a first-level gap
+        with pytest.raises(InputError):
+            ifs_from_branches(0, 1, branches)
+
 
 class TestCover:
     def test_depth0(self):
@@ -274,6 +282,12 @@ def depth_or_refusal(depth_of, s):
         return str(e)
 
 
+# gaps e/4 and 10**-13 long, e = 10**-6: the right-bridge walk from the
+# short gap descends about ln(1.25)/e levels, one or two steps each
+CREEPING = ifs_from_branches(0, 1, [
+    (1 - Q(1, 10**6), 0), (Q(1, 4 * 10**6), 1 - Q(3, 4 * 10**6)),
+    (Q(1, 2 * 10**6) - Q(1, 10**13), 1 - Q(1, 2 * 10**6) + Q(1, 10**13))])
+
 # gaps 1/10 and 1/20480 long and s_max = 1/2: gaps reach depth 12
 DEEP = ifs_from_branches(0, 1, [(Q(1, 2), 0), (Q(1, 5), Q(3, 5)),
                                 (Q(819, 4096), Q(3277, 4096))])
@@ -373,6 +387,17 @@ class TestThicknessByProof:
         monkeypatch.setenv("THICKSET_MAX_NODES", "1000")
         with pytest.raises(Indeterminate):
             newhouse_thickness(HOSTILE)
+
+    def test_long_walk_refused_by_gap_depth(self, monkeypatch):
+        # about 2*10**5 walk steps, well inside the default budget, so a
+        # gate charging the walk's steps would run it; gap_depth refuses
+        # it at once by its image count
+        monkeypatch.delenv("THICKSET_MAX_NODES", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(Indeterminate, match="thickness needs gaps to "
+                           "depth 16, over the node budget of 10000000"):
+            newhouse_thickness(CREEPING)
+        assert time.perf_counter() - start < 1
 
     def test_max_depth_does_not_change_report(self):
         s = off_center_cantor(Q(3, 10))

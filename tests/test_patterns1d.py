@@ -751,6 +751,32 @@ class TestGapLemmaCheck:
         assert r.verdict == ("hypotheses_hold" if holds else "fail")
 
 
+# a small set inside the gap of a set of another form, so that each
+# query must read its own set's form; and a small set whose hull ends on
+# the right end of a gap, so that a translate slid any way left lies in
+# the gap and the pair test must run at slide 0
+GAP_EDGE_PAIRS = [
+    pytest.param(middle_cantor(Q(1, 2)),
+                 affine_image(middle_thirds(), Q(1, 10), Q(3, 10)), False,
+                 id="other_form"),
+    pytest.param(middle_thirds(),
+                 affine_image(middle_thirds(), Q(1, 10), Q(17, 30)), True,
+                 id="gap_end"),
+]
+
+
+@pytest.mark.parametrize("c1, c2, interwoven", GAP_EDGE_PAIRS)
+@pytest.mark.parametrize("swap", [False, True])
+def test_gap_lemma_edge_pairs(c1, c2, interwoven, swap):
+    if swap:
+        c1, c2 = c2, c1
+    (a1, b1), (a2, b2) = c1.hull, c2.hull
+    assert interwoven == (not (ref_slides_into_gap(c1, IDENTITY, a2, b2)
+                               or ref_slides_into_gap(c2, IDENTITY, a1, b1)))
+    r = gap_lemma_check(c1, c2)
+    assert (r.hull_intersect, r.interwoven) == (True, interwoven)
+
+
 # -- certified descent: stored word maps, budget, depth ------------------
 
 

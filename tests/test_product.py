@@ -191,6 +191,11 @@ class TestDifferenceHit:
         with pytest.raises(InputError):
             difference_hit(middle_thirds(), Q(3, 2), depth=6)
 
+    @pytest.mark.parametrize("delta", [Q(1, 10), Q(1, 2)])
+    def test_thin_set_refused(self, delta):
+        with pytest.raises(HypothesisError, match="below 1"):
+            difference_hit(middle_cantor(Q(2, 5)), delta, depth=6)
+
 
 class TestFindTriangleInProduct:
     def test_equilateral_deep(self):
@@ -217,13 +222,13 @@ class TestFindTriangleInProduct:
             find_triangle_in_product(middle_cantor(Q(2, 5)), equilateral(),
                                      depth=8)
 
-    @pytest.mark.parametrize("t", [
-        Triangle.make([(0, 0), (Q(1, 2), 0), (1, 0)]),  # collinear
-        Triangle.make([(0, 0), (1, 0), (Q(3, 10), Q(2, 5))]),
+    @pytest.mark.parametrize("t, checks", [
+        (Triangle.make([(0, 0), (Q(1, 2), 0), (1, 0)]), 1),  # collinear
+        (Triangle.make([(0, 0), (1, 0), (Q(3, 10), Q(2, 5))]), 2),
     ])
-    def test_thickness_computed_once(self, monkeypatch, t):
-        # the convex-combination search and the difference hit inside
-        # reuse the call's own thickness check
+    def test_thickness_checked_per_search(self, monkeypatch, t, checks):
+        # each line search checks its own hypothesis: the base search
+        # alone for a collinear class, and the difference hit too
         calls = []
 
         def counting(s, *args, **kwargs):
@@ -233,7 +238,14 @@ class TestFindTriangleInProduct:
         monkeypatch.setattr(cantor, "newhouse_thickness", counting)
         for _ in range(2):
             find_triangle_in_product(middle_thirds(), t, depth=12)
-        assert len(calls) == 2
+        assert len(calls) == 2 * checks
+
+    def test_region_checked_before_thickness(self):
+        # a class outside the region is bad input, whatever the set
+        alpha = interval_sqrt(Interval.point(Q(5, 4)), 64)
+        t = NormalizedTriangle(alpha=alpha, alpha_sq=Q(5, 4), lam=Q(1, 2))
+        with pytest.raises(InputError, match="admissible"):
+            find_triangle_in_product(middle_cantor(Q(2, 5)), t, 8)
 
     @pytest.mark.parametrize("alpha_sq, lam", [
         (Q(5, 4), Q(1, 2)),  # a height above 1: the base is not longest
