@@ -444,7 +444,15 @@ class HexPacking:
         return ThicknessReportNd(lower, word, SELF_SIMILAR)
 
     def density(self) -> Interval:
-        return (2 * sqrt3() + 3) / 3 * self.rho  # (2+sqrt3)/sqrt3 * rho
+        """1312111/5000000 = 0.2624222, at and above which every ball is
+        r-uniform.  ``_uniform_word`` certifies it on the 85 bundled
+        circles (the root at gamma = 1) and falsifies 0.2624221.  Every
+        word's children repeat that pattern up to similarity, and the
+        root's designated children, shrunk by gamma about their own
+        centers, lie in any sub-ball that holds the unshrunk ones.  The
+        closed form (2 + sqrt(3))/sqrt(3) * rho = 0.26242098 is below
+        the kernel's threshold, which lies in (0.26242215, 0.26242216)."""
+        return Interval.point(Q(1312111, 5000000))
 
     def validate(self, sys: BallSystem, depth: int) -> None:
         unit = Ball((Q(0), Q(0)), Q(1), sys.norm)
@@ -786,8 +794,9 @@ def r_uniformity_check(sys: BallSystem, r) -> UniformityResult:
 
     The builders admit analytic constants: the grid is (2*rho + d)-dense
     (any such sub-ball contains a whole grid cell even after
-    perturbation) and the hexagonal arrangement is
-    ((2 + sqrt(3))/sqrt(3) * rho)-dense.  Larger r values inherit the
+    perturbation) and the hexagonal arrangement is 0.2624222-dense, a
+    rational that this kernel certifies on the 85 circles every level
+    repeats (``HexPacking.density``).  Larger r values inherit the
     certificate.  Below it, the root and the depth-1 words are checked
     exactly with the farthest-point enclosure, which can falsify but not
     certify the levels below: the answer is ``falsified`` or
@@ -871,8 +880,7 @@ def subset_thickness(sys: BallSystem, child_index: int,
     norm, child = sys.norm, kids[child_index]
     d2 = [sq_dist(child, other, norm) for other in kids]
     reach = [child[-1] + other[-1] for other in kids]
-    i = next((j for j in range(len(kids))  # first_touching_sibling's test
-              if j != child_index and d2[j] <= reach[j] * reach[j]), None)
+    i = first_touching_sibling(kids, child_index, norm)
     if i is not None:
         raise InputError(f"designated child intersects sibling {i}")
     if len(kids) < 2:

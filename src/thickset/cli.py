@@ -2,8 +2,9 @@
 search, certification, reproduction of the worked-example constants, and
 SVG/CSV/JSON artifact emission.
 
-Each command takes only the options it reads (``COMMANDS``): only
-find-ap, find-combo, find-triangle and search-kap take ``--format``,
+``COMMANDS`` gives each command its handler and only the options it
+reads: find-ap is find-combo at lam = 1/2, and only find-ap,
+find-combo, find-triangle and search-kap take ``--format``,
 whose csv form is their witness points.  A command returns a ``Result``,
 and ``Run.write`` writes ``--out`` before it prints the result or
 records its verdict, so a run whose artifact cannot be written reports
@@ -190,14 +191,10 @@ def canonical_description(desc: dict) -> str:
 
 def default_r(sys: BallSystem, raw: Optional[str]):
     """The --r value: the given one, else the builder's analytic density
-    constant (rounded up to 8 decimals when it is not rational).  Every
-    builder the command line makes has one."""
+    constant, a rational point for each builder the command line makes."""
     if raw and raw != "auto":
         return to_q(raw)
-    c = sys.generator.density()
-    if c.lo == c.hi:
-        return c.lo
-    return Q(c.hi * 10**8 // 1 + 1, 10**8)
+    return sys.generator.density()
 
 
 # -- serialization ------------------------------------------------------------
@@ -437,9 +434,12 @@ def _witness_nd(w, desc: dict, text: str) -> Result:
                   [w.a, w.b, tuple(Interval.point(x) for x in w.c)])
 
 
-def _combo_common(run: Run, lam) -> Result:
+def cmd_find_combo(run: Run) -> Result:
+    """The convex-combination witness at ``--lam``; find-ap, which takes
+    no ``--lam``, asks for lam = 1/2."""
     desc = run.description()
     obj = build_object(desc)
+    lam = to_q(getattr(run.args, "lam", Q(1, 2)))
     if isinstance(obj, BallSystem):
         r = default_r(obj, run.args.r)
         w = patterns_nd.find_convex_combo_nd(
@@ -453,14 +453,6 @@ def _combo_common(run: Run, lam) -> Result:
                   f"residual <= {decimal_approx(w.residual, 15)}",
                   "witness", witness1d_json(w, desc),
                   [p.enclosure for p in w.points])
-
-
-def cmd_find_ap(run: Run) -> Result:
-    return _combo_common(run, Q(1, 2))
-
-
-def cmd_find_combo(run: Run) -> Result:
-    return _combo_common(run, to_q(run.args.lam))
 
 
 def _parse_triangle(raw: str, bits: int):
@@ -554,7 +546,7 @@ def reproduce_rows() -> list[dict]:
     tau_g = yavicoli_thickness(grid).lower_bound
     rows.append(("grid thickness lower bound", "8.5975", tau_g,
                  Q(0), "exact rational"))
-    thr = patterns_nd.threshold(None, Q(1, 2), Q(1, 5))
+    thr = patterns_nd.threshold(Q(0), Q(1, 2), Q(1, 5))
     rows.append(("grid progression threshold", "10/3", thr, Q(0),
                  "exact rational"))
     lam_lo, _ = patterns_nd.lambda_window(grid, Q(1, 5))
@@ -671,23 +663,29 @@ OPTIONS = {
     "witness": dict(help="witness artifact to overlay"),
 }
 
-# each command's help and the options it reads besides --out; thickness
-# also keeps --depth, which it does not read, because the bench passes it
+# each command's help, its handler and the options it reads besides
+# --out; thickness also keeps --depth, which it does not read, because the
+# bench passes it
 SEARCH = ("set", "format", "depth", "precision-bits", "mode")
 COMMANDS = {
     "construct": ("validate and normalize a set/system description",
-                  ("set", "depth")),
-    "thickness": ("thickness report", ("set", "depth", "precision-bits")),
-    "find-ap": ("3-term progression witness", SEARCH + ("r",)),
-    "find-combo": ("convex combination witness", SEARCH + ("lam", "r")),
-    "find-triangle": ("triangle witness", SEARCH + ("triangle", "r")),
-    "search-kap": ("k-term progression search",
+                  cmd_construct, ("set", "depth")),
+    "thickness": ("thickness report", cmd_thickness,
+                  ("set", "depth", "precision-bits")),
+    "find-ap": ("3-term progression witness", cmd_find_combo,
+                SEARCH + ("r",)),
+    "find-combo": ("convex combination witness", cmd_find_combo,
+                   SEARCH + ("lam", "r")),
+    "find-triangle": ("triangle witness", cmd_find_triangle,
+                      SEARCH + ("triangle", "r")),
+    "search-kap": ("k-term progression search", cmd_search_kap,
                    ("set", "format", "depth", "k")),
     "certify-gap-lemma": ("check intersection criteria for two sets",
+                          cmd_certify_gap_lemma,
                           ("set", "set2", "depth", "precision-bits", "r")),
     "reproduce": ("re-derive the worked-example constants with pass/fail",
-                  ("table",)),
-    "plot": ("emit an SVG rendering", ("set", "depth", "witness")),
+                  cmd_reproduce, ("table",)),
+    "plot": ("emit an SVG rendering", cmd_plot, ("set", "depth", "witness")),
 }
 
 
@@ -700,24 +698,11 @@ def make_parser() -> argparse.ArgumentParser:
         prog="thickset",
         description="Certified computations on thick compact sets")
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (text, options) in COMMANDS.items():
+    for command, (text, _, options) in COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         for name in ("out", *options):
             sp.add_argument(f"--{name}", **OPTIONS[name])
     return p
-
-
-HANDLERS = {
-    "construct": cmd_construct,
-    "thickness": cmd_thickness,
-    "find-ap": cmd_find_ap,
-    "find-combo": cmd_find_combo,
-    "find-triangle": cmd_find_triangle,
-    "search-kap": cmd_search_kap,
-    "certify-gap-lemma": cmd_certify_gap_lemma,
-    "reproduce": cmd_reproduce,
-    "plot": cmd_plot,
-}
 
 
 def _rejected_args(argv: list[str]) -> argparse.Namespace:
@@ -740,7 +725,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = None
     try:
         args = parser.parse_args(argv)
-        handler = HANDLERS[args.command]
+        handler = COMMANDS[args.command][1]
     except SystemExit as e:  # --help, or a rejection argparse printed
         args = _rejected_args(_sys.argv[1:] if argv is None else argv)
         code = 0 if e.code in (0, None) else EXIT_INPUT

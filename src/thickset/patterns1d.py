@@ -582,31 +582,22 @@ def shmerkin_4ap(epsilon, depth: int = 16) -> KapCertificate:
                                (Q(1, 3), Q(-1, 6)), [()], depth)
     # try to pin an exact witness at an enclosure endpoint
     t_lo, t_hi, t_exact = _exact_point(px, py, simplest=False)
-
-    def ap_points(tv_lo: Q, tv_hi: Q):
-        out = []
-        for coeff in (-3, -1, 1, 3):
-            vals = sorted((Q(1, 2) + coeff * tv_lo, Q(1, 2) + coeff * tv_hi))
-            iv = Interval(vals[0], vals[1])
-            if iv.is_point():
-                st = membership(s, iv.lo, depth=64).kind
-            else:
-                # t lies in the final pieces of C - 1/2 and (C - 1/2)/3,
-                # so 1/2 + t and 1/2 + 3t lie in depth-``depth`` word
-                # images, and so do 1/2 - t and 1/2 - 3t, C being
-                # symmetric about 1/2
-                st = f"in_cover_at_depth({depth})"
-            out.append(WitnessPoint(iv, st))
-        out.sort(key=lambda p: p.enclosure.lo)
-        return out
-
     if t_exact is not None:
-        pts = ap_points(t_exact, t_exact)
-        t_iv = Interval.point(t_exact)
+        # a certified member of C - 1/2 and of (C - 1/2)/3, so 1/2 + t
+        # and 1/2 + 3t are certified members of C, and so are 1/2 - t and
+        # 1/2 - 3t, C being symmetric about 1/2
+        t_lo = t_hi = t_exact
+        status = IN_CERTIFIED
     else:
-        pts = ap_points(t_lo, t_hi)
-        t_iv = Interval(t_lo, t_hi)
-    step = abs(t_iv) * 2
+        # t lies in the final pieces of C - 1/2 and (C - 1/2)/3, so the
+        # four points lie in depth-``depth`` word images, by that symmetry
+        status = f"in_cover_at_depth({depth})"
+    pts = []
+    for c in (-3, -1, 1, 3):
+        ends = sorted((Q(1, 2) + c * t_lo, Q(1, 2) + c * t_hi))
+        pts.append(WitnessPoint(Interval(*ends), status))
+    pts.sort(key=lambda p: p.enclosure.lo)
+    step = abs(Interval(t_lo, t_hi)) * 2
     return KapCertificate(4, FEASIBLE, depth, 0,
                           x=pts[0].enclosure, y=step, points=tuple(pts))
 

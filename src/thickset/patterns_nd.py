@@ -84,17 +84,16 @@ def _norm(a: IVec, bits: int = 128) -> Interval:
 # -- thresholds and windows ------------------------------------------------
 
 
-def threshold(alpha_sq: Optional[Q], lam, r, mode: str = STANDARD,
+def threshold(alpha_sq, lam, r, mode: str = STANDARD,
               bits: int = 128) -> Interval:
-    """Certified thickness threshold for the requested configuration:
-    linear combinations when ``alpha_sq`` is None, triangles of squared
-    height ``alpha_sq`` otherwise.
+    """Certified thickness threshold for the triangle class of squared
+    height ``alpha_sq``; the linear combination is the class alpha^2 = 0,
+    where the square root is the exact rational (1-lam)/lam.
 
-    Linear, standard:   2(1-lam) / (lam (1-2r))
-    Linear, appendix:   3(1-lam) / (2 lam (1-2r))
-    Triangle, standard: sqrt((a^2+(1-lam)^2)/(a^2+lam^2)) * 2/(1-2r)
-    Triangle, appendix: same ratio * 3/(2(1-2r))
+    Standard: sqrt((a^2+(1-lam)^2)/(a^2+lam^2)) * 2/(1-2r)
+    Appendix: same ratio * 3/(2(1-2r))
     """
+    a2 = to_q(alpha_sq)
     lamv = to_q(lam)
     if not (0 < lamv <= Q(1, 2)):
         raise InputError("lambda must lie in (0, 1/2]")
@@ -102,12 +101,7 @@ def threshold(alpha_sq: Optional[Q], lam, r, mode: str = STANDARD,
     if mode not in (STANDARD, APPENDIX):
         raise InputError(f"unknown mode {mode!r}")
     one_minus_2r = 1 - 2 * r_iv
-    if alpha_sq is None:
-        if mode == STANDARD:
-            return Interval.point(2 * (1 - lamv)) / (lamv * one_minus_2r)
-        return Interval.point(3 * (1 - lamv)) / (2 * lamv * one_minus_2r)
-    ratio = interval_sqrt((alpha_sq + (1 - lamv) ** 2)
-                          / (alpha_sq + lamv ** 2), bits)
+    ratio = interval_sqrt((a2 + (1 - lamv) ** 2) / (a2 + lamv ** 2), bits)
     if mode == STANDARD:
         return ratio * 2 / one_minus_2r
     return ratio * 3 / (2 * one_minus_2r)
@@ -121,7 +115,7 @@ def lambda_window(sys: BallSystem, r, mode: str = STANDARD
     even lam = 1/2 fails."""
     r_iv = _as_r(r)
     tau = yavicoli_thickness(sys).lower_bound
-    at_half = threshold(None, Q(1, 2), r_iv, mode)
+    at_half = threshold(Q(0), Q(1, 2), r_iv, mode)
     if not Interval.point(tau.lo).certainly_ge(at_half):
         return None
     if mode == STANDARD:
@@ -175,21 +169,21 @@ def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, h_root: Interval,
     return h_root, "h_root (distance-child condition certified)"
 
 
-def _disk_radius(sys: BallSystem, pair: Pair, alpha_sq: Optional[Q],
-                 lam: Q, c_a, c_b, r_iv: Interval, mode: str,
-                 h_root: Interval, bits: int) -> tuple[dict, dict]:
+def _disk_radius(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
+                 r_iv: Interval, mode: str, h_root: Interval,
+                 bits: int) -> tuple[dict, dict]:
     """The disk certificate both pipelines share.  The thickness bound
-    tau must be certified at or above the configuration's threshold;
-    then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for the
-    designated balls of radii t_a <= t_b, must be certified positive and
-    above the root covering slack ``h_root``.  (c_a, c_b) is (lam, 1-lam)
-    for the linear combination (``alpha_sq`` None) and (s_f, s_g) for
-    the triangle.  Returns the report entries of the designated pair and
-    the threshold, and those of the radius; each pipeline places its own
-    entries around them."""
+    tau must be certified at or above the threshold of the class
+    ``tri``; then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for
+    the designated balls of radii t_a <= t_b, must be certified positive
+    and above the root covering slack ``h_root``.  (c_a, c_b) are the
+    class's side ratios (s_f, s_g), which are (lam, 1-lam) for the
+    linear combination, the class alpha^2 = 0.  Returns the report
+    entries of the designated pair and the threshold, and those of the
+    radius; each pipeline places its own entries around them."""
     ia, ib, ball_a, ball_b = pair
     tau = yavicoli_thickness(sys, bits).lower_bound
-    thr = threshold(alpha_sq, lam, r_iv, mode, bits)
+    thr = threshold(tri.alpha_sq, tri.lam, r_iv, mode, bits)
     if tau.lo < thr.lo:
         raise HypothesisError(
             f"thickness lower bound {tau.approx_str(8)} is below the "
@@ -198,6 +192,7 @@ def _disk_radius(sys: BallSystem, pair: Pair, alpha_sq: Optional[Q],
         raise Indeterminate("threshold comparison undecided at the "
                             "current precision")
     h_b, h_b_note = _h_b_bound(sys, ia, ib, h_root, mode, bits)
+    c_a, c_b = tri.side_ratios(bits)
     t_d = (c_a * (1 - 2 * r_iv) * ball_a.radius + c_b * ball_b.radius
            - c_b * h_b)
     if not t_d.certainly_gt(Interval.point(Q(0))):
@@ -242,9 +237,10 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
     r_iv = _as_r(r)
     pair = _designated_pair(sys)
     _, _, ball_a, ball_b = pair
-    hypotheses, radius = _disk_radius(sys, pair, None, lamv, lamv, 1 - lamv,
-                                      r_iv, mode, h_upper(sys, (), bits),
-                                      bits)
+    line = NormalizedTriangle(alpha=Interval.point(Q(0)), alpha_sq=Q(0),
+                              lam=lamv, degenerate=True)
+    hypotheses, radius = _disk_radius(sys, pair, line, r_iv, mode,
+                                      h_upper(sys, (), bits), bits)
     center = tuple(Interval.point(lamv * ca + (1 - lamv) * cb)
                    for ca, cb in zip(ball_a.center, ball_b.center))
     report = {"mode": mode, "lambda": lamv, "r": r_iv, **hypotheses,
@@ -652,8 +648,8 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
                                   "enlargement)")
         containment = "enlarged_ball"
 
-    hypotheses, radius = _disk_radius(sys, pair, tri.alpha_sq, tri.lam, s_f,
-                                      s_g, r_iv, mode, h_root, bits)
+    hypotheses, radius = _disk_radius(sys, pair, tri, r_iv, mode, h_root,
+                                      bits)
     t_d = radius["disk_radius"]
     center = _apex(tri, ball_a.center, ball_b.center)
     center_norm = _norm(_vsub(center, root.center), bits)

@@ -132,7 +132,7 @@ class TestAcceptance:
         grid = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
         tau = yavicoli_thickness(grid).lower_bound
         ok = tau.lo == tau.hi == Q("8.5975")
-        thr = threshold(None, Q(1, 2), Q(1, 5))
+        thr = threshold(Q(0), Q(1, 2), Q(1, 5))
         ok &= thr.lo == thr.hi == Q(10, 3)
         lam_lo, lam_hi = lambda_window(grid, Q(1, 5))
         ok &= abs(lam_lo.mid - Q("0.27938814")) <= Q(1, 10**6)

@@ -40,9 +40,11 @@ MERGED = ("_designated", "_check_disjoint_children", "_certify_threshold",
 # on), a triangle's interval vertices and the enclosure of its split
 # beside the exact one, and the plane triangle's copy of the class beside
 # the ``NormalizedTriangle`` it was made from, with the class's side
-# ratios and height check outside it; and the product search's forks of
+# ratios and height check outside it; the product search's forks of
 # the base search and the difference hit that skipped the thickness
-# check the caller had made
+# check the caller had made; and the command line's handler table
+# beside ``COMMANDS``, with find-ap's own handler and the body it shared
+# with find-combo
 SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (scalars.Interval, "compare"), (cantor.AffineMap, "compose"),
                 (cantor, "IDENTITY"), (product, "_exact_sqrt_ratio"),
@@ -71,7 +73,8 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (cantor, "slides_into_gap"), (thickset, "VertexMaps"),
                 (patterns_nd, "VertexMaps"), (thickset, "vertex_maps"),
                 (patterns_nd, "vertex_maps"), (product, "require_height"),
-                (product, "_side_ratios")]
+                (product, "_side_ratios"), (cli, "HANDLERS"),
+                (cli, "_combo_common"), (cli, "cmd_find_ap")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {

@@ -627,6 +627,37 @@ class TestRUniformity:
         res = r_uniformity_check(hex_packing_example(1), Q(26243, 100000))
         assert res.status == CERTIFIED_ANALYTIC
 
+    @pytest.mark.parametrize("sys, words", [
+        (grid_ifs_example(10, Q(19, 200), Q(1, 100), 1), [(), (0,), (37,)]),
+        (hex_packing_example(1), [(), (0,), (5,)]),
+        (hex_packing_example(Q(99999, 100000)), [(), (0,), (5,)]),
+    ])
+    def test_density_constant_certified_from_above(self, sys, words):
+        # the kernel certifies each builder's analytic constant at the
+        # root and at depth-1 words; the constant is what --r auto picks
+        r = Interval.point(sys.generator.density().hi)
+        for word in words:
+            assert balls._uniform_word(sys, word, r).status == CERTIFIED
+
+    @pytest.mark.parametrize("r", [
+        ((2 * sqrt3() + 3) / 3 * HexPacking.rho).hi,  # the old closed form
+        Q(13121049, 50000000),  # what --r auto picked from it
+    ])
+    def test_hex_below_the_kernel_threshold_falsified(self, r):
+        sys = hex_packing_example(Q(99999, 100000))
+        res = r_uniformity_check(sys, r)
+        assert res.status == FALSIFIED
+        # independently, in plain rationals: the counterexample ball has
+        # radius r (the root's being 1), lies inside the root and holds
+        # none of the root's 85 children
+        (x, y), rad = res.counterexample.center, res.counterexample.radius
+        assert rad == r and x * x + y * y <= (1 - rad) ** 2
+        for kid in sys.children(()):
+            (cx, cy), slack = kid.center, rad - kid.radius
+            assert slack < 0 or (x - cx) ** 2 + (y - cy) ** 2 > slack ** 2
+        assert r_uniformity_check(sys, Q(26243, 100000)).status == \
+            CERTIFIED_ANALYTIC
+
     def test_tiny_r_falsified(self):
         sys = grid_ifs_example(10, Q(19, 200), Q(1, 100), 1)
         res = r_uniformity_check(sys, Q(19, 2000))

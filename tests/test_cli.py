@@ -502,7 +502,9 @@ class TestExitCodes:
         def handler(run):
             raise exc
 
-        monkeypatch.setitem(cli.HANDLERS, "construct", handler)
+        text, _, options = cli.COMMANDS["construct"]
+        monkeypatch.setitem(cli.COMMANDS, "construct",
+                            (text, handler, options))
         out = tmp_path / "c.json"
         assert main(["construct", "--set", "middle_cantor:1/3",
                      "--out", str(out)]) == code
@@ -812,9 +814,8 @@ class TestOptions:
                    - {"-h", "--help"} for command, sp in subparsers().items()}
         assert offered == {
             command: {f"--{name}" for name in ("out", *options)}
-            for command, (_, options) in cli.COMMANDS.items()}
+            for command, (_, _, options) in cli.COMMANDS.items()}
         assert sum(map(len, offered.values())) == 47
-        assert set(cli.HANDLERS) == set(cli.COMMANDS)
 
     def test_options_are_read_or_allowlisted(self, tmp_path, monkeypatch):
         # an option is read when the handler or the writing of its result
@@ -836,8 +837,9 @@ class TestOptions:
 
         monkeypatch.setattr(cli.Run, "__init__", recording_init)
         monkeypatch.setattr(cli.Run, "write", recording(cli.Run.write))
-        for command, handler in list(cli.HANDLERS.items()):
-            monkeypatch.setitem(cli.HANDLERS, command, recording(handler))
+        for command, (text, handler, options) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, command,
+                                (text, recording(handler), options))
         monkeypatch.chdir(tmp_path)
         read = {command: set() for command in subparsers()}
         for i, argv in enumerate(OPTION_RUNS):

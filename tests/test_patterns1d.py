@@ -218,6 +218,21 @@ class TestShmerkin4AP:
         with pytest.raises(InputError):
             shmerkin_4ap(Q(2, 5))
 
+    def test_labels_from_the_descent_certificate(self, monkeypatch):
+        # an exact t is certified in C - 1/2 and (C - 1/2)/3 by the
+        # descent's own pieces, so no point is walked again
+        def forbidden(*args, **kwargs):
+            raise AssertionError("membership walk")
+
+        monkeypatch.setattr(patterns1d, "membership", forbidden)
+        cert = shmerkin_4ap(Q(1, 3))
+        assert [p.enclosure for p in cert.points] == [
+            Interval.point(x) for x in (Q(0), Q(1, 3), Q(2, 3), Q(1))]
+        assert all(p.status == IN_CERTIFIED for p in cert.points)
+        # the last three descent pins are this search's
+        for call, want in DESCENT_PINS[-3:] + SEARCH_PINS:
+            assert digest(call()) == want
+
 
 class TestKapSearch:
     def test_middle_cantor_2_5_no_3ap(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import random
 import sys as _sys
 from fractions import Fraction as Q
@@ -60,11 +61,11 @@ def grid():
 
 class TestThreshold:
     def test_combo_standard(self):
-        t = threshold(None, Q(1, 2), Q(1, 5))
+        t = threshold(Q(0), Q(1, 2), Q(1, 5))
         assert t.lo == t.hi == Q(10, 3)
 
     def test_combo_appendix(self):
-        t = threshold(None, Q(1, 2), Q(1, 5), APPENDIX)
+        t = threshold(Q(0), Q(1, 2), Q(1, 5), APPENDIX)
         assert t.lo == t.hi == Q(5, 2)
 
     def test_triangle_equilateral_ratio_one(self):
@@ -77,13 +78,36 @@ class TestThreshold:
     def test_appendix_below_standard(self):
         for lam in (Q(1, 4), Q(2, 5), Q(1, 2)):
             for r in (Q(1, 10), Q(1, 5), Q(2, 5)):
-                std = threshold(None, lam, r, STANDARD)
-                apx = threshold(None, lam, r, APPENDIX)
+                std = threshold(Q(0), lam, r, STANDARD)
+                apx = threshold(Q(0), lam, r, APPENDIX)
                 assert apx.hi < std.lo
 
     def test_lambda_range(self):
         with pytest.raises(InputError):
-            threshold(None, Q(3, 4), Q(1, 5))
+            threshold(Q(0), Q(3, 4), Q(1, 5))
+
+    def test_linear_class_is_the_closed_form(self):
+        # at alpha^2 = 0 the square root is the exact rational
+        # (1-lam)/lam, so the triangle formula gives the linear
+        # combination's closed forms, Fraction for Fraction
+        def closed_form(lam, r, mode):
+            one_minus_2r = 1 - 2 * Interval.coerce(r)
+            if mode == STANDARD:
+                return Interval.point(2 * (1 - lam)) / (lam * one_minus_2r)
+            return Interval.point(3 * (1 - lam)) / (2 * lam * one_minus_2r)
+
+        lams = [Q(k, 64) for k in range(1, 33)] + [Q(1, 10**9), Q(1, 3)]
+        rs = (Q(1, 5), Q(26243, 100000), Interval(Q(1, 10), Q(3, 10)),
+              Interval(Q(35, 128), Q(37, 128)))
+        for lam, r, mode, bits in itertools.product(
+                lams, rs, (STANDARD, APPENDIX), (8, 128)):
+            got = threshold(Q(0), lam, r, mode, bits)
+            want = closed_form(lam, r, mode)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    def test_alpha_sq_is_a_rational(self):
+        with pytest.raises(InputError):
+            threshold(None, Q(1, 2), Q(1, 5))
 
 
 class TestLambdaWindow:
@@ -100,7 +124,7 @@ class TestLambdaWindow:
         tau = yavicoli_thickness(sys).lower_bound.lo
         for mode in (STANDARD, APPENDIX):
             lo, _ = lambda_window(sys, Q(1, 5), mode)
-            t = threshold(None, lo.lo, Q(1, 5), mode)
+            t = threshold(Q(0), lo.lo, Q(1, 5), mode)
             assert t.lo == tau
 
     def test_empty_window(self):

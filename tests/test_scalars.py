@@ -320,7 +320,7 @@ class TestFloatEndpoints:
         from thickset.patterns_nd import threshold
 
         with pytest.raises(InputError, match="floats are not accepted"):
-            threshold(None, Q(1, 2), Interval(0.2, 0.2))
+            threshold(Q(0), Q(1, 2), Interval(0.2, 0.2))
 
     def test_uniformity_refuses_a_float_interval(self):
         from thickset.balls import hex_packing_example, r_uniformity_check
