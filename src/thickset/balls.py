@@ -94,15 +94,18 @@ def first_touching_sibling(kids: list[Lattice], j: int,
     """Index of the first sibling that ``kids[j]`` is not strictly
     disjoint from, or None when it is disjoint from all of them.
 
-    Both norms are at least the gap of the first coordinates, so a
-    sibling whose first coordinate is farther from that of ``kids[j]``
-    than ``kids[j]``'s radius plus the largest sibling radius is strictly
-    disjoint from it; only the siblings inside that window get the exact
+    Both norms are at least the gap in any one coordinate, so a sibling
+    whose first or last center coordinate (the same one on a line) is
+    farther from that of ``kids[j]`` than ``kids[j]``'s radius plus the
+    largest sibling radius is strictly disjoint from it; only the
+    siblings inside that window, in both coordinates, get the exact
     test, in index order."""
-    x, reach = kids[j][0], kids[j][-1] + max(k[-1] for k in kids)
+    child = kids[j]
+    x, y, reach = child[0], child[-2], child[-1] + max(k[-1] for k in kids)
     return next((i for i, other in enumerate(kids)
-                 if i != j and abs(other[0] - x) <= reach
-                 and not lattice_disjoint(kids[j], other, norm)), None)
+                 if -reach <= other[0] - x <= reach
+                 and -reach <= other[-2] - y <= reach and i != j
+                 and not lattice_disjoint(child, other, norm)), None)
 
 
 # -- farthest point ----------------------------------------------------------
@@ -872,7 +875,9 @@ def subset_thickness(sys: BallSystem, child_index: int,
     so far, sibling j can lower neither minimum.  The test multiplies
     both sides by the level's squared scale and compares integers.  The
     nearest siblings, by an integer square root, are visited first; the
-    order changes only how many enclosures are computed.
+    order changes only how many enclosures are computed.  The same
+    squared distances give the first sibling the child touches, in
+    index order, with ``lattice_disjoint``'s strictness.
     """
     kids = sys.kids(())
     if not (0 <= child_index < len(kids)):
@@ -880,7 +885,8 @@ def subset_thickness(sys: BallSystem, child_index: int,
     norm, child = sys.norm, kids[child_index]
     d2 = [sq_dist(child, other, norm) for other in kids]
     reach = [child[-1] + other[-1] for other in kids]
-    i = first_touching_sibling(kids, child_index, norm)
+    i = next((i for i, d in enumerate(d2)
+              if i != child_index and d <= reach[i] * reach[i]), None)
     if i is not None:
         raise InputError(f"designated child intersects sibling {i}")
     if len(kids) < 2:

@@ -41,26 +41,43 @@ def node_budget() -> int:
 
 
 def descend(first, children, ok, levels: int, what: str, *,
-            backtrack: bool):
+            backtrack: bool, bulk: bool = False):
     """The pair ``levels`` steps below a survivor of ``first``: a survivor
     is a candidate ``(x, y)`` with ``ok(x, y)``, and ``children(x, y)``
     are the candidates below it, in order.  A certifying test commits to
     the first survivor at every level; a pruning test backtracks.  Every
     test is charged to ``node_budget()``; passing it, or running out of
-    candidates, is ``Indeterminate``."""
+    candidates, is ``Indeterminate``.
+
+    With ``bulk``, a frame's items are ``(n, x, y)``: n tests are
+    charged at once, the last of them ``ok(x, y)``, or, when x is None,
+    none of them run.  A caller that drops candidates the test would
+    reject charges them this way, in order, and the count and the stop
+    are those of testing each one; frames of plain pairs pay nothing for
+    it."""
     budget, tests = node_budget(), 0
+    over = f"{what} passed the budget of {budget} pair tests"
 
     def survivors(candidates):
         nonlocal tests
         for x, y in candidates:
             tests += 1
             if tests > budget:
-                raise Indeterminate(f"{what} passed the budget of {budget} "
-                                    "pair tests")
+                raise Indeterminate(over)
             if ok(x, y):
                 yield x, y
 
-    stack = [survivors(first)]  # one lazy frame per level
+    def bulk_survivors(candidates):
+        nonlocal tests
+        for n, x, y in candidates:
+            tests += n
+            if tests > budget:
+                raise Indeterminate(over)
+            if x is not None and ok(x, y):
+                yield x, y
+
+    frame = bulk_survivors if bulk else survivors
+    stack = [frame(first)]  # one lazy frame per level
     while stack:
         pair = next(stack[-1], None)
         if pair is None:
@@ -70,7 +87,7 @@ def descend(first, children, ok, levels: int, what: str, *,
         else:
             if not backtrack:
                 stack[-1] = iter(())  # forget the pair's siblings
-            stack.append(survivors(children(*pair)))
+            stack.append(frame(children(*pair)))
     raise Indeterminate(f"{what} exhausted (no chain to the requested depth)")
 
 

@@ -401,7 +401,8 @@ def _may_meet(a: Image, b: Image) -> bool:
 
 
 def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
-                 start_b: Word, depth: int) -> tuple[Word, Word]:
+                 start_b: Word, depth: int, project_b=None
+                 ) -> tuple[Word, Word]:
     """Lexicographic depth-first search for a chain of possibly
     intersecting image-ball pairs down to the requested word length.
 
@@ -410,14 +411,18 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     image scale that depends only on s; an image's radius depends on the
     ball's radius alone.  ``spread_b(e)`` bounds how far moving a center
     by at most e in every coordinate moves each end of its b image, and
-    the width (hi - lo) of its first coordinate.  The two words of a
-    pair have the same length, so they share s and their images share a
-    scale.  Pairs whose images are certifiably disjoint are pruned.  The
-    test compares Euclidean disks on both norms: on an L2 system the
-    true witness pair survives at every level, so the search cannot
-    exhaust, but on a sup-norm system it is stricter than box
-    intersection and may.  Exhaustion is ``Indeterminate``, and so is a
-    search that needs more than ``node_budget()`` child-pair tests.
+    the width (hi - lo) of its first coordinate.  ``project_b(cells, s)``
+    gives, from a fan's integers, the low end and the width of each b
+    image's first coordinate and the largest b image radius, as the
+    full images have them; without it they are read off the full
+    images.  The two words of a pair have the same length, so they
+    share s and their images share a scale.  Pairs whose images are
+    certifiably disjoint are pruned.  The test compares Euclidean disks
+    on both norms: on an L2 system the true witness pair survives at
+    every level, so the search cannot exhaust, but on a sup-norm system
+    it is stricter than box intersection and may.  Exhaustion is
+    ``Indeterminate``, and so is a search that charges more than
+    ``node_budget()`` child-pair tests.
 
     The integer tests decide exactly what tests on the rational images
     would: every endpoint, reach and gap is the rational one times the
@@ -426,13 +431,19 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
 
     ``descend`` runs the search, backtracking past dead ends; a node is
     a word, its lattice ball (None until derived) and its image.  A
-    frame derives each a-side child only when its loop reaches it.  It
-    tests the child pairs in lexicographic order, skipping, uncharged,
-    those whose first coordinates alone are farther apart than the
-    largest reach of the frame, which the full test would reject too: a
-    b child is in the window of an a child when the low end of its first
-    coordinate lies within the reach of the a image's, widened below by
-    the widest b image.
+    frame derives each a-side child only when its loop reaches it, and
+    takes the child pairs in lexicographic order.  It skips, uncharged,
+    the pairs whose first coordinates alone are farther apart than the
+    largest reach of the frame: a b child is in the window of an a
+    child when the low end of its first coordinate lies within the
+    reach of the a image's, widened below by the widest b image.  The
+    frame sorts the b fan on its projection, and builds a b image only
+    for a cell that some window reaches.  A pair in a window whose last
+    coordinates (y in the plane) are farther apart than its own reach
+    is charged but not tested, since ``_may_meet`` rejects it on that
+    coordinate alone.  Such charges go to ``descend`` in bulk, in order,
+    before the next pair tested or at the frame's end, so the count and
+    the budget stop are those of testing every pair of the window.
 
     The b side starts as cells (``Generator.cells``): a child's image
     has its cell's radius and ends within spread_b(e) of its cell's.  So
@@ -441,11 +452,19 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     widest image is the widest cell's unless widths move, and then the
     widest among the children derived whose cells may be widest.  An
     underived b node carries its cell's image widened by spread_b(e),
-    which holds the child's: the charged test answers False when that
-    image is certifiably disjoint from the a image, and otherwise
-    derives the child and tests its own.  So the frames test the pairs,
-    in the order and with the answers, of whole b fans.
+    which holds the child's: the last-coordinate filter and then the
+    test see that image first, the test answering False when it is
+    certifiably disjoint from the a image, and otherwise deriving the
+    child and testing its own.  So the frames charge the pairs, in the
+    order and with the answers, of whole b fans.
     """
+    if project_b is None:
+        def project_b(cells, s):
+            imgs = [image_b(c, s) for c in cells]
+            return ([box[0][0] for box, _ in imgs],
+                    [box[0][1] - box[0][0] for box, _ in imgs],
+                    max(r for _, r in imgs))
+
     def settle(node: list) -> list:
         """Derive an underived b node's child and its image, once."""
         if node[1] is None:
@@ -468,31 +487,31 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
         if not cells:
             return
         shift, stretch = spread_b(e)
-        imgs = [image_b(c, s) for c in cells]
+        lows, widths, r_b = project_b(cells, s)
         nodes: list = [None] * len(cells)
 
         def node(j: int) -> list:
             """The b node of child j, made once: derived, or its cell."""
             if nodes[j] is None:
-                box, r = imgs[j]
+                box, r = image_b(cells[j], s)
                 nodes[j] = ([wb + (j,), None, (tuple(
                     (lo - shift, hi + shift) for lo, hi in box), r), lat_b, s]
-                    if e else [wb + (j,), cells[j], imgs[j]])
+                    if e else [wb + (j,), cells[j], (box, r)])
             return nodes[j]
 
-        lows = [box[0][0] for box, _ in imgs]
         by_x = sorted(range(len(cells)), key=lows.__getitem__)
         xs = [lows[j] for j in by_x]
-        r_b = max(r for _, r in imgs)
-        width = max(box[0][1] - box[0][0] for box, _ in imgs)
+        width = max(widths)
         if e and stretch:  # the widest child is among those settled
-            width = max(box[0][1] - box[0][0] for box in (
-                settle(node(j))[2][0] for j, (cell, _) in enumerate(imgs)
-                if cell[0][1] - cell[0][0] + 2 * stretch >= width))
+            width = max(hi - lo for (lo, hi), *_ in (
+                settle(node(j))[2][0] for j, w in enumerate(widths)
+                if w + 2 * stretch >= width))
+        dropped = 0  # charges not yet passed to descend
         for i in range(sys.child_count(wa)):
             x, = sys.generator.children(lat_a, wa, (i,))
             a = (wa + (i,), x, image_a(x, s))
-            (alo, ahi), reach = a[2][0][0], a[2][1] + r_b
+            box_a, r_a = a[2]
+            (alo, ahi), (ylo, yhi), reach = box_a[0], box_a[-1], r_a + r_b
             low, high = alo - reach - width, ahi + reach
             near = by_x[bisect_left(xs, low - shift):
                         bisect_right(xs, high + shift)]
@@ -502,7 +521,14 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
                                          and lows[j] + shift <= high):
                     settle(b)  # the cell straddles a window end
                 if b[1] is None or low <= b[2][0][0][0] <= high:
-                    yield a, b
+                    (lo, hi), r = b[2][0][-1], r_a + b[2][1]
+                    if ylo - hi > r or lo - yhi > r:
+                        dropped += 1
+                    else:
+                        yield dropped + 1, a, b
+                        dropped = 0
+        if dropped:
+            yield dropped, None, None
 
     lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
     s = sys.scale(len(start_a))
@@ -512,16 +538,16 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
         return start_a, start_b
     a, b = descend(candidates((start_a, lat_a), (start_b, lat_b)),
                    candidates, meets, depth - len(start_a) - 1,
-                   "pair refinement", backtrack=True)
+                   "pair refinement", backtrack=True, bulk=True)
     return a[0], b[0]
 
 
 def _combo_images(lam: Q, c: tuple[Q, ...]):
     """Image maps refining -lam*A against (1-lam)*B - c, and the spread
-    of the b map.  They are exact, so every coordinate has lo = hi and
-    every width is 0.  With lam = a/m and c over C, the image scale is
-    m*C*s, and moving a center coordinate by e moves its b image by
-    (m-a)*C*e."""
+    and the projection of the b map.  They are exact, so every
+    coordinate has lo = hi and every width is 0.  With lam = a/m and c
+    over C, the image scale is m*C*s, and moving a center coordinate by
+    e moves its b image by (m-a)*C*e."""
     m, a = lam.denominator, lam.numerator
     cd, cn = on_common_scale(c)
 
@@ -537,7 +563,12 @@ def _combo_images(lam: Q, c: tuple[Q, ...]):
     def spread_b(e: int) -> tuple[int, int]:
         return (m - a) * cd * e, 0
 
-    return image_a, image_b, spread_b
+    def project_b(cells: list[Lattice], s: int):
+        k, c0 = (m - a) * cd, cn[0] * m * s
+        return ([k * c[0] - c0 for c in cells], [0] * len(cells),
+                k * max(c[-1] for c in cells))
+
+    return image_a, image_b, spread_b, project_b
 
 
 def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
@@ -559,7 +590,9 @@ def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
     word, target = _deepest_center_in_disk(sys, disk, depth, bits)
     report[target_key] = word
     ia, ib = report["children"]
-    wa, wb = _refine_pair(sys, *images(target), (ia,), (ib,), depth)
+    image_a, image_b, spread_b, project_b = images(target)
+    wa, wb = _refine_pair(sys, image_a, image_b, spread_b, (ia,), (ib,),
+                          depth, project_b)
     report["depth"] = depth
     return target, sys.ball(wa), sys.ball(wb)
 
@@ -697,7 +730,9 @@ def _triangle_images(tri: NormalizedTriangle, s_f: Interval, s_g: Interval,
     max|alpha|*e, hence their min and max too, so an end of the b image
     moves by at most (lm + max|alpha|)*e.  The first coordinate's width
     is (alpha.hi - alpha.lo)*|y|, which moves by at most
-    (alpha.hi - alpha.lo)*e."""
+    (alpha.hi - alpha.lo)*e; the projection reads it, and the first
+    coordinate's low end -lm*x - max(alpha.lo*y, alpha.hi*y), off the
+    ball's x and y alone."""
     d, (lam, a_lo, a_hi, sf, sg, z0, z1) = on_common_scale(
         (tri.lam, tri.alpha.lo, tri.alpha.hi, s_f.hi, s_g.hi, *z))
     lm = d - lam
@@ -721,7 +756,12 @@ def _triangle_images(tri: NormalizedTriangle, s_f: Interval, s_g: Interval,
     def spread_b(e: int) -> tuple[int, int]:
         return (lm + max(abs(a_lo), abs(a_hi))) * e, (a_hi - a_lo) * e
 
-    return image_a, image_b, spread_b
+    def project_b(cells: list[Lattice], s: int):
+        return ([-lm * x - max(a_lo * y, a_hi * y) for x, y, _ in cells],
+                [(a_hi - a_lo) * abs(y) for _, y, _ in cells],
+                sg * max(r for *_, r in cells))
+
+    return image_a, image_b, spread_b, project_b
 
 
 def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,

@@ -6,7 +6,8 @@ them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, both
 with their own step range for a tuple of boxes, two ball predicates,
 the nearest child and the first touching sibling found by scanning a
-whole fan, a dense-grid farthest-point maximum in floats, and the line's
+whole fan, the plane pair refinement with a window in one coordinate,
+a dense-grid farthest-point maximum in floats, and the line's
 word geometry computed by composing affine maps in rationals, as the
 library did before it moved to integer numerators, the depth of gaps
 the thickness needs, computed in rationals, Newhouse thickness by
@@ -48,6 +49,7 @@ from thickset.cantor import (
     IfsSet1D,
     MembershipResult,
     affine_image,
+    descend,
     node_budget,
     require_thickness_at_least_one,
 )
@@ -59,6 +61,7 @@ from thickset.patterns1d import (
     KapCertificate,
     WitnessPoint,
 )
+from thickset.patterns_nd import _may_meet
 from thickset.product import ProductWitness
 from thickset.scalars import Interval, Q, to_q
 
@@ -846,6 +849,91 @@ def ref_nearest_child(sys: BallSystem, word, point: tuple[Q, ...]) -> int:
     kids = sys.children(word)
     return min(range(len(kids)), key=lambda i: (sum(
         (c - p) ** 2 for c, p in zip(kids[i].center, point)), i))
+
+
+def ref_refine_pair(sys: BallSystem, image_a, image_b, spread_b,
+                    start_a, start_b, depth: int, log=None):
+    """The pair refinement with a window in the first coordinate alone,
+    as the library ran it before it filtered the window on the last
+    coordinate and charged the dropped pairs in bulk: every b image of a
+    fan is built, and every pair in the x window is charged and tested.
+    With ``log``, each test appends (a word, b word, the answer, whether
+    the last coordinates of the images it tests first are farther apart
+    than the pair's reach)."""
+    def settle(node: list) -> list:
+        if node[1] is None:
+            word, _, _, parent, s = node
+            node[1], = sys.generator.children(parent, word[:-1], word[-1:])
+            node[2] = image_b(node[1], s)
+        return node
+
+    def meets(a, b) -> bool:
+        if b[1] is None:
+            if not _may_meet(a[2], b[2]):
+                return False
+            settle(b)
+        return _may_meet(a[2], b[2])
+
+    def logged(a, b) -> bool:
+        (ya, yb), reach = (a[2][0][-1], b[2][0][-1]), a[2][1] + b[2][1]
+        apart = ya[0] - yb[1] > reach or yb[0] - ya[1] > reach
+        answer = meets(a, b)
+        log.append((a[0], b[0], answer, apart))
+        return answer
+
+    def candidates(a, b):
+        (wa, lat_a), (wb, lat_b) = a[:2], b[:2]
+        s = sys.scale(len(wa) + 1)
+        cells, e = sys.generator.cells(lat_b, wb)
+        if not cells:
+            return
+        shift, stretch = spread_b(e)
+        imgs = [image_b(c, s) for c in cells]
+        nodes: list = [None] * len(cells)
+
+        def node(j: int) -> list:
+            if nodes[j] is None:
+                box, r = imgs[j]
+                nodes[j] = ([wb + (j,), None, (tuple(
+                    (lo - shift, hi + shift) for lo, hi in box), r), lat_b, s]
+                    if e else [wb + (j,), cells[j], imgs[j]])
+            return nodes[j]
+
+        lows = [box[0][0] for box, _ in imgs]
+        by_x = sorted(range(len(cells)), key=lows.__getitem__)
+        xs = [lows[j] for j in by_x]
+        r_b = max(r for _, r in imgs)
+        width = max(box[0][1] - box[0][0] for box, _ in imgs)
+        if e and stretch:  # the widest child is among those settled
+            width = max(box[0][1] - box[0][0] for box in (
+                settle(node(j))[2][0] for j, (cell, _) in enumerate(imgs)
+                if cell[0][1] - cell[0][0] + 2 * stretch >= width))
+        for i in range(sys.child_count(wa)):
+            x, = sys.generator.children(lat_a, wa, (i,))
+            a = (wa + (i,), x, image_a(x, s))
+            (alo, ahi), reach = a[2][0][0], a[2][1] + r_b
+            low, high = alo - reach - width, ahi + reach
+            near = by_x[bisect.bisect_left(xs, low - shift):
+                        bisect.bisect_right(xs, high + shift)]
+            for j in sorted(near):
+                b = node(j)
+                if b[1] is None and not (low <= lows[j] - shift
+                                         and lows[j] + shift <= high):
+                    settle(b)  # the cell straddles a window end
+                if b[1] is None or low <= b[2][0][0][0] <= high:
+                    yield a, b
+
+    lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
+    s = sys.scale(len(start_a))
+    if not _may_meet(image_a(lat_a, s), image_b(lat_b, s)):
+        raise Indeterminate("designated pair images do not meet")
+    if len(start_a) >= depth:
+        return start_a, start_b
+    a, b = descend(candidates((start_a, lat_a), (start_b, lat_b)),
+                   candidates, meets if log is None else logged,
+                   depth - len(start_a) - 1, "pair refinement",
+                   backtrack=True)
+    return a[0], b[0]
 
 
 def contains_point(ball: Ball, p: tuple[Q, ...]) -> bool:

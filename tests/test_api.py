@@ -295,6 +295,9 @@ PRIVATE_IMPORTS = {
         "the plane triangle witness bounds its deviation as the product's",
     ("patterns_nd", "scalars", "_sqrt_bounds"):
         "a disk test needs only the upper end of one square root",
+    ("oracles", "patterns_nd", "_may_meet"):
+        "the one-coordinate window runs the library's pair test, so the "
+        "two frames differ only in what they charge and test",
 }
 IMPORTERS = dict(SOURCES, oracles=ast.parse(
     Path(__file__).with_name("oracles.py").read_text()))
@@ -376,6 +379,8 @@ UNREAD_PARAMETERS = {
     ("patterns_nd", "_combo_images.image_a", "s"):
         "image-map protocol: only the target side's map scales the target",
     ("patterns_nd", "_triangle_images.image_b", "s"):
+        "image-map protocol: only the target side's map scales the target",
+    ("patterns_nd", "_triangle_images.project_b", "s"):
         "image-map protocol: only the target side's map scales the target",
 }
 

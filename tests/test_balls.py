@@ -400,6 +400,13 @@ class TestFirstTouchingSibling:
         assert first_touching_sibling(wide, 0, norm) == 2
         assert first_touching_sibling(wide, 1, norm) == 2
         assert first_touching_sibling(kids, 4, norm) is None
+        # on a line and in space the window takes the first and the last
+        # center coordinate
+        line = [(0, 3), (19, 6), (9, 6), (-10, 6)]
+        assert first_touching_sibling(line, 0, norm) == 2
+        space = [(0, 0, 0, 3), (0, 0, 10, 6), (9, 0, 9, 6), (0, 9, 0, 6)]
+        want = 3 if norm == L2 else 2
+        assert first_touching_sibling(space, 0, norm) == want
 
 
 def enumerated_ok(sys: BallSystem, depth: int) -> bool:

@@ -916,3 +916,35 @@ class TestDescend:
             with pytest.raises(Indeterminate, match="^toy descent passed "
                                "the budget of 4 pair tests$"):
                 self.run(1, backtrack=True)
+
+    # the same toy tree with dropped candidates, named "d", that fail
+    # the test, listed one by one and charged in bulk
+    PLAIN = {None: ["c", "d", "d", "a", "b"], "a": ["a0", "d"],
+             "b": ["d", "b0", "d", "d"]}
+    BULK = {None: [(1, "c"), (3, "a"), (1, "b")],
+            "a": [(1, "a0"), (1, None)], "b": [(2, "b0"), (2, None)]}
+
+    @pytest.mark.parametrize("budget", range(13))
+    def test_bulk_charges_count_as_tests(self, monkeypatch, budget):
+        # the search exhausts after charging all eleven; below that, both
+        # stop on the same charge, having run the same tests before it
+        monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
+        runs = []
+        for frames, bulk in ((self.PLAIN, False), (self.BULK, True)):
+            tested = []
+
+            def ok(x, y):
+                tested.append(x)
+                return x in ("a", "b")
+
+            def frame(x, bulk=bulk, frames=frames):
+                if bulk:
+                    return [(n, w, w) for n, w in frames[x]]
+                return [(w, w) for w in frames[x]]
+            try:
+                descend(frame(None), lambda x, y: frame(x), ok, 1,
+                        "toy descent", backtrack=True, bulk=bulk)
+            except Indeterminate as e:
+                runs.append((str(e), [w for w in tested if w != "d"]))
+        assert runs[0] == runs[1]
+        assert ("exhausted" in runs[0][0]) == (budget >= 11)

@@ -28,6 +28,7 @@ from thickset.patterns_nd import (
     APPENDIX,
     STANDARD,
     Disk,
+    _apex,
     _ball_box,
     _certainly_inside,
     _combo_images,
@@ -37,6 +38,7 @@ from thickset.patterns_nd import (
     _norm,
     _refine_pair,
     _sq_norm,
+    _triangle_images,
     _vsub,
     convex_combo_disk,
     find_convex_combo_nd,
@@ -46,10 +48,15 @@ from thickset.patterns_nd import (
     triangle_disk,
     x_constant,
 )
-from thickset.product import NormalizedTriangle, Triangle, equilateral
+from thickset.product import (
+    NormalizedTriangle,
+    Triangle,
+    equilateral,
+    normalize_triangle,
+)
 from thickset.scalars import Interval
 
-from oracles import ref_nearest_child
+from oracles import ref_nearest_child, ref_refine_pair
 
 GAMMA = Q(99999, 100000)
 HEX_R = Q(26243, 100000)
@@ -814,6 +821,12 @@ def _rigid(e):
     return e, 0
 
 
+def _identity_projection(cells, s):
+    """The projection of ``_identity``: the cells' first coordinates, no
+    widths and the largest radius."""
+    return [c[0] for c in cells], [0] * len(cells), max(c[-1] for c in cells)
+
+
 class TestPairEngine:
     @pytest.mark.parametrize("make, search, args, words, target, digest",
                              PINNED_WITNESSES)
@@ -848,8 +861,9 @@ class TestPairEngine:
         c = tuple(lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb))
         want = outcome(interval_dfs, sysv, *interval_combo_maps(lam, c),
                        (0,), (1,), depth)
-        got = outcome(_refine_pair, sysv, *_combo_images(lam, c),
-                      (0,), (1,), depth)
+        image_a, image_b, spread_b, project_b = _combo_images(lam, c)
+        got = outcome(_refine_pair, sysv, image_a, image_b, spread_b,
+                      (0,), (1,), depth, project_b)
         assert got == want
 
     def test_wide_images_match_interval_dfs(self):
@@ -866,6 +880,10 @@ class TestPairEngine:
         def wide(lat, s):
             return tuple((x - 3 * s, x) for x in lat[:-1]), lat[-1]
 
+        def wide_projection(cells, s):
+            return ([c[0] - 3 * s for c in cells], [3 * s] * len(cells),
+                    max(c[-1] for c in cells))
+
         def map_id(b):
             return tuple(map(Interval.point, b.center)), Interval.point(
                 b.radius)
@@ -877,10 +895,10 @@ class TestPairEngine:
         want = interval_dfs(sysv, map_id, map_wide, (0,), (1,), 2)
         assert want == ((0, 0), (1, 1))
         assert _refine_pair(sysv, _identity, wide, _rigid, (0,), (1,),
-                            2) == want
+                            2, wide_projection) == want
         # the depth-2 balls have no children
         assert outcome(_refine_pair, sysv, _identity, wide, _rigid, (0,),
-                       (1,), 3) \
+                       (1,), 3, wide_projection) \
             == outcome(interval_dfs, sysv, map_id, map_wide, (0,), (1,), 3) \
             == "pair refinement exhausted (no chain to the requested depth)"
 
@@ -904,13 +922,13 @@ class TestPairEngine:
         want = ((0, 1, 0), (1, 1, 0))
         assert interval_dfs(sysv, map_id, map_id, (0,), (1,), 3) == want
         assert _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
-                            3) == want
+                            3, _identity_projection) == want
 
     def test_chain_deeper_than_recursion_limit(self):
         length = _sys.getrecursionlimit() + 100
         sysv = _chain_system(length)
         wa, wb = _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
-                              length)
+                              length, _identity_projection)
         assert wa == (0,) * length and wb == (1,) + (0,) * (length - 1)
 
     def test_budget_counts_pair_tests(self, monkeypatch):
@@ -994,20 +1012,22 @@ SEED1_PIPELINES = [
      789, 271),
     (_hex, COMBO, (Q(1, 2), Q(37, 128), 4), 741, 308),
 ]
-# Row by row: the child-pair tests that the pair refinement charges, and
-# the children derived now, in all and inside the pair refinement.
+# Row by row: the child-pair tests that the pair refinement charges and
+# those it runs, and the children derived now, in all and inside the pair
+# refinement.  The charges are every pair in a first-coordinate window;
+# the tests, 34 in all, only those that the second coordinates leave.
 SEED1_COUNTS = [
-    (791, 244, 132),
-    (168, 137, 25),
-    (58, 129, 17),
-    (5, 805, 287),
-    (3, 797, 279),
-    (8, 789, 271),
-    (11, 741, 308),
+    (791, 8, 244, 132),
+    (168, 5, 137, 25),
+    (58, 4, 129, 17),
+    (5, 4, 805, 287),
+    (3, 3, 797, 279),
+    (8, 6, 789, 271),
+    (11, 4, 741, 308),
 ]
 
 
-def seed1_counts(*row) -> tuple[int, int, int]:
+def seed1_counts(*row) -> tuple[int, int, int, int]:
     return SEED1_COUNTS[SEED1_PIPELINES.index(row)]
 
 
@@ -1017,8 +1037,8 @@ def test_children_derived_per_pipeline(monkeypatch, make, search, args,
                                        whole_total, whole_refined):
     import thickset.patterns_nd as nd
 
-    _, total, refined = seed1_counts(make, search, args, whole_total,
-                                     whole_refined)
+    *_, total, refined = seed1_counts(make, search, args, whole_total,
+                                      whole_refined)
     sysv = make()
     derived, inside = [0], [0]
     method, refine_pair = type(sysv.generator).children, nd._refine_pair
@@ -1042,32 +1062,45 @@ def test_children_derived_per_pipeline(monkeypatch, make, search, args,
     assert total <= whole_total and refined <= whole_refined
 
 
-def pair_tests(monkeypatch, call) -> int:
+def pair_counts(monkeypatch, call) -> tuple[int, int]:
     """The child-pair tests that ``descend`` charges to the budget during
-    ``call``: one per call of its test function."""
+    ``call``, bulk charges included, and those it runs, one per call of
+    its test function."""
     import thickset.patterns_nd as nd
 
-    tests, run = [0], nd.descend
+    charged, run, descend = [0], [0], nd.descend
 
     def counting(first, children, ok, *args, **kwargs):
-        def charged(x, y):
-            tests[0] += 1
+        def frame(items):
+            for item in items:
+                charged[0] += item[0]
+                yield item
+
+        def tested(x, y):
+            run[0] += 1
             return ok(x, y)
-        return run(first, children, charged, *args, **kwargs)
+        return descend(frame(first), lambda *p: frame(children(*p)), tested,
+                       *args, **kwargs)
 
     monkeypatch.setattr(nd, "descend", counting)
     call()
-    return tests[0]
+    return charged[0], run[0]
+
+
+def pair_tests(monkeypatch, call) -> int:
+    """The child-pair tests charged during ``call``."""
+    return pair_counts(monkeypatch, call)[0]
 
 
 @pytest.mark.parametrize("make, search, args, whole_total, whole_refined",
                          SEED1_PIPELINES)
 def test_pair_tests_per_pipeline(monkeypatch, make, search, args,
                                  whole_total, whole_refined):
-    tests, _, _ = seed1_counts(make, search, args, whole_total,
-                               whole_refined)
+    charged, run, _, _ = seed1_counts(make, search, args, whole_total,
+                                      whole_refined)
     sysv = make()
-    assert pair_tests(monkeypatch, lambda: search(sysv, *args)) == tests
+    assert pair_counts(monkeypatch, lambda: search(sysv, *args)) \
+        == (charged, run)
 
 
 def derived_children(monkeypatch, sysv, call) -> int:
@@ -1229,3 +1262,175 @@ def test_window_takes_the_widest_child_not_the_widest_cell(monkeypatch):
                         (0,), (1,), 2))))
     assert got[0] == got[1] == (
         "pair refinement exhausted (no chain to the requested depth)", 3)
+
+
+FRAME_TRIANGLES = [equilateral(),
+                   normalize_triangle(_triangle((Q(1, 2), Q(7, 8)))),
+                   normalize_triangle(_triangle((Q(1, 3), Q(3, 4))))]
+
+
+@pytest.mark.parametrize("make", [_grid(1), _hex])
+@pytest.mark.parametrize("tri", [None, *FRAME_TRIANGLES])
+def test_projection_is_read_off_the_images(make, tri):
+    # the low ends and widths of the first coordinates and the largest
+    # radius, for fans at three depths and a target off the lattice
+    sysv, z = make(), (Q(1, 3), Q(-2, 7))
+    image_a, image_b, spread_b, project_b = (
+        _combo_images(Q(2, 5), z) if tri is None
+        else _triangle_images(tri, *tri.side_ratios(128), z))
+    for word in [(), (1,), (0, 17, 3)]:
+        cells, _ = sysv.generator.cells(sysv.lattice(word), word)
+        s = sysv.scale(len(word) + 1)
+        imgs = [image_b(c, s) for c in cells]
+        assert project_b(cells, s) == (
+            [box[0][0] for box, _ in imgs],
+            [box[0][1] - box[0][0] for box, _ in imgs],
+            max(r for _, r in imgs))
+
+
+def charge_log(monkeypatch, call):
+    """``call``'s outcome, and the items of the pair refinement's frames
+    in the order ``descend`` charges them: [charges, a word, b word,
+    answer], the words and the answer None for charges passed without a
+    test, and the answer None for a test that a budget stop preempted."""
+    import thickset.patterns_nd as nd
+
+    items, descend = [], nd.descend
+
+    def logging(first, children, ok, *args, **kwargs):
+        def frame(candidates):
+            for n, a, b in candidates:
+                items.append([n, a and a[0], b and b[0], None])
+                yield n, a, b
+
+        def tested(a, b):
+            items[-1][3] = ok(a, b)
+            return items[-1][3]
+        return descend(frame(first), lambda *p: frame(children(*p)), tested,
+                       *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nd, "descend", logging)
+        result = outcome(call)
+    return result, items
+
+
+def charges_match(items, ref_log, stopped: bool) -> None:
+    """The refinement's charges, one by one, against the one-coordinate
+    window's log: every pair it tested is the oracle's pair at that
+    charge with the same answer, and every pair it dropped is one whose
+    second coordinates the oracle's test found farther apart than the
+    reach, so ``_may_meet`` rejected it.  At a budget stop the oracle
+    logs the charges before the one that passed the budget, and the
+    refinement's last item holds that charge and runs no test."""
+    charges = []
+    for n, wa, wb, answer in items:
+        charges += [None] * (n - (wa is not None))
+        if wa is not None:
+            charges.append((wa, wb, answer))
+    for got, (wa, wb, answer, apart) in zip(charges, ref_log):
+        if got is None:
+            assert apart and answer is False
+        else:
+            assert got == (wa, wb, answer)
+    if stopped:
+        before = sum(n for n, *_ in items[:-1])
+        assert before <= len(ref_log) < before + items[-1][0]
+        assert items[-1][3] is None
+    else:
+        assert len(charges) == len(ref_log)
+
+
+def _loose(sysv):
+    """``sysv`` behind cells up to two radii off its children."""
+    return BallSystem(sysv.root, MovedCells(
+        sysv.generator, lambda i, c: 2 * ((i + c) % 3 - 1), 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(make=st.sampled_from([_grid(1), _grid(6), _hex]),
+       loose=st.booleans(),
+       combo=st.booleans(),
+       lam=st.fractions(Q(1, 16), Q(1, 2), max_denominator=16),
+       tri=st.sampled_from(FRAME_TRIANGLES),
+       depth=st.integers(2, 3),
+       tails=st.lists(st.integers(0, 84), min_size=4, max_size=4),
+       offset=st.sampled_from([Q(0), Q(1, 10**4), Q(1, 500), Q(1, 100)]),
+       stop=st.integers(0, 999))
+# a search that exhausts at depth 2
+@example(make=_grid(997009), loose=False, combo=True, lam=Q(3, 16),
+         tri=equilateral(), depth=2, tails=[65, 19, 92, 28], offset=Q(1, 40),
+         stop=500)
+def test_frames_charge_as_the_one_coordinate_window(
+        make, loose, combo, lam, tri, depth, tails, offset, stop):
+    # the target combines two depth-3 centers, or is the apex over them,
+    # shifted so that some searches exhaust; the search then runs again
+    # under a budget below its charges
+    sysv = make()
+    ca = sysv.ball((0, *tails[:2])).center
+    cb = sysv.ball((1, *tails[2:])).center
+    if combo:
+        maps = _combo_images(lam, tuple(
+            lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb)))
+    else:
+        maps = _triangle_images(tri, *tri.side_ratios(128), tuple(
+            v.mid + offset for v in _apex(tri, ca, cb)))
+    if loose:
+        sysv = _loose(sysv)
+    image_a, image_b, spread_b, project_b = maps
+
+    def run(log=None):
+        if log is None:
+            return _refine_pair(sysv, image_a, image_b, spread_b, (0,),
+                                (1,), depth, project_b)
+        return ref_refine_pair(sysv, image_a, image_b, spread_b, (0,),
+                               (1,), depth, log)
+
+    with pytest.MonkeyPatch.context() as m:
+        ref_log = []
+        want = outcome(run, ref_log)
+        got, items = charge_log(m, run)
+        assert got == want
+        charges_match(items, ref_log, False)
+        budget = len(ref_log) * stop // 1000
+        if budget < len(ref_log):
+            m.setenv("THICKSET_MAX_NODES", str(budget))
+            ref_log = []
+            want = outcome(run, ref_log)
+            got, items = charge_log(m, run)
+            assert got == want == ("pair refinement passed the budget of "
+                                   f"{budget} pair tests")
+            assert len(ref_log) == budget
+            charges_match(items, ref_log, True)
+
+
+def test_last_coordinate_tie_is_tested(monkeypatch):
+    # b child 0 is three apart from the a child in y, past the reach of
+    # two, and is charged untested; b child 1 is exactly two apart, so
+    # the disks touch and the pair is tested and kept
+    def at(y):
+        return Ball((Q(0), Q(y)), Q(1))
+
+    nodes = {(0,): at(0), (1,): at(0), (0, 0): at(0), (1, 0): at(3),
+             (1, 1): at(2)}
+    sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), ExplicitTree(nodes))
+    got = []
+    for project in (_identity_projection, None):
+        assert pair_counts(monkeypatch, lambda: got.append(_refine_pair(
+            sysv, _identity, _identity, _rigid, (0,), (1,), 2,
+            project))) == (2, 1)
+    assert got == [((0, 0), (1, 1))] * 2
+    # on a line the filter's coordinate is the window's: b child 0 is in
+    # the window, which the widest b radius sets, but 1/5 from the a
+    # child in the images, past its own reach of 1/8 + 1/200
+    line = {(0,): Ball((Q(0),), Q(1)), (1,): Ball((Q(3),), Q(1)),
+            (0, 0): Ball((Q(-1, 2),), Q(1, 4)),
+            (0, 1): Ball((Q(1, 2),), Q(1, 4)),
+            (1, 0): Ball((Q(31, 10),), Q(1, 100)),
+            (1, 1): Ball((Q(7, 2),), Q(1, 4))}
+    sysv = BallSystem(Ball((Q(0),), Q(10)), ExplicitTree(line))
+    maps = _combo_images(Q(1, 2), (Q(3, 2),))
+    assert pair_counts(monkeypatch, lambda: got.append(_refine_pair(
+        sysv, *maps[:3], (0,), (1,), 2, maps[3]))) == (2, 1)
+    assert got[-1] == ref_refine_pair(sysv, *maps[:3], (0,), (1,), 2) \
+        == ((0, 0), (1, 1))
