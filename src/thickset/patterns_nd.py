@@ -1,26 +1,27 @@
 """Witness pipelines for convex combinations in R^d and triangles in the
 plane over compact sets generated by ball systems.
 
-Both pipelines follow the same shape: certify a thickness threshold,
-build a disk guaranteed to lie inside the relevant combination of the
-two designated subtrees, pick an exact target point close to the set
-inside that disk, and refine the preimage pair of subtrees level by
-level.  Every hypothesis that the construction relies on is checked with
-certified arithmetic and recorded in the witness report.
+Both look for the apex f(a) - g(b) of a similar copy of a three-point
+configuration, f and g the maps of its class (``_class_images``); the
+combination {a, lam*a + (1-lam)*b, b} is the degenerate class, which
+acts in any dimension.  Each certifies a thickness threshold, builds a
+disk inside f(A) - g(B) for the designated subtrees A and B, picks an
+exact target point close to the set inside that disk, and refines the
+pair of subtrees level by level, checking every hypothesis with
+certified arithmetic and recording it in the witness report.
 
-The hypotheses the two share run on one path: ``_designated_pair``
-checks the designated children, ``_disk_radius`` certifies the
-thickness threshold and the disk radius against the covering slack,
-and ``_refine_to_target`` certifies r-uniformity, picks the target and
-refines the pair.  Only the triangle's half-ball containment and
-disk-meets-set checks, and each report's keys, stay with its pipeline.
+The two share one path: ``_designated_pair`` checks the designated
+children, ``_disk`` certifies the threshold and the disk radius against
+the covering slack and centers the disk, and ``_refine_to_target``
+certifies r-uniformity, picks the target, refines the pair and measures
+the witness.  Only the triangle's planar, half-ball and disk-meets-set
+checks, and each report's keys, stay with its pipeline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Union
 
 from .balls import (
@@ -35,6 +36,7 @@ from .balls import (
     Word,
     first_touching_sibling,
     h_upper,
+    lattice_of,
     on_common_scale,
     r_uniformity_check,
     subset_thickness,
@@ -169,16 +171,17 @@ def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, h_root: Interval,
     return h_root, "h_root (distance-child condition certified)"
 
 
-def _disk_radius(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
-                 r_iv: Interval, mode: str, h_root: Interval,
-                 bits: int) -> tuple[dict, dict]:
+def _disk(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
+          r_iv: Interval, mode: str, h_root: Interval,
+          bits: int) -> tuple[Disk, dict, dict]:
     """The disk certificate both pipelines share.  The thickness bound
     tau must be certified at or above the threshold of the class
     ``tri``; then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for
     the designated balls of radii t_a <= t_b, must be certified positive
     and above the root covering slack ``h_root``.  (c_a, c_b) are the
     class's side ratios (s_f, s_g), which are (lam, 1-lam) for the
-    linear combination, the class alpha^2 = 0.  Returns the report
+    linear combination, the class alpha^2 = 0.  The center is the apex
+    f(a) - g(b) of the balls' centers.  Returns the disk, the report
     entries of the designated pair and the threshold, and those of the
     radius; each pipeline places its own entries around them."""
     ia, ib, ball_a, ball_b = pair
@@ -200,10 +203,113 @@ def _disk_radius(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
     if not t_d.certainly_gt(h_root):
         raise Indeterminate("disk radius not certified above the root "
                             "covering slack")
-    return ({"tau_lower": tau, "threshold": thr, "threshold_ok": True,
+    s = sys.scale(1)
+    apex = _class_images(tri, (Q(0),) * len(ball_a.center), bits)[0]
+    center, _ = apex(lattice_of(ball_a, s), lattice_of(ball_b, s), s)
+    return (Disk(center, t_d),
+            {"tau_lower": tau, "threshold": thr, "threshold_ok": True,
              "children": (ia, ib), "children_disjoint": True},
             {"h_b_bound": h_b, "h_b_note": h_b_note, "h_root": h_root,
              "disk_radius": t_d})
+
+
+# -- the class's maps --------------------------------------------------------
+
+
+def _line(lam: Q) -> NormalizedTriangle:
+    """The class of {a, lam*a + (1-lam)*b, b}: alpha = 0."""
+    return NormalizedTriangle(alpha=Interval.point(Q(0)), alpha_sq=Q(0),
+                              lam=lam, degenerate=True)
+
+
+def _ends(rows, lat: Lattice, shifts) -> tuple[tuple[int, int], ...]:
+    """The ends of each coordinate of the image of the lattice point
+    ``lat`` under the integer ``rows`` of a map, plus ``shifts``: row i
+    sums [p, q] times coordinate k of ``lat`` over its terms (k, p, q).
+    A point term (p == q) is one product; an interval term's ends are
+    the smaller and the larger of its two products, as
+    ``Interval.__mul__`` takes them."""
+    out = []
+    for row, lo in zip(rows, shifts):
+        hi = lo
+        for k, p, q in row:
+            u = p * lat[k]
+            v = u if p == q else q * lat[k]
+            if u > v:
+                u, v = v, u
+            lo += u
+            hi += v
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _class_images(tri: NormalizedTriangle, z: tuple[Q, ...], bits: int):
+    """The maps of the class ``tri``, f = lam*I + alpha*J and
+    g = -(1-lam)*I + alpha*J with J the plane's quarter turn
+    (x, y) -> (-y, x), as integer rows (``_ends``) over one common
+    denominator D of lam, alpha's ends, the radius factors s_f.hi and
+    s_g.hi (``tri.side_ratios``) and the point z.  The degenerate class,
+    the linear combination, has no J term and acts in the dimension of
+    z; any other class is planar.
+
+    Returns the apex map and, in ``_refine_pair``'s protocol, the image
+    maps refining f(A) - z against g(B) with the b map's spread and
+    projection.  Images are over D*s, the radii s_f.hi and s_g.hi times
+    the ball's.  ``apex(a, b, s)`` gives f(a) - z - g(b) for two lattice
+    balls of one level, and the sum of their image radii.
+
+    The spread, summed over a row: moving a center by at most e in every
+    coordinate moves a point term p*x by at most |p|*e, and an interval
+    term [p, q]*x's ends by at most max(|p|, |q|)*e and its width
+    (q - p)*|x| by at most (q - p)*e.  The projection is the first row
+    of the b image."""
+    s_f, s_g = tri.side_ratios(bits)
+    d, (lam, a_lo, a_hi, sf, sg, *zn) = on_common_scale(
+        (tri.lam, tri.alpha.lo, tri.alpha.hi, s_f.hi, s_g.hi, *z))
+
+    def rows(diagonal: int):
+        if not tri.alpha_sq:
+            return tuple(((k, diagonal, diagonal),) for k in range(len(z)))
+        return (((0, diagonal, diagonal), (1, -a_hi, -a_lo)),
+                ((0, a_lo, a_hi), (1, diagonal, diagonal)))
+
+    f, g = rows(lam), rows(lam - d)
+    zero = (0,) * len(z)
+    shift = max(sum(max(abs(p), abs(q)) for _, p, q in row) for row in g)
+    stretch = sum(q - p for _, p, q in g[0])
+    minus_z = {}  # -z over D*s, made once per scale s
+
+    def image_a(lat: Lattice, s: int) -> Image:
+        if s not in minus_z:
+            minus_z[s] = [-c * s for c in zn]
+        return _ends(f, lat, minus_z[s]), sf * lat[-1]
+
+    def image_b(lat: Lattice, s: int) -> Image:
+        return _ends(g, lat, zero), sg * lat[-1]
+
+    def spread_b(e: int) -> tuple[int, int]:
+        return shift * e, stretch * e
+
+    def project_b(cells: list[Lattice], s: int):
+        lows, widths = [0] * len(cells), [0] * len(cells)
+        for k, p, q in g[0]:  # ``_ends`` of the first row, fan-wide
+            if p == q:
+                lows = [lo + p * c[k] for lo, c in zip(lows, cells)]
+                continue
+            lows = [lo + min(p * c[k], q * c[k])
+                    for lo, c in zip(lows, cells)]
+            widths = [w + (q - p) * abs(c[k])
+                      for w, c in zip(widths, cells)]
+        return lows, widths, sg * max(c[-1] for c in cells)
+
+    def apex(lat_a: Lattice, lat_b: Lattice, s: int) -> tuple[IVec, Q]:
+        (box_a, r_a), (box_b, r_b) = image_a(lat_a, s), image_b(lat_b, s)
+        n = d * s
+        return (tuple(Interval(Q(alo - bhi, n), Q(ahi - blo, n))
+                      for (alo, ahi), (blo, bhi) in zip(box_a, box_b)),
+                Q(r_a + r_b, n))
+
+    return apex, image_a, image_b, spread_b, project_b
 
 
 # -- disks ------------------------------------------------------------------
@@ -235,17 +341,10 @@ def convex_combo_disk(sys: BallSystem, lam, r, mode: str = STANDARD,
     meet the set."""
     lamv = to_q(lam)
     r_iv = _as_r(r)
-    pair = _designated_pair(sys)
-    _, _, ball_a, ball_b = pair
-    line = NormalizedTriangle(alpha=Interval.point(Q(0)), alpha_sq=Q(0),
-                              lam=lamv, degenerate=True)
-    hypotheses, radius = _disk_radius(sys, pair, line, r_iv, mode,
-                                      h_upper(sys, (), bits), bits)
-    center = tuple(Interval.point(lamv * ca + (1 - lamv) * cb)
-                   for ca, cb in zip(ball_a.center, ball_b.center))
-    report = {"mode": mode, "lambda": lamv, "r": r_iv, **hypotheses,
-              **radius, "disk_radius_above_h_root": True}
-    return Disk(center, radius["disk_radius"]), report
+    disk, hypotheses, radius = _disk(sys, _designated_pair(sys), _line(lamv),
+                                     r_iv, mode, h_upper(sys, (), bits), bits)
+    return disk, {"mode": mode, "lambda": lamv, "r": r_iv, **hypotheses,
+                  **radius, "disk_radius_above_h_root": True}
 
 
 # -- target point selection --------------------------------------------------
@@ -400,29 +499,29 @@ def _may_meet(a: Image, b: Image) -> bool:
     return gap <= reach * reach
 
 
-def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
-                 start_b: Word, depth: int, project_b=None
+def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, project_b,
+                 start_a: Word, start_b: Word, depth: int
                  ) -> tuple[Word, Word]:
     """Lexicographic depth-first search for a chain of possibly
     intersecting image-ball pairs down to the requested word length.
 
-    ``image_a``/``image_b`` send a lattice ball and its level's scale s
-    to its ``Image`` in the common comparison space, as integers over an
-    image scale that depends only on s; an image's radius depends on the
-    ball's radius alone.  ``spread_b(e)`` bounds how far moving a center
-    by at most e in every coordinate moves each end of its b image, and
-    the width (hi - lo) of its first coordinate.  ``project_b(cells, s)``
-    gives, from a fan's integers, the low end and the width of each b
-    image's first coordinate and the largest b image radius, as the
-    full images have them; without it they are read off the full
-    images.  The two words of a pair have the same length, so they
-    share s and their images share a scale.  Pairs whose images are
-    certifiably disjoint are pruned.  The test compares Euclidean disks
-    on both norms: on an L2 system the true witness pair survives at
-    every level, so the search cannot exhaust, but on a sup-norm system
-    it is stricter than box intersection and may.  Exhaustion is
-    ``Indeterminate``, and so is a search that charges more than
-    ``node_budget()`` child-pair tests.
+    The maps are a class's (``_class_images``); tests pass hand-made
+    ones.  ``image_a``/``image_b`` send a lattice ball and its level's
+    scale s to its ``Image`` in the common comparison space, as integers
+    over an image scale that depends only on s; an image's radius
+    depends on the ball's radius alone.  ``spread_b(e)`` bounds how far
+    moving a center by at most e in every coordinate moves each end of
+    its b image, and the width (hi - lo) of its first coordinate.
+    ``project_b(cells, s)`` gives, from a fan's integers, the low end
+    and the width of each b image's first coordinate and the largest b
+    image radius, as the full images have them.  The two words of a pair
+    have the same length, so they share s and their images share a
+    scale.  Pairs whose images are certifiably disjoint are pruned.  The
+    test compares Euclidean disks on both norms: on an L2 system the
+    true witness pair survives at every level, so the search cannot
+    exhaust, but on a sup-norm system it is stricter than box
+    intersection and may.  Exhaustion is ``Indeterminate``, and so is a
+    search that charges more than ``node_budget()`` child-pair tests.
 
     The integer tests decide exactly what tests on the rational images
     would: every endpoint, reach and gap is the rational one times the
@@ -458,13 +557,6 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     child and testing its own.  So the frames charge the pairs, in the
     order and with the answers, of whole b fans.
     """
-    if project_b is None:
-        def project_b(cells, s):
-            imgs = [image_b(c, s) for c in cells]
-            return ([box[0][0] for box, _ in imgs],
-                    [box[0][1] - box[0][0] for box, _ in imgs],
-                    max(r for _, r in imgs))
-
     def settle(node: list) -> list:
         """Derive an underived b node's child and its image, once."""
         if node[1] is None:
@@ -542,45 +634,17 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, start_a: Word,
     return a[0], b[0]
 
 
-def _combo_images(lam: Q, c: tuple[Q, ...]):
-    """Image maps refining -lam*A against (1-lam)*B - c, and the spread
-    and the projection of the b map.  They are exact, so every
-    coordinate has lo = hi and every width is 0.  With lam = a/m and c
-    over C, the image scale is m*C*s, and moving a center coordinate by
-    e moves its b image by (m-a)*C*e."""
-    m, a = lam.denominator, lam.numerator
-    cd, cn = on_common_scale(c)
-
-    def image_a(lat: Lattice, s: int) -> Image:
-        return (tuple((-a * cd * x,) * 2 for x in lat[:-1]),
-                a * cd * lat[-1])
-
-    def image_b(lat: Lattice, s: int) -> Image:
-        return (tuple(((m - a) * cd * x - cc * m * s,) * 2
-                      for x, cc in zip(lat[:-1], cn)),
-                (m - a) * cd * lat[-1])
-
-    def spread_b(e: int) -> tuple[int, int]:
-        return (m - a) * cd * e, 0
-
-    def project_b(cells: list[Lattice], s: int):
-        k, c0 = (m - a) * cd, cn[0] * m * s
-        return ([k * c[0] - c0 for c in cells], [0] * len(cells),
-                k * max(c[-1] for c in cells))
-
-    return image_a, image_b, spread_b, project_b
-
-
-def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
-                      target_key: str, images, depth: int, bits: int
-                      ) -> tuple[tuple[Q, ...], Ball, Ball]:
+def _refine_to_target(sys: BallSystem, tri: NormalizedTriangle, disk: Disk,
+                      report: dict, target_key: str, depth: int, bits: int
+                      ) -> tuple[tuple[Q, ...], Ball, Ball, Q, Interval]:
     """The step after the disk, shared by both drivers: certify
     r-uniformity (falsified is a hypothesis failure, anything short of
     certified is indeterminate), take the deepest ball center inside the
-    disk as the target (its word recorded under ``target_key``), and
-    refine the designated pair against it with the image maps
-    ``images(target)`` down to ``depth``.  Returns the target and the two
-    refined balls."""
+    disk as the target z (its word recorded under ``target_key``), and
+    refine the designated pair against it with the maps of the class
+    ``tri`` down to ``depth``.  Returns z, the refined balls a and b,
+    and from their images the residual 2(s_f.hi*r_a + s_g.hi*r_b) and
+    the defect |f(a) - g(b) - z|."""
     uni = r_uniformity_check(sys, report["r"])
     report["r_uniformity"] = uni.status
     if uni.status == FALSIFIED:
@@ -590,11 +654,14 @@ def _refine_to_target(sys: BallSystem, disk: Disk, report: dict,
     word, target = _deepest_center_in_disk(sys, disk, depth, bits)
     report[target_key] = word
     ia, ib = report["children"]
-    image_a, image_b, spread_b, project_b = images(target)
-    wa, wb = _refine_pair(sys, image_a, image_b, spread_b, (ia,), (ib,),
-                          depth, project_b)
+    apex, *maps = _class_images(tri, target, bits)
+    wa, wb = _refine_pair(sys, *maps, (ia,), (ib,), depth)
     report["depth"] = depth
-    return target, sys.ball(wa), sys.ball(wb)
+    s = sys.scale(len(wa))
+    lat_a, lat_b = sys.lattice(wa), sys.lattice(wb)
+    gap, reach = apex(lat_a, lat_b, s)
+    return (target, sys.to_ball(lat_a, s), sys.to_ball(lat_b, s),
+            2 * reach, _norm(gap, bits))
 
 
 def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
@@ -604,36 +671,18 @@ def find_convex_combo_nd(sys: BallSystem, lam, r, depth: int = 8,
     in the set generated by the system, under the certified threshold.
 
     The combination point c is an exact ball center inside the certified
-    disk; the searches refine -lam*A against (1-lam)*B - c.
+    disk; the searches refine lam*A - c against -(1-lam)*B.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    lamv = to_q(lam)
-    disk, report = convex_combo_disk(sys, lamv, r, mode, bits)
-    c, ball_a, ball_b = _refine_to_target(
-        sys, disk, report, "c_word", partial(_combo_images, lamv), depth,
-        bits)
-    residual = lamv * 2 * ball_a.radius + (1 - lamv) * 2 * ball_b.radius
-    defect_vec = tuple(
-        Interval.point(lamv * xa + (1 - lamv) * xb - xc)
-        for xa, xb, xc in zip(ball_a.center, ball_b.center, c))
-    defect = _norm(defect_vec, bits)
+    disk, report = convex_combo_disk(sys, lam, r, mode, bits)
+    c, ball_a, ball_b, residual, defect = _refine_to_target(
+        sys, _line(report["lambda"]), disk, report, "c_word", depth, bits)
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), c,
                      residual, defect, depth, report)
 
 
 # -- triangle pipeline -------------------------------------------------------
-
-
-def _apex(tri: NormalizedTriangle, x, y) -> IVec:
-    """f(x) - g(y), the apex of the class over the base pair (x, y): f
-    has matrix [[lam, -alpha], [alpha, lam]] and scaling s_f, and g has
-    matrix [[-(1-lam), -alpha], [alpha, -(1-lam)]] and scaling s_g.  It
-    equals lam*x + (1-lam)*y + alpha*(y2-x2, x1-y1)."""
-    (x1, x2), (y1, y2) = (tuple(map(Interval.coerce, p)) for p in (x, y))
-    lam, lm, alpha = tri.lam, 1 - tri.lam, tri.alpha
-    return (lam * x1 - alpha * x2 - (-lm * y1 - alpha * y2),
-            alpha * x1 + lam * x2 - (alpha * y1 - lm * y2))
 
 
 def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
@@ -642,7 +691,7 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
     """Disk certified inside f(A) - g(B) whose radius clears the root
     covering slack, so it meets the set: the apex locations of similar
     copies of the class ``tri`` with base pairs in the designated
-    subtrees (``_apex``).  The threshold ratio is exact, from the
+    subtrees (``_disk``).  The threshold ratio is exact, from the
     class's alpha^2.
 
     The disk meets the set when it lies inside the root, or when it
@@ -658,6 +707,8 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
     s_f, s_g = tri.side_ratios(bits)
     if sys.norm != L2:
         raise InputError("triangle search needs a Euclidean-norm system")
+    if len(sys.root.center) != 2:
+        raise InputError("triangle search needs a planar system")
     r_iv = _as_r(r)
     pair = _designated_pair(sys)
     _, _, ball_a, ball_b = pair
@@ -681,11 +732,10 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
                                   "enlargement)")
         containment = "enlarged_ball"
 
-    hypotheses, radius = _disk_radius(sys, pair, tri, r_iv, mode, h_root,
-                                      bits)
-    t_d = radius["disk_radius"]
-    center = _apex(tri, ball_a.center, ball_b.center)
-    center_norm = _norm(_vsub(center, root.center), bits)
+    disk, hypotheses, radius = _disk(sys, pair, tri, r_iv, mode, h_root,
+                                     bits)
+    t_d = disk.radius
+    center_norm = _norm(_vsub(disk.center, root.center), bits)
 
     # the disk must reach the set: entirely inside the root, or
     # overlapping it deeply enough to trap a slack-sized ball
@@ -713,55 +763,7 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
         **radius,
         "disk_meets_set": meets,
     }
-    return Disk(center, t_d), report
-
-
-def _triangle_images(tri: NormalizedTriangle, s_f: Interval, s_g: Interval,
-                     z: tuple[Q, ...]):
-    """Image maps refining f(A) - z against g(B).  The endpoints are those
-    of the interval evaluation in ``_apex``: products with alpha
-    take the min and max of the two endpoint products, as
-    ``Interval.__mul__`` does, and the radii are s_f.hi and s_g.hi times
-    the ball radius.  With every constant over D, the image scale is
-    D*s.
-
-    The spread of the b map: moving x and y by at most e moves -lm*x by
-    at most lm*e and each of the two products with alpha by at most
-    max|alpha|*e, hence their min and max too, so an end of the b image
-    moves by at most (lm + max|alpha|)*e.  The first coordinate's width
-    is (alpha.hi - alpha.lo)*|y|, which moves by at most
-    (alpha.hi - alpha.lo)*e; the projection reads it, and the first
-    coordinate's low end -lm*x - max(alpha.lo*y, alpha.hi*y), off the
-    ball's x and y alone."""
-    d, (lam, a_lo, a_hi, sf, sg, z0, z1) = on_common_scale(
-        (tri.lam, tri.alpha.lo, tri.alpha.hi, s_f.hi, s_g.hi, *z))
-    lm = d - lam
-
-    def alpha_times(v: int) -> tuple[int, int]:
-        p, q = a_lo * v, a_hi * v
-        return (p, q) if p <= q else (q, p)
-
-    def image_a(lat: Lattice, s: int) -> Image:
-        x, y, r = lat
-        (ay_lo, ay_hi), (ax_lo, ax_hi) = alpha_times(y), alpha_times(x)
-        u, v = lam * x - z0 * s, lam * y - z1 * s
-        return ((u - ay_hi, u - ay_lo), (ax_lo + v, ax_hi + v)), sf * r
-
-    def image_b(lat: Lattice, s: int) -> Image:
-        x, y, r = lat
-        (ay_lo, ay_hi), (ax_lo, ax_hi) = alpha_times(y), alpha_times(x)
-        u, v = -lm * x, lm * y
-        return ((u - ay_hi, u - ay_lo), (ax_lo - v, ax_hi - v)), sg * r
-
-    def spread_b(e: int) -> tuple[int, int]:
-        return (lm + max(abs(a_lo), abs(a_hi))) * e, (a_hi - a_lo) * e
-
-    def project_b(cells: list[Lattice], s: int):
-        return ([-lm * x - max(a_lo * y, a_hi * y) for x, y, _ in cells],
-                [(a_hi - a_lo) * abs(y) for _, y, _ in cells],
-                sg * max(r for *_, r in cells))
-
-    return image_a, image_b, spread_b, project_b
+    return disk, report
 
 
 def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
@@ -780,15 +782,10 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
         raise InputError("degenerate triangle: use the linear "
                          "combination search instead")
     disk, report = triangle_disk(sys, norm, r, mode, bits)
-    s_f, s_g = report["s_f"], report["s_g"]
-    z, ball_a, ball_b = _refine_to_target(
-        sys, disk, report, "apex_word",
-        partial(_triangle_images, norm, s_f, s_g), depth, bits)
-    residual = s_f.hi * 2 * ball_a.radius + s_g.hi * 2 * ball_b.radius
-    # defect of the apex equation at the reported centers
-    defect = _norm(_vsub(_apex(norm, ball_a.center, ball_b.center), z), bits)
+    z, ball_a, ball_b, residual, defect = _refine_to_target(
+        sys, norm, disk, report, "apex_word", depth, bits)
     report["side_ratio_deviation"] = _side_ratio_deviation(
-        ball_a, ball_b, z, s_f, s_g, bits)
+        ball_a, ball_b, z, report["s_f"], report["s_g"], bits)
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), z,
                      residual, defect, depth, report,
                      convention="z = lam*x + (1-lam)*y + alpha*(y-x)_perp")

@@ -6,7 +6,8 @@ them, containment checks on covers, an unpruned k-term progression
 search and the pruned one expanded in full down to its last level, both
 with their own step range for a tuple of boxes, two ball predicates,
 the nearest child and the first touching sibling found by scanning a
-whole fan, the plane pair refinement with a window in one coordinate,
+whole fan, the apex of a similarity class in rational intervals, the
+plane pair refinement with a window in one coordinate,
 a dense-grid farthest-point maximum in floats, and the line's
 word geometry computed by composing affine maps in rationals, as the
 library did before it moved to integer numerators, the depth of gaps
@@ -849,6 +850,24 @@ def ref_nearest_child(sys: BallSystem, word, point: tuple[Q, ...]) -> int:
     kids = sys.children(word)
     return min(range(len(kids)), key=lambda i: (sum(
         (c - p) ** 2 for c, p in zip(kids[i].center, point)), i))
+
+
+def ref_apex(tri, x, y) -> tuple[Interval, ...]:
+    """f(x) - g(y), the apex of the class ``tri`` over the base pair
+    (x, y), in rational ``Interval`` arithmetic, as the library computed
+    it before it moved to the class's integer rows.  The degenerate
+    class alpha^2 = 0 gives the combination lam*x + (1-lam)*y in any
+    dimension.  Any other class is planar: f has matrix
+    [[lam, -alpha], [alpha, lam]] and g has matrix
+    [[-(1-lam), -alpha], [alpha, -(1-lam)]], so the apex is
+    lam*x + (1-lam)*y + alpha*(y2-x2, x1-y1)."""
+    lam, lm = tri.lam, 1 - tri.lam
+    if not tri.alpha_sq:
+        return tuple(Interval.point(lam * a + lm * b) for a, b in zip(x, y))
+    (x1, x2), (y1, y2) = (tuple(map(Interval.coerce, p)) for p in (x, y))
+    alpha = tri.alpha
+    return (lam * x1 - alpha * x2 - (-lm * y1 - alpha * y2),
+            alpha * x1 + lam * x2 - (alpha * y1 - lm * y2))
 
 
 def ref_refine_pair(sys: BallSystem, image_a, image_b, spread_b,

@@ -74,7 +74,9 @@ SECOND_PATHS = [(thickset, "Cmp"), (scalars, "Cmp"),
                 (patterns_nd, "VertexMaps"), (thickset, "vertex_maps"),
                 (patterns_nd, "vertex_maps"), (product, "require_height"),
                 (product, "_side_ratios"), (cli, "HANDLERS"),
-                (cli, "_combo_common"), (cli, "cmd_find_ap")]
+                (cli, "_combo_common"), (cli, "cmd_find_ap"),
+                (patterns_nd, "_combo_images"),
+                (patterns_nd, "_triangle_images"), (patterns_nd, "_apex")]
 # exported names that no other module of the package reads, each public
 # for the reason given
 PUBLIC_ONLY = {
@@ -376,11 +378,9 @@ UNREAD_PARAMETERS = {
     ("balls", "ExplicitTree.h_upper", "bits"):
         "generator protocol: the tree's slack is a kernel run to a fixed "
         "relative width",
-    ("patterns_nd", "_combo_images.image_a", "s"):
+    ("patterns_nd", "_class_images.image_b", "s"):
         "image-map protocol: only the target side's map scales the target",
-    ("patterns_nd", "_triangle_images.image_b", "s"):
-        "image-map protocol: only the target side's map scales the target",
-    ("patterns_nd", "_triangle_images.project_b", "s"):
+    ("patterns_nd", "_class_images.project_b", "s"):
         "image-map protocol: only the target side's map scales the target",
 }
 

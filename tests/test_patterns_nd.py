@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import random
 import sys as _sys
 from fractions import Fraction as Q
@@ -28,17 +29,16 @@ from thickset.patterns_nd import (
     APPENDIX,
     STANDARD,
     Disk,
-    _apex,
     _ball_box,
     _certainly_inside,
-    _combo_images,
+    _class_images,
     _deepest_center_in_disk,
     _designated_pair,
+    _line,
     _nearest_child,
     _norm,
     _refine_pair,
     _sq_norm,
-    _triangle_images,
     _vsub,
     convex_combo_disk,
     find_convex_combo_nd,
@@ -56,7 +56,7 @@ from thickset.product import (
 )
 from thickset.scalars import Interval
 
-from oracles import ref_nearest_child, ref_refine_pair
+from oracles import ref_apex, ref_nearest_child, ref_refine_pair
 
 GAMMA = Q(99999, 100000)
 HEX_R = Q(26243, 100000)
@@ -827,6 +827,18 @@ def _identity_projection(cells, s):
     return [c[0] for c in cells], [0] * len(cells), max(c[-1] for c in cells)
 
 
+def projection_of(image_b):
+    """The projection that ``image_b``'s images have, read off them: the
+    low ends and the widths of their first coordinates and the largest
+    radius."""
+    def project(cells, s):
+        imgs = [image_b(c, s) for c in cells]
+        return ([box[0][0] for box, _ in imgs],
+                [box[0][1] - box[0][0] for box, _ in imgs],
+                max(r for _, r in imgs))
+    return project
+
+
 class TestPairEngine:
     @pytest.mark.parametrize("make, search, args, words, target, digest",
                              PINNED_WITNESSES)
@@ -861,9 +873,8 @@ class TestPairEngine:
         c = tuple(lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb))
         want = outcome(interval_dfs, sysv, *interval_combo_maps(lam, c),
                        (0,), (1,), depth)
-        image_a, image_b, spread_b, project_b = _combo_images(lam, c)
-        got = outcome(_refine_pair, sysv, image_a, image_b, spread_b,
-                      (0,), (1,), depth, project_b)
+        _, *maps = _class_images(_line(lam), c, 128)
+        got = outcome(_refine_pair, sysv, *maps, (0,), (1,), depth)
         assert got == want
 
     def test_wide_images_match_interval_dfs(self):
@@ -894,11 +905,11 @@ class TestPairEngine:
 
         want = interval_dfs(sysv, map_id, map_wide, (0,), (1,), 2)
         assert want == ((0, 0), (1, 1))
-        assert _refine_pair(sysv, _identity, wide, _rigid, (0,), (1,),
-                            2, wide_projection) == want
+        assert _refine_pair(sysv, _identity, wide, _rigid, wide_projection,
+                            (0,), (1,), 2) == want
         # the depth-2 balls have no children
-        assert outcome(_refine_pair, sysv, _identity, wide, _rigid, (0,),
-                       (1,), 3, wide_projection) \
+        assert outcome(_refine_pair, sysv, _identity, wide, _rigid,
+                       wide_projection, (0,), (1,), 3) \
             == outcome(interval_dfs, sysv, map_id, map_wide, (0,), (1,), 3) \
             == "pair refinement exhausted (no chain to the requested depth)"
 
@@ -921,14 +932,14 @@ class TestPairEngine:
 
         want = ((0, 1, 0), (1, 1, 0))
         assert interval_dfs(sysv, map_id, map_id, (0,), (1,), 3) == want
-        assert _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
-                            3, _identity_projection) == want
+        assert _refine_pair(sysv, _identity, _identity, _rigid,
+                            _identity_projection, (0,), (1,), 3) == want
 
     def test_chain_deeper_than_recursion_limit(self):
         length = _sys.getrecursionlimit() + 100
         sysv = _chain_system(length)
-        wa, wb = _refine_pair(sysv, _identity, _identity, _rigid, (0,), (1,),
-                              length, _identity_projection)
+        wa, wb = _refine_pair(sysv, _identity, _identity, _rigid,
+                              _identity_projection, (0,), (1,), length)
         assert wa == (0,) * length and wb == (1,) + (0,) * (length - 1)
 
     def test_budget_counts_pair_tests(self, monkeypatch):
@@ -1252,14 +1263,13 @@ def test_window_takes_the_widest_child_not_the_widest_cell(monkeypatch):
     def spread_b(e):
         return 2 * e, e
 
+    maps = (_identity, image_b, spread_b, projection_of(image_b))
     got = []
     for gen in (tree, shifted):
         sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), gen)
-        got.append((outcome(_refine_pair, sysv, _identity, image_b,
-                            spread_b, (0,), (1,), 2),
+        got.append((outcome(_refine_pair, sysv, *maps, (0,), (1,), 2),
                     pair_tests(monkeypatch, lambda: outcome(
-                        _refine_pair, sysv, _identity, image_b, spread_b,
-                        (0,), (1,), 2))))
+                        _refine_pair, sysv, *maps, (0,), (1,), 2))))
     assert got[0] == got[1] == (
         "pair refinement exhausted (no chain to the requested depth)", 3)
 
@@ -1275,17 +1285,126 @@ def test_projection_is_read_off_the_images(make, tri):
     # the low ends and widths of the first coordinates and the largest
     # radius, for fans at three depths and a target off the lattice
     sysv, z = make(), (Q(1, 3), Q(-2, 7))
-    image_a, image_b, spread_b, project_b = (
-        _combo_images(Q(2, 5), z) if tri is None
-        else _triangle_images(tri, *tri.side_ratios(128), z))
+    _, _, image_b, _, project_b = _class_images(
+        _line(Q(2, 5)) if tri is None else tri, z, 128)
     for word in [(), (1,), (0, 17, 3)]:
         cells, _ = sysv.generator.cells(sysv.lattice(word), word)
         s = sysv.scale(len(word) + 1)
-        imgs = [image_b(c, s) for c in cells]
-        assert project_b(cells, s) == (
-            [box[0][0] for box, _ in imgs],
-            [box[0][1] - box[0][0] for box, _ in imgs],
-            max(r for _, r in imgs))
+        assert project_b(cells, s) == projection_of(image_b)(cells, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=st.sampled_from([_grid(1), _hex]),
+       tri=st.one_of(st.sampled_from(FRAME_TRIANGLES), st.fractions(
+           Q(1, 64), Q(1, 2), max_denominator=64).map(_line)),
+       depth=st.integers(0, 3),
+       letters=st.lists(st.integers(0, 84), min_size=6, max_size=6),
+       target=st.tuples(*[st.fractions(-2, 2, max_denominator=1000)] * 2),
+       moves=st.tuples(*[st.fractions(-1, 1, max_denominator=50)] * 2))
+# an irrational height, so that the first width moves with the center
+@example(make=_hex, tri=equilateral(), depth=2, letters=[3, 41, 0, 5, 60, 0],
+         target=(Q(1, 3), Q(-2, 7)), moves=(Q(1, 2), Q(-3, 4)))
+def test_class_images_are_the_rational_maps(make, tri, depth, letters,
+                                            target, moves):
+    # over the image scale n the integer images are the oracle's rational
+    # ones: f(x) - z, with f(x) the apex over (x, 0), and g(y), the apex
+    # over (0, y) negated, their radii s_f.hi and s_g.hi times the
+    # balls'; and the apex map gives the apex over (x, y) less z and the
+    # sum of the rational radii
+    sysv = make()
+    wa, wb = tuple(letters[:depth]), tuple(letters[3:3 + depth])
+    lat_a, lat_b, s = sysv.lattice(wa), sysv.lattice(wb), sysv.scale(depth)
+    x, y = sysv.ball(wa), sysv.ball(wb)
+    apex, image_a, image_b, spread_b, project_b = _class_images(tri, target,
+                                                                128)
+    zero, (s_f, s_g) = (Q(0), Q(0)), tri.side_ratios(128)
+    # n = D*s, read off the a radius
+    n = image_a(lat_a, s)[1] / (s_f.hi * x.radius)
+    assert n.denominator == 1 and n % s == 0
+
+    def scaled(ivs):
+        return tuple((v.lo * n, v.hi * n) for v in ivs)
+
+    assert image_a(lat_a, s) == (scaled(_vsub(
+        ref_apex(tri, x.center, zero), target)), s_f.hi * x.radius * n)
+    assert image_b(lat_b, s) == (scaled(
+        -v for v in ref_apex(tri, zero, y.center)), s_g.hi * y.radius * n)
+    assert apex(lat_a, lat_b, s) == (
+        _vsub(ref_apex(tri, x.center, y.center), target),
+        s_f.hi * x.radius + s_g.hi * y.radius)
+    # the projection is the first row of the b images of a fan
+    cells, _ = sysv.generator.cells(lat_b, wb)
+    s_kids = sysv.scale(depth + 1)
+    assert project_b(cells, s_kids) == projection_of(image_b)(cells, s_kids)
+    # a center moved by at most e in each coordinate moves every end of
+    # its b image by at most the shift, and its first width by at most
+    # the stretch
+    e = lat_b[-1]
+    moved = tuple(c + math.floor(m * e)
+                  for c, m in zip(lat_b, moves)) + lat_b[-1:]
+    shift, stretch = spread_b(e)
+    (box, _), (box_moved, _) = image_b(lat_b, s), image_b(moved, s)
+    assert all(abs(u - v) <= shift for ends, ends_moved in
+               zip(box, box_moved) for u, v in zip(ends, ends_moved))
+    assert abs((box[0][1] - box[0][0])
+               - (box_moved[0][1] - box_moved[0][0])) <= stretch
+
+
+def test_triangle_needs_a_planar_system():
+    # the class's quarter turn acts in the plane: a Euclidean system in
+    # R^3 is refused after the norm check and before the designated
+    # pair, here out of range, is read
+    sysv = BallSystem(Ball((Q(0),) * 3, Q(1)), ExplicitTree(
+        {(0,): Ball((Q(0), Q(0), Q(1, 2)), Q(1, 4))}))
+    for call in (lambda: triangle_disk(sysv, equilateral(), HEX_R),
+                 lambda: find_triangle_nd(sysv, equilateral(), HEX_R, 3)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == "triangle search needs a planar system"
+
+
+def _tree_3d(seed: int):
+    """A three-level Euclidean tree in R^3 under a root of radius 4:
+    every ball has four children of a quarter its radius, each center
+    off its parent's by a random multiple of an eighth of the parent's
+    radius in every coordinate."""
+    rng, nodes = random.Random(seed), {}
+
+    def grow(word, center, r):
+        for i in range(4):
+            c = tuple(x + Q(rng.randint(-4, 4), 8) * r for x in center)
+            nodes[word + (i,)] = Ball(c, r / 4)
+            if len(word) < 2:
+                grow(word + (i,), c, r / 4)
+
+    grow((), (Q(0),) * 3, Q(4))
+    return BallSystem(Ball((Q(0),) * 3, Q(4)), ExplicitTree(nodes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_dimensional_combination_refines_as_the_oracle(monkeypatch,
+                                                             seed):
+    # the degenerate class acts in any dimension: in R^3 the frames
+    # charge, test and answer as the one-coordinate window does, and end
+    # as the recursive search does, for a target that combines two
+    # depth-3 centers, which the search must reach, and one moved off it
+    sysv, rng = _tree_3d(seed), random.Random(seed)
+    lam = Q(rng.randint(1, 8), 16)
+    ca = sysv.ball((0, rng.randrange(4), rng.randrange(4))).center
+    cb = sysv.ball((1, rng.randrange(4), rng.randrange(4))).center
+    for offset in (Q(0), Q(1, 20)):
+        c = tuple(lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb))
+        _, *maps = _class_images(_line(lam), c, 128)
+        ref_log = []
+        want = outcome(ref_refine_pair, sysv, *maps[:3], (0,), (1,), 3,
+                       ref_log)
+        got, items = charge_log(monkeypatch, lambda: _refine_pair(
+            sysv, *maps, (0,), (1,), 3))
+        assert got == want == outcome(interval_dfs, sysv,
+                                      *interval_combo_maps(lam, c),
+                                      (0,), (1,), 3)
+        charges_match(items, ref_log, False)
+        assert offset or isinstance(got, tuple)
 
 
 def charge_log(monkeypatch, call):
@@ -1370,21 +1489,16 @@ def test_frames_charge_as_the_one_coordinate_window(
     ca = sysv.ball((0, *tails[:2])).center
     cb = sysv.ball((1, *tails[2:])).center
     if combo:
-        maps = _combo_images(lam, tuple(
-            lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb)))
-    else:
-        maps = _triangle_images(tri, *tri.side_ratios(128), tuple(
-            v.mid + offset for v in _apex(tri, ca, cb)))
+        tri = _line(lam)
+    _, *maps = _class_images(tri, tuple(
+        v.mid + offset for v in ref_apex(tri, ca, cb)), 128)
     if loose:
         sysv = _loose(sysv)
-    image_a, image_b, spread_b, project_b = maps
 
     def run(log=None):
         if log is None:
-            return _refine_pair(sysv, image_a, image_b, spread_b, (0,),
-                                (1,), depth, project_b)
-        return ref_refine_pair(sysv, image_a, image_b, spread_b, (0,),
-                               (1,), depth, log)
+            return _refine_pair(sysv, *maps, (0,), (1,), depth)
+        return ref_refine_pair(sysv, *maps[:3], (0,), (1,), depth, log)
 
     with pytest.MonkeyPatch.context() as m:
         ref_log = []
@@ -1415,10 +1529,10 @@ def test_last_coordinate_tie_is_tested(monkeypatch):
              (1, 1): at(2)}
     sysv = BallSystem(Ball((Q(0), Q(0)), Q(30)), ExplicitTree(nodes))
     got = []
-    for project in (_identity_projection, None):
+    for project in (_identity_projection, projection_of(_identity)):
         assert pair_counts(monkeypatch, lambda: got.append(_refine_pair(
-            sysv, _identity, _identity, _rigid, (0,), (1,), 2,
-            project))) == (2, 1)
+            sysv, _identity, _identity, _rigid, project, (0,), (1,),
+            2))) == (2, 1)
     assert got == [((0, 0), (1, 1))] * 2
     # on a line the filter's coordinate is the window's: b child 0 is in
     # the window, which the widest b radius sets, but 1/5 from the a
@@ -1429,8 +1543,8 @@ def test_last_coordinate_tie_is_tested(monkeypatch):
             (1, 0): Ball((Q(31, 10),), Q(1, 100)),
             (1, 1): Ball((Q(7, 2),), Q(1, 4))}
     sysv = BallSystem(Ball((Q(0),), Q(10)), ExplicitTree(line))
-    maps = _combo_images(Q(1, 2), (Q(3, 2),))
+    _, *maps = _class_images(_line(Q(1, 2)), (Q(3, 2),), 128)
     assert pair_counts(monkeypatch, lambda: got.append(_refine_pair(
-        sysv, *maps[:3], (0,), (1,), 2, maps[3]))) == (2, 1)
+        sysv, *maps, (0,), (1,), 2))) == (2, 1)
     assert got[-1] == ref_refine_pair(sysv, *maps[:3], (0,), (1,), 2) \
         == ((0, 0), (1, 1))
