@@ -40,8 +40,7 @@ def node_budget() -> int:
         raise InputError("THICKSET_MAX_NODES must be an integer")
 
 
-def descend(first, children, ok, levels: int, what: str, *,
-            backtrack: bool, bulk: bool = False):
+def descend(first, children, ok, levels: int, what: str, *, backtrack: bool):
     """The pair ``levels`` steps below a survivor of ``first``: a survivor
     is a candidate ``(x, y)`` with ``ok(x, y)``, and ``children(x, y)``
     are the candidates below it, in order.  A certifying test commits to
@@ -49,25 +48,15 @@ def descend(first, children, ok, levels: int, what: str, *,
     test is charged to ``node_budget()``; passing it, or running out of
     candidates, is ``Indeterminate``.
 
-    With ``bulk``, a frame's items are ``(n, x, y)``: n tests are
-    charged at once, the last of them ``ok(x, y)``, or, when x is None,
-    none of them run.  A caller that drops candidates the test would
-    reject charges them this way, in order, and the count and the stop
-    are those of testing each one; frames of plain pairs pay nothing for
-    it."""
+    A frame's items are ``(n, x, y)``: n tests are charged at once, the
+    last of them ``ok(x, y)``, or, when x is None, none of them run.  A
+    caller that drops candidates the test would reject charges them this
+    way, in order, and the count and the stop are those of testing each
+    one; a frame that tests every candidate gives each a count of 1."""
     budget, tests = node_budget(), 0
     over = f"{what} passed the budget of {budget} pair tests"
 
-    def survivors(candidates):
-        nonlocal tests
-        for x, y in candidates:
-            tests += 1
-            if tests > budget:
-                raise Indeterminate(over)
-            if ok(x, y):
-                yield x, y
-
-    def bulk_survivors(candidates):
+    def frame(candidates):
         nonlocal tests
         for n, x, y in candidates:
             tests += n
@@ -76,7 +65,6 @@ def descend(first, children, ok, levels: int, what: str, *,
             if x is not None and ok(x, y):
                 yield x, y
 
-    frame = bulk_survivors if bulk else survivors
     stack = [frame(first)]  # one lazy frame per level
     while stack:
         pair = next(stack[-1], None)

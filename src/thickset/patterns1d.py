@@ -189,11 +189,11 @@ def certified_descent(s: IfsSet1D, x, x_words, y, y_words, depth: int,
         y_lo, y_hi, y_sl = by
         y_sl *= step
         ys = [(lo, hi, y_sl) for lo, hi in fy.children(y_lo, y_hi)]
-        return ((cx, cy) for cx in fx.children(*bx) for cy in ys)
+        return ((1, cx, cy) for cx in fx.children(*bx) for cy in ys)
 
     bx, (y_lo, y_hi, _) = descend(
-        sorted(((bx, (*by, sl)) for bx in x_boxes for by in y_boxes),
-               key=lambda t: (t[0][0], t[1][0])),
+        sorted(((1, bx, (*by, sl)) for bx in x_boxes for by in y_boxes),
+               key=lambda t: (t[1][0], t[2][0])),
         below, partial(_certified, fx, fy), levels, what, backtrack=False)
     den *= step ** levels
     return Piece(s, *x_at, *bx, den), Piece(s, *y_at, y_lo, y_hi, den)

@@ -10,12 +10,14 @@ exact target point close to the set inside that disk, and refines the
 pair of subtrees level by level, checking every hypothesis with
 certified arithmetic and recording it in the witness report.
 
-The two share one path: ``_designated_pair`` checks the designated
-children, ``_disk`` certifies the threshold and the disk radius against
-the covering slack and centers the disk, and ``_refine_to_target``
-certifies r-uniformity, picks the target, refines the pair and measures
-the witness.  Only the triangle's planar, half-ball and disk-meets-set
-checks, and each report's keys, stay with its pipeline.
+The two share one path, on a class record (the class and its side
+ratios, built once per pipeline): ``_designated_pair`` checks the
+designated children, ``_disk`` certifies the threshold and the disk
+radius against the covering slack and centers the disk, and
+``_refine_to_target`` certifies r-uniformity, picks the target, refines
+the pair and measures the witness.  Only the triangle's planar,
+half-ball and disk-meets-set checks, and each report's keys, stay with
+its pipeline.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def lambda_window(sys: BallSystem, r, mode: str = STANDARD
 
 
 Pair = tuple[int, int, Ball, Ball]
+# a class and its side ratios (s_f, s_g), made once per pipeline
+ClassRecord = tuple[NormalizedTriangle, Interval, Interval]
 
 
 def _designated_pair(sys: BallSystem) -> Pair:
@@ -171,20 +175,21 @@ def _h_b_bound(sys: BallSystem, idx_a: int, idx_b: int, h_root: Interval,
     return h_root, "h_root (distance-child condition certified)"
 
 
-def _disk(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
+def _disk(sys: BallSystem, pair: Pair, cls: ClassRecord,
           r_iv: Interval, mode: str, h_root: Interval,
           bits: int) -> tuple[Disk, dict, dict]:
     """The disk certificate both pipelines share.  The thickness bound
     tau must be certified at or above the threshold of the class
-    ``tri``; then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for
+    ``cls``; then the disk radius c_a(1-2r)t_a + c_b t_b - c_b h_b, for
     the designated balls of radii t_a <= t_b, must be certified positive
     and above the root covering slack ``h_root``.  (c_a, c_b) are the
-    class's side ratios (s_f, s_g), which are (lam, 1-lam) for the
-    linear combination, the class alpha^2 = 0.  The center is the apex
-    f(a) - g(b) of the balls' centers.  Returns the disk, the report
-    entries of the designated pair and the threshold, and those of the
-    radius; each pipeline places its own entries around them."""
+    side ratios (s_f, s_g) the class carries, the exact (lam, 1-lam) for
+    the linear combination.  The center is the apex f(a) - g(b) of the
+    balls' centers.  Returns the disk, the report entries of the
+    designated pair and the threshold, and those of the radius; each
+    pipeline places its own entries around them."""
     ia, ib, ball_a, ball_b = pair
+    tri, c_a, c_b = cls
     tau = yavicoli_thickness(sys, bits).lower_bound
     thr = threshold(tri.alpha_sq, tri.lam, r_iv, mode, bits)
     if tau.lo < thr.lo:
@@ -195,7 +200,6 @@ def _disk(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
         raise Indeterminate("threshold comparison undecided at the "
                             "current precision")
     h_b, h_b_note = _h_b_bound(sys, ia, ib, h_root, mode, bits)
-    c_a, c_b = tri.side_ratios(bits)
     t_d = (c_a * (1 - 2 * r_iv) * ball_a.radius + c_b * ball_b.radius
            - c_b * h_b)
     if not t_d.certainly_gt(Interval.point(Q(0))):
@@ -204,7 +208,7 @@ def _disk(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
         raise Indeterminate("disk radius not certified above the root "
                             "covering slack")
     s = sys.scale(1)
-    apex = _class_images(tri, (Q(0),) * len(ball_a.center), bits)[0]
+    apex = _class_images(cls, (Q(0),) * len(ball_a.center))[0]
     center, _ = apex(lattice_of(ball_a, s), lattice_of(ball_b, s), s)
     return (Disk(center, t_d),
             {"tau_lower": tau, "threshold": thr, "threshold_ok": True,
@@ -216,10 +220,12 @@ def _disk(sys: BallSystem, pair: Pair, tri: NormalizedTriangle,
 # -- the class's maps --------------------------------------------------------
 
 
-def _line(lam: Q) -> NormalizedTriangle:
-    """The class of {a, lam*a + (1-lam)*b, b}: alpha = 0."""
-    return NormalizedTriangle(alpha=Interval.point(Q(0)), alpha_sq=Q(0),
-                              lam=lam, degenerate=True)
+def _line(lam: Q) -> ClassRecord:
+    """The class of {a, lam*a + (1-lam)*b, b}, alpha = 0, whose side
+    ratios are exactly lam and 1 - lam."""
+    return (NormalizedTriangle(alpha=Interval.point(Q(0)), alpha_sq=Q(0),
+                               lam=lam, degenerate=True),
+            Interval.point(lam), Interval.point(1 - lam))
 
 
 def _ends(rows, lat: Lattice, shifts) -> tuple[tuple[int, int], ...]:
@@ -243,14 +249,14 @@ def _ends(rows, lat: Lattice, shifts) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _class_images(tri: NormalizedTriangle, z: tuple[Q, ...], bits: int):
-    """The maps of the class ``tri``, f = lam*I + alpha*J and
+def _class_images(cls: ClassRecord, z: tuple[Q, ...]):
+    """The maps of the class ``cls``, f = lam*I + alpha*J and
     g = -(1-lam)*I + alpha*J with J the plane's quarter turn
     (x, y) -> (-y, x), as integer rows (``_ends``) over one common
     denominator D of lam, alpha's ends, the radius factors s_f.hi and
-    s_g.hi (``tri.side_ratios``) and the point z.  The degenerate class,
-    the linear combination, has no J term and acts in the dimension of
-    z; any other class is planar.
+    s_g.hi (the side ratios the class carries) and the point z.  The
+    degenerate class, the linear combination, has no J term and acts in
+    the dimension of z; any other class is planar.
 
     Returns the apex map and, in ``_refine_pair``'s protocol, the image
     maps refining f(A) - z against g(B) with the b map's spread and
@@ -263,7 +269,7 @@ def _class_images(tri: NormalizedTriangle, z: tuple[Q, ...], bits: int):
     term [p, q]*x's ends by at most max(|p|, |q|)*e and its width
     (q - p)*|x| by at most (q - p)*e.  The projection is the first row
     of the b image."""
-    s_f, s_g = tri.side_ratios(bits)
+    tri, s_f, s_g = cls
     d, (lam, a_lo, a_hi, sf, sg, *zn) = on_common_scale(
         (tri.lam, tri.alpha.lo, tri.alpha.hi, s_f.hi, s_g.hi, *z))
 
@@ -540,9 +546,9 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, project_b,
     for a cell that some window reaches.  A pair in a window whose last
     coordinates (y in the plane) are farther apart than its own reach
     is charged but not tested, since ``_may_meet`` rejects it on that
-    coordinate alone.  Such charges go to ``descend`` in bulk, in order,
-    before the next pair tested or at the frame's end, so the count and
-    the budget stop are those of testing every pair of the window.
+    coordinate alone.  Such charges ride in the count of the next pair
+    tested, or in one item of their own at the frame's end, so the count
+    and the budget stop are those of testing every pair of the window.
 
     The b side starts as cells (``Generator.cells``): a child's image
     has its cell's radius and ends within spread_b(e) of its cell's.  So
@@ -630,11 +636,11 @@ def _refine_pair(sys: BallSystem, image_a, image_b, spread_b, project_b,
         return start_a, start_b
     a, b = descend(candidates((start_a, lat_a), (start_b, lat_b)),
                    candidates, meets, depth - len(start_a) - 1,
-                   "pair refinement", backtrack=True, bulk=True)
+                   "pair refinement", backtrack=True)
     return a[0], b[0]
 
 
-def _refine_to_target(sys: BallSystem, tri: NormalizedTriangle, disk: Disk,
+def _refine_to_target(sys: BallSystem, cls: ClassRecord, disk: Disk,
                       report: dict, target_key: str, depth: int, bits: int
                       ) -> tuple[tuple[Q, ...], Ball, Ball, Q, Interval]:
     """The step after the disk, shared by both drivers: certify
@@ -642,9 +648,9 @@ def _refine_to_target(sys: BallSystem, tri: NormalizedTriangle, disk: Disk,
     certified is indeterminate), take the deepest ball center inside the
     disk as the target z (its word recorded under ``target_key``), and
     refine the designated pair against it with the maps of the class
-    ``tri`` down to ``depth``.  Returns z, the refined balls a and b,
-    and from their images the residual 2(s_f.hi*r_a + s_g.hi*r_b) and
-    the defect |f(a) - g(b) - z|."""
+    ``cls``, the record the disk was made from, down to ``depth``.
+    Returns z, the refined balls a and b, and from their images the
+    residual 2(s_f.hi*r_a + s_g.hi*r_b) and the defect |f(a) - g(b) - z|."""
     uni = r_uniformity_check(sys, report["r"])
     report["r_uniformity"] = uni.status
     if uni.status == FALSIFIED:
@@ -654,7 +660,7 @@ def _refine_to_target(sys: BallSystem, tri: NormalizedTriangle, disk: Disk,
     word, target = _deepest_center_in_disk(sys, disk, depth, bits)
     report[target_key] = word
     ia, ib = report["children"]
-    apex, *maps = _class_images(tri, target, bits)
+    apex, *maps = _class_images(cls, target)
     wa, wb = _refine_pair(sys, *maps, (ia,), (ib,), depth)
     report["depth"] = depth
     s = sys.scale(len(wa))
@@ -732,8 +738,8 @@ def triangle_disk(sys: BallSystem, tri: NormalizedTriangle, r,
                                   "enlargement)")
         containment = "enlarged_ball"
 
-    disk, hypotheses, radius = _disk(sys, pair, tri, r_iv, mode, h_root,
-                                     bits)
+    disk, hypotheses, radius = _disk(sys, pair, (tri, s_f, s_g), r_iv, mode,
+                                     h_root, bits)
     t_d = disk.radius
     center_norm = _norm(_vsub(disk.center, root.center), bits)
 
@@ -782,10 +788,11 @@ def find_triangle_nd(sys: BallSystem, tri: Union[Triangle,
         raise InputError("degenerate triangle: use the linear "
                          "combination search instead")
     disk, report = triangle_disk(sys, norm, r, mode, bits)
+    cls = (norm, report["s_f"], report["s_g"])
     z, ball_a, ball_b, residual, defect = _refine_to_target(
-        sys, norm, disk, report, "apex_word", depth, bits)
+        sys, cls, disk, report, "apex_word", depth, bits)
     report["side_ratio_deviation"] = _side_ratio_deviation(
-        ball_a, ball_b, z, report["s_f"], report["s_g"], bits)
+        ball_a, ball_b, z, *cls[1:], bits)
     return WitnessNd(_ball_box(ball_a), _ball_box(ball_b), z,
                      residual, defect, depth, report,
                      convention="z = lam*x + (1-lam)*y + alpha*(y-x)_perp")

@@ -874,8 +874,9 @@ def ref_refine_pair(sys: BallSystem, image_a, image_b, spread_b,
                     start_a, start_b, depth: int, log=None):
     """The pair refinement with a window in the first coordinate alone,
     as the library ran it before it filtered the window on the last
-    coordinate and charged the dropped pairs in bulk: every b image of a
-    fan is built, and every pair in the x window is charged and tested.
+    coordinate and charged the dropped pairs together: every b image of
+    a fan is built, and every pair in the x window is a frame item of
+    count 1, charged and tested.
     With ``log``, each test appends (a word, b word, the answer, whether
     the last coordinates of the images it tests first are farther apart
     than the pair's reach)."""
@@ -940,7 +941,7 @@ def ref_refine_pair(sys: BallSystem, image_a, image_b, spread_b,
                                          and lows[j] + shift <= high):
                     settle(b)  # the cell straddles a window end
                 if b[1] is None or low <= b[2][0][0][0] <= high:
-                    yield a, b
+                    yield 1, a, b
 
     lat_a, lat_b = sys.lattice(start_a), sys.lattice(start_b)
     s = sys.scale(len(start_a))

@@ -189,6 +189,21 @@ def test_r_uniformity_check_takes_no_sampling_knobs():
     assert list(params) == ["sys", "r"]
 
 
+def test_descend_takes_one_kind_of_frame():
+    # every frame item carries its charge count, so no switch picks the
+    # frame function
+    params = inspect.signature(cantor.descend).parameters
+    assert list(params) == ["first", "children", "ok", "levels", "what",
+                            "backtrack"]
+
+
+def test_class_images_take_the_class_record_and_the_target():
+    # the side ratios travel with the class, so the maps take no
+    # precision of their own
+    params = inspect.signature(patterns_nd._class_images).parameters
+    assert list(params) == ["cls", "z"]
+
+
 @pytest.mark.parametrize("owner, name", SECOND_PATHS)
 def test_second_paths_are_gone(owner, name):
     assert not hasattr(owner, name)

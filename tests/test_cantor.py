@@ -885,10 +885,11 @@ class TestNormalize:
 
 
 class TestDescend:
-    # candidate pairs of a toy tree: ("c", "C") and ("a0", "A0") fail the
-    # test, so the only chain of two survivors runs through ("b", "B")
-    FIRST = [("c", "C"), ("a", "A"), ("b", "B")]
-    CHILDREN = {("a", "A"): [("a0", "A0")], ("b", "B"): [("b0", "B0")]}
+    # candidate pairs of a toy tree, each a frame item of count 1: ("c",
+    # "C") and ("a0", "A0") fail the test, so the only chain of two
+    # survivors runs through ("b", "B")
+    FIRST = [(1, "c", "C"), (1, "a", "A"), (1, "b", "B")]
+    CHILDREN = {("a", "A"): [(1, "a0", "A0")], ("b", "B"): [(1, "b0", "B0")]}
     FAILS = {("c", "C"), ("a0", "A0")}
 
     def run(self, levels, backtrack):
@@ -918,9 +919,12 @@ class TestDescend:
                 self.run(1, backtrack=True)
 
     # the same toy tree with dropped candidates, named "d", that fail
-    # the test, listed one by one and charged in bulk
-    PLAIN = {None: ["c", "d", "d", "a", "b"], "a": ["a0", "d"],
-             "b": ["d", "b0", "d", "d"]}
+    # the test, listed one by one with a count of 1 each, and batched:
+    # an item's count charges the dropped candidates before it, and an
+    # item with no pair charges those at a frame's end
+    PLAIN = {None: [(1, "c"), (1, "d"), (1, "d"), (1, "a"), (1, "b")],
+             "a": [(1, "a0"), (1, "d")],
+             "b": [(1, "d"), (1, "b0"), (1, "d"), (1, "d")]}
     BULK = {None: [(1, "c"), (3, "a"), (1, "b")],
             "a": [(1, "a0"), (1, None)], "b": [(2, "b0"), (2, None)]}
 
@@ -930,20 +934,18 @@ class TestDescend:
         # stop on the same charge, having run the same tests before it
         monkeypatch.setenv("THICKSET_MAX_NODES", str(budget))
         runs = []
-        for frames, bulk in ((self.PLAIN, False), (self.BULK, True)):
+        for frames in (self.PLAIN, self.BULK):
             tested = []
 
             def ok(x, y):
                 tested.append(x)
                 return x in ("a", "b")
 
-            def frame(x, bulk=bulk, frames=frames):
-                if bulk:
-                    return [(n, w, w) for n, w in frames[x]]
-                return [(w, w) for w in frames[x]]
+            def frame(x, frames=frames):
+                return [(n, w, w) for n, w in frames[x]]
             try:
                 descend(frame(None), lambda x, y: frame(x), ok, 1,
-                        "toy descent", backtrack=True, bulk=bulk)
+                        "toy descent", backtrack=True)
             except Indeterminate as e:
                 runs.append((str(e), [w for w in tested if w != "d"]))
         assert runs[0] == runs[1]

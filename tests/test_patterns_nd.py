@@ -873,7 +873,7 @@ class TestPairEngine:
         c = tuple(lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb))
         want = outcome(interval_dfs, sysv, *interval_combo_maps(lam, c),
                        (0,), (1,), depth)
-        _, *maps = _class_images(_line(lam), c, 128)
+        _, *maps = _class_images(_line(lam), c)
         got = outcome(_refine_pair, sysv, *maps, (0,), (1,), depth)
         assert got == want
 
@@ -1075,8 +1075,8 @@ def test_children_derived_per_pipeline(monkeypatch, make, search, args,
 
 def pair_counts(monkeypatch, call) -> tuple[int, int]:
     """The child-pair tests that ``descend`` charges to the budget during
-    ``call``, bulk charges included, and those it runs, one per call of
-    its test function."""
+    ``call``, the counts of the frames' items summed, and those it runs,
+    one per call of its test function."""
     import thickset.patterns_nd as nd
 
     charged, run, descend = [0], [0], nd.descend
@@ -1274,19 +1274,24 @@ def test_window_takes_the_widest_child_not_the_widest_cell(monkeypatch):
         "pair refinement exhausted (no chain to the requested depth)", 3)
 
 
-FRAME_TRIANGLES = [equilateral(),
-                   normalize_triangle(_triangle((Q(1, 2), Q(7, 8)))),
-                   normalize_triangle(_triangle((Q(1, 3), Q(3, 4))))]
+def _record(tri):
+    """The class record of ``tri``: the class and its side ratios."""
+    return (tri, *tri.side_ratios(128))
+
+
+FRAME_CLASSES = [_record(equilateral()),
+                 _record(normalize_triangle(_triangle((Q(1, 2), Q(7, 8))))),
+                 _record(normalize_triangle(_triangle((Q(1, 3), Q(3, 4)))))]
 
 
 @pytest.mark.parametrize("make", [_grid(1), _hex])
-@pytest.mark.parametrize("tri", [None, *FRAME_TRIANGLES])
+@pytest.mark.parametrize("tri", [None, *FRAME_CLASSES])
 def test_projection_is_read_off_the_images(make, tri):
     # the low ends and widths of the first coordinates and the largest
     # radius, for fans at three depths and a target off the lattice
     sysv, z = make(), (Q(1, 3), Q(-2, 7))
     _, _, image_b, _, project_b = _class_images(
-        _line(Q(2, 5)) if tri is None else tri, z, 128)
+        _line(Q(2, 5)) if tri is None else tri, z)
     for word in [(), (1,), (0, 17, 3)]:
         cells, _ = sysv.generator.cells(sysv.lattice(word), word)
         s = sysv.scale(len(word) + 1)
@@ -1295,16 +1300,17 @@ def test_projection_is_read_off_the_images(make, tri):
 
 @settings(max_examples=40, deadline=None)
 @given(make=st.sampled_from([_grid(1), _hex]),
-       tri=st.one_of(st.sampled_from(FRAME_TRIANGLES), st.fractions(
+       cls=st.one_of(st.sampled_from(FRAME_CLASSES), st.fractions(
            Q(1, 64), Q(1, 2), max_denominator=64).map(_line)),
        depth=st.integers(0, 3),
        letters=st.lists(st.integers(0, 84), min_size=6, max_size=6),
        target=st.tuples(*[st.fractions(-2, 2, max_denominator=1000)] * 2),
        moves=st.tuples(*[st.fractions(-1, 1, max_denominator=50)] * 2))
 # an irrational height, so that the first width moves with the center
-@example(make=_hex, tri=equilateral(), depth=2, letters=[3, 41, 0, 5, 60, 0],
-         target=(Q(1, 3), Q(-2, 7)), moves=(Q(1, 2), Q(-3, 4)))
-def test_class_images_are_the_rational_maps(make, tri, depth, letters,
+@example(make=_hex, cls=FRAME_CLASSES[0], depth=2,
+         letters=[3, 41, 0, 5, 60, 0], target=(Q(1, 3), Q(-2, 7)),
+         moves=(Q(1, 2), Q(-3, 4)))
+def test_class_images_are_the_rational_maps(make, cls, depth, letters,
                                             target, moves):
     # over the image scale n the integer images are the oracle's rational
     # ones: f(x) - z, with f(x) the apex over (x, 0), and g(y), the apex
@@ -1315,9 +1321,8 @@ def test_class_images_are_the_rational_maps(make, tri, depth, letters,
     wa, wb = tuple(letters[:depth]), tuple(letters[3:3 + depth])
     lat_a, lat_b, s = sysv.lattice(wa), sysv.lattice(wb), sysv.scale(depth)
     x, y = sysv.ball(wa), sysv.ball(wb)
-    apex, image_a, image_b, spread_b, project_b = _class_images(tri, target,
-                                                                128)
-    zero, (s_f, s_g) = (Q(0), Q(0)), tri.side_ratios(128)
+    apex, image_a, image_b, spread_b, project_b = _class_images(cls, target)
+    zero, (tri, s_f, s_g) = (Q(0), Q(0)), cls
     # n = D*s, read off the a radius
     n = image_a(lat_a, s)[1] / (s_f.hi * x.radius)
     assert n.denominator == 1 and n % s == 0
@@ -1348,6 +1353,34 @@ def test_class_images_are_the_rational_maps(make, tri, depth, letters,
                zip(box, box_moved) for u, v in zip(ends, ends_moved))
     assert abs((box[0][1] - box[0][0])
                - (box_moved[0][1] - box_moved[0][0])) <= stretch
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.fractions(Q(0), Q(1, 2), max_denominator=10**6).filter(bool),
+       bits=st.integers(1, 300))
+def test_line_carries_the_exact_side_ratios(lam, bits):
+    # the square roots of lam^2 and (1-lam)^2 are exact at any precision,
+    # so the combination's record needs none
+    tri, s_f, s_g = _line(lam)
+    assert (s_f, s_g) == tri.side_ratios(bits)
+    assert s_f.is_point() and s_g.is_point()
+
+
+@pytest.mark.parametrize("make, search, args, whole_total, whole_refined",
+                         SEED1_PIPELINES)
+def test_side_ratios_run_once_per_triangle_pipeline(
+        monkeypatch, make, search, args, whole_total, whole_refined):
+    # the disk and the refinement read the ratios off one class record:
+    # a triangle pipeline takes its square roots once, a combination none
+    calls, method = [0], NormalizedTriangle.side_ratios
+
+    def counted(self, bits):
+        calls[0] += 1
+        return method(self, bits)
+
+    monkeypatch.setattr(NormalizedTriangle, "side_ratios", counted)
+    search(make(), *args)
+    assert calls[0] == (search is TRIANGLE)
 
 
 def test_triangle_needs_a_planar_system():
@@ -1394,7 +1427,7 @@ def test_three_dimensional_combination_refines_as_the_oracle(monkeypatch,
     cb = sysv.ball((1, rng.randrange(4), rng.randrange(4))).center
     for offset in (Q(0), Q(1, 20)):
         c = tuple(lam * x + (1 - lam) * y + offset for x, y in zip(ca, cb))
-        _, *maps = _class_images(_line(lam), c, 128)
+        _, *maps = _class_images(_line(lam), c)
         ref_log = []
         want = outcome(ref_refine_pair, sysv, *maps[:3], (0,), (1,), 3,
                        ref_log)
@@ -1471,17 +1504,17 @@ def _loose(sysv):
        loose=st.booleans(),
        combo=st.booleans(),
        lam=st.fractions(Q(1, 16), Q(1, 2), max_denominator=16),
-       tri=st.sampled_from(FRAME_TRIANGLES),
+       cls=st.sampled_from(FRAME_CLASSES),
        depth=st.integers(2, 3),
        tails=st.lists(st.integers(0, 84), min_size=4, max_size=4),
        offset=st.sampled_from([Q(0), Q(1, 10**4), Q(1, 500), Q(1, 100)]),
        stop=st.integers(0, 999))
 # a search that exhausts at depth 2
 @example(make=_grid(997009), loose=False, combo=True, lam=Q(3, 16),
-         tri=equilateral(), depth=2, tails=[65, 19, 92, 28], offset=Q(1, 40),
-         stop=500)
+         cls=FRAME_CLASSES[0], depth=2, tails=[65, 19, 92, 28],
+         offset=Q(1, 40), stop=500)
 def test_frames_charge_as_the_one_coordinate_window(
-        make, loose, combo, lam, tri, depth, tails, offset, stop):
+        make, loose, combo, lam, cls, depth, tails, offset, stop):
     # the target combines two depth-3 centers, or is the apex over them,
     # shifted so that some searches exhaust; the search then runs again
     # under a budget below its charges
@@ -1489,9 +1522,9 @@ def test_frames_charge_as_the_one_coordinate_window(
     ca = sysv.ball((0, *tails[:2])).center
     cb = sysv.ball((1, *tails[2:])).center
     if combo:
-        tri = _line(lam)
-    _, *maps = _class_images(tri, tuple(
-        v.mid + offset for v in ref_apex(tri, ca, cb)), 128)
+        cls = _line(lam)
+    _, *maps = _class_images(cls, tuple(
+        v.mid + offset for v in ref_apex(cls[0], ca, cb)))
     if loose:
         sysv = _loose(sysv)
 
@@ -1543,7 +1576,7 @@ def test_last_coordinate_tie_is_tested(monkeypatch):
             (1, 0): Ball((Q(31, 10),), Q(1, 100)),
             (1, 1): Ball((Q(7, 2),), Q(1, 4))}
     sysv = BallSystem(Ball((Q(0),), Q(10)), ExplicitTree(line))
-    _, *maps = _class_images(_line(Q(1, 2)), (Q(3, 2),), 128)
+    _, *maps = _class_images(_line(Q(1, 2)), (Q(3, 2),))
     assert pair_counts(monkeypatch, lambda: got.append(_refine_pair(
         sysv, *maps, (0,), (1,), 2))) == (2, 1)
     assert got[-1] == ref_refine_pair(sysv, *maps[:3], (0,), (1,), 2) \
